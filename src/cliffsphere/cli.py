@@ -9,9 +9,11 @@ s7          7-sphere trivector report (contraction terms, grade decomposition)
 
 Every run writes ``manifest.json`` into the output directory: command name,
 full config echo, seed, package version, start/end timestamps, and a sha256
-digest per emitted data file.  Data files contain no timestamps, so a rerun
-with the same flags and seed is byte-identical.  Numeric CSV fields carry 17
-significant digits with a locale-independent decimal point.
+digest per emitted data file; ``simulate`` adds the orientation counts
+(n, n_plus, n_minus) that every row was computed from.  Data files contain
+no timestamps, so a rerun with the same flags and seed is byte-identical.
+Numeric CSV fields carry 17 significant digits with a locale-independent
+decimal point.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.
@@ -26,13 +28,21 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .epr import ExperimentConfig, SweepSpec, correlation_raw, correlation_standard, sweep
+from .epr import (
+    ExperimentConfig,
+    SweepSpec,
+    correlation_raw,
+    correlation_standard,
+    orientation_counts,
+    sweep,
+)
 from .hopf import (
     DegenerateAxisError,
     null_limit_probe,
@@ -118,8 +128,9 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    outputs: list[Path], started: str) -> None:
+                    outputs: list[Path], started: str, extra: dict | None = None) -> None:
     manifest = {
+        **(extra or {}),
         "command": command,
         "config": config,
         "seed": seed,
@@ -155,13 +166,13 @@ def cmd_identities(args) -> int:
     started = _utc_now()
     seed = _resolve_seed(args.seed)
     out_dir = _prepare_out(args.out)
-    print(f"identity suite: tolerance {args.tolerance:g}, {args.pairs} vector pairs")
     results = run_identity_checks(
         tolerance=args.tolerance,
         n_pairs=args.pairs,
         seed=seed,
         inject_sign_flip=args.inject_sign_flip,
     )
+    print(f"identity suite: tolerance {args.tolerance:g}, {args.pairs} vector pairs")
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:55s} max residual {r.residual:.3e}  tol {r.tolerance:.1e}")
@@ -217,7 +228,9 @@ def cmd_simulate(args) -> int:
         for row in rows:
             writer.writerow([_fmt(v) for v in row[:-1]] + [str(row[-1])])
     print(f"wrote {csv_path} ({len(rows)} rows)")
-    _write_manifest(out_dir, "simulate", config, seed, [csv_path], started)
+    orientation = asdict(orientation_counts(cfg.seed, cfg.n_trials))
+    _write_manifest(out_dir, "simulate", config, seed, [csv_path], started,
+                    extra={"orientation": orientation})
     return EXIT_OK
 
 
@@ -343,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=IDENTITY_TOL,
                    help="threshold for the floating algebraic identities")
     p.add_argument("--pairs", type=int, default=1000,
-                   help="random unit-vector pairs per identity")
+                   help="random unit-vector pairs per identity (>= 1)")
     p.add_argument("--inject-sign-flip", action="store_true",
                    help="test mode: corrupt a structure constant; the suite must fail")
     p.set_defaults(func=cmd_identities)

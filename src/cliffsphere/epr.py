@@ -11,23 +11,32 @@ Per trial, Alice's raw score is the scalar of the Cl(3,0) product
 are evaluated in the algebra and checked to be scalar, never assumed.  Since
 the scores depend on the directions only through these products (which
 collapse to lam and -lam), the estimators evaluate the products once per
-orientation value, verify them, and fan the verified values out over the
-stream.  Averages are then exact: orientation counts are accumulated as
-integers, so the results are independent of summation order at any trial
-count.
+orientation value, verify them, and weight the verified values by the
+orientation counts.  Averages are then exact: the counts are integers, so
+the results are independent of summation order at any trial count.
+
+Since a raw score depends on lam only, never on the detector direction, the
+counts (n_plus, n_minus) are the only random quantity of a run.
+`orientation_counts` draws them once per (seed, n) by walking the stream in
+fixed chunks of COUNT_CHUNK trials, so memory is bounded by the chunk, not by
+n; the result is memoized, and every estimator and every sweep angle reads
+the same counts (the CLI records them in its manifest).
+`orientation_prefix_counts` is the same walk reporting the counts of several
+prefixes at once.
 
 Three averaging procedures are provided: the componentwise average of the
 abstract standard-score products over the formal basis {1, beta_x, beta_y,
 beta_z} (scalar part -a.b per trial, fluctuating bivector residual), the
 plain mean of raw-score products (identically -1), and the marginal averages
 of single-side scores (all components tend to 0 at the 1/sqrt(n) rate).
-Both correlation estimators are computed from the same orientation stream
+Both correlation estimators are computed from the same orientation counts
 and reported side by side.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,12 +73,27 @@ class Side(enum.Enum):
 # -- orientation sampling ---------------------------------------------------------
 
 
+#: `lambda_stream` keys Philox with the seed as one uint64: seeds lie in [0, 2**64).
+SEED_LIMIT = 2**64
+#: Trials per `lambda_stream` call when counting orientations; bounds the
+#: walk's working memory (4 uint64 words per trial, 2 MiB) whatever n is.
+COUNT_CHUNK = 1 << 16
+#: Memoized (seed, n) pairs of `orientation_counts`.
+COUNTS_CACHE_SIZE = 32
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def lambda_stream(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Orientations for trials start..start+n-1 as an int8 array of +-1.
 
     Trial i consumes the low bit of the first word of Philox counter block i
     under key `seed`, so the draw is a pure function of (seed, i).
     """
+    _check_seed(seed)
     if n < 0:
         raise ValueError("trial count must be nonnegative")
     if n == 0:
@@ -79,9 +103,41 @@ def lambda_stream(seed: int, n: int, start: int = 0) -> np.ndarray:
     return (2 * (words & 1).astype(np.int8) - 1).astype(np.int8)
 
 
-def sample_lambda(seed: int, index: int) -> int:
-    """Fair-coin orientation of a single trial, deterministic in (seed, index)."""
-    return int(lambda_stream(seed, 1, start=index)[0])
+@dataclass(frozen=True)
+class OrientationCounts:
+    """How many of the first n trials drew lam = +1 and lam = -1."""
+
+    n: int
+    n_plus: int
+    n_minus: int
+
+    @property
+    def lam_mean(self) -> float:
+        return (self.n_plus - self.n_minus) / self.n
+
+
+def orientation_prefix_counts(seed: int, sizes) -> tuple[OrientationCounts, ...]:
+    """Counts over the first n trials for each n in `sizes` (ascending), from
+    one walk of the stream in chunks of COUNT_CHUNK trials."""
+    sizes = [int(n) for n in sizes]
+    if not sizes or sizes[0] < 1 or sizes != sorted(sizes):
+        raise ValueError("prefix sizes must be ascending trial counts >= 1")
+    counts = []
+    running = 0
+    for start in range(0, sizes[-1], COUNT_CHUNK):
+        plus = lambda_stream(seed, min(COUNT_CHUNK, sizes[-1] - start), start) == 1
+        while len(counts) < len(sizes) and sizes[len(counts)] <= start + len(plus):
+            n = sizes[len(counts)]
+            n_plus = running + int(np.count_nonzero(plus[: n - start]))
+            counts.append(OrientationCounts(n, n_plus, n - n_plus))
+        running += int(np.count_nonzero(plus))
+    return tuple(counts)
+
+
+@functools.lru_cache(maxsize=COUNTS_CACHE_SIZE)
+def orientation_counts(seed: int, n: int) -> OrientationCounts:
+    """Orientation counts of trials 0..n-1, drawn once per (seed, n)."""
+    return orientation_prefix_counts(seed, (n,))[0]
 
 
 # -- configuration and results ------------------------------------------------------
@@ -115,6 +171,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        _check_seed(self.seed)
         if self.pairs is not None:
             checked = tuple(
                 (unit_vector(a), unit_vector(b)) for a, b in self.pairs
@@ -207,8 +264,9 @@ def _verified_tables(a, b) -> tuple[dict[int, int], dict[int, int]]:
 def trial_records(a, b, cfg: ExperimentConfig) -> list[TrialRecord]:
     """Fully evaluated trials (one multivector evaluation per trial per side).
 
-    Intended for inspection and small n; the estimators use the same
-    evaluations memoized over the two orientation values.
+    Intended for inspection and small n, as the per-trial reference of the
+    estimators, which use the same evaluations memoized over the two
+    orientation values and weighted by `orientation_counts`.
     """
     lams = lambda_stream(cfg.seed, cfg.n_trials)
     return [
@@ -218,12 +276,6 @@ def trial_records(a, b, cfg: ExperimentConfig) -> list[TrialRecord]:
 
 
 # -- estimators ----------------------------------------------------------------------
-
-
-def _lambda_counts(cfg: ExperimentConfig) -> tuple[int, int, np.ndarray]:
-    lams = lambda_stream(cfg.seed, cfg.n_trials)
-    n_plus = int(np.count_nonzero(lams == 1))
-    return n_plus, cfg.n_trials - n_plus, lams
 
 
 def correlation_standard(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
@@ -236,7 +288,7 @@ def correlation_standard(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
     """
     a = unit_vector(a)
     b = unit_vector(b)
-    n_plus, n_minus, _ = _lambda_counts(cfg)
+    counts = orientation_counts(cfg.seed, cfg.n_trials)
     products = {
         lam: abstract_product(standard_score(a, lam), standard_score(b, lam))
         for lam in (1, -1)
@@ -244,11 +296,10 @@ def correlation_standard(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
     if products[1].c0 != products[-1].c0:
         raise TrialConsistencyError("scalar part of the score product must not depend on lam")
     scalar = products[1].c0
-    lam_mean = (n_plus - n_minus) / cfg.n_trials
     c_plus = np.asarray(products[1].c)
     if not np.array_equal(np.asarray(products[-1].c), -c_plus):
         raise TrialConsistencyError("bivector part of the score product must flip with lam")
-    residual = lam_mean * c_plus
+    residual = counts.lam_mean * c_plus
     stderr = float(np.linalg.norm(cross(a, b))) / math.sqrt(cfg.n_trials)
     return CorrelationEstimate(
         float(scalar), tuple(float(r) for r in residual), cfg.n_trials, stderr
@@ -258,19 +309,20 @@ def correlation_standard(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
 def correlation_raw(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
     """Arithmetic mean of the raw-score products A_i * B_i.
 
-    The per-trial product is (+lam)(-lam) = -1 for both orientation values,
-    which is verified trial by trial; the mean is therefore -1 at every
-    direction pair, with zero dispersion.
+    The per-trial product depends on lam only, so it is verified once per
+    orientation value that occurs in the stream, which is the same as
+    verifying it trial by trial: it is (+lam)(-lam) = -1 for both values,
+    and the mean is therefore -1 at every direction pair, with zero
+    dispersion.
     """
     alice, bob = _verified_tables(a, b)
-    _, _, lams = _lambda_counts(cfg)
-    a_scores = np.where(lams == 1, alice[1], alice[-1]).astype(np.int64)
-    b_scores = np.where(lams == 1, bob[1], bob[-1]).astype(np.int64)
-    products = a_scores * b_scores
-    if not np.all(products == -1):
-        raise TrialConsistencyError("per-trial raw product deviated from -1")
-    mean = int(products.sum()) / cfg.n_trials
-    return CorrelationEstimate(mean, (0.0, 0.0, 0.0), cfg.n_trials, 0.0)
+    counts = orientation_counts(cfg.seed, cfg.n_trials)
+    occurring = {1: counts.n_plus, -1: counts.n_minus}
+    for lam, k in occurring.items():
+        if k and alice[lam] * bob[lam] != -1:
+            raise TrialConsistencyError("per-trial raw product deviated from -1")
+    total = sum(k * alice[lam] * bob[lam] for lam, k in occurring.items())
+    return CorrelationEstimate(total / cfg.n_trials, (0.0, 0.0, 0.0), cfg.n_trials, 0.0)
 
 
 def marginal_average(n_vec, side: Side, cfg: ExperimentConfig) -> CorrelationEstimate:
@@ -278,27 +330,14 @@ def marginal_average(n_vec, side: Side, cfg: ExperimentConfig) -> CorrelationEst
     standard-score mean in `residual_coeffs`.  All tend to 0 as 1/sqrt(n)."""
     n_vec = unit_vector(n_vec)
     side = Side(side)
-    n_plus, n_minus, lams = _lambda_counts(cfg)
-    if side is Side.ALICE:
-        table = {lam: raw_score_alice(n_vec, lam) for lam in (1, -1)}
-    else:
-        table = {lam: raw_score_bob(n_vec, lam) for lam in (1, -1)}
-    raws = np.where(lams == 1, table[1], table[-1]).astype(np.int64)
-    raw_mean = int(raws.sum()) / cfg.n_trials
-    lam_mean = (n_plus - n_minus) / cfg.n_trials
-    score_plus = np.asarray(standard_score(n_vec, 1).c)
-    components = lam_mean * score_plus
+    counts = orientation_counts(cfg.seed, cfg.n_trials)
+    score = raw_score_alice if side is Side.ALICE else raw_score_bob
+    total = counts.n_plus * score(n_vec, 1) + counts.n_minus * score(n_vec, -1)
+    components = counts.lam_mean * np.asarray(standard_score(n_vec, 1).c)
     stderr = 1.0 / math.sqrt(cfg.n_trials)
     return CorrelationEstimate(
-        raw_mean, tuple(float(c) for c in components), cfg.n_trials, stderr
+        total / cfg.n_trials, tuple(float(c) for c in components), cfg.n_trials, stderr
     )
-
-
-def commutativity_check(a, b, lam: int) -> int:
-    """|A B - B A| for the observed raw scores: identically 0 (integers)."""
-    A = raw_score_alice(a, lam)
-    B = raw_score_bob(b, lam)
-    return abs(A * B - B * A)
 
 
 def standard_commutator_norm(a, b, lam: int) -> float:
@@ -335,7 +374,8 @@ def sweep_directions(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
 
 def sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Both estimators at every sweep angle, all rows from the same
-    orientation stream; bit-identical for equal (seed, n_trials, sweep)."""
+    orientation counts (one walk of the stream); bit-identical for equal
+    (seed, n_trials, sweep)."""
     if cfg.sweep is None:
         raise ValueError("config has no angle sweep")
     rows = []
@@ -360,6 +400,17 @@ def sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 # -- convergence study ------------------------------------------------------------------
 
 
+def mean_residual_norms(a, b, seeds, sizes) -> np.ndarray:
+    """Seed-averaged residual norm |mean of lam over the first n trials| *
+    |a x b| for each n in `sizes` (ascending), from exact prefix counts."""
+    scale = float(np.linalg.norm(cross(unit_vector(a), unit_vector(b))))
+    residuals = [
+        [abs(c.lam_mean) * scale for c in orientation_prefix_counts(seed, sizes)]
+        for seed in seeds
+    ]
+    return np.mean(residuals, axis=0)
+
+
 def residual_convergence_slope(
     a,
     b,
@@ -368,21 +419,10 @@ def residual_convergence_slope(
 ) -> float:
     """Log-log slope of the seed-averaged residual norm versus trial count.
 
-    For each seed the residual at size n is |mean of lam over the first n
-    trials| * |a x b| (computed from exact integer prefix sums); the slope of
-    log10(mean residual) against log10(n) is -1/2 for the fair coin.
+    The slope of log10(`mean_residual_norms`) against log10(n) is -1/2 for
+    the fair coin.
     """
-    a = unit_vector(a)
-    b = unit_vector(b)
-    scale = float(np.linalg.norm(cross(a, b)))
     sizes = sorted(sizes)
-    seed_list = list(seeds)
-    sums = np.zeros((len(seed_list), len(sizes)))
-    for i, seed in enumerate(seed_list):
-        lams = lambda_stream(seed, sizes[-1]).astype(np.int64)
-        prefix = np.cumsum(lams)
-        for j, n in enumerate(sizes):
-            sums[i, j] = abs(int(prefix[n - 1])) / n * scale
-    mean_residual = sums.mean(axis=0)
+    mean_residual = mean_residual_norms(a, b, seeds, sizes)
     slope, _ = np.polyfit(np.log10(sizes), np.log10(mean_residual), 1)
     return float(slope)

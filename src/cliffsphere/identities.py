@@ -351,6 +351,8 @@ def equation_suite(
     """The frame-identity block: subalgebras, handedness, score expansions,
     and the combined orientation identity, over `n_pairs` random unit-vector
     pairs and both orientations."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1: the random-pair checks would not run")
     rng = np.random.default_rng(seed)
     results = [
         check_frame_subalgebra(1, tolerance),

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cliffsphere.cli import main
+from cliffsphere.epr import lambda_stream
 
 CSV_HEADER = [
     "theta_deg", "raw_mean", "std_scalar", "resid_x", "resid_y", "resid_z",
@@ -122,6 +123,48 @@ def test_manifest_schema(tmp_path):
     assert manifest["started_utc"] <= manifest["finished_utc"]
 
 
+def test_manifest_records_orientation_counts(tmp_path):
+    for argv in (["--trials", "3001", "--seed", "12"],
+                 ["--trials", "2500", "--seed", "4", "--a", "1,0,0", "--b", "0,0,1"]):
+        out = tmp_path / argv[3]
+        assert main(["simulate", *argv, "--out", str(out)]) == 0
+        trials, seed = int(argv[1]), int(argv[3])
+        orientation = json.loads((out / "manifest.json").read_text())["orientation"]
+        assert orientation["n"] == trials
+        assert orientation["n_plus"] + orientation["n_minus"] == trials
+        # oracle: a direct count over the stream
+        n_plus = int((lambda_stream(seed, trials) == 1).sum())
+        assert orientation["n_plus"] == n_plus
+
+
+def assert_usage_error(capsys, code):
+    """Exit 2 with one `error:` line on stderr; returns what was printed."""
+    assert code == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error:")
+    assert len(printed.err.strip().splitlines()) == 1
+    assert "Traceback" not in printed.err
+    return printed
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_rejects_out_of_range_seed(tmp_path, capsys, seed):
+    code = main(["simulate", "--trials", "100", "--seed", seed, "--out", str(tmp_path / "x")])
+    assert_usage_error(capsys, code)
+    assert not (tmp_path / "x" / "correlations.csv").exists()
+
+
+def test_simulate_rejects_out_of_range_env_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CLIFFSPHERE_SEED", "-1")
+    code = main(["simulate", "--trials", "100", "--out", str(tmp_path / "x")])
+    assert_usage_error(capsys, code)
+
+
+def test_simulate_accepts_largest_seed(tmp_path):
+    out = tmp_path / "x"
+    assert main(["simulate", "--trials", "100", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+
+
 def test_csv_floats_are_17_digit_and_locale_independent(tmp_path):
     out = tmp_path / "fmt"
     assert main(["simulate", "--trials", "100", "--seed", "5", "--out", str(out)]) == 0
@@ -229,6 +272,12 @@ def test_identities_sign_flip_canary_fails(tmp_path, capsys):
     assert main(["identities", "--pairs", "50", "--inject-sign-flip", "--out", str(out)]) == 1
     printed = capsys.readouterr().out
     assert any(l.startswith("FAIL") for l in printed.splitlines())
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_identities_rejects_nonpositive_pairs(tmp_path, capsys, pairs):
+    code = main(["identities", "--pairs", pairs, "--out", str(tmp_path / "i")])
+    assert "checks passed" not in assert_usage_error(capsys, code).out
 
 
 def test_identities_tolerance_flag_is_applied_and_echoed(tmp_path, capsys):

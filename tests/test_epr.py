@@ -1,24 +1,28 @@
 """EPR model tests: orientation stream, raw scores, estimators, sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cliffsphere.epr import (
+    COUNT_CHUNK,
     CorrelationEstimate,
     ExperimentConfig,
+    OrientationCounts,
     Side,
     SweepSpec,
     TrialRecord,
-    commutativity_check,
     correlation_raw,
     correlation_standard,
     lambda_stream,
     marginal_average,
+    mean_residual_norms,
+    orientation_counts,
+    orientation_prefix_counts,
     raw_score_alice,
     raw_score_bob,
-    sample_lambda,
     standard_commutator_norm,
     sweep,
     sweep_directions,
@@ -44,7 +48,7 @@ def random_unit(rng):
 
 def test_lambda_stream_reproducible_prefix():
     assert list(lambda_stream(42, 10)) == SEED42_PREFIX
-    assert [sample_lambda(42, i) for i in range(10)] == SEED42_PREFIX
+    assert [int(lambda_stream(42, 1, start=i)[0]) for i in range(10)] == SEED42_PREFIX
 
 
 def test_lambda_stream_chunking_is_order_insensitive():
@@ -69,6 +73,77 @@ def test_lambda_empirical_mean_within_binomial_bound():
     n = 10**6
     mean = lambda_stream(42, n).astype(np.int64).sum() / n
     assert abs(mean) < 3.0 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_lambda_stream_rejects_out_of_range_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        lambda_stream(seed, 4)
+
+
+def test_lambda_stream_accepts_extreme_seeds():
+    for seed in (0, 2**64 - 1):
+        assert len(lambda_stream(seed, 4)) == 4
+
+
+# -- orientation counts ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n", [1, COUNT_CHUNK - 1, COUNT_CHUNK, COUNT_CHUNK + 1, 3 * COUNT_CHUNK + 5]
+)
+def test_orientation_counts_match_full_stream_at_chunk_boundaries(n):
+    # oracle: a direct count over the whole stream, built in one piece
+    counts = orientation_counts(31, n)
+    n_plus = int(np.count_nonzero(lambda_stream(31, n) == 1))
+    assert counts == OrientationCounts(n, n_plus, n - n_plus)
+
+
+def test_orientation_prefix_counts_match_cumsum():
+    n = 2 * COUNT_CHUNK + 7
+    prefix = np.cumsum(lambda_stream(8, n) == 1)
+    sizes = [1, 2, 99, COUNT_CHUNK - 1, COUNT_CHUNK, COUNT_CHUNK, COUNT_CHUNK + 1,
+             2 * COUNT_CHUNK, n]
+    counts = orientation_prefix_counts(8, sizes)
+    assert [c.n for c in counts] == sizes
+    assert [c.n_plus for c in counts] == [int(prefix[k - 1]) for k in sizes]
+    assert all(c.n_plus + c.n_minus == c.n for c in counts)
+
+
+def test_orientation_prefix_counts_reject_bad_sizes():
+    for sizes in ([], [0, 5], [10, 5]):
+        with pytest.raises(ValueError, match="ascending"):
+            orientation_prefix_counts(1, sizes)
+
+
+def test_orientation_counts_memory_is_bounded_by_the_chunk():
+    # the whole stream at 10^7 trials is ~320 MB of Philox words
+    orientation_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        counts = orientation_counts(2024, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.n_plus + counts.n_minus == 10**7
+    assert peak < 16 * 2**20
+
+
+def test_orientation_counts_are_memoized():
+    orientation_counts.cache_clear()
+    first = orientation_counts(77, 1000)
+    assert orientation_counts(77, 1000) is first
+    assert orientation_counts.cache_info().hits == 1
+
+
+def test_mean_residual_norms_match_literal_prefix_sums():
+    sizes = [10, 1000, 5000]
+    got = mean_residual_norms(EX, EY, range(3), sizes)
+    want = [
+        np.mean([abs(int(lambda_stream(seed, n).astype(np.int64).sum())) / n for seed in range(3)])
+        for n in sizes
+    ]
+    assert np.array_equal(got, want)
 
 
 # -- raw scores --------------------------------------------------------------------
@@ -243,6 +318,15 @@ def test_marginal_large_n_tends_to_zero(side):
     assert est.stderr == pytest.approx(1.0 / math.sqrt(n))
 
 
+def test_marginal_raw_mean_matches_trial_records():
+    cfg = ExperimentConfig(n_trials=300, seed=13)
+    records = trial_records(EX, EY, cfg)
+    alice = sum(r.alice_raw for r in records) / len(records)
+    bob = sum(r.bob_raw for r in records) / len(records)
+    assert marginal_average(EX, Side.ALICE, cfg).scalar == alice
+    assert marginal_average(EY, Side.BOB, cfg).scalar == bob
+
+
 def test_marginal_accepts_side_value():
     cfg = ExperimentConfig(n_trials=10, seed=0)
     est = marginal_average(EX, "bob", cfg)
@@ -250,13 +334,6 @@ def test_marginal_accepts_side_value():
 
 
 # -- commutativity ----------------------------------------------------------------------
-
-
-def test_raw_scores_commute_exactly():
-    rng = np.random.default_rng(31)
-    for lam in (1, -1):
-        for _ in range(50):
-            assert commutativity_check(random_unit(rng), random_unit(rng), lam) == 0
 
 
 def test_standard_scores_do_not_commute():
@@ -317,6 +394,9 @@ def test_sweep_requires_angle_spec():
 def test_config_validation():
     with pytest.raises(ValueError, match="n_trials"):
         ExperimentConfig(n_trials=0, seed=1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(n_trials=1, seed=seed)
     with pytest.raises(ValueError, match="unit vector"):
         ExperimentConfig(n_trials=1, seed=1, pairs=(([2.0, 0, 0], [1.0, 0, 0]),))
     cfg = ExperimentConfig(n_trials=1, seed=1, pairs=((EX, EY),))

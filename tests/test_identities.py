@@ -1,5 +1,7 @@
 """Identity suite tests: everything passes, and a corrupted algebra is caught."""
 
+import pytest
+
 from cliffsphere.identities import (
     CheckResult,
     equation_suite,
@@ -56,3 +58,10 @@ def test_suite_is_deterministic_for_fixed_seed():
     a = run_identity_checks(n_pairs=50, seed=5)
     b = run_identity_checks(n_pairs=50, seed=5)
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
+
+
+def test_suites_refuse_to_run_without_random_pairs():
+    # with no pairs the random-pair checks would pass without having run
+    for suite in (equation_suite, run_identity_checks):
+        with pytest.raises(ValueError, match="n_pairs"):
+            suite(n_pairs=0)
