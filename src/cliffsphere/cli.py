@@ -38,6 +38,7 @@ from . import __version__
 from .epr import (
     ExperimentConfig,
     SweepSpec,
+    _check_seed,
     correlation_raw,
     correlation_standard,
     orientation_counts,
@@ -116,15 +117,17 @@ def _parse_separations(text: str) -> list[float]:
 
 
 def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    """The run's seed from the flag, else the environment, else the default;
+    every subcommand requires it to lie in [0, 2**64)."""
+    seed = flag_value
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    return DEFAULT_SEED
+    _check_seed(seed)
+    return seed
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
@@ -146,8 +149,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 
 def _prepare_out(out: str) -> Path:
+    """Create the output directory once the inputs are validated, and drop a
+    previous run's manifest before any data file is replaced, so that a run
+    that stops early leaves no manifest describing other bytes."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     return out_dir
 
 
@@ -165,13 +172,13 @@ def _nonzero_terms(mv) -> dict[str, float]:
 def cmd_identities(args) -> int:
     started = _utc_now()
     seed = _resolve_seed(args.seed)
-    out_dir = _prepare_out(args.out)
     results = run_identity_checks(
         tolerance=args.tolerance,
         n_pairs=args.pairs,
         seed=seed,
         inject_sign_flip=args.inject_sign_flip,
     )
+    out_dir = _prepare_out(args.out)
     print(f"identity suite: tolerance {args.tolerance:g}, {args.pairs} vector pairs")
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -191,7 +198,6 @@ def cmd_identities(args) -> int:
 def cmd_simulate(args) -> int:
     started = _utc_now()
     seed = _resolve_seed(args.seed)
-    out_dir = _prepare_out(args.out)
     if (args.a is None) != (args.b is None):
         raise UsageError("--a and --b must be given together")
     if args.a is not None:
@@ -218,6 +224,7 @@ def cmd_simulate(args) -> int:
         ]
         config = {"trials": args.trials, "sweep": args.sweep, "out": str(args.out)}
 
+    out_dir = _prepare_out(args.out)
     csv_path = out_dir / "correlations.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -237,7 +244,6 @@ def cmd_simulate(args) -> int:
 def cmd_hopf(args) -> int:
     started = _utc_now()
     seed = _resolve_seed(args.seed)
-    out_dir = _prepare_out(args.out)
     phi = math.radians(args.phi_deg)
     if not 0.0 < phi < math.pi:
         raise UsageError("--phi-deg must lie strictly between 0 and 180")
@@ -265,6 +271,7 @@ def cmd_hopf(args) -> int:
         rows = null_limit_probe(a, separations)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    out_dir = _prepare_out(args.out)
     csv_path = out_dir / "null_limit.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -287,7 +294,6 @@ def cmd_hopf(args) -> int:
 def cmd_s7(args) -> int:
     started = _utc_now()
     seed = _resolve_seed(args.seed)
-    out_dir = _prepare_out(args.out)
     a = _parse_vector(args.a)
     lam = args.lam
     if args.embedding == "default":
@@ -320,6 +326,7 @@ def cmd_s7(args) -> int:
             "grade_norms": {str(g): v for g, v in raw.grade_norm.items()},
         },
     }
+    out_dir = _prepare_out(args.out)
     report_path = out_dir / "s7_report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {report_path}")

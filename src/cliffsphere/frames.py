@@ -26,9 +26,10 @@ import numpy as np
 
 from .multivector import (
     Multivector,
+    _product,
+    _vector_coeffs,
     contract,
     geometric_product,
-    norm,
     unit_vector,
     wedge,
 )
@@ -106,6 +107,21 @@ class AbstractElement:
         return AbstractElement(float(value), (0.0, 0.0, 0.0), lam)
 
 
+def _structure_coeffs(x, y, s: float) -> tuple:
+    """Product with 1 central and beta_j beta_k = -delta_jk + s * eps_jkl beta_l
+    of elements whose coefficients over {1, beta_x, beta_y, beta_z} lie along
+    the first axis of x and y: 4 floats each, or (4, N) arrays of N elements.
+    Returns the 4 product coefficients the same way."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0 - (x1 * y1 + x2 * y2 + x3 * y3),
+        x0 * y1 + y0 * x1 + s * (x2 * y3 - x3 * y2),
+        x0 * y2 + y0 * x2 + s * (x3 * y1 - x1 * y3),
+        x0 * y3 + y0 * x3 + s * (x1 * y2 - x2 * y1),
+    )
+
+
 def _structure_product(x: AbstractElement, y: AbstractElement, eps_sign: float) -> AbstractElement:
     """Bilinear product from 1 central and beta_j beta_k = -delta_jk
     + eps_sign * lam * eps_jkl beta_l.  The model's subalgebra is eps_sign
@@ -116,17 +132,8 @@ def _structure_product(x: AbstractElement, y: AbstractElement, eps_sign: float) 
             "cannot multiply elements of opposite orientation; the two handed "
             "subalgebras never combine"
         )
-    lam = x.lam
-    x1, x2, x3 = x.c
-    y1, y2, y3 = y.c
-    c0 = x.c0 * y.c0 - (x1 * y1 + x2 * y2 + x3 * y3)
-    s = eps_sign * lam
-    c = (
-        x.c0 * y1 + y.c0 * x1 + s * (x2 * y3 - x3 * y2),
-        x.c0 * y2 + y.c0 * x2 + s * (x3 * y1 - x1 * y3),
-        x.c0 * y3 + y.c0 * x3 + s * (x1 * y2 - x2 * y1),
-    )
-    return AbstractElement(c0, c, lam)
+    c0, *c = _structure_coeffs((x.c0, *x.c), (y.c0, *y.c), eps_sign * x.lam)
+    return AbstractElement(c0, tuple(c), x.lam)
 
 
 def abstract_product(x: AbstractElement, y: AbstractElement) -> AbstractElement:
@@ -156,35 +163,21 @@ def abstract_to_embedded(x: AbstractElement, frame: OrientedFrame) -> Multivecto
     return out
 
 
-def duality_check(a, b, lam: int) -> float:
+def duality_check(a, b, lam: int) -> float | np.ndarray:
     """Residual of the orientation's duality relation, evaluated in Cl(3,0)
     with the orientation's own trivector lam * I:
 
         || a ^ b  -  lam * ((lam I) . (a x b)) ||
+
+    for one pair of unit vectors, or one residual per row for (N, 3) arrays.
     """
     lam = check_orientation(lam)
     a = unit_vector(a)
     b = unit_vector(b)
-    lhs = wedge(vector3(a), vector3(b))
-    mu = float(lam) * volume3()
-    rhs = float(lam) * contract(mu, vector3(cross(a, b)))
-    return norm(lhs - rhs)
-
-
-def combined_identity_check(a, b, lam: int) -> float:
-    """Coefficient residual of (mu.a)(mu.b) = -a.b - mu.(a x b) in the
-    abstract representation, where mu.v carries coefficients lam * v_j."""
-    lam = check_orientation(lam)
-    a = unit_vector(a)
-    b = unit_vector(b)
-    lhs = abstract_product(standard_score(a, lam), standard_score(b, lam))
-    axb = cross(a, b)
-    rhs = AbstractElement(
-        -float(np.dot(a, b)),
-        (-lam * axb[0], -lam * axb[1], -lam * axb[2]),
-        lam,
-    )
-    return float(np.linalg.norm(lhs.coeffs - rhs.coeffs))
+    lhs = _product("wedge", _vector_coeffs(a, 3), _vector_coeffs(b, 3))
+    mu = float(lam) * volume3().coeffs
+    rhs = float(lam) * _product("contract", mu, _vector_coeffs(cross(a, b), 3))
+    return np.linalg.norm(lhs - rhs, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,17 @@ against a tolerance.  Exact checks (integer sign arithmetic) carry tolerance
 configurable override; the associativity and rotor-rotation bounds are fixed
 at their contracted values.
 
+The random-pair checks draw all their inputs up front and evaluate every
+pair at once on (N, 2**n) coefficient arrays through the product kernel;
+a check's residual is the largest row norm, so a NaN row fails it.
+
 The suite carries its own naive blade multiplier (explicit list sorting per
 blade pair) so that the fast table-driven product is validated against an
-independent code path.  A sign-flip injection hook corrupts the epsilon term
-of the abstract structure constants; it exists purely to demonstrate that
-the suite catches a mutated algebra.
+independent code path.  Each oracle check sorts every blade pair once into
+a fresh table, which both its exhaustive comparison and its dense products
+read.  A sign-flip injection hook corrupts the epsilon term of the abstract
+structure constants; it exists purely to demonstrate that the suite catches
+a mutated algebra.
 """
 
 from __future__ import annotations
@@ -23,26 +29,25 @@ import numpy as np
 from .frames import (
     AbstractElement,
     OrientationMixError,
-    _structure_product,
+    _structure_coeffs,
     abstract_product,
-    abstract_to_embedded,
     build_frame,
-    cross,
     duality_check,
     hidden_basis,
-    standard_score,
     vector3,
     volume3,
 )
 from .multivector import (
     Multivector,
+    _product,
+    _tables,
+    _vector_coeffs,
     contract,
     geometric_product,
-    grade_part,
     norm,
     reversion,
     rotor_exp,
-    scalar_part,
+    unit_vector,
     wedge,
 )
 
@@ -84,18 +89,30 @@ def _naive_blade(a_mask: int, b_mask: int) -> tuple[int, int]:
     return mask, (-1 if swaps % 2 else 1)
 
 
-def _naive_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _naive_table(dim: int) -> tuple[list[int], list[int]]:
+    """(masks, signs) of e_i e_j from `_naive_blade`, flat at i * 2**dim + j."""
+    masks, signs = [], []
+    for i in range(1 << dim):
+        for j in range(1 << dim):
+            mask, sign = _naive_blade(i, j)
+            masks.append(mask)
+            signs.append(sign)
+    return masks, signs
+
+
+def _naive_product(x: np.ndarray, y: np.ndarray, masks: list[int], signs: list[int]) -> np.ndarray:
     size = len(x)
-    out = np.zeros(size)
+    x, y = x.tolist(), y.tolist()
+    out = [0.0] * size
     for i in range(size):
         if x[i] == 0.0:
             continue
         for j in range(size):
             if y[j] == 0.0:
                 continue
-            mask, sign = _naive_blade(i, j)
-            out[mask] += sign * x[i] * y[j]
-    return out
+            k = i * size + j
+            out[masks[k]] += signs[k] * x[i] * y[j]
+    return np.array(out)
 
 
 # -- helpers -------------------------------------------------------------------------
@@ -106,10 +123,21 @@ def _random_units(rng, count):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _worst(rows) -> float:
+    """Largest row norm of a (..., k) residual array; NaN if any row is NaN."""
+    return float(np.max(np.linalg.norm(rows, axis=-1)))
+
+
+def _scores(units: np.ndarray, lam: int) -> np.ndarray:
+    """Abstract coefficients (N, 4) of the standard scores lam * n_j beta_j."""
+    n = unit_vector(units)
+    return np.concatenate([np.zeros((len(n), 1)), lam * n], axis=1)
+
+
 def _frame_matrix(lam: int) -> np.ndarray:
-    """Columns are the coefficient vectors of the frame's beta_1..beta_3."""
+    """Columns are the coefficient vectors of 1 and the frame's beta_1..beta_3."""
     frame = build_frame(lam)
-    return np.stack([b.coeffs for b in frame.beta], axis=1)
+    return np.stack([Multivector.scalar(3, 1.0).coeffs, *(b.coeffs for b in frame.beta)], axis=1)
 
 
 EPS_TRIPLES = ((1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1), (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1))
@@ -131,41 +159,34 @@ def check_generator_anticommutation(dim: int) -> CheckResult:
 
 
 def check_associativity(dim: int, rng, n_triples: int = 100) -> CheckResult:
-    worst = 0.0
-    for _ in range(n_triples):
-        x, y, z = (Multivector(dim, rng.normal(size=1 << dim)) for _ in range(3))
-        lhs = geometric_product(geometric_product(x, y), z)
-        rhs = geometric_product(x, geometric_product(y, z))
-        worst = max(worst, norm(lhs - rhs) / (norm(x) * norm(y) * norm(z)))
+    x, y, z = np.moveaxis(rng.normal(size=(n_triples, 3, 1 << dim)), 1, 0)
+    lhs = _product("geometric", _product("geometric", x, y), z)
+    rhs = _product("geometric", x, _product("geometric", y, z))
+    scale = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1) * np.linalg.norm(z, axis=1)
+    worst = float(np.max(np.linalg.norm(lhs - rhs, axis=1) / scale))
     return CheckResult(f"associativity on random triples, Cl({dim},0)", worst, FIXED_TOL)
 
 
 def check_vector_product_decomposition(rng, tol: float, n_pairs: int = 200) -> CheckResult:
-    worst = 0.0
-    for a, b in zip(_random_units(rng, n_pairs), _random_units(rng, n_pairs)):
-        av, bv = vector3(a), vector3(b)
-        diff = geometric_product(av, bv) - contract(av, bv) - wedge(av, bv)
-        worst = max(worst, norm(diff))
-    return CheckResult("vector product = contraction + wedge", worst, tol)
+    av = _vector_coeffs(_random_units(rng, n_pairs), 3)
+    bv = _vector_coeffs(_random_units(rng, n_pairs), 3)
+    diff = _product("geometric", av, bv) - _product("contract", av, bv) - _product("wedge", av, bv)
+    return CheckResult("vector product = contraction + wedge", _worst(diff), tol)
 
 
 def check_product_against_naive_oracle(dim: int, rng, tol: float, n_pairs: int) -> CheckResult:
-    from .multivector import _tables
-
     size = 1 << dim
     xor, sign, _ = _tables(dim)
-    worst = 0.0
+    masks, signs = _naive_table(dim)
     # exhaustive blade-level comparison of the fast Cayley tables
-    for i in range(size):
-        for j in range(size):
-            mask, s = _naive_blade(i, j)
-            worst = max(worst, float(mask != xor[i, j]), float(s != sign[i, j]))
+    worst = float(np.any(np.reshape(masks, (size, size)) != xor)
+                  or np.any(np.reshape(signs, (size, size)) != sign))
     # dense random multivector pairs through both full product paths
     for _ in range(n_pairs):
         x = rng.normal(size=size)
         y = rng.normal(size=size)
         fast = geometric_product(Multivector(dim, x), Multivector(dim, y)).coeffs
-        worst = max(worst, float(np.max(np.abs(fast - _naive_product(x, y)))))
+        worst = max(worst, float(np.max(np.abs(fast - _naive_product(x, y, masks, signs)))))
     return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", worst, tol)
 
 
@@ -250,61 +271,43 @@ def check_ordered_product(lam: int) -> CheckResult:
 
 def check_score_expansion_embedded(lam: int, rng, tol: float, n_pairs: int) -> CheckResult:
     """{a_j beta_j}{b_k beta_k} = -a.b - lam (a x b).beta in the lam frame."""
-    B = _frame_matrix(lam)
-    worst = 0.0
-    for a, b in zip(_random_units(rng, n_pairs), _random_units(rng, n_pairs)):
-        x = Multivector(3, B @ a)
-        y = Multivector(3, B @ b)
-        got = geometric_product(x, y)
-        want = Multivector(3, B @ (-lam * cross(a, b)))
-        want = want + Multivector.scalar(3, -float(np.dot(a, b)))
-        worst = max(worst, norm(got - want))
+    M = _frame_matrix(lam)
+    a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
+    got = _product("geometric", a @ M[:, 1:].T, b @ M[:, 1:].T)
+    want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * np.cross(a, b)], axis=1)
     return CheckResult(
         f"frame score expansion, epsilon sign {'-' if lam == 1 else '+'} (lam={lam:+d})",
-        worst,
+        _worst(got - want @ M.T),
         tol,
     )
 
 
 def check_combined_identity(lam: int, rng, tol: float, n_pairs: int, eps_sign: float) -> CheckResult:
     """(mu.a)(mu.b) = -a.b - mu.(a x b) in the abstract algebra."""
-    worst = 0.0
-    for a, b in zip(_random_units(rng, n_pairs), _random_units(rng, n_pairs)):
-        got = _structure_product(standard_score(a, lam), standard_score(b, lam), eps_sign)
-        axb = cross(a, b)
-        want = np.concatenate(([-np.dot(a, b)], -lam * axb))
-        worst = max(worst, float(np.linalg.norm(got.coeffs - want)))
-    return CheckResult(f"combined orientation identity (lam={lam:+d})", worst, tol)
+    a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
+    got = np.stack(_structure_coeffs(_scores(a, lam).T, _scores(b, lam).T, eps_sign * lam), axis=1)
+    want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * np.cross(a, b)], axis=1)
+    return CheckResult(f"combined orientation identity (lam={lam:+d})", _worst(got - want), tol)
 
 
 def check_duality(lam: int, rng, tol: float, n_pairs: int) -> CheckResult:
-    worst = 0.0
-    for a, b in zip(_random_units(rng, n_pairs), _random_units(rng, n_pairs)):
-        worst = max(worst, duality_check(a, b, lam))
+    a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
+    worst = float(np.max(duality_check(a, b, lam)))
     return CheckResult(f"orientation duality relation (lam={lam:+d})", worst, tol)
 
 
 def check_abstract_embedded_isomorphism(lam: int, rng, tol: float, eps_sign: float, n_pairs: int = 200) -> CheckResult:
-    frame = build_frame(lam)
-    worst = 0.0
-    for _ in range(n_pairs):
-        x = AbstractElement(rng.normal(), tuple(rng.normal(size=3)), lam)
-        y = AbstractElement(rng.normal(), tuple(rng.normal(size=3)), lam)
-        abstract = _structure_product(x, y, eps_sign)
-        embedded = geometric_product(
-            abstract_to_embedded(x, frame), abstract_to_embedded(y, frame)
-        )
-        worst = max(worst, norm(abstract_to_embedded(abstract, frame) - embedded))
-    return CheckResult(f"abstract/embedded isomorphism (lam={lam:+d})", worst, tol)
+    M = _frame_matrix(lam)
+    x, y = np.moveaxis(rng.normal(size=(n_pairs, 2, 4)), 1, 0)
+    abstract = np.stack(_structure_coeffs(x.T, y.T, eps_sign * lam), axis=1)
+    embedded = _product("geometric", x @ M.T, y @ M.T)
+    return CheckResult(f"abstract/embedded isomorphism (lam={lam:+d})", _worst(abstract @ M.T - embedded), tol)
 
 
 def check_score_square(lam: int, rng, tol: float, eps_sign: float, n_cases: int = 200) -> CheckResult:
-    worst = 0.0
-    for a in _random_units(rng, n_cases):
-        s = standard_score(a, lam)
-        got = _structure_product(s, s, eps_sign)
-        worst = max(worst, float(np.linalg.norm(got.coeffs - np.array([-1.0, 0, 0, 0]))))
-    return CheckResult(f"standard score squares to -1 (lam={lam:+d})", worst, tol)
+    s = _scores(_random_units(rng, n_cases), lam).T
+    got = np.stack(_structure_coeffs(s, s, eps_sign * lam), axis=1)
+    return CheckResult(f"standard score squares to -1 (lam={lam:+d})", _worst(got - [-1.0, 0, 0, 0]), tol)
 
 
 def check_vector_basis_flip() -> CheckResult:

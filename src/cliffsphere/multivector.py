@@ -3,10 +3,12 @@
 Basis blades are indexed by bitmasks over the n generators: bit j set means
 generator e_{j+1} is a factor of the blade, so mask 0 is the scalar and mask
 2**n - 1 is the volume element.  A multivector is a dense float64 coefficient
-vector of length 2**n.  Products are computed from precomputed Cayley tables:
-the blade product e_A e_B lands on mask A ^ B with a sign given by the parity
-of the transpositions needed to sort the concatenated generator lists
-(repeated generators contract to +1, Euclidean signature).
+vector of length 2**n.  The blade product e_A e_B lands on mask A ^ B with a
+sign given by the parity of the transpositions needed to sort the
+concatenated generator lists (repeated generators contract to +1, Euclidean
+signature).  The geometric product, the wedge and the contraction share one
+gather kernel over (N, 2**n) coefficient arrays and differ only in its sign
+table, so a batch of pairs costs a few array operations.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -35,57 +37,57 @@ def grade_of(mask: int) -> int:
     return int(mask).bit_count()
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    """Sign of e_A e_B from transposition counting.
-
-    Each generator of B must move left past the strictly higher generators of
-    A; the product sign is the parity of the total number of swaps.
-    """
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
-
-
 @lru_cache(maxsize=MAX_DIM + 1)
 def _tables(dim: int):
-    """Cayley tables for Cl(dim,0): result masks, signs, and per-blade grades."""
+    """Cayley tables for Cl(dim,0): result masks, signs, and per-blade grades.
+
+    The sign of e_A e_B is the parity of the swaps that move each generator of
+    B left past the higher generators of A: sum_k>=1 popcount((A >> k) & B).
+    """
     size = 1 << dim
     masks = np.arange(size)
-    xor = (masks[:, None] ^ masks[None, :]).astype(np.intp)
-    sign = np.empty((size, size), dtype=np.int8)
-    for i in range(size):
-        for j in range(size):
-            sign[i, j] = _reorder_sign(i, j)
     grades = np.array([grade_of(m) for m in range(size)], dtype=np.int8)
+    xor = (masks[:, None] ^ masks[None, :]).astype(np.intp)
+    swaps = np.zeros((size, size), dtype=np.intp)
+    for k in range(1, dim):
+        swaps += grades[(masks[:, None] >> k) & masks[None, :]]
+    sign = np.where(swaps % 2 == 0, 1, -1).astype(np.int8)
     return xor, sign, grades
 
 
-@lru_cache(maxsize=MAX_DIM + 1)
-def _wedge_sign(dim: int) -> np.ndarray:
-    """Cayley signs restricted to disjoint blade pairs (grade-adding terms)."""
+#: Byte budget of one (rows, 2**n, 2**n) temporary of a batched product, one
+#: Cl(7) row; chunks of 256 KiB and more measured 2-3x slower per row.
+_CHUNK_BYTES = 1 << 17
+
+
+@lru_cache(maxsize=3 * MAX_DIM)
+def _gather_signs(dim: int, kind: str) -> np.ndarray:
+    """S[i, k] = sign of e_i e_(i^k) in result order, zeroed where the product
+    `kind` drops the pair: the wedge keeps disjoint pairs (grade r+s), the
+    contraction nested pairs (grade |r-s|), the geometric product all."""
     xor, sign, _ = _tables(dim)
-    size = 1 << dim
-    masks = np.arange(size)
-    disjoint = (masks[:, None] & masks[None, :]) == 0
-    return np.where(disjoint, sign, 0).astype(np.int8)
+    a = np.arange(1 << dim)[:, None]
+    common = a & xor
+    keep = {"geometric": True, "wedge": common == 0, "contract": (common == a) | (common == xor)}
+    return np.where(keep[kind], sign[a, xor], 0).astype(np.float64)
 
 
-@lru_cache(maxsize=MAX_DIM + 1)
-def _contract_sign(dim: int) -> np.ndarray:
-    """Cayley signs restricted to nested blade pairs (grade-|r-s| terms).
-
-    A blade pair (A, B) contributes to the grade-|r-s| part of the geometric
-    product exactly when one mask contains the other.
-    """
-    xor, sign, _ = _tables(dim)
-    size = 1 << dim
-    masks = np.arange(size)
-    inter = masks[:, None] & masks[None, :]
-    nested = (inter == masks[:, None]) | (inter == masks[None, :])
-    return np.where(nested, sign, 0).astype(np.int8)
+def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product `kind` of (2**n,) or (N, 2**n) coefficient arrays, rows
+    broadcast, as out[..., k] = sum_i x[..., i] S[i, k] y[..., i ^ k] summed
+    in blade order from +0.0.  Batches run in chunks of rows whose
+    (rows, 2**n, 2**n) temporaries fit `_CHUNK_BYTES`, or of one row."""
+    _check_same_dim(x, y)
+    dim = x.shape[-1].bit_length() - 1
+    xor, S = _tables(dim)[0], _gather_signs(dim, kind)
+    if x.ndim == y.ndim == 1:
+        return (x[:, None] * S * y[xor]).sum(axis=0, initial=0.0)
+    x, y = np.broadcast_arrays(x, y)
+    rows = max(1, _CHUNK_BYTES // S.nbytes)
+    return np.concatenate([
+        (x[lo : lo + rows, :, None] * S * y[lo : lo + rows].take(xor, axis=-1)).sum(axis=1, initial=0.0)
+        for lo in range(0, len(x), rows)
+    ])
 
 
 @lru_cache(maxsize=MAX_DIM + 1)
@@ -126,9 +128,7 @@ class Multivector:
 
     @staticmethod
     def scalar(dim: int, value: float) -> "Multivector":
-        c = np.zeros(1 << dim)
-        c[0] = value
-        return Multivector(dim, c)
+        return Multivector.blade(dim, 0, value)
 
     @staticmethod
     def blade(dim: int, mask: int, coeff: float = 1.0) -> "Multivector":
@@ -156,10 +156,7 @@ class Multivector:
             dim = len(v)
         if len(v) > dim:
             raise ValueError(f"{len(v)} components do not fit in Cl({dim},0)")
-        c = np.zeros(1 << dim)
-        for j, x in enumerate(v):
-            c[1 << j] = x
-        return Multivector(dim, c)
+        return Multivector(dim, _vector_coeffs(v, dim))
 
     @staticmethod
     def volume(dim: int) -> "Multivector":
@@ -169,11 +166,11 @@ class Multivector:
     # -- arithmetic sugar ----------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        _check_same_dim(self, other)
+        _check_same_dim(self.coeffs, other.coeffs)
         return Multivector(self.dim, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        _check_same_dim(self, other)
+        _check_same_dim(self.coeffs, other.coeffs)
         return Multivector(self.dim, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "Multivector":
@@ -184,8 +181,7 @@ class Multivector:
             return geometric_product(self, other)
         return Multivector(self.dim, self.coeffs * float(other))
 
-    def __rmul__(self, other):
-        return Multivector(self.dim, self.coeffs * float(other))
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return render(self)
@@ -197,9 +193,18 @@ class Multivector:
         return np.array([self.coeffs[1 << j] for j in range(self.dim)])
 
 
-def _check_same_dim(x: Multivector, y: Multivector) -> None:
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: Cl({x.dim},0) vs Cl({y.dim},0)")
+def _vector_coeffs(v: np.ndarray, dim: int) -> np.ndarray:
+    """Coefficients (..., 2**dim) of the vectors v (..., k) on e_1..e_k."""
+    c = np.zeros(v.shape[:-1] + (1 << dim,))
+    for j in range(v.shape[-1]):
+        c[..., 1 << j] = v[..., j]
+    return c
+
+
+def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
+    if x.shape[-1] != y.shape[-1]:
+        dx, dy = (v.shape[-1].bit_length() - 1 for v in (x, y))
+        raise ValueError(f"dimension mismatch: Cl({dx},0) vs Cl({dy},0)")
 
 
 # -- core operations ---------------------------------------------------------
@@ -207,21 +212,13 @@ def _check_same_dim(x: Multivector, y: Multivector) -> None:
 
 def geometric_product(x: Multivector, y: Multivector) -> Multivector:
     """Geometric product in Cl(n,0): e_j e_j = 1, e_j e_k = -e_k e_j for j != k."""
-    _check_same_dim(x, y)
-    xor, sign, _ = _tables(x.dim)
-    terms = sign * np.outer(x.coeffs, y.coeffs)
-    out = np.bincount(xor.ravel(), weights=terms.ravel(), minlength=1 << x.dim)
-    return Multivector(x.dim, out)
+    return Multivector(x.dim, _product("geometric", x.coeffs, y.coeffs))
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
     """Outer product: the grade-(r+s) part of the geometric product on
     homogeneous arguments, extended bilinearly over grade pairs."""
-    _check_same_dim(x, y)
-    xor, _, _ = _tables(x.dim)
-    terms = _wedge_sign(x.dim) * np.outer(x.coeffs, y.coeffs)
-    out = np.bincount(xor.ravel(), weights=terms.ravel(), minlength=1 << x.dim)
-    return Multivector(x.dim, out)
+    return Multivector(x.dim, _product("wedge", x.coeffs, y.coeffs))
 
 
 def contract(x: Multivector, y: Multivector) -> Multivector:
@@ -231,11 +228,7 @@ def contract(x: Multivector, y: Multivector) -> Multivector:
     On two vectors this is the scalar inner product; on (trivector, vector)
     in Cl(3,0) it is the dual bivector of the vector.
     """
-    _check_same_dim(x, y)
-    xor, _, _ = _tables(x.dim)
-    terms = _contract_sign(x.dim) * np.outer(x.coeffs, y.coeffs)
-    out = np.bincount(xor.ravel(), weights=terms.ravel(), minlength=1 << x.dim)
-    return Multivector(x.dim, out)
+    return Multivector(x.dim, _product("contract", x.coeffs, y.coeffs))
 
 
 def grade_part(x: Multivector, g: int) -> Multivector:
@@ -279,8 +272,7 @@ def rotor_exp(B: Multivector, angle: float, tol: float = DEFAULT_TOL) -> Multive
     square = geometric_product(B, B)
     if norm(square - Multivector.scalar(B.dim, -1.0)) > tol:
         raise ValueError("rotor generator must be a unit bivector (B*B = -1)")
-    out = math.sin(angle) * B
-    c = out.coeffs.copy()
+    c = math.sin(angle) * B.coeffs
     c[0] += math.cos(angle)
     return Multivector(B.dim, c)
 
@@ -321,9 +313,16 @@ def render(x: Multivector, eps: float = 0.0) -> str:
 
 
 def unit_vector(v, tol: float = UNIT_TOL) -> np.ndarray:
-    """Validate that v has norm 1 within `tol` and return it renormalized."""
+    """Validate that v, or each vector along the last axis of a (..., k)
+    array, is finite with norm 1 within `tol`; return it renormalized."""
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim > 1:
+        n = np.linalg.norm(v, axis=-1, keepdims=True)
+        off = n[~(np.abs(n - 1.0) <= tol)]  # NaN and inf norms are off too
+        if off.size:
+            raise ValueError(f"expected a unit vector, got norm {float(off[0])!r}")
+        return v / n
     n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > tol:
+    if not abs(n - 1.0) <= tol:
         raise ValueError(f"expected a unit vector, got norm {n!r}")
     return v / n

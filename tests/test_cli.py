@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cliffsphere import cli
 from cliffsphere.cli import main
 from cliffsphere.epr import lambda_stream
 
@@ -84,8 +85,11 @@ def test_simulate_rejects_bad_vectors(tmp_path, capsys):
     assert main(["simulate", "--out", out, "--a", "2,0,0", "--b", "0,1,0"]) == 2
     assert main(["simulate", "--out", out, "--a", "1,0,zz", "--b", "0,1,0"]) == 2
     assert main(["simulate", "--out", out, "--a", "1,0,0"]) == 2
+    assert main(["simulate", "--out", out, "--a", "nan,0,0", "--b", "0,1,0"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_rejects_bad_sweep(tmp_path):
@@ -151,7 +155,30 @@ def assert_usage_error(capsys, code):
 def test_simulate_rejects_out_of_range_seed(tmp_path, capsys, seed):
     code = main(["simulate", "--trials", "100", "--seed", seed, "--out", str(tmp_path / "x")])
     assert_usage_error(capsys, code)
-    assert not (tmp_path / "x" / "correlations.csv").exists()
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["hopf", "s7", "identities"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_every_subcommand_rejects_out_of_range_seed(tmp_path, capsys, command, seed):
+    code = main([command, "--seed", seed, "--out", str(tmp_path / "x")])
+    assert_usage_error(capsys, code)
+    assert not (tmp_path / "x").exists()
+
+
+def test_stale_manifest_is_dropped_before_data_is_written(tmp_path, monkeypatch):
+    out = tmp_path / "x"
+    assert main(["simulate", "--trials", "100", "--seed", "5", "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("stopped between the data file and the manifest")
+
+    monkeypatch.setattr(cli, "_write_manifest", crash)
+    with pytest.raises(RuntimeError):
+        main(["simulate", "--trials", "100", "--seed", "6", "--out", str(out)])
+    assert (out / "correlations.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_simulate_rejects_out_of_range_env_seed(tmp_path, capsys, monkeypatch):

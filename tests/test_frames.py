@@ -11,7 +11,6 @@ from cliffsphere.frames import (
     abstract_product,
     abstract_to_embedded,
     build_frame,
-    combined_identity_check,
     cross,
     duality_check,
     hidden_basis,
@@ -19,6 +18,7 @@ from cliffsphere.frames import (
     vector3,
     volume3,
 )
+from cliffsphere.identities import check_combined_identity
 from cliffsphere.multivector import (
     Multivector,
     contract,
@@ -234,13 +234,31 @@ def test_duality_parallel_vectors_both_sides_zero():
 
 
 @pytest.mark.parametrize("lam", [1, -1])
+def test_duality_check_rows_match_single_pairs(lam):
+    rng = np.random.default_rng(45 + lam)
+    a, b = rng.normal(size=(2, 50, 3))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    rows = duality_check(a, b, lam)
+    assert rows.shape == (50,)
+    assert rows.tolist() == [duality_check(x, y, lam) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("lam", [1, -1])
 def test_combined_identity_residual(lam):
-    rng = np.random.default_rng(50 + lam)
-    worst = 0.0
-    for _ in range(300):
-        a, b = random_unit(rng), random_unit(rng)
-        worst = max(worst, combined_identity_check(a, b, lam))
-    assert worst < 1e-12
+    result = check_combined_identity(lam, np.random.default_rng(50 + lam), 1e-12, 300, -1.0)
+    assert result.passed, result
+
+
+class FixedNormals:
+    """Generator stand-in whose normal draws all repeat one vector, so a
+    random-pair check sees the pair (v, v) on every row."""
+
+    def __init__(self, v):
+        self.v = np.asarray(v, dtype=np.float64)
+
+    def normal(self, size):
+        return np.broadcast_to(self.v, size).copy()
 
 
 def test_combined_identity_degenerate_cases():
@@ -252,7 +270,7 @@ def test_combined_identity_degenerate_cases():
     # parallel: both sides are the scalar -1
     got = abstract_product(standard_score(a, 1), standard_score(a, 1))
     assert np.array_equal(got.coeffs, np.array([-1.0, 0, 0, 0]))
-    assert combined_identity_check(a, a, -1) == 0.0
+    assert check_combined_identity(-1, FixedNormals(a), 0.0, 1, -1.0).residual == 0.0
 
 
 # -- isomorphism between the representations ------------------------------------------
@@ -304,4 +322,5 @@ def test_duality_and_identity_hold_for_arbitrary_unit_pairs(seed, lam):
     rng = np.random.default_rng(seed)
     a, b = random_unit(rng), random_unit(rng)
     assert duality_check(a, b, lam) < 1e-12
-    assert combined_identity_check(a, b, lam) < 1e-12
+    # the suite's check draws the same pair (a, b), up to rounding, from the seed
+    assert check_combined_identity(lam, np.random.default_rng(seed), 1e-12, 1, -1.0).passed

@@ -40,9 +40,14 @@ def test_exact_checks_carry_zero_tolerance():
 def test_injected_sign_flip_is_caught():
     results = run_identity_checks(n_pairs=50, inject_sign_flip=True)
     failed = [r.name for r in results if not r.passed]
-    assert failed, "the mutation canary must trip at least one check"
-    # the corrupted epsilon sign must surface in the abstract-side checks
-    assert any("combined orientation identity" in name for name in failed)
+    # the corrupted epsilon sign surfaces in exactly the abstract-side checks
+    # that multiply two different directions
+    assert failed == [
+        "combined orientation identity (lam=+1)",
+        "combined orientation identity (lam=-1)",
+        "abstract/embedded isomorphism (lam=+1)",
+        "abstract/embedded isomorphism (lam=-1)",
+    ]
     # the embedded-frame checks stay untouched by the injection
     passed = {r.name for r in results if r.passed}
     assert any("frame score expansion" in name for name in passed)

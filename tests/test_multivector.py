@@ -1,12 +1,14 @@
 """Core algebra tests: blade products, wedge/contraction, rotors, rendering."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffsphere import multivector
 from cliffsphere.multivector import (
     Multivector,
     contract,
@@ -100,6 +102,53 @@ def test_fast_product_matches_naive_oracle(dim, n_pairs):
         got = geometric_product(x, y)
         want = naive_product(x.coeffs, y.coeffs)
         assert np.max(np.abs(got.coeffs - want)) < 1e-12
+
+
+PRODUCTS = {"geometric": geometric_product, "wedge": wedge, "contract": contract}
+NAIVE = {"geometric": naive_product, "wedge": naive_wedge, "contract": naive_contract}
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_batched_kernel_rows_equal_single_products(dim, kind):
+    # one row more than a chunk holds, so the last chunk is partial
+    size = 1 << dim
+    n = max(1, multivector._CHUNK_BYTES // (8 * size * size)) + 1
+    rng = np.random.default_rng(100 * dim + len(kind))
+    x, y = rng.normal(size=(2, n, size))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    y[rng.random(y.shape) < 0.2] = -0.0
+    single = [PRODUCTS[kind](Multivector(dim, a), Multivector(dim, b)).coeffs for a, b in zip(x, y)]
+    batch = multivector._product(kind, x, y)
+    assert batch.shape == (n, size)
+    assert all(row.tobytes() == s.tobytes() for row, s in zip(batch, single))
+    # a single row broadcasts against a batch
+    left = multivector._product(kind, x[0], y)
+    assert left[-1].tobytes() == PRODUCTS[kind](Multivector(dim, x[0]), Multivector(dim, y[-1])).coeffs.tobytes()
+    for row, a, b in list(zip(batch, x, y))[:2]:
+        assert np.max(np.abs(row - NAIVE[kind](a, b))) < 1e-12
+
+
+def test_batched_kernel_bounds_its_temporaries():
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(2, 64, 128))
+    tracemalloc.start()
+    try:
+        multivector._product("geometric", x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # unchunked, one (64, 128, 128) float temporary alone would be 8 MiB
+    assert peak < 8 * multivector._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("product", [geometric_product, wedge, contract])
+def test_overflowing_product_of_finite_inputs_is_rejected(product):
+    big = Multivector(3, np.full(8, 1e200))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="coefficients must be finite"
+    ):
+        product(big, big)
 
 
 def test_dimension_mismatch_rejected():
@@ -323,3 +372,21 @@ def test_unit_vector_tolerance():
     assert abs(np.linalg.norm(v) - 1.0) < 1e-15
     with pytest.raises(ValueError, match="unit vector"):
         unit_vector([1.1, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, -np.inf, np.nan]])
+def test_unit_vector_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="unit vector"):
+        unit_vector(bad)
+    with pytest.raises(ValueError, match="unit vector"):
+        unit_vector([[1.0, 0.0, 0.0], bad])
+
+
+def test_unit_vector_validates_each_row():
+    rows = np.array([[1.0 + 5e-10, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    got = unit_vector(rows)
+    assert got.shape == (2, 3)
+    for g, r in zip(got, rows):
+        assert np.max(np.abs(g - unit_vector(r))) < 1e-15
+    with pytest.raises(ValueError, match="got norm 1.1"):
+        unit_vector([[1.0, 0.0, 0.0], [1.1, 0.0, 0.0]])
