@@ -9,7 +9,7 @@ through the CLI.
 import argparse
 
 from cliffsphere.cli import main as cli_main
-from cliffsphere.epr import ExperimentConfig, SweepSpec, sweep
+from cliffsphere.epr import SweepSpec, orientation_counts, sweep
 
 
 def parse_args():
@@ -25,12 +25,8 @@ def parse_args():
 
 def run():
     args = parse_args()
-    cfg = ExperimentConfig(
-        n_trials=args.trials,
-        seed=args.seed,
-        sweep=SweepSpec(start_deg=args.start, stop_deg=args.stop, steps=args.steps),
-    )
-    rows = sweep(cfg)
+    spec = SweepSpec(start_deg=args.start, stop_deg=args.stop, steps=args.steps)
+    rows = sweep(spec, orientation_counts(args.seed, args.trials))
     print(f"{'theta':>8}  {'raw':>6}  {'standard':>20}  {'resid norm':>12}  {'3*stderr':>12}")
     for r in rows:
         print(

@@ -36,11 +36,10 @@ import numpy as np
 
 from . import __version__
 from .epr import (
-    ExperimentConfig,
     SweepSpec,
+    TrialConsistencyError,
     _check_seed,
-    correlation_raw,
-    correlation_standard,
+    correlation_row,
     orientation_counts,
     sweep,
 )
@@ -52,9 +51,8 @@ from .hopf import (
     transition_relation,
 )
 from .identities import IDENTITY_TOL, run_identity_checks
-from .multivector import blade_label, norm, unit_vector
+from .multivector import blade_label, contract, unit_vector
 from .seven_sphere import Embedding, build_J, embed, raw_score_7, standard_score_7, vector7
-from .multivector import contract
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "CLIFFSPHERE_SEED"
@@ -153,8 +151,11 @@ def _prepare_out(out: str) -> Path:
     previous run's manifest before any data file is replaced, so that a run
     that stops early leaves no manifest describing other bytes."""
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").unlink(missing_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "manifest.json").unlink(missing_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use --out {out!r}: {exc.strerror or exc}") from exc
     return out_dir
 
 
@@ -203,26 +204,15 @@ def cmd_simulate(args) -> int:
     if args.a is not None:
         a = _parse_vector(args.a)
         b = _parse_vector(args.b)
-        cfg = ExperimentConfig(n_trials=args.trials, seed=seed)
-        std = correlation_standard(a, b, cfg)
-        raw = correlation_raw(a, b, cfg)
         theta = math.degrees(
             math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
         )
-        rows = [
-            (theta, raw.scalar, std.scalar, *std.residual_coeffs,
-             std.residual_norm, std.stderr, cfg.n_trials)
-        ]
         config = {"trials": args.trials, "a": args.a, "b": args.b, "out": str(args.out)}
     else:
         spec = _parse_sweep(args.sweep)
-        cfg = ExperimentConfig(n_trials=args.trials, seed=seed, sweep=spec)
-        rows = [
-            (r.theta_deg, r.raw_mean, r.std_scalar, *r.residual,
-             r.residual_norm, r.stderr, r.n)
-            for r in sweep(cfg)
-        ]
         config = {"trials": args.trials, "sweep": args.sweep, "out": str(args.out)}
+    counts = orientation_counts(seed, args.trials)
+    rows = [correlation_row(theta, a, b, counts)] if args.a is not None else sweep(spec, counts)
 
     out_dir = _prepare_out(args.out)
     csv_path = out_dir / "correlations.csv"
@@ -232,12 +222,13 @@ def cmd_simulate(args) -> int:
             ["theta_deg", "raw_mean", "std_scalar", "resid_x", "resid_y",
              "resid_z", "resid_norm", "stderr", "n"]
         )
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row[:-1]] + [str(row[-1])])
+        for r in rows:
+            writer.writerow([_fmt(r.theta_deg), _fmt(r.raw_mean), _fmt(r.std_scalar),
+                             *map(_fmt, r.residual), _fmt(r.residual_norm),
+                             _fmt(r.stderr), str(r.n)])
     print(f"wrote {csv_path} ({len(rows)} rows)")
-    orientation = asdict(orientation_counts(cfg.seed, cfg.n_trials))
     _write_manifest(out_dir, "simulate", config, seed, [csv_path], started,
-                    extra={"orientation": orientation})
+                    extra={"orientation": asdict(counts)})
     return EXIT_OK
 
 
@@ -402,12 +393,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except TrialConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

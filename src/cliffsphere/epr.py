@@ -17,10 +17,10 @@ the results are independent of summation order at any trial count.
 
 Since a raw score depends on lam only, never on the detector direction, the
 counts (n_plus, n_minus) are the only random quantity of a run.
-`orientation_counts` draws them once per (seed, n) by walking the stream in
-fixed chunks of COUNT_CHUNK trials, so memory is bounded by the chunk, not by
-n; the result is memoized, and every estimator and every sweep angle reads
-the same counts (the CLI records them in its manifest).
+`orientation_counts` draws them by walking the stream in fixed chunks of
+COUNT_CHUNK trials, so memory is bounded by the chunk, not by n.  A run draws
+them once and passes them to each estimator and every sweep angle (the CLI
+records them in its manifest).
 `orientation_prefix_counts` is the same walk reporting the counts of several
 prefixes at once.
 
@@ -36,7 +36,6 @@ and reported side by side.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -78,8 +77,6 @@ SEED_LIMIT = 2**64
 #: Trials per `lambda_stream` call when counting orientations; bounds the
 #: walk's working memory (4 uint64 words per trial, 2 MiB) whatever n is.
 COUNT_CHUNK = 1 << 16
-#: Memoized (seed, n) pairs of `orientation_counts`.
-COUNTS_CACHE_SIZE = 32
 
 
 def _check_seed(seed: int) -> None:
@@ -134,13 +131,14 @@ def orientation_prefix_counts(seed: int, sizes) -> tuple[OrientationCounts, ...]
     return tuple(counts)
 
 
-@functools.lru_cache(maxsize=COUNTS_CACHE_SIZE)
 def orientation_counts(seed: int, n: int) -> OrientationCounts:
-    """Orientation counts of trials 0..n-1, drawn once per (seed, n)."""
+    """Orientation counts of trials 0..n-1, from one walk of the stream."""
+    if n < 1:
+        raise ValueError("n_trials must be >= 1")
     return orientation_prefix_counts(seed, (n,))[0]
 
 
-# -- configuration and results ------------------------------------------------------
+# -- sweep spec and results ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -154,29 +152,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("an angle sweep needs at least 2 points")
+        if not math.isfinite(self.stop_deg - self.start_deg):
+            raise ValueError(f"sweep span {self.start_deg}..{self.stop_deg} is not finite")
 
     def angles_deg(self) -> np.ndarray:
         return np.linspace(self.start_deg, self.stop_deg, self.steps)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Trial count, seed, and the directions to drive."""
-
-    n_trials: int = 100_000
-    seed: int = 42
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
-    sweep: SweepSpec | None = None
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        _check_seed(self.seed)
-        if self.pairs is not None:
-            checked = tuple(
-                (unit_vector(a), unit_vector(b)) for a, b in self.pairs
-            )
-            object.__setattr__(self, "pairs", checked)
 
 
 @dataclass(frozen=True)
@@ -261,14 +241,14 @@ def _verified_tables(a, b) -> tuple[dict[int, int], dict[int, int]]:
     return alice, bob
 
 
-def trial_records(a, b, cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Fully evaluated trials (one multivector evaluation per trial per side).
+def trial_records(a, b, seed: int, n: int) -> list[TrialRecord]:
+    """Trials 0..n-1, fully evaluated (one multivector evaluation per side).
 
     Intended for inspection and small n, as the per-trial reference of the
-    estimators, which use the same evaluations memoized over the two
-    orientation values and weighted by `orientation_counts`.
+    estimators, which evaluate once per orientation value and weight the
+    results by `orientation_counts`.
     """
-    lams = lambda_stream(cfg.seed, cfg.n_trials)
+    lams = lambda_stream(seed, n)
     return [
         TrialRecord(i, int(lam), raw_score_alice(a, int(lam)), raw_score_bob(b, int(lam)))
         for i, lam in enumerate(lams)
@@ -278,7 +258,7 @@ def trial_records(a, b, cfg: ExperimentConfig) -> list[TrialRecord]:
 # -- estimators ----------------------------------------------------------------------
 
 
-def correlation_standard(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
+def correlation_standard(a, b, counts: OrientationCounts) -> CorrelationEstimate:
     """Componentwise average of the abstract standard-score products.
 
     The scalar component is -a.b on every trial, so the average carries it
@@ -288,7 +268,6 @@ def correlation_standard(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
     """
     a = unit_vector(a)
     b = unit_vector(b)
-    counts = orientation_counts(cfg.seed, cfg.n_trials)
     products = {
         lam: abstract_product(standard_score(a, lam), standard_score(b, lam))
         for lam in (1, -1)
@@ -300,13 +279,13 @@ def correlation_standard(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
     if not np.array_equal(np.asarray(products[-1].c), -c_plus):
         raise TrialConsistencyError("bivector part of the score product must flip with lam")
     residual = counts.lam_mean * c_plus
-    stderr = float(np.linalg.norm(cross(a, b))) / math.sqrt(cfg.n_trials)
+    stderr = float(np.linalg.norm(cross(a, b))) / math.sqrt(counts.n)
     return CorrelationEstimate(
-        float(scalar), tuple(float(r) for r in residual), cfg.n_trials, stderr
+        float(scalar), tuple(float(r) for r in residual), counts.n, stderr
     )
 
 
-def correlation_raw(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
+def correlation_raw(a, b, counts: OrientationCounts) -> CorrelationEstimate:
     """Arithmetic mean of the raw-score products A_i * B_i.
 
     The per-trial product depends on lam only, so it is verified once per
@@ -316,27 +295,25 @@ def correlation_raw(a, b, cfg: ExperimentConfig) -> CorrelationEstimate:
     dispersion.
     """
     alice, bob = _verified_tables(a, b)
-    counts = orientation_counts(cfg.seed, cfg.n_trials)
     occurring = {1: counts.n_plus, -1: counts.n_minus}
     for lam, k in occurring.items():
         if k and alice[lam] * bob[lam] != -1:
             raise TrialConsistencyError("per-trial raw product deviated from -1")
     total = sum(k * alice[lam] * bob[lam] for lam, k in occurring.items())
-    return CorrelationEstimate(total / cfg.n_trials, (0.0, 0.0, 0.0), cfg.n_trials, 0.0)
+    return CorrelationEstimate(total / counts.n, (0.0, 0.0, 0.0), counts.n, 0.0)
 
 
-def marginal_average(n_vec, side: Side, cfg: ExperimentConfig) -> CorrelationEstimate:
+def marginal_average(n_vec, side: Side, counts: OrientationCounts) -> CorrelationEstimate:
     """Single-side averages: raw marginal mean in `scalar`, componentwise
     standard-score mean in `residual_coeffs`.  All tend to 0 as 1/sqrt(n)."""
     n_vec = unit_vector(n_vec)
     side = Side(side)
-    counts = orientation_counts(cfg.seed, cfg.n_trials)
     score = raw_score_alice if side is Side.ALICE else raw_score_bob
     total = counts.n_plus * score(n_vec, 1) + counts.n_minus * score(n_vec, -1)
     components = counts.lam_mean * np.asarray(standard_score(n_vec, 1).c)
-    stderr = 1.0 / math.sqrt(cfg.n_trials)
+    stderr = 1.0 / math.sqrt(counts.n)
     return CorrelationEstimate(
-        total / cfg.n_trials, tuple(float(c) for c in components), cfg.n_trials, stderr
+        total / counts.n, tuple(float(c) for c in components), counts.n, stderr
     )
 
 
@@ -372,29 +349,21 @@ def sweep_directions(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([1.0, 0.0, 0.0]), np.array([math.cos(t), math.sin(t), 0.0])
 
 
-def sweep(cfg: ExperimentConfig) -> list[SweepRow]:
+def correlation_row(theta_deg: float, a, b, counts: OrientationCounts) -> SweepRow:
+    """Both estimators for the direction pair (a, b), reported at angle theta."""
+    std = correlation_standard(a, b, counts)
+    raw = correlation_raw(a, b, counts)
+    return SweepRow(float(theta_deg), raw.scalar, std.scalar, std.residual_coeffs,
+                    std.residual_norm, std.stderr, counts.n)
+
+
+def sweep(spec: SweepSpec, counts: OrientationCounts) -> list[SweepRow]:
     """Both estimators at every sweep angle, all rows from the same
-    orientation counts (one walk of the stream); bit-identical for equal
-    (seed, n_trials, sweep)."""
-    if cfg.sweep is None:
-        raise ValueError("config has no angle sweep")
-    rows = []
-    for theta in cfg.sweep.angles_deg():
-        a, b = sweep_directions(float(theta))
-        std = correlation_standard(a, b, cfg)
-        raw = correlation_raw(a, b, cfg)
-        rows.append(
-            SweepRow(
-                theta_deg=float(theta),
-                raw_mean=raw.scalar,
-                std_scalar=std.scalar,
-                residual=std.residual_coeffs,
-                residual_norm=std.residual_norm,
-                stderr=std.stderr,
-                n=cfg.n_trials,
-            )
-        )
-    return rows
+    orientation counts; bit-identical for equal (spec, counts)."""
+    return [
+        correlation_row(theta, *sweep_directions(theta), counts)
+        for theta in spec.angles_deg()
+    ]
 
 
 # -- convergence study ------------------------------------------------------------------

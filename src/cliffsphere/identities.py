@@ -356,6 +356,8 @@ def equation_suite(
     pairs and both orientations."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1: the random-pair checks would not run")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     rng = np.random.default_rng(seed)
     results = [
         check_frame_subalgebra(1, tolerance),

@@ -88,6 +88,8 @@ class Embedding:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (7, 3):
             raise ValueError(f"embedding matrix must be 7x3, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("embedding matrix entries must be finite")
         gram = m.T @ m
         if np.max(np.abs(gram - np.eye(3))) > 1e-9:
             raise ValueError("embedding matrix columns must be orthonormal")

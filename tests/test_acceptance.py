@@ -16,11 +16,11 @@ import pytest
 
 from cliffsphere.cli import main
 from cliffsphere.epr import (
-    ExperimentConfig,
     Side,
     SweepSpec,
     correlation_standard,
     marginal_average,
+    orientation_counts,
     raw_score_alice,
     raw_score_bob,
     residual_convergence_slope,
@@ -97,7 +97,7 @@ def test_criterion_04_standard_score_correlation(sweep_csv):
     # scalar equals -a.b for every n, exactly
     reference = None
     for n in (1, 3, 100, 4096):
-        est = correlation_standard(a, b, ExperimentConfig(n_trials=n, seed=8))
+        est = correlation_standard(a, b, orientation_counts(8, n))
         reference = est.scalar if reference is None else reference
         assert est.scalar == reference
     assert reference == pytest.approx(-float(np.dot(a, b)), abs=1e-16)
@@ -106,7 +106,7 @@ def test_criterion_04_standard_score_correlation(sweep_csv):
     bound = 3.0 * float(np.linalg.norm(cross(a, b))) / math.sqrt(n)
     good = 0
     for seed in SEEDS_20:
-        est = correlation_standard(a, b, ExperimentConfig(n_trials=n, seed=seed))
+        est = correlation_standard(a, b, orientation_counts(seed, n))
         if all(abs(c) < bound for c in est.residual_coeffs):
             good += 1
     assert good >= 18, f"only {good}/20 seeds inside the bound"
@@ -116,7 +116,7 @@ def test_criterion_04_standard_score_correlation(sweep_csv):
     assert abs(float(row60["std_scalar"]) - (-0.5)) < 1e-15
     # runtime bound for the full 37-point sweep at 1e5 trials
     start = time.perf_counter()
-    sweep(ExperimentConfig(n_trials=n, seed=42, sweep=SweepSpec()))
+    sweep(SweepSpec(), orientation_counts(42, n))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"sweep took {elapsed:.2f}s"
     print(f"\nACCEPTANCE 4: PASS (exact scalar, {good}/20 seeds, sweep {elapsed:.2f}s)")
@@ -128,7 +128,7 @@ def test_criterion_05_raw_estimator(sweep_csv):
     for row in rows:
         assert float(row["raw_mean"]) == -1.0
     for seed in (0, 1, 2, 3):
-        for r in sweep(ExperimentConfig(n_trials=1000, seed=seed, sweep=SweepSpec(steps=5))):
+        for r in sweep(SweepSpec(steps=5), orientation_counts(seed, 1000)):
             assert r.raw_mean == -1.0
     print("\nACCEPTANCE 5: PASS (raw estimator -1 at every angle and seed)")
 
@@ -139,10 +139,10 @@ def test_criterion_06_marginals():
     direction = np.array([0.36, 0.48, 0.8])
     good = 0
     for seed in SEEDS_20:
-        cfg = ExperimentConfig(n_trials=n, seed=seed)
+        counts = orientation_counts(seed, n)
         ok = True
         for side in (Side.ALICE, Side.BOB):
-            est = marginal_average(direction, side, cfg)
+            est = marginal_average(direction, side, counts)
             ok = ok and abs(est.scalar) < bound
             ok = ok and all(abs(c) < bound for c in est.residual_coeffs)
         good += 1 if ok else 0

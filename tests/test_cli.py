@@ -2,13 +2,20 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cliffsphere import cli
+from cliffsphere import cli, epr
 from cliffsphere.cli import main
 from cliffsphere.epr import lambda_stream
 
@@ -92,10 +99,17 @@ def test_simulate_rejects_bad_vectors(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_simulate_rejects_bad_sweep(tmp_path):
+def test_simulate_rejects_bad_sweep(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["simulate", "--out", out, "--sweep", "0:180"]) == 2
     assert main(["simulate", "--out", out, "--sweep", "0:180:1"]) == 2
+    capsys.readouterr()
+    for spec in ("0:inf:3", "1e308:-1e308:3"):
+        # rejected as a spec, before numpy warns on stderr about the angles
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--out", out, "--sweep", spec])
+        assert_usage_error(capsys, code)
 
 
 def test_seed_env_var_and_flag_override(tmp_path, monkeypatch):
@@ -179,6 +193,35 @@ def test_stale_manifest_is_dropped_before_data_is_written(tmp_path, monkeypatch)
         main(["simulate", "--trials", "100", "--seed", "6", "--out", str(out)])
     assert (out / "correlations.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+FAST_ARGV = {
+    "simulate": ["simulate", "--trials", "100"],
+    "hopf": ["hopf"],
+    "s7": ["s7"],
+    "identities": ["identities", "--pairs", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAST_ARGV))
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unusable_out_is_a_usage_error(tmp_path, capsys, command, out):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code = main([*FAST_ARGV[command], "--out", str(tmp_path / out)])
+    assert "--out" in assert_usage_error(capsys, code).err
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_trial_inconsistency_is_a_verification_failure(tmp_path, capsys, monkeypatch):
+    # a Bob score that follows lam instead of -lam breaks the per-trial identity
+    monkeypatch.setattr(epr, "raw_score_bob", lambda b, lam, tol=0.0: lam)
+    code = main(["simulate", "--trials", "100", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "per-trial identity" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_rejects_out_of_range_env_seed(tmp_path, capsys, monkeypatch):
@@ -301,6 +344,14 @@ def test_identities_sign_flip_canary_fails(tmp_path, capsys):
     assert any(l.startswith("FAIL") for l in printed.splitlines())
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+def test_identities_rejects_meaningless_tolerance(tmp_path, capsys, tolerance):
+    code = main(["identities", "--pairs", "1", f"--tolerance={tolerance}",
+                 "--out", str(tmp_path / "i")])
+    assert "checks passed" not in assert_usage_error(capsys, code).out
+    assert not (tmp_path / "i").exists()
+
+
 @pytest.mark.parametrize("pairs", ["0", "-3"])
 def test_identities_rejects_nonpositive_pairs(tmp_path, capsys, pairs):
     code = main(["identities", "--pairs", pairs, "--out", str(tmp_path / "i")])
@@ -315,3 +366,82 @@ def test_identities_tolerance_flag_is_applied_and_echoed(tmp_path, capsys):
     assert "tol 1.0e-15" in printed
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["tolerance"] == 1e-15
+
+
+# -- generated argv ------------------------------------------------------------------
+
+SEEDS = [None, "0", "42", "-1", str(2**64), str(2**64 - 1)]
+VECTORS = ["1,0,0", "0.6,0.8,0", "0,0,-1", "nan,0,0", "inf,0,0", "0,0,0", "1,0", "2,0,0"]
+SWEEPS = ["0:180:5", "0:90:2", "90:-90:3", "0:180:1", "0:180", "a:b:c", "0:nan:3",
+          "0:inf:3", "1e308:-1e308:3"]
+SEPARATIONS = ["1e-1,1e-2,1e-3", "1e-3,1e-2", "1e-1,1e-1", "1e-1,oops", "nan", "0", ""]
+TOLERANCES = ["1e-12", "1e-6", "0", "nan", "inf", "-inf", "-1"]
+EMBEDDINGS = ["default", "good.txt", "nan.txt", "inf.txt", "missing.txt"]
+OUTS = ["new/run", "file", "file/sub"]
+
+
+@st.composite
+def cli_invocations(draw):
+    """(argv without --out, --out relative to a fresh directory)."""
+    pick = lambda pool: draw(st.sampled_from(pool))  # noqa: E731
+    command = pick(["simulate", "hopf", "s7", "identities"])
+    argv = [command]
+    seed = pick(SEEDS)
+    if seed is not None:
+        argv += ["--seed", seed]
+    if command == "simulate":
+        argv += ["--trials", str(draw(st.integers(-2, 1000)))]
+        mode = pick(["sweep", "pair", "a only"])
+        if mode == "sweep":
+            argv += ["--sweep", pick(SWEEPS)]
+        else:
+            argv += ["--a", pick(VECTORS)] + (["--b", pick(VECTORS)] if mode == "pair" else [])
+    elif command == "hopf":
+        argv += ["--limit-separations", pick(SEPARATIONS),
+                 "--phi-deg", pick(["90", "30", "150", "0", "180", "nan"])]
+    elif command == "s7":
+        argv += ["--a", pick(VECTORS), "--lambda", pick(["1", "-1", "0"]),
+                 "--embedding", pick(EMBEDDINGS)]
+    else:
+        argv += ["--pairs", pick(["1", "2", "0", "-1"]), f"--tolerance={pick(TOLERANCES)}"]
+        if draw(st.booleans()):
+            argv.append("--inject-sign-flip")
+    return argv, pick(OUTS)
+
+
+def run_main(argv):
+    """(exit code, stderr, whether argparse exited) of one in-process run;
+    numpy warnings are raised, so a warning escapes like any other error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return main(argv), err.getvalue(), False
+        except SystemExit as exc:
+            return exc.code, err.getvalue(), True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cli_invocations())
+def test_generated_argv_exits_with_a_documented_code(invocation):
+    argv, out = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        (base / "file").write_text("not a directory\n")
+        np.savetxt(base / "good.txt", np.eye(7, 3))
+        np.savetxt(base / "nan.txt", np.full((7, 3), np.nan))
+        np.savetxt(base / "inf.txt", np.where(np.eye(7, 3) == 1, np.inf, 0.0))
+        argv = [str(base / a) if a in EMBEDDINGS[1:] else a for a in argv]
+        code, err, from_argparse = run_main([*argv, "--out", str(base / out)])
+
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert argv[0] == "identities"
+        if code == 2 and not from_argparse:
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        if code in (0, 1):
+            assert (base / out / "manifest.json").is_file()
+        for manifest in base.rglob("manifest.json"):
+            for entry in json.loads(manifest.read_text())["outputs"]:
+                assert digest(manifest.parent / entry["path"]) == entry["sha256"]

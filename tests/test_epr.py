@@ -6,15 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cliffsphere import epr
 from cliffsphere.epr import (
     COUNT_CHUNK,
     CorrelationEstimate,
-    ExperimentConfig,
     OrientationCounts,
     Side,
     SweepSpec,
     TrialRecord,
     correlation_raw,
+    correlation_row,
     correlation_standard,
     lambda_stream,
     marginal_average,
@@ -118,7 +119,6 @@ def test_orientation_prefix_counts_reject_bad_sizes():
 
 def test_orientation_counts_memory_is_bounded_by_the_chunk():
     # the whole stream at 10^7 trials is ~320 MB of Philox words
-    orientation_counts.cache_clear()
     tracemalloc.start()
     try:
         counts = orientation_counts(2024, 10**7)
@@ -127,13 +127,6 @@ def test_orientation_counts_memory_is_bounded_by_the_chunk():
         tracemalloc.stop()
     assert counts.n_plus + counts.n_minus == 10**7
     assert peak < 16 * 2**20
-
-
-def test_orientation_counts_are_memoized():
-    orientation_counts.cache_clear()
-    first = orientation_counts(77, 1000)
-    assert orientation_counts(77, 1000) is first
-    assert orientation_counts.cache_info().hits == 1
 
 
 def test_mean_residual_norms_match_literal_prefix_sums():
@@ -195,8 +188,7 @@ def test_raw_scores_reject_bad_inputs():
 
 
 def test_trial_records_satisfy_per_trial_identities():
-    cfg = ExperimentConfig(n_trials=500, seed=7)
-    records = trial_records(EX, EY, cfg)
+    records = trial_records(EX, EY, 7, 500)
     assert len(records) == 500
     for rec in records:
         assert rec.alice_raw == rec.lam
@@ -205,10 +197,9 @@ def test_trial_records_satisfy_per_trial_identities():
 
 
 def test_trial_records_match_estimators():
-    cfg = ExperimentConfig(n_trials=400, seed=13)
-    records = trial_records(EX, EY, cfg)
+    records = trial_records(EX, EY, 13, 400)
     raw_mean = sum(r.alice_raw * r.bob_raw for r in records) / len(records)
-    assert raw_mean == correlation_raw(EX, EY, cfg).scalar
+    assert raw_mean == correlation_raw(EX, EY, orientation_counts(13, 400)).scalar
 
 
 def test_trial_record_validation():
@@ -223,7 +214,7 @@ def test_standard_scalar_is_exact_and_trial_independent():
     rng = np.random.default_rng(4)
     a, b = random_unit(rng), random_unit(rng)
     values = {
-        n: correlation_standard(a, b, ExperimentConfig(n_trials=n, seed=42)).scalar
+        n: correlation_standard(a, b, orientation_counts(42, n)).scalar
         for n in (1, 2, 3, 17, 1000)
     }
     assert len(set(values.values())) == 1
@@ -231,7 +222,7 @@ def test_standard_scalar_is_exact_and_trial_independent():
 
 
 def test_standard_equal_directions():
-    est = correlation_standard(EX, EX, ExperimentConfig(n_trials=1000, seed=1))
+    est = correlation_standard(EX, EX, orientation_counts(1, 1000))
     assert est.scalar == -1.0
     assert est.residual_coeffs == (0.0, 0.0, 0.0)
     assert est.stderr == 0.0
@@ -239,7 +230,7 @@ def test_standard_equal_directions():
 
 def test_standard_perpendicular_directions_large_n():
     n = 10**6
-    est = correlation_standard(EX, EY, ExperimentConfig(n_trials=n, seed=1234))
+    est = correlation_standard(EX, EY, orientation_counts(1234, n))
     assert est.scalar == 0.0
     bound = 3.0 / math.sqrt(n)
     for c in est.residual_coeffs:
@@ -249,7 +240,7 @@ def test_standard_perpendicular_directions_large_n():
 
 def test_standard_sixty_degrees_reads_minus_half():
     a, b = sweep_directions(60.0)
-    est = correlation_standard(a, b, ExperimentConfig(n_trials=10**5, seed=42))
+    est = correlation_standard(a, b, orientation_counts(42, 10**5))
     assert abs(est.scalar - (-0.5)) < 1e-15
     assert est.residual_norm < 3.0 * est.stderr
 
@@ -260,16 +251,16 @@ def test_standard_matches_literal_per_trial_average():
 
     rng = np.random.default_rng(77)
     a, b = random_unit(rng), random_unit(rng)
-    cfg = ExperimentConfig(n_trials=2000, seed=99)
-    lams = lambda_stream(cfg.seed, cfg.n_trials)
+    counts = orientation_counts(99, 2000)
+    lams = lambda_stream(99, 2000)
     per_trial = [
         abstract_product(standard_score(a, int(l)), standard_score(b, int(l))).coeffs
         for l in lams
     ]
     literal = np.array(
-        [math.fsum(col) / cfg.n_trials for col in np.array(per_trial).T]
+        [math.fsum(col) / counts.n for col in np.array(per_trial).T]
     )
-    est = correlation_standard(a, b, cfg)
+    est = correlation_standard(a, b, counts)
     got = np.array([est.scalar, *est.residual_coeffs])
     assert np.max(np.abs(got - literal)) < 1e-15
 
@@ -281,15 +272,15 @@ def test_raw_estimator_is_minus_one_everywhere():
     rng = np.random.default_rng(8)
     for n, seed in ((1, 0), (10, 5), (1000, 9), (10**5, 42)):
         a, b = random_unit(rng), random_unit(rng)
-        est = correlation_raw(a, b, ExperimentConfig(n_trials=n, seed=seed))
+        est = correlation_raw(a, b, orientation_counts(seed, n))
         assert est.scalar == -1.0
         assert est.residual_coeffs == (0.0, 0.0, 0.0)
         assert est.stderr == 0.0
 
 
 def test_raw_estimator_equal_directions_matches_singlet_point():
-    est = correlation_raw(EX, EX, ExperimentConfig(n_trials=100, seed=3))
-    std = correlation_standard(EX, EX, ExperimentConfig(n_trials=100, seed=3))
+    est = correlation_raw(EX, EX, orientation_counts(3, 100))
+    std = correlation_standard(EX, EX, orientation_counts(3, 100))
     assert est.scalar == std.scalar == -1.0
 
 
@@ -299,9 +290,8 @@ def test_raw_estimator_equal_directions_matches_singlet_point():
 def test_marginal_single_trial_degenerate_case():
     # seed 0 draws lam = +1 at trial 0, so the single-trial average is the
     # standard score itself
-    cfg = ExperimentConfig(n_trials=1, seed=0)
     n_vec = np.array([0.6, 0.0, 0.8])
-    est = marginal_average(n_vec, Side.ALICE, cfg)
+    est = marginal_average(n_vec, Side.ALICE, orientation_counts(0, 1))
     assert est.residual_coeffs == (0.6, 0.0, 0.8)
     assert est.scalar == 1.0
 
@@ -309,8 +299,7 @@ def test_marginal_single_trial_degenerate_case():
 @pytest.mark.parametrize("side", [Side.ALICE, Side.BOB])
 def test_marginal_large_n_tends_to_zero(side):
     n = 10**6
-    cfg = ExperimentConfig(n_trials=n, seed=2718)
-    est = marginal_average(np.array([0.0, 1.0, 0.0]), side, cfg)
+    est = marginal_average(np.array([0.0, 1.0, 0.0]), side, orientation_counts(2718, n))
     bound = 3.0 / math.sqrt(n)
     assert abs(est.scalar) < bound
     for c in est.residual_coeffs:
@@ -319,17 +308,16 @@ def test_marginal_large_n_tends_to_zero(side):
 
 
 def test_marginal_raw_mean_matches_trial_records():
-    cfg = ExperimentConfig(n_trials=300, seed=13)
-    records = trial_records(EX, EY, cfg)
+    counts = orientation_counts(13, 300)
+    records = trial_records(EX, EY, 13, 300)
     alice = sum(r.alice_raw for r in records) / len(records)
     bob = sum(r.bob_raw for r in records) / len(records)
-    assert marginal_average(EX, Side.ALICE, cfg).scalar == alice
-    assert marginal_average(EY, Side.BOB, cfg).scalar == bob
+    assert marginal_average(EX, Side.ALICE, counts).scalar == alice
+    assert marginal_average(EY, Side.BOB, counts).scalar == bob
 
 
 def test_marginal_accepts_side_value():
-    cfg = ExperimentConfig(n_trials=10, seed=0)
-    est = marginal_average(EX, "bob", cfg)
+    est = marginal_average(EX, "bob", orientation_counts(0, 10))
     assert isinstance(est, CorrelationEstimate)
 
 
@@ -354,10 +342,8 @@ def test_standard_commutator_vanishes_for_parallel_directions():
 
 
 def test_sweep_closed_form_values():
-    cfg = ExperimentConfig(
-        n_trials=2000, seed=42, sweep=SweepSpec(start_deg=0.0, stop_deg=180.0, steps=3)
-    )
-    rows = sweep(cfg)
+    spec = SweepSpec(start_deg=0.0, stop_deg=180.0, steps=3)
+    rows = sweep(spec, orientation_counts(42, 2000))
     assert [r.theta_deg for r in rows] == [0.0, 90.0, 180.0]
     want = [-1.0, 0.0, 1.0]
     for row, expected in zip(rows, want):
@@ -367,13 +353,12 @@ def test_sweep_closed_form_values():
 
 
 def test_sweep_is_deterministic():
-    cfg = ExperimentConfig(n_trials=5000, seed=7, sweep=SweepSpec(steps=5))
-    assert sweep(cfg) == sweep(cfg)
+    spec = SweepSpec(steps=5)
+    assert sweep(spec, orientation_counts(7, 5000)) == sweep(spec, orientation_counts(7, 5000))
 
 
 def test_sweep_rows_share_one_trial_stream():
-    cfg = ExperimentConfig(n_trials=5000, seed=7, sweep=SweepSpec(steps=5))
-    rows = sweep(cfg)
+    rows = sweep(SweepSpec(steps=5), orientation_counts(7, 5000))
     lam_mean = lambda_stream(7, 5000).astype(np.int64).sum() / 5000
     for row in rows:
         a, b = sweep_directions(row.theta_deg)
@@ -381,11 +366,36 @@ def test_sweep_rows_share_one_trial_stream():
         assert np.max(np.abs(np.asarray(row.residual) - expected)) < 1e-15
 
 
+def test_correlation_row_reports_both_estimators():
+    a, b = sweep_directions(40.0)
+    counts = orientation_counts(5, 777)
+    row = correlation_row(40, a, b, counts)
+    std, raw = correlation_standard(a, b, counts), correlation_raw(a, b, counts)
+    assert (row.theta_deg, row.raw_mean, row.n) == (40.0, raw.scalar, 777)
+    assert (row.std_scalar, row.residual, row.stderr) == (
+        std.scalar, std.residual_coeffs, std.stderr)
+    assert row == sweep(SweepSpec(0.0, 40.0, 2), counts)[1]
+
+
+def test_estimators_read_only_the_counts_they_are_given(monkeypatch):
+    # the counts are the run's only random input: no estimator walks the stream
+    counts = OrientationCounts(10, 7, 3)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the stream was drawn")
+
+    monkeypatch.setattr(epr, "lambda_stream", no_stream)
+    rows = sweep(SweepSpec(steps=3), counts)
+    assert [r.residual[2] for r in rows] == pytest.approx([0.0, -0.4, 0.0], abs=1e-15)
+    assert marginal_average(EX, Side.ALICE, counts).scalar == pytest.approx(0.4)
+
+
 def test_sweep_requires_angle_spec():
-    with pytest.raises(ValueError, match="sweep"):
-        sweep(ExperimentConfig(n_trials=10, seed=1))
     with pytest.raises(ValueError, match="2 points"):
         SweepSpec(steps=1)
+    for start, stop in ((0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (1e308, -1e308)):
+        with pytest.raises(ValueError, match="not finite"):
+            SweepSpec(start, stop, 3)
 
 
 # -- configuration ------------------------------------------------------------------------
@@ -393,11 +403,7 @@ def test_sweep_requires_angle_spec():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="n_trials"):
-        ExperimentConfig(n_trials=0, seed=1)
+        orientation_counts(1, 0)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
-            ExperimentConfig(n_trials=1, seed=seed)
-    with pytest.raises(ValueError, match="unit vector"):
-        ExperimentConfig(n_trials=1, seed=1, pairs=(([2.0, 0, 0], [1.0, 0, 0]),))
-    cfg = ExperimentConfig(n_trials=1, seed=1, pairs=((EX, EY),))
-    assert np.allclose(cfg.pairs[0][0], EX)
+            orientation_counts(seed, 1)

@@ -1,5 +1,7 @@
 """Identity suite tests: everything passes, and a corrupted algebra is caught."""
 
+import math
+
 import pytest
 
 from cliffsphere.identities import (
@@ -63,6 +65,18 @@ def test_suite_is_deterministic_for_fixed_seed():
     a = run_identity_checks(n_pairs=50, seed=5)
     b = run_identity_checks(n_pairs=50, seed=5)
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_suites_refuse_a_meaningless_tolerance(tolerance):
+    # NaN fails and inf passes every float check without it meaning anything
+    for suite in (equation_suite, run_identity_checks):
+        with pytest.raises(ValueError, match="tolerance"):
+            suite(tolerance=tolerance, n_pairs=1)
+
+
+def test_zero_tolerance_is_allowed():
+    assert len(equation_suite(tolerance=0.0, n_pairs=1)) == 12
 
 
 def test_suites_refuse_to_run_without_random_pairs():

@@ -1,0 +1,38 @@
+"""Smoke tests of the scripts under scripts/, run as a user would run them."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_run_sweep_prints_and_writes_the_sweep(tmp_path):
+    lines = run_script("run_sweep.py", "--trials", "1000", "--steps", "3",
+                       "--out", str(tmp_path / "run"))
+    table = [line.split() for line in lines[1:4]]
+    assert lines[0].split()[:2] == ["theta", "raw"]
+    assert [row[:2] for row in table] == [["0.00", "-1.0"], ["90.00", "-1.0"], ["180.00", "-1.0"]]
+    assert lines[4].startswith("wrote ")
+    with (tmp_path / "run" / "correlations.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 4
+    assert [float(r[0]) for r in rows[1:]] == [0.0, 90.0, 180.0]
+
+
+def test_convergence_study_tabulates_each_size():
+    lines = run_script("convergence_study.py", "--seeds", "2", "--sizes", "100,1000")
+    assert [line.split()[0] for line in lines[1:3]] == ["100", "1000"]
+    assert lines[-1].startswith("fitted log-log slope over 2 seeds:")

@@ -137,6 +137,16 @@ def test_non_orthonormal_embedding_rejected():
         Embedding.from_matrix(np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_embedding_rejected(bad):
+    # NaN compares False with the orthonormality bound, so it needs its own check
+    m = np.eye(7, 3)
+    m[4, 1] = bad
+    for matrix in (m, np.full((7, 3), bad)):
+        with pytest.raises(ValueError, match="finite"):
+            Embedding.from_matrix(matrix)
+
+
 def test_embed_requires_unit_input():
     with pytest.raises(ValueError, match="unit vector"):
         embed(np.array([2.0, 0.0, 0.0]))
