@@ -12,6 +12,8 @@ full config echo, seed, package version, start/end timestamps, and a sha256
 digest per emitted data file; ``simulate`` adds the orientation counts
 (n, n_plus, n_minus) that every row was computed from.  Data files contain
 no timestamps, so a rerun with the same flags and seed is byte-identical.
+Each file is written to a temporary name in the output directory and moved
+into place with ``os.replace``, so a name never holds a partly written file.
 Numeric CSV fields carry 17 significant digits with a locale-independent
 decimal point.
 
@@ -22,8 +24,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -45,6 +50,7 @@ from .epr import (
 )
 from .hopf import (
     DegenerateAxisError,
+    FiberProbe,
     null_limit_probe,
     parallel_transport_check,
     phase_flip_at_pi,
@@ -142,8 +148,32 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
             {"path": p.name, "sha256": _sha256(p)} for p in outputs
         ],
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_file(out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _write_file(out_dir: Path, name: str, text: str) -> Path:
+    """Write `text` to out_dir/name through a temporary file in out_dir and
+    `os.replace`, so the name never holds a partly written file; an OSError
+    (the name is a directory, the disk is full) is a usage error."""
+    path = out_dir / name
+    tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+    try:
+        with tmp.open("w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise UsageError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+    return path
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _prepare_out(out: str) -> Path:
@@ -215,17 +245,12 @@ def cmd_simulate(args) -> int:
     rows = [correlation_row(theta, a, b, counts)] if args.a is not None else sweep(spec, counts)
 
     out_dir = _prepare_out(args.out)
-    csv_path = out_dir / "correlations.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["theta_deg", "raw_mean", "std_scalar", "resid_x", "resid_y",
-             "resid_z", "resid_norm", "stderr", "n"]
-        )
-        for r in rows:
-            writer.writerow([_fmt(r.theta_deg), _fmt(r.raw_mean), _fmt(r.std_scalar),
-                             *map(_fmt, r.residual), _fmt(r.residual_norm),
-                             _fmt(r.stderr), str(r.n)])
+    csv_path = _write_file(out_dir, "correlations.csv", _csv_text(
+        ["theta_deg", "raw_mean", "std_scalar", "resid_x", "resid_y",
+         "resid_z", "resid_norm", "stderr", "n"],
+        ([_fmt(r.theta_deg), _fmt(r.raw_mean), _fmt(r.std_scalar), *map(_fmt, r.residual),
+          _fmt(r.residual_norm), _fmt(r.stderr), str(r.n)] for r in rows),
+    ))
     print(f"wrote {csv_path} ({len(rows)} rows)")
     _write_manifest(out_dir, "simulate", config, seed, [csv_path], started,
                     extra={"orientation": asdict(counts)})
@@ -235,20 +260,25 @@ def cmd_simulate(args) -> int:
 def cmd_hopf(args) -> int:
     started = _utc_now()
     seed = _resolve_seed(args.seed)
-    phi = math.radians(args.phi_deg)
-    if not 0.0 < phi < math.pi:
-        raise UsageError("--phi-deg must lie strictly between 0 and 180")
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([math.cos(phi), math.sin(phi), 0.0])
-    separations = _parse_separations(args.limit_separations)
-
-    failures = 0
     try:
-        _, _, transition_res = transition_relation(a, b, args.psi_a)
-        transport_res = parallel_transport_check(a, b, args.psi_a, 1)
+        probe = FiberProbe(args.psi_a, math.radians(args.phi_deg))
+    except ValueError as exc:
+        raise UsageError(f"--psi-a {args.psi_a!r}, --phi-deg {args.phi_deg!r}: {exc}") from exc
+    a = np.array([1.0, 0.0, 0.0])
+    b = np.array([math.cos(probe.phi), math.sin(probe.phi), 0.0])
+    separations = _parse_separations(args.limit_separations)
+    try:
+        rows = null_limit_probe(a, separations)
+    except ValueError as exc:
+        raise UsageError(f"--limit-separations {args.limit_separations!r}: {exc}") from exc
+    try:
+        _, _, transition_res = transition_relation(a, b, probe.psi_a)
+        transport_res = parallel_transport_check(a, b, probe.psi_a, 1)
     except DegenerateAxisError as exc:
         raise UsageError(str(exc)) from exc
-    _, _, flip_res = phase_flip_at_pi(args.psi_a)
+    _, _, flip_res = phase_flip_at_pi(probe.psi_a)
+
+    failures = 0
     for name, res in (
         ("transition residual", transition_res),
         ("transport residual (lam=+1)", transport_res),
@@ -258,18 +288,11 @@ def cmd_hopf(args) -> int:
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {res:.3e}  (tol {HOPF_TOL:.0e})")
 
-    try:
-        rows = null_limit_probe(a, separations)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     out_dir = _prepare_out(args.out)
-    csv_path = out_dir / "null_limit.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["psi_rad", "wedge_magnitude", "axis_x", "axis_y", "axis_z"])
-        for row in rows:
-            writer.writerow([_fmt(row.psi_rad), _fmt(row.magnitude)]
-                            + [_fmt(x) for x in row.axis])
+    csv_path = _write_file(out_dir, "null_limit.csv", _csv_text(
+        ["psi_rad", "wedge_magnitude", "axis_x", "axis_y", "axis_z"],
+        ([_fmt(row.psi_rad), _fmt(row.magnitude), *map(_fmt, row.axis)] for row in rows),
+    ))
     print(f"wrote {csv_path} ({len(rows)} rows)")
 
     config = {
@@ -318,8 +341,7 @@ def cmd_s7(args) -> int:
         },
     }
     out_dir = _prepare_out(args.out)
-    report_path = out_dir / "s7_report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path = _write_file(out_dir, "s7_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {report_path}")
     print(f"contraction terms: {', '.join(sorted(_nonzero_terms(jn)))}")
     print(f"raw-score scalar part: {_fmt(raw.scalar)}")
@@ -332,6 +354,10 @@ def cmd_s7(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 
+# Built once per process: a parser is a web of reference cycles, which a
+# long-lived caller of `main` would otherwise leave to the cycle collector
+# after every call.
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliffsphere",

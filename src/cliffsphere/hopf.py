@@ -93,8 +93,8 @@ class FiberProbe:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 < self.psi_a:
-            raise ValueError("psi_a must be positive")
+        if not 0.0 < self.psi_a < math.inf:
+            raise ValueError("psi_a must be finite and positive")
         if not 0.0 < self.phi < math.pi:
             raise ValueError("phi must lie strictly between 0 and pi")
 
@@ -203,8 +203,10 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
     """
     a = unit_vector(a)
     seps = [float(p) for p in separations]
-    if any(p < 0.0 for p in seps):
-        raise ValueError("separations must be nonnegative")
+    if not seps:
+        raise ValueError("separations must not be empty: the probe would not run")
+    if not all(0.0 <= p < math.inf for p in seps):
+        raise ValueError("separations must be finite and nonnegative")
     if any(x <= y for x, y in zip(seps, seps[1:])):
         raise ValueError("separations must be strictly decreasing")
     axis = perpendicular_axis(a)

@@ -6,17 +6,24 @@ against a tolerance.  Exact checks (integer sign arithmetic) carry tolerance
 configurable override; the associativity and rotor-rotation bounds are fixed
 at their contracted values.
 
-The random-pair checks draw all their inputs up front and evaluate every
-pair at once on (N, 2**n) coefficient arrays through the product kernel;
-a check's residual is the largest row norm, so a NaN row fails it.
+The random-pair checks, the rotor checks and generator anticommutation
+draw all their inputs up front, in the order a per-case loop would, and
+evaluate every case at once on (N, 2**n) coefficient arrays through the
+product kernel; a check's residual is the largest row norm, so a NaN row
+fails it.
 
-The suite carries its own naive blade multiplier (explicit list sorting per
-blade pair) so that the fast table-driven product is validated against an
-independent code path.  Each oracle check sorts every blade pair once into
-a fresh table, which both its exhaustive comparison and its dense products
-read.  A sign-flip injection hook corrupts the epsilon term of the abstract
-structure constants; it exists purely to demonstrate that the suite catches
-a mutated algebra.
+The suite carries its own naive blade multiplier, which shares no code with
+the product kernel or its Cayley tables, so that the fast table-driven
+product is validated against an independent code path.  It writes each blade
+pair's generator lists side by side, [-1 pads, A ascending, B ascending, dim
+pads], and sorts all pairs in lockstep, a bounded chunk of int8 columns at a
+time, by 2 * dim rounds of odd-even adjacent transpositions; the parity of
+the swaps is the sign and the XOR of the generators the mask.  Each oracle
+check builds this table once; its exhaustive comparison reads it against the
+Cayley tables, and its dense random products scatter through it with
+`np.bincount`.  A sign-flip injection hook corrupts the epsilon term of the
+abstract structure constants; it exists purely to demonstrate that the suite
+catches a mutated algebra.
 """
 
 from __future__ import annotations
@@ -34,21 +41,19 @@ from .frames import (
     build_frame,
     duality_check,
     hidden_basis,
-    vector3,
     volume3,
 )
 from .multivector import (
     Multivector,
     _product,
+    _reversion_sign,
+    _rotor_coeffs,
     _tables,
     _vector_coeffs,
     contract,
     geometric_product,
     norm,
-    reversion,
-    rotor_exp,
     unit_vector,
-    wedge,
 )
 
 #: Fixed bound for associativity (relative) and rotor-rotation (absolute).
@@ -71,48 +76,62 @@ class CheckResult:
 # -- independent naive multiplier --------------------------------------------------
 
 
-def _naive_blade(a_mask: int, b_mask: int) -> tuple[int, int]:
-    """(mask, sign) of e_A e_B by concatenating index lists and sorting."""
-    factors = [j for j in range(8) if a_mask >> j & 1] + [
-        j for j in range(8) if b_mask >> j & 1
-    ]
-    swaps = 0
-    for i in range(1, len(factors)):
-        j = i
-        while j > 0 and factors[j - 1] > factors[j]:
-            factors[j - 1], factors[j] = factors[j], factors[j - 1]
-            swaps += 1
-            j -= 1
-    mask = 0
-    for f in factors:
-        mask ^= 1 << f  # repeated generators cancel with +1
-    return mask, (-1 if swaps % 2 else 1)
+#: Blade pairs sorted together per chunk: the chunk's (2 * dim, pairs) int8
+#: factor array and its temporaries stay within a few hundred KiB.
+_NAIVE_CHUNK = 4096
 
 
-def _naive_table(dim: int) -> tuple[list[int], list[int]]:
-    """(masks, signs) of e_i e_j from `_naive_blade`, flat at i * 2**dim + j."""
-    masks, signs = [], []
-    for i in range(1 << dim):
-        for j in range(1 << dim):
-            mask, sign = _naive_blade(i, j)
-            masks.append(mask)
-            signs.append(sign)
+def _naive_factors(dim: int, pad: int) -> np.ndarray:
+    """(dim, 2**dim) int8 array whose column m lists blade m's generators in
+    ascending order, after -1 pads (pad = -1) or before `dim` pads (pad = dim)."""
+    size = 1 << dim
+    bits = (np.arange(size)[:, None] >> np.arange(dim)) & 1
+    blade, gen = np.nonzero(bits)
+    slot = np.cumsum(bits, axis=1)[blade, gen] - 1
+    if pad < 0:
+        slot += dim - bits.sum(axis=1)[blade]
+    out = np.full((dim, size), pad, dtype=np.int8)
+    out[slot, blade] = gen
+    return out
+
+
+def _naive_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, signs) of e_i e_j for every blade pair, flat at i * 2**dim + j.
+
+    Each pair's factor list [-1 pads, i ascending, j ascending, dim pads] is
+    sorted by 2 * dim rounds of odd-even adjacent transpositions, the pairs
+    of a chunk in lockstep (one column each); the pads are already in place
+    and never swap.  The sign is the parity of the swaps.  The mask is the XOR
+    of the sorted generators, since a repeated generator cancels with +1:
+    generator j survives when it occurs an odd number of times.
+    """
+    size, width = 1 << dim, 2 * dim
+    first, second = _naive_factors(dim, -1), _naive_factors(dim, dim)
+    masks = np.empty(size * size, dtype=np.uint8)
+    signs = np.empty(size * size, dtype=np.int8)
+    for lo in range(0, size * size, _NAIVE_CHUNK):
+        pair = np.arange(lo, min(lo + _NAIVE_CHUNK, size * size))
+        factors = np.concatenate([first.take(pair >> dim, axis=1), second.take(pair & (size - 1), axis=1)])
+        swaps = np.zeros(len(pair), dtype=np.int16)
+        for r in range(width):
+            left, right = factors[r % 2 : width - 1 : 2], factors[r % 2 + 1 : width : 2]
+            swaps += (left > right).sum(axis=0, dtype=np.int16)
+            # swap exactly the neighbours that are out of order
+            left[...], right[...] = np.minimum(left, right), np.maximum(left, right)
+        mask = np.zeros(len(pair), dtype=np.uint8)
+        for j in range(dim):
+            mask |= np.bitwise_xor.reduce(factors == j, axis=0).astype(np.uint8) << j
+        masks[pair] = mask
+        signs[pair] = 1 - 2 * (swaps % 2)
     return masks, signs
 
 
-def _naive_product(x: np.ndarray, y: np.ndarray, masks: list[int], signs: list[int]) -> np.ndarray:
-    size = len(x)
-    x, y = x.tolist(), y.tolist()
-    out = [0.0] * size
-    for i in range(size):
-        if x[i] == 0.0:
-            continue
-        for j in range(size):
-            if y[j] == 0.0:
-                continue
-            k = i * size + j
-            out[masks[k]] += signs[k] * x[i] * y[j]
-    return np.array(out)
+def _naive_product(x: np.ndarray, y: np.ndarray, masks: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Dense product of two coefficient vectors: every blade pair's term
+    sign * x_i * y_j summed onto its naive mask."""
+    terms = np.outer(x, y).ravel()
+    terms *= signs
+    return np.bincount(masks, weights=terms, minlength=len(x))
 
 
 # -- helpers -------------------------------------------------------------------------
@@ -147,15 +166,12 @@ EPS_TRIPLES = ((1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1), (2, 1, 3, -1), (3, 2, 1
 
 
 def check_generator_anticommutation(dim: int) -> CheckResult:
-    worst = 0.0
-    for j in range(1, dim + 1):
-        for k in range(1, dim + 1):
-            ej = Multivector.basis_vector(dim, j)
-            ek = Multivector.basis_vector(dim, k)
-            anti = geometric_product(ej, ek) + geometric_product(ek, ej)
-            want = Multivector.scalar(dim, 2.0 if j == k else 0.0)
-            worst = max(worst, norm(anti - want))
-    return CheckResult(f"generator anticommutation, Cl({dim},0)", worst, 0.0)
+    """e_j e_k + e_k e_j = 2 delta_jk over all dim**2 generator pairs."""
+    e = _vector_coeffs(np.eye(dim), dim)
+    jk = _product("geometric", np.repeat(e, dim, axis=0), np.tile(e, (dim, 1))).reshape(dim, dim, -1)
+    anti = jk + jk.transpose(1, 0, 2)  # e_j e_k + e_k e_j
+    anti[:, :, 0] -= 2.0 * np.eye(dim)
+    return CheckResult(f"generator anticommutation, Cl({dim},0)", _worst(anti), 0.0)
 
 
 def check_associativity(dim: int, rng, n_triples: int = 100) -> CheckResult:
@@ -179,46 +195,44 @@ def check_product_against_naive_oracle(dim: int, rng, tol: float, n_pairs: int) 
     xor, sign, _ = _tables(dim)
     masks, signs = _naive_table(dim)
     # exhaustive blade-level comparison of the fast Cayley tables
-    worst = float(np.any(np.reshape(masks, (size, size)) != xor)
-                  or np.any(np.reshape(signs, (size, size)) != sign))
+    worst = float(np.any(masks.reshape(size, size) != xor) or np.any(signs.reshape(size, size) != sign))
     # dense random multivector pairs through both full product paths
-    for _ in range(n_pairs):
-        x = rng.normal(size=size)
-        y = rng.normal(size=size)
-        fast = geometric_product(Multivector(dim, x), Multivector(dim, y)).coeffs
-        worst = max(worst, float(np.max(np.abs(fast - _naive_product(x, y, masks, signs)))))
+    x, y = np.moveaxis(rng.normal(size=(n_pairs, 2, size)), 1, 0)
+    naive = np.stack([_naive_product(xi, yi, masks, signs) for xi, yi in zip(x, y)])
+    worst = float(np.max(np.abs(_product("geometric", x, y) - naive), initial=worst))
     return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", worst, tol)
 
 
 def check_rotor_rotation(rng, n_cases: int = 100) -> CheckResult:
-    worst = 0.0
-    for _ in range(n_cases):
-        u = _random_units(rng, 1)[0]
-        w = rng.normal(size=3)
-        w -= np.dot(w, u) * u
-        w /= np.linalg.norm(w)
-        theta = rng.uniform(-2.0, 2.0)
-        B = wedge(vector3(u), vector3(w))
-        R = rotor_exp(B, theta)
-        v = rng.uniform(-1, 1) * u + rng.uniform(-1, 1) * w
-        out = geometric_product(geometric_product(R, vector3(v)), reversion(R))
-        cu, cw = np.dot(v, u), np.dot(v, w)
-        want = (cu * math.cos(2 * theta) + cw * math.sin(2 * theta)) * u + (
-            -cu * math.sin(2 * theta) + cw * math.cos(2 * theta)
-        ) * w
-        worst = max(worst, float(np.max(np.abs(out.vector_components() - want))))
-    return CheckResult("rotor sandwich rotates by twice the angle", worst, FIXED_TOL)
+    """R v ~R turns v by 2 theta in the plane u ^ w, for R = exp(theta u ^ w)."""
+    # drawn case by case, so the stream order is that of a per-case loop
+    cases = [(rng.normal(size=3), rng.normal(size=3), rng.uniform(-2.0, 2.0),
+              rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n_cases)]
+    u, w, theta, su, sw = (np.array(c) for c in zip(*cases))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    w -= np.sum(w * u, axis=1, keepdims=True) * u
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    B = _product("wedge", _vector_coeffs(u, 3), _vector_coeffs(w, 3))
+    R = _rotor_coeffs(B, np.sin(theta), np.cos(theta))
+    v = su[:, None] * u + sw[:, None] * w
+    sandwich = _product("geometric", _product("geometric", R, _vector_coeffs(v, 3)), R * _reversion_sign(3))
+    out = sandwich[:, [1, 2, 4]]
+    cu, cw = np.sum(v * u, axis=1), np.sum(v * w, axis=1)
+    c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
+    want = (cu * c2 + cw * s2)[:, None] * u + (-cu * s2 + cw * c2)[:, None] * w
+    return CheckResult("rotor sandwich rotates by twice the angle", float(np.max(np.abs(out - want))), FIXED_TOL)
 
 
 def check_rotor_unit(rng, tol: float, n_cases: int = 100) -> CheckResult:
-    worst = 0.0
-    for _ in range(n_cases):
-        c = _random_units(rng, 1)[0]
-        R = rotor_exp(contract(volume3(), vector3(c)), rng.uniform(-3, 3))
-        worst = max(worst, abs(norm(R) - 1.0))
-        worst = max(
-            worst, norm(geometric_product(R, reversion(R)) - Multivector.scalar(3, 1.0))
-        )
+    """exp((I.c) theta) has unit norm and R ~R = 1."""
+    cases = [(rng.normal(size=3), rng.uniform(-3, 3)) for _ in range(n_cases)]
+    c, theta = (np.array(x) for x in zip(*cases))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    B = _product("contract", volume3().coeffs, _vector_coeffs(c, 3))
+    R = _rotor_coeffs(B, np.sin(theta), np.cos(theta))
+    inverse = _product("geometric", R, R * _reversion_sign(3))
+    inverse[:, 0] -= 1.0
+    worst = float(np.max(np.maximum(np.abs(np.linalg.norm(R, axis=1) - 1.0), np.linalg.norm(inverse, axis=1))))
     return CheckResult("rotor norm and reversion inverse", worst, tol)
 
 

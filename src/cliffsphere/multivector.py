@@ -267,14 +267,24 @@ def rotor_exp(B: Multivector, angle: float, tol: float = DEFAULT_TOL) -> Multive
     B must be pure grade 2 with B*B = -1 (both checked to `tol`); the closed
     form then follows from the exponential series.
     """
-    if norm(B - grade_part(B, 2)) > tol:
+    return Multivector(B.dim, _rotor_coeffs(B.coeffs, math.sin(angle), math.cos(angle), tol))
+
+
+def _rotor_coeffs(B: np.ndarray, sin, cos, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """sin * B + cos for the (2**n,) or (N, 2**n) coefficients B of unit
+    bivectors, with sin and cos scalars or (N,) arrays.  Each row of B must be
+    pure grade 2 with B*B = -1 to `tol`, or ValueError names the first
+    contract a row breaks."""
+    grades = _tables(B.shape[-1].bit_length() - 1)[2]
+    if np.any(~(np.linalg.norm(np.where(grades == 2, 0.0, B), axis=-1) <= tol)):
         raise ValueError("rotor generator must be a pure bivector")
-    square = geometric_product(B, B)
-    if norm(square - Multivector.scalar(B.dim, -1.0)) > tol:
+    square = _product("geometric", B, B)
+    square[..., 0] += 1.0
+    if np.any(~(np.linalg.norm(square, axis=-1) <= tol)):
         raise ValueError("rotor generator must be a unit bivector (B*B = -1)")
-    c = math.sin(angle) * B.coeffs
-    c[0] += math.cos(angle)
-    return Multivector(B.dim, c)
+    c = np.asarray(sin)[..., None] * B
+    c[..., 0] += cos
+    return c
 
 
 # -- rendering ----------------------------------------------------------------

@@ -272,6 +272,68 @@ def test_hopf_rejects_bad_separations(tmp_path):
     assert main(["hopf", "--limit-separations", "1e-3,oops", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--psi-a=-0.5", "--psi-a=0", "--psi-a=inf", "--psi-a=nan",
+                                  "--phi-deg=inf", "--phi-deg=nan", "--phi-deg=-30"])
+def test_hopf_rejects_bad_fiber_angles(tmp_path, capsys, flag):
+    code = main(["hopf", flag, "--out", str(tmp_path / "x")])
+    assert flag.split("=")[0] in assert_usage_error(capsys, code).err
+    assert not (tmp_path / "x").exists()
+
+
+def test_hopf_rejects_an_empty_separation_list(tmp_path, capsys):
+    # with no separations the null-limit probe would pass without having run
+    code = main(["hopf", "--limit-separations", "", "--out", str(tmp_path / "x")])
+    assert "--limit-separations" in assert_usage_error(capsys, code).err
+    assert not (tmp_path / "x").exists()
+
+
+DATA_FILES = {"simulate": "correlations.csv", "hopf": "null_limit.csv", "s7": "s7_report.json"}
+
+
+@pytest.mark.parametrize("command", sorted(DATA_FILES))
+def test_data_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "x"
+    (out / DATA_FILES[command]).mkdir(parents=True)
+    code = main([*FAST_ARGV[command], "--out", str(out)])
+    assert DATA_FILES[command] in assert_usage_error(capsys, code).err
+    assert sorted(p.name for p in out.iterdir()) == [DATA_FILES[command]]
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x"
+    assert main(["hopf", "--out", str(out)]) == 0
+    before = (out / "null_limit.csv").read_bytes()
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", no_space)
+    code = main(["hopf", "--limit-separations", "1e-1", "--out", str(out)])
+    assert "No space left" in assert_usage_error(capsys, code).err
+    assert (out / "null_limit.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["null_limit.csv"]
+
+
+#: sha256 of the default-flag data files at seed 42 (ROADMAP).
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN = {
+    "simulate": ("correlations.csv", "39667133e080e30c929bce0cd5907994d080f4141755435e9af6625f14c49371"),
+    "hopf": ("null_limit.csv", "4440a95edac89419d1e5a52297a4de5962d18abc2c250746eae8a10cc14cc698"),
+    "s7": ("s7_report.json", "4cbd95640d0b5db257f803efed3639b6c28e62faacc675236a468f0132a4c4d9"),
+}
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"the golden digests are pinned for numpy {GOLDEN_NUMPY}, "
+                           f"and float output may round differently under numpy {np.__version__}")
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_default_runs_match_the_golden_digests(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    name, want = GOLDEN[command]
+    assert main([command, "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / name) == want
+
+
 def test_hopf_reruns_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["hopf", "--out", str(out1)]) == 0
@@ -398,7 +460,8 @@ def cli_invocations(draw):
             argv += ["--a", pick(VECTORS)] + (["--b", pick(VECTORS)] if mode == "pair" else [])
     elif command == "hopf":
         argv += ["--limit-separations", pick(SEPARATIONS),
-                 "--phi-deg", pick(["90", "30", "150", "0", "180", "nan"])]
+                 "--phi-deg", pick(["90", "30", "150", "0", "180", "nan"]),
+                 "--psi-a", pick(["0.01", "0.5", "0", "-0.5", "inf", "nan"])]
     elif command == "s7":
         argv += ["--a", pick(VECTORS), "--lambda", pick(["1", "-1", "0"]),
                  "--embedding", pick(EMBEDDINGS)]
@@ -445,3 +508,8 @@ def test_generated_argv_exits_with_a_documented_code(invocation):
         for manifest in base.rglob("manifest.json"):
             for entry in json.loads(manifest.read_text())["outputs"]:
                 assert digest(manifest.parent / entry["path"]) == entry["sha256"]
+
+
+def test_main_reuses_one_parser():
+    # a parser is a web of reference cycles; one per call would be garbage
+    assert cli.build_parser() is cli.build_parser()

@@ -91,6 +91,18 @@ def test_fiber_probe_derives_psi_b():
         FiberProbe(psi_a=0.01, phi=math.pi)
 
 
+@pytest.mark.parametrize("psi_a", [-0.5, 0.0, math.inf, math.nan])
+def test_fiber_probe_requires_a_finite_positive_psi_a(psi_a):
+    with pytest.raises(ValueError, match="psi_a must be finite and positive"):
+        FiberProbe(psi_a=psi_a, phi=1.0)
+
+
+@pytest.mark.parametrize("phi", [0.0, math.pi, math.inf, math.nan])
+def test_fiber_probe_requires_phi_inside_the_open_interval(phi):
+    with pytest.raises(ValueError, match="phi"):
+        FiberProbe(psi_a=0.01, phi=phi)
+
+
 # -- transition relation -----------------------------------------------------------
 
 
@@ -258,6 +270,11 @@ def test_null_probe_validates_separations():
         null_limit_probe(EX, [1e-3, 1e-2])
     with pytest.raises(ValueError, match="nonnegative"):
         null_limit_probe(EX, [1e-3, -1e-4])
+    with pytest.raises(ValueError, match="empty"):
+        null_limit_probe(EX, [])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            null_limit_probe(EX, [bad])
 
 
 def test_perpendicular_axis_is_perpendicular():

@@ -1,14 +1,36 @@
 """Identity suite tests: everything passes, and a corrupted algebra is caught."""
 
+import inspect
 import math
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from cliffsphere import identities, multivector
+from cliffsphere.frames import vector3, volume3
 from cliffsphere.identities import (
     CheckResult,
+    _naive_table,
+    check_generator_anticommutation,
+    check_product_against_naive_oracle,
+    check_rotor_rotation,
+    check_rotor_unit,
     equation_suite,
     run_identity_checks,
 )
+from cliffsphere.multivector import (
+    Multivector,
+    contract,
+    geometric_product,
+    norm,
+    reversion,
+    rotor_exp,
+    wedge,
+)
+
+from .oracles import _blade_table
 
 
 def test_equation_suite_all_pass_at_default_tolerance():
@@ -84,3 +106,153 @@ def test_suites_refuse_to_run_without_random_pairs():
     for suite in (equation_suite, run_identity_checks):
         with pytest.raises(ValueError, match="n_pairs"):
             suite(n_pairs=0)
+
+
+# -- the naive oracle ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_naive_table_matches_the_brute_force_oracle(dim):
+    masks, signs = _naive_table(dim)
+    want = np.array(_blade_table(dim)).reshape(-1, 2)
+    assert masks.tolist() == want[:, 0].tolist()
+    assert signs.tolist() == want[:, 1].tolist()
+
+
+def test_naive_table_memory_is_bounded_by_its_chunk():
+    tracemalloc.start()
+    try:
+        _naive_table(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+ORACLE_CL7 = "fast product vs naive blade multiplier, Cl(7,0)"
+
+
+def test_oracle_check_catches_a_flipped_cayley_sign(monkeypatch):
+    # the exhaustive half: the Cayley table that the check reads is corrupted
+    xor, sign, grades = multivector._tables(7)
+    bad = sign.copy()
+    bad[5, 9] *= -1
+    monkeypatch.setattr(identities, "_tables", lambda dim: (xor, bad, grades))
+    result = check_product_against_naive_oracle(7, np.random.default_rng(0), 1e-12, n_pairs=5)
+    assert result.name == ORACLE_CL7
+    assert not result.passed
+
+
+def test_oracle_check_catches_a_flipped_product_sign(monkeypatch):
+    # the dense half: the product kernel's sign table is corrupted, the Cayley
+    # table is not, so only the random products can see it
+    real = multivector._gather_signs
+
+    def flipped(dim, kind):
+        S = real(dim, kind).copy()
+        S[5, 12] *= -1
+        return S
+
+    monkeypatch.setattr(multivector, "_gather_signs", flipped)
+    result = check_product_against_naive_oracle(7, np.random.default_rng(0), 1e-12, n_pairs=5)
+    assert result.name == ORACLE_CL7
+    assert not result.passed
+
+
+# -- batched checks against per-case loops -------------------------------------------------
+
+
+def bumped_rotors(monkeypatch, bump):
+    """Let the rotor checks build sin B + (1 + bump) cos, so that a nonzero
+    bump gives every case its own large residual."""
+    real = identities._rotor_coeffs
+    monkeypatch.setattr(identities, "_rotor_coeffs",
+                        lambda B, sin, cos, tol=1e-12: real(B, sin, (1 + bump) * cos, tol))
+
+
+def bump(R: Multivector, angle: float, amount: float) -> Multivector:
+    return R + Multivector.scalar(3, amount * math.cos(angle))
+
+
+def rotor_rotation_by_loop(rng, n_cases, amount):
+    worst = 0.0
+    for _ in range(n_cases):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        w = rng.normal(size=3)
+        w -= np.dot(w, u) * u
+        w /= np.linalg.norm(w)
+        theta = rng.uniform(-2.0, 2.0)
+        R = bump(rotor_exp(wedge(vector3(u), vector3(w)), theta), theta, amount)
+        v = rng.uniform(-1, 1) * u + rng.uniform(-1, 1) * w
+        out = geometric_product(geometric_product(R, vector3(v)), reversion(R))
+        cu, cw = np.dot(v, u), np.dot(v, w)
+        want = (cu * math.cos(2 * theta) + cw * math.sin(2 * theta)) * u + (
+            -cu * math.sin(2 * theta) + cw * math.cos(2 * theta)
+        ) * w
+        worst = max(worst, float(np.max(np.abs(out.vector_components() - want))))
+    return worst
+
+
+def rotor_unit_by_loop(rng, n_cases, amount):
+    worst = 0.0
+    for _ in range(n_cases):
+        c = rng.normal(size=3)
+        c /= np.linalg.norm(c)
+        theta = rng.uniform(-3, 3)
+        R = bump(rotor_exp(contract(volume3(), vector3(c)), theta), theta, amount)
+        worst = max(worst, abs(norm(R) - 1.0),
+                    norm(geometric_product(R, reversion(R)) - Multivector.scalar(3, 1.0)))
+    return worst
+
+
+@pytest.mark.parametrize("amount", [0.0, 1e-3])
+def test_batched_rotor_checks_equal_per_case_loops(monkeypatch, amount):
+    bumped_rotors(monkeypatch, amount)
+    pairs = [
+        (check_rotor_rotation(np.random.default_rng(3), 40).residual,
+         rotor_rotation_by_loop(np.random.default_rng(3), 40, amount)),
+        (check_rotor_unit(np.random.default_rng(4), 1e-12, 40).residual,
+         rotor_unit_by_loop(np.random.default_rng(4), 40, amount)),
+    ]
+    for batched, looped in pairs:
+        if amount:
+            # a residual of order 1e-3 that depends on every drawn case
+            assert looped > 1e-5
+            assert batched == pytest.approx(looped, rel=1e-9)
+        else:
+            assert batched == pytest.approx(looped, abs=4e-16)
+
+
+def anticommutation_by_loop(dim):
+    worst = 0.0
+    for j in range(1, dim + 1):
+        for k in range(1, dim + 1):
+            ej, ek = Multivector.basis_vector(dim, j), Multivector.basis_vector(dim, k)
+            anti = geometric_product(ej, ek) + geometric_product(ek, ej)
+            worst = max(worst, norm(anti - Multivector.scalar(dim, 2.0 * (j == k))))
+    return worst
+
+
+@pytest.mark.parametrize("dim", [3, 7])
+@pytest.mark.parametrize("flip", [False, True])
+def test_batched_anticommutation_equals_a_per_pair_loop(monkeypatch, dim, flip):
+    if flip:
+        real = multivector._gather_signs
+
+        def flipped(d, kind):
+            S = real(d, kind).copy()
+            S[1, 3] *= -1  # the sign of e_1 e_2
+            return S
+
+        monkeypatch.setattr(multivector, "_gather_signs", flipped)
+    batched = check_generator_anticommutation(dim).residual
+    assert batched == anticommutation_by_loop(dim)
+    assert (batched > 0) == flip
+
+
+def test_naive_path_shares_no_code_with_the_product_kernel():
+    for fn in (identities._naive_factors, identities._naive_table, identities._naive_product):
+        body = inspect.getsource(fn)
+        for name in ("_tables", "_gather_signs", "grade_of", "_product"):
+            assert not re.search(rf"\b{name}\b", body), f"{fn.__name__} names {name}"

@@ -390,3 +390,30 @@ def test_unit_vector_validates_each_row():
         assert np.max(np.abs(g - unit_vector(r))) < 1e-15
     with pytest.raises(ValueError, match="got norm 1.1"):
         unit_vector([[1.0, 0.0, 0.0], [1.1, 0.0, 0.0]])
+
+
+def test_rotor_exp_keeps_its_single_row_arithmetic():
+    # the null-limit probe's bytes depend on these exact roundings
+    B = multivector.contract(Multivector.volume(3), Multivector.from_vector([0.6, 0.0, 0.8]))
+    for angle in (0.01, -1.3, 2.9):
+        want = math.sin(angle) * B.coeffs
+        want[0] += math.cos(angle)
+        assert rotor_exp(B, angle).coeffs.tobytes() == want.tobytes()
+
+
+def test_batched_rotor_coefficients_validate_every_row():
+    units = np.eye(3)
+    B = multivector._product("contract", Multivector.volume(3).coeffs,
+                             multivector._vector_coeffs(units, 3))
+    angles = np.array([0.1, 0.2, 0.3])
+    R = multivector._rotor_coeffs(B, np.sin(angles), np.cos(angles))
+    for row, b, angle in zip(R, B, angles):
+        assert row.tobytes() == rotor_exp(Multivector(3, b), angle).coeffs.tobytes()
+    not_pure = B.copy()
+    not_pure[2, 1] = 0.5
+    with pytest.raises(ValueError, match="pure bivector"):
+        multivector._rotor_coeffs(not_pure, np.sin(angles), np.cos(angles))
+    not_unit = B.copy()
+    not_unit[1] *= 2.0
+    with pytest.raises(ValueError, match="unit bivector"):
+        multivector._rotor_coeffs(not_unit, np.sin(angles), np.cos(angles))
