@@ -11,9 +11,11 @@ Per trial, Alice's raw score is the scalar of the Cl(3,0) product
 are evaluated in the algebra and checked to be scalar, never assumed.  Since
 the scores depend on the directions only through these products (which
 collapse to lam and -lam), the estimators evaluate the products once per
-orientation value, verify them, and weight the verified values by the
-orientation counts.  Averages are then exact: the counts are integers, so
-the results are independent of summation order at any trial count.
+orientation value, for all directions of a sweep in one batch of arrays,
+verify every direction's values, and weight them by the orientation counts.
+A single direction pair is the batch of one.  Averages are then exact: the
+counts are integers, so the results are independent of summation order at
+any trial count.
 
 Since a raw score depends on lam only, never on the detector direction, the
 counts (n_plus, n_minus) are the only random quantity of a run.
@@ -41,23 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (
-    abstract_product,
-    check_orientation,
-    cross,
-    standard_score,
-    vector3,
-    volume3,
-)
-from .multivector import (
-    DEFAULT_TOL,
-    Multivector,
-    contract,
-    geometric_product,
-    norm,
-    scalar_part,
-    unit_vector,
-)
+from .frames import ORIENTATIONS, _structure_coeffs, check_orientation, cross, volume3
+from .multivector import DEFAULT_TOL, Multivector, _product, _vector_coeffs, unit_vector
 
 
 class TrialConsistencyError(RuntimeError):
@@ -193,18 +180,80 @@ class CorrelationEstimate:
         return float(np.linalg.norm(self.residual_coeffs))
 
 
-# -- raw scores ------------------------------------------------------------------
+# -- batched scorers -------------------------------------------------------------
 
 
-def _scalar_sign(product: Multivector, tol: float) -> int:
-    """Sign of a product that the model requires to be a scalar of unit size."""
-    s = scalar_part(product)
-    rest = float(np.linalg.norm(product.coeffs[1:]))
-    if rest > tol or abs(abs(s) - 1.0) > tol:
+def _unit_rows(vs) -> np.ndarray:
+    """`unit_vector` of each vector in vs, stacked as rows.  Each row keeps its
+    own 1-D norm: a batched norm differs from it in the last bit on some rows,
+    and these values reach the data files."""
+    rows = np.array([unit_vector(v) for v in vs])
+    if rows.ndim != 2:
+        raise ValueError("vector components must be one-dimensional")
+    return rows
+
+
+def _raw_scores(side: Side, ns: np.ndarray, lam: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Raw scores of `side` at orientation lam for the unit rows of ns: signs of
+    the Cl(3,0) products (-I.n)(lam I.n) for Alice and (+I.n)(lam I.n) for
+    Bob, evaluated as one batch.  Every product is checked to be a unit scalar
+    to `tol`."""
+    i_n = _product("contract", volume3().coeffs, _vector_coeffs(ns, 3))
+    products = _product("geometric", -i_n if side is Side.ALICE else i_n, float(lam) * i_n)
+    s = products[:, 0]
+    off = ~((np.linalg.norm(products[:, 1:], axis=-1) <= tol) & (np.abs(np.abs(s) - 1.0) <= tol))
+    if off.any():
         raise TrialConsistencyError(
-            f"raw-score product is not a unit scalar: {product}"
+            f"raw-score product is not a unit scalar: {Multivector(3, products[off.argmax()])}"
         )
-    return 1 if s > 0 else -1
+    return np.where(s > 0, 1, -1)
+
+
+def _standard_scores(ns) -> dict[int, np.ndarray]:
+    """(4, N) coefficients over {1, beta_x, beta_y, beta_z} of the standard
+    scores lam n_j beta_j for both orientations, each row of ns renormalized
+    as `standard_score` does."""
+    n = _unit_rows(ns).T
+    return {lam: np.vstack([np.zeros(n.shape[1]), lam * n]) for lam in ORIENTATIONS}
+
+
+def _standard_estimates(a, b, counts: OrientationCounts) -> list[CorrelationEstimate]:
+    """`correlation_standard` for the unit rows of a and b: the abstract
+    products are evaluated once per orientation for all rows, and every row is
+    checked for a lam-independent scalar part and a flipping bivector part."""
+    x, y = _standard_scores(a), _standard_scores(b)
+    plus, minus = (np.array(_structure_coeffs(x[lam], y[lam], -1.0 * lam)) for lam in ORIENTATIONS)
+    if not np.array_equal(plus[0], minus[0]):
+        raise TrialConsistencyError("scalar part of the score product must not depend on lam")
+    if not np.array_equal(minus[1:], -plus[1:]):
+        raise TrialConsistencyError("bivector part of the score product must flip with lam")
+    root_n = math.sqrt(counts.n)
+    return [
+        CorrelationEstimate(float(s), tuple(float(r) for r in counts.lam_mean * c),
+                            counts.n, float(np.linalg.norm(ab)) / root_n)
+        for s, c, ab in zip(plus[0], plus[1:].T, cross(a, b))
+    ]
+
+
+def _raw_means(a, b, counts: OrientationCounts) -> np.ndarray:
+    """`correlation_raw` scalars for the unit rows of a and b: each row's raw
+    scores are checked against the per-trial identities A = lam, B = -lam."""
+    total = 0
+    for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)):
+        alice, bob = _raw_scores(Side.ALICE, a, lam), _raw_scores(Side.BOB, b, lam)
+        off = (alice != lam) | (bob != -lam)
+        if off.any():
+            i = off.argmax()
+            raise TrialConsistencyError(
+                f"per-trial identity violated: A({lam})={alice[i]}, B({lam})={bob[i]}"
+            )
+        if k and np.any(alice * bob != -1):
+            raise TrialConsistencyError("per-trial raw product deviated from -1")
+        total = total + k * alice * bob
+    return total / counts.n
+
+
+# -- raw scores ------------------------------------------------------------------
 
 
 def raw_score_alice(a, lam: int, tol: float = DEFAULT_TOL) -> int:
@@ -214,31 +263,13 @@ def raw_score_alice(a, lam: int, tol: float = DEFAULT_TOL) -> int:
     it equals +1 exactly when lam = +1.
     """
     lam = check_orientation(lam)
-    ia = contract(volume3(), vector3(unit_vector(a)))
-    product = geometric_product(-1.0 * ia, float(lam) * ia)
-    return _scalar_sign(product, tol)
+    return int(_raw_scores(Side.ALICE, _unit_rows([a]), lam, tol)[0])
 
 
 def raw_score_bob(b, lam: int, tol: float = DEFAULT_TOL) -> int:
     """Bob's observed outcome: sign of the scalar (+I.b)(lam I.b); equals -lam."""
     lam = check_orientation(lam)
-    ib = contract(volume3(), vector3(unit_vector(b)))
-    product = geometric_product(ib, float(lam) * ib)
-    return _scalar_sign(product, tol)
-
-
-def _verified_tables(a, b) -> tuple[dict[int, int], dict[int, int]]:
-    """Raw scores for both orientation values, multivector-evaluated and
-    checked against the per-trial identities A = lam, B = -lam."""
-    alice = {lam: raw_score_alice(a, lam) for lam in (1, -1)}
-    bob = {lam: raw_score_bob(b, lam) for lam in (1, -1)}
-    for lam in (1, -1):
-        if alice[lam] != lam or bob[lam] != -lam:
-            raise TrialConsistencyError(
-                f"per-trial identity violated: A({lam})={alice[lam]}, "
-                f"B({lam})={bob[lam]}"
-            )
-    return alice, bob
+    return int(_raw_scores(Side.BOB, _unit_rows([b]), lam, tol)[0])
 
 
 def trial_records(a, b, seed: int, n: int) -> list[TrialRecord]:
@@ -266,67 +297,35 @@ def correlation_standard(a, b, counts: OrientationCounts) -> CorrelationEstimate
     scale |a x b| / sqrt(n).  The average is formed from exact integer
     orientation counts, making it independent of accumulation order.
     """
-    a = unit_vector(a)
-    b = unit_vector(b)
-    products = {
-        lam: abstract_product(standard_score(a, lam), standard_score(b, lam))
-        for lam in (1, -1)
-    }
-    if products[1].c0 != products[-1].c0:
-        raise TrialConsistencyError("scalar part of the score product must not depend on lam")
-    scalar = products[1].c0
-    c_plus = np.asarray(products[1].c)
-    if not np.array_equal(np.asarray(products[-1].c), -c_plus):
-        raise TrialConsistencyError("bivector part of the score product must flip with lam")
-    residual = counts.lam_mean * c_plus
-    stderr = float(np.linalg.norm(cross(a, b))) / math.sqrt(counts.n)
-    return CorrelationEstimate(
-        float(scalar), tuple(float(r) for r in residual), counts.n, stderr
-    )
+    return _standard_estimates(_unit_rows([a]), _unit_rows([b]), counts)[0]
 
 
 def correlation_raw(a, b, counts: OrientationCounts) -> CorrelationEstimate:
     """Arithmetic mean of the raw-score products A_i * B_i.
 
-    The per-trial product depends on lam only, so it is verified once per
-    orientation value that occurs in the stream, which is the same as
-    verifying it trial by trial: it is (+lam)(-lam) = -1 for both values,
-    and the mean is therefore -1 at every direction pair, with zero
+    The per-trial product depends on lam only, so it is evaluated once per
+    orientation value, for all directions of a sweep in one batch, and
+    verified against the per-trial identities for each direction, which is
+    the same as verifying it trial by trial: it is (+lam)(-lam) = -1 for both
+    values, and the mean is therefore -1 at every direction pair, with zero
     dispersion.
     """
-    alice, bob = _verified_tables(a, b)
-    occurring = {1: counts.n_plus, -1: counts.n_minus}
-    for lam, k in occurring.items():
-        if k and alice[lam] * bob[lam] != -1:
-            raise TrialConsistencyError("per-trial raw product deviated from -1")
-    total = sum(k * alice[lam] * bob[lam] for lam, k in occurring.items())
-    return CorrelationEstimate(total / counts.n, (0.0, 0.0, 0.0), counts.n, 0.0)
+    raw = _raw_means(_unit_rows([a]), _unit_rows([b]), counts)[0]
+    return CorrelationEstimate(float(raw), (0.0, 0.0, 0.0), counts.n, 0.0)
 
 
 def marginal_average(n_vec, side: Side, counts: OrientationCounts) -> CorrelationEstimate:
     """Single-side averages: raw marginal mean in `scalar`, componentwise
     standard-score mean in `residual_coeffs`.  All tend to 0 as 1/sqrt(n)."""
-    n_vec = unit_vector(n_vec)
+    n_vec = _unit_rows([n_vec])
     side = Side(side)
-    score = raw_score_alice if side is Side.ALICE else raw_score_bob
-    total = counts.n_plus * score(n_vec, 1) + counts.n_minus * score(n_vec, -1)
-    components = counts.lam_mean * np.asarray(standard_score(n_vec, 1).c)
+    total = sum(k * int(_raw_scores(side, n_vec, lam)[0])
+                for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)))
+    components = counts.lam_mean * _standard_scores(n_vec)[1][1:, 0]
     stderr = 1.0 / math.sqrt(counts.n)
     return CorrelationEstimate(
         total / counts.n, tuple(float(c) for c in components), counts.n, stderr
     )
-
-
-def standard_commutator_norm(a, b, lam: int) -> float:
-    """Coefficient norm of xy - yx for the two standard scores.
-
-    Unlike the raw scores, the standardized variables do not commute: the
-    norm equals 2 |a x b|.
-    """
-    x = standard_score(a, lam)
-    y = standard_score(b, lam)
-    diff = abstract_product(x, y).coeffs - abstract_product(y, x).coeffs
-    return float(np.linalg.norm(diff))
 
 
 # -- sweeps ---------------------------------------------------------------------------
@@ -349,21 +348,28 @@ def sweep_directions(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([1.0, 0.0, 0.0]), np.array([math.cos(t), math.sin(t), 0.0])
 
 
+def _rows(thetas, a, b, counts: OrientationCounts) -> list[SweepRow]:
+    """Both estimators for the direction pairs a[i], b[i], reported at angles
+    thetas[i], with every product evaluated for all pairs in one batch."""
+    a, b = _unit_rows(a), _unit_rows(b)
+    stds, raws = _standard_estimates(a, b, counts), _raw_means(a, b, counts)
+    return [
+        SweepRow(float(theta), float(raw), std.scalar, std.residual_coeffs,
+                 std.residual_norm, std.stderr, counts.n)
+        for theta, std, raw in zip(thetas, stds, raws)
+    ]
+
+
 def correlation_row(theta_deg: float, a, b, counts: OrientationCounts) -> SweepRow:
     """Both estimators for the direction pair (a, b), reported at angle theta."""
-    std = correlation_standard(a, b, counts)
-    raw = correlation_raw(a, b, counts)
-    return SweepRow(float(theta_deg), raw.scalar, std.scalar, std.residual_coeffs,
-                    std.residual_norm, std.stderr, counts.n)
+    return _rows([theta_deg], [a], [b], counts)[0]
 
 
 def sweep(spec: SweepSpec, counts: OrientationCounts) -> list[SweepRow]:
     """Both estimators at every sweep angle, all rows from the same
     orientation counts; bit-identical for equal (spec, counts)."""
-    return [
-        correlation_row(theta, *sweep_directions(theta), counts)
-        for theta in spec.angles_deg()
-    ]
+    thetas = spec.angles_deg()
+    return _rows(thetas, *zip(*map(sweep_directions, thetas)), counts)
 
 
 # -- convergence study ------------------------------------------------------------------

@@ -214,8 +214,11 @@ def test_unusable_out_is_a_usage_error(tmp_path, capsys, command, out):
 
 
 def test_trial_inconsistency_is_a_verification_failure(tmp_path, capsys, monkeypatch):
-    # a Bob score that follows lam instead of -lam breaks the per-trial identity
-    monkeypatch.setattr(epr, "raw_score_bob", lambda b, lam, tol=0.0: lam)
+    # a batched Bob scorer that follows lam instead of -lam (Alice's product
+    # on Bob's directions) breaks the per-trial identity
+    scores = epr._raw_scores
+    monkeypatch.setattr(epr, "_raw_scores", lambda side, ns, lam, tol=epr.DEFAULT_TOL:
+                        scores(epr.Side.ALICE, ns, lam, tol))
     code = main(["simulate", "--trials", "100", "--out", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err

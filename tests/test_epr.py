@@ -12,6 +12,7 @@ from cliffsphere.epr import (
     CorrelationEstimate,
     OrientationCounts,
     Side,
+    SweepRow,
     SweepSpec,
     TrialRecord,
     correlation_raw,
@@ -24,13 +25,19 @@ from cliffsphere.epr import (
     orientation_prefix_counts,
     raw_score_alice,
     raw_score_bob,
-    standard_commutator_norm,
     sweep,
     sweep_directions,
     trial_records,
 )
-from cliffsphere.frames import cross, vector3, volume3
-from cliffsphere.multivector import Multivector, contract, geometric_product, norm
+from cliffsphere.frames import abstract_product, cross, standard_score, vector3, volume3
+from cliffsphere.multivector import (
+    Multivector,
+    contract,
+    geometric_product,
+    norm,
+    scalar_part,
+    unit_vector,
+)
 
 # First ten orientations under seed 42, frozen to pin the stream contract.
 SEED42_PREFIX = [-1, 1, 1, 1, 1, -1, 1, -1, -1, 1]
@@ -182,6 +189,8 @@ def test_raw_scores_reject_bad_inputs():
         raw_score_alice([2.0, 0.0, 0.0], 1)
     with pytest.raises(ValueError, match="orientation"):
         raw_score_bob(EX, 0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        raw_score_alice([[1.0, 0.0, 0.0]], 1)
 
 
 # -- trial records -------------------------------------------------------------------
@@ -324,18 +333,23 @@ def test_marginal_accepts_side_value():
 # -- commutativity ----------------------------------------------------------------------
 
 
-def test_standard_scores_do_not_commute():
+def commutator_norm(a, b, lam):
     # oracle: abstract products taken in both orders
+    x, y = standard_score(a, lam), standard_score(b, lam)
+    return float(np.linalg.norm(abstract_product(x, y).coeffs - abstract_product(y, x).coeffs))
+
+
+def test_standard_scores_do_not_commute():
     rng = np.random.default_rng(32)
     for lam in (1, -1):
         for _ in range(100):
             a, b = random_unit(rng), random_unit(rng)
-            got = standard_commutator_norm(a, b, lam)
+            got = commutator_norm(a, b, lam)
             assert abs(got - 2.0 * np.linalg.norm(cross(a, b))) < 1e-12
 
 
 def test_standard_commutator_vanishes_for_parallel_directions():
-    assert standard_commutator_norm(EX, EX, 1) == 0.0
+    assert commutator_norm(EX, EX, 1) == 0.0
 
 
 # -- sweep ------------------------------------------------------------------------------
@@ -375,6 +389,92 @@ def test_correlation_row_reports_both_estimators():
     assert (row.std_scalar, row.residual, row.stderr) == (
         std.scalar, std.residual_coeffs, std.stderr)
     assert row == sweep(SweepSpec(0.0, 40.0, 2), counts)[1]
+
+
+def reference_row(theta, a, b, counts):
+    """One sweep row from single-pair calls and 1-D norms, sharing no batched code."""
+    a, b = unit_vector(a), unit_vector(b)
+    products = {lam: abstract_product(standard_score(a, lam), standard_score(b, lam))
+                for lam in (1, -1)}
+    assert products[1].c0 == products[-1].c0
+    assert np.array_equal(products[-1].c, -np.asarray(products[1].c))
+    I = volume3()
+    ia, ib = contract(I, vector3(a)), contract(I, vector3(b))
+    total = 0
+    for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)):
+        alice = geometric_product(-1.0 * ia, float(lam) * ia)
+        bob = geometric_product(ib, float(lam) * ib)
+        assert norm(alice - Multivector.scalar(3, lam)) < 1e-12
+        assert norm(bob - Multivector.scalar(3, -lam)) < 1e-12
+        total += k * round(scalar_part(alice)) * round(scalar_part(bob))
+    residual = tuple(float(c) for c in counts.lam_mean * np.asarray(products[1].c))
+    stderr = float(np.linalg.norm(cross(a, b))) / math.sqrt(counts.n)
+    return SweepRow(float(theta), total / counts.n, float(products[1].c0), residual,
+                    float(np.linalg.norm(residual)), stderr, counts.n)
+
+
+@pytest.mark.parametrize("spec, n, seed", [
+    (SweepSpec(), 10**5, 42),
+    (SweepSpec(0.0, 360.0, 91), 10**6, 7),
+    (SweepSpec(-33.3, 271.9, 57), 1_234_567, 9),
+])
+def test_sweep_rows_equal_a_per_row_reference(spec, n, seed):
+    counts = orientation_counts(seed, n)
+    want = [reference_row(t, *sweep_directions(t), counts) for t in spec.angles_deg()]
+    assert list(map(repr, sweep(spec, counts))) == list(map(repr, want))
+
+
+def test_batched_rows_equal_a_per_row_reference_at_random_directions():
+    # a batched norm changes the last bit of a unit vector on 8% of these rows
+    rng = np.random.default_rng(2144)
+    thetas = rng.uniform(-720.0, 720.0, 2000)
+    a = rng.normal(size=(2000, 3))
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    b = np.array([sweep_directions(t)[1] for t in thetas])
+    counts = orientation_counts(11, 1001)
+    want = [reference_row(t, ai, bi, counts) for t, ai, bi in zip(thetas, a, b)]
+    assert list(map(repr, epr._rows(thetas, a, b, counts))) == list(map(repr, want))
+
+
+MIDDLE_ROW = 18
+
+
+def corrupt(monkeypatch, name, when, index, change):
+    """Make epr.`name` replace entry `index` of its result by change(entry) on
+    the calls that `when` selects."""
+    real = getattr(epr, name)
+
+    def corrupted(*args):
+        out = np.array(real(*args))
+        if when(*args):
+            out[index] = change(out[index])
+        return out
+
+    monkeypatch.setattr(epr, name, corrupted)
+
+
+@pytest.mark.parametrize("blade, change, message", [
+    (0, np.negative, "per-trial identity"),
+    (5, lambda c: 1e-6, "not a unit scalar"),
+])
+def test_sweep_checks_every_raw_product_row(monkeypatch, blade, change, message):
+    corrupt(monkeypatch, "_product", lambda kind, x, y: kind == "geometric",
+            (MIDDLE_ROW, blade), change)
+    with pytest.raises(epr.TrialConsistencyError, match=message):
+        sweep(SweepSpec(), orientation_counts(1, 100))
+
+
+@pytest.mark.parametrize("component, message", [
+    (0, "scalar part .* must not depend on lam"),
+    (1, "bivector part .* must flip with lam"),
+    (3, "bivector part .* must flip with lam"),
+])
+def test_sweep_checks_every_standard_product_row(monkeypatch, component, message):
+    # one ulp on one row of the lam = -1 products, whose structure sign s is +1
+    corrupt(monkeypatch, "_structure_coeffs", lambda x, y, s: s > 0,
+            (component, MIDDLE_ROW), lambda c: np.nextafter(c, np.inf))
+    with pytest.raises(epr.TrialConsistencyError, match=message):
+        sweep(SweepSpec(), orientation_counts(1, 100))
 
 
 def test_estimators_read_only_the_counts_they_are_given(monkeypatch):
