@@ -153,16 +153,6 @@ def standard_score(n_vec, lam: int) -> AbstractElement:
     return AbstractElement(0.0, (lam * n[0], lam * n[1], lam * n[2]), lam)
 
 
-def abstract_to_embedded(x: AbstractElement, frame: OrientedFrame) -> Multivector:
-    """Realize an abstract element in Cl(3,0) through the given frame."""
-    if x.lam != frame.lam:
-        raise OrientationMixError("element and frame carry different orientations")
-    out = Multivector.scalar(3, x.c0)
-    for cj, bj in zip(x.c, frame.beta):
-        out = out + cj * bj
-    return out
-
-
 def duality_check(a, b, lam: int) -> float | np.ndarray:
     """Residual of the orientation's duality relation, evaluated in Cl(3,0)
     with the orientation's own trivector lam * I:

@@ -7,8 +7,8 @@ vector of length 2**n.  The blade product e_A e_B lands on mask A ^ B with a
 sign given by the parity of the transpositions needed to sort the
 concatenated generator lists (repeated generators contract to +1, Euclidean
 signature).  The geometric product, the wedge and the contraction share one
-gather kernel over (N, 2**n) coefficient arrays and differ only in its sign
-table, so a batch of pairs costs a few array operations.
+gather kernel over (N, 2**n) coefficient arrays and differ only in its index
+table, which folds in the blade signs and the pairs each product drops.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -55,39 +55,48 @@ def _tables(dim: int):
     return xor, sign, grades
 
 
-#: Byte budget of one (rows, 2**n, 2**n) temporary of a batched product, one
-#: Cl(7) row; chunks of 256 KiB and more measured 2-3x slower per row.
+#: Byte budget of the one (rows, 2**n, 2**n) float64 temporary of a batched
+#: product: one Cl(7) row.  Budgets from 32 KiB to 1 MiB measured flat.
 _CHUNK_BYTES = 1 << 17
 
 
 @lru_cache(maxsize=3 * MAX_DIM)
-def _gather_signs(dim: int, kind: str) -> np.ndarray:
-    """S[i, k] = sign of e_i e_(i^k) in result order, zeroed where the product
-    `kind` drops the pair: the wedge keeps disjoint pairs (grade r+s), the
-    contraction nested pairs (grade |r-s|), the geometric product all."""
+def _gather_index(dim: int, kind: str) -> np.ndarray:
+    """G[i, k] points into the signed copy [y, -y, 0] of a row y: at i ^ k if
+    e_i e_(i^k) has sign +1, at (i ^ k) + 2**dim if -1, and at the zero slot
+    2 * 2**dim where `kind` drops the pair (the wedge keeps disjoint pairs,
+    the contraction nested ones, the geometric product all)."""
     xor, sign, _ = _tables(dim)
     a = np.arange(1 << dim)[:, None]
     common = a & xor
     keep = {"geometric": True, "wedge": common == 0, "contract": (common == a) | (common == xor)}
-    return np.where(keep[kind], sign[a, xor], 0).astype(np.float64)
+    return np.where(keep[kind], np.where(sign[a, xor] > 0, xor, xor + (1 << dim)), 2 << dim)
 
 
 def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The product `kind` of (2**n,) or (N, 2**n) coefficient arrays, rows
-    broadcast, as out[..., k] = sum_i x[..., i] S[i, k] y[..., i ^ k] summed
-    in blade order from +0.0.  Batches run in chunks of rows whose
-    (rows, 2**n, 2**n) temporaries fit `_CHUNK_BYTES`, or of one row."""
+    broadcast: out[..., k] = sum_i x[..., i] [y, -y, 0][..., G[i, k]] in blade
+    order from +0.0, the float sign-table sum bit for bit (negation is exact;
+    a dropped pair adds ±0.0 to a sum never -0.0), in chunks of rows whose one
+    temporary fits `_CHUNK_BYTES`.  Inputs are finite: `Multivector` and the
+    unit-vector parsers reject the rest.  A NaN in either geometric factor
+    reaches every output; the wedge and contraction read 0 for dropped pairs."""
     _check_same_dim(x, y)
-    dim = x.shape[-1].bit_length() - 1
-    xor, S = _tables(dim)[0], _gather_signs(dim, kind)
-    if x.ndim == y.ndim == 1:
-        return (x[:, None] * S * y[xor]).sum(axis=0, initial=0.0)
-    x, y = np.broadcast_arrays(x, y)
-    rows = max(1, _CHUNK_BYTES // S.nbytes)
-    return np.concatenate([
-        (x[lo : lo + rows, :, None] * S * y[lo : lo + rows].take(xor, axis=-1)).sum(axis=1, initial=0.0)
-        for lo in range(0, len(x), rows)
-    ])
+    G = _gather_index(x.shape[-1].bit_length() - 1, kind)
+    if x.ndim > 1 or y.ndim > 1:
+        x, y = np.broadcast_arrays(x, y)
+    signed = np.concatenate((y, -y, np.zeros(y.shape[:-1] + (1,))), axis=-1)
+    if x.ndim == 1:
+        t = signed[G]
+        t *= x[:, None]
+        return t.sum(axis=0, initial=0.0)
+    out = np.empty(x.shape)
+    rows = max(1, _CHUNK_BYTES // (8 * G.size))
+    for lo in range(0, len(out), rows):
+        t = signed[lo : lo + rows].take(G, axis=-1)
+        t *= x[lo : lo + rows, :, None]
+        t.sum(axis=1, initial=0.0, out=out[lo : lo + rows])
+    return out
 
 
 @lru_cache(maxsize=MAX_DIM + 1)

@@ -1,10 +1,16 @@
 """Independent brute-force oracles used to pin expected values in the tests.
 
-Everything here is deliberately naive and shares no code with the package:
-blade products are computed by concatenating generator index lists, bubble
-sorting while counting swaps, and cancelling repeated generators with +1
-(Euclidean metric).  Products of dense multivectors are explicit double loops
-over all blade pairs.
+The naive products share no code with the package: blade products are
+computed by concatenating generator index lists, bubble sorting while
+counting swaps, and cancelling repeated generators with +1 (Euclidean
+metric).  Products of dense multivectors are explicit double loops over all
+blade pairs.
+
+Two references do use the package.  `sign_table_product` evaluates the
+float sign-table formula on the package's Cayley table; it pins the product
+kernel's bytes, while the naive products pin its algebra.
+`abstract_to_embedded` realizes an abstract element through a frame's
+`Multivector` bivectors.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame
+from cliffsphere.multivector import Multivector, _tables
 
 
 def blade_times_blade(a_mask: int, b_mask: int) -> tuple[int, int]:
@@ -122,3 +131,28 @@ def rotation_matrix_2d(theta: float) -> np.ndarray:
     return np.array(
         [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
     )
+
+
+def sign_table_product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product `kind` of (2**n,) or (N, 2**n) coefficient arrays by the
+    float sign-table formula, unchunked: out[..., k] = sum_i x[..., i] S[i, k]
+    y[..., i ^ k], summed in blade order from +0.0, where S[i, k] is the sign
+    of e_i e_(i^k), zeroed where the wedge (non-disjoint pairs) or the
+    contraction (non-nested pairs) drops the pair."""
+    size = x.shape[-1]
+    xor, sign, _ = _tables(size.bit_length() - 1)
+    a = np.arange(size)[:, None]
+    common = a & xor
+    keep = {"geometric": True, "wedge": common == 0, "contract": (common == a) | (common == xor)}
+    S = np.where(keep[kind], sign[a, xor], 0).astype(np.float64)
+    return (x[..., :, None] * S * y[..., xor]).sum(axis=-2, initial=0.0)
+
+
+def abstract_to_embedded(x: AbstractElement, frame: OrientedFrame) -> Multivector:
+    """Realize an abstract element in Cl(3,0) through the given frame."""
+    if x.lam != frame.lam:
+        raise OrientationMixError("element and frame carry different orientations")
+    out = Multivector.scalar(3, x.c0)
+    for cj, bj in zip(x.c, frame.beta):
+        out = out + cj * bj
+    return out

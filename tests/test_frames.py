@@ -9,7 +9,6 @@ from cliffsphere.frames import (
     AbstractElement,
     OrientationMixError,
     abstract_product,
-    abstract_to_embedded,
     build_frame,
     cross,
     duality_check,
@@ -27,6 +26,8 @@ from cliffsphere.multivector import (
     norm,
     scalar_part,
 )
+
+from .oracles import abstract_to_embedded
 
 EPS = {
     (1, 2): 3,

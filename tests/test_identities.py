@@ -143,17 +143,25 @@ def test_oracle_check_catches_a_flipped_cayley_sign(monkeypatch):
     assert not result.passed
 
 
-def test_oracle_check_catches_a_flipped_product_sign(monkeypatch):
-    # the dense half: the product kernel's sign table is corrupted, the Cayley
-    # table is not, so only the random products can see it
-    real = multivector._gather_signs
+def flip_kernel_sign(monkeypatch, i, k):
+    """Make the product kernel read -y where it reads +y at entry (i, k) of
+    its index table, and the reverse, in every dimension and product."""
+    real = multivector._gather_index
 
     def flipped(dim, kind):
-        S = real(dim, kind).copy()
-        S[5, 12] *= -1
-        return S
+        G = real(dim, kind).copy()
+        size = 1 << dim
+        assert G[i, k] < 2 * size, "a dropped pair has no sign to flip"
+        G[i, k] += size if G[i, k] < size else -size
+        return G
 
-    monkeypatch.setattr(multivector, "_gather_signs", flipped)
+    monkeypatch.setattr(multivector, "_gather_index", flipped)
+
+
+def test_oracle_check_catches_a_flipped_product_sign(monkeypatch):
+    # the dense half: the product kernel's index table is corrupted, the Cayley
+    # table is not, so only the random products can see it
+    flip_kernel_sign(monkeypatch, 5, 12)
     result = check_product_against_naive_oracle(7, np.random.default_rng(0), 1e-12, n_pairs=5)
     assert result.name == ORACLE_CL7
     assert not result.passed
@@ -238,14 +246,7 @@ def anticommutation_by_loop(dim):
 @pytest.mark.parametrize("flip", [False, True])
 def test_batched_anticommutation_equals_a_per_pair_loop(monkeypatch, dim, flip):
     if flip:
-        real = multivector._gather_signs
-
-        def flipped(d, kind):
-            S = real(d, kind).copy()
-            S[1, 3] *= -1  # the sign of e_1 e_2
-            return S
-
-        monkeypatch.setattr(multivector, "_gather_signs", flipped)
+        flip_kernel_sign(monkeypatch, 1, 3)  # the sign of e_1 e_2
     batched = check_generator_anticommutation(dim).residual
     assert batched == anticommutation_by_loop(dim)
     assert (batched > 0) == flip
@@ -254,5 +255,5 @@ def test_batched_anticommutation_equals_a_per_pair_loop(monkeypatch, dim, flip):
 def test_naive_path_shares_no_code_with_the_product_kernel():
     for fn in (identities._naive_factors, identities._naive_table, identities._naive_product):
         body = inspect.getsource(fn)
-        for name in ("_tables", "_gather_signs", "grade_of", "_product"):
+        for name in ("_tables", "_gather_index", "grade_of", "_product"):
             assert not re.search(rf"\b{name}\b", body), f"{fn.__name__} names {name}"

@@ -30,6 +30,7 @@ from .oracles import (
     naive_wedge,
     rotation_matrix_2d,
     series_exp,
+    sign_table_product,
 )
 
 e = Multivector.basis_vector
@@ -116,17 +117,44 @@ def test_batched_kernel_rows_equal_single_products(dim, kind):
     n = max(1, multivector._CHUNK_BYTES // (8 * size * size)) + 1
     rng = np.random.default_rng(100 * dim + len(kind))
     x, y = rng.normal(size=(2, n, size))
-    x[rng.random(x.shape) < 0.2] = 0.0
-    y[rng.random(y.shape) < 0.2] = -0.0
+    for v in (x, y):
+        v[rng.random(v.shape) < 0.15] = 0.0
+        v[rng.random(v.shape) < 0.15] = -0.0
+        assert len(set(np.signbit(v[v == 0]))) == 2  # both zeros occur
     single = [PRODUCTS[kind](Multivector(dim, a), Multivector(dim, b)).coeffs for a, b in zip(x, y)]
     batch = multivector._product(kind, x, y)
     assert batch.shape == (n, size)
     assert all(row.tobytes() == s.tobytes() for row, s in zip(batch, single))
-    # a single row broadcasts against a batch
-    left = multivector._product(kind, x[0], y)
-    assert left[-1].tobytes() == PRODUCTS[kind](Multivector(dim, x[0]), Multivector(dim, y[-1])).coeffs.tobytes()
+    # the kernel is the float sign-table formula bit for bit: on batches, on
+    # single rows, and with a row broadcast on either side.  With all-zero
+    # inputs every term of the wedge's scalar column is -0.0, and the
+    # formula's sum from +0.0 still gives +0.0.
+    z = np.full(size, -0.0)
+    cases = [(x, y), (x[0], y), (x, y[-1]), (x[:1], y), (x, y[:1]), (z, -z), (np.tile(z, (n, 1)), -z)]
+    for a, b in cases + list(zip(x[:3], y[:3])):
+        got, want = multivector._product(kind, a, b), sign_table_product(kind, a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     for row, a, b in list(zip(batch, x, y))[:2]:
         assert np.max(np.abs(row - NAIVE[kind](a, b))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_one_nan_coefficient_reaches_every_geometric_product_coefficient(dim, side):
+    size = 1 << dim
+    rng = np.random.default_rng(dim)
+    x, y = rng.normal(size=(2, 5, size))
+    x[:, 0] = 0.0  # 0 * NaN is NaN too
+    (x if side == "x" else y)[2, size - 1] = np.nan
+    batch = multivector._product("geometric", x, y)
+    assert np.isnan(batch[2]).all()
+    assert not np.isnan(np.delete(batch, 2, axis=0)).any()
+    assert np.isnan(multivector._product("geometric", x[2], y[2])).all()
+    # a NaN row in a broadcast operand spoils every row it meets
+    if side == "x":
+        assert np.isnan(multivector._product("geometric", x[2], y)).all()
+    else:
+        assert np.isnan(multivector._product("geometric", x, y[2])).all()
 
 
 def test_batched_kernel_bounds_its_temporaries():
