@@ -311,12 +311,11 @@ def cmd_s7(args) -> int:
     a = _parse_vector(args.a)
     lam = args.lam
     if args.embedding == "default":
-        embedding = Embedding.default()
+        embedding = None
         embedding_echo = "default"
     else:
         try:
-            matrix = np.loadtxt(args.embedding)
-            embedding = Embedding.from_matrix(matrix)
+            embedding = Embedding(np.loadtxt(args.embedding))
         except (OSError, ValueError) as exc:
             raise UsageError(f"bad isometry file {args.embedding!r}: {exc}") from exc
         embedding_echo = str(args.embedding)

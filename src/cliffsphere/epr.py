@@ -80,8 +80,6 @@ def lambda_stream(seed: int, n: int, start: int = 0) -> np.ndarray:
     _check_seed(seed)
     if n < 0:
         raise ValueError("trial count must be nonnegative")
-    if n == 0:
-        return np.zeros(0, dtype=np.int8)
     bg = np.random.Philox(key=np.uint64(seed), counter=[start, 0, 0, 0])
     words = bg.random_raw(4 * n)[0::4]
     return (2 * (words & 1).astype(np.int8) - 1).astype(np.int8)
@@ -144,20 +142,6 @@ class SweepSpec:
 
     def angles_deg(self) -> np.ndarray:
         return np.linspace(self.start_deg, self.stop_deg, self.steps)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One run: orientation plus both observed raw scores."""
-
-    index: int
-    lam: int
-    alice_raw: int
-    bob_raw: int
-
-    def __post_init__(self):
-        if self.alice_raw not in (1, -1) or self.bob_raw not in (1, -1):
-            raise ValueError("raw scores must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -270,20 +254,6 @@ def raw_score_bob(b, lam: int, tol: float = DEFAULT_TOL) -> int:
     """Bob's observed outcome: sign of the scalar (+I.b)(lam I.b); equals -lam."""
     lam = check_orientation(lam)
     return int(_raw_scores(Side.BOB, _unit_rows([b]), lam, tol)[0])
-
-
-def trial_records(a, b, seed: int, n: int) -> list[TrialRecord]:
-    """Trials 0..n-1, fully evaluated (one multivector evaluation per side).
-
-    Intended for inspection and small n, as the per-trial reference of the
-    estimators, which evaluate once per orientation value and weight the
-    results by `orientation_counts`.
-    """
-    lams = lambda_stream(seed, n)
-    return [
-        TrialRecord(i, int(lam), raw_score_alice(a, int(lam)), raw_score_bob(b, int(lam)))
-        for i, lam in enumerate(lams)
-    ]
 
 
 # -- estimators ----------------------------------------------------------------------

@@ -111,7 +111,8 @@ def _structure_coeffs(x, y, s: float) -> tuple:
     """Product with 1 central and beta_j beta_k = -delta_jk + s * eps_jkl beta_l
     of elements whose coefficients over {1, beta_x, beta_y, beta_z} lie along
     the first axis of x and y: 4 floats each, or (4, N) arrays of N elements.
-    Returns the 4 product coefficients the same way."""
+    Returns the 4 product coefficients the same way.  The model's subalgebra
+    is s = -lam; the identity suite's sign-flip canary passes s = +lam."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
     return (
@@ -122,24 +123,16 @@ def _structure_coeffs(x, y, s: float) -> tuple:
     )
 
 
-def _structure_product(x: AbstractElement, y: AbstractElement, eps_sign: float) -> AbstractElement:
-    """Bilinear product from 1 central and beta_j beta_k = -delta_jk
-    + eps_sign * lam * eps_jkl beta_l.  The model's subalgebra is eps_sign
-    = -1; the +1 variant exists only as a mutation canary for the identity
-    suite."""
+def abstract_product(x: AbstractElement, y: AbstractElement) -> AbstractElement:
+    """Product in the orientation's formal algebra,
+    beta_j beta_k = -delta_jk - lam * eps_jkl beta_l."""
     if x.lam != y.lam:
         raise OrientationMixError(
             "cannot multiply elements of opposite orientation; the two handed "
             "subalgebras never combine"
         )
-    c0, *c = _structure_coeffs((x.c0, *x.c), (y.c0, *y.c), eps_sign * x.lam)
+    c0, *c = _structure_coeffs((x.c0, *x.c), (y.c0, *y.c), -1.0 * x.lam)
     return AbstractElement(c0, tuple(c), x.lam)
-
-
-def abstract_product(x: AbstractElement, y: AbstractElement) -> AbstractElement:
-    """Product in the orientation's formal algebra,
-    beta_j beta_k = -delta_jk - lam * eps_jkl beta_l."""
-    return _structure_product(x, y, eps_sign=-1.0)
 
 
 def standard_score(n_vec, lam: int) -> AbstractElement:
@@ -170,22 +163,12 @@ def duality_check(a, b, lam: int) -> float | np.ndarray:
     return np.linalg.norm(lhs - rhs, axis=-1)
 
 
-@dataclass(frozen=True)
-class HiddenBasis:
-    """The eight Cl(3,0) basis elements with the volume element scaled by lam."""
-
-    lam: int
-    blades: tuple[Multivector, ...]
-
-    def volume_element(self) -> Multivector:
-        return self.blades[-1]
-
-
-def hidden_basis(lam: int) -> HiddenBasis:
-    """Basis {1, e_x, e_y, e_z, e_x^e_y, e_y^e_z, e_z^e_x, lam * e_x e_y e_z}."""
+def hidden_basis(lam: int) -> tuple[Multivector, ...]:
+    """Basis {1, e_x, e_y, e_z, e_x^e_y, e_y^e_z, e_z^e_x, lam * e_x e_y e_z};
+    the volume element, scaled by lam, comes last."""
     lam = check_orientation(lam)
     ex, ey, ez = (Multivector.basis_vector(3, j) for j in (1, 2, 3))
-    blades = (
+    return (
         Multivector.scalar(3, 1.0),
         ex,
         ey,
@@ -195,4 +178,3 @@ def hidden_basis(lam: int) -> HiddenBasis:
         wedge(ez, ex),
         float(lam) * volume3(),
     )
-    return HiddenBasis(lam, blades)

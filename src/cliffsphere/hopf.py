@@ -19,16 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import cross, vector3, volume3
+from .frames import check_orientation, cross, vector3, volume3
 from .multivector import (
-    DEFAULT_TOL,
     Multivector,
     contract,
     geometric_product,
     norm,
     reversion,
     rotor_exp,
-    scalar_part,
     unit_vector,
     wedge,
 )
@@ -57,21 +55,6 @@ def _axis_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 def plane_bivector(axis) -> Multivector:
     """Unit bivector I . c of the plane perpendicular to the unit axis c."""
     return contract(volume3(), vector3(unit_vector(axis)))
-
-
-@dataclass(frozen=True)
-class Rotor:
-    """Unit even element exp((I.c) * angle) with its generating axis and angle."""
-
-    value: Multivector
-    axis: tuple[float, float, float]
-    angle: float
-
-
-def make_rotor(axis, angle: float) -> Rotor:
-    c = unit_vector(axis)
-    value = rotor_exp(plane_bivector(c), angle)
-    return Rotor(value, tuple(float(x) for x in c), float(angle))
 
 
 def rotate_vector(v, axis, angle: float) -> np.ndarray:
@@ -127,8 +110,7 @@ def quaternion_point(n, n_prime, lam: int, side_sign: int) -> Multivector:
     scalar part -side_sign * lam * (n . n')."""
     if side_sign not in (1, -1):
         raise ValueError("side_sign must be +1 or -1")
-    if lam not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+    lam = check_orientation(lam)
     n = unit_vector(n)
     n_prime = unit_vector(n_prime)
     left = float(side_sign) * contract(volume3(), vector3(n))
@@ -146,7 +128,7 @@ def parallel_transport_check(a, b, psi_a: float, lam: int) -> float:
     b_prime = rotate_vector(b, c, psi_a + phi)
     lhs = quaternion_point(b, b_prime, lam, +1)
     transported = geometric_product(
-        make_rotor(c, phi).value, quaternion_point(a, a_prime, lam, +1)
+        rotor_exp(plane_bivector(c), phi), quaternion_point(a, a_prime, lam, +1)
     )
     return norm(lhs - transported)
 

@@ -78,13 +78,12 @@ def build_J() -> SevenTrivector:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Linear isometry R^3 -> R^7; matrix None means pad with zeros."""
+    """Linear isometry R^3 -> R^7: a 7 x 3 matrix with orthonormal columns.
+    The default embedding, padding with zeros, is `embed(a, None)`."""
 
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.matrix is None:
-            return
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (7, 3):
             raise ValueError(f"embedding matrix must be 7x3, got {m.shape}")
@@ -97,19 +96,12 @@ class Embedding:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @staticmethod
-    def default() -> "Embedding":
-        return Embedding(None)
-
-    @staticmethod
-    def from_matrix(matrix) -> "Embedding":
-        return Embedding(np.asarray(matrix, dtype=np.float64))
-
 
 def embed(a, e: Embedding | None = None) -> np.ndarray:
-    """Unit 7-vector N(a); default (a1,a2,a3) -> (a1,a2,a3,0,0,0,0)."""
+    """Unit 7-vector N(a) = e.matrix @ a; with e None, the default
+    (a1,a2,a3) -> (a1,a2,a3,0,0,0,0)."""
     a = unit_vector(a)
-    if e is None or e.matrix is None:
+    if e is None:
         return np.concatenate([a, np.zeros(4)])
     return e.matrix @ a
 

@@ -6,11 +6,12 @@ counting swaps, and cancelling repeated generators with +1 (Euclidean
 metric).  Products of dense multivectors are explicit double loops over all
 blade pairs.
 
-Two references do use the package.  `sign_table_product` evaluates the
+Three references do use the package.  `sign_table_product` evaluates the
 float sign-table formula on the package's Cayley table; it pins the product
 kernel's bytes, while the naive products pin its algebra.
 `abstract_to_embedded` realizes an abstract element through a frame's
-`Multivector` bivectors.
+`Multivector` bivectors.  `trial_records` evaluates the raw scores trial by
+trial, the per-trial reference of the estimators.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from cliffsphere.epr import lambda_stream, raw_score_alice, raw_score_bob
 from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame
 from cliffsphere.multivector import Multivector, _tables
 
@@ -156,3 +158,13 @@ def abstract_to_embedded(x: AbstractElement, frame: OrientedFrame) -> Multivecto
     for cj, bj in zip(x.c, frame.beta):
         out = out + cj * bj
     return out
+
+
+def trial_records(a, b, seed: int, n: int) -> list[tuple[int, int, int]]:
+    """(lam, Alice's raw score, Bob's raw score) of trials 0..n-1, one
+    multivector evaluation per side and trial; the estimators instead
+    evaluate once per orientation value and weight by the counts."""
+    return [
+        (lam, raw_score_alice(a, lam), raw_score_bob(b, lam))
+        for lam in map(int, lambda_stream(seed, n))
+    ]

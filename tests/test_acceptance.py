@@ -34,7 +34,7 @@ from cliffsphere.hopf import (
     phase_flip_at_pi,
     transition_relation,
 )
-from cliffsphere.identities import equation_suite
+from cliffsphere.identities import run_identity_checks
 from cliffsphere.multivector import Multivector, contract, norm, scalar_part
 from cliffsphere.seven_sphere import (
     J_TRIPLES,
@@ -67,8 +67,9 @@ def sweep_csv(tmp_path_factory):
 
 def test_criterion_01_identity_suite():
     start = time.perf_counter()
-    results = equation_suite(tolerance=1e-12, n_pairs=1000)
+    results = run_identity_checks(tolerance=1e-12, n_pairs=1000)
     elapsed = time.perf_counter() - start
+    assert len(results) == 31
     for r in results:
         assert r.residual < max(r.tolerance, 1e-12), f"{r.name}: {r.residual}"
     assert elapsed < 5.0, f"identity suite took {elapsed:.2f}s"

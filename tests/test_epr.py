@@ -14,7 +14,6 @@ from cliffsphere.epr import (
     Side,
     SweepRow,
     SweepSpec,
-    TrialRecord,
     correlation_raw,
     correlation_row,
     correlation_standard,
@@ -27,7 +26,6 @@ from cliffsphere.epr import (
     raw_score_bob,
     sweep,
     sweep_directions,
-    trial_records,
 )
 from cliffsphere.frames import abstract_product, cross, standard_score, vector3, volume3
 from cliffsphere.multivector import (
@@ -38,6 +36,8 @@ from cliffsphere.multivector import (
     scalar_part,
     unit_vector,
 )
+
+from .oracles import trial_records
 
 # First ten orientations under seed 42, frozen to pin the stream contract.
 SEED42_PREFIX = [-1, 1, 1, 1, 1, -1, 1, -1, -1, 1]
@@ -92,6 +92,13 @@ def test_lambda_stream_rejects_out_of_range_seed(seed):
 def test_lambda_stream_accepts_extreme_seeds():
     for seed in (0, 2**64 - 1):
         assert len(lambda_stream(seed, 4)) == 4
+
+
+@pytest.mark.parametrize("start", [0, 10**6])
+def test_lambda_stream_of_no_trials_is_empty(start):
+    lams = lambda_stream(5, 0, start=start)
+    assert lams.dtype == np.int8
+    assert lams.shape == (0,)
 
 
 # -- orientation counts ------------------------------------------------------------
@@ -199,21 +206,16 @@ def test_raw_scores_reject_bad_inputs():
 def test_trial_records_satisfy_per_trial_identities():
     records = trial_records(EX, EY, 7, 500)
     assert len(records) == 500
-    for rec in records:
-        assert rec.alice_raw == rec.lam
-        assert rec.bob_raw == -rec.lam
-        assert rec.alice_raw * rec.bob_raw == -1
+    for lam, alice, bob in records:
+        assert alice == lam
+        assert bob == -lam
+        assert alice * bob == -1
 
 
 def test_trial_records_match_estimators():
     records = trial_records(EX, EY, 13, 400)
-    raw_mean = sum(r.alice_raw * r.bob_raw for r in records) / len(records)
+    raw_mean = sum(alice * bob for _, alice, bob in records) / len(records)
     assert raw_mean == correlation_raw(EX, EY, orientation_counts(13, 400)).scalar
-
-
-def test_trial_record_validation():
-    with pytest.raises(ValueError):
-        TrialRecord(0, 1, 2, -1)
 
 
 # -- standard-score estimator ----------------------------------------------------------
@@ -319,8 +321,8 @@ def test_marginal_large_n_tends_to_zero(side):
 def test_marginal_raw_mean_matches_trial_records():
     counts = orientation_counts(13, 300)
     records = trial_records(EX, EY, 13, 300)
-    alice = sum(r.alice_raw for r in records) / len(records)
-    bob = sum(r.bob_raw for r in records) / len(records)
+    alice = sum(alice for _, alice, _ in records) / len(records)
+    bob = sum(bob for _, _, bob in records) / len(records)
     assert marginal_average(EX, Side.ALICE, counts).scalar == alice
     assert marginal_average(EY, Side.BOB, counts).scalar == bob
 

@@ -9,7 +9,6 @@ from cliffsphere.hopf import (
     DegenerateAxisError,
     FiberProbe,
     NullLimitRow,
-    make_rotor,
     null_limit_probe,
     parallel_transport_check,
     perpendicular_axis,
@@ -74,11 +73,8 @@ def test_rotor_unit_and_fixes_axis():
     for _ in range(100):
         c = random_unit(rng)
         angle = rng.uniform(-3, 3)
-        R = make_rotor(c, angle)
-        assert (
-            norm(geometric_product(R.value, reversion(R.value)) - Multivector.scalar(3, 1.0))
-            < 1e-12
-        )
+        R = rotor_exp(plane_bivector(c), angle)
+        assert norm(geometric_product(R, reversion(R)) - Multivector.scalar(3, 1.0)) < 1e-12
         assert np.max(np.abs(rotate_vector(c, c, angle) - c)) < 1e-12
 
 
@@ -225,7 +221,7 @@ def test_alice_and_bob_quaternions_differ():
 def test_quaternion_point_validation():
     with pytest.raises(ValueError, match="side_sign"):
         quaternion_point(EX, EY, 1, 2)
-    with pytest.raises(ValueError, match="orientation"):
+    with pytest.raises(ValueError, match=r"orientation must be \+1 or -1, got 0"):
         quaternion_point(EX, EY, 0, 1)
 
 

@@ -17,7 +17,6 @@ from cliffsphere.identities import (
     check_product_against_naive_oracle,
     check_rotor_rotation,
     check_rotor_unit,
-    equation_suite,
     run_identity_checks,
 )
 from cliffsphere.multivector import (
@@ -33,18 +32,27 @@ from cliffsphere.multivector import (
 from .oracles import _blade_table
 
 
-def test_equation_suite_all_pass_at_default_tolerance():
-    results = equation_suite(n_pairs=200)
-    assert len(results) == 12
-    for r in results:
-        assert r.passed, f"{r.name}: residual {r.residual}"
-
-
 def test_full_suite_all_pass():
     results = run_identity_checks(n_pairs=200)
-    assert len(results) >= 30
+    assert len(results) == 31
     for r in results:
         assert r.passed, f"{r.name}: residual {r.residual}"
+
+
+def test_every_check_draws_its_own_random_units(monkeypatch):
+    # one stream for the whole suite: no check re-runs another's inputs
+    draws = []
+    real = identities._random_units
+
+    def recording(rng, count):
+        units = real(rng, count)
+        draws.append(units.tobytes())
+        return units
+
+    monkeypatch.setattr(identities, "_random_units", recording)
+    run_identity_checks()
+    assert len(draws) == 16
+    assert len(set(draws)) == 16
 
 
 def test_checks_have_distinct_names():
@@ -92,20 +100,18 @@ def test_suite_is_deterministic_for_fixed_seed():
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
 def test_suites_refuse_a_meaningless_tolerance(tolerance):
     # NaN fails and inf passes every float check without it meaning anything
-    for suite in (equation_suite, run_identity_checks):
-        with pytest.raises(ValueError, match="tolerance"):
-            suite(tolerance=tolerance, n_pairs=1)
+    with pytest.raises(ValueError, match="tolerance"):
+        run_identity_checks(tolerance=tolerance, n_pairs=1)
 
 
 def test_zero_tolerance_is_allowed():
-    assert len(equation_suite(tolerance=0.0, n_pairs=1)) == 12
+    assert len(run_identity_checks(tolerance=0.0, n_pairs=1)) == 31
 
 
 def test_suites_refuse_to_run_without_random_pairs():
     # with no pairs the random-pair checks would pass without having run
-    for suite in (equation_suite, run_identity_checks):
-        with pytest.raises(ValueError, match="n_pairs"):
-            suite(n_pairs=0)
+    with pytest.raises(ValueError, match="n_pairs"):
+        run_identity_checks(n_pairs=0)
 
 
 # -- the naive oracle ------------------------------------------------------------------

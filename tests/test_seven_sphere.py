@@ -121,7 +121,7 @@ def test_user_embedding_applies_isometry():
     m[4, 0] = 1.0
     m[5, 1] = 1.0
     m[6, 2] = 1.0
-    e = Embedding.from_matrix(m)
+    e = Embedding(m)
     got = embed(np.array([0.0, 1.0, 0.0]), e)
     assert np.array_equal(got, np.array([0, 0, 0, 0, 0, 1.0, 0]))
     rng = np.random.default_rng(2)
@@ -132,9 +132,9 @@ def test_user_embedding_applies_isometry():
 
 def test_non_orthonormal_embedding_rejected():
     with pytest.raises(ValueError, match="orthonormal"):
-        Embedding.from_matrix(np.ones((7, 3)))
+        Embedding(np.ones((7, 3)))
     with pytest.raises(ValueError, match="7x3"):
-        Embedding.from_matrix(np.eye(3))
+        Embedding(np.eye(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -144,7 +144,7 @@ def test_non_finite_embedding_rejected(bad):
     m[4, 1] = bad
     for matrix in (m, np.full((7, 3), bad)):
         with pytest.raises(ValueError, match="finite"):
-            Embedding.from_matrix(matrix)
+            Embedding(matrix)
 
 
 def test_embed_requires_unit_input():
@@ -224,7 +224,7 @@ def test_raw_score_depends_on_direction_only_through_embedding():
     m[0, 0] = 1.0
     m[1, 1] = 1.0
     m[2, 2] = 1.0
-    e = Embedding.from_matrix(m)
+    e = Embedding(m)
     a = np.array([0.6, 0.0, 0.8])
     assert np.array_equal(
         raw_score_7(a, 1).value.coeffs, raw_score_7(a, 1, e).value.coeffs
