@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from cliffsphere.epr import mean_residual_norms
+from cliffsphere.epr import mean_residual_norms, residual_convergence_slope
 
 
 def parse_args():
@@ -36,8 +36,7 @@ def run():
     for n, residual in zip(sizes, residuals):
         print(f"{n:10d}  {residual:14.6e}  {1 / math.sqrt(n):12.6e}")
 
-    # the fit of residual_convergence_slope, on the residuals tabulated above
-    slope, _ = np.polyfit(np.log10(sizes), np.log10(residuals), 1)
+    slope = residual_convergence_slope(sizes, residuals)
     print(f"\nfitted log-log slope over {args.seeds} seeds: {slope:+.4f} (target -0.5)")
 
 

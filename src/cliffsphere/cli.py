@@ -7,15 +7,24 @@ simulate    EPR correlation estimators over an angle sweep or a single pair
 hopf        transition/transport residuals and the null-bivector limit probe
 s7          7-sphere trivector report (contraction terms, grade decomposition)
 
-Every run writes ``manifest.json`` into the output directory: command name,
-full config echo, seed, package version, start/end timestamps, and a sha256
-digest per emitted data file; ``simulate`` adds the orientation counts
-(n, n_plus, n_minus) that every row was computed from.  Data files contain
-no timestamps, so a rerun with the same flags and seed is byte-identical.
-Each file is written to a temporary name in the output directory and moved
-into place with ``os.replace``, so a name never holds a partly written file.
-Numeric CSV fields carry 17 significant digits with a locale-independent
-decimal point.
+Each subcommand is a step ``cmd_*(args, seed)`` that validates its inputs
+and computes its results, and returns (exit code, config echo, {file name:
+text}, stdout lines, extra manifest fields); it never prints and never
+touches the filesystem.  `main` runs every subcommand the same way: resolve
+the seed and stamp the start time, run the step, prepare ``--out``, write the
+data files, print the lines, and write ``manifest.json`` last.  A rejected
+run therefore prints nothing on stdout, only one ``error:`` line on stderr.
+
+The manifest holds the command name, the full config echo (with ``out``),
+seed, package version, start/end timestamps, and a sha256 digest per emitted
+data file; ``simulate`` adds the orientation counts (n, n_plus, n_minus)
+that every row was computed from.  Data files contain no timestamps, so a
+rerun with the same flags and seed is byte-identical.  Preparing ``--out``
+drops a previous run's manifest before any data file is replaced, and each
+file is written to a temporary name in the output directory and moved into
+place with ``os.replace``, so a name never holds a partly written file and
+no manifest describes other bytes.  Numeric CSV fields carry 17 significant
+digits with a locale-independent decimal point.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.
@@ -49,18 +58,16 @@ from .epr import (
     sweep,
 )
 from .hopf import (
-    DegenerateAxisError,
     FiberProbe,
     null_limit_probe,
     parallel_transport_check,
     phase_flip_at_pi,
     transition_relation,
 )
-from .identities import IDENTITY_TOL, run_identity_checks
-from .multivector import blade_label, contract, unit_vector
+from .identities import run_identity_checks
+from .multivector import DEFAULT_SEED, DEFAULT_TOL, blade_label, contract, unit_vector
 from .seven_sphere import Embedding, build_J, embed, raw_score_7, standard_score_7, vector7
 
-DEFAULT_SEED = 42
 SEED_ENV_VAR = "CLIFFSPHERE_SEED"
 
 #: Acceptance bound for the transport and transition residuals.
@@ -96,10 +103,7 @@ def _parse_vector(text: str) -> np.ndarray:
         v = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise UsageError(f"could not parse vector {text!r}: {exc}") from exc
-    try:
-        return unit_vector(v)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return unit_vector(v)
 
 
 def _parse_sweep(text: str) -> SweepSpec:
@@ -135,9 +139,9 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    outputs: list[Path], started: str, extra: dict | None = None) -> None:
+                    outputs: list[Path], started: str, extra: dict) -> None:
     manifest = {
-        **(extra or {}),
+        **extra,
         "command": command,
         "config": config,
         "seed": seed,
@@ -199,36 +203,30 @@ def _nonzero_terms(mv) -> dict[str, float]:
 
 # -- subcommands -----------------------------------------------------------------
 
+#: What a subcommand step returns: (exit code, config echo, {file name: text},
+#: stdout lines, extra manifest fields).
+_Run = tuple[int, dict, dict[str, str], list[str], dict]
 
-def cmd_identities(args) -> int:
-    started = _utc_now()
-    seed = _resolve_seed(args.seed)
+
+def cmd_identities(args, seed: int) -> _Run:
     results = run_identity_checks(
         tolerance=args.tolerance,
         n_pairs=args.pairs,
         seed=seed,
         inject_sign_flip=args.inject_sign_flip,
     )
-    out_dir = _prepare_out(args.out)
-    print(f"identity suite: tolerance {args.tolerance:g}, {args.pairs} vector pairs")
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:55s} max residual {r.residual:.3e}  tol {r.tolerance:.1e}")
     n_pass = sum(1 for r in results if r.passed)
-    print(f"{n_pass}/{len(results)} checks passed")
-    config = {
-        "tolerance": args.tolerance,
-        "pairs": args.pairs,
-        "inject_sign_flip": args.inject_sign_flip,
-        "out": str(args.out),
-    }
-    _write_manifest(out_dir, "identities", config, seed, [], started)
-    return EXIT_OK if n_pass == len(results) else EXIT_VERIFICATION
+    lines = [
+        f"identity suite: tolerance {args.tolerance:g}, {args.pairs} vector pairs",
+        *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:55s} max residual {r.residual:.3e}  tol {r.tolerance:.1e}"
+          for r in results),
+        f"{n_pass}/{len(results)} checks passed",
+    ]
+    config = {"tolerance": args.tolerance, "pairs": args.pairs, "inject_sign_flip": args.inject_sign_flip}
+    return EXIT_OK if n_pass == len(results) else EXIT_VERIFICATION, config, {}, lines, {}
 
 
-def cmd_simulate(args) -> int:
-    started = _utc_now()
-    seed = _resolve_seed(args.seed)
+def cmd_simulate(args, seed: int) -> _Run:
     if (args.a is None) != (args.b is None):
         raise UsageError("--a and --b must be given together")
     if args.a is not None:
@@ -237,29 +235,23 @@ def cmd_simulate(args) -> int:
         theta = math.degrees(
             math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
         )
-        config = {"trials": args.trials, "a": args.a, "b": args.b, "out": str(args.out)}
+        config = {"trials": args.trials, "a": args.a, "b": args.b}
     else:
         spec = _parse_sweep(args.sweep)
-        config = {"trials": args.trials, "sweep": args.sweep, "out": str(args.out)}
+        config = {"trials": args.trials, "sweep": args.sweep}
     counts = orientation_counts(seed, args.trials)
     rows = [correlation_row(theta, a, b, counts)] if args.a is not None else sweep(spec, counts)
-
-    out_dir = _prepare_out(args.out)
-    csv_path = _write_file(out_dir, "correlations.csv", _csv_text(
+    text = _csv_text(
         ["theta_deg", "raw_mean", "std_scalar", "resid_x", "resid_y",
          "resid_z", "resid_norm", "stderr", "n"],
         ([_fmt(r.theta_deg), _fmt(r.raw_mean), _fmt(r.std_scalar), *map(_fmt, r.residual),
           _fmt(r.residual_norm), _fmt(r.stderr), str(r.n)] for r in rows),
-    ))
-    print(f"wrote {csv_path} ({len(rows)} rows)")
-    _write_manifest(out_dir, "simulate", config, seed, [csv_path], started,
-                    extra={"orientation": asdict(counts)})
-    return EXIT_OK
+    )
+    lines = [f"wrote {Path(args.out, 'correlations.csv')} ({len(rows)} rows)"]
+    return EXIT_OK, config, {"correlations.csv": text}, lines, {"orientation": asdict(counts)}
 
 
-def cmd_hopf(args) -> int:
-    started = _utc_now()
-    seed = _resolve_seed(args.seed)
+def cmd_hopf(args, seed: int) -> _Run:
     try:
         probe = FiberProbe(args.psi_a, math.radians(args.phi_deg))
     except ValueError as exc:
@@ -271,83 +263,60 @@ def cmd_hopf(args) -> int:
         rows = null_limit_probe(a, separations)
     except ValueError as exc:
         raise UsageError(f"--limit-separations {args.limit_separations!r}: {exc}") from exc
-    try:
-        _, _, transition_res = transition_relation(a, b, probe.psi_a)
-        transport_res = parallel_transport_check(a, b, probe.psi_a, 1)
-    except DegenerateAxisError as exc:
-        raise UsageError(str(exc)) from exc
-    _, _, flip_res = phase_flip_at_pi(probe.psi_a)
-
-    failures = 0
-    for name, res in (
-        ("transition residual", transition_res),
-        ("transport residual (lam=+1)", transport_res),
-        ("phase flip at pi residual", flip_res),
-    ):
-        ok = res < HOPF_TOL
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {res:.3e}  (tol {HOPF_TOL:.0e})")
-
-    out_dir = _prepare_out(args.out)
-    csv_path = _write_file(out_dir, "null_limit.csv", _csv_text(
+    residuals = {
+        "transition residual": transition_relation(a, b, probe.psi_a)[2],
+        "transport residual (lam=+1)": parallel_transport_check(a, b, probe.psi_a, 1),
+        "phase flip at pi residual": phase_flip_at_pi(probe.psi_a)[2],
+    }
+    text = _csv_text(
         ["psi_rad", "wedge_magnitude", "axis_x", "axis_y", "axis_z"],
         ([_fmt(row.psi_rad), _fmt(row.magnitude), *map(_fmt, row.axis)] for row in rows),
-    ))
-    print(f"wrote {csv_path} ({len(rows)} rows)")
-
-    config = {
-        "psi_a": args.psi_a,
-        "phi_deg": args.phi_deg,
-        "limit_separations": separations,
-        "out": str(args.out),
-    }
-    _write_manifest(out_dir, "hopf", config, seed, [csv_path], started)
-    return EXIT_OK if failures == 0 else EXIT_VERIFICATION
+    )
+    lines = [
+        *(f"{'PASS' if res < HOPF_TOL else 'FAIL'}  {name}: {res:.3e}  (tol {HOPF_TOL:.0e})"
+          for name, res in residuals.items()),
+        f"wrote {Path(args.out, 'null_limit.csv')} ({len(rows)} rows)",
+    ]
+    config = {"psi_a": args.psi_a, "phi_deg": args.phi_deg, "limit_separations": separations}
+    code = EXIT_OK if all(res < HOPF_TOL for res in residuals.values()) else EXIT_VERIFICATION
+    return code, config, {"null_limit.csv": text}, lines, {}
 
 
-def cmd_s7(args) -> int:
-    started = _utc_now()
-    seed = _resolve_seed(args.seed)
+def cmd_s7(args, seed: int) -> _Run:
     a = _parse_vector(args.a)
-    lam = args.lam
-    if args.embedding == "default":
-        embedding = None
-        embedding_echo = "default"
-    else:
+    embedding = None
+    if args.embedding != "default":
         try:
             embedding = Embedding(np.loadtxt(args.embedding))
         except (OSError, ValueError) as exc:
             raise UsageError(f"bad isometry file {args.embedding!r}: {exc}") from exc
-        embedding_echo = str(args.embedding)
 
     J = build_J().value
     n7 = embed(a, embedding)
-    jn = contract(J, vector7(n7))
-    std = standard_score_7(a, lam, embedding)
-    raw = raw_score_7(a, lam, embedding)
+    terms = _nonzero_terms(contract(J, vector7(n7)))
+    raw = raw_score_7(a, args.lam, embedding)
     report = {
         "a": [float(x) for x in a],
-        "lambda": lam,
-        "embedding": embedding_echo,
+        "lambda": args.lam,
+        "embedding": args.embedding,
         "n7": [float(x) for x in n7],
         "J": _nonzero_terms(J),
-        "contract_terms": _nonzero_terms(jn),
-        "standard_score": _nonzero_terms(std),
+        "contract_terms": terms,
+        "standard_score": _nonzero_terms(standard_score_7(a, args.lam, embedding)),
         "raw_score": {
             "coefficients": _nonzero_terms(raw.value),
             "scalar_part": raw.scalar,
             "grade_norms": {str(g): v for g, v in raw.grade_norm.items()},
         },
     }
-    out_dir = _prepare_out(args.out)
-    report_path = _write_file(out_dir, "s7_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {report_path}")
-    print(f"contraction terms: {', '.join(sorted(_nonzero_terms(jn)))}")
-    print(f"raw-score scalar part: {_fmt(raw.scalar)}")
-
-    config = {"a": args.a, "lambda": lam, "embedding": embedding_echo, "out": str(args.out)}
-    _write_manifest(out_dir, "s7", config, seed, [report_path], started)
-    return EXIT_OK
+    lines = [
+        f"wrote {Path(args.out, 's7_report.json')}",
+        f"contraction terms: {', '.join(sorted(terms))}",
+        f"raw-score scalar part: {_fmt(raw.scalar)}",
+    ]
+    config = {"a": args.a, "lambda": args.lam, "embedding": args.embedding}
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return EXIT_OK, config, {"s7_report.json": text}, lines, {}
 
 
 # -- argument parsing -----------------------------------------------------------------
@@ -376,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", help="run the verification suite")
     common(p)
-    p.add_argument("--tolerance", type=float, default=IDENTITY_TOL,
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
                    help="threshold for the floating algebraic identities")
     p.add_argument("--pairs", type=int, default=1000,
                    help="random unit-vector pairs per identity (>= 1)")
@@ -414,10 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        started = _utc_now()
+        seed = _resolve_seed(args.seed)
+        code, config, files, lines, extra = args.func(args, seed)
+        out_dir = _prepare_out(args.out)
+        outputs = [_write_file(out_dir, name, text) for name, text in files.items()]
+        for line in lines:
+            print(line)
+        _write_manifest(out_dir, args.command, {**config, "out": str(args.out)}, seed,
+                        outputs, started, extra)
+        return code
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -177,15 +177,16 @@ def _unit_rows(vs) -> np.ndarray:
     return rows
 
 
-def _raw_scores(side: Side, ns: np.ndarray, lam: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _raw_scores(side: Side, ns: np.ndarray, lam: int) -> np.ndarray:
     """Raw scores of `side` at orientation lam for the unit rows of ns: signs of
     the Cl(3,0) products (-I.n)(lam I.n) for Alice and (+I.n)(lam I.n) for
     Bob, evaluated as one batch.  Every product is checked to be a unit scalar
-    to `tol`."""
+    to `DEFAULT_TOL`."""
     i_n = _product("contract", volume3().coeffs, _vector_coeffs(ns, 3))
     products = _product("geometric", -i_n if side is Side.ALICE else i_n, float(lam) * i_n)
     s = products[:, 0]
-    off = ~((np.linalg.norm(products[:, 1:], axis=-1) <= tol) & (np.abs(np.abs(s) - 1.0) <= tol))
+    off = ~((np.linalg.norm(products[:, 1:], axis=-1) <= DEFAULT_TOL)
+            & (np.abs(np.abs(s) - 1.0) <= DEFAULT_TOL))
     if off.any():
         raise TrialConsistencyError(
             f"raw-score product is not a unit scalar: {Multivector(3, products[off.argmax()])}"
@@ -240,20 +241,20 @@ def _raw_means(a, b, counts: OrientationCounts) -> np.ndarray:
 # -- raw scores ------------------------------------------------------------------
 
 
-def raw_score_alice(a, lam: int, tol: float = DEFAULT_TOL) -> int:
+def raw_score_alice(a, lam: int) -> int:
     """Alice's observed outcome: sign of the scalar (-I.a)(lam I.a).
 
-    The product is evaluated in Cl(3,0) and checked to be scalar to `tol`;
-    it equals +1 exactly when lam = +1.
+    The product is evaluated in Cl(3,0) and checked to be scalar to
+    `DEFAULT_TOL`; it equals +1 exactly when lam = +1.
     """
     lam = check_orientation(lam)
-    return int(_raw_scores(Side.ALICE, _unit_rows([a]), lam, tol)[0])
+    return int(_raw_scores(Side.ALICE, _unit_rows([a]), lam)[0])
 
 
-def raw_score_bob(b, lam: int, tol: float = DEFAULT_TOL) -> int:
+def raw_score_bob(b, lam: int) -> int:
     """Bob's observed outcome: sign of the scalar (+I.b)(lam I.b); equals -lam."""
     lam = check_orientation(lam)
-    return int(_raw_scores(Side.BOB, _unit_rows([b]), lam, tol)[0])
+    return int(_raw_scores(Side.BOB, _unit_rows([b]), lam)[0])
 
 
 # -- estimators ----------------------------------------------------------------------
@@ -356,18 +357,8 @@ def mean_residual_norms(a, b, seeds, sizes) -> np.ndarray:
     return np.mean(residuals, axis=0)
 
 
-def residual_convergence_slope(
-    a,
-    b,
-    seeds=range(20),
-    sizes=(100, 1_000, 10_000, 100_000, 1_000_000),
-) -> float:
-    """Log-log slope of the seed-averaged residual norm versus trial count.
-
-    The slope of log10(`mean_residual_norms`) against log10(n) is -1/2 for
-    the fair coin.
-    """
-    sizes = sorted(sizes)
-    mean_residual = mean_residual_norms(a, b, seeds, sizes)
-    slope, _ = np.polyfit(np.log10(sizes), np.log10(mean_residual), 1)
+def residual_convergence_slope(sizes, residuals) -> float:
+    """Least-squares slope of log10(residuals) against log10(sizes); for the
+    seed-averaged `mean_residual_norms` of a fair coin it is -1/2."""
+    slope, _ = np.polyfit(np.log10(sizes), np.log10(residuals), 1)
     return float(slope)

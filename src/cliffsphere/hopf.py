@@ -70,7 +70,8 @@ def rotate_vector(v, axis, angle: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiberProbe:
-    """Fiber angles for the transition checks: psi_b is pinned to psi_a + phi."""
+    """Validated fiber angles for the transition checks, which pin psi_b to
+    psi_a + phi."""
 
     psi_a: float
     phi: float
@@ -80,10 +81,6 @@ class FiberProbe:
             raise ValueError("psi_a must be finite and positive")
         if not 0.0 < self.phi < math.pi:
             raise ValueError("phi must lie strictly between 0 and pi")
-
-    @property
-    def psi_b(self) -> float:
-        return self.psi_a + self.phi
 
 
 def transition_relation(a, b, psi_a: float) -> tuple[Multivector, Multivector, float]:
@@ -133,15 +130,16 @@ def parallel_transport_check(a, b, psi_a: float, lam: int) -> float:
     return norm(lhs - transported)
 
 
-def phase_flip_at_pi(psi_a: float, axis=(0.0, 0.0, 1.0)) -> tuple[Multivector, Multivector, float]:
-    """Fiber phases exp((I.c) psi_a) and exp((I.c)(psi_a + pi)): the second is
-    the negative of the first.  Returns both quaternions and ||q_a + q_b||.
+def phase_flip_at_pi(psi_a: float) -> tuple[Multivector, Multivector, float]:
+    """Fiber phases exp((I.c) psi_a) and exp((I.c)(psi_a + pi)) about the
+    axis c = e_z: the second is the negative of the first.  Returns both
+    quaternions and ||q_a + q_b||.
 
     The transition angle pi cannot be realized by a direction pair (the axis
     degenerates), so the check runs directly in fiber coordinates about an
     explicit axis.
     """
-    B = plane_bivector(axis)
+    B = plane_bivector((0.0, 0.0, 1.0))
     q_a = rotor_exp(B, psi_a)
     q_b = rotor_exp(B, psi_a + math.pi)
     return q_a, q_b, norm(q_a + q_b)
@@ -160,10 +158,6 @@ class NullLimitRow:
     axis: tuple[float, float, float]
     wedge_norm: float
     cross_norm: float
-
-    @property
-    def defined(self) -> bool:
-        return not math.isnan(self.magnitude)
 
 
 def perpendicular_axis(a) -> np.ndarray:

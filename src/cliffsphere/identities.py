@@ -46,6 +46,8 @@ from .frames import (
     volume3,
 )
 from .multivector import (
+    DEFAULT_SEED,
+    DEFAULT_TOL,
     Multivector,
     _product,
     _reversion_sign,
@@ -60,8 +62,6 @@ from .multivector import (
 
 #: Fixed bound for associativity (relative) and rotor-rotation (absolute).
 FIXED_TOL = 1e-10
-
-IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,8 @@ def check_generator_anticommutation(dim: int) -> CheckResult:
     return CheckResult(f"generator anticommutation, Cl({dim},0)", _worst(anti), 0.0)
 
 
-def check_associativity(dim: int, rng, n_triples: int = 100) -> CheckResult:
-    x, y, z = np.moveaxis(rng.normal(size=(n_triples, 3, 1 << dim)), 1, 0)
+def check_associativity(dim: int, rng) -> CheckResult:
+    x, y, z = np.moveaxis(rng.normal(size=(100, 3, 1 << dim)), 1, 0)
     lhs = _product("geometric", _product("geometric", x, y), z)
     rhs = _product("geometric", x, _product("geometric", y, z))
     scale = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1) * np.linalg.norm(z, axis=1)
@@ -185,9 +185,9 @@ def check_associativity(dim: int, rng, n_triples: int = 100) -> CheckResult:
     return CheckResult(f"associativity on random triples, Cl({dim},0)", worst, FIXED_TOL)
 
 
-def check_vector_product_decomposition(rng, tol: float, n_pairs: int = 200) -> CheckResult:
-    av = _vector_coeffs(_random_units(rng, n_pairs), 3)
-    bv = _vector_coeffs(_random_units(rng, n_pairs), 3)
+def check_vector_product_decomposition(rng, tol: float) -> CheckResult:
+    av = _vector_coeffs(_random_units(rng, 200), 3)
+    bv = _vector_coeffs(_random_units(rng, 200), 3)
     diff = _product("geometric", av, bv) - _product("contract", av, bv) - _product("wedge", av, bv)
     return CheckResult("vector product = contraction + wedge", _worst(diff), tol)
 
@@ -312,16 +312,16 @@ def check_duality(lam: int, rng, tol: float, n_pairs: int) -> CheckResult:
     return CheckResult(f"orientation duality relation (lam={lam:+d})", worst, tol)
 
 
-def check_abstract_embedded_isomorphism(lam: int, rng, tol: float, eps_sign: float, n_pairs: int = 200) -> CheckResult:
+def check_abstract_embedded_isomorphism(lam: int, rng, tol: float, eps_sign: float) -> CheckResult:
     M = _frame_matrix(lam)
-    x, y = np.moveaxis(rng.normal(size=(n_pairs, 2, 4)), 1, 0)
+    x, y = np.moveaxis(rng.normal(size=(200, 2, 4)), 1, 0)
     abstract = np.stack(_structure_coeffs(x.T, y.T, eps_sign * lam), axis=1)
     embedded = _product("geometric", x @ M.T, y @ M.T)
     return CheckResult(f"abstract/embedded isomorphism (lam={lam:+d})", _worst(abstract @ M.T - embedded), tol)
 
 
-def check_score_square(lam: int, rng, tol: float, eps_sign: float, n_cases: int = 200) -> CheckResult:
-    s = _scores(_random_units(rng, n_cases), lam).T
+def check_score_square(lam: int, rng, tol: float, eps_sign: float) -> CheckResult:
+    s = _scores(_random_units(rng, 200), lam).T
     got = np.stack(_structure_coeffs(s, s, eps_sign * lam), axis=1)
     return CheckResult(f"standard score squares to -1 (lam={lam:+d})", _worst(got - [-1.0, 0, 0, 0]), tol)
 
@@ -361,9 +361,9 @@ def check_mixed_orientation_rejected() -> CheckResult:
 
 
 def run_identity_checks(
-    tolerance: float = IDENTITY_TOL,
+    tolerance: float = DEFAULT_TOL,
     n_pairs: int = 1000,
-    seed: int = 20240901,
+    seed: int = DEFAULT_SEED,
     inject_sign_flip: bool = False,
 ) -> list[CheckResult]:
     """Every clifford_core and frame property check, in a fixed order.

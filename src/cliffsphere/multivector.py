@@ -27,6 +27,9 @@ MAX_DIM = 8
 #: Default absolute tolerance for floating-point algebraic identities.
 DEFAULT_TOL = 1e-12
 
+#: Default seed of every random input: the CLI's runs and `run_identity_checks`.
+DEFAULT_SEED = 42
+
 #: Inputs declared "unit" are accepted if their norm is within this of 1,
 #: then renormalized.
 UNIT_TOL = 1e-9
@@ -270,26 +273,26 @@ def scalar_part(x: Multivector) -> float:
     return float(x.coeffs[0])
 
 
-def rotor_exp(B: Multivector, angle: float, tol: float = DEFAULT_TOL) -> Multivector:
+def rotor_exp(B: Multivector, angle: float) -> Multivector:
     """exp(B * angle) = cos(angle) + sin(angle) B for a unit bivector B.
 
-    B must be pure grade 2 with B*B = -1 (both checked to `tol`); the closed
-    form then follows from the exponential series.
+    B must be pure grade 2 with B*B = -1 (both checked to `DEFAULT_TOL`); the
+    closed form then follows from the exponential series.
     """
-    return Multivector(B.dim, _rotor_coeffs(B.coeffs, math.sin(angle), math.cos(angle), tol))
+    return Multivector(B.dim, _rotor_coeffs(B.coeffs, math.sin(angle), math.cos(angle)))
 
 
-def _rotor_coeffs(B: np.ndarray, sin, cos, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _rotor_coeffs(B: np.ndarray, sin, cos) -> np.ndarray:
     """sin * B + cos for the (2**n,) or (N, 2**n) coefficients B of unit
     bivectors, with sin and cos scalars or (N,) arrays.  Each row of B must be
-    pure grade 2 with B*B = -1 to `tol`, or ValueError names the first
-    contract a row breaks."""
+    pure grade 2 with B*B = -1 to `DEFAULT_TOL`, or ValueError names the
+    first contract a row breaks."""
     grades = _tables(B.shape[-1].bit_length() - 1)[2]
-    if np.any(~(np.linalg.norm(np.where(grades == 2, 0.0, B), axis=-1) <= tol)):
+    if np.any(~(np.linalg.norm(np.where(grades == 2, 0.0, B), axis=-1) <= DEFAULT_TOL)):
         raise ValueError("rotor generator must be a pure bivector")
     square = _product("geometric", B, B)
     square[..., 0] += 1.0
-    if np.any(~(np.linalg.norm(square, axis=-1) <= tol)):
+    if np.any(~(np.linalg.norm(square, axis=-1) <= DEFAULT_TOL)):
         raise ValueError("rotor generator must be a unit bivector (B*B = -1)")
     c = np.asarray(sin)[..., None] * B
     c[..., 0] += cos
@@ -306,15 +309,15 @@ def blade_label(mask: int) -> str:
     return "e" + "".join(str(j + 1) for j in range(MAX_DIM) if mask >> j & 1)
 
 
-def render(x: Multivector, eps: float = 0.0) -> str:
+def render(x: Multivector) -> str:
     """Debug rendering, e.g. "1.0 + 2.0*e12 - 0.5*e13".
 
-    Terms appear in blade-mask order; coefficients with |c| <= eps are
-    dropped; the zero multivector renders as "0.0".
+    Terms appear in blade-mask order; zero coefficients are dropped; the
+    zero multivector renders as "0.0".
     """
     parts: list[str] = []
     for mask, c in enumerate(x.coeffs):
-        if c == 0.0 or abs(c) <= eps:
+        if c == 0.0:
             continue
         label = blade_label(mask)
         mag = repr(float(abs(c)))
@@ -331,17 +334,17 @@ def render(x: Multivector, eps: float = 0.0) -> str:
 # -- small vector helpers ------------------------------------------------------
 
 
-def unit_vector(v, tol: float = UNIT_TOL) -> np.ndarray:
+def unit_vector(v) -> np.ndarray:
     """Validate that v, or each vector along the last axis of a (..., k)
-    array, is finite with norm 1 within `tol`; return it renormalized."""
+    array, is finite with norm 1 within `UNIT_TOL`; return it renormalized."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim > 1:
         n = np.linalg.norm(v, axis=-1, keepdims=True)
-        off = n[~(np.abs(n - 1.0) <= tol)]  # NaN and inf norms are off too
+        off = n[~(np.abs(n - 1.0) <= UNIT_TOL)]  # NaN and inf norms are off too
         if off.size:
             raise ValueError(f"expected a unit vector, got norm {float(off[0])!r}")
         return v / n
     n = float(np.linalg.norm(v))
-    if not abs(n - 1.0) <= tol:
+    if not abs(n - 1.0) <= UNIT_TOL:
         raise ValueError(f"expected a unit vector, got norm {n!r}")
     return v / n

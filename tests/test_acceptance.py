@@ -20,6 +20,7 @@ from cliffsphere.epr import (
     SweepSpec,
     correlation_standard,
     marginal_average,
+    mean_residual_norms,
     orientation_counts,
     raw_score_alice,
     raw_score_bob,
@@ -152,12 +153,9 @@ def test_criterion_06_marginals():
 
 
 def test_criterion_07_convergence_exponent():
-    slope = residual_convergence_slope(
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, 1.0, 0.0]),
-        seeds=SEEDS_20,
-        sizes=(100, 1_000, 10_000, 100_000, 1_000_000),
-    )
+    sizes = (100, 1_000, 10_000, 100_000, 1_000_000)
+    residuals = mean_residual_norms(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), SEEDS_20, sizes)
+    slope = residual_convergence_slope(sizes, residuals)
     assert abs(slope - (-0.5)) <= 0.1, f"slope {slope}"
     print(f"\nACCEPTANCE 7: PASS (log-log slope {slope:.3f})")
 

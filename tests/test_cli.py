@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from cliffsphere import cli, epr
 from cliffsphere.cli import main
 from cliffsphere.epr import lambda_stream
+from cliffsphere.identities import run_identity_checks
 
 CSV_HEADER = [
     "theta_deg", "raw_mean", "std_scalar", "resid_x", "resid_y", "resid_z",
@@ -128,16 +129,30 @@ def test_seed_env_var_and_flag_override(tmp_path, monkeypatch):
     assert main(["simulate", "--trials", "500", "--out", str(tmp_path / "zz")]) == 2
 
 
-def test_manifest_schema(tmp_path):
+FAST_ARGV = {
+    "simulate": ["simulate", "--trials", "100"],
+    "hopf": ["hopf"],
+    "s7": ["s7"],
+    "identities": ["identities", "--pairs", "1"],
+}
+DATA_FILES = {"simulate": "correlations.csv", "hopf": "null_limit.csv", "s7": "s7_report.json"}
+
+
+@pytest.mark.parametrize("command", sorted(FAST_ARGV))
+def test_manifest_schema(tmp_path, command):
     out = tmp_path / "m"
-    assert main(["simulate", "--trials", "100", "--seed", "5", "--out", str(out)]) == 0
+    assert main([*FAST_ARGV[command], "--seed", "5", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     for key in ("command", "config", "seed", "version", "outputs"):
         assert key in manifest
-    assert manifest["command"] == "simulate"
+    assert manifest["command"] == command
+    assert manifest["config"]["out"] == str(out)
     assert manifest["seed"] == 5
-    assert manifest["outputs"][0]["path"] == "correlations.csv"
-    assert len(manifest["outputs"][0]["sha256"]) == 64
+    want = [DATA_FILES[command]] if command in DATA_FILES else []
+    assert [entry["path"] for entry in manifest["outputs"]] == want
+    assert sorted(p.name for p in out.iterdir()) == sorted(want + ["manifest.json"])
+    for entry in manifest["outputs"]:
+        assert entry["sha256"] == digest(out / entry["path"])
     assert manifest["started_utc"] <= manifest["finished_utc"]
 
 
@@ -195,21 +210,16 @@ def test_stale_manifest_is_dropped_before_data_is_written(tmp_path, monkeypatch)
     assert not (out / "manifest.json").exists()
 
 
-FAST_ARGV = {
-    "simulate": ["simulate", "--trials", "100"],
-    "hopf": ["hopf"],
-    "s7": ["s7"],
-    "identities": ["identities", "--pairs", "1"],
-}
-
-
 @pytest.mark.parametrize("command", sorted(FAST_ARGV))
 @pytest.mark.parametrize("out", ["file", "file/sub"])
 def test_unusable_out_is_a_usage_error(tmp_path, capsys, command, out):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
     code = main([*FAST_ARGV[command], "--out", str(tmp_path / out)])
-    assert "--out" in assert_usage_error(capsys, code).err
+    printed = assert_usage_error(capsys, code)
+    assert "--out" in printed.err
+    # a rejected run prints nothing on stdout, not even the checks it ran
+    assert printed.out == ""
     assert blocker.read_text() == "not a directory\n"
 
 
@@ -217,8 +227,7 @@ def test_trial_inconsistency_is_a_verification_failure(tmp_path, capsys, monkeyp
     # a batched Bob scorer that follows lam instead of -lam (Alice's product
     # on Bob's directions) breaks the per-trial identity
     scores = epr._raw_scores
-    monkeypatch.setattr(epr, "_raw_scores", lambda side, ns, lam, tol=epr.DEFAULT_TOL:
-                        scores(epr.Side.ALICE, ns, lam, tol))
+    monkeypatch.setattr(epr, "_raw_scores", lambda side, ns, lam: scores(epr.Side.ALICE, ns, lam))
     code = main(["simulate", "--trials", "100", "--out", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
@@ -288,9 +297,6 @@ def test_hopf_rejects_an_empty_separation_list(tmp_path, capsys):
     code = main(["hopf", "--limit-separations", "", "--out", str(tmp_path / "x")])
     assert "--limit-separations" in assert_usage_error(capsys, code).err
     assert not (tmp_path / "x").exists()
-
-
-DATA_FILES = {"simulate": "correlations.csv", "hopf": "null_limit.csv", "s7": "s7_report.json"}
 
 
 @pytest.mark.parametrize("command", sorted(DATA_FILES))
@@ -400,6 +406,19 @@ def test_identities_passes_and_prints_checks(tmp_path, capsys):
     assert len(lines) >= 30
     assert all(l.startswith("PASS") for l in lines)
     assert (out / "manifest.json").exists()
+
+
+def test_identities_default_stdout_is_the_library_suite(tmp_path, capsys, monkeypatch):
+    # at their defaults the CLI and the library call check the same inputs
+    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    assert main(["identities", "--out", str(tmp_path)]) == 0
+    results = run_identity_checks()
+    assert capsys.readouterr().out.splitlines() == [
+        "identity suite: tolerance 1e-12, 1000 vector pairs",
+        *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:55s} max residual {r.residual:.3e}  tol {r.tolerance:.1e}"
+          for r in results),
+        f"{len(results)}/{len(results)} checks passed",
+    ]
 
 
 def test_identities_sign_flip_canary_fails(tmp_path, capsys):

@@ -181,7 +181,7 @@ def bumped_rotors(monkeypatch, bump):
     bump gives every case its own large residual."""
     real = identities._rotor_coeffs
     monkeypatch.setattr(identities, "_rotor_coeffs",
-                        lambda B, sin, cos, tol=1e-12: real(B, sin, (1 + bump) * cos, tol))
+                        lambda B, sin, cos: real(B, sin, (1 + bump) * cos))
 
 
 def bump(R: Multivector, angle: float, amount: float) -> Multivector:
