@@ -26,6 +26,9 @@ place with ``os.replace``, so a name never holds a partly written file and
 no manifest describes other bytes.  Numeric CSV fields carry 17 significant
 digits with a locale-independent decimal point.
 
+A refused vector or seed is reported with the flag, or the environment
+variable, that it came from.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.
 """
@@ -65,7 +68,15 @@ from .hopf import (
     transition_relation,
 )
 from .identities import run_identity_checks
-from .multivector import DEFAULT_SEED, DEFAULT_TOL, blade_label, contract, unit_vector
+from .multivector import (
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    blade_label,
+    contract,
+    grade_norms,
+    scalar_part,
+    unit_vector,
+)
 from .seven_sphere import Embedding, build_J, embed, raw_score_7, standard_score_7, vector7
 
 SEED_ENV_VAR = "CLIFFSPHERE_SEED"
@@ -95,15 +106,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(flag: str, text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"expected 'x,y,z', got {text!r}")
+        raise UsageError(f"{flag} {text!r}: expected 'x,y,z'")
     try:
-        v = np.array([float(p) for p in parts])
+        return unit_vector(np.array([float(p) for p in parts]))
     except ValueError as exc:
-        raise UsageError(f"could not parse vector {text!r}: {exc}") from exc
-    return unit_vector(v)
+        raise UsageError(f"{flag} {text!r}: {exc}") from exc
 
 
 def _parse_sweep(text: str) -> SweepSpec:
@@ -126,15 +136,19 @@ def _parse_separations(text: str) -> list[float]:
 
 def _resolve_seed(flag_value: int | None) -> int:
     """The run's seed from the flag, else the environment, else the default;
-    every subcommand requires it to lie in [0, 2**64)."""
-    seed = flag_value
+    every subcommand requires it to lie in [0, 2**64).  A refused value is
+    blamed on the flag or the environment variable it came from."""
+    source, seed = "--seed", flag_value
     if seed is None:
-        env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+        source, env = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
         try:
             seed = int(env)
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    _check_seed(seed)
+    try:
+        _check_seed(seed)
+    except ValueError as exc:
+        raise UsageError(f"{source}: {exc}") from exc
     return seed
 
 
@@ -230,8 +244,8 @@ def cmd_simulate(args, seed: int) -> _Run:
     if (args.a is None) != (args.b is None):
         raise UsageError("--a and --b must be given together")
     if args.a is not None:
-        a = _parse_vector(args.a)
-        b = _parse_vector(args.b)
+        a = _parse_vector("--a", args.a)
+        b = _parse_vector("--b", args.b)
         theta = math.degrees(
             math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
         )
@@ -283,7 +297,7 @@ def cmd_hopf(args, seed: int) -> _Run:
 
 
 def cmd_s7(args, seed: int) -> _Run:
-    a = _parse_vector(args.a)
+    a = _parse_vector("--a", args.a)
     embedding = None
     if args.embedding != "default":
         try:
@@ -295,6 +309,7 @@ def cmd_s7(args, seed: int) -> _Run:
     n7 = embed(a, embedding)
     terms = _nonzero_terms(contract(J, vector7(n7)))
     raw = raw_score_7(a, args.lam, embedding)
+    raw_scalar = scalar_part(raw)
     report = {
         "a": [float(x) for x in a],
         "lambda": args.lam,
@@ -304,15 +319,15 @@ def cmd_s7(args, seed: int) -> _Run:
         "contract_terms": terms,
         "standard_score": _nonzero_terms(standard_score_7(a, args.lam, embedding)),
         "raw_score": {
-            "coefficients": _nonzero_terms(raw.value),
-            "scalar_part": raw.scalar,
-            "grade_norms": {str(g): v for g, v in raw.grade_norm.items()},
+            "coefficients": _nonzero_terms(raw),
+            "scalar_part": raw_scalar,
+            "grade_norms": {str(g): v for g, v in grade_norms(raw).items()},
         },
     }
     lines = [
         f"wrote {Path(args.out, 's7_report.json')}",
         f"contraction terms: {', '.join(sorted(terms))}",
-        f"raw-score scalar part: {_fmt(raw.scalar)}",
+        f"raw-score scalar part: {_fmt(raw_scalar)}",
     ]
     config = {"a": args.a, "lambda": args.lam, "embedding": args.embedding}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

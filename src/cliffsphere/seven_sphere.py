@@ -26,10 +26,8 @@ from .multivector import (
     Multivector,
     contract,
     geometric_product,
-    grade_norms,
     grade_part,
     norm,
-    scalar_part,
     unit_vector,
 )
 
@@ -117,23 +115,13 @@ def standard_score_7(a, lam: int, e: Embedding | None = None) -> Multivector:
     return float(lam) * contract(J, vector7(embed(a, e)))
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    """Raw-score multivector with its scalar part and per-grade norms."""
-
-    value: Multivector
-    scalar: float
-    grade_norm: dict[int, float]
-
-
-def raw_score_7(a, lam: int, e: Embedding | None = None) -> ScoreReport:
+def raw_score_7(a, lam: int, e: Embedding | None = None) -> Multivector:
     """The raw-score product (-J.N)(lam J.N) = -lam (J.N)^2, in full.
 
-    No sign is extracted: the output is the whole multivector plus its grade
-    decomposition, recorded as computed.
+    No sign is extracted: the output is the whole multivector, as computed;
+    `scalar_part` and `grade_norms` read its structure.
     """
     lam = check_orientation(lam)
     J = build_J().value
     jn = contract(J, vector7(embed(a, e)))
-    value = geometric_product(-1.0 * jn, float(lam) * jn)
-    return ScoreReport(value, scalar_part(value), grade_norms(value))
+    return geometric_product(-1.0 * jn, float(lam) * jn)

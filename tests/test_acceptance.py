@@ -205,7 +205,7 @@ def test_criterion_10_seven_sphere():
         n7 = vector7(embed(a)).coeffs
         jn = naive_contract(J.coeffs, n7)
         want = naive_product(-jn, lam * jn)
-        assert np.max(np.abs(report.value.coeffs - want)) < 1e-12
+        assert np.max(np.abs(report.coeffs - want)) < 1e-12
     print("\nACCEPTANCE 10: PASS (J exact, Fano line exact, oracle to 1e-12 x100)")
 
 

@@ -242,6 +242,22 @@ def test_simulate_rejects_out_of_range_env_seed(tmp_path, capsys, monkeypatch):
     assert_usage_error(capsys, code)
 
 
+@pytest.mark.parametrize("argv, env_seed, refused", [
+    (["simulate", "--a", "1,0,0", "--b", "2,0,0"], None, "--b '2,0,0': "),
+    (["s7", "--a", "1,1,0"], None, "--a '1,1,0': "),
+    (["hopf", "--seed", "-1"], None, "--seed: "),
+    (["hopf"], "-1", "CLIFFSPHERE_SEED: "),
+], ids=["simulate-b", "s7-a", "seed-flag", "seed-env"])
+def test_usage_error_names_the_refused_flag(tmp_path, capsys, monkeypatch, argv, env_seed, refused):
+    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("CLIFFSPHERE_SEED", env_seed)
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    printed = assert_usage_error(capsys, code)
+    assert printed.err.startswith(f"error: {refused}")
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_accepts_largest_seed(tmp_path):
     out = tmp_path / "x"
     assert main(["simulate", "--trials", "100", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
@@ -535,3 +551,4 @@ def test_generated_argv_exits_with_a_documented_code(invocation):
 def test_main_reuses_one_parser():
     # a parser is a web of reference cycles; one per call would be garbage
     assert cli.build_parser() is cli.build_parser()
+
