@@ -26,8 +26,8 @@ place with ``os.replace``, so a name never holds a partly written file and
 no manifest describes other bytes.  Numeric CSV fields carry 17 significant
 digits with a locale-independent decimal point.
 
-A refused vector or seed is reported with the flag, or the environment
-variable, that it came from.
+A refused vector, seed, pair count or trial count is reported with the
+flag, or the environment variable, that it came from.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.
@@ -223,6 +223,9 @@ _Run = tuple[int, dict, dict[str, str], list[str], dict]
 
 
 def cmd_identities(args, seed: int) -> _Run:
+    if args.pairs < 1:
+        raise UsageError(f"--pairs {args.pairs}: must be >= 1, or the random-pair checks "
+                         "would not run")
     results = run_identity_checks(
         tolerance=args.tolerance,
         n_pairs=args.pairs,
@@ -241,6 +244,8 @@ def cmd_identities(args, seed: int) -> _Run:
 
 
 def cmd_simulate(args, seed: int) -> _Run:
+    if args.trials < 1:
+        raise UsageError(f"--trials {args.trials}: must be >= 1")
     if (args.a is None) != (args.b is None):
         raise UsageError("--a and --b must be given together")
     if args.a is not None:

@@ -11,7 +11,9 @@ float sign-table formula on the package's Cayley table; it pins the product
 kernel's bytes, while the naive products pin its algebra.
 `abstract_to_embedded` realizes an abstract element through a frame's
 `Multivector` bivectors.  `trial_records` evaluates the raw scores trial by
-trial, the per-trial reference of the estimators.
+trial, the per-trial reference of the estimators.  `flip_kernel_sign` is no
+reference but a canary: it corrupts one entry of the kernel's index table,
+which the checks that compare against these oracles must catch.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from cliffsphere import multivector
 from cliffsphere.epr import lambda_stream, raw_score_alice, raw_score_bob
 from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame
 from cliffsphere.multivector import Multivector, _tables
@@ -148,6 +151,21 @@ def sign_table_product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     keep = {"geometric": True, "wedge": common == 0, "contract": (common == a) | (common == xor)}
     S = np.where(keep[kind], sign[a, xor], 0).astype(np.float64)
     return (x[..., :, None] * S * y[..., xor]).sum(axis=-2, initial=0.0)
+
+
+def flip_kernel_sign(monkeypatch, i, k):
+    """Make the product kernel read -y where it reads +y at entry (i, k) of
+    its index table, and the reverse, in every dimension and product."""
+    real = multivector._gather_index
+
+    def flipped(dim, kind):
+        G = real(dim, kind).copy()
+        size = 1 << dim
+        assert G[i, k] < 2 * size, "a dropped pair has no sign to flip"
+        G[i, k] += size if G[i, k] < size else -size
+        return G
+
+    monkeypatch.setattr(multivector, "_gather_index", flipped)
 
 
 def abstract_to_embedded(x: AbstractElement, frame: OrientedFrame) -> Multivector:

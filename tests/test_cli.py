@@ -247,7 +247,9 @@ def test_simulate_rejects_out_of_range_env_seed(tmp_path, capsys, monkeypatch):
     (["s7", "--a", "1,1,0"], None, "--a '1,1,0': "),
     (["hopf", "--seed", "-1"], None, "--seed: "),
     (["hopf"], "-1", "CLIFFSPHERE_SEED: "),
-], ids=["simulate-b", "s7-a", "seed-flag", "seed-env"])
+    (["identities", "--pairs", "0"], None, "--pairs 0: "),
+    (["simulate", "--trials", "-1"], None, "--trials -1: "),
+], ids=["simulate-b", "s7-a", "seed-flag", "seed-env", "identities-pairs", "simulate-trials"])
 def test_usage_error_names_the_refused_flag(tmp_path, capsys, monkeypatch, argv, env_seed, refused):
     monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
     if env_seed is not None:
@@ -255,6 +257,7 @@ def test_usage_error_names_the_refused_flag(tmp_path, capsys, monkeypatch, argv,
     code = main([*argv, "--out", str(tmp_path / "x")])
     printed = assert_usage_error(capsys, code)
     assert printed.err.startswith(f"error: {refused}")
+    assert printed.out == ""
     assert not (tmp_path / "x").exists()
 
 

@@ -29,7 +29,7 @@ from cliffsphere.multivector import (
     wedge,
 )
 
-from .oracles import _blade_table
+from .oracles import _blade_table, flip_kernel_sign
 
 
 def test_full_suite_all_pass():
@@ -147,21 +147,6 @@ def test_oracle_check_catches_a_flipped_cayley_sign(monkeypatch):
     result = check_product_against_naive_oracle(7, np.random.default_rng(0), 1e-12, n_pairs=5)
     assert result.name == ORACLE_CL7
     assert not result.passed
-
-
-def flip_kernel_sign(monkeypatch, i, k):
-    """Make the product kernel read -y where it reads +y at entry (i, k) of
-    its index table, and the reverse, in every dimension and product."""
-    real = multivector._gather_index
-
-    def flipped(dim, kind):
-        G = real(dim, kind).copy()
-        size = 1 << dim
-        assert G[i, k] < 2 * size, "a dropped pair has no sign to flip"
-        G[i, k] += size if G[i, k] < size else -size
-        return G
-
-    monkeypatch.setattr(multivector, "_gather_index", flipped)
 
 
 def test_oracle_check_catches_a_flipped_product_sign(monkeypatch):

@@ -25,6 +25,7 @@ from cliffsphere.multivector import (
 )
 
 from .oracles import (
+    flip_kernel_sign,
     naive_contract,
     naive_product,
     naive_wedge,
@@ -155,6 +156,111 @@ def test_one_nan_coefficient_reaches_every_geometric_product_coefficient(dim, si
         assert np.isnan(multivector._product("geometric", x[2], y)).all()
     else:
         assert np.isnan(multivector._product("geometric", x, y[2])).all()
+
+
+#: Nonzero blades of the Fano trivector J in Cl(7,0).
+J_MASKS = [11, 22, 44, 49, 69, 88, 98]
+
+
+def sparse_rows(dim, rng):
+    """Sparse single left factors of Cl(dim): a vector, a bivector, the J
+    pattern (its blades that fit), each with -0.0 on some zero blades, and
+    all-zero rows of either sign."""
+    size = 1 << dim
+    grades = multivector._tables(dim)[2]
+    patterns = [np.flatnonzero(grades == 1), np.flatnonzero(grades == 2)[::3],
+                [m for m in J_MASKS if m < size]]
+    rows = []
+    for nz in patterns:
+        x = np.zeros(size)
+        x[nz] = rng.normal(size=len(nz))
+        x[rng.choice(np.flatnonzero(x == 0), size=5, replace=False)] = -0.0
+        rows.append(x)
+    return rows + [np.zeros(size), np.full(size, -0.0)]
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+@pytest.mark.parametrize("dim", [6, 7, 8])
+def test_sparse_single_left_factor_is_the_sign_table_formula(dim, kind):
+    # these rows take the kernel's zero-skip: it must still be the formula
+    # bit for bit, against one row and broadcast over a batch whose last
+    # chunk is partial, with ±0.0 in both factors
+    size = 1 << dim
+    rng = np.random.default_rng(dim + len(kind))
+    for x in sparse_rows(dim, rng):
+        nnz = max(1, np.count_nonzero(x))
+        n = multivector._CHUNK_BYTES // (8 * nnz * size) + 1
+        y = rng.normal(size=(n, size))
+        y[rng.random(y.shape) < 0.1] = -0.0
+        y[rng.random(y.shape) < 0.1] = 0.0
+        for b in (y[0], y[-1], y):
+            got, want = multivector._product(kind, x, b), sign_table_product(kind, x, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_sparse_single_left_factor_reads_only_its_nonzero_rows(monkeypatch):
+    # point the index rows of the zero blades out of range: only the skip
+    # survives that, and it is taken exactly for single left factors of at
+    # least `_SKIP_ZEROS_FROM` blades against a finite right factor
+    real = multivector._gather_index
+
+    def poisoned(dim, kind):
+        G = real(dim, kind).copy()
+        G[2:] = 3 << dim
+        return G
+
+    monkeypatch.setattr(multivector, "_gather_index", poisoned)
+    for dim in range(2, 9):
+        size = 1 << dim
+        x = np.zeros(size)
+        x[:2] = [0.5, -2.0]
+        y = np.random.default_rng(dim).normal(size=(3, size))
+        skips = size >= multivector._SKIP_ZEROS_FROM
+        for a, b in [(x, y[0]), (x, y), (x[None], y), (x, np.where(y == y[0, 0], np.inf, y))]:
+            if skips and a.ndim == 1 and np.isfinite(b).all():
+                want = sign_table_product("geometric", a, b)
+                assert multivector._product("geometric", a, b).tobytes() == want.tobytes()
+            else:
+                with pytest.raises(IndexError):
+                    multivector._product("geometric", a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dim", [6, 7, 8])
+def test_non_finite_entries_reach_every_geometric_coefficient_past_a_sparse_left_factor(dim, bad):
+    size = 1 << dim
+    rng = np.random.default_rng(dim)
+    x = np.zeros(size)
+    x[[1, 2, 4]] = rng.normal(size=3)
+    y = rng.normal(size=(4, size))
+    y[2, size - 1] = bad
+    # 0 * inf and 0 * NaN are NaN: a non-finite right factor keeps every term
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(multivector._product("geometric", x, y[2])).any()
+        batch = multivector._product("geometric", x, y)
+    assert not np.isfinite(batch[2]).any()
+    assert np.isfinite(np.delete(batch, 2, axis=0)).all()
+    # a NaN in a nonzero entry of x is never skipped
+    x[2] = np.nan
+    assert np.isnan(multivector._product("geometric", x, y[0])).all()
+    assert np.isnan(multivector._product("geometric", x, y[[0, 1, 3]])).all()
+
+
+@pytest.mark.parametrize("dim,i,k", [(7, 5, 12), (8, 200, 17)])
+def test_flipped_index_entry_shows_through_a_sparse_left_factor(monkeypatch, dim, i, k):
+    # the kernel canary on the skip path: blade i is one of few nonzero
+    # blades, so the flipped entry lies on a gathered row and changes
+    # column k of every product, and nothing else
+    size = 1 << dim
+    rng = np.random.default_rng(i)
+    x = np.zeros(size)
+    x[[1, 2, i]] = rng.normal(size=3)
+    y = rng.normal(size=(3, size))
+    flip_kernel_sign(monkeypatch, i, k)
+    for b in (y[0], y):
+        changed = multivector._product("geometric", x, b) != sign_table_product("geometric", x, b)
+        assert changed[..., k].all()
+        assert not np.delete(changed, k, axis=-1).any()
 
 
 def test_batched_kernel_bounds_its_temporaries():
