@@ -62,12 +62,15 @@ def _tables(dim: int):
 #: product: one Cl(7) row.  Budgets from 32 KiB to 1 MiB measured flat.
 _CHUNK_BYTES = 1 << 17
 
-#: A single left factor of at least this many blades gathers only the index
-#: rows of its nonzero blades.  Measured on a 2-CPU x86 machine with a
-#: two-blade left factor: the skip adds 2–3 µs to a ≈6 µs product at
-#: Cl(2)–Cl(4), breaks even at Cl(5), and takes Cl(6), Cl(7) and Cl(8)
-#: products from 16, 41 and 139 µs to 10–11 µs.  Batched left factors stay
-#: dense: finding the nonzero columns of a 1000x8 batch alone costs ≈30 µs.
+#: A single left factor of at least this many blades, at most half of them
+#: nonzero, gathers only the index rows of its nonzero blades.  Measured on
+#: a 2-CPU x86 machine with a two-blade left factor: the skip adds 2–3 µs to
+#: a ≈6 µs product at Cl(2)–Cl(4), breaks even at Cl(5), and takes Cl(6),
+#: Cl(7) and Cl(8) products from 9, 24 and 76 µs to 5–7 µs.  Copying the
+#: index rows costs about what it saves at three quarters nonzero; a dense
+#: factor taken through the skip read 12, 28 and 97 µs.  Batched factors
+#: stay dense: finding the nonzero columns of a 1000x8 batch alone costs
+#: ≈30 µs.
 _SKIP_ZEROS_FROM = 64
 
 
@@ -93,17 +96,17 @@ def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     unit-vector parsers reject the rest.  A NaN in either geometric factor
     reaches every output; the wedge and contraction read 0 for dropped pairs.
 
-    A single (2**n,) left factor with 2**n >= `_SKIP_ZEROS_FROM`, against a
-    finite y (one row or a batch), skips the terms of its zero blades: each
-    is 0 * y = ±0.0, which by the same argument leaves the sum's bits as
-    they are.  A non-finite y keeps every term, since 0 * NaN is NaN."""
+    A single (2**n,) left factor with 2**n >= `_SKIP_ZEROS_FROM` and at
+    most half its blades nonzero, against a single finite y, skips the terms
+    of its zero blades: each is 0 * y = ±0.0, which by the same argument
+    leaves the sum's bits as they are.  A non-finite y keeps every term,
+    since 0 * NaN is NaN."""
     _check_same_dim(x, y)
     G = _gather_index(x.shape[-1].bit_length() - 1, kind)
-    if x.ndim == 1 and len(G) >= _SKIP_ZEROS_FROM and np.isfinite(y).all():
+    if x.ndim == 1 == y.ndim and len(G) >= _SKIP_ZEROS_FROM:
         nz = x.nonzero()[0]
-        G, x = G.take(nz, axis=0), x[nz]
-        if y.ndim > 1:
-            x = np.broadcast_to(x, y.shape[:-1] + x.shape)
+        if 2 * len(nz) <= len(G) and np.isfinite(y).all():
+            G, x = G.take(nz, axis=0), x[nz]
     elif x.ndim > 1 or y.ndim > 1:
         x, y = np.broadcast_arrays(x, y)
     signed = np.concatenate((y, -y, np.zeros(y.shape[:-1] + (1,))), axis=-1)
@@ -111,8 +114,8 @@ def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         t = signed[G]
         t *= x[:, None]
         return t.sum(axis=0, initial=0.0)
-    out = np.empty(y.shape)
-    rows = max(1, _CHUNK_BYTES // (8 * G.size or 1))
+    out = np.empty(x.shape)
+    rows = max(1, _CHUNK_BYTES // (8 * G.size))
     for lo in range(0, len(out), rows):
         t = signed[lo : lo + rows].take(G, axis=-1)
         t *= x[lo : lo + rows, :, None]

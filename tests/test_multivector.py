@@ -110,6 +110,10 @@ PRODUCTS = {"geometric": geometric_product, "wedge": wedge, "contract": contract
 NAIVE = {"geometric": naive_product, "wedge": naive_wedge, "contract": naive_contract}
 
 
+#: Nonzero blades of the Fano trivector J in Cl(7,0).
+J_MASKS = [11, 22, 44, 49, 69, 88, 98]
+
+
 @pytest.mark.parametrize("kind", sorted(PRODUCTS))
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_batched_kernel_rows_equal_single_products(dim, kind):
@@ -131,7 +135,14 @@ def test_batched_kernel_rows_equal_single_products(dim, kind):
     # inputs every term of the wedge's scalar column is -0.0, and the
     # formula's sum from +0.0 still gives +0.0.
     z = np.full(size, -0.0)
-    cases = [(x, y), (x[0], y), (x, y[-1]), (x[:1], y), (x, y[:1]), (z, -z), (np.tile(z, (n, 1)), -z)]
+    cases = [(x, y), (x[0], y), (x, y[-1]), (x[:1], y), (x, y[:1]),
+             (z, -z), (z, y), (np.tile(z, (n, 1)), -z)]
+    # sparse single left factors, which skip their zero blades from
+    # `_SKIP_ZEROS_FROM` blades on: a vector, a bivector, the blades of J
+    # that fit, and all zeros, with -0.0 on some zero blades
+    grades, masks = multivector._tables(dim)[2], np.arange(size)
+    for nz in (grades == 1, grades == 2, np.isin(masks, J_MASKS), masks < 0):
+        cases.append((np.where(nz, y[1], np.where(rng.random(size) < 0.5, -0.0, 0.0)), y[-1]))
     for a, b in cases + list(zip(x[:3], y[:3])):
         got, want = multivector._product(kind, a, b), sign_table_product(kind, a, b)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -139,74 +150,45 @@ def test_batched_kernel_rows_equal_single_products(dim, kind):
         assert np.max(np.abs(row - NAIVE[kind](a, b))) < 1e-12
 
 
-@pytest.mark.parametrize("dim", [1, 3, 7])
+@pytest.mark.parametrize("dim", [1, 3, 6, 7, 8])
 @pytest.mark.parametrize("side", ["x", "y"])
 def test_one_nan_coefficient_reaches_every_geometric_product_coefficient(dim, side):
+    # and one inf of either sign: it makes every output ±inf, or NaN where
+    # it meets a zero
     size = 1 << dim
-    rng = np.random.default_rng(dim)
-    x, y = rng.normal(size=(2, 5, size))
-    x[:, 0] = 0.0  # 0 * NaN is NaN too
-    (x if side == "x" else y)[2, size - 1] = np.nan
-    batch = multivector._product("geometric", x, y)
-    assert np.isnan(batch[2]).all()
-    assert not np.isnan(np.delete(batch, 2, axis=0)).any()
-    assert np.isnan(multivector._product("geometric", x[2], y[2])).all()
-    # a NaN row in a broadcast operand spoils every row it meets
-    if side == "x":
-        assert np.isnan(multivector._product("geometric", x[2], y)).all()
-    else:
-        assert np.isnan(multivector._product("geometric", x, y[2])).all()
-
-
-#: Nonzero blades of the Fano trivector J in Cl(7,0).
-J_MASKS = [11, 22, 44, 49, 69, 88, 98]
-
-
-def sparse_rows(dim, rng):
-    """Sparse single left factors of Cl(dim): a vector, a bivector, the J
-    pattern (its blades that fit), each with -0.0 on some zero blades, and
-    all-zero rows of either sign."""
-    size = 1 << dim
-    grades = multivector._tables(dim)[2]
-    patterns = [np.flatnonzero(grades == 1), np.flatnonzero(grades == 2)[::3],
-                [m for m in J_MASKS if m < size]]
-    rows = []
-    for nz in patterns:
-        x = np.zeros(size)
-        x[nz] = rng.normal(size=len(nz))
-        x[rng.choice(np.flatnonzero(x == 0), size=5, replace=False)] = -0.0
-        rows.append(x)
-    return rows + [np.zeros(size), np.full(size, -0.0)]
-
-
-@pytest.mark.parametrize("kind", sorted(PRODUCTS))
-@pytest.mark.parametrize("dim", [6, 7, 8])
-def test_sparse_single_left_factor_is_the_sign_table_formula(dim, kind):
-    # these rows take the kernel's zero-skip: it must still be the formula
-    # bit for bit, against one row and broadcast over a batch whose last
-    # chunk is partial, with ±0.0 in both factors
-    size = 1 << dim
-    rng = np.random.default_rng(dim + len(kind))
-    for x in sparse_rows(dim, rng):
-        nnz = max(1, np.count_nonzero(x))
-        n = multivector._CHUNK_BYTES // (8 * nnz * size) + 1
-        y = rng.normal(size=(n, size))
-        y[rng.random(y.shape) < 0.1] = -0.0
-        y[rng.random(y.shape) < 0.1] = 0.0
-        for b in (y[0], y[-1], y):
-            got, want = multivector._product(kind, x, b), sign_table_product(kind, x, b)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        spoiled = np.isnan if np.isnan(bad) else lambda v: ~np.isfinite(v)
+        rng = np.random.default_rng(dim)
+        x, y = rng.normal(size=(2, 5, size))
+        x[:, 0] = 0.0  # 0 * NaN is NaN too
+        (x if side == "x" else y)[2, size - 1] = bad
+        with np.errstate(invalid="ignore"):
+            batch = multivector._product("geometric", x, y)
+            assert spoiled(batch[2]).all()
+            assert np.isfinite(np.delete(batch, 2, axis=0)).all()
+            assert spoiled(multivector._product("geometric", x[2], y[2])).all()
+            # a bad row in a broadcast operand spoils every row it meets
+            if side == "x":
+                assert spoiled(multivector._product("geometric", x[2], y)).all()
+            else:
+                assert spoiled(multivector._product("geometric", x, y[2])).all()
+            # a sparse left factor may neither skip its bad entry nor, against
+            # a bad y, its zero blades
+            blades = np.arange(size)
+            sparse = np.where((blades % 8 == 1) | (blades == size - 1), x[2], 0.0)
+            assert spoiled(multivector._product("geometric", sparse, y[2])).all()
 
 
 def test_sparse_single_left_factor_reads_only_its_nonzero_rows(monkeypatch):
-    # point the index rows of the zero blades out of range: only the skip
-    # survives that, and it is taken exactly for single left factors of at
-    # least `_SKIP_ZEROS_FROM` blades against a finite right factor
+    # point the index rows of the upper half of the blades out of range: only
+    # the skip survives that, when those blades are zero, and it is taken
+    # exactly for a single left factor of at least `_SKIP_ZEROS_FROM` blades,
+    # at most half of them nonzero, against a single finite right factor
     real = multivector._gather_index
 
     def poisoned(dim, kind):
         G = real(dim, kind).copy()
-        G[2:] = 3 << dim
+        G[len(G) // 2 + 1 :] = 3 << dim
         return G
 
     monkeypatch.setattr(multivector, "_gather_index", poisoned)
@@ -216,8 +198,10 @@ def test_sparse_single_left_factor_reads_only_its_nonzero_rows(monkeypatch):
         x[:2] = [0.5, -2.0]
         y = np.random.default_rng(dim).normal(size=(3, size))
         skips = size >= multivector._SKIP_ZEROS_FROM
-        for a, b in [(x, y[0]), (x, y), (x[None], y), (x, np.where(y == y[0, 0], np.inf, y))]:
-            if skips and a.ndim == 1 and np.isfinite(b).all():
+        over_half = np.where(np.arange(size) <= size // 2, 1.0, 0.0)
+        with_inf = np.where(y[0] == y[0, 0], np.inf, y[0])
+        for a, b in [(x, y[0]), (x, y), (x[None], y), (x, with_inf), (over_half, y[0])]:
+            if skips and a is x and b.ndim == 1 and np.isfinite(b).all():
                 want = sign_table_product("geometric", a, b)
                 assert multivector._product("geometric", a, b).tobytes() == want.tobytes()
             else:
@@ -225,42 +209,20 @@ def test_sparse_single_left_factor_reads_only_its_nonzero_rows(monkeypatch):
                     multivector._product("geometric", a, b)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("dim", [6, 7, 8])
-def test_non_finite_entries_reach_every_geometric_coefficient_past_a_sparse_left_factor(dim, bad):
-    size = 1 << dim
-    rng = np.random.default_rng(dim)
-    x = np.zeros(size)
-    x[[1, 2, 4]] = rng.normal(size=3)
-    y = rng.normal(size=(4, size))
-    y[2, size - 1] = bad
-    # 0 * inf and 0 * NaN are NaN: a non-finite right factor keeps every term
-    with np.errstate(invalid="ignore"):
-        assert not np.isfinite(multivector._product("geometric", x, y[2])).any()
-        batch = multivector._product("geometric", x, y)
-    assert not np.isfinite(batch[2]).any()
-    assert np.isfinite(np.delete(batch, 2, axis=0)).all()
-    # a NaN in a nonzero entry of x is never skipped
-    x[2] = np.nan
-    assert np.isnan(multivector._product("geometric", x, y[0])).all()
-    assert np.isnan(multivector._product("geometric", x, y[[0, 1, 3]])).all()
-
-
 @pytest.mark.parametrize("dim,i,k", [(7, 5, 12), (8, 200, 17)])
 def test_flipped_index_entry_shows_through_a_sparse_left_factor(monkeypatch, dim, i, k):
     # the kernel canary on the skip path: blade i is one of few nonzero
     # blades, so the flipped entry lies on a gathered row and changes
-    # column k of every product, and nothing else
+    # column k of the product, and nothing else
     size = 1 << dim
     rng = np.random.default_rng(i)
     x = np.zeros(size)
     x[[1, 2, i]] = rng.normal(size=3)
-    y = rng.normal(size=(3, size))
+    y = rng.normal(size=size)
     flip_kernel_sign(monkeypatch, i, k)
-    for b in (y[0], y):
-        changed = multivector._product("geometric", x, b) != sign_table_product("geometric", x, b)
-        assert changed[..., k].all()
-        assert not np.delete(changed, k, axis=-1).any()
+    changed = multivector._product("geometric", x, y) != sign_table_product("geometric", x, y)
+    assert changed[k]
+    assert not np.delete(changed, k).any()
 
 
 def test_batched_kernel_bounds_its_temporaries():
