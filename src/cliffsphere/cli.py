@@ -45,6 +45,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -306,8 +307,10 @@ def cmd_s7(args, seed: int) -> _Run:
     embedding = None
     if args.embedding != "default":
         try:
-            embedding = Embedding(np.loadtxt(args.embedding))
-        except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty file
+                embedding = Embedding(np.loadtxt(args.embedding))
+        except (OSError, ValueError, UserWarning) as exc:
             raise UsageError(f"bad isometry file {args.embedding!r}: {exc}") from exc
 
     J = build_J().value

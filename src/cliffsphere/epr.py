@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import ORIENTATIONS, _structure_coeffs, check_orientation, cross, volume3
+from .frames import ORIENTATIONS, _VOLUME3, _structure_coeffs, check_orientation, cross
 from .multivector import DEFAULT_TOL, Multivector, _product, _vector_coeffs, unit_vector
 
 
@@ -182,7 +182,7 @@ def _raw_scores(side: Side, ns: np.ndarray, lam: int) -> np.ndarray:
     the Cl(3,0) products (-I.n)(lam I.n) for Alice and (+I.n)(lam I.n) for
     Bob, evaluated as one batch.  Every product is checked to be a unit scalar
     to `DEFAULT_TOL`."""
-    i_n = _product("contract", volume3().coeffs, _vector_coeffs(ns, 3))
+    i_n = _product("contract", _VOLUME3, _vector_coeffs(ns, 3))
     products = _product("geometric", -i_n if side is Side.ALICE else i_n, float(lam) * i_n)
     s = products[:, 0]
     off = ~((np.linalg.norm(products[:, 1:], axis=-1) <= DEFAULT_TOL)

@@ -16,6 +16,9 @@ realization, while products that treat lam as a live parameter (the combined
 identity, the trial averages) are computed abstractly.  Elements of opposite
 orientation never combine; attempting to mix them raises
 `OrientationMixError`.
+
+The embedded frame is one (3, 8) coefficient array (`_frame_coeffs`), which
+the identity suite reads; `build_frame` wraps its rows as `Multivector`s.
 """
 
 from __future__ import annotations
@@ -24,17 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import (
-    Multivector,
-    _product,
-    _vector_coeffs,
-    contract,
-    geometric_product,
-    unit_vector,
-    wedge,
-)
+from .multivector import Multivector, _product, _vector_coeffs, unit_vector, wedge
 
 ORIENTATIONS = (1, -1)
+
+#: Read-only coefficients of the right-handed volume element I = e1 e2 e3.
+_VOLUME3 = Multivector.volume(3).coeffs
 
 
 class OrientationMixError(ValueError):
@@ -45,15 +43,6 @@ def check_orientation(lam: int) -> int:
     if lam not in ORIENTATIONS:
         raise ValueError(f"orientation must be +1 or -1, got {lam!r}")
     return int(lam)
-
-
-def volume3() -> Multivector:
-    """The fixed right-handed volume element I = e1 e2 e3 of Cl(3,0)."""
-    return Multivector.volume(3)
-
-
-def vector3(v) -> Multivector:
-    return Multivector.from_vector(np.asarray(v, dtype=np.float64), dim=3)
 
 
 def cross(a, b) -> np.ndarray:
@@ -67,19 +56,17 @@ class OrientedFrame:
     lam: int
     beta: tuple[Multivector, Multivector, Multivector]
 
-    def ordered_product(self) -> Multivector:
-        bx, by, bz = self.beta
-        return geometric_product(geometric_product(bx, by), bz)
+
+def _frame_coeffs(lam: int) -> np.ndarray:
+    """(3, 8) coefficients of the frame beta_j = lam * (I . e_j), j = 1..3,
+    from one batched contraction; `lam` is already checked."""
+    return float(lam) * _product("contract", _VOLUME3, _vector_coeffs(np.eye(3), 3))
 
 
 def build_frame(lam: int) -> OrientedFrame:
     """Frame beta_j = lam * (I . e_j); its ordered product equals lam exactly."""
     lam = check_orientation(lam)
-    I = volume3()
-    beta = tuple(
-        float(lam) * contract(I, Multivector.basis_vector(3, j)) for j in (1, 2, 3)
-    )
-    return OrientedFrame(lam, beta)
+    return OrientedFrame(lam, tuple(Multivector(3, b) for b in _frame_coeffs(lam)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +145,7 @@ def duality_check(a, b, lam: int) -> float | np.ndarray:
     a = unit_vector(a)
     b = unit_vector(b)
     lhs = _product("wedge", _vector_coeffs(a, 3), _vector_coeffs(b, 3))
-    mu = float(lam) * volume3().coeffs
+    mu = float(lam) * _VOLUME3
     rhs = float(lam) * _product("contract", mu, _vector_coeffs(cross(a, b), 3))
     return np.linalg.norm(lhs - rhs, axis=-1)
 
@@ -176,5 +163,5 @@ def hidden_basis(lam: int) -> tuple[Multivector, ...]:
         wedge(ex, ey),
         wedge(ey, ez),
         wedge(ez, ex),
-        float(lam) * volume3(),
+        Multivector(3, float(lam) * _VOLUME3),
     )

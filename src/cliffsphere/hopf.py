@@ -10,6 +10,10 @@ b b' = (a b)(a a') identically (not merely to first order in psi_a).
 The limit probe studies the normalized wedge (a ^ a') / |a x a'| as a'
 closes in on a: its magnitude and plane are computed and reported as they
 come out, with no assertion about the limiting behavior.
+
+The transition, transport and phase-flip relations are 2 pi-periodic in
+psi_a, so each reduces psi_a modulo 2 pi (exactly, by fmod) before adding phi
+or pi; the sum then rounds at ulp(2 pi), not ulp(psi_a).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import check_orientation, cross, vector3, volume3
+from .frames import check_orientation, cross
 from .multivector import (
     Multivector,
     contract,
@@ -54,7 +58,7 @@ def _axis_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 def plane_bivector(axis) -> Multivector:
     """Unit bivector I . c of the plane perpendicular to the unit axis c."""
-    return contract(volume3(), vector3(unit_vector(axis)))
+    return contract(Multivector.volume(3), Multivector.from_vector(unit_vector(axis), dim=3))
 
 
 def rotate_vector(v, axis, angle: float) -> np.ndarray:
@@ -92,13 +96,12 @@ def transition_relation(a, b, psi_a: float) -> tuple[Multivector, Multivector, f
     a = unit_vector(a)
     b = unit_vector(b)
     c, phi = _axis_between(a, b)
+    psi_a = math.fmod(psi_a, math.tau)
     a_prime = rotate_vector(a, c, psi_a)
     b_prime = rotate_vector(b, c, psi_a + phi)
-    lhs = geometric_product(vector3(b), vector3(b_prime))
-    rhs = geometric_product(
-        geometric_product(vector3(a), vector3(b)),
-        geometric_product(vector3(a), vector3(a_prime)),
-    )
+    va, vb, va_prime, vb_prime = (Multivector.from_vector(v, dim=3) for v in (a, b, a_prime, b_prime))
+    lhs = geometric_product(vb, vb_prime)
+    rhs = geometric_product(geometric_product(va, vb), geometric_product(va, va_prime))
     return lhs, rhs, norm(lhs - rhs)
 
 
@@ -110,8 +113,8 @@ def quaternion_point(n, n_prime, lam: int, side_sign: int) -> Multivector:
     lam = check_orientation(lam)
     n = unit_vector(n)
     n_prime = unit_vector(n_prime)
-    left = float(side_sign) * contract(volume3(), vector3(n))
-    right = float(lam) * contract(volume3(), vector3(n_prime))
+    left = float(side_sign) * contract(Multivector.volume(3), Multivector.from_vector(n, dim=3))
+    right = float(lam) * contract(Multivector.volume(3), Multivector.from_vector(n_prime, dim=3))
     return geometric_product(left, right)
 
 
@@ -121,6 +124,7 @@ def parallel_transport_check(a, b, psi_a: float, lam: int) -> float:
     a = unit_vector(a)
     b = unit_vector(b)
     c, phi = _axis_between(a, b)
+    psi_a = math.fmod(psi_a, math.tau)
     a_prime = rotate_vector(a, c, psi_a)
     b_prime = rotate_vector(b, c, psi_a + phi)
     lhs = quaternion_point(b, b_prime, lam, +1)
@@ -140,6 +144,7 @@ def phase_flip_at_pi(psi_a: float) -> tuple[Multivector, Multivector, float]:
     explicit axis.
     """
     B = plane_bivector((0.0, 0.0, 1.0))
+    psi_a = math.fmod(psi_a, math.tau)
     q_a = rotor_exp(B, psi_a)
     q_b = rotor_exp(B, psi_a + math.pi)
     return q_a, q_b, norm(q_a + q_b)
@@ -190,14 +195,14 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
     nan3 = (math.nan, math.nan, math.nan)
     for psi in seps:
         a_prime = rotate_vector(a, axis, psi)
-        w = wedge(vector3(a), vector3(a_prime))
+        w = wedge(Multivector.from_vector(a, dim=3), Multivector.from_vector(a_prime, dim=3))
         wedge_norm = norm(w)
         cross_norm = float(np.linalg.norm(cross(a, a_prime)))
         if cross_norm == 0.0:
             rows.append(NullLimitRow(psi, math.nan, nan3, wedge_norm, cross_norm))
             continue
         unit_w = (1.0 / wedge_norm) * w
-        dual = contract(-1.0 * volume3(), unit_w)
+        dual = contract(-1.0 * Multivector.volume(3), unit_w)
         rows.append(
             NullLimitRow(
                 psi,

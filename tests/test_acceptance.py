@@ -36,7 +36,7 @@ from cliffsphere.hopf import (
     transition_relation,
 )
 from cliffsphere.identities import run_identity_checks
-from cliffsphere.multivector import Multivector, contract, norm, scalar_part
+from cliffsphere.multivector import Multivector, contract, geometric_product, norm, scalar_part
 from cliffsphere.seven_sphere import (
     J_TRIPLES,
     build_J,
@@ -79,7 +79,8 @@ def test_criterion_01_identity_suite():
 
 def test_criterion_02_handedness_detectors():
     for lam in (1, -1):
-        got = build_frame(lam).ordered_product()
+        bx, by, bz = build_frame(lam).beta
+        got = geometric_product(geometric_product(bx, by), bz)
         assert np.array_equal(got.coeffs, Multivector.scalar(3, float(lam)).coeffs)
     print("\nACCEPTANCE 2: PASS (ordered products +1 and -1, exact)")
 

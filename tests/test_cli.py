@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffsphere import cli, epr
@@ -292,6 +292,15 @@ def test_hopf_defaults(tmp_path, capsys):
         assert abs(float(row[1]) - 1.0) < 1e-9
 
 
+def test_hopf_exact_relations_pass_at_a_large_fiber_angle(tmp_path, capsys):
+    # unreduced, psi_a + phi rounds at ulp(1e7) ~ 2e-9 and all three fail
+    out = tmp_path / "h"
+    assert main(["hopf", "--psi-a", "1e7", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == ["PASS"] * 3
+    assert json.loads((out / "manifest.json").read_text())["config"]["psi_a"] == 1e7
+
+
 def test_hopf_rejects_degenerate_phi(tmp_path):
     assert main(["hopf", "--phi-deg", "0", "--out", str(tmp_path / "x")]) == 2
     assert main(["hopf", "--phi-deg", "180", "--out", str(tmp_path / "y")]) == 2
@@ -362,6 +371,26 @@ def test_default_runs_match_the_golden_digests(tmp_path, monkeypatch, command):
     assert digest(tmp_path / name) == want
 
 
+#: sha256 of the whole stdout of two identities runs, which write no data
+#: file, and their exit codes.
+GOLDEN_STDOUT = {
+    "identities --seed 42": (0, "2ca02ddb6a29ed2b9ea45c55032ce72960edfb91bc8455870e9e98301387f6d2"),
+    "identities --pairs 50 --inject-sign-flip":
+        (1, "1289d853727dd04f3b0d93fd0083ae6599be1a5a9a9da01eff3d517aa8d26ae7"),
+}
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"the golden digests are pinned for numpy {GOLDEN_NUMPY}, "
+                           f"and float output may round differently under numpy {np.__version__}")
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
+def test_identities_stdout_matches_the_golden_digests(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    want_code, want = GOLDEN_STDOUT[argv]
+    assert main([*argv.split(), "--out", str(tmp_path)]) == want_code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
 def test_hopf_reruns_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["hopf", "--out", str(out1)]) == 0
@@ -405,6 +434,15 @@ def test_s7_user_embedding_file(tmp_path):
     assert main(["s7", "--embedding", str(matrix), "--out", str(out)]) == 0
     report = json.loads((out / "s7_report.json").read_text())
     assert report["n7"] == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+
+
+def test_s7_empty_embedding_file_is_a_usage_error(tmp_path, capsys):
+    # numpy warns on a file with no data; the run must still print one line
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code = main(["s7", "--embedding", str(empty), "--out", str(tmp_path / "x")])
+    assert "no data" in assert_usage_error(capsys, code).err
+    assert not (tmp_path / "x").exists()
 
 
 def test_s7_bad_embedding_file(tmp_path):
@@ -479,7 +517,7 @@ SWEEPS = ["0:180:5", "0:90:2", "90:-90:3", "0:180:1", "0:180", "a:b:c", "0:nan:3
           "0:inf:3", "1e308:-1e308:3"]
 SEPARATIONS = ["1e-1,1e-2,1e-3", "1e-3,1e-2", "1e-1,1e-1", "1e-1,oops", "nan", "0", ""]
 TOLERANCES = ["1e-12", "1e-6", "0", "nan", "inf", "-inf", "-1"]
-EMBEDDINGS = ["default", "good.txt", "nan.txt", "inf.txt", "missing.txt"]
+EMBEDDINGS = ["default", "good.txt", "nan.txt", "inf.txt", "empty.txt", "missing.txt"]
 OUTS = ["new/run", "file", "file/sub"]
 
 
@@ -527,6 +565,7 @@ def run_main(argv):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cli_invocations())
+@example((["s7", "--embedding", "empty.txt"], "new/run"))
 def test_generated_argv_exits_with_a_documented_code(invocation):
     argv, out = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -535,6 +574,7 @@ def test_generated_argv_exits_with_a_documented_code(invocation):
         np.savetxt(base / "good.txt", np.eye(7, 3))
         np.savetxt(base / "nan.txt", np.full((7, 3), np.nan))
         np.savetxt(base / "inf.txt", np.where(np.eye(7, 3) == 1, np.inf, 0.0))
+        (base / "empty.txt").write_text("")
         argv = [str(base / a) if a in EMBEDDINGS[1:] else a for a in argv]
         code, err, from_argparse = run_main([*argv, "--out", str(base / out)])
 

@@ -27,7 +27,7 @@ from cliffsphere.epr import (
     sweep,
     sweep_directions,
 )
-from cliffsphere.frames import abstract_product, cross, standard_score, vector3, volume3
+from cliffsphere.frames import abstract_product, cross, standard_score
 from cliffsphere.multivector import (
     Multivector,
     contract,
@@ -180,11 +180,11 @@ def test_raw_scores_do_not_depend_on_direction(lam):
 def test_raw_product_is_minus_one_by_direct_evaluation(lam):
     # oracle: the full four-factor multivector product evaluated in Cl(3,0)
     rng = np.random.default_rng(300 + lam)
-    I = volume3()
+    I = Multivector.volume(3)
     for _ in range(50):
         a, b = random_unit(rng), random_unit(rng)
-        ia = contract(I, vector3(a))
-        ib = contract(I, vector3(b))
+        ia = contract(I, Multivector.from_vector(a, dim=3))
+        ib = contract(I, Multivector.from_vector(b, dim=3))
         alice = geometric_product(-1.0 * ia, float(lam) * ia)
         bob = geometric_product(ib, float(lam) * ib)
         product = geometric_product(alice, bob)
@@ -400,8 +400,8 @@ def reference_row(theta, a, b, counts):
                 for lam in (1, -1)}
     assert products[1].c0 == products[-1].c0
     assert np.array_equal(products[-1].c, -np.asarray(products[1].c))
-    I = volume3()
-    ia, ib = contract(I, vector3(a)), contract(I, vector3(b))
+    I = Multivector.volume(3)
+    ia, ib = contract(I, Multivector.from_vector(a, dim=3)), contract(I, Multivector.from_vector(b, dim=3))
     total = 0
     for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)):
         alice = geometric_product(-1.0 * ia, float(lam) * ia)

@@ -9,14 +9,20 @@ import numpy as np
 import pytest
 
 from cliffsphere import identities, multivector
-from cliffsphere.frames import vector3, volume3
 from cliffsphere.identities import (
     CheckResult,
+    _frame_coeffs,
+    _frame_table,
     _naive_table,
+    check_frame_anticommutation,
+    check_frame_squares,
+    check_frame_subalgebra,
     check_generator_anticommutation,
+    check_ordered_product,
     check_product_against_naive_oracle,
     check_rotor_rotation,
     check_rotor_unit,
+    check_vector_basis_flip,
     run_identity_checks,
 )
 from cliffsphere.multivector import (
@@ -182,9 +188,10 @@ def rotor_rotation_by_loop(rng, n_cases, amount):
         w -= np.dot(w, u) * u
         w /= np.linalg.norm(w)
         theta = rng.uniform(-2.0, 2.0)
-        R = bump(rotor_exp(wedge(vector3(u), vector3(w)), theta), theta, amount)
+        u3, w3 = Multivector.from_vector(u, dim=3), Multivector.from_vector(w, dim=3)
+        R = bump(rotor_exp(wedge(u3, w3), theta), theta, amount)
         v = rng.uniform(-1, 1) * u + rng.uniform(-1, 1) * w
-        out = geometric_product(geometric_product(R, vector3(v)), reversion(R))
+        out = geometric_product(geometric_product(R, Multivector.from_vector(v, dim=3)), reversion(R))
         cu, cw = np.dot(v, u), np.dot(v, w)
         want = (cu * math.cos(2 * theta) + cw * math.sin(2 * theta)) * u + (
             -cu * math.sin(2 * theta) + cw * math.cos(2 * theta)
@@ -199,7 +206,8 @@ def rotor_unit_by_loop(rng, n_cases, amount):
         c = rng.normal(size=3)
         c /= np.linalg.norm(c)
         theta = rng.uniform(-3, 3)
-        R = bump(rotor_exp(contract(volume3(), vector3(c)), theta), theta, amount)
+        B = contract(Multivector.volume(3), Multivector.from_vector(c, dim=3))
+        R = bump(rotor_exp(B, theta), theta, amount)
         worst = max(worst, abs(norm(R) - 1.0),
                     norm(geometric_product(R, reversion(R)) - Multivector.scalar(3, 1.0)))
     return worst
@@ -241,6 +249,60 @@ def test_batched_anticommutation_equals_a_per_pair_loop(monkeypatch, dim, flip):
     batched = check_generator_anticommutation(dim).residual
     assert batched == anticommutation_by_loop(dim)
     assert (batched > 0) == flip
+
+
+def frame_checks_by_loop(lam):
+    """(subalgebra, squares, anticommutation, ordered product) residuals of the
+    lam frame, one Multivector product per pair of its bivectors."""
+    beta = [float(lam) * contract(Multivector.volume(3), Multivector.basis_vector(3, j)) for j in (1, 2, 3)]
+    subalgebra = squares = anti = 0.0
+    for j in range(1, 4):
+        for k in range(1, 4):
+            got = geometric_product(beta[j - 1], beta[k - 1])
+            if j == k:
+                squares = max(squares, norm(got - Multivector.scalar(3, -1.0)))
+                continue
+            l = 6 - j - k
+            eps = (j - k) * (k - l) * (l - j) // 2  # the Levi-Civita symbol eps_jkl
+            subalgebra = max(subalgebra, norm(got - float(-lam * eps) * beta[l - 1]))
+            anti = max(anti, norm(got + geometric_product(beta[k - 1], beta[j - 1])))
+    ordered = geometric_product(geometric_product(beta[0], beta[1]), beta[2])
+    return max(subalgebra, squares), squares, anti, norm(ordered - Multivector.scalar(3, float(lam)))
+
+
+def vector_basis_flip_by_loop():
+    ex, ey, ez = Multivector.basis_vector(3, 1), -1.0 * Multivector.basis_vector(3, 2), Multivector.basis_vector(3, 3)
+    I_flipped = geometric_product(geometric_product(ex, ey), ez)
+    beta = [contract(I_flipped, v) for v in (ex, ey, ez)]
+    prod = geometric_product(geometric_product(beta[0], beta[1]), beta[2])
+    return max(norm(prod - Multivector.scalar(3, 1.0)), norm(I_flipped + Multivector.volume(3)))
+
+
+#: Which of (subalgebra, squares, anticommutation, ordered product, vector-basis
+#: flip) fail under a kernel sign flip at index-table entry (i, k).
+FRAME_FLIPS = {
+    None: (False, False, False, False, False),
+    (3, 0): (True, True, False, True, True),  # e12 e12 = +1: beta_3 squares to +1
+    (7, 6): (True, False, False, True, True),  # I . e1 = -e23: beta_1 changes sign
+}
+
+
+@pytest.mark.parametrize("flip", FRAME_FLIPS)
+def test_frame_table_checks_equal_per_pair_loops(monkeypatch, flip):
+    if flip:
+        flip_kernel_sign(monkeypatch, *flip)
+    flip_residual = check_vector_basis_flip().residual
+    assert flip_residual == vector_basis_flip_by_loop()
+    for lam in (1, -1):
+        frame = _frame_table(_frame_coeffs(lam))
+        batched = (
+            check_frame_subalgebra(lam, frame, 0.0).residual,
+            check_frame_squares(lam, frame).residual,
+            check_frame_anticommutation(lam, frame).residual,
+            check_ordered_product(lam, frame).residual,
+        )
+        assert batched == frame_checks_by_loop(lam)
+        assert tuple(r > 0 for r in (*batched, flip_residual)) == FRAME_FLIPS[flip]
 
 
 def test_naive_path_shares_no_code_with_the_product_kernel():
