@@ -30,7 +30,8 @@ A refused vector, seed, pair count or trial count is reported with the
 flag, or the environment variable, that it came from.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error.
+error.  A stdout closed early by its reader ends the printing quietly; the
+run still writes its manifest and exits with its own code.
 """
 
 from __future__ import annotations
@@ -206,6 +207,21 @@ def _prepare_out(out: str) -> Path:
     except OSError as exc:
         raise UsageError(f"cannot use --out {out!r}: {exc.strerror or exc}") from exc
     return out_dir
+
+
+def _print_lines(lines: list[str]) -> None:
+    """Print `lines`.  A reader that closes stdout early (`| head`) stops the
+    printing, not the run: stdout is pointed at the null device, so that
+    neither this nor the flush at exit raises, and the run goes on to write
+    its manifest and exit with its own code."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _nonzero_terms(mv) -> dict[str, float]:
@@ -413,8 +429,7 @@ def main(argv=None) -> int:
         code, config, files, lines, extra = args.func(args, seed)
         out_dir = _prepare_out(args.out)
         outputs = [_write_file(out_dir, name, text) for name, text in files.items()]
-        for line in lines:
-            print(line)
+        _print_lines(lines)
         _write_manifest(out_dir, args.command, {**config, "out": str(args.out)}, seed,
                         outputs, started, extra)
         return code

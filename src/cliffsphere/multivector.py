@@ -62,15 +62,14 @@ def _tables(dim: int):
 #: product: one Cl(7) row.  Budgets from 32 KiB to 1 MiB measured flat.
 _CHUNK_BYTES = 1 << 17
 
-#: A single left factor of at least this many blades, at most half of them
-#: nonzero, gathers only the index rows of its nonzero blades.  Measured on
-#: a 2-CPU x86 machine with a two-blade left factor: the skip adds 2–3 µs to
-#: a ≈6 µs product at Cl(2)–Cl(4), breaks even at Cl(5), and takes Cl(6),
-#: Cl(7) and Cl(8) products from 9, 24 and 76 µs to 5–7 µs.  Copying the
-#: index rows costs about what it saves at three quarters nonzero; a dense
-#: factor taken through the skip read 12, 28 and 97 µs.  Batched factors
-#: stay dense: finding the nonzero columns of a 1000x8 batch alone costs
-#: ≈30 µs.
+#: A left factor of at least this many blades, at most half of them nonzero
+#: (over all its rows), gathers only the index rows of its nonzero blades.
+#: Measured on a 2-CPU x86 machine with a two-blade single left factor: the
+#: skip adds 2–3 µs to a ≈6 µs product at Cl(2)–Cl(4), breaks even at
+#: Cl(5), and takes Cl(6), Cl(7) and Cl(8) products from 9, 24 and 76 µs to
+#: 5–7 µs; finding the nonzero columns of a 1000x8 batch alone costs ≈30 µs.
+#: Copying the index rows costs about what it saves at three quarters
+#: nonzero; a dense factor taken through the skip read 12, 28 and 97 µs.
 _SKIP_ZEROS_FROM = 64
 
 
@@ -91,31 +90,47 @@ def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The product `kind` of (2**n,) or (N, 2**n) coefficient arrays, rows
     broadcast: out[..., k] = sum_i x[..., i] [y, -y, 0][..., G[i, k]] in blade
     order from +0.0, the float sign-table sum bit for bit (negation is exact;
-    a dropped pair adds ±0.0 to a sum never -0.0), in chunks of rows whose one
-    temporary fits `_CHUNK_BYTES`.  Inputs are finite: `Multivector` and the
-    unit-vector parsers reject the rest.  A NaN in either geometric factor
-    reaches every output; the wedge and contraction read 0 for dropped pairs.
+    a dropped pair adds ±0.0 to a sum never -0.0).  Inputs are finite:
+    `Multivector` and the unit-vector parsers reject the rest.  A NaN in
+    either geometric factor reaches every output; the wedge and contraction
+    read 0 for dropped pairs.
 
-    A single (2**n,) left factor with 2**n >= `_SKIP_ZEROS_FROM` and at
-    most half its blades nonzero, against a single finite y, skips the terms
-    of its zero blades: each is 0 * y = ±0.0, which by the same argument
-    leaves the sum's bits as they are.  A non-finite y keeps every term,
-    since 0 * NaN is NaN."""
+    A batch runs in chunks of rows whose one (rows, i, k) temporary fits
+    `_CHUNK_BYTES`, in one of two layouts chosen by array shape alone.  When
+    a chunk holds at least as many rows as the algebra has blades (a dense
+    Cl(1)-Cl(4) batch of 2**n rows or more), blades run outer and rows
+    innermost, so numpy's inner loops are a chunk of rows long, not 2**n,
+    and the signed copy of y is built chunk by chunk.  Otherwise, as dense
+    Cl(5)-Cl(8) batches need, rows run outer.  Both layouts sum over i in
+    blade order, so their bytes agree.
+
+    A left factor of at least `_SKIP_ZEROS_FROM` blades, single or batched,
+    whose nonzero blades (the union over its rows) are at most half of them,
+    against a finite y, skips the terms of its zero blades: each is
+    0 * y = ±0.0, which by the same argument leaves the sum's bits as they
+    are.  A non-finite y keeps every term, since 0 * NaN is NaN."""
     _check_same_dim(x, y)
     G = _gather_index(x.shape[-1].bit_length() - 1, kind)
-    if x.ndim == 1 == y.ndim and len(G) >= _SKIP_ZEROS_FROM:
-        nz = x.nonzero()[0]
-        if 2 * len(nz) <= len(G) and np.isfinite(y).all():
-            G, x = G.take(nz, axis=0), x[nz]
-    elif x.ndim > 1 or y.ndim > 1:
+    if x.ndim > 1 or y.ndim > 1:
         x, y = np.broadcast_arrays(x, y)
-    signed = np.concatenate((y, -y, np.zeros(y.shape[:-1] + (1,))), axis=-1)
+    if len(G) >= _SKIP_ZEROS_FROM:
+        nz = (x if x.ndim == 1 else x.any(axis=0)).nonzero()[0]
+        if 2 * len(nz) <= len(G) and np.isfinite(y).all():
+            G, x = G.take(nz, axis=0), (x[nz] if x.ndim == 1 else x[:, nz])
     if x.ndim == 1:
-        t = signed[G]
+        t = np.concatenate((y, -y, np.zeros(1)))[G]
         t *= x[:, None]
         return t.sum(axis=0, initial=0.0)
-    out = np.empty(x.shape)
-    rows = max(1, _CHUNK_BYTES // (8 * G.size))
+    out = np.empty(y.shape)
+    rows = max(1, _CHUNK_BYTES // (8 * max(G.size, G.shape[1])))
+    if min(len(out), rows) >= G.shape[1]:
+        for lo in range(0, len(out), rows):
+            yc = y[lo : lo + rows].T
+            t = np.concatenate((yc, -yc, np.zeros((1, yc.shape[1])))).take(G, axis=0)
+            t *= x[lo : lo + rows].T[:, None]
+            t.sum(axis=0, initial=0.0, out=out[lo : lo + rows].T)
+        return out
+    signed = np.concatenate((y, -y, np.zeros((len(y), 1))), axis=1)
     for lo in range(0, len(out), rows):
         t = signed[lo : lo + rows].take(G, axis=-1)
         t *= x[lo : lo + rows, :, None]

@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -483,6 +486,28 @@ def test_identities_sign_flip_canary_fails(tmp_path, capsys):
     assert main(["identities", "--pairs", "50", "--inject-sign-flip", "--out", str(out)]) == 1
     printed = capsys.readouterr().out
     assert any(l.startswith("FAIL") for l in printed.splitlines())
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["identities", "--pairs", "50"], 0),
+    (["identities", "--pairs", "50", "--inject-sign-flip"], 1),
+    (["hopf"], 0),
+])
+def test_closed_stdout_ends_the_run_with_its_own_code(tmp_path, argv, code):
+    # as `cliffsphere ... | head -c 10`: the reader is gone before the first line
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "cliffsphere", *argv, "--out", str(out)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == code
+    assert stderr == b""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [entry["path"] for entry in manifest["outputs"]] + ["manifest.json"])
+    for entry in manifest["outputs"]:
+        assert entry["sha256"] == digest(out / entry["path"])
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])

@@ -114,22 +114,48 @@ NAIVE = {"geometric": naive_product, "wedge": naive_wedge, "contract": naive_con
 J_MASKS = [11, 22, 44, 49, 69, 88, 98]
 
 
+def chunk_rows(size, blades):
+    """Rows of one `_product` chunk whose left factor gathers `blades` rows."""
+    return max(1, multivector._CHUNK_BYTES // (8 * size * max(blades, 1)))
+
+
+def signed_zeros(rng, shape):
+    """+0.0 and -0.0 at random."""
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
 @pytest.mark.parametrize("kind", sorted(PRODUCTS))
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_batched_kernel_rows_equal_single_products(dim, kind):
-    # one row more than a chunk holds, so the last chunk is partial
     size = 1 << dim
-    n = max(1, multivector._CHUNK_BYTES // (8 * size * size)) + 1
     rng = np.random.default_rng(100 * dim + len(kind))
-    x, y = rng.normal(size=(2, n, size))
-    for v in (x, y):
-        v[rng.random(v.shape) < 0.15] = 0.0
-        v[rng.random(v.shape) < 0.15] = -0.0
-        assert len(set(np.signbit(v[v == 0]))) == 2  # both zeros occur
-    single = [PRODUCTS[kind](Multivector(dim, a), Multivector(dim, b)).coeffs for a, b in zip(x, y)]
-    batch = multivector._product(kind, x, y)
-    assert batch.shape == (n, size)
-    assert all(row.tobytes() == s.tobytes() for row, s in zip(batch, single))
+    grades, masks = multivector._tables(dim)[2], np.arange(size)
+    # Batches on both sides of the layout switch, each one row past a full
+    # chunk where it has more than one.  Rows run outer in a dense batch
+    # shorter than 2**n (Cl(1)-Cl(4)) or longer than a chunk (Cl(5)-Cl(8)),
+    # blades outer in a dense Cl(1)-Cl(4) batch past a chunk, and in a
+    # Cl(6) or Cl(7) batch past a chunk whose left factor has one nonzero
+    # blade column.  Cl(5) has no zero skip and a Cl(8) chunk never holds
+    # 256 rows, so those two run rows outer only.
+    dense = chunk_rows(size, size)
+    batches = [(dense + 1 if dense < size else size - 1, masks >= 0)]
+    if dense >= size:
+        batches.append((dense + 1, masks >= 0))
+    elif size >= multivector._SKIP_ZEROS_FROM and chunk_rows(size, 1) >= size:
+        batches.append((chunk_rows(size, 1) + 1, masks == 1))
+    zeros = set()
+    for n, columns in batches:
+        x, y = rng.normal(size=(2, n, size))
+        x[:, ~columns] = signed_zeros(rng, (n, size - columns.sum()))
+        for v in (x, y):
+            v[rng.random(v.shape) < 0.15] = 0.0
+            v[rng.random(v.shape) < 0.15] = -0.0
+            zeros |= set(np.signbit(v[v == 0]))
+        single = [PRODUCTS[kind](Multivector(dim, a), Multivector(dim, b)).coeffs for a, b in zip(x, y)]
+        batch = multivector._product(kind, x, y)
+        assert batch.shape == (n, size)
+        assert all(row.tobytes() == s.tobytes() for row, s in zip(batch, single))
+    assert len(zeros) == 2  # both zeros occur
     # the kernel is the float sign-table formula bit for bit: on batches, on
     # single rows, and with a row broadcast on either side.  With all-zero
     # inputs every term of the wedge's scalar column is -0.0, and the
@@ -137,12 +163,23 @@ def test_batched_kernel_rows_equal_single_products(dim, kind):
     z = np.full(size, -0.0)
     cases = [(x, y), (x[0], y), (x, y[-1]), (x[:1], y), (x, y[:1]),
              (z, -z), (z, y), (np.tile(z, (n, 1)), -z)]
+    # empty batches, and all-zero batched left factors with ±0.0
+    cases += [(x[:0], y[:0]), (x[0], y[:0]), (x[:0], y[0]), (signed_zeros(rng, (n, size)), y)]
+    # batches whose nonzero blades differ from row to row, all among the
+    # blades of grade <= 2 (at most half of them from Cl(6) on), with ±0.0
+    # on both sides
+    for rows in (3, n):
+        a = np.where((grades <= 2) & (rng.random((rows, size)) < 0.4),
+                     rng.normal(size=(rows, size)), signed_zeros(rng, (rows, size)))
+        b = np.where(rng.random((rows, size)) < 0.7, rng.normal(size=(rows, size)),
+                     signed_zeros(rng, (rows, size)))
+        cases += [(a, b), (a, b[0])]
     # sparse single left factors, which skip their zero blades from
     # `_SKIP_ZEROS_FROM` blades on: a vector, a bivector, the blades of J
     # that fit, and all zeros, with -0.0 on some zero blades
-    grades, masks = multivector._tables(dim)[2], np.arange(size)
     for nz in (grades == 1, grades == 2, np.isin(masks, J_MASKS), masks < 0):
-        cases.append((np.where(nz, y[1], np.where(rng.random(size) < 0.5, -0.0, 0.0)), y[-1]))
+        cases.append((np.where(nz, y[1 % n], signed_zeros(rng, size)), y[-1]))
+        cases.append((cases[-1][0], y))
     for a, b in cases + list(zip(x[:3], y[:3])):
         got, want = multivector._product(kind, a, b), sign_table_product(kind, a, b)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -182,8 +219,9 @@ def test_one_nan_coefficient_reaches_every_geometric_product_coefficient(dim, si
 def test_sparse_single_left_factor_reads_only_its_nonzero_rows(monkeypatch):
     # point the index rows of the upper half of the blades out of range: only
     # the skip survives that, when those blades are zero, and it is taken
-    # exactly for a single left factor of at least `_SKIP_ZEROS_FROM` blades,
-    # at most half of them nonzero, against a single finite right factor
+    # exactly for a left factor of at least `_SKIP_ZEROS_FROM` blades, single
+    # or batched, at most half of them nonzero over all its rows, against a
+    # finite right factor
     real = multivector._gather_index
 
     def poisoned(dim, kind):
@@ -196,12 +234,19 @@ def test_sparse_single_left_factor_reads_only_its_nonzero_rows(monkeypatch):
         size = 1 << dim
         x = np.zeros(size)
         x[:2] = [0.5, -2.0]
-        y = np.random.default_rng(dim).normal(size=(3, size))
-        skips = size >= multivector._SKIP_ZEROS_FROM
+        # a batch whose rows have different nonzero blades, all in the lower half
+        rows = np.zeros((4, size))
+        rows[[0, 1, 2, 3], [0, 1, 2, size // 2]] = [1.0, -3.0, 0.25, 2.0]
+        y = np.random.default_rng(dim).normal(size=(4, size))
         over_half = np.where(np.arange(size) <= size // 2, 1.0, 0.0)
+        # rows each under half, their union over half
+        split = np.where(np.arange(size) < size // 2, [[1.0], [0.0]], [[0.0], [1.0]])
         with_inf = np.where(y[0] == y[0, 0], np.inf, y[0])
-        for a, b in [(x, y[0]), (x, y), (x[None], y), (x, with_inf), (over_half, y[0])]:
-            if skips and a is x and b.ndim == 1 and np.isfinite(b).all():
+        skipped = [(x, y[0]), (x, y), (x[None], y), (rows, y), (rows, y[0])]
+        kept = [(x, with_inf), (rows, with_inf), (over_half, y[0]), (over_half, y),
+                (split, y[:2]), (y[0], y[1]), (y, y)]
+        for k, (a, b) in enumerate(skipped + kept):
+            if size >= multivector._SKIP_ZEROS_FROM and k < len(skipped):
                 want = sign_table_product("geometric", a, b)
                 assert multivector._product("geometric", a, b).tobytes() == want.tobytes()
             else:
@@ -226,16 +271,20 @@ def test_flipped_index_entry_shows_through_a_sparse_left_factor(monkeypatch, dim
 
 
 def test_batched_kernel_bounds_its_temporaries():
+    # unchunked, one (64, 128, 128) float temporary of the Cl(7) batch would
+    # be 8 MiB alone, and one (10**5, 8, 8) of the Cl(3) batch 51 MiB; the
+    # Cl(3) batch runs blades outer, and its signed copy of y, twice the
+    # size of y, must be built chunk by chunk too
     rng = np.random.default_rng(3)
-    x, y = rng.normal(size=(2, 64, 128))
-    tracemalloc.start()
-    try:
-        multivector._product("geometric", x, y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # unchunked, one (64, 128, 128) float temporary alone would be 8 MiB
-    assert peak < 8 * multivector._CHUNK_BYTES
+    for n, dim in ((64, 7), (10**5, 3)):
+        x, y = rng.normal(size=(2, n, 1 << dim))
+        tracemalloc.start()
+        try:
+            out = multivector._product("geometric", x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * multivector._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("product", [geometric_product, wedge, contract])
