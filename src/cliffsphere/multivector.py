@@ -96,11 +96,11 @@ def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     read 0 for dropped pairs.
 
     A batch runs in chunks of rows whose one (rows, i, k) temporary fits
-    `_CHUNK_BYTES`, in one of two layouts chosen by array shape alone.  When
-    a chunk holds at least as many rows as the algebra has blades (a dense
-    Cl(1)-Cl(4) batch of 2**n rows or more), blades run outer and rows
-    innermost, so numpy's inner loops are a chunk of rows long, not 2**n,
-    and the signed copy of y is built chunk by chunk.  Otherwise, as dense
+    `_CHUNK_BYTES`, each with its own signed copy of its rows of y, in one
+    of two layouts chosen by array shape alone.  When a chunk holds at least
+    as many rows as the algebra has blades (a dense Cl(1)-Cl(4) batch of
+    2**n rows or more), blades run outer and rows innermost, so numpy's
+    inner loops are a chunk of rows long, not 2**n.  Otherwise, as dense
     Cl(5)-Cl(8) batches need, rows run outer.  Both layouts sum over i in
     blade order, so their bytes agree.
 
@@ -130,9 +130,9 @@ def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             t *= x[lo : lo + rows].T[:, None]
             t.sum(axis=0, initial=0.0, out=out[lo : lo + rows].T)
         return out
-    signed = np.concatenate((y, -y, np.zeros((len(y), 1))), axis=1)
     for lo in range(0, len(out), rows):
-        t = signed[lo : lo + rows].take(G, axis=-1)
+        yc = y[lo : lo + rows]
+        t = np.concatenate((yc, -yc, np.zeros((len(yc), 1))), axis=1).take(G, axis=-1)
         t *= x[lo : lo + rows, :, None]
         t.sum(axis=1, initial=0.0, out=out[lo : lo + rows])
     return out

@@ -176,7 +176,8 @@ def test_batched_kernel_rows_equal_single_products(dim, kind):
         cases += [(a, b), (a, b[0])]
     # sparse single left factors, which skip their zero blades from
     # `_SKIP_ZEROS_FROM` blades on: a vector, a bivector, the blades of J
-    # that fit, and all zeros, with -0.0 on some zero blades
+    # that fit, and all zeros, with -0.0 on some zero blades, against a
+    # single right factor and broadcast over a batch
     for nz in (grades == 1, grades == 2, np.isin(masks, J_MASKS), masks < 0):
         cases.append((np.where(nz, y[1 % n], signed_zeros(rng, size)), y[-1]))
         cases.append((cases[-1][0], y))
@@ -271,20 +272,24 @@ def test_flipped_index_entry_shows_through_a_sparse_left_factor(monkeypatch, dim
 
 
 def test_batched_kernel_bounds_its_temporaries():
-    # unchunked, one (64, 128, 128) float temporary of the Cl(7) batch would
-    # be 8 MiB alone, and one (10**5, 8, 8) of the Cl(3) batch 51 MiB; the
-    # Cl(3) batch runs blades outer, and its signed copy of y, twice the
-    # size of y, must be built chunk by chunk too
     rng = np.random.default_rng(3)
-    for n, dim in ((64, 7), (10**5, 3)):
+
+    def traced_product(n, dim):
         x, y = rng.normal(size=(2, n, 1 << dim))
         tracemalloc.start()
         try:
             out = multivector._product("geometric", x, y)
-            _, peak = tracemalloc.get_traced_memory()
+            return out, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < out.nbytes + 8 * multivector._CHUNK_BYTES
+
+    # unchunked, one (64, 128, 128) float temporary would be 8 MiB alone
+    _, peak = traced_product(64, 7)
+    assert peak < 8 * multivector._CHUNK_BYTES
+    # a (10**5, 8, 8) one would be 51 MiB; blades outer, the signed copy of
+    # y, twice the size of y, must be built chunk by chunk too
+    out, peak = traced_product(10**5, 3)
+    assert peak < out.nbytes + 8 * multivector._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("product", [geometric_product, wedge, contract])
