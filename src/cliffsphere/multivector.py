@@ -86,6 +86,22 @@ def _gather_index(dim: int, kind: str) -> np.ndarray:
     return np.where(keep[kind], np.where(sign[a, xor] > 0, xor, xor + (1 << dim)), 2 << dim)
 
 
+def _chunk_rows(cells: int) -> int:
+    """Rows of a batched product per chunk whose temporary holds `cells`
+    floats a row: as many as fit `_CHUNK_BYTES`, at least one."""
+    return max(1, _CHUNK_BYTES // (8 * cells))
+
+
+def _blades_outer(rows: int, size: int) -> bool:
+    """Whether a batch of `rows` rows of `size` = 2**n blades runs blades
+    outer: when a chunk of a dense left factor, 2**n x 2**n floats a row,
+    holds at least 2**n rows.  Measured on a 2-CPU x86 machine, dense, that
+    is where blades outer starts to win at Cl(3); at 16 * 2**n rows it takes
+    0.4-0.55x the time at Cl(2)-Cl(4).  The zero skip does not move the
+    choice: blades outer, a one-blade skipping left factor took 1.4-3.4x."""
+    return min(rows, _chunk_rows(size * size)) >= size
+
+
 def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The product `kind` of (2**n,) or (N, 2**n) coefficient arrays, rows
     broadcast: out[..., k] = sum_i x[..., i] [y, -y, 0][..., G[i, k]] in blade
@@ -95,14 +111,14 @@ def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     either geometric factor reaches every output; the wedge and contraction
     read 0 for dropped pairs.
 
-    A batch runs in chunks of rows whose one (rows, i, k) temporary fits
-    `_CHUNK_BYTES`, each with its own signed copy of its rows of y, in one
-    of two layouts chosen by array shape alone.  When a chunk holds at least
-    as many rows as the algebra has blades (a dense Cl(1)-Cl(4) batch of
-    2**n rows or more), blades run outer and rows innermost, so numpy's
-    inner loops are a chunk of rows long, not 2**n.  Otherwise, as dense
-    Cl(5)-Cl(8) batches need, rows run outer.  Both layouts sum over i in
-    blade order, so their bytes agree.
+    A batch runs in chunks of `_chunk_rows` rows whose one (rows, i, k)
+    temporary fits `_CHUNK_BYTES`, each with its own signed copy of its rows
+    of y, in one of two layouts chosen by array shape alone (`_blades_outer`).
+    When a chunk of a dense left factor holds at least as many rows as the
+    algebra has blades (a Cl(1)-Cl(4) batch of 2**n rows or more), blades run
+    outer and rows innermost, so numpy's inner loops are a chunk of rows
+    long, not 2**n.  Otherwise, as Cl(5)-Cl(8) batches need, rows run outer.
+    Both layouts sum over i in blade order, so their bytes agree.
 
     A left factor of at least `_SKIP_ZEROS_FROM` blades, single or batched,
     whose nonzero blades (the union over its rows) are at most half of them,
@@ -122,8 +138,8 @@ def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         t *= x[:, None]
         return t.sum(axis=0, initial=0.0)
     out = np.empty(y.shape)
-    rows = max(1, _CHUNK_BYTES // (8 * max(G.size, G.shape[1])))
-    if min(len(out), rows) >= G.shape[1]:
+    rows = _chunk_rows(max(G.size, G.shape[1]))
+    if _blades_outer(len(out), G.shape[1]):
         for lo in range(0, len(out), rows):
             yc = y[lo : lo + rows].T
             t = np.concatenate((yc, -yc, np.zeros((1, yc.shape[1])))).take(G, axis=0)

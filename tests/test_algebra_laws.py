@@ -5,8 +5,8 @@ an integer far below 2**53 (a triple product in Cl(8) stays under 2**21) and
 float64 computes it exactly: each law must hold bit for bit, at tolerance 0,
 and a wrong sign or a misplaced blade in any index table shows up.  The
 batches take both layouts of the product kernel: rows outer for a batch of
-fewer rows than the algebra has blades, and for every dense Cl(5)-Cl(8)
-batch; blades outer for a Cl(1)-Cl(4) batch of 2**n rows or more.
+fewer rows than the algebra has blades, and for every Cl(5)-Cl(8) batch;
+blades outer for a Cl(1)-Cl(4) batch of 2**n rows or more.
 """
 
 import numpy as np
@@ -24,9 +24,11 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def batch_lengths(dim: int) -> list[int]:
-    """A batch under 2**n rows, and from Cl(1) to Cl(4) one of 2**n + 3."""
+    """A batch under 2**n rows, and one of 2**n + 3 where the kernel runs
+    that blades outer (from Cl(1) to Cl(4))."""
     size = 1 << dim
-    return [min(size - 1, 6) or 1] + ([size + 3] if size <= 16 else [])
+    outer = multivector._blades_outer(size + 3, size)
+    return [min(size - 1, 6) or 1] + ([size + 3] if outer else [])
 
 
 def integers(rng, rows: int, dim: int, grade: int | None = None) -> np.ndarray:

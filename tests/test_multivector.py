@@ -114,48 +114,23 @@ NAIVE = {"geometric": naive_product, "wedge": naive_wedge, "contract": naive_con
 J_MASKS = [11, 22, 44, 49, 69, 88, 98]
 
 
-def chunk_rows(size, blades):
-    """Rows of one `_product` chunk whose left factor gathers `blades` rows."""
-    return max(1, multivector._CHUNK_BYTES // (8 * size * max(blades, 1)))
-
-
 def signed_zeros(rng, shape):
     """+0.0 and -0.0 at random."""
     return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
 
 
-@pytest.mark.parametrize("kind", sorted(PRODUCTS))
-@pytest.mark.parametrize("dim", range(1, 9))
-def test_batched_kernel_rows_equal_single_products(dim, kind):
-    size = 1 << dim
-    rng = np.random.default_rng(100 * dim + len(kind))
+def assert_kernel_is_the_sign_table(kind, x, y, rng):
+    """The batch x, y, with its single rows, broadcast rows and derived
+    batches, gives the float sign-table formula bit for bit."""
+    n, size = x.shape
+    dim = size.bit_length() - 1
     grades, masks = multivector._tables(dim)[2], np.arange(size)
-    # Batches on both sides of the layout switch, each one row past a full
-    # chunk where it has more than one.  Rows run outer in a dense batch
-    # shorter than 2**n (Cl(1)-Cl(4)) or longer than a chunk (Cl(5)-Cl(8)),
-    # blades outer in a dense Cl(1)-Cl(4) batch past a chunk, and in a
-    # Cl(6) or Cl(7) batch past a chunk whose left factor has one nonzero
-    # blade column.  Cl(5) has no zero skip and a Cl(8) chunk never holds
-    # 256 rows, so those two run rows outer only.
-    dense = chunk_rows(size, size)
-    batches = [(dense + 1 if dense < size else size - 1, masks >= 0)]
-    if dense >= size:
-        batches.append((dense + 1, masks >= 0))
-    elif size >= multivector._SKIP_ZEROS_FROM and chunk_rows(size, 1) >= size:
-        batches.append((chunk_rows(size, 1) + 1, masks == 1))
-    zeros = set()
-    for n, columns in batches:
-        x, y = rng.normal(size=(2, n, size))
-        x[:, ~columns] = signed_zeros(rng, (n, size - columns.sum()))
-        for v in (x, y):
-            v[rng.random(v.shape) < 0.15] = 0.0
-            v[rng.random(v.shape) < 0.15] = -0.0
-            zeros |= set(np.signbit(v[v == 0]))
-        single = [PRODUCTS[kind](Multivector(dim, a), Multivector(dim, b)).coeffs for a, b in zip(x, y)]
-        batch = multivector._product(kind, x, y)
-        assert batch.shape == (n, size)
-        assert all(row.tobytes() == s.tobytes() for row, s in zip(batch, single))
-    assert len(zeros) == 2  # both zeros occur
+    for v in (x, y):
+        assert len(set(np.signbit(v[v == 0]))) == 2  # both zeros occur
+    single = [PRODUCTS[kind](Multivector(dim, a), Multivector(dim, b)).coeffs for a, b in zip(x, y)]
+    batch = multivector._product(kind, x, y)
+    assert batch.shape == (n, size)
+    assert all(row.tobytes() == s.tobytes() for row, s in zip(batch, single))
     # the kernel is the float sign-table formula bit for bit: on batches, on
     # single rows, and with a row broadcast on either side.  With all-zero
     # inputs every term of the wedge's scalar column is -0.0, and the
@@ -186,6 +161,38 @@ def test_batched_kernel_rows_equal_single_products(dim, kind):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     for row, a, b in list(zip(batch, x, y))[:2]:
         assert np.max(np.abs(row - NAIVE[kind](a, b))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_batched_kernel_rows_equal_single_products(dim, kind):
+    size = 1 << dim
+    rng = np.random.default_rng(100 * dim + len(kind))
+    dense = multivector._chunk_rows(size * size)
+    # Batches on both sides of the layout switch.  Rows run outer in a dense
+    # batch shorter than 2**n (one chunk) and in every Cl(5)-Cl(8) batch;
+    # blades outer in a dense Cl(1)-Cl(4) batch past a chunk.  From Cl(6)
+    # on, a batch whose left factor has four nonzero blade columns takes the
+    # zero skip, in chunks of more rows.  Each batch but the one-chunk ones
+    # ends in a partial chunk of one row.
+    batches = [(size - 1 if dense >= size else dense + 1, np.full(size, True))]
+    if dense >= size:
+        batches.append((dense + 1, np.full(size, True)))
+    if size >= multivector._SKIP_ZEROS_FROM:
+        vectors = np.isin(np.arange(size), (1, 2, 4, 8))
+        batches.append((multivector._chunk_rows(4 * size) + 1, vectors))
+    layouts = {multivector._blades_outer(n, size) for n, _ in batches}
+    assert layouts == ({False, True} if dim <= 4 else {False})
+    for n, columns in batches:
+        x, y = rng.normal(size=(2, n, size))
+        x[:, ~columns] = signed_zeros(rng, (n, size - columns.sum()))
+        for v in (x, y):
+            v[rng.random(v.shape) < 0.15] = 0.0
+            v[rng.random(v.shape) < 0.15] = -0.0
+            v[0, 0], v[-1, -1] = 0.0, -0.0
+        if not columns.all():  # the skip gathers exactly these index rows
+            assert np.array_equal(x.any(axis=0), columns)
+        assert_kernel_is_the_sign_table(kind, x, y, rng)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 6, 7, 8])
