@@ -374,12 +374,18 @@ def test_default_runs_match_the_golden_digests(tmp_path, monkeypatch, command):
     assert digest(tmp_path / name) == want
 
 
-#: sha256 of the whole stdout of two identities runs, which write no data
-#: file, and their exit codes.
+#: sha256 of the whole stdout of a run with `--out out`, and its exit code:
+#: identities writes no data file, and hopf's residual lines reach none.
 GOLDEN_STDOUT = {
     "identities --seed 42": (0, "2ca02ddb6a29ed2b9ea45c55032ce72960edfb91bc8455870e9e98301387f6d2"),
     "identities --pairs 50 --inject-sign-flip":
         (1, "1289d853727dd04f3b0d93fd0083ae6599be1a5a9a9da01eff3d517aa8d26ae7"),
+    "hopf": (0, "208a2ffeadd5220b2777d3412e972754c25824152cfc63737e475d84062e8b7e"),
+    "hopf --psi-a 0.3 --phi-deg 40":
+        (0, "0c25962bdaab76e74d550e773b057d9adf042a777e03cb2f28537f8e79bcf2e9"),
+    "s7": (0, "f5c17c1fda8fd1d9011a283106f421f3376d4f76e722833b2ad957ecbaae4f6d"),
+    "s7 --a=0.6,0,0.8 --lambda -1":
+        (0, "a19b8386a8b38c5eee104d049e9f4cb166c362b68e5fe8949a78142840e72f93"),
 }
 
 
@@ -387,10 +393,11 @@ GOLDEN_STDOUT = {
                     reason=f"the golden digests are pinned for numpy {GOLDEN_NUMPY}, "
                            f"and float output may round differently under numpy {np.__version__}")
 @pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
-def test_identities_stdout_matches_the_golden_digests(tmp_path, monkeypatch, capsys, argv):
+def test_stdout_matches_the_golden_digests(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)  # hopf and s7 print the data file's path
     want_code, want = GOLDEN_STDOUT[argv]
-    assert main([*argv.split(), "--out", str(tmp_path)]) == want_code
+    assert main([*argv.split(), "--out", "out"]) == want_code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
