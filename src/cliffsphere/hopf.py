@@ -75,7 +75,8 @@ def rotate_vector(v, axis, angle: float) -> np.ndarray:
 @dataclass(frozen=True)
 class FiberProbe:
     """Validated fiber angles for the transition checks, which pin psi_b to
-    psi_a + phi."""
+    psi_a + phi.  sin phi must exceed `AXIS_TOL`, as |a x b| must for the
+    CLI's pair a = e_x, b = (cos phi, sin phi, 0)."""
 
     psi_a: float
     phi: float
@@ -85,6 +86,9 @@ class FiberProbe:
             raise ValueError("psi_a must be finite and positive")
         if not 0.0 < self.phi < math.pi:
             raise ValueError("phi must lie strictly between 0 and pi")
+        if not math.sin(self.phi) > AXIS_TOL:
+            raise ValueError(f"sin(phi) = {math.sin(self.phi)!r} is too small to define "
+                             "a rotation axis")
 
 
 def transition_relation(a, b, psi_a: float) -> tuple[Multivector, Multivector, float]:

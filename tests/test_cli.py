@@ -316,7 +316,8 @@ def test_hopf_rejects_bad_separations(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--psi-a=-0.5", "--psi-a=0", "--psi-a=inf", "--psi-a=nan",
-                                  "--phi-deg=inf", "--phi-deg=nan", "--phi-deg=-30"])
+                                  "--phi-deg=inf", "--phi-deg=nan", "--phi-deg=-30",
+                                  "--phi-deg=1e-5", "--phi-deg=179.99999"])
 def test_hopf_rejects_bad_fiber_angles(tmp_path, capsys, flag):
     code = main(["hopf", flag, "--out", str(tmp_path / "x")])
     assert flag.split("=")[0] in assert_usage_error(capsys, code).err

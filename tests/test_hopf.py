@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cliffsphere.hopf import (
+    AXIS_TOL,
     DegenerateAxisError,
     FiberProbe,
     NullLimitRow,
@@ -17,6 +18,7 @@ from cliffsphere.hopf import (
     quaternion_point,
     rotate_vector,
     transition_relation,
+    _axis_between,
 )
 from cliffsphere.multivector import (
     Multivector,
@@ -88,6 +90,30 @@ def test_fiber_probe_requires_a_finite_positive_psi_a(psi_a):
 def test_fiber_probe_requires_phi_inside_the_open_interval(phi):
     with pytest.raises(ValueError, match="phi"):
         FiberProbe(psi_a=0.01, phi=phi)
+
+
+def test_fiber_probe_refuses_phi_exactly_where_the_axis_degenerates():
+    # the CLI's pair a = e_x, b = (cos phi, sin phi, 0): FiberProbe refuses
+    # each phi that _axis_between refuses, so the refusal can name the flag
+    phis = [math.radians(1e-5), math.radians(179.99999)]
+    for edge in (math.asin(AXIS_TOL), math.pi - math.asin(AXIS_TOL)):
+        for toward in (0.0, math.pi):
+            phi = edge
+            for _ in range(5):
+                phis.append(phi)
+                phi = math.nextafter(phi, toward)
+    refused = []
+    for phi in phis:
+        try:
+            _axis_between(EX, np.array([math.cos(phi), math.sin(phi), 0.0]))
+        except DegenerateAxisError:
+            refused.append(phi)
+            with pytest.raises(ValueError, match="too small to define a rotation axis"):
+                FiberProbe(psi_a=0.01, phi=phi)
+        else:
+            FiberProbe(psi_a=0.01, phi=phi)
+    assert refused[:2] == phis[:2]  # the CLI's 1e-5 and 179.99999 degrees
+    assert 2 < len(refused) < len(phis) - 2  # the ulps around each edge straddle it
 
 
 # -- transition relation -----------------------------------------------------------
