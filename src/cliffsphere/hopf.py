@@ -14,6 +14,9 @@ come out, with no assertion about the limiting behavior.
 The transition, transport and phase-flip relations are 2 pi-periodic in
 psi_a, so each reduces psi_a modulo 2 pi (exactly, by fmod) before adding phi
 or pi; the sum then rounds at ulp(2 pi), not ulp(psi_a).
+
+Everything runs on coefficient arrays, the probe's separations as one batch
+(each row bit for bit a batch of one); returned values are `Multivector`s.
 """
 
 from __future__ import annotations
@@ -23,17 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import check_orientation, cross
+from .frames import _VOLUME3, check_orientation, cross
 from .multivector import (
-    Multivector,
-    contract,
-    geometric_product,
-    norm,
-    reversion,
-    rotor_exp,
-    unit_vector,
-    wedge,
-)
+    Multivector, _product, _reversion_sign, _rotor_coeffs, _vector_coeffs, unit_vector)
 
 #: Two directions are treated as spanning a usable rotation axis only if
 #: |a x b| exceeds this.
@@ -49,27 +44,58 @@ def _axis_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     axb = cross(a, b)
     s = float(np.linalg.norm(axb))
     if s <= AXIS_TOL:
-        raise DegenerateAxisError(
-            f"|a x b| = {s!r} is too small to define a rotation axis"
-        )
+        raise DegenerateAxisError(f"|a x b| = {s!r} is too small to define a rotation axis")
     phi = math.atan2(s, float(np.dot(a, b)))
     return axb / s, phi
 
 
+def _vector3(v) -> np.ndarray:
+    """Cl(3,0) coefficients of a finite vector of at most 3 components."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or len(v) > 3 or not np.isfinite(v).all():
+        raise ValueError(f"expected a finite vector of at most 3 components, got {v!r}")
+    return _vector_coeffs(v, 3)
+
+
+def _plane_coeffs(axis) -> np.ndarray:
+    """Coefficients of I . c, c the axis renormalized by `unit_vector`."""
+    return _product("contract", _VOLUME3, _vector3(unit_vector(axis)))
+
+
 def plane_bivector(axis) -> Multivector:
     """Unit bivector I . c of the plane perpendicular to the unit axis c."""
-    return contract(Multivector.volume(3), Multivector.from_vector(unit_vector(axis), dim=3))
+    return Multivector(3, _plane_coeffs(axis))
+
+
+def _rotors(B: np.ndarray, angles) -> np.ndarray:
+    """(N, 8) rotors exp(B t) = cos t + sin t B of the unit plane B, one row
+    per finite angle t, by `math.sin` and `math.cos` as in `rotor_exp`."""
+    if not all(map(math.isfinite, angles)):
+        raise ValueError("rotation angles must be finite")
+    return _rotor_coeffs(B, *(np.array([f(t) for t in angles]) for f in (math.sin, math.cos)))
+
+
+def _rotated(v: np.ndarray, B: np.ndarray, angles) -> np.ndarray:
+    """(N, 3): the vector coefficients v, or row j of (N, 8) v, rotated by
+    angles[j] about the axis of the unit plane B by the sandwich R v ~R,
+    R = exp(-B angles[j] / 2); each row's bits are those of a batch of one."""
+    R = _rotors(B, [-0.5 * t for t in angles])
+    return _product("geometric", _product("geometric", R, v), R * _reversion_sign(3))[:, [1, 2, 4]]
 
 
 def rotate_vector(v, axis, angle: float) -> np.ndarray:
     """Rotate v by `angle` about the unit `axis` (right-hand rule) using the
     two-sided half-angle rotor sandwich R v ~R."""
-    R = rotor_exp(plane_bivector(axis), -0.5 * angle)
-    sandwich = geometric_product(
-        geometric_product(R, Multivector.from_vector(np.asarray(v, dtype=np.float64), dim=3)),
-        reversion(R),
-    )
-    return sandwich.vector_components()
+    return _rotated(_vector3(v), _plane_coeffs(axis), [angle])[0]
+
+
+def _fiber_pair(a: np.ndarray, b: np.ndarray, psi_a: float):
+    """The plane B = I.c of c = a x b / |a x b|, the angle phi from a to b,
+    and a', b': a and b rotated about c by psi_a (mod 2 pi) and psi_a + phi."""
+    c, phi = _axis_between(a, b)
+    psi_a = math.fmod(psi_a, math.tau)
+    B = _plane_coeffs(c)
+    return (B, phi, *_rotated(_vector_coeffs(np.array([a, b]), 3), B, [psi_a, psi_a + phi]))
 
 
 @dataclass(frozen=True)
@@ -97,16 +123,19 @@ def transition_relation(a, b, psi_a: float) -> tuple[Multivector, Multivector, f
     a' and b' are a and b rotated about c = a x b / |a x b| through psi_a
     and psi_a + phi_ab respectively; the identity is exact for any psi_a.
     """
-    a = unit_vector(a)
-    b = unit_vector(b)
-    c, phi = _axis_between(a, b)
-    psi_a = math.fmod(psi_a, math.tau)
-    a_prime = rotate_vector(a, c, psi_a)
-    b_prime = rotate_vector(b, c, psi_a + phi)
-    va, vb, va_prime, vb_prime = (Multivector.from_vector(v, dim=3) for v in (a, b, a_prime, b_prime))
-    lhs = geometric_product(vb, vb_prime)
-    rhs = geometric_product(geometric_product(va, vb), geometric_product(va, va_prime))
-    return lhs, rhs, norm(lhs - rhs)
+    a, b = unit_vector(a), unit_vector(b)
+    _, _, a_prime, b_prime = _fiber_pair(a, b, psi_a)
+    v = _vector_coeffs(np.array([a, b, a_prime, b_prime]), 3)
+    lhs, ab, aa_prime = _product("geometric", v[[1, 0, 0]], v[[3, 1, 2]])  # b b', a b, a a'
+    rhs = _product("geometric", ab, aa_prime)
+    return Multivector(3, lhs), Multivector(3, rhs), float(np.linalg.norm(lhs - rhs))
+
+
+def _quaternion_coeffs(n, n_prime, lam: int, side_sign: int) -> np.ndarray:
+    """(side_sign I.n)(lam I.n') for unit vectors, or (N, 3) rows of them."""
+    left = float(side_sign) * _product("contract", _VOLUME3, _vector_coeffs(n, 3))
+    right = float(lam) * _product("contract", _VOLUME3, _vector_coeffs(n_prime, 3))
+    return _product("geometric", left, right)
 
 
 def quaternion_point(n, n_prime, lam: int, side_sign: int) -> Multivector:
@@ -115,27 +144,20 @@ def quaternion_point(n, n_prime, lam: int, side_sign: int) -> Multivector:
     if side_sign not in (1, -1):
         raise ValueError("side_sign must be +1 or -1")
     lam = check_orientation(lam)
-    n = unit_vector(n)
-    n_prime = unit_vector(n_prime)
-    left = float(side_sign) * contract(Multivector.volume(3), Multivector.from_vector(n, dim=3))
-    right = float(lam) * contract(Multivector.volume(3), Multivector.from_vector(n_prime, dim=3))
-    return geometric_product(left, right)
+    return Multivector(3, _quaternion_coeffs(unit_vector(n), unit_vector(n_prime), lam, side_sign))
 
 
 def parallel_transport_check(a, b, psi_a: float, lam: int) -> float:
     """Residual of (+I.b)(lam I.b') = R_ab {(+I.a)(lam I.a')} with the rotor
     acting by left multiplication and psi_b = psi_a + phi_ab."""
-    a = unit_vector(a)
-    b = unit_vector(b)
-    c, phi = _axis_between(a, b)
-    psi_a = math.fmod(psi_a, math.tau)
-    a_prime = rotate_vector(a, c, psi_a)
-    b_prime = rotate_vector(b, c, psi_a + phi)
-    lhs = quaternion_point(b, b_prime, lam, +1)
-    transported = geometric_product(
-        rotor_exp(plane_bivector(c), phi), quaternion_point(a, a_prime, lam, +1)
-    )
-    return norm(lhs - transported)
+    a, b = unit_vector(a), unit_vector(b)
+    B, phi, a_prime, b_prime = _fiber_pair(a, b, psi_a)
+    lam = check_orientation(lam)
+    # each vector renormalized once more, as `quaternion_point` does
+    q_b, q_a = _quaternion_coeffs(np.array([unit_vector(b), unit_vector(a)]),
+                                  np.array([unit_vector(b_prime), unit_vector(a_prime)]), lam, +1)
+    transported = _product("geometric", _rotors(B, [phi])[0], q_a)
+    return float(np.linalg.norm(q_b - transported))
 
 
 def phase_flip_at_pi(psi_a: float) -> tuple[Multivector, Multivector, float]:
@@ -147,11 +169,9 @@ def phase_flip_at_pi(psi_a: float) -> tuple[Multivector, Multivector, float]:
     degenerates), so the check runs directly in fiber coordinates about an
     explicit axis.
     """
-    B = plane_bivector((0.0, 0.0, 1.0))
     psi_a = math.fmod(psi_a, math.tau)
-    q_a = rotor_exp(B, psi_a)
-    q_b = rotor_exp(B, psi_a + math.pi)
-    return q_a, q_b, norm(q_a + q_b)
+    q_a, q_b = _rotors(_plane_coeffs((0.0, 0.0, 1.0)), [psi_a, psi_a + math.pi])
+    return Multivector(3, q_a), Multivector(3, q_b), float(np.linalg.norm(q_a + q_b))
 
 
 # -- null-bivector limit probe ---------------------------------------------------
@@ -194,26 +214,16 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
         raise ValueError("separations must be finite and nonnegative")
     if any(x <= y for x, y in zip(seps, seps[1:])):
         raise ValueError("separations must be strictly decreasing")
-    axis = perpendicular_axis(a)
-    rows = []
-    nan3 = (math.nan, math.nan, math.nan)
-    for psi in seps:
-        a_prime = rotate_vector(a, axis, psi)
-        w = wedge(Multivector.from_vector(a, dim=3), Multivector.from_vector(a_prime, dim=3))
-        wedge_norm = norm(w)
-        cross_norm = float(np.linalg.norm(cross(a, a_prime)))
-        if cross_norm == 0.0:
-            rows.append(NullLimitRow(psi, math.nan, nan3, wedge_norm, cross_norm))
-            continue
-        unit_w = (1.0 / wedge_norm) * w
-        dual = contract(-1.0 * Multivector.volume(3), unit_w)
-        rows.append(
-            NullLimitRow(
-                psi,
-                wedge_norm / cross_norm,
-                tuple(float(x) for x in dual.vector_components()),
-                wedge_norm,
-                cross_norm,
-            )
-        )
-    return rows
+    va = _vector_coeffs(a, 3)
+    a_prime = _rotated(va, _plane_coeffs(perpendicular_axis(a)), seps)
+    w = _product("wedge", va, _vector_coeffs(a_prime, 3))
+    # one 1-D norm per row: a batched norm(axis=-1) can round differently
+    wedge_norm = np.array([np.linalg.norm(row) for row in w])
+    cross_norm = np.array([np.linalg.norm(row) for row in cross(a, a_prime)])
+    ok = cross_norm != 0.0  # zero separation: the row is undefined
+    magnitude = np.divide(wedge_norm, cross_norm, out=np.full(len(seps), math.nan), where=ok)
+    axis = np.full((len(seps), 3), math.nan)
+    unit_w = w[ok] * (1.0 / wedge_norm[ok, None])
+    axis[ok] = _product("contract", -1.0 * _VOLUME3, unit_w)[:, [1, 2, 4]]
+    return [NullLimitRow(psi, float(m), tuple(map(float, ax)), float(wn), float(cn))
+            for psi, m, ax, wn, cn in zip(seps, magnitude, axis, wedge_norm, cross_norm)]

@@ -13,6 +13,10 @@ Clifford contraction reading and returned in full: (J.N)^2 is generally not
 a scalar (disjoint grade-2 blades commute, so their cross terms survive at
 grade 4), and the grade decomposition makes that structure inspectable
 rather than coercing the output to +-1.
+
+J is built on every call by one batched chain of kernel products over its
+Fano lines; the scores run on coefficient arrays, and a `Multivector` is
+built only for a value that a function returns.
 """
 
 from __future__ import annotations
@@ -22,25 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import check_orientation
-from .multivector import (
-    Multivector,
-    contract,
-    geometric_product,
-    grade_part,
-    norm,
-    unit_vector,
-)
+from .multivector import Multivector, _product, _tables, _vector_coeffs, unit_vector
 
 #: Fano-plane index triples of J, 1-based generator indices in paper order.
-J_TRIPLES = (
-    (1, 2, 4),
-    (2, 3, 5),
-    (3, 4, 6),
-    (4, 5, 7),
-    (5, 6, 1),
-    (6, 7, 2),
-    (7, 1, 3),
-)
+J_TRIPLES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3))
 
 
 @dataclass(frozen=True)
@@ -53,7 +42,7 @@ class SevenTrivector:
         v = self.value
         if v.dim != 7:
             raise ValueError("the trivector lives in Cl(7,0)")
-        if norm(v - grade_part(v, 3)) != 0.0:
+        if np.linalg.norm(np.where(_tables(7)[2] == 3, 0.0, v.coeffs)) != 0.0:
             raise ValueError("the trivector must be pure grade 3")
         nonzero = np.nonzero(v.coeffs)[0]
         if len(nonzero) != 7 or not np.all(v.coeffs[nonzero] == 1.0):
@@ -61,17 +50,12 @@ class SevenTrivector:
 
 
 def build_J() -> SevenTrivector:
-    """The 7-term trivector, built blade by blade from generator products."""
-    total = Multivector.zero(7)
-    for i, j, k in J_TRIPLES:
-        blade = geometric_product(
-            geometric_product(
-                Multivector.basis_vector(7, i), Multivector.basis_vector(7, j)
-            ),
-            Multivector.basis_vector(7, k),
-        )
-        total = total + blade
-    return SevenTrivector(total)
+    """The 7-term trivector, built blade by blade from generator products:
+    one batched product chain (e_i e_j) e_k over the rows of `J_TRIPLES`,
+    the blades then added in triple order from zero."""
+    i, j, k = (_vector_coeffs(np.eye(7)[[t - 1 for t in col]], 7) for col in zip(*J_TRIPLES))
+    blades = _product("geometric", _product("geometric", i, j), k)
+    return SevenTrivector(Multivector(7, sum(blades, np.zeros(1 << 7))))
 
 
 @dataclass(frozen=True)
@@ -87,8 +71,7 @@ class Embedding:
             raise ValueError(f"embedding matrix must be 7x3, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("embedding matrix entries must be finite")
-        gram = m.T @ m
-        if np.max(np.abs(gram - np.eye(3))) > 1e-9:
+        if np.max(np.abs(m.T @ m - np.eye(3))) > 1e-9:
             raise ValueError("embedding matrix columns must be orthonormal")
         m = m.copy()
         m.flags.writeable = False
@@ -108,11 +91,15 @@ def vector7(n) -> Multivector:
     return Multivector.from_vector(np.asarray(n, dtype=np.float64), dim=7)
 
 
+def _contract_J(a, e: Embedding | None) -> np.ndarray:
+    """Coefficients of J . N(a), J from `build_J`."""
+    return _product("contract", build_J().value.coeffs, _vector_coeffs(embed(a, e), 7))
+
+
 def standard_score_7(a, lam: int, e: Embedding | None = None) -> Multivector:
     """Grade-2 standardized variable lam * (J . N(a)) in Cl(7,0)."""
     lam = check_orientation(lam)
-    J = build_J().value
-    return float(lam) * contract(J, vector7(embed(a, e)))
+    return Multivector(7, float(lam) * _contract_J(a, e))
 
 
 def raw_score_7(a, lam: int, e: Embedding | None = None) -> Multivector:
@@ -122,6 +109,5 @@ def raw_score_7(a, lam: int, e: Embedding | None = None) -> Multivector:
     `scalar_part` and `grade_norms` read its structure.
     """
     lam = check_orientation(lam)
-    J = build_J().value
-    jn = contract(J, vector7(embed(a, e)))
-    return geometric_product(-1.0 * jn, float(lam) * jn)
+    jn = _contract_J(a, e)
+    return Multivector(7, _product("geometric", -1.0 * jn, float(lam) * jn))

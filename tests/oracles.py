@@ -6,12 +6,15 @@ counting swaps, and cancelling repeated generators with +1 (Euclidean
 metric).  Products of dense multivectors are explicit double loops over all
 blade pairs.
 
-Three references do use the package.  `sign_table_product` evaluates the
+Four references do use the package.  `sign_table_product` evaluates the
 float sign-table formula on the package's Cayley table; it pins the product
 kernel's bytes, while the naive products pin its algebra.
 `abstract_to_embedded` realizes an abstract element through a frame's
 `Multivector` bivectors.  `trial_records` evaluates the raw scores trial by
-trial, the per-trial reference of the estimators.  `flip_kernel_sign` is no
+trial, the per-trial reference of the estimators.  `null_limit_rows` runs
+the null-limit probe one separation at a time through the public
+`Multivector` operations, the reference of the batched probe, and
+`sandwich_rotation` is its rotation, the reference of `rotate_vector`.  `flip_kernel_sign` is no
 reference but a canary: it corrupts one entry of the kernel's index table,
 which the checks that compare against these oracles must catch.
 """
@@ -25,8 +28,19 @@ import numpy as np
 
 from cliffsphere import multivector
 from cliffsphere.epr import lambda_stream, raw_score_alice, raw_score_bob
-from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame
-from cliffsphere.multivector import Multivector, _tables
+from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame, cross
+from cliffsphere.hopf import NullLimitRow, perpendicular_axis
+from cliffsphere.multivector import (
+    Multivector,
+    _tables,
+    contract,
+    geometric_product,
+    norm,
+    reversion,
+    rotor_exp,
+    unit_vector,
+    wedge,
+)
 
 
 def blade_times_blade(a_mask: int, b_mask: int) -> tuple[int, int]:
@@ -186,3 +200,34 @@ def trial_records(a, b, seed: int, n: int) -> list[tuple[int, int, int]]:
         (lam, raw_score_alice(a, lam), raw_score_bob(b, lam))
         for lam in map(int, lambda_stream(seed, n))
     ]
+
+
+def sandwich_rotation(v, axis, angle: float) -> np.ndarray:
+    """v rotated by `angle` about `axis` through `Multivector` operations:
+    R v ~R with R = rotor_exp(I . c, -angle / 2)."""
+    c = Multivector.from_vector(unit_vector(axis), dim=3)
+    R = rotor_exp(contract(Multivector.volume(3), c), -0.5 * angle)
+    v = Multivector.from_vector(np.asarray(v, dtype=np.float64), dim=3)
+    return geometric_product(geometric_product(R, v), reversion(R)).vector_components()
+
+
+def null_limit_rows(a, separations) -> list[NullLimitRow]:
+    """The null-limit probe's rows one separation at a time, each through
+    `sandwich_rotation` and the `Multivector` wedge, contraction and norm;
+    `null_limit_probe` runs all separations as one batch."""
+    a = unit_vector(a)
+    axis = perpendicular_axis(a)
+    rows = []
+    nan3 = (math.nan, math.nan, math.nan)
+    for psi in map(float, separations):
+        a_prime = sandwich_rotation(a, axis, psi)
+        w = wedge(Multivector.from_vector(a, dim=3), Multivector.from_vector(a_prime, dim=3))
+        wedge_norm = norm(w)
+        cross_norm = float(np.linalg.norm(cross(a, a_prime)))
+        if cross_norm == 0.0:
+            rows.append(NullLimitRow(psi, math.nan, nan3, wedge_norm, cross_norm))
+            continue
+        dual = contract(-1.0 * Multivector.volume(3), (1.0 / wedge_norm) * w)
+        axis_row = tuple(float(x) for x in dual.vector_components())
+        rows.append(NullLimitRow(psi, wedge_norm / cross_norm, axis_row, wedge_norm, cross_norm))
+    return rows

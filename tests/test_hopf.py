@@ -29,6 +29,8 @@ from cliffsphere.multivector import (
     scalar_part,
 )
 
+from .oracles import null_limit_rows, sandwich_rotation
+
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
@@ -287,6 +289,31 @@ def test_null_probe_validates_separations():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             null_limit_probe(EX, [bad])
+
+
+def row_bytes(row):
+    return np.array([row.psi_rad, row.magnitude, *row.axis, row.wedge_norm,
+                     row.cross_norm]).tobytes()
+
+
+def test_batched_probe_equals_the_per_separation_path_bit_for_bit():
+    # oracle: the probe one separation at a time through the public
+    # operations; bytes compared, so NaN rows and signed zeros count too
+    rng = np.random.default_rng(9)
+    special = [2 * math.pi, math.pi, 1e-300, 0.0]
+    for trial in range(30):
+        a = EX if trial == 0 else random_unit(rng)
+        seps = {*special, *rng.uniform(0.0, 7.0, size=5), *10.0 ** -rng.uniform(0, 12, size=5)}
+        seps = sorted(seps, reverse=True)
+        for chosen in (seps, seps[1:-1], [0.0], [1e-300]):
+            got = null_limit_probe(a, chosen)
+            want = null_limit_rows(a, chosen)
+            assert [row_bytes(r) for r in got] == [row_bytes(r) for r in want]
+        axis, v = random_unit(rng), rng.normal(size=3)
+        for psi in seps:
+            got = rotate_vector(v, axis, psi)
+            assert got.tobytes() == sandwich_rotation(v, axis, psi).tobytes()
+    assert math.isnan(null_limit_probe(EX, [1e-300, 0.0])[1].magnitude)
 
 
 def test_perpendicular_axis_is_perpendicular():

@@ -27,7 +27,7 @@ from cliffsphere.seven_sphere import (
     vector7,
 )
 
-from .oracles import naive_contract, naive_grade_filter, naive_product
+from .oracles import flip_kernel_sign, naive_contract, naive_grade_filter, naive_product
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -71,6 +71,14 @@ def test_J_reversion_flips_sign():
 
 def test_J_build_is_idempotent():
     assert np.array_equal(build_J().value.coeffs, build_J().value.coeffs)
+
+
+def test_kernel_canary_reaches_J(monkeypatch):
+    # J comes from kernel products: a flipped sign of e1 e2 turns its first
+    # blade e1 e2 e4 negative, which the trivector's validation refuses
+    flip_kernel_sign(monkeypatch, 1, 3)
+    with pytest.raises(ValueError, match="7 unit coefficients"):
+        build_J()
 
 
 def test_seven_trivector_validation():
