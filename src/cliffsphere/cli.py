@@ -73,13 +73,14 @@ from .identities import run_identity_checks
 from .multivector import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    Multivector,
     blade_label,
     contract,
     grade_norms,
     scalar_part,
     unit_vector,
 )
-from .seven_sphere import Embedding, build_J, embed, raw_score_7, standard_score_7, vector7
+from .seven_sphere import Embedding, build_J, embed, raw_score_7, standard_score_7
 
 SEED_ENV_VAR = "CLIFFSPHERE_SEED"
 
@@ -331,7 +332,8 @@ def cmd_s7(args, seed: int) -> _Run:
 
     J = build_J().value
     n7 = embed(a, embedding)
-    terms = _nonzero_terms(contract(J, vector7(n7)))
+    # a public product, not `_product`: perfbench's tracer counts only public products
+    terms = _nonzero_terms(contract(J, Multivector.from_vector(n7, dim=7)))
     raw = raw_score_7(a, args.lam, embedding)
     raw_scalar = scalar_part(raw)
     report = {

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import ORIENTATIONS, _VOLUME3, _structure_coeffs, check_orientation, cross
+from .frames import ORIENTATIONS, _VOLUME3, _score_coeffs, _structure_coeffs, check_orientation
 from .multivector import DEFAULT_TOL, Multivector, _product, _vector_coeffs, unit_vector
 
 
@@ -194,20 +194,13 @@ def _raw_scores(side: Side, ns: np.ndarray, lam: int) -> np.ndarray:
     return np.where(s > 0, 1, -1)
 
 
-def _standard_scores(ns) -> dict[int, np.ndarray]:
-    """(4, N) coefficients over {1, beta_x, beta_y, beta_z} of the standard
-    scores lam n_j beta_j for both orientations, each row of ns renormalized
-    as `standard_score` does."""
-    n = _unit_rows(ns).T
-    return {lam: np.vstack([np.zeros(n.shape[1]), lam * n]) for lam in ORIENTATIONS}
-
-
 def _standard_estimates(a, b, counts: OrientationCounts) -> list[CorrelationEstimate]:
     """`correlation_standard` for the unit rows of a and b: the abstract
     products are evaluated once per orientation for all rows, and every row is
     checked for a lam-independent scalar part and a flipping bivector part."""
-    x, y = _standard_scores(a), _standard_scores(b)
-    plus, minus = (np.array(_structure_coeffs(x[lam], y[lam], -1.0 * lam)) for lam in ORIENTATIONS)
+    x, y = _unit_rows(a), _unit_rows(b)  # renormalized once more, as `standard_score` does
+    plus, minus = (np.array(_structure_coeffs(_score_coeffs(x, lam), _score_coeffs(y, lam), -1.0 * lam))
+                   for lam in ORIENTATIONS)
     if not np.array_equal(plus[0], minus[0]):
         raise TrialConsistencyError("scalar part of the score product must not depend on lam")
     if not np.array_equal(minus[1:], -plus[1:]):
@@ -216,7 +209,7 @@ def _standard_estimates(a, b, counts: OrientationCounts) -> list[CorrelationEsti
     return [
         CorrelationEstimate(float(s), tuple(float(r) for r in counts.lam_mean * c),
                             counts.n, float(np.linalg.norm(ab)) / root_n)
-        for s, c, ab in zip(plus[0], plus[1:].T, cross(a, b))
+        for s, c, ab in zip(plus[0], plus[1:].T, np.cross(a, b))
     ]
 
 
@@ -292,7 +285,7 @@ def marginal_average(n_vec, side: Side, counts: OrientationCounts) -> Correlatio
     side = Side(side)
     total = sum(k * int(_raw_scores(side, n_vec, lam)[0])
                 for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)))
-    components = counts.lam_mean * _standard_scores(n_vec)[1][1:, 0]
+    components = counts.lam_mean * _unit_rows(n_vec)[0]
     stderr = 1.0 / math.sqrt(counts.n)
     return CorrelationEstimate(
         total / counts.n, tuple(float(c) for c in components), counts.n, stderr
@@ -349,7 +342,7 @@ def sweep(spec: SweepSpec, counts: OrientationCounts) -> list[SweepRow]:
 def mean_residual_norms(a, b, seeds, sizes) -> np.ndarray:
     """Seed-averaged residual norm |mean of lam over the first n trials| *
     |a x b| for each n in `sizes` (ascending), from exact prefix counts."""
-    scale = float(np.linalg.norm(cross(unit_vector(a), unit_vector(b))))
+    scale = float(np.linalg.norm(np.cross(unit_vector(a), unit_vector(b))))
     residuals = [
         [abs(c.lam_mean) * scale for c in orientation_prefix_counts(seed, sizes)]
         for seed in seeds

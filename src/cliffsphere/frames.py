@@ -18,7 +18,8 @@ orientation never combine; attempting to mix them raises
 `OrientationMixError`.
 
 The embedded frame is one (3, 8) coefficient array (`_frame_coeffs`), which
-the identity suite reads; `build_frame` wraps its rows as `Multivector`s.
+the identity suite reads; `build_frame` wraps its rows as `Multivector`s.  The
+estimators and the suite build standard scores as (4, N) `_score_coeffs`.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ def check_orientation(lam: int) -> int:
     if lam not in ORIENTATIONS:
         raise ValueError(f"orientation must be +1 or -1, got {lam!r}")
     return int(lam)
-
-
-def cross(a, b) -> np.ndarray:
-    return np.cross(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,6 @@ class AbstractElement:
         """Coefficient 4-vector over the formal basis {1, beta_x, beta_y, beta_z}."""
         return np.array([self.c0, *self.c])
 
-    @staticmethod
-    def scalar(value: float, lam: int) -> "AbstractElement":
-        return AbstractElement(float(value), (0.0, 0.0, 0.0), lam)
-
 
 def _structure_coeffs(x, y, s: float) -> tuple:
     """Product with 1 central and beta_j beta_k = -delta_jk + s * eps_jkl beta_l
@@ -133,6 +126,12 @@ def standard_score(n_vec, lam: int) -> AbstractElement:
     return AbstractElement(0.0, (lam * n[0], lam * n[1], lam * n[2]), lam)
 
 
+def _score_coeffs(n: np.ndarray, lam: int) -> np.ndarray:
+    """(4, N) coefficients [0, lam n] over {1, beta_x, beta_y, beta_z} of the
+    standard scores lam n_j beta_j of the normalized rows n (N, 3)."""
+    return np.vstack([np.zeros(len(n)), lam * n.T])
+
+
 def duality_check(a, b, lam: int) -> float | np.ndarray:
     """Residual of the orientation's duality relation, evaluated in Cl(3,0)
     with the orientation's own trivector lam * I:
@@ -146,7 +145,7 @@ def duality_check(a, b, lam: int) -> float | np.ndarray:
     b = unit_vector(b)
     lhs = _product("wedge", _vector_coeffs(a, 3), _vector_coeffs(b, 3))
     mu = float(lam) * _VOLUME3
-    rhs = float(lam) * _product("contract", mu, _vector_coeffs(cross(a, b), 3))
+    rhs = float(lam) * _product("contract", mu, _vector_coeffs(np.cross(a, b), 3))
     return np.linalg.norm(lhs - rhs, axis=-1)
 
 

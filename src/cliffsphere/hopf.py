@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import _VOLUME3, check_orientation, cross
+from .frames import _VOLUME3, check_orientation
 from .multivector import (
     Multivector, _product, _reversion_sign, _rotor_coeffs, _vector_coeffs, unit_vector)
 
@@ -41,7 +41,7 @@ class DegenerateAxisError(ValueError):
 
 def _axis_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit rotation axis a x b / |a x b| and the angle from a to b about it."""
-    axb = cross(a, b)
+    axb = np.cross(a, b)
     s = float(np.linalg.norm(axb))
     if s <= AXIS_TOL:
         raise DegenerateAxisError(f"|a x b| = {s!r} is too small to define a rotation axis")
@@ -60,11 +60,6 @@ def _vector3(v) -> np.ndarray:
 def _plane_coeffs(axis) -> np.ndarray:
     """Coefficients of I . c, c the axis renormalized by `unit_vector`."""
     return _product("contract", _VOLUME3, _vector3(unit_vector(axis)))
-
-
-def plane_bivector(axis) -> Multivector:
-    """Unit bivector I . c of the plane perpendicular to the unit axis c."""
-    return Multivector(3, _plane_coeffs(axis))
 
 
 def _rotors(B: np.ndarray, angles) -> np.ndarray:
@@ -193,7 +188,7 @@ def perpendicular_axis(a) -> np.ndarray:
     """A deterministic unit axis perpendicular to the unit vector a."""
     a = unit_vector(a)
     ref = np.array([0.0, 0.0, 1.0]) if abs(a[2]) <= 0.9 else np.array([1.0, 0.0, 0.0])
-    axis = cross(a, ref)
+    axis = np.cross(a, ref)
     return axis / np.linalg.norm(axis)
 
 
@@ -219,7 +214,7 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
     w = _product("wedge", va, _vector_coeffs(a_prime, 3))
     # one 1-D norm per row: a batched norm(axis=-1) can round differently
     wedge_norm = np.array([np.linalg.norm(row) for row in w])
-    cross_norm = np.array([np.linalg.norm(row) for row in cross(a, a_prime)])
+    cross_norm = np.array([np.linalg.norm(row) for row in np.cross(a, a_prime)])
     ok = cross_norm != 0.0  # zero separation: the row is undefined
     magnitude = np.divide(wedge_norm, cross_norm, out=np.full(len(seps), math.nan), where=ok)
     axis = np.full((len(seps), 3), math.nan)

@@ -12,8 +12,8 @@ The random-pair checks, the rotor checks and generator anticommutation
 draw all their inputs up front, in the order a per-case loop would, and
 evaluate every case at once on (N, 2**n) coefficient arrays through the
 product kernel; a check's residual is the largest row norm, so a NaN row
-fails it.  The frame checks of each orientation read one (3, 3, 8) table of
-its pair products beta_j beta_k, one batched product per run.  Only
+fails it.  Each orientation's frame checks, score expansion and isomorphism
+included, read one table of its frame and pair products, built once.  Only
 `check_hidden_basis` sees `Multivector`s, which `hidden_basis` returns.
 
 The suite carries its own naive blade multiplier, which shares no code with
@@ -43,6 +43,7 @@ from .frames import (
     AbstractElement,
     OrientationMixError,
     _frame_coeffs,
+    _score_coeffs,
     _structure_coeffs,
     abstract_product,
     duality_check,
@@ -61,6 +62,9 @@ from .multivector import (
 
 #: Fixed bound for associativity (relative) and rotor-rotation (absolute).
 FIXED_TOL = 1e-10
+
+#: Random cases of each rotor check.
+_ROTOR_CASES = 100
 
 
 @dataclass(frozen=True)
@@ -148,19 +152,13 @@ def _worst(rows) -> float:
     return float(np.max(np.linalg.norm(rows, axis=-1)))
 
 
-def _scores(units: np.ndarray, lam: int) -> np.ndarray:
-    """Abstract coefficients (N, 4) of the standard scores lam * n_j beta_j."""
-    n = unit_vector(units)
-    return np.concatenate([np.zeros((len(n), 1)), lam * n], axis=1)
-
-
 #: Coefficients of the scalar 1 of Cl(3,0).
 _ONE3 = np.eye(8)[0]
 
 
-def _frame_matrix(lam: int) -> np.ndarray:
-    """Columns are the coefficient vectors of 1 and the frame's beta_1..beta_3."""
-    return np.stack([_ONE3, *_frame_coeffs(lam)], axis=1)
+def _frame_matrix(frame) -> np.ndarray:
+    """Columns are the coefficient vectors of 1 and beta_1..beta_3 of a frame table."""
+    return np.stack([_ONE3, *frame[0]], axis=1)
 
 
 def _pair_products(rows: np.ndarray) -> np.ndarray:
@@ -224,11 +222,11 @@ def check_product_against_naive_oracle(dim: int, rng, tol: float, n_pairs: int) 
     return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", worst, tol)
 
 
-def check_rotor_rotation(rng, n_cases: int = 100) -> CheckResult:
+def check_rotor_rotation(rng) -> CheckResult:
     """R v ~R turns v by 2 theta in the plane u ^ w, for R = exp(theta u ^ w)."""
     # drawn case by case, so the stream order is that of a per-case loop
     cases = [(rng.normal(size=3), rng.normal(size=3), rng.uniform(-2.0, 2.0),
-              rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n_cases)]
+              rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(_ROTOR_CASES)]
     u, w, theta, su, sw = (np.array(c) for c in zip(*cases))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     w -= np.sum(w * u, axis=1, keepdims=True) * u
@@ -244,9 +242,9 @@ def check_rotor_rotation(rng, n_cases: int = 100) -> CheckResult:
     return CheckResult("rotor sandwich rotates by twice the angle", float(np.max(np.abs(out - want))), FIXED_TOL)
 
 
-def check_rotor_unit(rng, tol: float, n_cases: int = 100) -> CheckResult:
+def check_rotor_unit(rng, tol: float) -> CheckResult:
     """exp((I.c) theta) has unit norm and R ~R = 1."""
-    cases = [(rng.normal(size=3), rng.uniform(-3, 3)) for _ in range(n_cases)]
+    cases = [(rng.normal(size=3), rng.uniform(-3, 3)) for _ in range(_ROTOR_CASES)]
     c, theta = (np.array(x) for x in zip(*cases))
     c /= np.linalg.norm(c, axis=1, keepdims=True)
     B = _product("contract", _VOLUME3, _vector_coeffs(c, 3))
@@ -291,9 +289,9 @@ def check_ordered_product(lam: int, frame) -> CheckResult:
     return CheckResult(f"ordered frame product is {hand} (lam={lam:+d})", residual, 0.0)
 
 
-def check_score_expansion_embedded(lam: int, rng, tol: float, n_pairs: int) -> CheckResult:
+def check_score_expansion_embedded(lam: int, frame, rng, tol: float, n_pairs: int) -> CheckResult:
     """{a_j beta_j}{b_k beta_k} = -a.b - lam (a x b).beta in the lam frame."""
-    M = _frame_matrix(lam)
+    M = _frame_matrix(frame)
     a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
     got = _product("geometric", a @ M[:, 1:].T, b @ M[:, 1:].T)
     want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * np.cross(a, b)], axis=1)
@@ -307,7 +305,8 @@ def check_score_expansion_embedded(lam: int, rng, tol: float, n_pairs: int) -> C
 def check_combined_identity(lam: int, rng, tol: float, n_pairs: int, eps_sign: float) -> CheckResult:
     """(mu.a)(mu.b) = -a.b - mu.(a x b) in the abstract algebra."""
     a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
-    got = np.stack(_structure_coeffs(_scores(a, lam).T, _scores(b, lam).T, eps_sign * lam), axis=1)
+    x, y = (_score_coeffs(unit_vector(n), lam) for n in (a, b))
+    got = np.stack(_structure_coeffs(x, y, eps_sign * lam), axis=1)
     want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * np.cross(a, b)], axis=1)
     return CheckResult(f"combined orientation identity (lam={lam:+d})", _worst(got - want), tol)
 
@@ -318,8 +317,8 @@ def check_duality(lam: int, rng, tol: float, n_pairs: int) -> CheckResult:
     return CheckResult(f"orientation duality relation (lam={lam:+d})", worst, tol)
 
 
-def check_abstract_embedded_isomorphism(lam: int, rng, tol: float, eps_sign: float) -> CheckResult:
-    M = _frame_matrix(lam)
+def check_abstract_embedded_isomorphism(lam: int, frame, rng, tol: float, eps_sign: float) -> CheckResult:
+    M = _frame_matrix(frame)
     x, y = np.moveaxis(rng.normal(size=(200, 2, 4)), 1, 0)
     abstract = np.stack(_structure_coeffs(x.T, y.T, eps_sign * lam), axis=1)
     embedded = _product("geometric", x @ M.T, y @ M.T)
@@ -327,7 +326,7 @@ def check_abstract_embedded_isomorphism(lam: int, rng, tol: float, eps_sign: flo
 
 
 def check_score_square(lam: int, rng, tol: float, eps_sign: float) -> CheckResult:
-    s = _scores(_random_units(rng, 200), lam).T
+    s = _score_coeffs(unit_vector(_random_units(rng, 200)), lam)
     got = np.stack(_structure_coeffs(s, s, eps_sign * lam), axis=1)
     return CheckResult(f"standard score squares to -1 (lam={lam:+d})", _worst(got - [-1.0, 0, 0, 0]), tol)
 
@@ -392,14 +391,14 @@ def run_identity_checks(
         check_ordered_product(1, frames[1]),
         check_ordered_product(-1, frames[-1]),
         check_frame_subalgebra(-1, frames[-1], tolerance),
-        check_score_expansion_embedded(1, rng, tolerance, n_pairs),
-        check_score_expansion_embedded(-1, rng, tolerance, n_pairs),
+        check_score_expansion_embedded(1, frames[1], rng, tolerance, n_pairs),
+        check_score_expansion_embedded(-1, frames[-1], rng, tolerance, n_pairs),
         check_combined_identity(1, rng, tolerance, n_pairs, eps_sign),
         check_combined_identity(-1, rng, tolerance, n_pairs, eps_sign),
         check_duality(1, rng, tolerance, n_pairs),
         check_duality(-1, rng, tolerance, n_pairs),
-        check_abstract_embedded_isomorphism(1, rng, tolerance, eps_sign),
-        check_abstract_embedded_isomorphism(-1, rng, tolerance, eps_sign),
+        check_abstract_embedded_isomorphism(1, frames[1], rng, tolerance, eps_sign),
+        check_abstract_embedded_isomorphism(-1, frames[-1], rng, tolerance, eps_sign),
         check_score_square(1, rng, tolerance, eps_sign),
         check_score_square(-1, rng, tolerance, eps_sign),
         check_vector_basis_flip(),

@@ -187,10 +187,6 @@ class Multivector:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(dim: int) -> "Multivector":
-        return Multivector(dim, np.zeros(1 << dim))
-
-    @staticmethod
     def scalar(dim: int, value: float) -> "Multivector":
         return Multivector.blade(dim, 0, value)
 

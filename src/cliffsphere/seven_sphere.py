@@ -87,10 +87,6 @@ def embed(a, e: Embedding | None = None) -> np.ndarray:
     return e.matrix @ a
 
 
-def vector7(n) -> Multivector:
-    return Multivector.from_vector(np.asarray(n, dtype=np.float64), dim=7)
-
-
 def _contract_J(a, e: Embedding | None) -> np.ndarray:
     """Coefficients of J . N(a), J from `build_J`."""
     return _product("contract", build_J().value.coeffs, _vector_coeffs(embed(a, e), 7))

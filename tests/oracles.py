@@ -28,7 +28,7 @@ import numpy as np
 
 from cliffsphere import multivector
 from cliffsphere.epr import lambda_stream, raw_score_alice, raw_score_bob
-from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame, cross
+from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame
 from cliffsphere.hopf import NullLimitRow, perpendicular_axis
 from cliffsphere.multivector import (
     Multivector,
@@ -223,7 +223,7 @@ def null_limit_rows(a, separations) -> list[NullLimitRow]:
         a_prime = sandwich_rotation(a, axis, psi)
         w = wedge(Multivector.from_vector(a, dim=3), Multivector.from_vector(a_prime, dim=3))
         wedge_norm = norm(w)
-        cross_norm = float(np.linalg.norm(cross(a, a_prime)))
+        cross_norm = float(np.linalg.norm(np.cross(a, a_prime)))
         if cross_norm == 0.0:
             rows.append(NullLimitRow(psi, math.nan, nan3, wedge_norm, cross_norm))
             continue

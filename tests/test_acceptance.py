@@ -28,7 +28,7 @@ from cliffsphere.epr import (
     sweep,
     sweep_directions,
 )
-from cliffsphere.frames import build_frame, cross
+from cliffsphere.frames import build_frame
 from cliffsphere.hopf import (
     null_limit_probe,
     parallel_transport_check,
@@ -42,7 +42,6 @@ from cliffsphere.seven_sphere import (
     build_J,
     embed,
     raw_score_7,
-    vector7,
 )
 
 from .oracles import naive_contract, naive_product
@@ -106,7 +105,7 @@ def test_criterion_04_standard_score_correlation(sweep_csv):
     assert reference == pytest.approx(-float(np.dot(a, b)), abs=1e-16)
     # residual components within 3|a x b|/sqrt(n) for >= 18 of 20 seeds
     n = 100_000
-    bound = 3.0 * float(np.linalg.norm(cross(a, b))) / math.sqrt(n)
+    bound = 3.0 * float(np.linalg.norm(np.cross(a, b))) / math.sqrt(n)
     good = 0
     for seed in SEEDS_20:
         est = correlation_standard(a, b, orientation_counts(seed, n))
@@ -203,7 +202,7 @@ def test_criterion_10_seven_sphere():
         a = random_unit(rng)
         lam = 1 if rng.random() < 0.5 else -1
         report = raw_score_7(a, lam)
-        n7 = vector7(embed(a)).coeffs
+        n7 = Multivector.from_vector(embed(a), dim=7).coeffs
         jn = naive_contract(J.coeffs, n7)
         want = naive_product(-jn, lam * jn)
         assert np.max(np.abs(report.coeffs - want)) < 1e-12

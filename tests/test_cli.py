@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliffsphere import cli, epr
+from cliffsphere import cli, epr, frames, hopf, identities, multivector, seven_sphere
 from cliffsphere.cli import main
 from cliffsphere.epr import lambda_stream
 from cliffsphere.identities import run_identity_checks
@@ -355,12 +355,18 @@ def test_failed_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["null_limit.csv"]
 
 
-#: sha256 of the default-flag data files at seed 42 (ROADMAP).
+#: sha256 of the data file of a run, at seed 42 unless the flags say
+#: otherwise: the default-flag runs (ROADMAP), then the single-pair path and a
+#: sweep that is not the default one.
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN = {
     "simulate": ("correlations.csv", "39667133e080e30c929bce0cd5907994d080f4141755435e9af6625f14c49371"),
     "hopf": ("null_limit.csv", "4440a95edac89419d1e5a52297a4de5962d18abc2c250746eae8a10cc14cc698"),
     "s7": ("s7_report.json", "4cbd95640d0b5db257f803efed3639b6c28e62faacc675236a468f0132a4c4d9"),
+    "simulate --a 0.6,0.8,0 --b 0,0,1 --trials 12345":
+        ("correlations.csv", "d4b4f5bc2984d634d6de0c7249496fa3d15f029c692994edf9448f33296b4667"),
+    "simulate --sweep 10:170:9 --trials 54321 --seed 7":
+        ("correlations.csv", "439b3c52a4be3cf51a34928943838a1d7f3fe0ba7e55e7ec184921de9ea6d6d9"),
 }
 
 
@@ -371,8 +377,31 @@ GOLDEN = {
 def test_default_runs_match_the_golden_digests(tmp_path, monkeypatch, command):
     monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
     name, want = GOLDEN[command]
-    assert main([command, "--out", str(tmp_path)]) == 0
+    assert main([*command.split(), "--out", str(tmp_path)]) == 0
     assert digest(tmp_path / name) == want
+
+
+#: Most product-kernel calls that a default run of each subcommand may make.
+#: No benchmark counter sees `_product`, so a quantity computed twice shows
+#: here first.
+PRODUCT_BUDGET = {"identities": 47, "simulate": 8, "hopf": 23, "s7": 10}
+
+
+@pytest.mark.parametrize("command", sorted(PRODUCT_BUDGET))
+def test_default_runs_stay_within_their_product_budget(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    real, calls = multivector._product, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    # every module that binds the kernel, the defining one included
+    for module in (multivector, frames, epr, identities, hopf, seven_sphere, cli):
+        if vars(module).get("_product") is real:
+            monkeypatch.setattr(module, "_product", counted)
+    assert main([command, "--out", str(tmp_path)]) == 0
+    assert 0 < len(calls) <= PRODUCT_BUDGET[command]
 
 
 #: sha256 of the whole stdout of a run with `--out out`, and its exit code:

@@ -27,7 +27,7 @@ from cliffsphere.epr import (
     sweep,
     sweep_directions,
 )
-from cliffsphere.frames import abstract_product, cross, standard_score
+from cliffsphere.frames import abstract_product, standard_score
 from cliffsphere.multivector import (
     Multivector,
     contract,
@@ -347,7 +347,7 @@ def test_standard_scores_do_not_commute():
         for _ in range(100):
             a, b = random_unit(rng), random_unit(rng)
             got = commutator_norm(a, b, lam)
-            assert abs(got - 2.0 * np.linalg.norm(cross(a, b))) < 1e-12
+            assert abs(got - 2.0 * np.linalg.norm(np.cross(a, b))) < 1e-12
 
 
 def test_standard_commutator_vanishes_for_parallel_directions():
@@ -378,7 +378,7 @@ def test_sweep_rows_share_one_trial_stream():
     lam_mean = lambda_stream(7, 5000).astype(np.int64).sum() / 5000
     for row in rows:
         a, b = sweep_directions(row.theta_deg)
-        expected = -lam_mean * cross(a, b)
+        expected = -lam_mean * np.cross(a, b)
         assert np.max(np.abs(np.asarray(row.residual) - expected)) < 1e-15
 
 
@@ -410,7 +410,7 @@ def reference_row(theta, a, b, counts):
         assert norm(bob - Multivector.scalar(3, -lam)) < 1e-12
         total += k * round(scalar_part(alice)) * round(scalar_part(bob))
     residual = tuple(float(c) for c in counts.lam_mean * np.asarray(products[1].c))
-    stderr = float(np.linalg.norm(cross(a, b))) / math.sqrt(counts.n)
+    stderr = float(np.linalg.norm(np.cross(a, b))) / math.sqrt(counts.n)
     return SweepRow(float(theta), total / counts.n, float(products[1].c0), residual,
                     float(np.linalg.norm(residual)), stderr, counts.n)
 

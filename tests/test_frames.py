@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from cliffsphere.frames import (
     AbstractElement,
     OrientationMixError,
+    _score_coeffs,
     abstract_product,
     build_frame,
-    cross,
     duality_check,
     hidden_basis,
     standard_score,
@@ -23,6 +23,7 @@ from cliffsphere.multivector import (
     grade_part,
     norm,
     scalar_part,
+    unit_vector,
 )
 
 from .oracles import abstract_to_embedded
@@ -136,7 +137,7 @@ def test_orientation_validation():
 
 
 def test_abstract_identity_element():
-    one = AbstractElement.scalar(1.0, -1)
+    one = AbstractElement(1.0, (0.0, 0.0, 0.0), -1)
     x = AbstractElement(0.3, (0.1, -0.2, 0.7), -1)
     got = abstract_product(one, x)
     assert np.array_equal(got.coeffs, x.coeffs)
@@ -202,8 +203,21 @@ def test_score_product_expands_to_dot_and_cross():
         for _ in range(300):
             a, b = random_unit(rng), random_unit(rng)
             got = abstract_product(standard_score(a, lam), standard_score(b, lam))
-            want = np.concatenate(([-np.dot(a, b)], -lam * cross(a, b)))
+            want = np.concatenate(([-np.dot(a, b)], -lam * np.cross(a, b)))
             assert np.linalg.norm(got.coeffs - want) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_score_coeffs_columns_equal_single_standard_scores(lam):
+    # the batched builder of the estimators and the identity suite against
+    # the scalar reference, on rows normalized one by one as the callers do
+    rng = np.random.default_rng(24)
+    ns = rng.normal(size=(200, 3))
+    ns /= np.linalg.norm(ns, axis=1, keepdims=True)
+    got = _score_coeffs(np.array([unit_vector(n) for n in ns]), lam)
+    assert got.shape == (4, 200)
+    for i, n in enumerate(ns):
+        assert np.array_equal(got[:, i], standard_score(n, lam).coeffs)
 
 
 def test_score_product_lambda_plus_one_spec_example():
@@ -211,7 +225,7 @@ def test_score_product_lambda_plus_one_spec_example():
     a, b = random_unit(rng), random_unit(rng)
     got = abstract_product(standard_score(a, 1), standard_score(b, 1))
     assert abs(got.c0 - (-np.dot(a, b))) < 1e-15
-    assert np.linalg.norm(np.asarray(got.c) - (-cross(a, b))) < 1e-15
+    assert np.linalg.norm(np.asarray(got.c) - (-np.cross(a, b))) < 1e-15
 
 
 # -- duality and the combined identity ----------------------------------------------
@@ -230,7 +244,7 @@ def test_duality_residual_vanishes(lam):
 def test_duality_parallel_vectors_both_sides_zero():
     a = np.array([0.6, 0.8, 0.0])
     assert duality_check(a, a, 1) == 0.0
-    assert norm(contract(Multivector.volume(3), Multivector.from_vector(cross(a, a), dim=3))) == 0.0
+    assert norm(contract(Multivector.volume(3), Multivector.from_vector(np.cross(a, a), dim=3))) == 0.0
 
 
 @pytest.mark.parametrize("lam", [1, -1])

@@ -217,10 +217,10 @@ def rotor_unit_by_loop(rng, n_cases, amount):
 def test_batched_rotor_checks_equal_per_case_loops(monkeypatch, amount):
     bumped_rotors(monkeypatch, amount)
     pairs = [
-        (check_rotor_rotation(np.random.default_rng(3), 40).residual,
-         rotor_rotation_by_loop(np.random.default_rng(3), 40, amount)),
-        (check_rotor_unit(np.random.default_rng(4), 1e-12, 40).residual,
-         rotor_unit_by_loop(np.random.default_rng(4), 40, amount)),
+        (check_rotor_rotation(np.random.default_rng(3)).residual,
+         rotor_rotation_by_loop(np.random.default_rng(3), identities._ROTOR_CASES, amount)),
+        (check_rotor_unit(np.random.default_rng(4), 1e-12).residual,
+         rotor_unit_by_loop(np.random.default_rng(4), identities._ROTOR_CASES, amount)),
     ]
     for batched, looped in pairs:
         if amount:

@@ -348,7 +348,7 @@ def test_wedge_antisymmetric_on_vectors(seed):
     rng = np.random.default_rng(seed)
     a = Multivector.from_vector(rng.normal(size=3))
     b = Multivector.from_vector(rng.normal(size=3))
-    assert mv_close(wedge(a, b) + wedge(b, a), Multivector.zero(3), 1e-12)
+    assert mv_close(wedge(a, b) + wedge(b, a), Multivector(3, np.zeros(8)), 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,7 +400,7 @@ def test_grade_part_projects():
 def test_grade_part_idempotent_and_complete(seed, dim):
     rng = np.random.default_rng(seed)
     x = Multivector(dim, rng.normal(size=1 << dim))
-    total = Multivector.zero(dim)
+    total = Multivector(dim, np.zeros(1 << dim))
     for g in range(dim + 1):
         p = grade_part(x, g)
         assert np.array_equal(grade_part(p, g).coeffs, p.coeffs)
@@ -430,7 +430,7 @@ def test_reversion_signs():
 
 
 def test_norm_zero_and_rotor_norm():
-    assert norm(Multivector.zero(3)) == 0.0
+    assert norm(Multivector(3, np.zeros(8))) == 0.0
     B = Multivector.blade(3, 0b011)
     for theta in (0.0, 0.3, 1.0, math.pi):
         assert abs(norm(rotor_exp(B, theta)) - 1.0) < 1e-15
@@ -520,7 +520,7 @@ def test_render_format():
     assert render(x) == "1.0 + 2.0*e12"
     y = -1.5 * e(3, 3) + 0.5 * Multivector.volume(3)
     assert render(y) == "-1.5*e3 + 0.5*e123"
-    assert render(Multivector.zero(3)) == "0.0"
+    assert render(Multivector(3, np.zeros(8))) == "0.0"
     assert str(x - 2.0 * Multivector.blade(3, 0b011) - Multivector.scalar(3, 2.0)) == "-1.0"
 
 

@@ -24,7 +24,6 @@ from cliffsphere.seven_sphere import (
     embed,
     raw_score_7,
     standard_score_7,
-    vector7,
 )
 
 from .oracles import flip_kernel_sign, naive_contract, naive_grade_filter, naive_product
@@ -214,7 +213,7 @@ def test_raw_score_matches_naive_oracle_on_random_directions():
         lam = 1 if rng.random() < 0.5 else -1
         report = raw_score_7(a, lam)
         n = embed(a)
-        jn = naive_contract(J.coeffs, vector7(n).coeffs)
+        jn = naive_contract(J.coeffs, Multivector.from_vector(n, dim=7).coeffs)
         want = naive_product(-jn, lam * jn)
         assert np.max(np.abs(report.coeffs - want)) < 1e-12
 
