@@ -29,6 +29,11 @@ digits with a locale-independent decimal point.
 A refused vector, seed, pair count or trial count is reported with the
 flag, or the environment variable, that it came from.
 
+Quantities that a run would otherwise compute more than once are computed
+once: a ``hopf`` run builds its fiber pair once for the transition and the
+transport residual, and J and the blade labels of a report are built once
+per process.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.  A stdout closed early by its reader ends the printing quietly; the
 run still writes its manifest and exits with its own code.
@@ -64,15 +69,17 @@ from .epr import (
 )
 from .hopf import (
     FiberProbe,
+    _fiber_pair,
+    _transition,
+    _transport,
     null_limit_probe,
-    parallel_transport_check,
     phase_flip_at_pi,
-    transition_relation,
 )
 from .identities import run_identity_checks
 from .multivector import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    MAX_DIM,
     Multivector,
     blade_label,
     contract,
@@ -225,12 +232,17 @@ def _print_lines(lines: list[str]) -> None:
         os.close(devnull)
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
+def _blade_labels(dim: int) -> tuple[str, ...]:
+    """`blade_label` of every mask of Cl(dim,0), in mask order."""
+    return tuple(map(blade_label, range(1 << dim)))
+
+
 def _nonzero_terms(mv) -> dict[str, float]:
-    return {
-        blade_label(mask): float(c)
-        for mask, c in enumerate(mv.coeffs)
-        if c != 0.0
-    }
+    """{blade label: coefficient} of the blades whose coefficient is not
+    zero (+0.0 or -0.0), in mask order."""
+    labels, nz = _blade_labels(mv.dim), np.flatnonzero(mv.coeffs)
+    return {labels[mask]: c for mask, c in zip(nz.tolist(), mv.coeffs[nz].tolist())}
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -300,9 +312,13 @@ def cmd_hopf(args, seed: int) -> _Run:
         rows = null_limit_probe(a, separations)
     except ValueError as exc:
         raise UsageError(f"--limit-separations {args.limit_separations!r}: {exc}") from exc
+    # renormalized as `transition_relation` and `parallel_transport_check`
+    # do, and the fiber pair built once for both
+    a, b = unit_vector(a), unit_vector(b)
+    pair = _fiber_pair(a, b, probe.psi_a)
     residuals = {
-        "transition residual": transition_relation(a, b, probe.psi_a)[2],
-        "transport residual (lam=+1)": parallel_transport_check(a, b, probe.psi_a, 1),
+        "transition residual": _transition(a, b, pair)[2],
+        "transport residual (lam=+1)": _transport(a, b, pair, 1),
         "phase flip at pi residual": phase_flip_at_pi(probe.psi_a)[2],
     }
     text = _csv_text(

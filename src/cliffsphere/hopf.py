@@ -17,6 +17,9 @@ or pi; the sum then rounds at ulp(2 pi), not ulp(psi_a).
 
 Everything runs on coefficient arrays, the probe's separations as one batch
 (each row bit for bit a batch of one); returned values are `Multivector`s.
+The transition and transport checks are public shells over private steps
+that take the fiber pair (c's plane, phi, a', b') ready made, so a caller
+that runs both, as the CLI's `hopf` does, builds the pair once.
 """
 
 from __future__ import annotations
@@ -119,11 +122,17 @@ def transition_relation(a, b, psi_a: float) -> tuple[Multivector, Multivector, f
     and psi_a + phi_ab respectively; the identity is exact for any psi_a.
     """
     a, b = unit_vector(a), unit_vector(b)
-    _, _, a_prime, b_prime = _fiber_pair(a, b, psi_a)
+    lhs, rhs, residual = _transition(a, b, _fiber_pair(a, b, psi_a))
+    return Multivector(3, lhs), Multivector(3, rhs), residual
+
+
+def _transition(a: np.ndarray, b: np.ndarray, pair) -> tuple[np.ndarray, np.ndarray, float]:
+    """`transition_relation` of the unit vectors a, b and their `_fiber_pair`."""
+    _, _, a_prime, b_prime = pair
     v = _vector_coeffs(np.array([a, b, a_prime, b_prime]), 3)
     lhs, ab, aa_prime = _product("geometric", v[[1, 0, 0]], v[[3, 1, 2]])  # b b', a b, a a'
     rhs = _product("geometric", ab, aa_prime)
-    return Multivector(3, lhs), Multivector(3, rhs), float(np.linalg.norm(lhs - rhs))
+    return lhs, rhs, float(np.linalg.norm(lhs - rhs))
 
 
 def _quaternion_coeffs(n, n_prime, lam: int, side_sign: int) -> np.ndarray:
@@ -146,7 +155,12 @@ def parallel_transport_check(a, b, psi_a: float, lam: int) -> float:
     """Residual of (+I.b)(lam I.b') = R_ab {(+I.a)(lam I.a')} with the rotor
     acting by left multiplication and psi_b = psi_a + phi_ab."""
     a, b = unit_vector(a), unit_vector(b)
-    B, phi, a_prime, b_prime = _fiber_pair(a, b, psi_a)
+    return _transport(a, b, _fiber_pair(a, b, psi_a), lam)
+
+
+def _transport(a: np.ndarray, b: np.ndarray, pair, lam: int) -> float:
+    """`parallel_transport_check` of the unit vectors a, b and their `_fiber_pair`."""
+    B, phi, a_prime, b_prime = pair
     lam = check_orientation(lam)
     # each vector renormalized once more, as `quaternion_point` does
     q_b, q_a = _quaternion_coeffs(np.array([unit_vector(b), unit_vector(a)]),

@@ -14,14 +14,16 @@ a scalar (disjoint grade-2 blades commute, so their cross terms survive at
 grade 4), and the grade decomposition makes that structure inspectable
 rather than coercing the output to +-1.
 
-J is built on every call by one batched chain of kernel products over its
-Fano lines; the scores run on coefficient arrays, and a `Multivector` is
-built only for a value that a function returns.
+J is built once per process, by one batched chain of kernel products over
+its Fano lines, and validated as it is built; every later `build_J` returns
+the same read-only value.  The scores run on coefficient arrays, and a
+`Multivector` is built only for a value that a function returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,9 +52,18 @@ class SevenTrivector:
 
 
 def build_J() -> SevenTrivector:
-    """The 7-term trivector, built blade by blade from generator products:
-    one batched product chain (e_i e_j) e_k over the rows of `J_TRIPLES`,
-    the blades then added in triple order from zero."""
+    """The 7-term trivector, built by `_build_J` on the first call in a
+    process and shared after it (its coefficients are read-only).  A plain
+    function over the cache, so that a wrapper of module functions, such as
+    a call tracer, still sees every call."""
+    return _build_J()
+
+
+@lru_cache(maxsize=1)
+def _build_J() -> SevenTrivector:
+    """J built blade by blade from generator products: one batched product
+    chain (e_i e_j) e_k over the rows of `J_TRIPLES`, the blades then added
+    in triple order from zero."""
     i, j, k = (_vector_coeffs(np.eye(7)[[t - 1 for t in col]], 7) for col in zip(*J_TRIPLES))
     blades = _product("geometric", _product("geometric", i, j), k)
     return SevenTrivector(Multivector(7, sum(blades, np.zeros(1 << 7))))

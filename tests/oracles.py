@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cliffsphere import multivector
+from cliffsphere import multivector, seven_sphere
 from cliffsphere.epr import lambda_stream, raw_score_alice, raw_score_bob
 from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame
 from cliffsphere.hopf import NullLimitRow, perpendicular_axis
@@ -169,7 +169,9 @@ def sign_table_product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def flip_kernel_sign(monkeypatch, i, k):
     """Make the product kernel read -y where it reads +y at entry (i, k) of
-    its index table, and the reverse, in every dimension and product."""
+    its index table, and the reverse, in every dimension and product.  J is
+    cached per process, so the flipped kernel gets a fresh, empty J cache:
+    it builds its own J, and the process cache never sees that J."""
     real = multivector._gather_index
 
     def flipped(dim, kind):
@@ -180,6 +182,8 @@ def flip_kernel_sign(monkeypatch, i, k):
         return G
 
     monkeypatch.setattr(multivector, "_gather_index", flipped)
+    monkeypatch.setattr(seven_sphere, "_build_J",
+                        lru_cache(maxsize=1)(seven_sphere._build_J.__wrapped__))
 
 
 def abstract_to_embedded(x: AbstractElement, frame: OrientedFrame) -> Multivector:

@@ -383,13 +383,13 @@ def test_default_runs_match_the_golden_digests(tmp_path, monkeypatch, command):
 
 #: Most product-kernel calls that a default run of each subcommand may make.
 #: No benchmark counter sees `_product`, so a quantity computed twice shows
-#: here first.
-PRODUCT_BUDGET = {"identities": 47, "simulate": 8, "hopf": 23, "s7": 10}
+#: here first.  A hopf run builds its fiber pair once; an s7 run makes 4
+#: calls, plus 2 for J in the first run of a process.
+PRODUCT_BUDGET = {"identities": 47, "simulate": 8, "hopf": 19, "s7": 6}
 
 
-@pytest.mark.parametrize("command", sorted(PRODUCT_BUDGET))
-def test_default_runs_stay_within_their_product_budget(tmp_path, monkeypatch, command):
-    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+def count_kernel_calls(monkeypatch) -> list[str]:
+    """The kind of every product-kernel call made from now on, in order."""
     real, calls = multivector._product, []
 
     def counted(*args):
@@ -400,8 +400,26 @@ def test_default_runs_stay_within_their_product_budget(tmp_path, monkeypatch, co
     for module in (multivector, frames, epr, identities, hopf, seven_sphere, cli):
         if vars(module).get("_product") is real:
             monkeypatch.setattr(module, "_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", sorted(PRODUCT_BUDGET))
+def test_default_runs_stay_within_their_product_budget(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    calls = count_kernel_calls(monkeypatch)
     assert main([command, "--out", str(tmp_path)]) == 0
     assert 0 < len(calls) <= PRODUCT_BUDGET[command]
+
+
+def test_a_later_s7_run_reuses_J(tmp_path, monkeypatch):
+    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["s7", "--out", str(first)]) == 0
+    calls = count_kernel_calls(monkeypatch)
+    assert main(["s7", "--out", str(second)]) == 0
+    # one public contraction, the two score contractions and the raw product
+    assert sorted(calls) == ["contract"] * 3 + ["geometric"]
+    assert (second / "s7_report.json").read_bytes() == (first / "s7_report.json").read_bytes()
 
 
 #: sha256 of the whole stdout of a run with `--out out`, and its exit code:
@@ -429,6 +447,35 @@ def test_stdout_matches_the_golden_digests(tmp_path, monkeypatch, capsys, argv):
     want_code, want = GOLDEN_STDOUT[argv]
     assert main([*argv.split(), "--out", "out"]) == want_code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """(exit code, stdout) of one in-process run of `main`."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(1e-3, 1e3), st.floats(0.5, 179.5))
+@example(2 * math.pi + 0.1, 90.0)
+@example(1e7, 40.0)
+@example(0.01, 90.0)
+def test_hopf_residual_lines_are_the_public_checks(psi_a, phi_deg):
+    # cmd_hopf builds the fiber pair once for both checks; each line must
+    # still print what the public function returns for the CLI's pair
+    phi = math.radians(phi_deg)
+    a, b = np.array([1.0, 0.0, 0.0]), np.array([math.cos(phi), math.sin(phi), 0.0])
+    want = [("transition residual", hopf.transition_relation(a, b, psi_a)[2]),
+            ("transport residual (lam=+1)", hopf.parallel_transport_check(a, b, psi_a, 1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, printed = run_quietly(["hopf", "--psi-a", repr(psi_a), "--phi-deg", repr(phi_deg),
+                                     "--limit-separations", "1e-1", "--out", tmp])
+    assert code == 0
+    assert printed.splitlines()[:2] == [
+        f"{'PASS' if res < cli.HOPF_TOL else 'FAIL'}  {name}: {res:.3e}  (tol {cli.HOPF_TOL:.0e})"
+        for name, res in want]
 
 
 def test_hopf_reruns_identical(tmp_path):
@@ -483,6 +530,25 @@ def test_s7_empty_embedding_file_is_a_usage_error(tmp_path, capsys):
     code = main(["s7", "--embedding", str(empty), "--out", str(tmp_path / "x")])
     assert "no data" in assert_usage_error(capsys, code).err
     assert not (tmp_path / "x").exists()
+
+
+def test_blade_label_table_matches_blade_label():
+    for dim in range(1, multivector.MAX_DIM + 1):
+        assert cli._blade_labels(dim) == tuple(
+            multivector.blade_label(mask) for mask in range(1 << dim))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7, 8])
+def test_nonzero_terms_drop_signed_zeros_as_the_loop_did(dim):
+    rng = np.random.default_rng(dim)
+    coeffs = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300, -1e-300], size=1 << dim)
+    coeffs[0] = -0.0
+    mv = multivector.Multivector(dim, coeffs)
+    want = {multivector.blade_label(mask): float(c)
+            for mask, c in enumerate(mv.coeffs) if c != 0.0}
+    got = cli._nonzero_terms(mv)
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is float for c in got.values())
 
 
 def test_s7_bad_embedding_file(tmp_path):

@@ -1,10 +1,12 @@
 """7-sphere tests: Fano trivector, embeddings, raw/standard score structure."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from cliffsphere import seven_sphere
 from cliffsphere.multivector import (
     Multivector,
     blade_label,
@@ -46,12 +48,16 @@ def random_unit(rng):
 # -- the trivector J --------------------------------------------------------------
 
 
-def test_J_matches_blade_list_exactly():
-    J = build_J().value
+def J_blades():
     expected = np.zeros(128)
     for triple in J_TRIPLES:
         expected[mask_of(*triple)] += 1.0
-    assert np.array_equal(J.coeffs, expected)
+    return expected
+
+
+def test_J_matches_blade_list_exactly():
+    J = build_J().value
+    assert np.array_equal(J.coeffs, J_blades())
     # all seven coefficients are +1: every cyclic triple sorts with an even
     # permutation
     assert np.all(J.coeffs[np.nonzero(J.coeffs)] == 1.0)
@@ -69,7 +75,16 @@ def test_J_reversion_flips_sign():
 
 
 def test_J_build_is_idempotent():
-    assert np.array_equal(build_J().value.coeffs, build_J().value.coeffs)
+    # built once per process and shared: every caller gets the same value,
+    # whose coefficients no caller can change
+    J = build_J()
+    assert build_J() is J
+    assert np.array_equal(J.value.coeffs, J_blades())
+    assert not J.value.coeffs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        J.value.coeffs[0] = 1.0
+    # a plain function, which a tracer that wraps functions can count
+    assert inspect.isfunction(build_J)
 
 
 def test_kernel_canary_reaches_J(monkeypatch):
@@ -78,6 +93,20 @@ def test_kernel_canary_reaches_J(monkeypatch):
     flip_kernel_sign(monkeypatch, 1, 3)
     with pytest.raises(ValueError, match="7 unit coefficients"):
         build_J()
+
+
+def test_kernel_canary_leaves_the_process_J_alone():
+    # the canary builds J in a cache of its own: it neither reads the
+    # process cache nor leaves anything in it
+    J, cache = build_J(), seven_sphere._build_J
+    before = cache.cache_info()
+    with pytest.MonkeyPatch.context() as patch:
+        flip_kernel_sign(patch, 1, 3)
+        with pytest.raises(ValueError, match="7 unit coefficients"):
+            build_J()
+    assert cache.cache_info() == before
+    assert build_J() is J
+    assert np.array_equal(J.value.coeffs, J_blades())
 
 
 def test_seven_trivector_validation():
