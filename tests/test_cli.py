@@ -449,14 +449,6 @@ def test_stdout_matches_the_golden_digests(tmp_path, monkeypatch, capsys, argv):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
-def run_quietly(argv) -> tuple[int, str]:
-    """(exit code, stdout) of one in-process run of `main`."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.floats(1e-3, 1e3), st.floats(0.5, 179.5))
 @example(2 * math.pi + 0.1, 90.0)
@@ -469,11 +461,12 @@ def test_hopf_residual_lines_are_the_public_checks(psi_a, phi_deg):
     a, b = np.array([1.0, 0.0, 0.0]), np.array([math.cos(phi), math.sin(phi), 0.0])
     want = [("transition residual", hopf.transition_relation(a, b, psi_a)[2]),
             ("transport residual (lam=+1)", hopf.parallel_transport_check(a, b, psi_a, 1))]
-    with tempfile.TemporaryDirectory() as tmp:
-        code, printed = run_quietly(["hopf", "--psi-a", repr(psi_a), "--phi-deg", repr(phi_deg),
-                                     "--limit-separations", "1e-1", "--out", tmp])
+    printed = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(printed):
+        code = main(["hopf", "--psi-a", repr(psi_a), "--phi-deg", repr(phi_deg),
+                     "--limit-separations", "1e-1", "--out", tmp])
     assert code == 0
-    assert printed.splitlines()[:2] == [
+    assert printed.getvalue().splitlines()[:2] == [
         f"{'PASS' if res < cli.HOPF_TOL else 'FAIL'}  {name}: {res:.3e}  (tol {cli.HOPF_TOL:.0e})"
         for name, res in want]
 
