@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "epr": (
         "CorrelationEstimate", "OrientationCounts", "Side", "SweepSpec",
-        "correlation_raw", "correlation_row", "correlation_standard",
-        "lambda_stream", "marginal_average", "orientation_counts",
-        "raw_score_alice", "raw_score_bob", "sweep",
+        "correlation_row", "lambda_stream", "marginal_average", "orientation_counts",
+        "sweep",
     ),
     "frames": (
         "AbstractElement", "OrientationMixError", "abstract_product", "build_frame",

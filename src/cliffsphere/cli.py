@@ -75,7 +75,7 @@ from .hopf import (
     null_limit_probe,
     phase_flip_at_pi,
 )
-from .identities import run_identity_checks
+from .identities import MAX_PAIRS, run_identity_checks
 from .multivector import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -253,9 +253,9 @@ _Run = tuple[int, dict, dict[str, str], list[str], dict]
 
 
 def cmd_identities(args, seed: int) -> _Run:
-    if args.pairs < 1:
-        raise UsageError(f"--pairs {args.pairs}: must be >= 1, or the random-pair checks "
-                         "would not run")
+    if not 1 <= args.pairs <= MAX_PAIRS:
+        raise UsageError(f"--pairs {args.pairs}: must lie in [1, {MAX_PAIRS}]: with no pairs "
+                         "the random-pair checks would not run, and more would not fit in memory")
     results = run_identity_checks(
         tolerance=args.tolerance,
         n_pairs=args.pairs,
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
                    help="threshold for the floating algebraic identities")
     p.add_argument("--pairs", type=int, default=1000,
-                   help="random unit-vector pairs per identity (>= 1)")
+                   help=f"random unit-vector pairs per identity (1 to {MAX_PAIRS})")
     p.add_argument("--inject-sign-flip", action="store_true",
                    help="test mode: corrupt a structure constant; the suite must fail")
     p.set_defaults(func=cmd_identities)

@@ -26,13 +26,17 @@ records them in its manifest).
 `orientation_prefix_counts` is the same walk reporting the counts of several
 prefixes at once.
 
-Three averaging procedures are provided: the componentwise average of the
+Three averaging procedures are provided.  The componentwise average of the
 abstract standard-score products over the formal basis {1, beta_x, beta_y,
-beta_z} (scalar part -a.b per trial, fluctuating bivector residual), the
-plain mean of raw-score products (identically -1), and the marginal averages
-of single-side scores (all components tend to 0 at the 1/sqrt(n) rate).
-Both correlation estimators are computed from the same orientation counts
-and reported side by side.
+beta_z} has scalar part -a.b on every trial, so the average carries it
+exactly; only the bivector components fluctuate, with per-component scale
+|a x b| / sqrt(n), the reported stderr.  The plain mean of the raw-score
+products A_i B_i = (+lam)(-lam) is -1 for both orientation values, so it is
+-1 at every direction pair, with zero dispersion.  The marginal averages of
+single-side scores (`marginal_average`) all tend to 0 at the 1/sqrt(n) rate.
+`correlation_row` reports both correlation estimators side by side for one
+direction pair and `sweep` for every angle of a sweep, through the same
+batched code and from the same orientation counts.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import ORIENTATIONS, _VOLUME3, _score_coeffs, _structure_coeffs, check_orientation
+from .frames import ORIENTATIONS, _VOLUME3, _score_coeffs, _structure_coeffs
 from .multivector import DEFAULT_TOL, Multivector, _product, _vector_coeffs, unit_vector
 
 
@@ -126,6 +130,11 @@ def orientation_counts(seed: int, n: int) -> OrientationCounts:
 # -- sweep spec and results ------------------------------------------------------
 
 
+#: Most points of one angle sweep.  A sweep's peak memory grows with its
+#: points (≈1.1 GB at 10**6), so a larger one is refused before it allocates.
+MAX_SWEEP_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Angle sweep in degrees: `steps` points from start to stop inclusive."""
@@ -137,6 +146,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("an angle sweep needs at least 2 points")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise ValueError(f"an angle sweep takes at most {MAX_SWEEP_STEPS} points, "
+                             f"got {self.steps}")
         if not math.isfinite(self.stop_deg - self.start_deg):
             raise ValueError(f"sweep span {self.start_deg}..{self.stop_deg} is not finite")
 
@@ -195,7 +207,7 @@ def _raw_scores(side: Side, ns: np.ndarray, lam: int) -> np.ndarray:
 
 
 def _standard_estimates(a, b, counts: OrientationCounts) -> list[CorrelationEstimate]:
-    """`correlation_standard` for the unit rows of a and b: the abstract
+    """Standard-score estimates for the unit rows of a and b: the abstract
     products are evaluated once per orientation for all rows, and every row is
     checked for a lam-independent scalar part and a flipping bivector part."""
     x, y = _unit_rows(a), _unit_rows(b)  # renormalized once more, as `standard_score` does
@@ -214,7 +226,7 @@ def _standard_estimates(a, b, counts: OrientationCounts) -> list[CorrelationEsti
 
 
 def _raw_means(a, b, counts: OrientationCounts) -> np.ndarray:
-    """`correlation_raw` scalars for the unit rows of a and b: each row's raw
+    """Raw-score product means for the unit rows of a and b: each row's raw
     scores are checked against the per-trial identities A = lam, B = -lam."""
     total = 0
     for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)):
@@ -231,51 +243,7 @@ def _raw_means(a, b, counts: OrientationCounts) -> np.ndarray:
     return total / counts.n
 
 
-# -- raw scores ------------------------------------------------------------------
-
-
-def raw_score_alice(a, lam: int) -> int:
-    """Alice's observed outcome: sign of the scalar (-I.a)(lam I.a).
-
-    The product is evaluated in Cl(3,0) and checked to be scalar to
-    `DEFAULT_TOL`; it equals +1 exactly when lam = +1.
-    """
-    lam = check_orientation(lam)
-    return int(_raw_scores(Side.ALICE, _unit_rows([a]), lam)[0])
-
-
-def raw_score_bob(b, lam: int) -> int:
-    """Bob's observed outcome: sign of the scalar (+I.b)(lam I.b); equals -lam."""
-    lam = check_orientation(lam)
-    return int(_raw_scores(Side.BOB, _unit_rows([b]), lam)[0])
-
-
 # -- estimators ----------------------------------------------------------------------
-
-
-def correlation_standard(a, b, counts: OrientationCounts) -> CorrelationEstimate:
-    """Componentwise average of the abstract standard-score products.
-
-    The scalar component is -a.b on every trial, so the average carries it
-    exactly; only the bivector components fluctuate, with per-component
-    scale |a x b| / sqrt(n).  The average is formed from exact integer
-    orientation counts, making it independent of accumulation order.
-    """
-    return _standard_estimates(_unit_rows([a]), _unit_rows([b]), counts)[0]
-
-
-def correlation_raw(a, b, counts: OrientationCounts) -> CorrelationEstimate:
-    """Arithmetic mean of the raw-score products A_i * B_i.
-
-    The per-trial product depends on lam only, so it is evaluated once per
-    orientation value, for all directions of a sweep in one batch, and
-    verified against the per-trial identities for each direction, which is
-    the same as verifying it trial by trial: it is (+lam)(-lam) = -1 for both
-    values, and the mean is therefore -1 at every direction pair, with zero
-    dispersion.
-    """
-    raw = _raw_means(_unit_rows([a]), _unit_rows([b]), counts)[0]
-    return CorrelationEstimate(float(raw), (0.0, 0.0, 0.0), counts.n, 0.0)
 
 
 def marginal_average(n_vec, side: Side, counts: OrientationCounts) -> CorrelationEstimate:
@@ -285,7 +253,7 @@ def marginal_average(n_vec, side: Side, counts: OrientationCounts) -> Correlatio
     side = Side(side)
     total = sum(k * int(_raw_scores(side, n_vec, lam)[0])
                 for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)))
-    components = counts.lam_mean * _unit_rows(n_vec)[0]
+    components = counts.lam_mean * n_vec[0]
     stderr = 1.0 / math.sqrt(counts.n)
     return CorrelationEstimate(
         total / counts.n, tuple(float(c) for c in components), counts.n, stderr

@@ -142,15 +142,6 @@ def _quaternion_coeffs(n, n_prime, lam: int, side_sign: int) -> np.ndarray:
     return _product("geometric", left, right)
 
 
-def quaternion_point(n, n_prime, lam: int, side_sign: int) -> Multivector:
-    """The 3-sphere point (side_sign * I.n)(lam * I.n'); unit norm, with
-    scalar part -side_sign * lam * (n . n')."""
-    if side_sign not in (1, -1):
-        raise ValueError("side_sign must be +1 or -1")
-    lam = check_orientation(lam)
-    return Multivector(3, _quaternion_coeffs(unit_vector(n), unit_vector(n_prime), lam, side_sign))
-
-
 def parallel_transport_check(a, b, psi_a: float, lam: int) -> float:
     """Residual of (+I.b)(lam I.b') = R_ab {(+I.a)(lam I.a')} with the rotor
     acting by left multiplication and psi_b = psi_a + phi_ab."""
@@ -162,7 +153,7 @@ def _transport(a: np.ndarray, b: np.ndarray, pair, lam: int) -> float:
     """`parallel_transport_check` of the unit vectors a, b and their `_fiber_pair`."""
     B, phi, a_prime, b_prime = pair
     lam = check_orientation(lam)
-    # each vector renormalized once more, as `quaternion_point` does
+    # each vector renormalized once more; dropping it changes the residual's last bits
     q_b, q_a = _quaternion_coeffs(np.array([unit_vector(b), unit_vector(a)]),
                                   np.array([unit_vector(b_prime), unit_vector(a_prime)]), lam, +1)
     transported = _product("geometric", _rotors(B, [phi])[0], q_a)

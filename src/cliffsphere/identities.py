@@ -66,6 +66,10 @@ FIXED_TOL = 1e-10
 #: Random cases of each rotor check.
 _ROTOR_CASES = 100
 
+#: Most random unit-vector pairs of one suite.  Peak memory grows with the
+#: pairs (≈390 MB at 10**6), so a larger count is refused before it allocates.
+MAX_PAIRS = 10**6
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -377,6 +381,8 @@ def run_identity_checks(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1: the random-pair checks would not run")
+    if n_pairs > MAX_PAIRS:
+        raise ValueError(f"n_pairs must be <= {MAX_PAIRS}, got {n_pairs}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     eps_sign = 1.0 if inject_sign_flip else -1.0

@@ -6,12 +6,14 @@ counting swaps, and cancelling repeated generators with +1 (Euclidean
 metric).  Products of dense multivectors are explicit double loops over all
 blade pairs.
 
-Four references do use the package.  `sign_table_product` evaluates the
+Six references do use the package.  `sign_table_product` evaluates the
 float sign-table formula on the package's Cayley table; it pins the product
 kernel's bytes, while the naive products pin its algebra.
 `abstract_to_embedded` realizes an abstract element through a frame's
-`Multivector` bivectors.  `trial_records` evaluates the raw scores trial by
-trial, the per-trial reference of the estimators.  `null_limit_rows` runs
+`Multivector` bivectors.  `raw_score` builds one side's raw score
+(side_sign I.n)(lam I.n) from the public `Multivector` contraction and
+geometric product, and `trial_records` evaluates it trial by trial, the
+per-trial reference of the estimators.  `null_limit_rows` runs
 the null-limit probe one separation at a time through the public
 `Multivector` operations, the reference of the batched probe, and
 `sandwich_rotation` is its rotation, the reference of `rotate_vector`.  `flip_kernel_sign` is no
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from cliffsphere import multivector, seven_sphere
-from cliffsphere.epr import lambda_stream, raw_score_alice, raw_score_bob
+from cliffsphere.epr import lambda_stream
 from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame
 from cliffsphere.hopf import NullLimitRow, perpendicular_axis
 from cliffsphere.multivector import (
@@ -38,6 +40,7 @@ from cliffsphere.multivector import (
     norm,
     reversion,
     rotor_exp,
+    scalar_part,
     unit_vector,
     wedge,
 )
@@ -196,12 +199,23 @@ def abstract_to_embedded(x: AbstractElement, frame: OrientedFrame) -> Multivecto
     return out
 
 
+def raw_score(side_sign: int, n, lam: int) -> int:
+    """Sign of the scalar (side_sign I.n)(lam I.n) for the unit vector n,
+    through `Multivector` operations: Alice's score for side_sign = -1, Bob's
+    for +1.  The product must be a unit scalar."""
+    i_n = contract(Multivector.volume(3), Multivector.from_vector(unit_vector(n), dim=3))
+    product = geometric_product(float(side_sign) * i_n, float(lam) * i_n)
+    s = scalar_part(product)
+    assert norm(product - Multivector.scalar(3, s)) < 1e-12 and abs(abs(s) - 1.0) < 1e-12, product
+    return 1 if s > 0 else -1
+
+
 def trial_records(a, b, seed: int, n: int) -> list[tuple[int, int, int]]:
     """(lam, Alice's raw score, Bob's raw score) of trials 0..n-1, one
-    multivector evaluation per side and trial; the estimators instead
+    `raw_score` evaluation per side and trial; the estimators instead
     evaluate once per orientation value and weight by the counts."""
     return [
-        (lam, raw_score_alice(a, lam), raw_score_bob(b, lam))
+        (lam, raw_score(-1, a, lam), raw_score(+1, b, lam))
         for lam in map(int, lambda_stream(seed, n))
     ]
 

@@ -16,14 +16,13 @@ import pytest
 
 from cliffsphere.cli import main
 from cliffsphere.epr import (
+    OrientationCounts,
     Side,
     SweepSpec,
-    correlation_standard,
+    correlation_row,
     marginal_average,
     mean_residual_norms,
     orientation_counts,
-    raw_score_alice,
-    raw_score_bob,
     residual_convergence_slope,
     sweep,
     sweep_directions,
@@ -85,11 +84,12 @@ def test_criterion_02_handedness_detectors():
 
 
 def test_criterion_03_raw_scores():
+    # the marginal average over one trial is that trial's raw score
     rng = np.random.default_rng(303)
-    for lam in (1, -1):
+    for lam, one_trial in ((1, OrientationCounts(1, 1, 0)), (-1, OrientationCounts(1, 0, 1))):
         for _ in range(1000):
-            assert raw_score_alice(random_unit(rng), lam) == lam
-            assert raw_score_bob(random_unit(rng), lam) == -lam
+            assert marginal_average(random_unit(rng), Side.ALICE, one_trial).scalar == lam
+            assert marginal_average(random_unit(rng), Side.BOB, one_trial).scalar == -lam
     print("\nACCEPTANCE 3: PASS (raw scores lam / -lam over 1000 directions x both)")
 
 
@@ -99,17 +99,17 @@ def test_criterion_04_standard_score_correlation(sweep_csv):
     # scalar equals -a.b for every n, exactly
     reference = None
     for n in (1, 3, 100, 4096):
-        est = correlation_standard(a, b, orientation_counts(8, n))
-        reference = est.scalar if reference is None else reference
-        assert est.scalar == reference
+        row = correlation_row(0.0, a, b, orientation_counts(8, n))
+        reference = row.std_scalar if reference is None else reference
+        assert row.std_scalar == reference
     assert reference == pytest.approx(-float(np.dot(a, b)), abs=1e-16)
     # residual components within 3|a x b|/sqrt(n) for >= 18 of 20 seeds
     n = 100_000
     bound = 3.0 * float(np.linalg.norm(np.cross(a, b))) / math.sqrt(n)
     good = 0
     for seed in SEEDS_20:
-        est = correlation_standard(a, b, orientation_counts(seed, n))
-        if all(abs(c) < bound for c in est.residual_coeffs):
+        row = correlation_row(0.0, a, b, orientation_counts(seed, n))
+        if all(abs(c) < bound for c in row.residual):
             good += 1
     assert good >= 18, f"only {good}/20 seeds inside the bound"
     # the 60-degree row of the recorded sweep reads -0.5 to 1e-15

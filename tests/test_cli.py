@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -114,6 +115,24 @@ def test_simulate_rejects_bad_sweep(tmp_path, capsys):
             warnings.simplefilter("error")
             code = main(["simulate", "--out", out, "--sweep", spec])
         assert_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["simulate", "--sweep", "0:180:1099511627776"], "bad sweep '0:180:1099511627776': "),
+    (["identities", "--pairs", "1099511627776"], "--pairs 1099511627776: must lie in "),
+], ids=["simulate-sweep", "identities-pairs"])
+def test_inputs_too_large_to_hold_are_refused_before_allocating(tmp_path, capsys, argv, refused):
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path / "x")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    printed = assert_usage_error(capsys, code)
+    assert printed.err.startswith(f"error: {refused}")
+    assert printed.out == ""
+    assert peak < 4 * 2**20
+    assert not (tmp_path / "x").exists()
 
 
 def test_seed_env_var_and_flag_override(tmp_path, monkeypatch):

@@ -14,16 +14,12 @@ from cliffsphere.epr import (
     Side,
     SweepRow,
     SweepSpec,
-    correlation_raw,
     correlation_row,
-    correlation_standard,
     lambda_stream,
     marginal_average,
     mean_residual_norms,
     orientation_counts,
     orientation_prefix_counts,
-    raw_score_alice,
-    raw_score_bob,
     sweep,
     sweep_directions,
 )
@@ -37,7 +33,7 @@ from cliffsphere.multivector import (
     unit_vector,
 )
 
-from .oracles import trial_records
+from .oracles import raw_score, trial_records
 
 # First ten orientations under seed 42, frozen to pin the stream contract.
 SEED42_PREFIX = [-1, 1, 1, 1, 1, -1, 1, -1, -1, 1]
@@ -49,6 +45,15 @@ EY = np.array([0.0, 1.0, 0.0])
 def random_unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+#: Counts of one trial at each orientation: the marginal average over them
+#: is the package's raw score of one side at that orientation.
+ONE_TRIAL = {1: OrientationCounts(1, 1, 0), -1: OrientationCounts(1, 0, 1)}
+
+
+def score(n_vec, side, lam):
+    return marginal_average(n_vec, side, ONE_TRIAL[lam]).scalar
 
 
 # -- orientation sampling ---------------------------------------------------------
@@ -161,19 +166,29 @@ def test_raw_scores_follow_orientation(lam):
     rng = np.random.default_rng(100 + lam)
     for _ in range(1000):
         a = random_unit(rng)
-        assert raw_score_alice(a, lam) == lam
-        assert raw_score_bob(a, lam) == -lam
+        assert score(a, Side.ALICE, lam) == lam
+        assert score(a, Side.BOB, lam) == -lam
 
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_raw_scores_do_not_depend_on_direction(lam):
     # non-contextuality: for fixed lam, changing a (or b) never changes the score
     rng = np.random.default_rng(200 + lam)
-    a_ref = raw_score_alice(random_unit(rng), lam)
-    b_ref = raw_score_bob(random_unit(rng), lam)
+    a_ref = score(random_unit(rng), Side.ALICE, lam)
+    b_ref = score(random_unit(rng), Side.BOB, lam)
     for _ in range(100):
-        assert raw_score_alice(random_unit(rng), lam) == a_ref
-        assert raw_score_bob(random_unit(rng), lam) == b_ref
+        assert score(random_unit(rng), Side.ALICE, lam) == a_ref
+        assert score(random_unit(rng), Side.BOB, lam) == b_ref
+
+
+def test_one_trial_marginals_equal_the_multivector_raw_score():
+    # oracle: (side_sign I.n)(lam I.n) built from public Multivector operations
+    rng = np.random.default_rng(150)
+    for _ in range(1000):
+        n_vec = random_unit(rng)
+        for side, side_sign in ((Side.ALICE, -1), (Side.BOB, 1)):
+            for lam in (1, -1):
+                assert score(n_vec, side, lam) == raw_score(side_sign, n_vec, lam)
 
 
 @pytest.mark.parametrize("lam", [1, -1])
@@ -193,11 +208,11 @@ def test_raw_product_is_minus_one_by_direct_evaluation(lam):
 
 def test_raw_scores_reject_bad_inputs():
     with pytest.raises(ValueError, match="unit vector"):
-        raw_score_alice([2.0, 0.0, 0.0], 1)
-    with pytest.raises(ValueError, match="orientation"):
-        raw_score_bob(EX, 0)
+        score([2.0, 0.0, 0.0], Side.ALICE, 1)
+    with pytest.raises(ValueError, match="not a valid Side"):
+        score(EX, "carol", 1)
     with pytest.raises(ValueError, match="one-dimensional"):
-        raw_score_alice([[1.0, 0.0, 0.0]], 1)
+        score([[1.0, 0.0, 0.0]], Side.ALICE, 1)
 
 
 # -- trial records -------------------------------------------------------------------
@@ -215,7 +230,7 @@ def test_trial_records_satisfy_per_trial_identities():
 def test_trial_records_match_estimators():
     records = trial_records(EX, EY, 13, 400)
     raw_mean = sum(alice * bob for _, alice, bob in records) / len(records)
-    assert raw_mean == correlation_raw(EX, EY, orientation_counts(13, 400)).scalar
+    assert raw_mean == correlation_row(90.0, EX, EY, orientation_counts(13, 400)).raw_mean
 
 
 # -- standard-score estimator ----------------------------------------------------------
@@ -225,7 +240,7 @@ def test_standard_scalar_is_exact_and_trial_independent():
     rng = np.random.default_rng(4)
     a, b = random_unit(rng), random_unit(rng)
     values = {
-        n: correlation_standard(a, b, orientation_counts(42, n)).scalar
+        n: correlation_row(0.0, a, b, orientation_counts(42, n)).std_scalar
         for n in (1, 2, 3, 17, 1000)
     }
     assert len(set(values.values())) == 1
@@ -233,27 +248,27 @@ def test_standard_scalar_is_exact_and_trial_independent():
 
 
 def test_standard_equal_directions():
-    est = correlation_standard(EX, EX, orientation_counts(1, 1000))
-    assert est.scalar == -1.0
-    assert est.residual_coeffs == (0.0, 0.0, 0.0)
-    assert est.stderr == 0.0
+    row = correlation_row(0.0, EX, EX, orientation_counts(1, 1000))
+    assert row.std_scalar == -1.0
+    assert row.residual == (0.0, 0.0, 0.0)
+    assert row.stderr == 0.0
 
 
 def test_standard_perpendicular_directions_large_n():
     n = 10**6
-    est = correlation_standard(EX, EY, orientation_counts(1234, n))
-    assert est.scalar == 0.0
+    row = correlation_row(90.0, EX, EY, orientation_counts(1234, n))
+    assert row.std_scalar == 0.0
     bound = 3.0 / math.sqrt(n)
-    for c in est.residual_coeffs:
+    for c in row.residual:
         assert abs(c) < bound
-    assert est.stderr == pytest.approx(1.0 / math.sqrt(n))
+    assert row.stderr == pytest.approx(1.0 / math.sqrt(n))
 
 
 def test_standard_sixty_degrees_reads_minus_half():
     a, b = sweep_directions(60.0)
-    est = correlation_standard(a, b, orientation_counts(42, 10**5))
-    assert abs(est.scalar - (-0.5)) < 1e-15
-    assert est.residual_norm < 3.0 * est.stderr
+    row = correlation_row(60.0, a, b, orientation_counts(42, 10**5))
+    assert abs(row.std_scalar - (-0.5)) < 1e-15
+    assert row.residual_norm < 3.0 * row.stderr
 
 
 def test_standard_matches_literal_per_trial_average():
@@ -271,8 +286,8 @@ def test_standard_matches_literal_per_trial_average():
     literal = np.array(
         [math.fsum(col) / counts.n for col in np.array(per_trial).T]
     )
-    est = correlation_standard(a, b, counts)
-    got = np.array([est.scalar, *est.residual_coeffs])
+    row = correlation_row(0.0, a, b, counts)
+    got = np.array([row.std_scalar, *row.residual])
     assert np.max(np.abs(got - literal)) < 1e-15
 
 
@@ -283,16 +298,12 @@ def test_raw_estimator_is_minus_one_everywhere():
     rng = np.random.default_rng(8)
     for n, seed in ((1, 0), (10, 5), (1000, 9), (10**5, 42)):
         a, b = random_unit(rng), random_unit(rng)
-        est = correlation_raw(a, b, orientation_counts(seed, n))
-        assert est.scalar == -1.0
-        assert est.residual_coeffs == (0.0, 0.0, 0.0)
-        assert est.stderr == 0.0
+        assert correlation_row(0.0, a, b, orientation_counts(seed, n)).raw_mean == -1.0
 
 
 def test_raw_estimator_equal_directions_matches_singlet_point():
-    est = correlation_raw(EX, EX, orientation_counts(3, 100))
-    std = correlation_standard(EX, EX, orientation_counts(3, 100))
-    assert est.scalar == std.scalar == -1.0
+    row = correlation_row(0.0, EX, EX, orientation_counts(3, 100))
+    assert row.raw_mean == row.std_scalar == -1.0
 
 
 # -- marginals ------------------------------------------------------------------------
@@ -386,10 +397,7 @@ def test_correlation_row_reports_both_estimators():
     a, b = sweep_directions(40.0)
     counts = orientation_counts(5, 777)
     row = correlation_row(40, a, b, counts)
-    std, raw = correlation_standard(a, b, counts), correlation_raw(a, b, counts)
-    assert (row.theta_deg, row.raw_mean, row.n) == (40.0, raw.scalar, 777)
-    assert (row.std_scalar, row.residual, row.stderr) == (
-        std.scalar, std.residual_coeffs, std.stderr)
+    assert repr(row) == repr(reference_row(40, a, b, counts))
     assert row == sweep(SweepSpec(0.0, 40.0, 2), counts)[1]
 
 
@@ -495,6 +503,9 @@ def test_estimators_read_only_the_counts_they_are_given(monkeypatch):
 def test_sweep_requires_angle_spec():
     with pytest.raises(ValueError, match="2 points"):
         SweepSpec(steps=1)
+    assert SweepSpec(steps=10**6).steps == epr.MAX_SWEEP_STEPS
+    with pytest.raises(ValueError, match="at most 1000000 points, got 1000001"):
+        SweepSpec(steps=10**6 + 1)
     for start, stop in ((0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (1e308, -1e308)):
         with pytest.raises(ValueError, match="not finite"):
             SweepSpec(start, stop, 3)

@@ -14,10 +14,10 @@ from cliffsphere.hopf import (
     parallel_transport_check,
     perpendicular_axis,
     phase_flip_at_pi,
-    quaternion_point,
     rotate_vector,
     transition_relation,
     _axis_between,
+    _quaternion_coeffs,
 )
 from cliffsphere.multivector import (
     Multivector,
@@ -27,6 +27,7 @@ from cliffsphere.multivector import (
     reversion,
     rotor_exp,
     scalar_part,
+    unit_vector,
 )
 
 from .oracles import null_limit_rows, sandwich_rotation
@@ -52,6 +53,11 @@ def plane(c):
     """Unit bivector I . c of the plane perpendicular to the unit axis c, from
     the public products: a reference that shares no `hopf` code."""
     return contract(Multivector.volume(3), Multivector.from_vector(c))
+
+
+def quaternion(n, n_prime, lam, side_sign):
+    """The 3-sphere point (side_sign I.n)(lam I.n') of the unit vectors n, n'."""
+    return Multivector(3, _quaternion_coeffs(unit_vector(n), unit_vector(n_prime), lam, side_sign))
 
 
 def rodrigues(v, k, psi):
@@ -177,7 +183,7 @@ def test_transport_matches_exponential_bookkeeping():
     # -exp((I.c)(phi + psi_a))
     psi_a = 0.01
     phi = math.pi / 2
-    lhs = quaternion_point(EY, rotate_vector(EY, EZ, psi_a + phi), 1, +1)
+    lhs = quaternion(EY, rotate_vector(EY, EZ, psi_a + phi), 1, +1)
     expected = -1.0 * rotor_exp(plane(EZ), phi + psi_a)
     assert norm(lhs - expected) < 1e-12
 
@@ -222,13 +228,13 @@ def test_quaternion_points_lie_on_unit_sphere():
         n, m = random_unit(rng), random_unit(rng)
         lam = 1 if rng.random() < 0.5 else -1
         side = 1 if rng.random() < 0.5 else -1
-        q = quaternion_point(n, m, lam, side)
+        q = quaternion(n, m, lam, side)
         assert abs(norm(q) - 1.0) < 1e-12
         assert abs(scalar_part(q) - (-side * lam * np.dot(n, m))) < 1e-12
 
 
 def test_quaternion_point_parallel_case():
-    q = quaternion_point(EX, EX, 1, +1)
+    q = quaternion(EX, EX, 1, +1)
     assert norm(q - Multivector.scalar(3, -1.0)) < 1e-15
 
 
@@ -238,16 +244,10 @@ def test_alice_and_bob_quaternions_differ():
     c = EZ
     a, b = EX, EY
     phi = math.pi / 2
-    q_a = quaternion_point(a, rotate_vector(a, c, psi_a), 1, +1)
-    q_b = quaternion_point(b, rotate_vector(b, c, psi_a + phi), 1, +1)
+    q_a = quaternion(a, rotate_vector(a, c, psi_a), 1, +1)
+    q_b = quaternion(b, rotate_vector(b, c, psi_a + phi), 1, +1)
     assert norm(q_a - q_b) > 1.0
 
-
-def test_quaternion_point_validation():
-    with pytest.raises(ValueError, match="side_sign"):
-        quaternion_point(EX, EY, 1, 2)
-    with pytest.raises(ValueError, match=r"orientation must be \+1 or -1, got 0"):
-        quaternion_point(EX, EY, 0, 1)
 
 
 # -- null-bivector limit probe ----------------------------------------------------------

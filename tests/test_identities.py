@@ -120,6 +120,11 @@ def test_suites_refuse_to_run_without_random_pairs():
         run_identity_checks(n_pairs=0)
 
 
+def test_suites_refuse_more_pairs_than_fit_in_memory():
+    with pytest.raises(ValueError, match=r"n_pairs must be <= 1000000, got 1000001"):
+        run_identity_checks(n_pairs=identities.MAX_PAIRS + 1)
+
+
 # -- the naive oracle ------------------------------------------------------------------
 
 
