@@ -26,8 +26,9 @@ place with ``os.replace``, so a name never holds a partly written file and
 no manifest describes other bytes.  Numeric CSV fields carry 17 significant
 digits with a locale-independent decimal point.
 
-A refused vector, seed, pair count or trial count is reported with the
-flag, or the environment variable, that it came from.
+Every refused input is reported with the flag, or the environment
+variable, that it came from: each is parsed and validated inside
+`_refused`, and `main` reads no other error as a usage error.
 
 Quantities that a run would otherwise compute more than once are computed
 once: a ``hopf`` run builds its fiber pair once for the transition and the
@@ -35,8 +36,9 @@ transport residual, and J and the blade labels of a report are built once
 per process.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error.  A stdout closed early by its reader ends the printing quietly; the
-run still writes its manifest and exits with its own code.
+error, 3 internal fault, with its traceback.  A stdout closed early by its
+reader ends the printing quietly; the run still writes its manifest and
+exits with its own code.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import json
 import math
 import os
 import sys
+import traceback
 import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -70,6 +73,7 @@ from .epr import (
 from .hopf import (
     FiberProbe,
     _fiber_pair,
+    _separations,
     _transition,
     _transport,
     null_limit_probe,
@@ -97,10 +101,23 @@ HOPF_TOL = 1e-10
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(ValueError):
     """Bad flag value or configuration input."""
+
+
+@contextlib.contextmanager
+def _refused(label: str):
+    """Raise a `ValueError` from inside as a `UsageError` that starts with
+    `label`, the flag or variable of the input.  Only the parsing and
+    validation of that input run inside, never a computation on it, so a
+    fault is never relabelled as bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{label}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -117,48 +134,28 @@ def _sha256(path: Path) -> str:
 
 
 def _parse_vector(flag: str, text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"{flag} {text!r}: expected 'x,y,z'")
-    try:
+    with _refused(f"{flag} {text!r}"):
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise ValueError("expected 'x,y,z'")
         return unit_vector(np.array([float(p) for p in parts]))
-    except ValueError as exc:
-        raise UsageError(f"{flag} {text!r}: {exc}") from exc
 
 
 def _parse_sweep(text: str) -> SweepSpec:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"expected 'START:STOP:STEPS', got {text!r}")
-    try:
-        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-        return SweepSpec(start_deg=start, stop_deg=stop, steps=steps)
-    except ValueError as exc:
-        raise UsageError(f"bad sweep {text!r}: {exc}") from exc
-
-
-def _parse_separations(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad separation list {text!r}: {exc}") from exc
+    with _refused(f"--sweep {text!r}"):
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError("expected 'START:STOP:STEPS'")
+        return SweepSpec(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
 def _resolve_seed(flag_value: int | None) -> int:
     """The run's seed from the flag, else the environment, else the default;
-    every subcommand requires it to lie in [0, 2**64).  A refused value is
-    blamed on the flag or the environment variable it came from."""
-    source, seed = "--seed", flag_value
-    if seed is None:
-        source, env = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    try:
+    every subcommand requires it to lie in [0, 2**64)."""
+    from_flag = flag_value is not None
+    with _refused("--seed" if from_flag else SEED_ENV_VAR):
+        seed = flag_value if from_flag else int(os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)))
         _check_seed(seed)
-    except ValueError as exc:
-        raise UsageError(f"{source}: {exc}") from exc
     return seed
 
 
@@ -256,6 +253,8 @@ def cmd_identities(args, seed: int) -> _Run:
     if not 1 <= args.pairs <= MAX_PAIRS:
         raise UsageError(f"--pairs {args.pairs}: must lie in [1, {MAX_PAIRS}]: with no pairs "
                          "the random-pair checks would not run, and more would not fit in memory")
+    if not 0.0 <= args.tolerance < math.inf:
+        raise UsageError(f"--tolerance {args.tolerance:g}: must be finite and >= 0")
     results = run_identity_checks(
         tolerance=args.tolerance,
         n_pairs=args.pairs,
@@ -301,24 +300,16 @@ def cmd_simulate(args, seed: int) -> _Run:
 
 
 def cmd_hopf(args, seed: int) -> _Run:
-    try:
+    with _refused(f"--psi-a {args.psi_a!r}, --phi-deg {args.phi_deg!r}"):
         probe = FiberProbe(args.psi_a, math.radians(args.phi_deg))
-    except ValueError as exc:
-        raise UsageError(f"--psi-a {args.psi_a!r}, --phi-deg {args.phi_deg!r}: {exc}") from exc
+    with _refused(f"--limit-separations {args.limit_separations!r}"):
+        separations = _separations(p for p in args.limit_separations.split(",") if p.strip())
     a = np.array([1.0, 0.0, 0.0])
-    b = np.array([math.cos(probe.phi), math.sin(probe.phi), 0.0])
-    separations = _parse_separations(args.limit_separations)
-    try:
-        rows = null_limit_probe(a, separations)
-    except ValueError as exc:
-        raise UsageError(f"--limit-separations {args.limit_separations!r}: {exc}") from exc
-    # renormalized as `transition_relation` and `parallel_transport_check`
-    # do, and the fiber pair built once for both
-    a, b = unit_vector(a), unit_vector(b)
-    pair = _fiber_pair(a, b, probe.psi_a)
+    rows = null_limit_probe(a, separations)
+    pair = _fiber_pair(a, [math.cos(probe.phi), math.sin(probe.phi), 0.0], probe.psi_a)
     residuals = {
-        "transition residual": _transition(a, b, pair)[2],
-        "transport residual (lam=+1)": _transport(a, b, pair, 1),
+        "transition residual": _transition(pair)[2],
+        "transport residual (lam=+1)": _transport(pair, 1),
         "phase flip at pi residual": phase_flip_at_pi(probe.psi_a)[2],
     }
     text = _csv_text(
@@ -344,7 +335,7 @@ def cmd_s7(args, seed: int) -> _Run:
                 warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty file
                 embedding = Embedding(np.loadtxt(args.embedding))
         except (OSError, ValueError, UserWarning) as exc:
-            raise UsageError(f"bad isometry file {args.embedding!r}: {exc}") from exc
+            raise UsageError(f"--embedding {args.embedding!r}: {exc}") from exc
 
     J = build_J().value
     n7 = embed(a, embedding)
@@ -451,12 +442,15 @@ def main(argv=None) -> int:
         _write_manifest(out_dir, args.command, {**config, "out": str(args.out)}, seed,
                         outputs, started, extra)
         return code
-    except ValueError as exc:  # UsageError included
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TrialConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except Exception:  # a fault, not bad input: its traceback, and no manifest
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

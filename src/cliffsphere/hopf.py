@@ -18,8 +18,9 @@ or pi; the sum then rounds at ulp(2 pi), not ulp(psi_a).
 Everything runs on coefficient arrays, the probe's separations as one batch
 (each row bit for bit a batch of one); returned values are `Multivector`s.
 The transition and transport checks are public shells over private steps
-that take the fiber pair (c's plane, phi, a', b') ready made, so a caller
-that runs both, as the CLI's `hopf` does, builds the pair once.
+that take the pair from `_fiber_pair` ready made, so a caller that runs
+both, as the CLI's `hopf` does, builds it once; `_fiber_pair` renormalizes
+a and b itself and returns them with c's plane, phi, a' and b'.
 """
 
 from __future__ import annotations
@@ -87,13 +88,15 @@ def rotate_vector(v, axis, angle: float) -> np.ndarray:
     return _rotated(_vector3(v), _plane_coeffs(axis), [angle])[0]
 
 
-def _fiber_pair(a: np.ndarray, b: np.ndarray, psi_a: float):
-    """The plane B = I.c of c = a x b / |a x b|, the angle phi from a to b,
-    and a', b': a and b rotated about c by psi_a (mod 2 pi) and psi_a + phi."""
+def _fiber_pair(a, b, psi_a: float):
+    """a and b renormalized by `unit_vector`, the plane B = I.c of c =
+    a x b / |a x b|, the angle phi from a to b, and a', b': a and b rotated
+    about c by psi_a (mod 2 pi) and psi_a + phi."""
+    a, b = unit_vector(a), unit_vector(b)
     c, phi = _axis_between(a, b)
     psi_a = math.fmod(psi_a, math.tau)
     B = _plane_coeffs(c)
-    return (B, phi, *_rotated(_vector_coeffs(np.array([a, b]), 3), B, [psi_a, psi_a + phi]))
+    return (a, b, B, phi, *_rotated(_vector_coeffs(np.array([a, b]), 3), B, [psi_a, psi_a + phi]))
 
 
 @dataclass(frozen=True)
@@ -121,14 +124,13 @@ def transition_relation(a, b, psi_a: float) -> tuple[Multivector, Multivector, f
     a' and b' are a and b rotated about c = a x b / |a x b| through psi_a
     and psi_a + phi_ab respectively; the identity is exact for any psi_a.
     """
-    a, b = unit_vector(a), unit_vector(b)
-    lhs, rhs, residual = _transition(a, b, _fiber_pair(a, b, psi_a))
+    lhs, rhs, residual = _transition(_fiber_pair(a, b, psi_a))
     return Multivector(3, lhs), Multivector(3, rhs), residual
 
 
-def _transition(a: np.ndarray, b: np.ndarray, pair) -> tuple[np.ndarray, np.ndarray, float]:
-    """`transition_relation` of the unit vectors a, b and their `_fiber_pair`."""
-    _, _, a_prime, b_prime = pair
+def _transition(pair) -> tuple[np.ndarray, np.ndarray, float]:
+    """`transition_relation` of a `_fiber_pair`."""
+    a, b, _, _, a_prime, b_prime = pair
     v = _vector_coeffs(np.array([a, b, a_prime, b_prime]), 3)
     lhs, ab, aa_prime = _product("geometric", v[[1, 0, 0]], v[[3, 1, 2]])  # b b', a b, a a'
     rhs = _product("geometric", ab, aa_prime)
@@ -145,14 +147,13 @@ def _quaternion_coeffs(n, n_prime, lam: int, side_sign: int) -> np.ndarray:
 def parallel_transport_check(a, b, psi_a: float, lam: int) -> float:
     """Residual of (+I.b)(lam I.b') = R_ab {(+I.a)(lam I.a')} with the rotor
     acting by left multiplication and psi_b = psi_a + phi_ab."""
-    a, b = unit_vector(a), unit_vector(b)
-    return _transport(a, b, _fiber_pair(a, b, psi_a), lam)
-
-
-def _transport(a: np.ndarray, b: np.ndarray, pair, lam: int) -> float:
-    """`parallel_transport_check` of the unit vectors a, b and their `_fiber_pair`."""
-    B, phi, a_prime, b_prime = pair
     lam = check_orientation(lam)
+    return _transport(_fiber_pair(a, b, psi_a), lam)
+
+
+def _transport(pair, lam: int) -> float:
+    """`parallel_transport_check` of a `_fiber_pair` and a checked orientation."""
+    a, b, B, phi, a_prime, b_prime = pair
     # each vector renormalized once more; dropping it changes the residual's last bits
     q_b, q_a = _quaternion_coeffs(np.array([unit_vector(b), unit_vector(a)]),
                                   np.array([unit_vector(b_prime), unit_vector(a_prime)]), lam, +1)
@@ -197,6 +198,19 @@ def perpendicular_axis(a) -> np.ndarray:
     return axis / np.linalg.norm(axis)
 
 
+def _separations(values) -> list[float]:
+    """`values` as floats, refused unless they are a non-empty, strictly
+    decreasing list of finite, nonnegative angles."""
+    seps = [float(p) for p in values]
+    if not seps:
+        raise ValueError("separations must not be empty: the probe would not run")
+    if not all(0.0 <= p < math.inf for p in seps):
+        raise ValueError("separations must be finite and nonnegative")
+    if any(x <= y for x, y in zip(seps, seps[1:])):
+        raise ValueError("separations must be strictly decreasing")
+    return seps
+
+
 def null_limit_probe(a, separations) -> list[NullLimitRow]:
     """Normalized wedge (a ^ a') / |a x a'| for a' at each separation angle.
 
@@ -207,13 +221,7 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
     not asserted.
     """
     a = unit_vector(a)
-    seps = [float(p) for p in separations]
-    if not seps:
-        raise ValueError("separations must not be empty: the probe would not run")
-    if not all(0.0 <= p < math.inf for p in seps):
-        raise ValueError("separations must be finite and nonnegative")
-    if any(x <= y for x, y in zip(seps, seps[1:])):
-        raise ValueError("separations must be strictly decreasing")
+    seps = _separations(separations)
     va = _vector_coeffs(a, 3)
     a_prime = _rotated(va, _plane_coeffs(perpendicular_axis(a)), seps)
     w = _product("wedge", va, _vector_coeffs(a_prime, 3))

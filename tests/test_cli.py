@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def test_simulate_rejects_bad_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, refused", [
-    (["simulate", "--sweep", "0:180:1099511627776"], "bad sweep '0:180:1099511627776': "),
+    (["simulate", "--sweep", "0:180:1099511627776"], "--sweep '0:180:1099511627776': "),
     (["identities", "--pairs", "1099511627776"], "--pairs 1099511627776: must lie in "),
 ], ids=["simulate-sweep", "identities-pairs"])
 def test_inputs_too_large_to_hold_are_refused_before_allocating(tmp_path, capsys, argv, refused):
@@ -217,7 +218,7 @@ def test_every_subcommand_rejects_out_of_range_seed(tmp_path, capsys, command, s
     assert not (tmp_path / "x").exists()
 
 
-def test_stale_manifest_is_dropped_before_data_is_written(tmp_path, monkeypatch):
+def test_stale_manifest_is_dropped_before_data_is_written(tmp_path, capsys, monkeypatch):
     out = tmp_path / "x"
     assert main(["simulate", "--trials", "100", "--seed", "5", "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
@@ -226,8 +227,9 @@ def test_stale_manifest_is_dropped_before_data_is_written(tmp_path, monkeypatch)
         raise RuntimeError("stopped between the data file and the manifest")
 
     monkeypatch.setattr(cli, "_write_manifest", crash)
-    with pytest.raises(RuntimeError):
-        main(["simulate", "--trials", "100", "--seed", "6", "--out", str(out)])
+    assert main(["simulate", "--trials", "100", "--seed", "6", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "stopped between the data file and the manifest" in err
     assert (out / "correlations.csv").exists()
     assert not (out / "manifest.json").exists()
 
@@ -271,8 +273,17 @@ def test_simulate_rejects_out_of_range_env_seed(tmp_path, capsys, monkeypatch):
     (["hopf"], "-1", "CLIFFSPHERE_SEED: "),
     (["identities", "--pairs", "0"], None, "--pairs 0: "),
     (["simulate", "--trials", "-1"], None, "--trials -1: "),
-], ids=["simulate-b", "s7-a", "seed-flag", "seed-env", "identities-pairs", "simulate-trials"])
+    (["simulate", "--sweep", "0:180:1"], None, "--sweep '0:180:1': "),
+    (["simulate", "--sweep", "a:b:c"], None, "--sweep 'a:b:c': "),
+    (["identities", "--tolerance", "nan"], None, "--tolerance nan: must be finite and >= 0"),
+    (["hopf", "--limit-separations", "1e-3,oops"], None, "--limit-separations '1e-3,oops': "),
+    (["hopf"], "x", "CLIFFSPHERE_SEED: "),
+    (["s7", "--embedding", "missing.txt"], None, "--embedding 'missing.txt': "),
+], ids=["simulate-b", "s7-a", "seed-flag", "seed-env", "identities-pairs", "simulate-trials",
+        "sweep-steps", "sweep-text", "identities-tolerance", "hopf-separations",
+        "seed-env-text", "s7-embedding"])
 def test_usage_error_names_the_refused_flag(tmp_path, capsys, monkeypatch, argv, env_seed, refused):
+    monkeypatch.chdir(tmp_path)  # where no embedding file exists
     monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
     if env_seed is not None:
         monkeypatch.setenv("CLIFFSPHERE_SEED", env_seed)
@@ -407,6 +418,15 @@ def test_default_runs_match_the_golden_digests(tmp_path, monkeypatch, command):
 PRODUCT_BUDGET = {"identities": 47, "simulate": 8, "hopf": 19, "s7": 6}
 
 
+def patch_kernel(monkeypatch, replacement) -> None:
+    """Bind `replacement` for the product kernel in every module that binds
+    it, the defining one included."""
+    real = multivector._product
+    for module in (multivector, frames, epr, identities, hopf, seven_sphere, cli):
+        if vars(module).get("_product") is real:
+            monkeypatch.setattr(module, "_product", replacement)
+
+
 def count_kernel_calls(monkeypatch) -> list[str]:
     """The kind of every product-kernel call made from now on, in order."""
     real, calls = multivector._product, []
@@ -415,10 +435,7 @@ def count_kernel_calls(monkeypatch) -> list[str]:
         calls.append(args[0])
         return real(*args)
 
-    # every module that binds the kernel, the defining one included
-    for module in (multivector, frames, epr, identities, hopf, seven_sphere, cli):
-        if vars(module).get("_product") is real:
-            monkeypatch.setattr(module, "_product", counted)
+    patch_kernel(monkeypatch, counted)
     return calls
 
 
@@ -428,6 +445,21 @@ def test_default_runs_stay_within_their_product_budget(tmp_path, monkeypatch, co
     calls = count_kernel_calls(monkeypatch)
     assert main([command, "--out", str(tmp_path)]) == 0
     assert 0 < len(calls) <= PRODUCT_BUDGET[command]
+
+
+def test_a_fault_is_an_internal_error_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a kernel fault raises ValueError, as refused input does, but no flag
+    # was refused: the run shows its traceback, exits 3 and writes no manifest
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    patch_kernel(monkeypatch, broken)
+    code = main(["identities", "--pairs", "5", "--out", str(tmp_path / "x")])
+    printed = capsys.readouterr()
+    assert code == 3
+    assert printed.err.startswith("Traceback") and "could not be broadcast" in printed.err
+    assert printed.out == ""
+    assert not (tmp_path / "x" / "manifest.json").exists()
 
 
 def test_a_later_s7_run_reuses_J(tmp_path, monkeypatch):
@@ -652,9 +684,10 @@ def test_identities_tolerance_flag_is_applied_and_echoed(tmp_path, capsys):
 # -- generated argv ------------------------------------------------------------------
 
 SEEDS = [None, "0", "42", "-1", str(2**64), str(2**64 - 1)]
+ENV_SEEDS = [None, "7", "-1", "x", str(2**64)]
 VECTORS = ["1,0,0", "0.6,0.8,0", "0,0,-1", "nan,0,0", "inf,0,0", "0,0,0", "1,0", "2,0,0"]
 SWEEPS = ["0:180:5", "0:90:2", "90:-90:3", "0:180:1", "0:180", "a:b:c", "0:nan:3",
-          "0:inf:3", "1e308:-1e308:3"]
+          "0:inf:3", "1e308:-1e308:3", "0:180:1099511627776"]
 SEPARATIONS = ["1e-1,1e-2,1e-3", "1e-3,1e-2", "1e-1,1e-1", "1e-1,oops", "nan", "0", ""]
 TOLERANCES = ["1e-12", "1e-6", "0", "nan", "inf", "-inf", "-1"]
 EMBEDDINGS = ["default", "good.txt", "nan.txt", "inf.txt", "empty.txt", "missing.txt"]
@@ -663,7 +696,8 @@ OUTS = ["new/run", "file", "file/sub"]
 
 @st.composite
 def cli_invocations(draw):
-    """(argv without --out, --out relative to a fresh directory)."""
+    """(argv without --out, --out relative to a fresh directory,
+    $CLIFFSPHERE_SEED or None for unset)."""
     pick = lambda pool: draw(st.sampled_from(pool))  # noqa: E731
     command = pick(["simulate", "hopf", "s7", "identities"])
     argv = [command]
@@ -685,10 +719,11 @@ def cli_invocations(draw):
         argv += ["--a", pick(VECTORS), "--lambda", pick(["1", "-1", "0"]),
                  "--embedding", pick(EMBEDDINGS)]
     else:
-        argv += ["--pairs", pick(["1", "2", "0", "-1"]), f"--tolerance={pick(TOLERANCES)}"]
+        argv += ["--pairs", pick(["1", "2", "0", "-1", "1099511627776"]),
+                 f"--tolerance={pick(TOLERANCES)}"]
         if draw(st.booleans()):
             argv.append("--inject-sign-flip")
-    return argv, pick(OUTS)
+    return argv, pick(OUTS), pick(ENV_SEEDS)
 
 
 def run_main(argv):
@@ -705,10 +740,16 @@ def run_main(argv):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cli_invocations())
-@example((["s7", "--embedding", "empty.txt"], "new/run"))
+@example((["s7", "--embedding", "empty.txt"], "new/run", None))
+@example((["identities", "--pairs", "1099511627776"], "new/run", None))
+@example((["simulate", "--sweep", "0:180:1099511627776"], "new/run", None))
+@example((["hopf"], "new/run", "x"))
 def test_generated_argv_exits_with_a_documented_code(invocation):
-    argv, out = invocation
-    with tempfile.TemporaryDirectory() as tmp:
+    argv, out, env_seed = invocation
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("CLIFFSPHERE_SEED", None)
+        if env_seed is not None:
+            os.environ["CLIFFSPHERE_SEED"] = env_seed
         base = Path(tmp)
         (base / "file").write_text("not a directory\n")
         np.savetxt(base / "good.txt", np.eye(7, 3))
