@@ -19,14 +19,10 @@ _EXPORTS = {
         "sweep",
     ),
     "frames": (
-        "AbstractElement", "OrientationMixError", "abstract_product", "build_frame",
-        "duality_check", "hidden_basis", "standard_score",
+        "AbstractElement", "OrientationMixError", "abstract_product", "duality_check",
+        "hidden_basis",
     ),
-    "hopf": (
-        "DegenerateAxisError", "FiberProbe", "null_limit_probe",
-        "parallel_transport_check", "phase_flip_at_pi", "rotate_vector",
-        "transition_relation",
-    ),
+    "hopf": ("DegenerateAxisError", "FiberProbe", "null_limit_probe", "phase_flip_at_pi"),
     "identities": ("CheckResult", "run_identity_checks"),
     "multivector": (
         "DEFAULT_TOL", "Multivector", "blade_label", "contract", "geometric_product",

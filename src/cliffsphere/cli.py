@@ -66,6 +66,7 @@ from .epr import (
     SweepSpec,
     TrialConsistencyError,
     _check_seed,
+    _check_trials,
     correlation_row,
     orientation_counts,
     sweep,
@@ -79,7 +80,7 @@ from .hopf import (
     null_limit_probe,
     phase_flip_at_pi,
 )
-from .identities import MAX_PAIRS, run_identity_checks
+from .identities import MAX_PAIRS, _check_pairs, _check_tolerance, run_identity_checks
 from .multivector import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -250,11 +251,10 @@ _Run = tuple[int, dict, dict[str, str], list[str], dict]
 
 
 def cmd_identities(args, seed: int) -> _Run:
-    if not 1 <= args.pairs <= MAX_PAIRS:
-        raise UsageError(f"--pairs {args.pairs}: must lie in [1, {MAX_PAIRS}]: with no pairs "
-                         "the random-pair checks would not run, and more would not fit in memory")
-    if not 0.0 <= args.tolerance < math.inf:
-        raise UsageError(f"--tolerance {args.tolerance:g}: must be finite and >= 0")
+    with _refused(f"--pairs {args.pairs}"):
+        _check_pairs(args.pairs)
+    with _refused(f"--tolerance {args.tolerance:g}"):
+        _check_tolerance(args.tolerance)
     results = run_identity_checks(
         tolerance=args.tolerance,
         n_pairs=args.pairs,
@@ -273,8 +273,8 @@ def cmd_identities(args, seed: int) -> _Run:
 
 
 def cmd_simulate(args, seed: int) -> _Run:
-    if args.trials < 1:
-        raise UsageError(f"--trials {args.trials}: must be >= 1")
+    with _refused(f"--trials {args.trials}"):
+        _check_trials(args.trials)
     if (args.a is None) != (args.b is None):
         raise UsageError("--a and --b must be given together")
     if args.a is not None:

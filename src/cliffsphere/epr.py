@@ -75,6 +75,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
+def _check_trials(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n}")
+
+
 def lambda_stream(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Orientations for trials start..start+n-1 as an int8 array of +-1.
 
@@ -122,8 +127,7 @@ def orientation_prefix_counts(seed: int, sizes) -> tuple[OrientationCounts, ...]
 
 def orientation_counts(seed: int, n: int) -> OrientationCounts:
     """Orientation counts of trials 0..n-1, from one walk of the stream."""
-    if n < 1:
-        raise ValueError("n_trials must be >= 1")
+    _check_trials(n)
     return orientation_prefix_counts(seed, (n,))[0]
 
 
@@ -171,10 +175,6 @@ class CorrelationEstimate:
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
 
-    @property
-    def residual_norm(self) -> float:
-        return float(np.linalg.norm(self.residual_coeffs))
-
 
 # -- batched scorers -------------------------------------------------------------
 
@@ -206,11 +206,11 @@ def _raw_scores(side: Side, ns: np.ndarray, lam: int) -> np.ndarray:
     return np.where(s > 0, 1, -1)
 
 
-def _standard_estimates(a, b, counts: OrientationCounts) -> list[CorrelationEstimate]:
-    """Standard-score estimates for the unit rows of a and b: the abstract
-    products are evaluated once per orientation for all rows, and every row is
-    checked for a lam-independent scalar part and a flipping bivector part."""
-    x, y = _unit_rows(a), _unit_rows(b)  # renormalized once more, as `standard_score` does
+def _standard_estimates(a, b, counts: OrientationCounts) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Scalars, (N, 3) residuals and stderrs of the standard-score estimates
+    for the unit rows of a and b, from one product batch per orientation; every
+    row is checked for a lam-independent scalar and a flipping bivector part."""
+    x, y = _unit_rows(a), _unit_rows(b)  # renormalized again: without it, some rows' last bits change
     plus, minus = (np.array(_structure_coeffs(_score_coeffs(x, lam), _score_coeffs(y, lam), -1.0 * lam))
                    for lam in ORIENTATIONS)
     if not np.array_equal(plus[0], minus[0]):
@@ -218,11 +218,8 @@ def _standard_estimates(a, b, counts: OrientationCounts) -> list[CorrelationEsti
     if not np.array_equal(minus[1:], -plus[1:]):
         raise TrialConsistencyError("bivector part of the score product must flip with lam")
     root_n = math.sqrt(counts.n)
-    return [
-        CorrelationEstimate(float(s), tuple(float(r) for r in counts.lam_mean * c),
-                            counts.n, float(np.linalg.norm(ab)) / root_n)
-        for s, c, ab in zip(plus[0], plus[1:].T, np.cross(a, b))
-    ]
+    stderrs = [float(np.linalg.norm(ab)) / root_n for ab in np.cross(a, b)]
+    return plus[0], counts.lam_mean * plus[1:].T, stderrs
 
 
 def _raw_means(a, b, counts: OrientationCounts) -> np.ndarray:
@@ -284,12 +281,11 @@ def _rows(thetas, a, b, counts: OrientationCounts) -> list[SweepRow]:
     """Both estimators for the direction pairs a[i], b[i], reported at angles
     thetas[i], with every product evaluated for all pairs in one batch."""
     a, b = _unit_rows(a), _unit_rows(b)
-    stds, raws = _standard_estimates(a, b, counts), _raw_means(a, b, counts)
-    return [
-        SweepRow(float(theta), float(raw), std.scalar, std.residual_coeffs,
-                 std.residual_norm, std.stderr, counts.n)
-        for theta, std, raw in zip(thetas, stds, raws)
-    ]
+    scalars, residuals, stderrs = _standard_estimates(a, b, counts)
+    # every norm is its row's own 1-D norm: a batched norm can round differently
+    return [SweepRow(float(theta), float(raw), s, r, float(np.linalg.norm(r)), stderr, counts.n)
+            for theta, raw, s, r, stderr in zip(thetas, _raw_means(a, b, counts), scalars.tolist(),
+                                                map(tuple, residuals.tolist()), stderrs)]
 
 
 def correlation_row(theta_deg: float, a, b, counts: OrientationCounts) -> SweepRow:

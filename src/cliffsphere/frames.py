@@ -18,8 +18,8 @@ orientation never combine; attempting to mix them raises
 `OrientationMixError`.
 
 The embedded frame is one (3, 8) coefficient array (`_frame_coeffs`), which
-the identity suite reads; `build_frame` wraps its rows as `Multivector`s.  The
-estimators and the suite build standard scores as (4, N) `_score_coeffs`.
+the identity suite reads.  The estimators and the suite build standard scores
+lam n_j beta_j as (4, N) `_score_coeffs`.
 """
 
 from __future__ import annotations
@@ -46,24 +46,10 @@ def check_orientation(lam: int) -> int:
     return int(lam)
 
 
-@dataclass(frozen=True)
-class OrientedFrame:
-    """The three basis bivectors of one orientation, embedded in Cl(3,0)."""
-
-    lam: int
-    beta: tuple[Multivector, Multivector, Multivector]
-
-
 def _frame_coeffs(lam: int) -> np.ndarray:
     """(3, 8) coefficients of the frame beta_j = lam * (I . e_j), j = 1..3,
     from one batched contraction; `lam` is already checked."""
     return float(lam) * _product("contract", _VOLUME3, _vector_coeffs(np.eye(3), 3))
-
-
-def build_frame(lam: int) -> OrientedFrame:
-    """Frame beta_j = lam * (I . e_j); its ordered product equals lam exactly."""
-    lam = check_orientation(lam)
-    return OrientedFrame(lam, tuple(Multivector(3, b) for b in _frame_coeffs(lam)))
 
 
 @dataclass(frozen=True)
@@ -113,17 +99,6 @@ def abstract_product(x: AbstractElement, y: AbstractElement) -> AbstractElement:
         )
     c0, *c = _structure_coeffs((x.c0, *x.c), (y.c0, *y.c), -1.0 * x.lam)
     return AbstractElement(c0, tuple(c), x.lam)
-
-
-def standard_score(n_vec, lam: int) -> AbstractElement:
-    """Bivector-valued standardized variable for direction n: lam * n_j beta_j.
-
-    Requires a unit vector (renormalized within 1e-9); its abstract square is
-    the scalar -1, making it a unit bivector about n.
-    """
-    lam = check_orientation(lam)
-    n = unit_vector(n_vec)
-    return AbstractElement(0.0, (lam * n[0], lam * n[1], lam * n[2]), lam)
 
 
 def _score_coeffs(n: np.ndarray, lam: int) -> np.ndarray:

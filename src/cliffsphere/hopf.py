@@ -16,11 +16,8 @@ psi_a, so each reduces psi_a modulo 2 pi (exactly, by fmod) before adding phi
 or pi; the sum then rounds at ulp(2 pi), not ulp(psi_a).
 
 Everything runs on coefficient arrays, the probe's separations as one batch
-(each row bit for bit a batch of one); returned values are `Multivector`s.
-The transition and transport checks are public shells over private steps
-that take the pair from `_fiber_pair` ready made, so a caller that runs
-both, as the CLI's `hopf` does, builds it once; `_fiber_pair` renormalizes
-a and b itself and returns them with c's plane, phi, a' and b'.
+(each row bit for bit a batch of one).  `_transition` and `_transport` take
+the pair of `_fiber_pair` ready made, so a run of both builds it once.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import _VOLUME3, check_orientation
+from .frames import _VOLUME3
 from .multivector import (
     Multivector, _product, _reversion_sign, _rotor_coeffs, _vector_coeffs, unit_vector)
 
@@ -53,17 +50,9 @@ def _axis_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return axb / s, phi
 
 
-def _vector3(v) -> np.ndarray:
-    """Cl(3,0) coefficients of a finite vector of at most 3 components."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or len(v) > 3 or not np.isfinite(v).all():
-        raise ValueError(f"expected a finite vector of at most 3 components, got {v!r}")
-    return _vector_coeffs(v, 3)
-
-
 def _plane_coeffs(axis) -> np.ndarray:
     """Coefficients of I . c, c the axis renormalized by `unit_vector`."""
-    return _product("contract", _VOLUME3, _vector3(unit_vector(axis)))
+    return _product("contract", _VOLUME3, _vector_coeffs(unit_vector(axis), 3))
 
 
 def _rotors(B: np.ndarray, angles) -> np.ndarray:
@@ -80,12 +69,6 @@ def _rotated(v: np.ndarray, B: np.ndarray, angles) -> np.ndarray:
     R = exp(-B angles[j] / 2); each row's bits are those of a batch of one."""
     R = _rotors(B, [-0.5 * t for t in angles])
     return _product("geometric", _product("geometric", R, v), R * _reversion_sign(3))[:, [1, 2, 4]]
-
-
-def rotate_vector(v, axis, angle: float) -> np.ndarray:
-    """Rotate v by `angle` about the unit `axis` (right-hand rule) using the
-    two-sided half-angle rotor sandwich R v ~R."""
-    return _rotated(_vector3(v), _plane_coeffs(axis), [angle])[0]
 
 
 def _fiber_pair(a, b, psi_a: float):
@@ -118,18 +101,9 @@ class FiberProbe:
                              "a rotation axis")
 
 
-def transition_relation(a, b, psi_a: float) -> tuple[Multivector, Multivector, float]:
-    """Both sides of b b' = (a b)(a a') and their coefficient residual.
-
-    a' and b' are a and b rotated about c = a x b / |a x b| through psi_a
-    and psi_a + phi_ab respectively; the identity is exact for any psi_a.
-    """
-    lhs, rhs, residual = _transition(_fiber_pair(a, b, psi_a))
-    return Multivector(3, lhs), Multivector(3, rhs), residual
-
-
 def _transition(pair) -> tuple[np.ndarray, np.ndarray, float]:
-    """`transition_relation` of a `_fiber_pair`."""
+    """Both sides of b b' = (a b)(a a') for a `_fiber_pair`, and their
+    coefficient residual; the identity is exact for any psi_a."""
     a, b, _, _, a_prime, b_prime = pair
     v = _vector_coeffs(np.array([a, b, a_prime, b_prime]), 3)
     lhs, ab, aa_prime = _product("geometric", v[[1, 0, 0]], v[[3, 1, 2]])  # b b', a b, a a'
@@ -144,15 +118,10 @@ def _quaternion_coeffs(n, n_prime, lam: int, side_sign: int) -> np.ndarray:
     return _product("geometric", left, right)
 
 
-def parallel_transport_check(a, b, psi_a: float, lam: int) -> float:
-    """Residual of (+I.b)(lam I.b') = R_ab {(+I.a)(lam I.a')} with the rotor
-    acting by left multiplication and psi_b = psi_a + phi_ab."""
-    lam = check_orientation(lam)
-    return _transport(_fiber_pair(a, b, psi_a), lam)
-
-
 def _transport(pair, lam: int) -> float:
-    """`parallel_transport_check` of a `_fiber_pair` and a checked orientation."""
+    """Residual of (+I.b)(lam I.b') = R_ab {(+I.a)(lam I.a')} for a
+    `_fiber_pair` and an orientation lam in {+1, -1}, with the rotor acting
+    by left multiplication."""
     a, b, B, phi, a_prime, b_prime = pair
     # each vector renormalized once more; dropping it changes the residual's last bits
     q_b, q_a = _quaternion_coeffs(np.array([unit_vector(b), unit_vector(a)]),

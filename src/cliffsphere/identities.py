@@ -146,6 +146,18 @@ def _naive_product(x: np.ndarray, y: np.ndarray, masks: np.ndarray, signs: np.nd
 # -- helpers -------------------------------------------------------------------------
 
 
+def _check_pairs(n_pairs: int) -> None:
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1: the random-pair checks would not run")
+    if n_pairs > MAX_PAIRS:
+        raise ValueError(f"n_pairs must be <= {MAX_PAIRS}, got {n_pairs}: more would not fit in memory")
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+
+
 def _random_units(rng, count):
     v = rng.normal(size=(count, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -379,12 +391,8 @@ def run_identity_checks(
     `inject_sign_flip` corrupts the epsilon sign of the abstract structure
     constants (test mode): the abstract-side checks must then fail.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1: the random-pair checks would not run")
-    if n_pairs > MAX_PAIRS:
-        raise ValueError(f"n_pairs must be <= {MAX_PAIRS}, got {n_pairs}")
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    _check_pairs(n_pairs)
+    _check_tolerance(tolerance)
     eps_sign = 1.0 if inject_sign_flip else -1.0
     rng = np.random.default_rng(seed)
     frames = {lam: _frame_table(_frame_coeffs(lam)) for lam in ORIENTATIONS}

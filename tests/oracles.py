@@ -6,19 +6,22 @@ counting swaps, and cancelling repeated generators with +1 (Euclidean
 metric).  Products of dense multivectors are explicit double loops over all
 blade pairs.
 
-Six references do use the package.  `sign_table_product` evaluates the
+Seven references do use the package.  `sign_table_product` evaluates the
 float sign-table formula on the package's Cayley table; it pins the product
 kernel's bytes, while the naive products pin its algebra.
 `abstract_to_embedded` realizes an abstract element through a frame's
-`Multivector` bivectors.  `raw_score` builds one side's raw score
+bivectors as `Multivector`s, and `standard_score` builds the abstract
+element lam n_j beta_j, the single-direction reference of
+`frames._score_coeffs`.  `raw_score` builds one side's raw score
 (side_sign I.n)(lam I.n) from the public `Multivector` contraction and
 geometric product, and `trial_records` evaluates it trial by trial, the
 per-trial reference of the estimators.  `null_limit_rows` runs
 the null-limit probe one separation at a time through the public
 `Multivector` operations, the reference of the batched probe, and
-`sandwich_rotation` is its rotation, the reference of `rotate_vector`.  `flip_kernel_sign` is no
-reference but a canary: it corrupts one entry of the kernel's index table,
-which the checks that compare against these oracles must catch.
+`sandwich_rotation` is its rotation, the reference of `hopf._rotated`.
+`flip_kernel_sign` is no reference but a canary: it corrupts one entry of
+the kernel's index table, which the checks that compare against these
+oracles must catch.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from cliffsphere import multivector, seven_sphere
 from cliffsphere.epr import lambda_stream
-from cliffsphere.frames import AbstractElement, OrientationMixError, OrientedFrame
+from cliffsphere.frames import AbstractElement, OrientationMixError
 from cliffsphere.hopf import NullLimitRow, perpendicular_axis
 from cliffsphere.multivector import (
     Multivector,
@@ -189,14 +192,20 @@ def flip_kernel_sign(monkeypatch, i, k):
                         lru_cache(maxsize=1)(seven_sphere._build_J.__wrapped__))
 
 
-def abstract_to_embedded(x: AbstractElement, frame: OrientedFrame) -> Multivector:
-    """Realize an abstract element in Cl(3,0) through the given frame."""
-    if x.lam != frame.lam:
+def abstract_to_embedded(x: AbstractElement, lam: int, beta: np.ndarray) -> Multivector:
+    """Realize an abstract element in Cl(3,0) through the frame of
+    orientation lam, given as the (3, 8) coefficients of beta_1..beta_3."""
+    if x.lam != lam:
         raise OrientationMixError("element and frame carry different orientations")
     out = Multivector.scalar(3, x.c0)
-    for cj, bj in zip(x.c, frame.beta):
-        out = out + cj * bj
+    for cj, bj in zip(x.c, beta):
+        out = out + cj * Multivector(3, bj)
     return out
+
+
+def standard_score(n, lam: int) -> AbstractElement:
+    """The standard score lam n_j beta_j of the unit vector n, renormalized."""
+    return AbstractElement(0.0, tuple(lam * unit_vector(n)), lam)
 
 
 def raw_score(side_sign: int, n, lam: int) -> int:

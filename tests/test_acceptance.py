@@ -27,13 +27,8 @@ from cliffsphere.epr import (
     sweep,
     sweep_directions,
 )
-from cliffsphere.frames import build_frame
-from cliffsphere.hopf import (
-    null_limit_probe,
-    parallel_transport_check,
-    phase_flip_at_pi,
-    transition_relation,
-)
+from cliffsphere.frames import _frame_coeffs
+from cliffsphere.hopf import _fiber_pair, _transition, _transport, null_limit_probe, phase_flip_at_pi
 from cliffsphere.identities import run_identity_checks
 from cliffsphere.multivector import Multivector, contract, geometric_product, norm, scalar_part
 from cliffsphere.seven_sphere import (
@@ -77,7 +72,7 @@ def test_criterion_01_identity_suite():
 
 def test_criterion_02_handedness_detectors():
     for lam in (1, -1):
-        bx, by, bz = build_frame(lam).beta
+        bx, by, bz = (Multivector(3, row) for row in _frame_coeffs(lam))
         got = geometric_product(geometric_product(bx, by), bz)
         assert np.array_equal(got.coeffs, Multivector.scalar(3, float(lam)).coeffs)
     print("\nACCEPTANCE 2: PASS (ordered products +1 and -1, exact)")
@@ -167,8 +162,8 @@ def test_criterion_08_hopf_transport():
             phi = math.radians(phi_deg)
             a = np.array([1.0, 0.0, 0.0])
             b = np.array([math.cos(phi), math.sin(phi), 0.0])
-            _, _, t_res = transition_relation(a, b, psi_a)
-            p_res = parallel_transport_check(a, b, psi_a, 1)
+            pair = _fiber_pair(a, b, psi_a)
+            t_res, p_res = _transition(pair)[2], _transport(pair, 1)
             worst = max(worst, t_res, p_res)
             assert t_res < 1e-10 and p_res < 1e-10
     q_a, q_b, flip = phase_flip_at_pi(0.01)

@@ -120,7 +120,7 @@ def test_simulate_rejects_bad_sweep(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, refused", [
     (["simulate", "--sweep", "0:180:1099511627776"], "--sweep '0:180:1099511627776': "),
-    (["identities", "--pairs", "1099511627776"], "--pairs 1099511627776: must lie in "),
+    (["identities", "--pairs", "1099511627776"], "--pairs 1099511627776: n_pairs must be <= "),
 ], ids=["simulate-sweep", "identities-pairs"])
 def test_inputs_too_large_to_hold_are_refused_before_allocating(tmp_path, capsys, argv, refused):
     tracemalloc.start()
@@ -275,7 +275,7 @@ def test_simulate_rejects_out_of_range_env_seed(tmp_path, capsys, monkeypatch):
     (["simulate", "--trials", "-1"], None, "--trials -1: "),
     (["simulate", "--sweep", "0:180:1"], None, "--sweep '0:180:1': "),
     (["simulate", "--sweep", "a:b:c"], None, "--sweep 'a:b:c': "),
-    (["identities", "--tolerance", "nan"], None, "--tolerance nan: must be finite and >= 0"),
+    (["identities", "--tolerance", "nan"], None, "--tolerance nan: tolerance must be finite and >= 0"),
     (["hopf", "--limit-separations", "1e-3,oops"], None, "--limit-separations '1e-3,oops': "),
     (["hopf"], "x", "CLIFFSPHERE_SEED: "),
     (["s7", "--embedding", "missing.txt"], None, "--embedding 'missing.txt': "),
@@ -506,12 +506,13 @@ def test_stdout_matches_the_golden_digests(tmp_path, monkeypatch, capsys, argv):
 @example(1e7, 40.0)
 @example(0.01, 90.0)
 def test_hopf_residual_lines_are_the_public_checks(psi_a, phi_deg):
-    # cmd_hopf builds the fiber pair once for both checks; each line must
-    # still print what the public function returns for the CLI's pair
+    # each line must print what its step returns on the fiber pair of the
+    # CLI's a and b, built here from the flags' values
     phi = math.radians(phi_deg)
     a, b = np.array([1.0, 0.0, 0.0]), np.array([math.cos(phi), math.sin(phi), 0.0])
-    want = [("transition residual", hopf.transition_relation(a, b, psi_a)[2]),
-            ("transport residual (lam=+1)", hopf.parallel_transport_check(a, b, psi_a, 1))]
+    pair = hopf._fiber_pair(a, b, psi_a)
+    want = [("transition residual", hopf._transition(pair)[2]),
+            ("transport residual (lam=+1)", hopf._transport(pair, 1))]
     printed = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(printed):
         code = main(["hopf", "--psi-a", repr(psi_a), "--phi-deg", repr(phi_deg),

@@ -23,7 +23,7 @@ from cliffsphere.epr import (
     sweep,
     sweep_directions,
 )
-from cliffsphere.frames import abstract_product, standard_score
+from cliffsphere.frames import abstract_product
 from cliffsphere.multivector import (
     Multivector,
     contract,
@@ -33,7 +33,7 @@ from cliffsphere.multivector import (
     unit_vector,
 )
 
-from .oracles import raw_score, trial_records
+from .oracles import raw_score, standard_score, trial_records
 
 # First ten orientations under seed 42, frozen to pin the stream contract.
 SEED42_PREFIX = [-1, 1, 1, 1, 1, -1, 1, -1, -1, 1]
@@ -273,8 +273,6 @@ def test_standard_sixty_degrees_reads_minus_half():
 
 def test_standard_matches_literal_per_trial_average():
     # oracle: literal per-trial abstract products averaged with math.fsum
-    from cliffsphere.frames import abstract_product, standard_score
-
     rng = np.random.default_rng(77)
     a, b = random_unit(rng), random_unit(rng)
     counts = orientation_counts(99, 2000)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from cliffsphere.frames import (
     AbstractElement,
     OrientationMixError,
+    _frame_coeffs,
     _score_coeffs,
     abstract_product,
-    build_frame,
     duality_check,
     hidden_basis,
-    standard_score,
 )
 from cliffsphere.identities import check_combined_identity
 from cliffsphere.multivector import (
@@ -26,7 +25,7 @@ from cliffsphere.multivector import (
     unit_vector,
 )
 
-from .oracles import abstract_to_embedded
+from .oracles import abstract_to_embedded, standard_score
 
 EPS = {
     (1, 2): 3,
@@ -47,33 +46,36 @@ def random_unit(rng):
     return v / np.linalg.norm(v)
 
 
+def frame(lam):
+    """beta_1..beta_3 of the lam frame as `Multivector`s, from the
+    coefficients that the identity suite reads."""
+    return [Multivector(3, row) for row in _frame_coeffs(lam)]
+
+
 # -- frames ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_frame_squares_to_minus_one(lam):
-    frame = build_frame(lam)
-    for b in frame.beta:
+    for b in frame(lam):
         sq = geometric_product(b, b)
         assert np.array_equal(sq.coeffs, Multivector.scalar(3, -1.0).coeffs)
 
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_frame_anticommutes(lam):
-    frame = build_frame(lam)
+    beta = frame(lam)
     for j in range(3):
         for k in range(3):
             if j == k:
                 continue
-            anti = geometric_product(frame.beta[j], frame.beta[k]) + geometric_product(
-                frame.beta[k], frame.beta[j]
-            )
+            anti = geometric_product(beta[j], beta[k]) + geometric_product(beta[k], beta[j])
             assert norm(anti) == 0.0
 
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_ordered_product_detects_handedness_exactly(lam):
-    bx, by, bz = build_frame(lam).beta
+    bx, by, bz = frame(lam)
     got = geometric_product(geometric_product(bx, by), bz)
     assert np.array_equal(got.coeffs, Multivector.scalar(3, float(lam)).coeffs)
 
@@ -81,28 +83,28 @@ def test_ordered_product_detects_handedness_exactly(lam):
 @pytest.mark.parametrize("lam", [1, -1])
 def test_frame_subalgebra_structure_constants(lam):
     # beta_j beta_k = -delta_jk - lam * eps_jkl * beta_l in the embedded frame
-    frame = build_frame(lam)
+    beta = frame(lam)
     for j in range(1, 4):
         for k in range(1, 4):
-            got = geometric_product(frame.beta[j - 1], frame.beta[k - 1])
+            got = geometric_product(beta[j - 1], beta[k - 1])
             if j == k:
                 want = Multivector.scalar(3, -1.0)
             else:
                 s, l = eps_sign(j, k)
-                want = (-lam * s) * frame.beta[l - 1]
+                want = (-lam * s) * beta[l - 1]
             assert norm(got - want) == 0.0
 
 
 def test_left_frame_satisfies_plus_epsilon_subalgebra():
     # the lam = -1 frame realizes beta_j beta_k = -delta_jk + eps_jkl beta_l
-    frame = build_frame(-1)
+    beta = frame(-1)
     for j in range(1, 4):
         for k in range(1, 4):
             if j == k:
                 continue
-            got = geometric_product(frame.beta[j - 1], frame.beta[k - 1])
+            got = geometric_product(beta[j - 1], beta[k - 1])
             s, l = eps_sign(j, k)
-            want = float(s) * frame.beta[l - 1]
+            want = float(s) * beta[l - 1]
             assert norm(got - want) < 1e-12
 
 
@@ -120,17 +122,16 @@ def test_vector_basis_flip_leaves_bivector_handedness_unchanged():
 
 
 def test_bivector_basis_flip_flips_handedness():
-    frame = build_frame(1)
-    flipped = [-1.0 * b for b in frame.beta]
+    flipped = [-1.0 * b for b in frame(1)]
     prod = geometric_product(geometric_product(flipped[0], flipped[1]), flipped[2])
     assert np.array_equal(prod.coeffs, Multivector.scalar(3, -1.0).coeffs)
 
 
 def test_orientation_validation():
     with pytest.raises(ValueError, match="orientation"):
-        build_frame(0)
+        hidden_basis(0)
     with pytest.raises(ValueError, match="orientation"):
-        standard_score([1.0, 0.0, 0.0], 2)
+        AbstractElement(0.0, (1.0, 0.0, 0.0), lam=2)
 
 
 # -- abstract algebra -------------------------------------------------------------
@@ -153,14 +154,14 @@ def test_abstract_beta_squares():
 
 def test_abstract_bx_by_left_handed_gives_plus_bz():
     # lam = -1: beta_x beta_y = -(-1) eps_xyz beta_z = +beta_z;
-    # oracle: embedded frame product via build_frame(-1)
+    # oracle: embedded frame product in the lam = -1 frame
     bx = AbstractElement(0.0, (1.0, 0.0, 0.0), -1)
     by = AbstractElement(0.0, (0.0, 1.0, 0.0), -1)
     got = abstract_product(bx, by)
     assert np.array_equal(got.coeffs, np.array([0.0, 0.0, 0.0, 1.0]))
-    frame = build_frame(-1)
-    embedded = geometric_product(frame.beta[0], frame.beta[1])
-    assert norm(embedded - frame.beta[2]) == 0.0
+    beta = frame(-1)
+    embedded = geometric_product(beta[0], beta[1])
+    assert norm(embedded - beta[2]) == 0.0
 
 
 def test_mixed_orientation_rejected():
@@ -169,31 +170,32 @@ def test_mixed_orientation_rejected():
     with pytest.raises(OrientationMixError):
         abstract_product(x, y)
     with pytest.raises(OrientationMixError):
-        abstract_to_embedded(x, build_frame(-1))
+        abstract_to_embedded(x, -1, _frame_coeffs(-1))
 
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_standard_score_squares_to_minus_one(lam):
     # oracle: embedded computation through the orientation's frame
     rng = np.random.default_rng(3 + lam)
-    frame = build_frame(lam)
+    beta = _frame_coeffs(lam)
     for _ in range(100):
         a = random_unit(rng)
         s = standard_score(a, lam)
         sq = abstract_product(s, s)
         assert np.linalg.norm(sq.coeffs - np.array([-1.0, 0, 0, 0])) < 1e-12
-        emb = abstract_to_embedded(s, frame)
+        emb = abstract_to_embedded(s, lam, beta)
         emb_sq = geometric_product(emb, emb)
         assert norm(emb_sq - Multivector.scalar(3, -1.0)) < 1e-12
 
 
 def test_standard_score_definition_and_unit_check():
-    s = standard_score([0.0, 0.0, 1.0], 1)
-    assert s.c0 == 0.0 and s.c == (0.0, 0.0, 1.0)
-    s = standard_score([0.0, 0.0, 1.0], -1)
-    assert s.c == (-0.0, -0.0, -1.0)
+    # the builder the estimators and the suite share, on a row checked and
+    # renormalized by `unit_vector` first, as the suite does
+    ez = np.array([unit_vector([0.0, 0.0, 1.0])])
+    assert _score_coeffs(ez, 1)[:, 0].tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert _score_coeffs(ez, -1)[:, 0].tolist() == [0.0, -0.0, -0.0, -1.0]
     with pytest.raises(ValueError, match="unit vector"):
-        standard_score([0.5, 0.0, 0.0], 1)
+        unit_vector([0.5, 0.0, 0.0])
 
 
 def test_score_product_expands_to_dot_and_cross():
@@ -210,7 +212,8 @@ def test_score_product_expands_to_dot_and_cross():
 @pytest.mark.parametrize("lam", [1, -1])
 def test_score_coeffs_columns_equal_single_standard_scores(lam):
     # the batched builder of the estimators and the identity suite against
-    # the scalar reference, on rows normalized one by one as the callers do
+    # the single-direction reference, on rows normalized one by one as the
+    # callers do
     rng = np.random.default_rng(24)
     ns = rng.normal(size=(200, 3))
     ns /= np.linalg.norm(ns, axis=1, keepdims=True)
@@ -295,21 +298,20 @@ def test_abstract_product_matches_embedded_frame(lam):
     # the map beta_j -> lam * (I . e_j) carries abstract_product to the
     # geometric product
     rng = np.random.default_rng(60 + lam)
-    frame = build_frame(lam)
+    beta = _frame_coeffs(lam)
     for _ in range(200):
         x = AbstractElement(rng.normal(), tuple(rng.normal(size=3)), lam)
         y = AbstractElement(rng.normal(), tuple(rng.normal(size=3)), lam)
         abstract = abstract_product(x, y)
         embedded = geometric_product(
-            abstract_to_embedded(x, frame), abstract_to_embedded(y, frame)
+            abstract_to_embedded(x, lam, beta), abstract_to_embedded(y, lam, beta)
         )
-        assert norm(abstract_to_embedded(abstract, frame) - embedded) < 1e-12
+        assert norm(abstract_to_embedded(abstract, lam, beta) - embedded) < 1e-12
 
 
 def test_embedded_elements_are_even_grade():
-    frame = build_frame(1)
     x = AbstractElement(0.5, (0.1, 0.2, 0.3), 1)
-    emb = abstract_to_embedded(x, frame)
+    emb = abstract_to_embedded(x, 1, _frame_coeffs(1))
     assert norm(emb - grade_part(emb, 0) - grade_part(emb, 2)) == 0.0
 
 
