@@ -86,6 +86,7 @@ from .multivector import (
     DEFAULT_TOL,
     MAX_DIM,
     Multivector,
+    _cross,
     blade_label,
     contract,
     grade_norms,
@@ -130,16 +131,13 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _parse_vector(flag: str, text: str) -> np.ndarray:
     with _refused(f"{flag} {text!r}"):
         parts = text.split(",")
         if len(parts) != 3:
             raise ValueError("expected 'x,y,z'")
-        return unit_vector(np.array([float(p) for p in parts]))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf: refused
+            return unit_vector(np.array([float(p) for p in parts]))
 
 
 def _parse_sweep(text: str) -> SweepSpec:
@@ -161,7 +159,7 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    outputs: list[Path], started: str, extra: dict) -> None:
+                    outputs: list[tuple[Path, str]], started: str, extra: dict) -> None:
     manifest = {
         **extra,
         "command": command,
@@ -171,27 +169,29 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "started_utc": started,
         "finished_utc": _utc_now(),
         "outputs": [
-            {"path": p.name, "sha256": _sha256(p)} for p in outputs
+            {"path": p.name, "sha256": digest} for p, digest in outputs
         ],
     }
     _write_file(out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_file(out_dir: Path, name: str, text: str) -> Path:
-    """Write `text` to out_dir/name through a temporary file in out_dir and
-    `os.replace`, so the name never holds a partly written file; an OSError
-    (the name is a directory, the disk is full) is a usage error."""
+def _write_file(out_dir: Path, name: str, text: str) -> tuple[Path, str]:
+    """Write `text`, UTF-8 encoded, to out_dir/name through a temporary file
+    in out_dir and `os.replace`, so the name never holds a partly written
+    file; return the path and the sha256 of the bytes written, so that no
+    file is read back to be hashed.  An OSError (the name is a directory, the
+    disk is full) is a usage error."""
     path = out_dir / name
     tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+    data = text.encode()
     try:
-        with tmp.open("w", newline="") as fh:
-            fh.write(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
         raise UsageError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
-    return path
+    return path, hashlib.sha256(data).hexdigest()
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -281,7 +281,7 @@ def cmd_simulate(args, seed: int) -> _Run:
         a = _parse_vector("--a", args.a)
         b = _parse_vector("--b", args.b)
         theta = math.degrees(
-            math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
+            math.atan2(float(np.linalg.norm(_cross(a, b))), float(np.dot(a, b)))
         )
         config = {"trials": args.trials, "a": args.a, "b": args.b}
     else:
@@ -333,7 +333,9 @@ def cmd_s7(args, seed: int) -> _Run:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty file
-                embedding = Embedding(np.loadtxt(args.embedding))
+                m = np.loadtxt(args.embedding)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m.T @ m: refused
+                embedding = Embedding(m)
         except (OSError, ValueError, UserWarning) as exc:
             raise UsageError(f"--embedding {args.embedding!r}: {exc}") from exc
 

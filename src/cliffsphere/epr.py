@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import ORIENTATIONS, _VOLUME3, _score_coeffs, _structure_coeffs
-from .multivector import DEFAULT_TOL, Multivector, _product, _vector_coeffs, unit_vector
+from .multivector import DEFAULT_TOL, Multivector, _cross, _product, _vector_coeffs, unit_vector
 
 
 class TrialConsistencyError(RuntimeError):
@@ -218,7 +218,7 @@ def _standard_estimates(a, b, counts: OrientationCounts) -> tuple[np.ndarray, np
     if not np.array_equal(minus[1:], -plus[1:]):
         raise TrialConsistencyError("bivector part of the score product must flip with lam")
     root_n = math.sqrt(counts.n)
-    stderrs = [float(np.linalg.norm(ab)) / root_n for ab in np.cross(a, b)]
+    stderrs = [float(np.linalg.norm(ab)) / root_n for ab in _cross(a, b)]
     return plus[0], counts.lam_mean * plus[1:].T, stderrs
 
 
@@ -306,7 +306,7 @@ def sweep(spec: SweepSpec, counts: OrientationCounts) -> list[SweepRow]:
 def mean_residual_norms(a, b, seeds, sizes) -> np.ndarray:
     """Seed-averaged residual norm |mean of lam over the first n trials| *
     |a x b| for each n in `sizes` (ascending), from exact prefix counts."""
-    scale = float(np.linalg.norm(np.cross(unit_vector(a), unit_vector(b))))
+    scale = float(np.linalg.norm(_cross(unit_vector(a), unit_vector(b))))
     residuals = [
         [abs(c.lam_mean) * scale for c in orientation_prefix_counts(seed, sizes)]
         for seed in seeds

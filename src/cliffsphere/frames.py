@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import Multivector, _product, _vector_coeffs, unit_vector, wedge
+from .multivector import Multivector, _cross, _product, _vector_coeffs, unit_vector, wedge
 
 ORIENTATIONS = (1, -1)
 
@@ -120,7 +120,7 @@ def duality_check(a, b, lam: int) -> float | np.ndarray:
     b = unit_vector(b)
     lhs = _product("wedge", _vector_coeffs(a, 3), _vector_coeffs(b, 3))
     mu = float(lam) * _VOLUME3
-    rhs = float(lam) * _product("contract", mu, _vector_coeffs(np.cross(a, b), 3))
+    rhs = float(lam) * _product("contract", mu, _vector_coeffs(_cross(a, b), 3))
     return np.linalg.norm(lhs - rhs, axis=-1)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .frames import _VOLUME3
 from .multivector import (
-    Multivector, _product, _reversion_sign, _rotor_coeffs, _vector_coeffs, unit_vector)
+    Multivector, _cross, _product, _reversion_sign, _rotor_coeffs, _vector_coeffs, unit_vector)
 
 #: Two directions are treated as spanning a usable rotation axis only if
 #: |a x b| exceeds this.
@@ -42,7 +42,7 @@ class DegenerateAxisError(ValueError):
 
 def _axis_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit rotation axis a x b / |a x b| and the angle from a to b about it."""
-    axb = np.cross(a, b)
+    axb = _cross(a, b)
     s = float(np.linalg.norm(axb))
     if s <= AXIS_TOL:
         raise DegenerateAxisError(f"|a x b| = {s!r} is too small to define a rotation axis")
@@ -163,7 +163,7 @@ def perpendicular_axis(a) -> np.ndarray:
     """A deterministic unit axis perpendicular to the unit vector a."""
     a = unit_vector(a)
     ref = np.array([0.0, 0.0, 1.0]) if abs(a[2]) <= 0.9 else np.array([1.0, 0.0, 0.0])
-    axis = np.cross(a, ref)
+    axis = _cross(a, ref)
     return axis / np.linalg.norm(axis)
 
 
@@ -185,7 +185,7 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
 
     a' is a rotated about a fixed axis perpendicular to a, so the plane of
     the wedge is the same for every row.  The magnitude is |a ^ a'| (Clifford
-    wedge) divided by |a x a'| (numpy cross); the two norms are independent
+    wedge) divided by |a x a'| (`_cross`); the two norms are independent
     computations of the same quantity.  Magnitudes are reported as computed,
     not asserted.
     """
@@ -196,7 +196,7 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
     w = _product("wedge", va, _vector_coeffs(a_prime, 3))
     # one 1-D norm per row: a batched norm(axis=-1) can round differently
     wedge_norm = np.array([np.linalg.norm(row) for row in w])
-    cross_norm = np.array([np.linalg.norm(row) for row in np.cross(a, a_prime)])
+    cross_norm = np.array([np.linalg.norm(row) for row in _cross(a, a_prime)])
     ok = cross_norm != 0.0  # zero separation: the row is undefined
     magnitude = np.divide(wedge_norm, cross_norm, out=np.full(len(seps), math.nan), where=ok)
     axis = np.full((len(seps), 3), math.nan)

@@ -22,9 +22,12 @@ product is validated against an independent code path.  It writes each blade
 pair's generator lists side by side, [-1 pads, A ascending, B ascending, dim
 pads], and sorts all pairs in lockstep, a bounded chunk of int8 columns at a
 time, by 2 * dim rounds of odd-even adjacent transpositions; the parity of
-the swaps is the sign and the XOR of the generators the mask.  Each oracle
-check builds this table once; its exhaustive comparison reads it against the
-Cayley tables, and its dense random products scatter through it with
+the swaps is the sign and the XOR of the generators the mask.  The table
+depends on the dimension alone, so, like the Cayley tables, it is built once
+per process per dimension, and it is read-only; it stays independent, since
+it is built by its own code, never from theirs.  Every oracle check still
+runs in full: its exhaustive comparison reads the table against the Cayley
+tables, and its dense random products scatter through it with
 `np.bincount`.  `inject_sign_flip` hands the abstract-side checks the
 structure constants with the wrong epsilon sign; it exists purely to
 demonstrate that the suite catches a mutated algebra.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +56,8 @@ from .frames import (
 from .multivector import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    MAX_DIM,
+    _cross,
     _product,
     _reversion_sign,
     _rotor_coeffs,
@@ -104,8 +110,13 @@ def _naive_factors(dim: int, pad: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=MAX_DIM + 1)
 def _naive_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, signs) of e_i e_j for every blade pair, flat at i * 2**dim + j.
+    """(masks, signs) of e_i e_j for every blade pair, flat at i * 2**dim + j,
+    read-only.  Built once per process per dimension: the table depends on
+    `dim` alone, and its build shares no code with the product kernel or its
+    Cayley tables, so a cached table checks them as independently as a fresh
+    one, and a corrupted kernel or Cayley table is still caught against it.
 
     Each pair's factor list [-1 pads, i ascending, j ascending, dim pads] is
     sorted by 2 * dim rounds of odd-even adjacent transpositions, the pairs
@@ -132,6 +143,7 @@ def _naive_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
             mask |= np.bitwise_xor.reduce(factors == j, axis=0).astype(np.uint8) << j
         masks[pair] = mask
         signs[pair] = 1 - 2 * (swaps % 2)
+    masks.flags.writeable = signs.flags.writeable = False
     return masks, signs
 
 
@@ -310,7 +322,7 @@ def check_score_expansion_embedded(lam: int, frame, rng, tol: float, n_pairs: in
     M = _frame_matrix(frame)
     a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
     got = _product("geometric", a @ M[:, 1:].T, b @ M[:, 1:].T)
-    want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * np.cross(a, b)], axis=1)
+    want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * _cross(a, b)], axis=1)
     return CheckResult(
         f"frame score expansion, epsilon sign {'-' if lam == 1 else '+'} (lam={lam:+d})",
         _worst(got - want @ M.T),
@@ -323,7 +335,7 @@ def check_combined_identity(lam: int, rng, tol: float, n_pairs: int, eps_sign: f
     a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
     x, y = (_score_coeffs(unit_vector(n), lam) for n in (a, b))
     got = np.stack(_structure_coeffs(x, y, eps_sign * lam), axis=1)
-    want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * np.cross(a, b)], axis=1)
+    want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * _cross(a, b)], axis=1)
     return CheckResult(f"combined orientation identity (lam={lam:+d})", _worst(got - want), tol)
 
 

@@ -382,6 +382,16 @@ def render(x: Multivector) -> str:
 # -- small vector helpers ------------------------------------------------------
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b over the last axis of 3-vectors, rows broadcast.  The same
+    multiplies and subtractions, in the same order, as `np.cross` on
+    3-vectors, so the bits agree, at about half its cost on small inputs."""
+    a, b = np.asarray(a), np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def unit_vector(v) -> np.ndarray:
     """Validate that v, or each vector along the last axis of a (..., k)
     array, is finite with norm 1 within `UNIT_TOL`; return it renormalized."""

@@ -596,6 +596,40 @@ def test_nonzero_terms_drop_signed_zeros_as_the_loop_did(dim):
     assert all(type(c) is float for c in got.values())
 
 
+#: Inputs whose squares overflow: numpy warns when the norm of --a, or the
+#: embedding's m.T @ m, overflows.
+OVERFLOWING = pytest.mark.parametrize("argv, refused", [
+    (["s7", "--a=1e200,0,0"], "--a '1e200,0,0': "),
+    (["simulate", "--a=1e200,0,0", "--b=0,1,0"], "--a '1e200,0,0': "),
+    (["s7", "--embedding", "huge.txt"], "--embedding 'huge.txt': "),
+], ids=["s7-a", "simulate-a", "s7-embedding"])
+
+
+@OVERFLOWING
+def test_inputs_whose_squares_overflow_are_refused_not_faults(tmp_path, capsys, monkeypatch, argv, refused):
+    # a warning raised as an error would turn the refusal into a fault
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("huge.txt", np.full((7, 3), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(tmp_path / "x")])
+    assert assert_usage_error(capsys, code).err.startswith(f"error: {refused}")
+    assert not (tmp_path / "x").exists()
+
+
+@OVERFLOWING
+def test_inputs_whose_squares_overflow_are_refused_in_one_line(tmp_path, argv, refused):
+    # a warning printed, as numpy prints it by default, would add two lines
+    np.savetxt(tmp_path / "huge.txt", np.full((7, 3), 1e200))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "cliffsphere", *argv, "--out", "x"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: {refused}")
+    assert len(done.stderr.splitlines()) == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_s7_bad_embedding_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 0 0\n0 1 0\n")

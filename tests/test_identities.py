@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliffsphere import identities, multivector
+from cliffsphere import cli, identities, multivector
 from cliffsphere.identities import (
     CheckResult,
     _frame_coeffs,
@@ -137,16 +137,37 @@ def test_naive_table_matches_the_brute_force_oracle(dim):
 
 
 def test_naive_table_memory_is_bounded_by_its_chunk():
+    # the build itself: a call that the per-process cache answers allocates nothing
     tracemalloc.start()
     try:
-        _naive_table(7)
+        _naive_table.__wrapped__(7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("dim", [3, 7])
+def test_naive_table_is_built_once_and_read_only(dim):
+    masks, signs = _naive_table(dim)
+    assert _naive_table(dim)[0] is masks
+    for table in (masks, signs):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
 ORACLE_CL7 = "fast product vs naive blade multiplier, Cl(7,0)"
+
+
+def test_a_cached_naive_table_still_catches_a_corrupted_algebra(monkeypatch, tmp_path):
+    # a clean suite fills the cache; what it caches must not hide a later fault
+    assert all(r.passed for r in run_identity_checks(n_pairs=10))
+    flip_kernel_sign(monkeypatch, 5, 12)
+    assert not check_product_against_naive_oracle(7, np.random.default_rng(0), 1e-12, n_pairs=5).passed
+    monkeypatch.undo()
+    argv = ["identities", "--pairs", "10", "--inject-sign-flip", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
 
 
 def test_oracle_check_catches_a_flipped_cayley_sign(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cliffsphere import multivector
 from cliffsphere.multivector import (
@@ -547,6 +548,22 @@ def test_unit_vector_validates_each_row():
         assert np.max(np.abs(g - unit_vector(r))) < 1e-15
     with pytest.raises(ValueError, match="got norm 1.1"):
         unit_vector([[1.0, 0.0, 0.0], [1.1, 0.0, 0.0]])
+
+
+#: Cross-product entries: signed zeros, infinities and NaN among plain floats.
+CROSS_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.sampled_from(
+    [((3,), (3,)), ((3,), (n, 3)), ((n, 3), (3,)), ((n, 3), (n, 3))])), st.data())
+def test_cross_has_the_bits_of_numpy_cross(shapes, data):
+    a, b = (data.draw(arrays(np.float64, shape, elements=CROSS_ENTRIES)) for shape in shapes)
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf warn in both
+        got, want = multivector._cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()  # signed zeros and NaN signs too
 
 
 def test_rotor_exp_keeps_its_single_row_arithmetic():
