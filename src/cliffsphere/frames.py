@@ -67,11 +67,6 @@ class AbstractElement:
         if not all(np.isfinite(vals)):
             raise ValueError("coefficients must be finite")
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        """Coefficient 4-vector over the formal basis {1, beta_x, beta_y, beta_z}."""
-        return np.array([self.c0, *self.c])
-
 
 def _structure_coeffs(x, y, s: float) -> tuple:
     """Product with 1 central and beta_j beta_k = -delta_jk + s * eps_jkl beta_l

@@ -149,14 +149,11 @@ def phase_flip_at_pi(psi_a: float) -> tuple[Multivector, Multivector, float]:
 
 @dataclass(frozen=True)
 class NullLimitRow:
-    """One probe row; wedge_norm and cross_norm are the two code paths behind
-    the magnitude.  Undefined rows (zero separation) carry NaNs."""
+    """One probe row.  Undefined rows (zero separation) carry NaNs."""
 
     psi_rad: float
     magnitude: float
     axis: tuple[float, float, float]
-    wedge_norm: float
-    cross_norm: float
 
 
 def perpendicular_axis(a) -> np.ndarray:
@@ -202,5 +199,5 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
     axis = np.full((len(seps), 3), math.nan)
     unit_w = w[ok] * (1.0 / wedge_norm[ok, None])
     axis[ok] = _product("contract", -1.0 * _VOLUME3, unit_w)[:, [1, 2, 4]]
-    return [NullLimitRow(psi, float(m), tuple(map(float, ax)), float(wn), float(cn))
-            for psi, m, ax, wn, cn in zip(seps, magnitude, axis, wedge_norm, cross_norm)]
+    return [NullLimitRow(psi, float(m), tuple(map(float, ax)))
+            for psi, m, ax in zip(seps, magnitude, axis)]

@@ -55,6 +55,7 @@ def _tables(dim: int):
     for k in range(1, dim):
         swaps += grades[(masks[:, None] >> k) & masks[None, :]]
     sign = np.where(swaps % 2 == 0, 1, -1).astype(np.int8)
+    xor.flags.writeable = sign.flags.writeable = grades.flags.writeable = False
     return xor, sign, grades
 
 
@@ -83,7 +84,9 @@ def _gather_index(dim: int, kind: str) -> np.ndarray:
     a = np.arange(1 << dim)[:, None]
     common = a & xor
     keep = {"geometric": True, "wedge": common == 0, "contract": (common == a) | (common == xor)}
-    return np.where(keep[kind], np.where(sign[a, xor] > 0, xor, xor + (1 << dim)), 2 << dim)
+    G = np.where(keep[kind], np.where(sign[a, xor] > 0, xor, xor + (1 << dim)), 2 << dim)
+    G.flags.writeable = False
+    return G
 
 
 def _chunk_rows(cells: int) -> int:
@@ -138,6 +141,8 @@ def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         t *= x[:, None]
         return t.sum(axis=0, initial=0.0)
     out = np.empty(y.shape)
+    # `take` copies a read-only index array on every call: copy the cached one once
+    G = G if G.flags.writeable else G.copy()
     rows = _chunk_rows(max(G.size, G.shape[1]))
     if _blades_outer(len(out), G.shape[1]):
         for lo in range(0, len(out), rows):
@@ -159,7 +164,9 @@ def _reversion_sign(dim: int) -> np.ndarray:
     """Per-blade reversion signs (-1)**(g(g-1)/2)."""
     _, _, grades = _tables(dim)
     g = grades.astype(np.int64)
-    return np.where((g * (g - 1) // 2) % 2 == 0, 1.0, -1.0)
+    sign = np.where((g * (g - 1) // 2) % 2 == 0, 1.0, -1.0)
+    sign.flags.writeable = False
+    return sign
 
 
 @dataclass(frozen=True)
@@ -170,8 +177,7 @@ class Multivector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim must be in 1..{MAX_DIM}, got {self.dim}")
+        _check_dim(self.dim)
         c = np.asarray(self.coeffs, dtype=np.float64)
         if c.shape != (1 << self.dim,):
             raise ValueError(
@@ -193,6 +199,7 @@ class Multivector:
     @staticmethod
     def blade(dim: int, mask: int, coeff: float = 1.0) -> "Multivector":
         """Single canonical blade (generators in ascending index order)."""
+        _check_dim(dim)
         if not 0 <= mask < (1 << dim):
             raise ValueError(f"blade mask {mask} out of range for dim {dim}")
         c = np.zeros(1 << dim)
@@ -214,6 +221,7 @@ class Multivector:
             raise ValueError("vector components must be one-dimensional")
         if dim is None:
             dim = len(v)
+        _check_dim(dim)
         if len(v) > dim:
             raise ValueError(f"{len(v)} components do not fit in Cl({dim},0)")
         return Multivector(dim, _vector_coeffs(v, dim))
@@ -223,34 +231,8 @@ class Multivector:
         """Volume element e_1 e_2 ... e_dim."""
         return Multivector.blade(dim, (1 << dim) - 1)
 
-    # -- arithmetic sugar ----------------------------------------------------
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        _check_same_dim(self.coeffs, other.coeffs)
-        return Multivector(self.dim, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        _check_same_dim(self.coeffs, other.coeffs)
-        return Multivector(self.dim, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.dim, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return geometric_product(self, other)
-        return Multivector(self.dim, self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         return render(self)
-
-    # -- views ---------------------------------------------------------------
-
-    def vector_components(self) -> np.ndarray:
-        """Components on e_1..e_dim, as a plain array."""
-        return np.array([self.coeffs[1 << j] for j in range(self.dim)])
 
 
 def _vector_coeffs(v: np.ndarray, dim: int) -> np.ndarray:
@@ -259,6 +241,12 @@ def _vector_coeffs(v: np.ndarray, dim: int) -> np.ndarray:
     for j in range(v.shape[-1]):
         c[..., 1 << j] = v[..., j]
     return c
+
+
+def _check_dim(dim: int) -> None:
+    """Refuse a dimension outside 1..MAX_DIM before anything is sized by it."""
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in 1..{MAX_DIM}, got {dim}")
 
 
 def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:

@@ -6,18 +6,21 @@ counting swaps, and cancelling repeated generators with +1 (Euclidean
 metric).  Products of dense multivectors are explicit double loops over all
 blade pairs.
 
-Seven references do use the package.  `sign_table_product` evaluates the
+Seven references do use the package.  They multiply only through its
+public products (`geometric_product`, `wedge`, `contract`); sums and
+scalings act on coefficient arrays.  `sign_table_product` evaluates the
 float sign-table formula on the package's Cayley table; it pins the product
 kernel's bytes, while the naive products pin its algebra.
 `abstract_to_embedded` realizes an abstract element through a frame's
-bivectors as `Multivector`s, and `standard_score` builds the abstract
+bivectors as a `Multivector`, and `standard_score` builds the abstract
 element lam n_j beta_j, the single-direction reference of
-`frames._score_coeffs`.  `raw_score` builds one side's raw score
-(side_sign I.n)(lam I.n) from the public `Multivector` contraction and
-geometric product, and `trial_records` evaluates it trial by trial, the
-per-trial reference of the estimators.  `null_limit_rows` runs
-the null-limit probe one separation at a time through the public
-`Multivector` operations, the reference of the batched probe, and
+`frames._score_coeffs`; `abstract_coeffs` reads an abstract element's four
+coefficients.  `raw_score` builds one side's raw score (side_sign I.n)(lam
+I.n) from the public contraction and geometric product, and
+`trial_records` evaluates it trial by trial, the per-trial reference of the
+estimators.  `null_limit_rows` runs the null-limit probe one separation at
+a time through the public wedge, contraction and norm, and `np.cross`: the
+reference of the batched probe's psi, magnitude and axis.
 `sandwich_rotation` is its rotation, the reference of `hopf._rotated`.
 `flip_kernel_sign` is no reference but a canary: it corrupts one entry of
 the kernel's index table, which the checks that compare against these
@@ -197,10 +200,15 @@ def abstract_to_embedded(x: AbstractElement, lam: int, beta: np.ndarray) -> Mult
     orientation lam, given as the (3, 8) coefficients of beta_1..beta_3."""
     if x.lam != lam:
         raise OrientationMixError("element and frame carry different orientations")
-    out = Multivector.scalar(3, x.c0)
+    out = Multivector.scalar(3, x.c0).coeffs
     for cj, bj in zip(x.c, beta):
-        out = out + cj * Multivector(3, bj)
-    return out
+        out = out + cj * bj
+    return Multivector(3, out)
+
+
+def abstract_coeffs(x: AbstractElement) -> np.ndarray:
+    """Coefficient 4-vector of x over the formal basis {1, beta_x, beta_y, beta_z}."""
+    return np.array([x.c0, *x.c])
 
 
 def standard_score(n, lam: int) -> AbstractElement:
@@ -213,9 +221,10 @@ def raw_score(side_sign: int, n, lam: int) -> int:
     through `Multivector` operations: Alice's score for side_sign = -1, Bob's
     for +1.  The product must be a unit scalar."""
     i_n = contract(Multivector.volume(3), Multivector.from_vector(unit_vector(n), dim=3))
-    product = geometric_product(float(side_sign) * i_n, float(lam) * i_n)
+    product = geometric_product(Multivector(3, float(side_sign) * i_n.coeffs),
+                                Multivector(3, float(lam) * i_n.coeffs))
     s = scalar_part(product)
-    assert norm(product - Multivector.scalar(3, s)) < 1e-12 and abs(abs(s) - 1.0) < 1e-12, product
+    assert np.linalg.norm(product.coeffs[1:]) < 1e-12 and abs(abs(s) - 1.0) < 1e-12, product
     return 1 if s > 0 else -1
 
 
@@ -235,7 +244,7 @@ def sandwich_rotation(v, axis, angle: float) -> np.ndarray:
     c = Multivector.from_vector(unit_vector(axis), dim=3)
     R = rotor_exp(contract(Multivector.volume(3), c), -0.5 * angle)
     v = Multivector.from_vector(np.asarray(v, dtype=np.float64), dim=3)
-    return geometric_product(geometric_product(R, v), reversion(R)).vector_components()
+    return geometric_product(geometric_product(R, v), reversion(R)).coeffs[[1, 2, 4]]
 
 
 def null_limit_rows(a, separations) -> list[NullLimitRow]:
@@ -252,9 +261,10 @@ def null_limit_rows(a, separations) -> list[NullLimitRow]:
         wedge_norm = norm(w)
         cross_norm = float(np.linalg.norm(np.cross(a, a_prime)))
         if cross_norm == 0.0:
-            rows.append(NullLimitRow(psi, math.nan, nan3, wedge_norm, cross_norm))
+            rows.append(NullLimitRow(psi, math.nan, nan3))
             continue
-        dual = contract(-1.0 * Multivector.volume(3), (1.0 / wedge_norm) * w)
-        axis_row = tuple(float(x) for x in dual.vector_components())
-        rows.append(NullLimitRow(psi, wedge_norm / cross_norm, axis_row, wedge_norm, cross_norm))
+        dual = contract(Multivector(3, -1.0 * Multivector.volume(3).coeffs),
+                        Multivector(3, (1.0 / wedge_norm) * w.coeffs))
+        axis_row = tuple(map(float, dual.coeffs[[1, 2, 4]]))
+        rows.append(NullLimitRow(psi, wedge_norm / cross_norm, axis_row))
     return rows

@@ -44,7 +44,7 @@ def random_unit(rng, k=3):
 
 
 def mv_close(x, y, tol=1e-12):
-    return norm(x - y) <= tol
+    return np.linalg.norm(x.coeffs - y.coeffs) <= tol
 
 
 # -- geometric product ---------------------------------------------------------
@@ -78,11 +78,10 @@ def test_anticommutation_exact():
     for dim in (3, 7):
         for j in range(1, dim + 1):
             for k in range(1, dim + 1):
-                anti = geometric_product(e(dim, j), e(dim, k)) + geometric_product(
-                    e(dim, k), e(dim, j)
-                )
+                anti = (geometric_product(e(dim, j), e(dim, k)).coeffs
+                        + geometric_product(e(dim, k), e(dim, j)).coeffs)
                 want = Multivector.scalar(dim, 2.0 if j == k else 0.0)
-                assert np.array_equal(anti.coeffs, want.coeffs)
+                assert np.array_equal(anti, want.coeffs)
 
 
 @pytest.mark.parametrize("dim,n_triples,rel_tol", [(3, 500, 1e-10), (7, 500, 1e-10)])
@@ -93,7 +92,7 @@ def test_associativity_random_triples(dim, n_triples, rel_tol):
         lhs = geometric_product(geometric_product(x, y), z)
         rhs = geometric_product(x, geometric_product(y, z))
         bound = rel_tol * norm(x) * norm(y) * norm(z)
-        assert norm(lhs - rhs) < bound
+        assert np.linalg.norm(lhs.coeffs - rhs.coeffs) < bound
 
 
 @pytest.mark.parametrize("dim,n_pairs", [(1, 50), (2, 100), (3, 200), (4, 200), (5, 200), (6, 100), (7, 200), (8, 40)])
@@ -338,7 +337,7 @@ def test_wedge_rotated_vector_closed_form():
         a = Multivector.from_vector([1.0, 0.0, 0.0])
         b = Multivector.from_vector([math.cos(theta), math.sin(theta), 0.0])
         w = wedge(a, b)
-        assert mv_close(w, math.sin(theta) * Multivector.blade(3, 0b011), 1e-15)
+        assert mv_close(w, Multivector.blade(3, 0b011, math.sin(theta)), 1e-15)
         proj = grade_part(geometric_product(a, b), 2)
         assert mv_close(w, proj, 0.0)
 
@@ -349,7 +348,7 @@ def test_wedge_antisymmetric_on_vectors(seed):
     rng = np.random.default_rng(seed)
     a = Multivector.from_vector(rng.normal(size=3))
     b = Multivector.from_vector(rng.normal(size=3))
-    assert mv_close(wedge(a, b) + wedge(b, a), Multivector(3, np.zeros(8)), 1e-12)
+    assert np.linalg.norm(wedge(a, b).coeffs + wedge(b, a).coeffs) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -384,15 +383,15 @@ def test_vector_product_decomposes_into_contract_plus_wedge():
     for _ in range(200):
         a = Multivector.from_vector(random_unit(rng))
         b = Multivector.from_vector(random_unit(rng))
-        total = contract(a, b) + wedge(a, b)
-        assert mv_close(geometric_product(a, b), total, 1e-12)
+        total = contract(a, b).coeffs + wedge(a, b).coeffs
+        assert np.linalg.norm(geometric_product(a, b).coeffs - total) <= 1e-12
 
 
 # -- grade projection -----------------------------------------------------------
 
 
 def test_grade_part_projects():
-    x = Multivector.scalar(3, 1.0) + e(3, 1) + Multivector.blade(3, 0b011)
+    x = Multivector(3, [1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])  # 1 + e1 + e12
     assert np.array_equal(grade_part(x, 1).coeffs, e(3, 1).coeffs)
 
 
@@ -401,16 +400,16 @@ def test_grade_part_projects():
 def test_grade_part_idempotent_and_complete(seed, dim):
     rng = np.random.default_rng(seed)
     x = Multivector(dim, rng.normal(size=1 << dim))
-    total = Multivector(dim, np.zeros(1 << dim))
+    total = np.zeros(1 << dim)
     for g in range(dim + 1):
         p = grade_part(x, g)
         assert np.array_equal(grade_part(p, g).coeffs, p.coeffs)
-        total = total + p
-    assert np.array_equal(total.coeffs, x.coeffs)
+        total = total + p.coeffs
+    assert np.array_equal(total, x.coeffs)
 
 
 def test_grade_norms_accounts_for_every_grade():
-    x = Multivector.scalar(3, 3.0) + 4.0 * Multivector.blade(3, 0b011)
+    x = Multivector(3, [3.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0])  # 3 + 4 e12
     gn = grade_norms(x)
     assert gn[0] == 3.0 and gn[2] == 4.0 and gn[1] == 0.0 and gn[3] == 0.0
 
@@ -421,13 +420,13 @@ def test_grade_norms_accounts_for_every_grade():
 def test_reversion_signs():
     assert np.array_equal(
         reversion(Multivector.blade(3, 0b011)).coeffs,
-        (-1.0 * Multivector.blade(3, 0b011)).coeffs,
+        Multivector.blade(3, 0b011, -1.0).coeffs,
     )
     assert scalar_part(reversion(Multivector.scalar(3, 2.0))) == 2.0
     assert np.array_equal(reversion(e(3, 2)).coeffs, e(3, 2).coeffs)
     # grade 3 flips: (-1)^(3*2/2) = -1
     I = Multivector.volume(3)
-    assert np.array_equal(reversion(I).coeffs, (-1.0 * I).coeffs)
+    assert np.array_equal(reversion(I).coeffs, -I.coeffs)
 
 
 def test_norm_zero_and_rotor_norm():
@@ -459,7 +458,7 @@ def test_rotor_exp_rejects_bad_generators():
     with pytest.raises(ValueError, match="pure bivector"):
         rotor_exp(e(3, 1), 0.5)
     with pytest.raises(ValueError, match="unit bivector"):
-        rotor_exp(2.0 * Multivector.blade(3, 0b011), 0.5)
+        rotor_exp(Multivector.blade(3, 0b011, 2.0), 0.5)
 
 
 def test_rotor_reversion_product_is_identity():
@@ -491,7 +490,7 @@ def test_rotor_sandwich_rotates_by_twice_the_angle():
         )
         coords = np.array([np.dot(v, u), np.dot(v, w)])
         want = rotation_matrix_2d(2 * theta) @ coords
-        got = out.vector_components()
+        got = out.coeffs[[1, 2, 4]]
         want_vec = want[0] * u + want[1] * w
         assert np.max(np.abs(got - want_vec)) < 1e-10
 
@@ -516,13 +515,28 @@ def test_invalid_construction_rejected():
         Multivector(3, np.array([np.nan] + [0.0] * 7))
 
 
+@pytest.mark.parametrize("dim", [-1, 0, 9, 40, 64])
+def test_every_constructor_checks_dim_before_it_allocates(dim):
+    # 2**40 coefficients would be 8 TiB, and a negative dim a negative shift
+    builds = [lambda: Multivector(dim, np.zeros(1)),
+              lambda: Multivector.blade(dim, 1),
+              lambda: Multivector.scalar(dim, 1.0),
+              lambda: Multivector.from_vector([1.0], dim=dim)]
+    if dim > 0:  # 1 << dim runs first in volume, and basis_vector checks its index first
+        builds += [lambda: Multivector.volume(dim), lambda: Multivector.basis_vector(dim, 1)]
+    for build in builds:
+        with pytest.raises(ValueError, match=r"dim must be in 1\.\.8"):
+            build()
+
+
 def test_render_format():
-    x = Multivector.scalar(3, 1.0) + 2.0 * Multivector.blade(3, 0b011)
+    x = Multivector(3, [1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
     assert render(x) == "1.0 + 2.0*e12"
-    y = -1.5 * e(3, 3) + 0.5 * Multivector.volume(3)
+    y = Multivector(3, [0.0, 0.0, 0.0, 0.0, -1.5, 0.0, 0.0, 0.5])
     assert render(y) == "-1.5*e3 + 0.5*e123"
     assert render(Multivector(3, np.zeros(8))) == "0.0"
-    assert str(x - 2.0 * Multivector.blade(3, 0b011) - Multivector.scalar(3, 2.0)) == "-1.0"
+    cancelled = x.coeffs - Multivector.blade(3, 0b011, 2.0).coeffs - Multivector.scalar(3, 2.0).coeffs
+    assert str(Multivector(3, cancelled)) == "-1.0"
 
 
 def test_unit_vector_tolerance():
