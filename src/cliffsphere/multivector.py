@@ -209,6 +209,7 @@ class Multivector:
     @staticmethod
     def basis_vector(dim: int, index: int) -> "Multivector":
         """Generator e_index, 1-based."""
+        _check_dim(dim)
         if not 1 <= index <= dim:
             raise ValueError(f"generator index {index} out of range 1..{dim}")
         return Multivector.blade(dim, 1 << (index - 1))
@@ -229,6 +230,7 @@ class Multivector:
     @staticmethod
     def volume(dim: int) -> "Multivector":
         """Volume element e_1 e_2 ... e_dim."""
+        _check_dim(dim)
         return Multivector.blade(dim, (1 << dim) - 1)
 
     def __str__(self) -> str:

@@ -1,6 +1,7 @@
 """Identity suite tests: everything passes, and a corrupted algebra is caught."""
 
 import inspect
+import itertools
 import math
 import re
 import tracemalloc
@@ -14,6 +15,7 @@ from cliffsphere.identities import (
     _frame_coeffs,
     _frame_table,
     _naive_table,
+    check_associativity,
     check_frame_anticommutation,
     check_frame_squares,
     check_frame_subalgebra,
@@ -70,7 +72,7 @@ def test_checks_have_distinct_names():
 def test_exact_checks_carry_zero_tolerance():
     results = run_identity_checks(n_pairs=10)
     exact = [r for r in results if r.tolerance == 0.0]
-    assert len(exact) >= 10
+    assert len(exact) == 14
     for r in exact:
         assert r.residual == 0.0
 
@@ -172,10 +174,7 @@ def test_a_cached_naive_table_still_catches_a_corrupted_algebra(monkeypatch, tmp
 
 def test_oracle_check_catches_a_flipped_cayley_sign(monkeypatch):
     # the exhaustive half: the Cayley table that the check reads is corrupted
-    xor, sign, grades = multivector._tables(7)
-    bad = sign.copy()
-    bad[5, 9] *= -1
-    monkeypatch.setattr(identities, "_tables", lambda dim: (xor, bad, grades))
+    corrupt_tables(monkeypatch, 7, flip_sign(5, 9))
     result = check_product_against_naive_oracle(7, np.random.default_rng(0), 1e-12, n_pairs=5)
     assert result.name == ORACLE_CL7
     assert not result.passed
@@ -188,6 +187,72 @@ def test_oracle_check_catches_a_flipped_product_sign(monkeypatch):
     result = check_product_against_naive_oracle(7, np.random.default_rng(0), 1e-12, n_pairs=5)
     assert result.name == ORACLE_CL7
     assert not result.passed
+
+
+# -- exact associativity of the blade table -------------------------------------------------
+
+
+def associativity_by_loop(xor, sign) -> int:
+    """Blade triples (A, B, C) whose (e_A e_B) e_C and e_A (e_B e_C) differ in
+    sign or mask, one triple at a time."""
+    return sum(
+        (sign[a, b] * sign[xor[a, b], c], xor[xor[a, b], c]) != (sign[b, c] * sign[a, xor[b, c]], xor[a, xor[b, c]])
+        for a, b, c in itertools.product(range(len(xor)), repeat=3)
+    )
+
+
+def corrupt_tables(monkeypatch, dim, mutate):
+    """Let the identity checks read copies of the Cayley tables that
+    `mutate(xor, sign)` changed; return the copies."""
+    xor, sign, grades = multivector._tables(dim)
+    xor, sign = xor.copy(), sign.copy()
+    mutate(xor, sign)
+    monkeypatch.setattr(identities, "_tables", lambda d: (xor, sign, grades))
+    return xor, sign
+
+
+def flip_sign(i, k):
+    def mutate(xor, sign):
+        sign[i, k] *= -1
+    return mutate
+
+
+def move_mask(i, k, to):
+    def mutate(xor, sign):
+        xor[i, k] = xor[i, to]
+    return mutate
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_associativity_is_exact_and_makes_no_product(monkeypatch, dim):
+    def no_kernel(*args):
+        raise AssertionError("the associativity check multiplied")
+
+    monkeypatch.setattr(identities, "_product", no_kernel)
+    result = check_associativity(dim)
+    assert list(inspect.signature(check_associativity).parameters) == ["dim"]
+    assert result == CheckResult(f"associativity of the blade table, Cl({dim},0)", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+@pytest.mark.parametrize("mutate", [None, flip_sign(1, -1), flip_sign(0, 1), move_mask(-1, 1, 0)],
+                         ids=["clean", "flip-sign", "flip-scalar-sign", "move-mask"])
+def test_associativity_counts_what_a_triple_loop_counts(monkeypatch, dim, mutate):
+    xor, sign = corrupt_tables(monkeypatch, dim, mutate or (lambda xor, sign: None))
+    wrong = associativity_by_loop(xor, sign)
+    if mutate is None:
+        assert wrong == 0
+    elif dim > 1:  # at Cl(1), e1 e1 = -1 and e1 e1 = e1 are still associative
+        assert wrong > 0
+    assert check_associativity(dim).residual == wrong
+
+
+@pytest.mark.parametrize("mutate", [flip_sign(5, 9), flip_sign(0, 3), move_mask(5, 9, 10)])
+def test_associativity_catches_a_corrupted_cayley_table(monkeypatch, mutate):
+    corrupt_tables(monkeypatch, 7, mutate)
+    result = check_associativity(7)
+    assert not result.passed
+    assert result.residual > 100  # one entry is read by hundreds of triples
 
 
 # -- batched checks against per-case loops -------------------------------------------------
