@@ -1,9 +1,9 @@
 """Self-contained verification suite for the algebra and frame identities.
 
 Each check evaluates one identity and reports its worst residual against a
-tolerance.  Exact checks carry tolerance 0, associativity among them over
-every blade triple of the Cayley tables; floating identities default to 1e-12
-absolute, overridable, and only the rotor-rotation bound is fixed.
+tolerance.  Exact checks carry tolerance 0 (associativity counts the wrong
+Cayley mask pairs and packed sign-bit triples); floating identities default
+to 1e-12 absolute, overridable, and only the rotor-rotation bound is fixed.
 `run_identity_checks` runs all 31 checks in a fixed order and draws every
 random input from one stream seeded by `seed`, so no two checks share inputs.
 
@@ -56,6 +56,7 @@ from .multivector import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     MAX_DIM,
+    _chunk_rows,
     _cross,
     _product,
     _reversion_sign,
@@ -220,13 +221,38 @@ def check_generator_anticommutation(dim: int) -> CheckResult:
     return CheckResult(f"generator anticommutation, Cl({dim},0)", _worst(anti), 0.0)
 
 
+#: Butterfly masks of a 64-bit word, 0x5555... to 0x00000000FFFFFFFF: mask j
+#: keeps the bit positions whose bit j is 0.
+_BUTTERFLY = tuple(sum(1 << c for c in range(64) if not c >> j & 1) for j in range(6))
+
+
 def check_associativity(dim: int) -> CheckResult:
-    """(e_A e_B) e_C = e_A (e_B e_C) on every blade triple, exactly.  Per A, over all
-    (B, C): s[A,B] s[A^B,C] vs s[B,C] s[A,B^C], as signed masks sign * (mask + 1)."""
+    """(e_A e_B) e_C = e_A (e_B e_C) on every blade triple, exactly, as two
+    stricter laws: masks are A ^ B, and the sign bits p (1 for -1) satisfy
+    p[A,B] ^ p[A^B,C] ^ p[B,C] ^ p[A,B^C] = 0 at true (byte) XORs.  The
+    residual counts wrong pairs plus wrong triples.  Per block of A rows
+    within `_CHUNK_BYTES`, T[A, K] packs p[A, K^C] over C in 64-bit words,
+    doubled from P[A] by butterflies over the bits of K; the popcount of
+    P[A^B] ^ P[B] ^ T[A,B], complemented where p[A,B] = 1, counts wrong C."""
     xor, sign, _ = _tables(dim)
-    signed = (xor + 1).astype(np.int16) * sign
-    wrong = sum(np.count_nonzero(signed.take(xor[a], axis=0) * sign[a][:, None] != signed[a].take(xor) * sign)
-                for a in range(1 << dim))
+    size, words = 1 << dim, max(1, (1 << dim) >> 6)
+    blades, wrong, rows = np.arange(size, dtype=np.uint8), 0, _chunk_rows(size * words)
+    bits = np.zeros((size, 64 * words), dtype=bool)
+    bits[:, :size] = sign < 0
+    P = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    for a in np.split(blades, range(rows, size, rows)):
+        wrong += np.count_nonzero(xor[a] != a[:, None] ^ blades)
+        T = P[a][:, None]
+        for j in range(dim):
+            if j < 6:
+                swapped = (T >> (1 << j)) & _BUTTERFLY[j] | (T & _BUTTERFLY[j]) << (1 << j)
+            else:
+                swapped = T[..., np.arange(words) ^ (1 << (j - 6))]
+            T = np.concatenate([T, swapped], axis=1)
+        T ^= P.take(a[:, None] ^ blades, axis=0)
+        T ^= P
+        T ^= (sign[a] < 0)[..., None] * np.uint64((1 << min(size, 64)) - 1)
+        wrong += np.bitwise_count(T).sum()
     return CheckResult(f"associativity of the blade table, Cl({dim},0)", float(wrong), 0.0)
 
 

@@ -194,11 +194,22 @@ def test_oracle_check_catches_a_flipped_product_sign(monkeypatch):
 
 def associativity_by_loop(xor, sign) -> int:
     """Blade triples (A, B, C) whose (e_A e_B) e_C and e_A (e_B e_C) differ in
-    sign or mask, one triple at a time."""
+    sign or mask, one triple at a time: the law itself, on the tables."""
     return sum(
         (sign[a, b] * sign[xor[a, b], c], xor[xor[a, b], c]) != (sign[b, c] * sign[a, xor[b, c]], xor[a, xor[b, c]])
         for a, b, c in itertools.product(range(len(xor)), repeat=3)
     )
+
+
+def associativity_laws_by_loop(xor, sign) -> int:
+    """Blade pairs whose mask is not A ^ B, plus blade triples whose sign bits
+    p[A,B] ^ p[A^B,C] ^ p[B,C] ^ p[A,B^C] are not 0, one at a time; the
+    indices are true XORs, so the triples never read the mask table."""
+    p = (sign < 0).astype(int)
+    blades = range(len(xor))
+    pairs = sum(xor[a, b] != a ^ b for a, b in itertools.product(blades, repeat=2))
+    triples = sum(p[a, b] ^ p[a ^ b, c] ^ p[b, c] ^ p[a, b ^ c] for a, b, c in itertools.product(blades, repeat=3))
+    return int(pairs + triples)
 
 
 def corrupt_tables(monkeypatch, dim, mutate):
@@ -239,20 +250,59 @@ def test_associativity_is_exact_and_makes_no_product(monkeypatch, dim):
                          ids=["clean", "flip-sign", "flip-scalar-sign", "move-mask"])
 def test_associativity_counts_what_a_triple_loop_counts(monkeypatch, dim, mutate):
     xor, sign = corrupt_tables(monkeypatch, dim, mutate or (lambda xor, sign: None))
-    wrong = associativity_by_loop(xor, sign)
-    if mutate is None:
-        assert wrong == 0
-    elif dim > 1:  # at Cl(1), e1 e1 = -1 and e1 e1 = e1 are still associative
-        assert wrong > 0
-    assert check_associativity(dim).residual == wrong
+    residual = check_associativity(dim).residual
+    assert residual == associativity_laws_by_loop(xor, sign)
+    # the two laws are stricter than the triple law: they never pass a table it fails
+    assert residual > 0 or associativity_by_loop(xor, sign) == 0
+    # every mutant is caught but one: Cl(1)'s flipped sign, e1 e1 = -1, is the table
+    # of Cl(0,1), an associative algebra.  Cl(1)'s moved mask, e1 e1 = e1, keeps the
+    # triple law and is caught all the same.
+    cl01 = dim == 1 and sign.tolist() == [[1, 1], [1, -1]] and xor.tolist() == [[0, 1], [1, 0]]
+    assert (residual > 0) == (mutate is not None and not cl01)
 
 
 @pytest.mark.parametrize("mutate", [flip_sign(5, 9), flip_sign(0, 3), move_mask(5, 9, 10)])
 def test_associativity_catches_a_corrupted_cayley_table(monkeypatch, mutate):
-    corrupt_tables(monkeypatch, 7, mutate)
+    xor, _ = corrupt_tables(monkeypatch, 7, mutate)
+    moved = np.count_nonzero(xor != multivector._tables(7)[0])
     result = check_associativity(7)
     assert not result.passed
-    assert result.residual > 100  # one entry is read by hundreds of triples
+    if moved:  # one wrong mask pair; the sign-bit triples never read the mask table
+        assert result.residual == moved == 1
+    else:
+        assert result.residual > 100  # one sign is read by hundreds of triples
+
+
+CL5_TO_CL7_SIGN_MUTANTS = [(dim, flip_sign(*ik)) for dim in (5, 6, 7) for ik in [(5, 9), (0, 3), (-1, 1), (17, -3)]]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_associativity_blocks_leave_no_seam(monkeypatch, rows):
+    # 1 row a block, and 3, whose last block is ragged, against the default blocking
+    def residuals():
+        out = []
+        for dim, mutate in CL5_TO_CL7_SIGN_MUTANTS:
+            corrupt_tables(monkeypatch, dim, mutate)
+            out.append(check_associativity(dim).residual)
+        return out
+
+    want = residuals()
+    assert min(want) > 0
+    monkeypatch.setattr(identities, "_chunk_rows", lambda cells: rows)
+    assert residuals() == want
+
+
+def test_associativity_memory_is_bounded_by_its_blocks():
+    multivector._tables(7)  # the Cayley tables are cached per process; trace the check alone
+    tracemalloc.start()
+    try:
+        result = check_associativity(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    # unblocked, the (128, 128, 2) uint64 arrays and their indices peaked at 0.8 MiB
+    assert peak < 4 * multivector._CHUNK_BYTES
 
 
 # -- batched checks against per-case loops -------------------------------------------------
