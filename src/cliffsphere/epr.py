@@ -10,9 +10,10 @@ Per trial, Alice's raw score is the scalar of the Cl(3,0) product
 (-I.a)(lam I.a) and Bob's is the scalar of (+I.b)(lam I.b); both products
 are evaluated in the algebra and checked to be scalar, never assumed.  Since
 the scores depend on the directions only through these products (which
-collapse to lam and -lam), the estimators evaluate the products once per
-orientation value, for all directions of a sweep in one batch of arrays,
-verify every direction's values, and weight them by the orientation counts.
+collapse to lam and -lam), the estimators contract each side's directions
+with I once and evaluate the products at both orientation values, for all
+directions of a sweep, in one batch of arrays, verify every direction's
+values, and weight them by the orientation counts.
 A single direction pair is the batch of one.  Averages are then exact: the
 counts are integers, so the results are independent of summation order at
 any trial count.
@@ -189,13 +190,14 @@ def _unit_rows(vs) -> np.ndarray:
     return rows
 
 
-def _raw_scores(side: Side, ns: np.ndarray, lam: int) -> np.ndarray:
-    """Raw scores of `side` at orientation lam for the unit rows of ns: signs of
-    the Cl(3,0) products (-I.n)(lam I.n) for Alice and (+I.n)(lam I.n) for
-    Bob, evaluated as one batch.  Every product is checked to be a unit scalar
-    to `DEFAULT_TOL`."""
+def _raw_scores(side: Side, ns: np.ndarray) -> np.ndarray:
+    """(2, N) raw scores of `side` for the unit rows of ns, row 0 at lam = +1
+    and row 1 at lam = -1: signs of the Cl(3,0) products (-I.n)(lam I.n) for
+    Alice and (+I.n)(lam I.n) for Bob, from one contraction and one product
+    batch.  Every product is checked to be a unit scalar to `DEFAULT_TOL`."""
     i_n = _product("contract", _VOLUME3, _vector_coeffs(ns, 3))
-    products = _product("geometric", -i_n if side is Side.ALICE else i_n, float(lam) * i_n)
+    left = -i_n if side is Side.ALICE else i_n
+    products = _product("geometric", np.concatenate([left, left]), np.concatenate([i_n, -i_n]))
     s = products[:, 0]
     off = ~((np.linalg.norm(products[:, 1:], axis=-1) <= DEFAULT_TOL)
             & (np.abs(np.abs(s) - 1.0) <= DEFAULT_TOL))
@@ -203,7 +205,7 @@ def _raw_scores(side: Side, ns: np.ndarray, lam: int) -> np.ndarray:
         raise TrialConsistencyError(
             f"raw-score product is not a unit scalar: {Multivector(3, products[off.argmax()])}"
         )
-    return np.where(s > 0, 1, -1)
+    return np.where(s > 0, 1, -1).reshape(2, -1)
 
 
 def _standard_estimates(a, b, counts: OrientationCounts) -> tuple[np.ndarray, np.ndarray, list[float]]:
@@ -225,19 +227,16 @@ def _standard_estimates(a, b, counts: OrientationCounts) -> tuple[np.ndarray, np
 def _raw_means(a, b, counts: OrientationCounts) -> np.ndarray:
     """Raw-score product means for the unit rows of a and b: each row's raw
     scores are checked against the per-trial identities A = lam, B = -lam."""
-    total = 0
-    for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)):
-        alice, bob = _raw_scores(Side.ALICE, a, lam), _raw_scores(Side.BOB, b, lam)
-        off = (alice != lam) | (bob != -lam)
-        if off.any():
-            i = off.argmax()
-            raise TrialConsistencyError(
-                f"per-trial identity violated: A({lam})={alice[i]}, B({lam})={bob[i]}"
-            )
-        if k and np.any(alice * bob != -1):
-            raise TrialConsistencyError("per-trial raw product deviated from -1")
-        total = total + k * alice * bob
-    return total / counts.n
+    alice, bob = _raw_scores(Side.ALICE, a), _raw_scores(Side.BOB, b)
+    lams = np.array(ORIENTATIONS)[:, None]
+    off = (alice != lams) | (bob != -lams)
+    if off.any():
+        j, i = np.argwhere(off)[0]
+        lam = ORIENTATIONS[j]
+        raise TrialConsistencyError(
+            f"per-trial identity violated: A({lam})={alice[j, i]}, B({lam})={bob[j, i]}"
+        )
+    return (counts.n_plus * alice[0] * bob[0] + counts.n_minus * alice[1] * bob[1]) / counts.n
 
 
 # -- estimators ----------------------------------------------------------------------
@@ -248,8 +247,8 @@ def marginal_average(n_vec, side: Side, counts: OrientationCounts) -> Correlatio
     standard-score mean in `residual_coeffs`.  All tend to 0 as 1/sqrt(n)."""
     n_vec = _unit_rows([n_vec])
     side = Side(side)
-    total = sum(k * int(_raw_scores(side, n_vec, lam)[0])
-                for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)))
+    plus, minus = _raw_scores(side, n_vec)[:, 0].tolist()
+    total = counts.n_plus * plus + counts.n_minus * minus
     components = counts.lam_mean * n_vec[0]
     stderr = 1.0 / math.sqrt(counts.n)
     return CorrelationEstimate(

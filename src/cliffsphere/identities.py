@@ -7,12 +7,12 @@ to 1e-12 absolute, overridable, and only the rotor-rotation bound is fixed.
 `run_identity_checks` runs all 31 checks in a fixed order and draws every
 random input from one stream seeded by `seed`, so no two checks share inputs.
 
-The random-pair checks, the rotor checks and generator anticommutation
-draw all their inputs up front, in the order a per-case loop would, and
-evaluate every case at once on (N, 2**n) coefficient arrays through the
-product kernel; a check's residual is the largest row norm, so a NaN row
-fails it.  Each orientation's frame checks, score expansion and isomorphism
-included, read one table of its frame and pair products, built once.  Only
+The random-pair checks and the rotor checks draw each of their inputs as
+one whole array, and they and generator anticommutation evaluate every case
+at once on (N, 2**n) coefficient arrays through the product kernel; a
+check's residual is the largest row norm, so a NaN row fails it.  Each
+orientation's frame checks, score expansion and isomorphism included, read
+one table of its frame and pair products, built once.  Only
 `check_hidden_basis` sees `Multivector`s, which `hidden_basis` returns.
 
 The suite carries its own naive blade multiplier, which shares no code with
@@ -63,7 +63,6 @@ from .multivector import (
     _rotor_coeffs,
     _tables,
     _vector_coeffs,
-    unit_vector,
 )
 
 #: Fixed absolute bound of the rotor-rotation check.
@@ -270,7 +269,7 @@ def check_product_against_naive_oracle(dim: int, rng, tol: float, n_pairs: int) 
     # exhaustive blade-level comparison of the fast Cayley tables
     worst = float(np.any(masks.reshape(size, size) != xor) or np.any(signs.reshape(size, size) != sign))
     # dense random multivector pairs through both full product paths
-    x, y = np.moveaxis(rng.normal(size=(n_pairs, 2, size)), 1, 0)
+    x, y = rng.normal(size=(2, n_pairs, size))
     naive = np.stack([_naive_product(xi, yi, masks, signs) for xi, yi in zip(x, y)])
     worst = float(np.max(np.abs(_product("geometric", x, y) - naive), initial=worst))
     return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", worst, tol)
@@ -278,11 +277,9 @@ def check_product_against_naive_oracle(dim: int, rng, tol: float, n_pairs: int) 
 
 def check_rotor_rotation(rng) -> CheckResult:
     """R v ~R turns v by 2 theta in the plane u ^ w, for R = exp(theta u ^ w)."""
-    # drawn case by case, so the stream order is that of a per-case loop
-    cases = [(rng.normal(size=3), rng.normal(size=3), rng.uniform(-2.0, 2.0),
-              rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(_ROTOR_CASES)]
-    u, w, theta, su, sw = (np.array(c) for c in zip(*cases))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u, w = _random_units(rng, _ROTOR_CASES), rng.normal(size=(_ROTOR_CASES, 3))
+    theta = rng.uniform(-2.0, 2.0, _ROTOR_CASES)
+    su, sw = rng.uniform(-1, 1, (2, _ROTOR_CASES))
     w -= np.sum(w * u, axis=1, keepdims=True) * u
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     B = _product("wedge", _vector_coeffs(u, 3), _vector_coeffs(w, 3))
@@ -298,9 +295,7 @@ def check_rotor_rotation(rng) -> CheckResult:
 
 def check_rotor_unit(rng, tol: float) -> CheckResult:
     """exp((I.c) theta) has unit norm and R ~R = 1."""
-    cases = [(rng.normal(size=3), rng.uniform(-3, 3)) for _ in range(_ROTOR_CASES)]
-    c, theta = (np.array(x) for x in zip(*cases))
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    c, theta = _random_units(rng, _ROTOR_CASES), rng.uniform(-3, 3, _ROTOR_CASES)
     B = _product("contract", _VOLUME3, _vector_coeffs(c, 3))
     R = _rotor_coeffs(B, np.sin(theta), np.cos(theta))
     inverse = _product("geometric", R, R * _reversion_sign(3))
@@ -359,7 +354,7 @@ def check_score_expansion_embedded(lam: int, frame, rng, tol: float, n_pairs: in
 def check_combined_identity(lam: int, rng, tol: float, n_pairs: int, eps_sign: float) -> CheckResult:
     """(mu.a)(mu.b) = -a.b - mu.(a x b) in the abstract algebra."""
     a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
-    x, y = (_score_coeffs(unit_vector(n), lam) for n in (a, b))
+    x, y = _score_coeffs(a, lam), _score_coeffs(b, lam)
     got = np.stack(_structure_coeffs(x, y, eps_sign * lam), axis=1)
     want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * _cross(a, b)], axis=1)
     return CheckResult(f"combined orientation identity (lam={lam:+d})", _worst(got - want), tol)
@@ -373,14 +368,14 @@ def check_duality(lam: int, rng, tol: float, n_pairs: int) -> CheckResult:
 
 def check_abstract_embedded_isomorphism(lam: int, frame, rng, tol: float, eps_sign: float) -> CheckResult:
     M = _frame_matrix(frame)
-    x, y = np.moveaxis(rng.normal(size=(200, 2, 4)), 1, 0)
+    x, y = rng.normal(size=(2, 200, 4))
     abstract = np.stack(_structure_coeffs(x.T, y.T, eps_sign * lam), axis=1)
     embedded = _product("geometric", x @ M.T, y @ M.T)
     return CheckResult(f"abstract/embedded isomorphism (lam={lam:+d})", _worst(abstract @ M.T - embedded), tol)
 
 
 def check_score_square(lam: int, rng, tol: float, eps_sign: float) -> CheckResult:
-    s = _score_coeffs(unit_vector(_random_units(rng, 200)), lam)
+    s = _score_coeffs(_random_units(rng, 200), lam)
     got = np.stack(_structure_coeffs(s, s, eps_sign * lam), axis=1)
     return CheckResult(f"standard score squares to -1 (lam={lam:+d})", _worst(got - [-1.0, 0, 0, 0]), tol)
 

@@ -231,7 +231,8 @@ def raw_score(side_sign: int, n, lam: int) -> int:
 def trial_records(a, b, seed: int, n: int) -> list[tuple[int, int, int]]:
     """(lam, Alice's raw score, Bob's raw score) of trials 0..n-1, one
     `raw_score` evaluation per side and trial; the estimators instead
-    evaluate once per orientation value and weight by the counts."""
+    evaluate each side once at both orientation values and weight by the
+    counts."""
     return [
         (lam, raw_score(-1, a, lam), raw_score(+1, b, lam))
         for lam in map(int, lambda_stream(seed, n))

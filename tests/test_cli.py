@@ -251,7 +251,7 @@ def test_trial_inconsistency_is_a_verification_failure(tmp_path, capsys, monkeyp
     # a batched Bob scorer that follows lam instead of -lam (Alice's product
     # on Bob's directions) breaks the per-trial identity
     scores = epr._raw_scores
-    monkeypatch.setattr(epr, "_raw_scores", lambda side, ns, lam: scores(epr.Side.ALICE, ns, lam))
+    monkeypatch.setattr(epr, "_raw_scores", lambda side, ns: scores(epr.Side.ALICE, ns))
     code = main(["simulate", "--trials", "100", "--out", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
@@ -414,9 +414,11 @@ def test_default_runs_match_the_golden_digests(tmp_path, monkeypatch, command):
 #: Most product-kernel calls that a default run of each subcommand may make.
 #: No benchmark counter sees `_product`, so a quantity computed twice shows
 #: here first.  A hopf run builds its fiber pair once; an s7 run makes 4
-#: calls, plus 2 for J in the first run of a process.  The identity suite
-#: checks associativity on the Cayley tables, with no product.
-PRODUCT_BUDGET = {"identities": 39, "simulate": 8, "hopf": 19, "s7": 6}
+#: calls, plus 2 for J in the first run of a process.  A simulate run
+#: contracts each side's directions once and multiplies them at both
+#: orientations in one batch.  The identity suite checks associativity on
+#: the Cayley tables, with no product.
+PRODUCT_BUDGET = {"identities": 39, "simulate": 4, "hopf": 19, "s7": 6}
 
 
 def patch_kernel(monkeypatch, replacement) -> None:
@@ -477,9 +479,9 @@ def test_a_later_s7_run_reuses_J(tmp_path, monkeypatch):
 #: sha256 of the whole stdout of a run with `--out out`, and its exit code:
 #: identities writes no data file, and hopf's residual lines reach none.
 GOLDEN_STDOUT = {
-    "identities --seed 42": (0, "c950d06095d140118723ab055a7555dcc76d6c4364d59bcc4a1aa4ffad01d5af"),
+    "identities --seed 42": (0, "a0d2dae7b98e5256a5fe8a55e6c915718beb75bfcfd6d5f69857ce2db15e2c94"),
     "identities --pairs 50 --inject-sign-flip":
-        (1, "01c4e2daf989103d342a1683837ebd6923d3994dd408160ec8504d6c7da44ec6"),
+        (1, "a6ce155955de8fe2108684e67e546e1969f2998b501812e578bd77d2027a5ed0"),
     "hopf": (0, "208a2ffeadd5220b2777d3412e972754c25824152cfc63737e475d84062e8b7e"),
     "hopf --psi-a 0.3 --phi-deg 40":
         (0, "0c25962bdaab76e74d550e773b057d9adf042a777e03cb2f28537f8e79bcf2e9"),

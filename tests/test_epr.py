@@ -190,6 +190,16 @@ def test_one_trial_marginals_equal_the_multivector_raw_score():
                 assert score(n_vec, side, lam) == raw_score(side_sign, n_vec, lam)
 
 
+def test_raw_score_rows_equal_the_multivector_raw_score():
+    # row 0 holds every direction's score at lam = +1, row 1 at lam = -1
+    rng = np.random.default_rng(160)
+    ns = rng.normal(size=(50, 3))
+    ns /= np.linalg.norm(ns, axis=1, keepdims=True)
+    for side, side_sign in ((Side.ALICE, -1), (Side.BOB, 1)):
+        want = [[raw_score(side_sign, n, lam) for n in ns] for lam in (1, -1)]
+        assert epr._raw_scores(side, ns).tolist() == want
+
+
 @pytest.mark.parametrize("lam", [1, -1])
 def test_raw_product_is_minus_one_by_direct_evaluation(lam):
     # oracle: the full four-factor multivector product evaluated in Cl(3,0)

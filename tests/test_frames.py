@@ -190,7 +190,7 @@ def test_standard_score_squares_to_minus_one(lam):
 
 def test_standard_score_definition_and_unit_check():
     # the builder the estimators and the suite share, on a row checked and
-    # renormalized by `unit_vector` first, as the suite does
+    # renormalized by `unit_vector` first, as the estimators do
     ez = np.array([unit_vector([0.0, 0.0, 1.0])])
     assert _score_coeffs(ez, 1)[:, 0].tolist() == [0.0, 0.0, 0.0, 1.0]
     assert _score_coeffs(ez, -1)[:, 0].tolist() == [0.0, -0.0, -0.0, -1.0]

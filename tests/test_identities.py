@@ -1,5 +1,6 @@
 """Identity suite tests: everything passes, and a corrupted algebra is caught."""
 
+import ast
 import inspect
 import itertools
 import math
@@ -59,8 +60,9 @@ def test_every_check_draws_its_own_random_units(monkeypatch):
 
     monkeypatch.setattr(identities, "_random_units", recording)
     run_identity_checks()
-    assert len(draws) == 16
-    assert len(set(draws)) == 16
+    # 16 from the random-pair checks, one from each rotor check
+    assert len(draws) == 18
+    assert len(set(draws)) == 18
 
 
 def test_checks_have_distinct_names():
@@ -326,17 +328,19 @@ def bump(R: Multivector, angle: float, amount: float) -> Multivector:
 
 
 def rotor_rotation_by_loop(rng, n_cases, amount):
+    # the check's draws, each one whole array in the check's order, then
+    # evaluated one case at a time
+    us, ws = rng.normal(size=(n_cases, 3)), rng.normal(size=(n_cases, 3))
+    thetas = rng.uniform(-2.0, 2.0, n_cases)
+    sus, sws = rng.uniform(-1, 1, (2, n_cases))
     worst = 0.0
-    for _ in range(n_cases):
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        w = rng.normal(size=3)
-        w -= np.dot(w, u) * u
+    for u, w, theta, su, sw in zip(us, ws, thetas, sus, sws):
+        u = u / np.linalg.norm(u)
+        w = w - np.dot(w, u) * u
         w /= np.linalg.norm(w)
-        theta = rng.uniform(-2.0, 2.0)
         u3, w3 = Multivector.from_vector(u, dim=3), Multivector.from_vector(w, dim=3)
         R = bump(rotor_exp(wedge(u3, w3), theta), theta, amount)
-        v = rng.uniform(-1, 1) * u + rng.uniform(-1, 1) * w
+        v = su * u + sw * w
         out = geometric_product(geometric_product(R, Multivector.from_vector(v, dim=3)), reversion(R))
         cu, cw = np.dot(v, u), np.dot(v, w)
         want = (cu * math.cos(2 * theta) + cw * math.sin(2 * theta)) * u + (
@@ -347,11 +351,10 @@ def rotor_rotation_by_loop(rng, n_cases, amount):
 
 
 def rotor_unit_by_loop(rng, n_cases, amount):
+    cs, thetas = rng.normal(size=(n_cases, 3)), rng.uniform(-3, 3, n_cases)
     worst = 0.0
-    for _ in range(n_cases):
-        c = rng.normal(size=3)
-        c /= np.linalg.norm(c)
-        theta = rng.uniform(-3, 3)
+    for c, theta in zip(cs, thetas):
+        c = c / np.linalg.norm(c)
         B = contract(Multivector.volume(3), Multivector.from_vector(c, dim=3))
         R = bump(rotor_exp(B, theta), theta, amount)
         worst = max(worst, abs(norm(R) - 1.0),
@@ -375,6 +378,21 @@ def test_batched_rotor_checks_equal_per_case_loops(monkeypatch, amount):
             assert batched == pytest.approx(looped, rel=1e-9)
         else:
             assert batched == pytest.approx(looped, abs=4e-16)
+
+
+def test_every_random_input_is_drawn_as_one_array():
+    # a draw inside a loop or comprehension would take the stream case by
+    # case; each check draws every input as one whole array instead
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    draws = {
+        node.lineno
+        for loop in ast.walk(ast.parse(inspect.getsource(identities))) if isinstance(loop, loops)
+        for node in ast.walk(loop) if isinstance(node, ast.Call)
+        if (isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "rng")
+        or any(isinstance(arg, ast.Name) and arg.id == "rng" for arg in node.args)
+    }
+    assert not draws, f"identities.py draws from rng inside a loop on lines {sorted(draws)}"
 
 
 def anticommutation_by_loop(dim):
