@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "epr": (
         "CorrelationEstimate", "OrientationCounts", "Side", "SweepSpec",
-        "correlation_row", "lambda_stream", "marginal_average", "orientation_counts",
-        "sweep",
+        "correlation_row", "marginal_average", "orientation_counts", "sweep",
     ),
     "frames": (
         "AbstractElement", "OrientationMixError", "abstract_product", "duality_check",

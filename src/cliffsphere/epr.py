@@ -20,8 +20,9 @@ any trial count.
 
 Since a raw score depends on lam only, never on the detector direction, the
 counts (n_plus, n_minus) are the only random quantity of a run.
-`orientation_counts` draws them by walking the stream in fixed chunks of
-COUNT_CHUNK trials, so memory is bounded by the chunk, not by n.  A run draws
+`orientation_counts` draws them by walking the stream with one generator in
+fixed chunks of COUNT_CHUNK trials, counting each chunk's odd words as they
+come, so memory is bounded by the chunk, not by n.  A run draws
 them once and passes them to each estimator and every sweep angle (the CLI
 records them in its manifest).
 `orientation_prefix_counts` is the same walk reporting the counts of several
@@ -49,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import ORIENTATIONS, _VOLUME3, _score_coeffs, _structure_coeffs
-from .multivector import DEFAULT_TOL, Multivector, _cross, _product, _vector_coeffs, unit_vector
+from .multivector import (
+    DEFAULT_TOL, Multivector, _cross, _product, _row_norms, _vector_coeffs, unit_vector)
 
 
 class TrialConsistencyError(RuntimeError):
@@ -64,11 +66,12 @@ class Side(enum.Enum):
 # -- orientation sampling ---------------------------------------------------------
 
 
-#: `lambda_stream` keys Philox with the seed as one uint64: seeds lie in [0, 2**64).
+#: The walk keys Philox with the seed as one uint64: seeds lie in [0, 2**64).
 SEED_LIMIT = 2**64
-#: Trials per `lambda_stream` call when counting orientations; bounds the
-#: walk's working memory (4 uint64 words per trial, 2 MiB) whatever n is.
-COUNT_CHUNK = 1 << 16
+#: Trials per `random_raw` call when counting orientations; bounds the walk's
+#: working memory (4 uint64 words per trial, 512 KiB, which stays in a
+#: per-core L2 cache) whatever n is.
+COUNT_CHUNK = 1 << 14
 
 
 def _check_seed(seed: int) -> None:
@@ -79,20 +82,6 @@ def _check_seed(seed: int) -> None:
 def _check_trials(n: int) -> None:
     if n < 1:
         raise ValueError(f"n_trials must be >= 1, got {n}")
-
-
-def lambda_stream(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """Orientations for trials start..start+n-1 as an int8 array of +-1.
-
-    Trial i consumes the low bit of the first word of Philox counter block i
-    under key `seed`, so the draw is a pure function of (seed, i).
-    """
-    _check_seed(seed)
-    if n < 0:
-        raise ValueError("trial count must be nonnegative")
-    bg = np.random.Philox(key=np.uint64(seed), counter=[start, 0, 0, 0])
-    words = bg.random_raw(4 * n)[0::4]
-    return (2 * (words & 1).astype(np.int8) - 1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -110,14 +99,21 @@ class OrientationCounts:
 
 def orientation_prefix_counts(seed: int, sizes) -> tuple[OrientationCounts, ...]:
     """Counts over the first n trials for each n in `sizes` (ascending), from
-    one walk of the stream in chunks of COUNT_CHUNK trials."""
+    one walk of the stream in chunks of COUNT_CHUNK trials.
+
+    Trial i draws lam = +1 when the first word of Philox counter block i under
+    key `seed` is odd, so the draw is a pure function of (seed, i).  One
+    generator walks the blocks in order: each chunk continues its counter."""
     sizes = [int(n) for n in sizes]
     if not sizes or sizes[0] < 1 or sizes != sorted(sizes):
         raise ValueError("prefix sizes must be ascending trial counts >= 1")
+    _check_seed(seed)
+    bg = np.random.Philox(key=np.uint64(seed))
     counts = []
     running = 0
     for start in range(0, sizes[-1], COUNT_CHUNK):
-        plus = lambda_stream(seed, min(COUNT_CHUNK, sizes[-1] - start), start) == 1
+        words = bg.random_raw(4 * min(COUNT_CHUNK, sizes[-1] - start)).astype("<u8", copy=False)
+        plus = words.view(np.uint8)[0::32] & 1  # the low byte of each block's first word
         while len(counts) < len(sizes) and sizes[len(counts)] <= start + len(plus):
             n = sizes[len(counts)]
             n_plus = running + int(np.count_nonzero(plus[: n - start]))
@@ -181,13 +177,12 @@ class CorrelationEstimate:
 
 
 def _unit_rows(vs) -> np.ndarray:
-    """`unit_vector` of each vector in vs, stacked as rows.  Each row keeps its
-    own 1-D norm: a batched norm differs from it in the last bit on some rows,
-    and these values reach the data files."""
-    rows = np.array([unit_vector(v) for v in vs])
+    """The vectors in vs, stacked as rows and checked and renormalized by
+    `unit_vector`."""
+    rows = np.asarray(vs, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("vector components must be one-dimensional")
-    return rows
+    return unit_vector(rows)
 
 
 def _raw_scores(side: Side, ns: np.ndarray) -> np.ndarray:
@@ -208,7 +203,7 @@ def _raw_scores(side: Side, ns: np.ndarray) -> np.ndarray:
     return np.where(s > 0, 1, -1).reshape(2, -1)
 
 
-def _standard_estimates(a, b, counts: OrientationCounts) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def _standard_estimates(a, b, counts: OrientationCounts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scalars, (N, 3) residuals and stderrs of the standard-score estimates
     for the unit rows of a and b, from one product batch per orientation; every
     row is checked for a lam-independent scalar and a flipping bivector part."""
@@ -220,8 +215,7 @@ def _standard_estimates(a, b, counts: OrientationCounts) -> tuple[np.ndarray, np
     if not np.array_equal(minus[1:], -plus[1:]):
         raise TrialConsistencyError("bivector part of the score product must flip with lam")
     root_n = math.sqrt(counts.n)
-    stderrs = [float(np.linalg.norm(ab)) / root_n for ab in _cross(a, b)]
-    return plus[0], counts.lam_mean * plus[1:].T, stderrs
+    return plus[0], counts.lam_mean * plus[1:].T, _row_norms(_cross(a, b)) / root_n
 
 
 def _raw_means(a, b, counts: OrientationCounts) -> np.ndarray:
@@ -281,10 +275,10 @@ def _rows(thetas, a, b, counts: OrientationCounts) -> list[SweepRow]:
     thetas[i], with every product evaluated for all pairs in one batch."""
     a, b = _unit_rows(a), _unit_rows(b)
     scalars, residuals, stderrs = _standard_estimates(a, b, counts)
-    # every norm is its row's own 1-D norm: a batched norm can round differently
-    return [SweepRow(float(theta), float(raw), s, r, float(np.linalg.norm(r)), stderr, counts.n)
-            for theta, raw, s, r, stderr in zip(thetas, _raw_means(a, b, counts), scalars.tolist(),
-                                                map(tuple, residuals.tolist()), stderrs)]
+    return [SweepRow(float(theta), float(raw), s, r, r_norm, stderr, counts.n)
+            for theta, raw, s, r, r_norm, stderr in zip(
+                thetas, _raw_means(a, b, counts), scalars.tolist(), map(tuple, residuals.tolist()),
+                _row_norms(residuals).tolist(), stderrs.tolist())]
 
 
 def correlation_row(theta_deg: float, a, b, counts: OrientationCounts) -> SweepRow:

@@ -29,7 +29,8 @@ import numpy as np
 
 from .frames import _VOLUME3
 from .multivector import (
-    Multivector, _cross, _product, _reversion_sign, _rotor_coeffs, _vector_coeffs, unit_vector)
+    Multivector, _cross, _product, _reversion_sign, _rotor_coeffs, _row_norms, _vector_coeffs,
+    unit_vector)
 
 #: Two directions are treated as spanning a usable rotation axis only if
 #: |a x b| exceeds this.
@@ -191,9 +192,7 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
     va = _vector_coeffs(a, 3)
     a_prime = _rotated(va, _plane_coeffs(perpendicular_axis(a)), seps)
     w = _product("wedge", va, _vector_coeffs(a_prime, 3))
-    # one 1-D norm per row: a batched norm(axis=-1) can round differently
-    wedge_norm = np.array([np.linalg.norm(row) for row in w])
-    cross_norm = np.array([np.linalg.norm(row) for row in _cross(a, a_prime)])
+    wedge_norm, cross_norm = _row_norms(w), _row_norms(_cross(a, a_prime))
     ok = cross_norm != 0.0  # zero separation: the row is undefined
     magnitude = np.divide(wedge_norm, cross_norm, out=np.full(len(seps), math.nan), where=ok)
     axis = np.full((len(seps), 3), math.nan)

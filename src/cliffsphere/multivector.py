@@ -382,12 +382,28 @@ def _cross(a, b) -> np.ndarray:
     return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
+def _row_norms(r) -> np.ndarray:
+    """Norm of each vector along the last axis of r, with the bits of a 1-D
+    `np.linalg.norm` of that vector: both call BLAS `ddot` once per vector on
+    contiguous words (a batched `np.linalg.norm(axis=-1)` sums in another
+    order).  Some kernels' `ddot` also rounds by the address's alignment, so
+    strided vectors are copied as a 1-D norm copies them, each to 16 bytes."""
+    r = np.asarray(r, dtype=np.float64)
+    if not r.flags.c_contiguous:
+        k = r.shape[-1]
+        rows = np.empty((*r.shape[:-1], k + k % 2))[..., :k]
+        rows[...] = r
+        r = rows
+    return np.sqrt(np.vecdot(r, r))
+
+
 def unit_vector(v) -> np.ndarray:
     """Validate that v, or each vector along the last axis of a (..., k)
-    array, is finite with norm 1 within `UNIT_TOL`; return it renormalized."""
+    array, is finite with norm 1 within `UNIT_TOL`; return it renormalized.
+    Each vector of a batch gets the bits of its own 1-D call."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim > 1:
-        n = np.linalg.norm(v, axis=-1, keepdims=True)
+        n = _row_norms(v)[..., None]
         off = n[~(np.abs(n - 1.0) <= UNIT_TOL)]  # NaN and inf norms are off too
         if off.size:
             raise ValueError(f"expected a unit vector, got norm {float(off[0])!r}")

@@ -18,7 +18,9 @@ element lam n_j beta_j, the single-direction reference of
 coefficients.  `raw_score` builds one side's raw score (side_sign I.n)(lam
 I.n) from the public contraction and geometric product, and
 `trial_records` evaluates it trial by trial, the per-trial reference of the
-estimators.  `null_limit_rows` runs the null-limit probe one separation at
+estimators, on the orientations of `lambda_stream`: the stream drawn with a
+fresh Philox generator per call, the reference of the package's one-generator
+walk.  `null_limit_rows` runs the null-limit probe one separation at
 a time through the public wedge, contraction and norm, and `np.cross`: the
 reference of the batched probe's psi, magnitude and axis.
 `sandwich_rotation` is its rotation, the reference of `hopf._rotated`.
@@ -35,7 +37,6 @@ from functools import lru_cache
 import numpy as np
 
 from cliffsphere import multivector, seven_sphere
-from cliffsphere.epr import lambda_stream
 from cliffsphere.frames import AbstractElement, OrientationMixError
 from cliffsphere.hopf import NullLimitRow, perpendicular_axis
 from cliffsphere.multivector import (
@@ -226,6 +227,15 @@ def raw_score(side_sign: int, n, lam: int) -> int:
     s = scalar_part(product)
     assert np.linalg.norm(product.coeffs[1:]) < 1e-12 and abs(abs(s) - 1.0) < 1e-12, product
     return 1 if s > 0 else -1
+
+
+def lambda_stream(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """Orientations of trials start..start+n-1 as an int8 array of +-1: trial
+    i draws +1 when the first word of Philox counter block i under key `seed`
+    is odd.  Each call builds its own generator at counter block `start`."""
+    bg = np.random.Philox(key=np.uint64(seed), counter=[start, 0, 0, 0])
+    words = bg.random_raw(4 * n)[0::4]
+    return (2 * (words & 1).astype(np.int8) - 1).astype(np.int8)
 
 
 def trial_records(a, b, seed: int, n: int) -> list[tuple[int, int, int]]:

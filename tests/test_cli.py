@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from cliffsphere import cli, epr, frames, hopf, identities, multivector, seven_sphere
 from cliffsphere.cli import main
-from cliffsphere.epr import lambda_stream
 from cliffsphere.identities import run_identity_checks
+
+from .oracles import lambda_stream
 
 CSV_HEADER = [
     "theta_deg", "raw_mean", "std_scalar", "resid_x", "resid_y", "resid_z",

@@ -15,7 +15,6 @@ from cliffsphere.epr import (
     SweepRow,
     SweepSpec,
     correlation_row,
-    lambda_stream,
     marginal_average,
     mean_residual_norms,
     orientation_counts,
@@ -32,7 +31,7 @@ from cliffsphere.multivector import (
     unit_vector,
 )
 
-from .oracles import abstract_coeffs, raw_score, standard_score, trial_records
+from .oracles import abstract_coeffs, lambda_stream, raw_score, standard_score, trial_records
 
 # First ten orientations under seed 42, frozen to pin the stream contract.
 SEED42_PREFIX = [-1, 1, 1, 1, 1, -1, 1, -1, -1, 1]
@@ -56,11 +55,14 @@ def score(n_vec, side, lam):
 
 
 # -- orientation sampling ---------------------------------------------------------
+# `lambda_stream` is the oracles' reference of the stream, one generator per call
 
 
 def test_lambda_stream_reproducible_prefix():
     assert list(lambda_stream(42, 10)) == SEED42_PREFIX
     assert [int(lambda_stream(42, 1, start=i)[0]) for i in range(10)] == SEED42_PREFIX
+    n_plus = np.cumsum(np.array(SEED42_PREFIX) == 1)
+    assert [c.n_plus for c in orientation_prefix_counts(42, range(1, 11))] == n_plus.tolist()
 
 
 def test_lambda_stream_chunking_is_order_insensitive():
@@ -87,35 +89,52 @@ def test_lambda_empirical_mean_within_binomial_bound():
     assert abs(mean) < 3.0 / math.sqrt(n)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_lambda_stream_rejects_out_of_range_seed(seed):
-    with pytest.raises(ValueError, match="seed"):
-        lambda_stream(seed, 4)
-
-
-def test_lambda_stream_accepts_extreme_seeds():
-    for seed in (0, 2**64 - 1):
-        assert len(lambda_stream(seed, 4)) == 4
-
-
-@pytest.mark.parametrize("start", [0, 10**6])
-def test_lambda_stream_of_no_trials_is_empty(start):
-    lams = lambda_stream(5, 0, start=start)
-    assert lams.dtype == np.int8
-    assert lams.shape == (0,)
-
-
 # -- orientation counts ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_orientation_counts_reject_out_of_range_seed(seed):
+    # checked before the generator is built, where np.uint64 raises OverflowError
+    with pytest.raises(ValueError, match="seed"):
+        orientation_counts(seed, 4)
+    with pytest.raises(ValueError, match="seed"):
+        orientation_prefix_counts(seed, [1, 4])
+
+
+def test_orientation_counts_accept_extreme_seeds():
+    for seed in (0, 2**64 - 1):
+        n_plus = int(np.count_nonzero(lambda_stream(seed, 4) == 1))
+        assert orientation_counts(seed, 4) == OrientationCounts(4, n_plus, 4 - n_plus)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_orientation_counts_refuse_no_trials(n):
+    with pytest.raises(ValueError, match="n_trials"):
+        orientation_counts(5, n)
+    with pytest.raises(ValueError, match="ascending"):
+        orientation_prefix_counts(5, [n, 3])
+
+
 @pytest.mark.parametrize(
-    "n", [1, COUNT_CHUNK - 1, COUNT_CHUNK, COUNT_CHUNK + 1, 3 * COUNT_CHUNK + 5]
+    "n", [1, 4 * COUNT_CHUNK - 1, 4 * COUNT_CHUNK, 4 * COUNT_CHUNK + 1, 12 * COUNT_CHUNK + 5]
 )
 def test_orientation_counts_match_full_stream_at_chunk_boundaries(n):
     # oracle: a direct count over the whole stream, built in one piece
     counts = orientation_counts(31, n)
     n_plus = int(np.count_nonzero(lambda_stream(31, n) == 1))
     assert counts == OrientationCounts(n, n_plus, n - n_plus)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def test_the_walk_continues_the_stream_across_chunk_ends(monkeypatch, chunk):
+    # oracle: a direct count over the whole stream, from a fresh generator
+    monkeypatch.setattr(epr, "COUNT_CHUNK", chunk)
+    n = 3 * chunk + 2
+    sizes = sorted([1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, n - 1, n])
+    prefix = np.cumsum(lambda_stream(77, n) == 1)
+    counts = orientation_prefix_counts(77, sizes)
+    assert [(c.n, c.n_plus) for c in counts] == [(k, int(prefix[k - 1])) for k in sizes]
+    assert orientation_counts(77, n) == counts[-1]
 
 
 def test_orientation_prefix_counts_match_cumsum():
@@ -144,7 +163,7 @@ def test_orientation_counts_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert counts.n_plus + counts.n_minus == 10**7
-    assert peak < 16 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_mean_residual_norms_match_literal_prefix_sums():
@@ -501,7 +520,7 @@ def test_estimators_read_only_the_counts_they_are_given(monkeypatch):
     def no_stream(*args, **kwargs):
         raise AssertionError("the stream was drawn")
 
-    monkeypatch.setattr(epr, "lambda_stream", no_stream)
+    monkeypatch.setattr(np.random, "Philox", no_stream)
     rows = sweep(SweepSpec(steps=3), counts)
     assert [r.residual[2] for r in rows] == pytest.approx([0.0, -0.4, 0.0], abs=1e-15)
     assert marginal_average(EX, Side.ALICE, counts).scalar == pytest.approx(0.4)

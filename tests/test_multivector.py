@@ -1,7 +1,12 @@
 """Core algebra tests: blade products, wedge/contraction, rotors, rendering."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,8 @@ from .oracles import (
     series_exp,
     sign_table_product,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 e = Multivector.basis_vector
 
@@ -562,6 +569,41 @@ def test_unit_vector_validates_each_row():
         assert np.max(np.abs(g - unit_vector(r))) < 1e-15
     with pytest.raises(ValueError, match="got norm 1.1"):
         unit_vector([[1.0, 0.0, 0.0], [1.1, 0.0, 0.0]])
+
+
+def row_norm_bits(k: int) -> list[tuple[bytes, bytes]]:
+    """(`_row_norms`, per-row 1-D `np.linalg.norm`) bytes of random (N, k)
+    rows, laid out C-ordered and transposed."""
+    rng = np.random.default_rng(k)
+    x = rng.normal(size=(2000, k)) * rng.uniform(0.5, 2.0, size=(2000, 1))
+    return [(multivector._row_norms(rows).tobytes(), np.array([np.linalg.norm(r) for r in rows]).tobytes())
+            for rows in (x, np.ascontiguousarray(x.T).T)]
+
+
+@pytest.mark.parametrize("k", [3, 8, 128])
+def test_row_norms_have_the_bits_of_one_dimensional_norms(k):
+    for got, want in row_norm_bits(k):
+        assert got == want
+
+
+def _blas_name() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name", "")
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or "openblas" not in _blas_name(),
+                    reason="OPENBLAS_CORETYPE selects x86-64 OpenBLAS kernels")
+def test_row_norms_have_the_bits_of_one_dimensional_norms_under_the_prescott_kernel():
+    # the SSE kernel's ddot rounds by the address's alignment: the transposed
+    # rows pass only if each is copied to 16 bytes, as a 1-D norm copies it
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join([str(Path(multivector.__file__).parents[1]), str(ROOT)])}
+    check = ("from tests.test_multivector import row_norm_bits\n"
+             "for k in (3, 8, 128):\n"
+             "    for got, want in row_norm_bits(k):\n"
+             "        assert got == want, k\n")
+    done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, cwd=ROOT,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 #: Cross-product entries: signed zeros, infinities and NaN among plain floats.

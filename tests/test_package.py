@@ -97,7 +97,7 @@ def test_star_import_binds_exactly_all():
 
 def test_every_exported_name_comes_from_its_defining_module():
     assert set(cliffsphere.__all__) == {*cliffsphere._MODULE_OF, "__version__"}
-    assert len(cliffsphere.__all__) == 42  # 41 names and __version__
+    assert len(cliffsphere.__all__) == 41  # 40 names and __version__
     for name, module in cliffsphere._MODULE_OF.items():
         defining = importlib.import_module(f"cliffsphere.{module}")
         value = getattr(cliffsphere, name)
