@@ -28,7 +28,10 @@ digits with a locale-independent decimal point.
 
 Every refused input is reported with the flag, or the environment
 variable, that it came from: each is parsed and validated inside
-`_refused`, and `main` reads no other error as a usage error.
+`_refused`, and `main` reads no other error as a usage error.  What argparse
+refuses itself (a value of the wrong type, an unknown flag, a missing
+subcommand) is a usage error too, in argparse's one-line message; only
+``--help`` and ``--version`` exit from the parser, with code 0.
 
 Quantities that a run would otherwise compute more than once are computed
 once: a ``hopf`` run builds its fiber pair once for the transition and the
@@ -108,6 +111,15 @@ EXIT_INTERNAL = 3
 
 class UsageError(ValueError):
     """Bad flag value or configuration input."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors (a value of the wrong type, an unknown flag, a
+    missing subcommand) raise `UsageError`, so `main` reports them as it
+    reports every refused input, in one line, instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 @contextlib.contextmanager
@@ -377,7 +389,7 @@ def cmd_s7(args, seed: int) -> _Run:
 # after every call.
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cliffsphere",
         description="Clifford-algebra identity suite and EPR-Bohm orientation simulator",
     )
@@ -433,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         started = _utc_now()
         seed = _resolve_seed(args.seed)
         code, config, files, lines, extra = args.func(args, seed)

@@ -20,11 +20,16 @@ any trial count.
 
 Since a raw score depends on lam only, never on the detector direction, the
 counts (n_plus, n_minus) are the only random quantity of a run.
-`orientation_counts` draws them by walking the stream with one generator in
-fixed chunks of COUNT_CHUNK trials, counting each chunk's odd words as they
-come, so memory is bounded by the chunk, not by n.  A run draws
-them once and passes them to each estimator and every sweep angle (the CLI
-records them in its manifest).
+`orientation_counts` draws them by walking the stream in fixed chunks of
+COUNT_CHUNK trials, counting each chunk's odd words as they come and
+dropping the chunk before the next is drawn.  The trials are cut into
+contiguous spans, one per walker: the calling thread and, on a machine with
+a second usable CPU, one more thread, each with its own generator started at
+its span's first counter block.  The walkers' integer counts are added in
+order, so the result is exact and the same on any number of walkers, and
+memory is bounded by one chunk per walker (at most 512 KiB of Philox words
+in flight), not by n.  A run draws the counts once and passes them to each
+estimator and every sweep angle (the CLI records them in its manifest).
 `orientation_prefix_counts` is the same walk reporting the counts of several
 prefixes at once.
 
@@ -45,7 +50,10 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,10 +76,12 @@ class Side(enum.Enum):
 
 #: The walk keys Philox with the seed as one uint64: seeds lie in [0, 2**64).
 SEED_LIMIT = 2**64
-#: Trials per `random_raw` call when counting orientations; bounds the walk's
-#: working memory (4 uint64 words per trial, 512 KiB, which stays in a
+#: Trials per `random_raw` call when counting orientations; bounds a walker's
+#: working memory (4 uint64 words per trial, 256 KiB, which stays in a
 #: per-core L2 cache) whatever n is.
-COUNT_CHUNK = 1 << 14
+COUNT_CHUNK = 1 << 13
+#: Most walkers, threads included, that count one stream at once.
+MAX_WALKERS = 2
 
 
 def _check_seed(seed: int) -> None:
@@ -97,29 +107,70 @@ class OrientationCounts:
         return (self.n_plus - self.n_minus) / self.n
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _count_plus(seed: int, cuts: list[int]) -> list[int]:
+    """How many trials of each segment cuts[k]..cuts[k+1]-1 draw lam = +1,
+    from one generator started at counter block cuts[0] and walked in chunks
+    of at most COUNT_CHUNK trials; each chunk continues its counter."""
+    bg = np.random.Philox(key=np.uint64(seed), counter=[cuts[0], 0, 0, 0])
+
+    def odd_words(trials: int) -> int:
+        # the low byte of each block's first word; the words are freed on
+        # return, not held while the next chunk is drawn
+        words = bg.random_raw(4 * trials).astype("<u8", copy=False)
+        return int(np.count_nonzero(words.view(np.uint8)[0::32] & 1))
+
+    return [sum(odd_words(min(COUNT_CHUNK, hi - at)) for at in range(lo, hi, COUNT_CHUNK))
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
 def orientation_prefix_counts(seed: int, sizes) -> tuple[OrientationCounts, ...]:
     """Counts over the first n trials for each n in `sizes` (ascending), from
     one walk of the stream in chunks of COUNT_CHUNK trials.
 
     Trial i draws lam = +1 when the first word of Philox counter block i under
-    key `seed` is odd, so the draw is a pure function of (seed, i).  One
-    generator walks the blocks in order: each chunk continues its counter."""
+    key `seed` is odd, so the draw is a pure function of (seed, i).  The walk
+    is cut into contiguous spans, one per walker: at most MAX_WALKERS, no
+    more than the usable CPUs or the chunks of the walk, the calling thread
+    being the first.  Each span is cut again at every size in it, and the
+    exact counts of these segments are added in order.  A walker's error is
+    raised here, once every walker has stopped."""
     sizes = [int(n) for n in sizes]
     if not sizes or sizes[0] < 1 or sizes != sorted(sizes):
         raise ValueError("prefix sizes must be ascending trial counts >= 1")
     _check_seed(seed)
-    bg = np.random.Philox(key=np.uint64(seed))
-    counts = []
-    running = 0
-    for start in range(0, sizes[-1], COUNT_CHUNK):
-        words = bg.random_raw(4 * min(COUNT_CHUNK, sizes[-1] - start)).astype("<u8", copy=False)
-        plus = words.view(np.uint8)[0::32] & 1  # the low byte of each block's first word
-        while len(counts) < len(sizes) and sizes[len(counts)] <= start + len(plus):
-            n = sizes[len(counts)]
-            n_plus = running + int(np.count_nonzero(plus[: n - start]))
-            counts.append(OrientationCounts(n, n_plus, n - n_plus))
-        running += int(np.count_nonzero(plus))
-    return tuple(counts)
+    n = sizes[-1]
+    walkers = min(MAX_WALKERS, _usable_cpus(), -(-n // COUNT_CHUNK))
+    bounds = [n * w // walkers for w in range(walkers + 1)]
+    cuts = sorted({*bounds, *sizes})
+    spans = [cuts[cuts.index(lo):cuts.index(hi) + 1] for lo, hi in zip(bounds, bounds[1:])]
+    parts = [None] * walkers
+
+    def walk(w: int) -> None:
+        try:
+            parts[w] = _count_plus(seed, spans[w])
+        except Exception as exc:  # raised by the caller once every walker has stopped
+            parts[w] = exc
+
+    threads = [threading.Thread(target=walk, args=(w,)) for w in range(1, walkers)]
+    for thread in threads:
+        thread.start()
+    try:
+        walk(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    n_plus = dict(zip(cuts[1:], accumulate(c for part in parts for c in part)))
+    return tuple(OrientationCounts(n, n_plus[n], n - n_plus[n]) for n in sizes)
 
 
 def orientation_counts(seed: int, n: int) -> OrientationCounts:

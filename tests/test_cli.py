@@ -295,6 +295,32 @@ def test_usage_error_names_the_refused_flag(tmp_path, capsys, monkeypatch, argv,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (["simulate", "--trials", "x"], "argument --trials: "),
+    (["simulate", "--seed=0.0"], "argument --seed: "),
+    (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+    (["simulate", "--a", "1,0,0", "--b", "-1,0,0"], "argument --b: "),
+    (["s7", "--lambda", "0"], "argument --lambda: "),
+], ids=["trials-text", "seed-float", "unknown-flag", "b-negative", "s7-lambda"])
+def test_what_argparse_refuses_is_a_usage_error_in_one_line(tmp_path, capsys, argv, refused):
+    # argparse would print its usage and raise SystemExit(2) out of main
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    assert assert_usage_error(capsys, code).err.startswith(f"error: {refused}")
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_missing_subcommand_is_a_usage_error_in_one_line(capsys):
+    assert "command" in assert_usage_error(capsys, main([])).err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exited:
+        main([flag])
+    assert exited.value.code == 0
+    assert "cliffsphere" in capsys.readouterr().out
+
+
 def test_simulate_accepts_largest_seed(tmp_path):
     out = tmp_path / "x"
     assert main(["simulate", "--trials", "100", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
@@ -412,6 +438,18 @@ def test_default_runs_match_the_golden_digests(tmp_path, monkeypatch, command):
     assert digest(tmp_path / name) == want
 
 
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"the golden digests are pinned for numpy {GOLDEN_NUMPY}")
+@pytest.mark.parametrize("walkers", [1, 2])
+def test_the_simulate_digest_does_not_depend_on_the_walkers(tmp_path, monkeypatch, walkers):
+    # the default 10^5 trials are 13 chunks of the stream: two walkers split them
+    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    monkeypatch.setattr(epr, "_usable_cpus", lambda: walkers)
+    name, want = GOLDEN["simulate"]
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / name) == want
+
+
 #: Most product-kernel calls that a default run of each subcommand may make.
 #: No benchmark counter sees `_product`, so a quantity computed twice shows
 #: here first.  A hopf run builds its fiber pair once; an s7 run makes 4
@@ -463,6 +501,24 @@ def test_a_fault_is_an_internal_error_not_a_usage_error(tmp_path, capsys, monkey
     assert code == 3
     assert printed.err.startswith("Traceback") and "could not be broadcast" in printed.err
     assert printed.out == ""
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+def test_a_failing_walker_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # the second walker's error reaches main from its thread, as itself
+    monkeypatch.setattr(epr, "_usable_cpus", lambda: 2)
+    real = epr._count_plus
+
+    def failing(seed, cuts):
+        if cuts[0] > 0:
+            raise RuntimeError("the second walker lost its words")
+        return real(seed, cuts)
+
+    monkeypatch.setattr(epr, "_count_plus", failing)
+    code = main(["simulate", "--out", str(tmp_path / "x")])
+    printed = capsys.readouterr()
+    assert code == 3
+    assert printed.err.startswith("Traceback") and "the second walker lost its words" in printed.err
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
@@ -766,15 +822,12 @@ def cli_invocations(draw):
 
 
 def run_main(argv):
-    """(exit code, stderr, whether argparse exited) of one in-process run;
-    numpy warnings are raised, so a warning escapes like any other error."""
+    """(exit code, stderr) of one in-process run; numpy warnings are raised,
+    so a warning escapes like any other error."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            return main(argv), err.getvalue(), False
-        except SystemExit as exc:
-            return exc.code, err.getvalue(), True
+        return main(argv), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -796,13 +849,13 @@ def test_generated_argv_exits_with_a_documented_code(invocation):
         np.savetxt(base / "inf.txt", np.where(np.eye(7, 3) == 1, np.inf, 0.0))
         (base / "empty.txt").write_text("")
         argv = [str(base / a) if a in EMBEDDINGS[1:] else a for a in argv]
-        code, err, from_argparse = run_main([*argv, "--out", str(base / out)])
+        code, err = run_main([*argv, "--out", str(base / out)])
 
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         if code == 1:
             assert argv[0] == "identities"
-        if code == 2 and not from_argparse:
+        if code == 2:
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         if code in (0, 1):
             assert (base / out / "manifest.json").is_file()

@@ -1,6 +1,7 @@
 """EPR model tests: orientation stream, raw scores, estimators, sweeps."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -115,26 +116,40 @@ def test_orientation_counts_refuse_no_trials(n):
         orientation_prefix_counts(5, [n, 3])
 
 
-@pytest.mark.parametrize(
-    "n", [1, 4 * COUNT_CHUNK - 1, 4 * COUNT_CHUNK, 4 * COUNT_CHUNK + 1, 12 * COUNT_CHUNK + 5]
-)
+@pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
 def test_orientation_counts_match_full_stream_at_chunk_boundaries(n):
-    # oracle: a direct count over the whole stream, built in one piece
+    # oracle: a direct count over the whole stream, built in one piece; 2**16
+    # is a multiple of every power-of-two COUNT_CHUNK up to it, so these
+    # sizes sit at the chunk ends of one walker and of two
+    assert 2**16 % COUNT_CHUNK == 0
     counts = orientation_counts(31, n)
     n_plus = int(np.count_nonzero(lambda_stream(31, n) == 1))
     assert counts == OrientationCounts(n, n_plus, n - n_plus)
 
 
+def force_walkers(monkeypatch, walkers: int) -> None:
+    """Walk on `walkers` walkers where the walk has that many chunks, however
+    many CPUs this machine has."""
+    monkeypatch.setattr(epr, "_usable_cpus", lambda: walkers)
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 1000])
 def test_the_walk_continues_the_stream_across_chunk_ends(monkeypatch, chunk):
-    # oracle: a direct count over the whole stream, from a fresh generator
+    # oracle: a direct count over the whole stream, from a fresh generator;
+    # on one walker and on two, at sizes on both sides of chunk ends and of
+    # the second walker's first trial, some of them twice
     monkeypatch.setattr(epr, "COUNT_CHUNK", chunk)
     n = 3 * chunk + 2
-    sizes = sorted([1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, n - 1, n])
+    edge = n // 2  # where the second walker's span starts
+    sizes = sorted([1, 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk,
+                    edge - 1, edge, edge, edge + 1, n - 1, n, n])
     prefix = np.cumsum(lambda_stream(77, n) == 1)
-    counts = orientation_prefix_counts(77, sizes)
-    assert [(c.n, c.n_plus) for c in counts] == [(k, int(prefix[k - 1])) for k in sizes]
-    assert orientation_counts(77, n) == counts[-1]
+    want = [(k, int(prefix[k - 1]), k - int(prefix[k - 1])) for k in sizes]
+    for walkers in (1, 2):
+        force_walkers(monkeypatch, walkers)
+        counts = orientation_prefix_counts(77, sizes)
+        assert [(c.n, c.n_plus, c.n_minus) for c in counts] == want
+        assert orientation_counts(77, n) == counts[-1]
 
 
 def test_orientation_prefix_counts_match_cumsum():
@@ -154,8 +169,12 @@ def test_orientation_prefix_counts_reject_bad_sizes():
             orientation_prefix_counts(1, sizes)
 
 
-def test_orientation_counts_memory_is_bounded_by_the_chunk():
-    # the whole stream at 10^7 trials is ~320 MB of Philox words
+def test_orientation_counts_memory_is_bounded_by_the_chunk(monkeypatch):
+    # the whole stream at 10^7 trials is ~320 MB of Philox words; each walker
+    # holds one chunk of them (256 KiB) at a time.  A process's first walk
+    # also imports numpy.random (~0.7 MiB), which is no part of the walk.
+    force_walkers(monkeypatch, epr.MAX_WALKERS)
+    orientation_counts(2024, 1)
     tracemalloc.start()
     try:
         counts = orientation_counts(2024, 10**7)
@@ -163,7 +182,60 @@ def test_orientation_counts_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert counts.n_plus + counts.n_minus == 10**7
-    assert peak < 2 * 2**20
+    assert peak < 2**20
+
+
+def spans_walked(monkeypatch) -> list[tuple[str, int, int]]:
+    """(thread name, first trial, end) of every span walked from now on."""
+    real, spans = epr._count_plus, []
+
+    def recorded(seed, cuts):
+        spans.append((threading.current_thread().name, cuts[0], cuts[-1]))
+        return real(seed, cuts)
+
+    monkeypatch.setattr(epr, "_count_plus", recorded)
+    return spans
+
+
+def test_a_walk_of_one_chunk_starts_no_thread(monkeypatch):
+    force_walkers(monkeypatch, epr.MAX_WALKERS)
+    spans = spans_walked(monkeypatch)
+    orientation_prefix_counts(5, [3, COUNT_CHUNK])
+    assert spans == [(threading.current_thread().name, 0, COUNT_CHUNK)]
+
+
+def test_a_longer_walk_splits_into_contiguous_spans_one_per_walker(monkeypatch):
+    force_walkers(monkeypatch, epr.MAX_WALKERS)
+    spans = spans_walked(monkeypatch)
+    before = threading.active_count()
+    n = 3 * COUNT_CHUNK
+    orientation_counts(5, n)
+    assert threading.active_count() == before
+    (first, *_), (second, *_) = spans = sorted(spans, key=lambda s: s[1])
+    assert spans == [(first, 0, n // 2), (second, n // 2, n)]
+    assert first == threading.current_thread().name != second
+
+
+class WalkerFault(RuntimeError):
+    pass
+
+
+def test_a_failing_walker_fails_the_call_and_leaves_no_thread(monkeypatch):
+    # the second walker's error reaches the caller as itself, not as a
+    # missing part of the counts
+    force_walkers(monkeypatch, 2)
+    real = epr._count_plus
+
+    def failing(seed, cuts):
+        if cuts[0] > 0:
+            raise WalkerFault(f"no words from block {cuts[0]}")
+        return real(seed, cuts)
+
+    monkeypatch.setattr(epr, "_count_plus", failing)
+    before = threading.active_count()
+    with pytest.raises(WalkerFault, match="no words from block"):
+        orientation_counts(5, 4 * COUNT_CHUNK)
+    assert threading.active_count() == before
 
 
 def test_mean_residual_norms_match_literal_prefix_sums():

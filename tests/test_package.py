@@ -1,11 +1,13 @@
 """The package's public surface: every exported name resolves, from the
 module that defines it, and nothing else does; every export and class member
-has a reader in the package; its caches hand out read-only arrays; and the
-test settings report a failing property test like any other."""
+has a reader in the package; its caches hand out read-only arrays; importing
+the CLI loads no pool module; and the test settings report a failing
+property test like any other."""
 
 import ast
 import dataclasses
 import importlib
+import os
 import subprocess
 import sys
 import textwrap
@@ -56,6 +58,8 @@ UNREAD_MEMBERS = {
     "Multivector.__str__",
     # the result that `marginal_average` returns
     "CorrelationEstimate.residual_coeffs",
+    # argparse calls it on every error it finds in an argv
+    "_Parser.error",
 }
 
 #: Arguments to call each cached function of the package with, by name.
@@ -257,3 +261,14 @@ def test_a_failing_property_test_does_not_end_the_session(tmp_path):
     assert done.returncode == 1, out
     assert "1 failed, 1 passed" in out
     assert "INTERNALERROR" not in out
+
+
+def test_importing_the_cli_loads_no_pool_module():
+    # the orientation walk's second walker is a plain thread: no executor
+    # or process pool module adds to a run's import time or memory
+    check = ("import sys, cliffsphere.cli\n"
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cliffsphere.__file__).parents[1])}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
