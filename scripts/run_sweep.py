@@ -30,8 +30,8 @@ def run():
     print(f"{'theta':>8}  {'raw':>6}  {'standard':>20}  {'resid norm':>12}  {'3*stderr':>12}")
     for r in rows:
         print(
-            f"{r.theta_deg:8.2f}  {r.raw_mean:6.1f}  {r.std_scalar:20.16f}  "
-            f"{r.residual_norm:12.3e}  {3 * r.stderr:12.3e}"
+            f"{r['theta_deg']:8.2f}  {r['raw_mean']:6.1f}  {r['std_scalar']:20.16f}  "
+            f"{r['resid_norm']:12.3e}  {3 * r['stderr']:12.3e}"
         )
     if args.out is not None:
         code = cli_main(

@@ -23,8 +23,10 @@ rerun with the same flags and seed is byte-identical.  Preparing ``--out``
 drops a previous run's manifest before any data file is replaced, and each
 file is written to a temporary name in the output directory and moved into
 place with ``os.replace``, so a name never holds a partly written file and
-no manifest describes other bytes.  Numeric CSV fields carry 17 significant
-digits with a locale-independent decimal point.
+no manifest describes other bytes.  A CSV file is written from one
+structured array: its header is the field names, and each row is one `%`
+format, floats with 17 significant digits and a locale-independent decimal
+point, integers as integers.
 
 Every refused input is reported with the flag, or the environment
 variable, that it came from: each is parsed and validated inside
@@ -48,10 +50,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -102,6 +102,9 @@ SEED_ENV_VAR = "CLIFFSPHERE_SEED"
 
 #: Acceptance bound for the transport and transition residuals.
 HOPF_TOL = 1e-10
+
+#: Most bytes read from an ``--embedding`` file: a 7x3 matrix takes a few hundred.
+MAX_EMBEDDING_BYTES = 1 << 16
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -206,12 +209,12 @@ def _write_file(out_dir: Path, name: str, text: str) -> tuple[Path, str]:
     return path, hashlib.sha256(data).hexdigest()
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(rows: np.ndarray) -> str:
+    """CSV text of a structured array: a header of its field names, then one
+    line per row, each field with `_fmt`'s 17 digits or as an integer, ended
+    by CR LF as `csv.writer` ends them; one `%` format per row."""
+    line = ",".join("%d" if rows.dtype[name].kind in "iu" else "%.17g" for name in rows.dtype.names) + "\r\n"
+    return "".join([",".join(rows.dtype.names) + "\r\n", *map(line.__mod__, rows.tolist())])
 
 
 def _prepare_out(out: str) -> Path:
@@ -300,15 +303,9 @@ def cmd_simulate(args, seed: int) -> _Run:
         spec = _parse_sweep(args.sweep)
         config = {"trials": args.trials, "sweep": args.sweep}
     counts = orientation_counts(seed, args.trials)
-    rows = [correlation_row(theta, a, b, counts)] if args.a is not None else sweep(spec, counts)
-    text = _csv_text(
-        ["theta_deg", "raw_mean", "std_scalar", "resid_x", "resid_y",
-         "resid_z", "resid_norm", "stderr", "n"],
-        ([_fmt(r.theta_deg), _fmt(r.raw_mean), _fmt(r.std_scalar), *map(_fmt, r.residual),
-          _fmt(r.residual_norm), _fmt(r.stderr), str(r.n)] for r in rows),
-    )
+    rows = correlation_row(theta, a, b, counts) if args.a is not None else sweep(spec, counts)
     lines = [f"wrote {Path(args.out, 'correlations.csv')} ({len(rows)} rows)"]
-    return EXIT_OK, config, {"correlations.csv": text}, lines, {"orientation": asdict(counts)}
+    return EXIT_OK, config, {"correlations.csv": _csv_text(rows)}, lines, {"orientation": asdict(counts)}
 
 
 def cmd_hopf(args, seed: int) -> _Run:
@@ -324,10 +321,6 @@ def cmd_hopf(args, seed: int) -> _Run:
         "transport residual (lam=+1)": _transport(pair, 1),
         "phase flip at pi residual": phase_flip_at_pi(probe.psi_a)[2],
     }
-    text = _csv_text(
-        ["psi_rad", "wedge_magnitude", "axis_x", "axis_y", "axis_z"],
-        ([_fmt(row.psi_rad), _fmt(row.magnitude), *map(_fmt, row.axis)] for row in rows),
-    )
     lines = [
         *(f"{'PASS' if res < HOPF_TOL else 'FAIL'}  {name}: {res:.3e}  (tol {HOPF_TOL:.0e})"
           for name, res in residuals.items()),
@@ -335,7 +328,7 @@ def cmd_hopf(args, seed: int) -> _Run:
     ]
     config = {"psi_a": args.psi_a, "phi_deg": args.phi_deg, "limit_separations": separations}
     code = EXIT_OK if all(res < HOPF_TOL for res in residuals.values()) else EXIT_VERIFICATION
-    return code, config, {"null_limit.csv": text}, lines, {}
+    return code, config, {"null_limit.csv": _csv_text(rows)}, lines, {}
 
 
 def cmd_s7(args, seed: int) -> _Run:
@@ -343,13 +336,18 @@ def cmd_s7(args, seed: int) -> _Run:
     embedding = None
     if args.embedding != "default":
         try:
+            with open(args.embedding, "rb") as fh:
+                data = fh.read(MAX_EMBEDDING_BYTES + 1)
+            if len(data) > MAX_EMBEDDING_BYTES:
+                raise ValueError(f"the file is longer than {MAX_EMBEDDING_BYTES} bytes")
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty file
-                m = np.loadtxt(args.embedding)
+                m = np.loadtxt(data.splitlines())
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m.T @ m: refused
                 embedding = Embedding(m)
-        except (OSError, ValueError, UserWarning) as exc:
-            raise UsageError(f"--embedding {args.embedding!r}: {exc}") from exc
+        except (OSError, ValueError, UserWarning) as exc:  # numpy's warning names every line read
+            reason = "the file holds no data" if isinstance(exc, UserWarning) else exc
+            raise UsageError(f"--embedding {args.embedding!r}: {reason}") from exc
 
     J = build_J().value
     n7 = embed(a, embedding)

@@ -43,7 +43,8 @@ products A_i B_i = (+lam)(-lam) is -1 for both orientation values, so it is
 single-side scores (`marginal_average`) all tend to 0 at the 1/sqrt(n) rate.
 `correlation_row` reports both correlation estimators side by side for one
 direction pair and `sweep` for every angle of a sweep, through the same
-batched code and from the same orientation counts.
+batched code and from the same orientation counts, as one structured array
+whose fields are the columns of ``correlations.csv`` (`SWEEP_COLUMNS`).
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .frames import ORIENTATIONS, _VOLUME3, _score_coeffs, _structure_coeffs
-from .multivector import (
-    DEFAULT_TOL, Multivector, _cross, _product, _row_norms, _vector_coeffs, unit_vector)
+from .frames import ORIENTATIONS, _dual_plane, _score_coeffs, _structure_coeffs
+from .multivector import DEFAULT_TOL, Multivector, _cross, _product, _row_norms, unit_vector
 
 
 class TrialConsistencyError(RuntimeError):
@@ -183,7 +183,8 @@ def orientation_counts(seed: int, n: int) -> OrientationCounts:
 
 
 #: Most points of one angle sweep.  A sweep's peak memory grows with its
-#: points (≈1.1 GB at 10**6), so a larger one is refused before it allocates.
+#: points (a fresh `simulate --trials 1000` run of 10**6 points peaks at
+#: ≈0.8 GB RSS in ≈10 s), so a larger one is refused before it allocates.
 MAX_SWEEP_STEPS = 10**6
 
 
@@ -241,7 +242,7 @@ def _raw_scores(side: Side, ns: np.ndarray) -> np.ndarray:
     and row 1 at lam = -1: signs of the Cl(3,0) products (-I.n)(lam I.n) for
     Alice and (+I.n)(lam I.n) for Bob, from one contraction and one product
     batch.  Every product is checked to be a unit scalar to `DEFAULT_TOL`."""
-    i_n = _product("contract", _VOLUME3, _vector_coeffs(ns, 3))
+    i_n = _dual_plane(ns)
     left = -i_n if side is Side.ALICE else i_n
     products = _product("geometric", np.concatenate([left, left]), np.concatenate([i_n, -i_n]))
     s = products[:, 0]
@@ -304,44 +305,41 @@ def marginal_average(n_vec, side: Side, counts: OrientationCounts) -> Correlatio
 # -- sweeps ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    theta_deg: float
-    raw_mean: float
-    std_scalar: float
-    residual: tuple[float, float, float]
-    residual_norm: float
-    stderr: float
-    n: int
+#: The columns of a sweep row, in `correlations.csv` order: the angle, both
+#: estimates, the residual, its norm and the stderr as float64, and the trials.
+SWEEP_COLUMNS = np.dtype({"names": ["theta_deg", "raw_mean", "std_scalar", "resid_x", "resid_y", "resid_z",
+                                    "resid_norm", "stderr", "n"], "formats": [np.float64] * 8 + [np.int64]})
 
 
-def sweep_directions(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """Direction pair at angle theta: a = e_x, b in the xy-plane."""
-    t = math.radians(theta_deg)
-    return np.array([1.0, 0.0, 0.0]), np.array([math.cos(t), math.sin(t), 0.0])
-
-
-def _rows(thetas, a, b, counts: OrientationCounts) -> list[SweepRow]:
-    """Both estimators for the direction pairs a[i], b[i], reported at angles
-    thetas[i], with every product evaluated for all pairs in one batch."""
+def _rows(thetas, a, b, counts: OrientationCounts) -> np.ndarray:
+    """(N,) `SWEEP_COLUMNS` rows of both estimators for the direction pairs
+    a[i], b[i], reported at angles thetas[i], with every product evaluated
+    for all pairs in one batch."""
     a, b = _unit_rows(a), _unit_rows(b)
     scalars, residuals, stderrs = _standard_estimates(a, b, counts)
-    return [SweepRow(float(theta), float(raw), s, r, r_norm, stderr, counts.n)
-            for theta, raw, s, r, r_norm, stderr in zip(
-                thetas, _raw_means(a, b, counts), scalars.tolist(), map(tuple, residuals.tolist()),
-                _row_norms(residuals).tolist(), stderrs.tolist())]
+    rows = np.empty(len(a), SWEEP_COLUMNS)
+    for name, column in zip(SWEEP_COLUMNS.names, (thetas, _raw_means(a, b, counts), scalars, *residuals.T,
+                                                  _row_norms(residuals), stderrs, counts.n)):
+        rows[name] = column
+    return rows
 
 
-def correlation_row(theta_deg: float, a, b, counts: OrientationCounts) -> SweepRow:
-    """Both estimators for the direction pair (a, b), reported at angle theta."""
-    return _rows([theta_deg], [a], [b], counts)[0]
+def correlation_row(theta_deg: float, a, b, counts: OrientationCounts) -> np.ndarray:
+    """Both estimators for the direction pair (a, b), reported at angle
+    theta: a sweep batch of one, as a (1,) `SWEEP_COLUMNS` array."""
+    return _rows([theta_deg], [a], [b], counts)
 
 
-def sweep(spec: SweepSpec, counts: OrientationCounts) -> list[SweepRow]:
-    """Both estimators at every sweep angle, all rows from the same
-    orientation counts; bit-identical for equal (spec, counts)."""
+def sweep(spec: SweepSpec, counts: OrientationCounts) -> np.ndarray:
+    """Both estimators at every sweep angle theta, for a = e_x and b =
+    (cos theta, sin theta, 0) by `math.cos` and `math.sin` per angle: (steps,)
+    `SWEEP_COLUMNS` rows, all from the same orientation counts, bit-identical
+    for equal (spec, counts)."""
     thetas = spec.angles_deg()
-    return _rows(thetas, *zip(*map(sweep_directions, thetas)), counts)
+    t = [math.radians(theta) for theta in thetas.tolist()]
+    a = np.tile([1.0, 0.0, 0.0], (len(t), 1))
+    b = np.column_stack([[math.cos(x) for x in t], [math.sin(x) for x in t], np.zeros(len(t))])
+    return _rows(thetas, a, b, counts)
 
 
 # -- convergence study ------------------------------------------------------------------

@@ -19,7 +19,8 @@ orientation never combine; attempting to mix them raises
 
 The embedded frame is one (3, 8) coefficient array (`_frame_coeffs`), which
 the identity suite reads.  The estimators and the suite build standard scores
-lam n_j beta_j as (4, N) `_score_coeffs`.
+lam n_j beta_j as (4, N) `_score_coeffs`.  Every plane I . n dual to a vector
+(a frame's, a raw score's, a rotation axis's) is built by `_dual_plane`.
 """
 
 from __future__ import annotations
@@ -46,10 +47,16 @@ def check_orientation(lam: int) -> int:
     return int(lam)
 
 
+def _dual_plane(n: np.ndarray) -> np.ndarray:
+    """Coefficients of the plane I . n dual to the vector n, or (N, 8) rows
+    of them for the (N, 3) rows of n, from one contraction."""
+    return _product("contract", _VOLUME3, _vector_coeffs(n, 3))
+
+
 def _frame_coeffs(lam: int) -> np.ndarray:
     """(3, 8) coefficients of the frame beta_j = lam * (I . e_j), j = 1..3,
     from one batched contraction; `lam` is already checked."""
-    return float(lam) * _product("contract", _VOLUME3, _vector_coeffs(np.eye(3), 3))
+    return float(lam) * _dual_plane(np.eye(3))
 
 
 @dataclass(frozen=True)

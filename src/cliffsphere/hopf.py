@@ -16,7 +16,8 @@ psi_a, so each reduces psi_a modulo 2 pi (exactly, by fmod) before adding phi
 or pi; the sum then rounds at ulp(2 pi), not ulp(psi_a).
 
 Everything runs on coefficient arrays, the probe's separations as one batch
-(each row bit for bit a batch of one).  `_transition` and `_transport` take
+(each row bit for bit a batch of one) whose rows are one structured array
+with the columns of ``null_limit.csv`` (`NULL_LIMIT_COLUMNS`).  `_transition` and `_transport` take
 the pair of `_fiber_pair` ready made, so a run of both builds it once.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import _VOLUME3
+from .frames import _VOLUME3, _dual_plane
 from .multivector import (
     Multivector, _cross, _product, _reversion_sign, _rotor_coeffs, _row_norms, _vector_coeffs,
     unit_vector)
@@ -49,11 +50,6 @@ def _axis_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         raise DegenerateAxisError(f"|a x b| = {s!r} is too small to define a rotation axis")
     phi = math.atan2(s, float(np.dot(a, b)))
     return axb / s, phi
-
-
-def _plane_coeffs(axis) -> np.ndarray:
-    """Coefficients of I . c, c the axis renormalized by `unit_vector`."""
-    return _product("contract", _VOLUME3, _vector_coeffs(unit_vector(axis), 3))
 
 
 def _rotors(B: np.ndarray, angles) -> np.ndarray:
@@ -79,7 +75,7 @@ def _fiber_pair(a, b, psi_a: float):
     a, b = unit_vector(a), unit_vector(b)
     c, phi = _axis_between(a, b)
     psi_a = math.fmod(psi_a, math.tau)
-    B = _plane_coeffs(c)
+    B = _dual_plane(unit_vector(c))
     return (a, b, B, phi, *_rotated(_vector_coeffs(np.array([a, b]), 3), B, [psi_a, psi_a + phi]))
 
 
@@ -113,10 +109,11 @@ def _transition(pair) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _quaternion_coeffs(n, n_prime, lam: int, side_sign: int) -> np.ndarray:
-    """(side_sign I.n)(lam I.n') for unit vectors, or (N, 3) rows of them."""
-    left = float(side_sign) * _product("contract", _VOLUME3, _vector_coeffs(n, 3))
-    right = float(lam) * _product("contract", _VOLUME3, _vector_coeffs(n_prime, 3))
-    return _product("geometric", left, right)
+    """(side_sign I.n)(lam I.n') for unit vectors, or (N, 3) rows of them;
+    n and n' are contracted with I in one stacked call."""
+    v = np.stack([n, n_prime])
+    left, right = _dual_plane(v.reshape(-1, 3)).reshape(*v.shape[:-1], 8)
+    return _product("geometric", float(side_sign) * left, float(lam) * right)
 
 
 def _transport(pair, lam: int) -> float:
@@ -141,20 +138,18 @@ def phase_flip_at_pi(psi_a: float) -> tuple[Multivector, Multivector, float]:
     explicit axis.
     """
     psi_a = math.fmod(psi_a, math.tau)
-    q_a, q_b = _rotors(_plane_coeffs((0.0, 0.0, 1.0)), [psi_a, psi_a + math.pi])
+    q_a, q_b = _rotors(_dual_plane(np.array([0.0, 0.0, 1.0])), [psi_a, psi_a + math.pi])
     return Multivector(3, q_a), Multivector(3, q_b), float(np.linalg.norm(q_a + q_b))
 
 
 # -- null-bivector limit probe ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NullLimitRow:
-    """One probe row.  Undefined rows (zero separation) carry NaNs."""
-
-    psi_rad: float
-    magnitude: float
-    axis: tuple[float, float, float]
+#: The columns of a probe row, in `null_limit.csv` order, all float64: the
+#: separation, the normalized wedge's magnitude and its plane's unit axis.
+#: An undefined row (zero separation) carries NaNs after its separation.
+NULL_LIMIT_COLUMNS = np.dtype(
+    [(name, np.float64) for name in ("psi_rad", "wedge_magnitude", "axis_x", "axis_y", "axis_z")])
 
 
 def perpendicular_axis(a) -> np.ndarray:
@@ -178,8 +173,9 @@ def _separations(values) -> list[float]:
     return seps
 
 
-def null_limit_probe(a, separations) -> list[NullLimitRow]:
-    """Normalized wedge (a ^ a') / |a x a'| for a' at each separation angle.
+def null_limit_probe(a, separations) -> np.ndarray:
+    """Normalized wedge (a ^ a') / |a x a'| for a' at each separation angle,
+    as (N,) `NULL_LIMIT_COLUMNS` rows.
 
     a' is a rotated about a fixed axis perpendicular to a, so the plane of
     the wedge is the same for every row.  The magnitude is |a ^ a'| (Clifford
@@ -190,13 +186,12 @@ def null_limit_probe(a, separations) -> list[NullLimitRow]:
     a = unit_vector(a)
     seps = _separations(separations)
     va = _vector_coeffs(a, 3)
-    a_prime = _rotated(va, _plane_coeffs(perpendicular_axis(a)), seps)
+    a_prime = _rotated(va, _dual_plane(unit_vector(perpendicular_axis(a))), seps)
     w = _product("wedge", va, _vector_coeffs(a_prime, 3))
     wedge_norm, cross_norm = _row_norms(w), _row_norms(_cross(a, a_prime))
     ok = cross_norm != 0.0  # zero separation: the row is undefined
-    magnitude = np.divide(wedge_norm, cross_norm, out=np.full(len(seps), math.nan), where=ok)
-    axis = np.full((len(seps), 3), math.nan)
-    unit_w = w[ok] * (1.0 / wedge_norm[ok, None])
-    axis[ok] = _product("contract", -1.0 * _VOLUME3, unit_w)[:, [1, 2, 4]]
-    return [NullLimitRow(psi, float(m), tuple(map(float, ax)))
-            for psi, m, ax in zip(seps, magnitude, axis)]
+    rows = np.full((len(seps), 5), math.nan)  # five float64 make one NULL_LIMIT_COLUMNS row
+    rows[:, 0] = seps
+    rows[ok, 1] = wedge_norm[ok] / cross_norm[ok]
+    rows[ok, 2:] = _product("contract", -1.0 * _VOLUME3, w[ok] * (1.0 / wedge_norm[ok, None]))[:, [1, 2, 4]]
+    return rows.view(NULL_LIMIT_COLUMNS)[:, 0]

@@ -45,6 +45,7 @@ from .frames import (
     _VOLUME3,
     AbstractElement,
     OrientationMixError,
+    _dual_plane,
     _frame_coeffs,
     _score_coeffs,
     _structure_coeffs,
@@ -296,7 +297,7 @@ def check_rotor_rotation(rng) -> CheckResult:
 def check_rotor_unit(rng, tol: float) -> CheckResult:
     """exp((I.c) theta) has unit norm and R ~R = 1."""
     c, theta = _random_units(rng, _ROTOR_CASES), rng.uniform(-3, 3, _ROTOR_CASES)
-    B = _product("contract", _VOLUME3, _vector_coeffs(c, 3))
+    B = _dual_plane(c)
     R = _rotor_coeffs(B, np.sin(theta), np.cos(theta))
     inverse = _product("geometric", R, R * _reversion_sign(3))
     inverse[:, 0] -= 1.0

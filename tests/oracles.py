@@ -38,7 +38,7 @@ import numpy as np
 
 from cliffsphere import multivector, seven_sphere
 from cliffsphere.frames import AbstractElement, OrientationMixError
-from cliffsphere.hopf import NullLimitRow, perpendicular_axis
+from cliffsphere.hopf import NULL_LIMIT_COLUMNS, perpendicular_axis
 from cliffsphere.multivector import (
     Multivector,
     _tables,
@@ -258,24 +258,23 @@ def sandwich_rotation(v, axis, angle: float) -> np.ndarray:
     return geometric_product(geometric_product(R, v), reversion(R)).coeffs[[1, 2, 4]]
 
 
-def null_limit_rows(a, separations) -> list[NullLimitRow]:
-    """The null-limit probe's rows one separation at a time, each through
-    `sandwich_rotation` and the `Multivector` wedge, contraction and norm;
-    `null_limit_probe` runs all separations as one batch."""
+def null_limit_rows(a, separations) -> np.ndarray:
+    """The null-limit probe's `NULL_LIMIT_COLUMNS` rows one separation at a
+    time, each through `sandwich_rotation` and the `Multivector` wedge,
+    contraction and norm; `null_limit_probe` runs all separations as one
+    batch."""
     a = unit_vector(a)
     axis = perpendicular_axis(a)
     rows = []
-    nan3 = (math.nan, math.nan, math.nan)
     for psi in map(float, separations):
         a_prime = sandwich_rotation(a, axis, psi)
         w = wedge(Multivector.from_vector(a, dim=3), Multivector.from_vector(a_prime, dim=3))
         wedge_norm = norm(w)
         cross_norm = float(np.linalg.norm(np.cross(a, a_prime)))
         if cross_norm == 0.0:
-            rows.append(NullLimitRow(psi, math.nan, nan3))
+            rows.append((psi, math.nan, math.nan, math.nan, math.nan))
             continue
         dual = contract(Multivector(3, -1.0 * Multivector.volume(3).coeffs),
                         Multivector(3, (1.0 / wedge_norm) * w.coeffs))
-        axis_row = tuple(map(float, dual.coeffs[[1, 2, 4]]))
-        rows.append(NullLimitRow(psi, wedge_norm / cross_norm, axis_row))
-    return rows
+        rows.append((psi, wedge_norm / cross_norm, *dual.coeffs[[1, 2, 4]]))
+    return np.array(rows, NULL_LIMIT_COLUMNS)

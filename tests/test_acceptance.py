@@ -25,7 +25,6 @@ from cliffsphere.epr import (
     orientation_counts,
     residual_convergence_slope,
     sweep,
-    sweep_directions,
 )
 from cliffsphere.frames import _frame_coeffs
 from cliffsphere.hopf import _fiber_pair, _transition, _transport, null_limit_probe, phase_flip_at_pi
@@ -94,17 +93,17 @@ def test_criterion_04_standard_score_correlation(sweep_csv):
     # scalar equals -a.b for every n, exactly
     reference = None
     for n in (1, 3, 100, 4096):
-        row = correlation_row(0.0, a, b, orientation_counts(8, n))
-        reference = row.std_scalar if reference is None else reference
-        assert row.std_scalar == reference
+        (row,) = correlation_row(0.0, a, b, orientation_counts(8, n))
+        reference = row["std_scalar"] if reference is None else reference
+        assert row["std_scalar"] == reference
     assert reference == pytest.approx(-float(np.dot(a, b)), abs=1e-16)
     # residual components within 3|a x b|/sqrt(n) for >= 18 of 20 seeds
     n = 100_000
     bound = 3.0 * float(np.linalg.norm(np.cross(a, b))) / math.sqrt(n)
     good = 0
     for seed in SEEDS_20:
-        row = correlation_row(0.0, a, b, orientation_counts(seed, n))
-        if all(abs(c) < bound for c in row.residual):
+        (row,) = correlation_row(0.0, a, b, orientation_counts(seed, n))
+        if all(abs(c) < bound for c in row[["resid_x", "resid_y", "resid_z"]].tolist()):
             good += 1
     assert good >= 18, f"only {good}/20 seeds inside the bound"
     # the 60-degree row of the recorded sweep reads -0.5 to 1e-15
@@ -125,8 +124,7 @@ def test_criterion_05_raw_estimator(sweep_csv):
     for row in rows:
         assert float(row["raw_mean"]) == -1.0
     for seed in (0, 1, 2, 3):
-        for r in sweep(SweepSpec(steps=5), orientation_counts(seed, 1000)):
-            assert r.raw_mean == -1.0
+        assert sweep(SweepSpec(steps=5), orientation_counts(seed, 1000))["raw_mean"].tolist() == [-1.0] * 5
     print("\nACCEPTANCE 5: PASS (raw estimator -1 at every angle and seed)")
 
 
@@ -175,8 +173,7 @@ def test_criterion_08_hopf_transport():
 def test_criterion_09_null_limit_probe():
     separations = [10.0 ** (-k) for k in range(1, 7)]
     rows = null_limit_probe(np.array([1.0, 0.0, 0.0]), separations)
-    for row in rows:
-        assert abs(row.magnitude - 1.0) < 1e-12
+    assert np.max(np.abs(rows["wedge_magnitude"] - 1.0)) < 1e-12
     print("\nACCEPTANCE 9: PASS (magnitude 1 +- 1e-12 down to 1e-6 rad)")
 
 

@@ -335,6 +335,42 @@ def test_csv_floats_are_17_digit_and_locale_independent(tmp_path):
     assert "-0.99619469809174555" in text
 
 
+@st.composite
+def structured_rows(draw):
+    """A structured array of 1 to 9 float64 columns, then an int64 column or
+    none, with any float64 values: NaN, infinities, signed zeros and
+    subnormals included."""
+    floats, ints = draw(st.integers(1, 9)), draw(st.integers(0, 1))
+    dtype = np.dtype([(f"c{j}", np.float64) for j in range(floats)] + [("n", np.int64)] * ints)
+    row = st.tuples(*[st.floats(width=64)] * floats, *[st.integers(-2**63, 2**63 - 1)] * ints)
+    return np.array(draw(st.lists(row, max_size=20)), dtype)
+
+
+def csv_writer_text(rows) -> str:
+    """The CSV text that `csv.writer` writes for rows: the field names, then
+    each float by `format(x, ".17g")` and each integer by `str`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(rows.dtype.names)
+    writer.writerows([format(x, ".17g") if isinstance(x, float) else str(x) for x in row]
+                     for row in rows.tolist())
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+                  1e-310, 1.7976931348623157e308, 0.1, -1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(structured_rows())
+@example(np.array([SPECIAL_FLOATS], [(f"c{j}", np.float64) for j in range(len(SPECIAL_FLOATS))]))
+@example(np.array([(math.nan, -0.0, 2**63 - 1), (1e-310, -math.inf, -2**63)],
+                  [("a", np.float64), ("b", np.float64), ("n", np.int64)]))
+@example(np.zeros(0, epr.SWEEP_COLUMNS))
+def test_csv_text_equals_csv_writer_over_17_digit_fields(rows):
+    assert cli._csv_text(rows) == csv_writer_text(rows)
+
+
 # -- hopf ---------------------------------------------------------------------------
 
 
@@ -413,8 +449,9 @@ def test_failed_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
 
 
 #: sha256 of the data file of a run, at seed 42 unless the flags say
-#: otherwise: the default-flag runs (ROADMAP), then the single-pair path and a
-#: sweep that is not the default one.
+#: otherwise: the default-flag runs (ROADMAP), then the single-pair path, a
+#: sweep that is not the default one, a 3,001-point sweep past both ends of
+#: a turn, and a probe whose zero separation gives a NaN row.
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN = {
     "simulate": ("correlations.csv", "39667133e080e30c929bce0cd5907994d080f4141755435e9af6625f14c49371"),
@@ -424,6 +461,10 @@ GOLDEN = {
         ("correlations.csv", "d4b4f5bc2984d634d6de0c7249496fa3d15f029c692994edf9448f33296b4667"),
     "simulate --sweep 10:170:9 --trials 54321 --seed 7":
         ("correlations.csv", "439b3c52a4be3cf51a34928943838a1d7f3fe0ba7e55e7ec184921de9ea6d6d9"),
+    "simulate --trials 1000 --sweep=-30:390:3001 --seed 5":
+        ("correlations.csv", "facebb30f10c18fa344cfa7d5ec625b14f4eb8bfb0be334e56ebd0887032ee3c"),
+    "hopf --limit-separations 1e-1,1e-9,0":
+        ("null_limit.csv", "aeedc8f4250c6f0c2752a70c6764013f87cfeb86f3e39f3d68727d4820939b94"),
 }
 
 
@@ -452,12 +493,13 @@ def test_the_simulate_digest_does_not_depend_on_the_walkers(tmp_path, monkeypatc
 
 #: Most product-kernel calls that a default run of each subcommand may make.
 #: No benchmark counter sees `_product`, so a quantity computed twice shows
-#: here first.  A hopf run builds its fiber pair once; an s7 run makes 4
+#: here first.  A hopf run builds its fiber pair once and contracts the
+#: transport's four directions with I in one call; an s7 run makes 4
 #: calls, plus 2 for J in the first run of a process.  A simulate run
 #: contracts each side's directions once and multiplies them at both
 #: orientations in one batch.  The identity suite checks associativity on
 #: the Cayley tables, with no product.
-PRODUCT_BUDGET = {"identities": 39, "simulate": 4, "hopf": 19, "s7": 6}
+PRODUCT_BUDGET = {"identities": 39, "simulate": 4, "hopf": 18, "s7": 6}
 
 
 def patch_kernel(monkeypatch, replacement) -> None:
@@ -637,6 +679,16 @@ def test_s7_empty_embedding_file_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_s7_comment_only_embedding_file_is_refused_in_one_short_line(tmp_path, capsys):
+    # numpy's no-data warning names its input, here every line read
+    comments = tmp_path / "comments.txt"
+    comments.write_text("# a comment, and no matrix\n" * 1000)
+    code = main(["s7", "--embedding", str(comments), "--out", str(tmp_path / "x")])
+    err = assert_usage_error(capsys, code).err
+    assert "no data" in err and len(err) < 200
+    assert not (tmp_path / "x").exists()
+
+
 def test_blade_label_table_matches_blade_label():
     for dim in range(1, multivector.MAX_DIM + 1):
         assert cli._blade_labels(dim) == tuple(
@@ -688,6 +740,29 @@ def test_inputs_whose_squares_overflow_are_refused_in_one_line(tmp_path, argv, r
     assert done.stderr.startswith(f"error: {refused}")
     assert len(done.stderr.splitlines()) == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")
+def test_s7_endless_embedding_file_is_a_usage_error(tmp_path, capsys):
+    # the read stops at the bound: the run neither grows nor hangs
+    code = main(["s7", "--embedding", "/dev/zero", "--out", str(tmp_path / "x")])
+    assert "--embedding '/dev/zero': " in assert_usage_error(capsys, code).err
+    assert not (tmp_path / "x").exists()
+
+
+def test_s7_embedding_file_over_the_bound_is_a_usage_error(tmp_path, capsys):
+    # a valid matrix padded with blank lines to one byte over the bound
+    path = tmp_path / "long.txt"
+    text = "\n".join(" ".join("1" if (row, col) in ((0, 0), (1, 1), (2, 2)) else "0"
+                              for col in range(3)) for row in range(7)) + "\n"
+    path.write_text(text + "\n" * (cli.MAX_EMBEDDING_BYTES + 1 - len(text)))
+    assert path.stat().st_size == cli.MAX_EMBEDDING_BYTES + 1
+    code = main(["s7", "--embedding", str(path), "--out", str(tmp_path / "x")])
+    assert f"longer than {cli.MAX_EMBEDDING_BYTES} bytes" in assert_usage_error(capsys, code).err
+    assert not (tmp_path / "x").exists()
+    # one byte less is read whole and accepted
+    path.write_text(text + "\n" * (cli.MAX_EMBEDDING_BYTES - len(text)))
+    assert main(["s7", "--embedding", str(path), "--out", str(tmp_path / "y")]) == 0
 
 
 def test_s7_bad_embedding_file(tmp_path):

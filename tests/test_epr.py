@@ -13,7 +13,7 @@ from cliffsphere.epr import (
     CorrelationEstimate,
     OrientationCounts,
     Side,
-    SweepRow,
+    SWEEP_COLUMNS,
     SweepSpec,
     correlation_row,
     marginal_average,
@@ -21,7 +21,6 @@ from cliffsphere.epr import (
     orientation_counts,
     orientation_prefix_counts,
     sweep,
-    sweep_directions,
 )
 from cliffsphere.frames import abstract_product
 from cliffsphere.multivector import (
@@ -39,6 +38,12 @@ SEED42_PREFIX = [-1, 1, 1, 1, 1, -1, 1, -1, -1, 1]
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
+
+
+def directions(theta_deg):
+    """The direction pair of a sweep at angle theta: a = e_x, b in the xy-plane."""
+    t = math.radians(theta_deg)
+    return EX, np.array([math.cos(t), math.sin(t), 0.0])
 
 
 def random_unit(rng):
@@ -330,7 +335,7 @@ def test_trial_records_satisfy_per_trial_identities():
 def test_trial_records_match_estimators():
     records = trial_records(EX, EY, 13, 400)
     raw_mean = sum(alice * bob for _, alice, bob in records) / len(records)
-    assert raw_mean == correlation_row(90.0, EX, EY, orientation_counts(13, 400)).raw_mean
+    assert raw_mean == correlation_row(90.0, EX, EY, orientation_counts(13, 400))["raw_mean"]
 
 
 # -- standard-score estimator ----------------------------------------------------------
@@ -340,7 +345,7 @@ def test_standard_scalar_is_exact_and_trial_independent():
     rng = np.random.default_rng(4)
     a, b = random_unit(rng), random_unit(rng)
     values = {
-        n: correlation_row(0.0, a, b, orientation_counts(42, n)).std_scalar
+        n: float(correlation_row(0.0, a, b, orientation_counts(42, n))["std_scalar"][0])
         for n in (1, 2, 3, 17, 1000)
     }
     assert len(set(values.values())) == 1
@@ -348,27 +353,27 @@ def test_standard_scalar_is_exact_and_trial_independent():
 
 
 def test_standard_equal_directions():
-    row = correlation_row(0.0, EX, EX, orientation_counts(1, 1000))
-    assert row.std_scalar == -1.0
-    assert row.residual == (0.0, 0.0, 0.0)
-    assert row.stderr == 0.0
+    (row,) = correlation_row(0.0, EX, EX, orientation_counts(1, 1000))
+    assert row["std_scalar"] == -1.0
+    assert row[["resid_x", "resid_y", "resid_z"]].tolist() == (0.0, 0.0, 0.0)
+    assert row["stderr"] == 0.0
 
 
 def test_standard_perpendicular_directions_large_n():
     n = 10**6
-    row = correlation_row(90.0, EX, EY, orientation_counts(1234, n))
-    assert row.std_scalar == 0.0
+    (row,) = correlation_row(90.0, EX, EY, orientation_counts(1234, n))
+    assert row["std_scalar"] == 0.0
     bound = 3.0 / math.sqrt(n)
-    for c in row.residual:
+    for c in row[["resid_x", "resid_y", "resid_z"]].tolist():
         assert abs(c) < bound
-    assert row.stderr == pytest.approx(1.0 / math.sqrt(n))
+    assert row["stderr"] == pytest.approx(1.0 / math.sqrt(n))
 
 
 def test_standard_sixty_degrees_reads_minus_half():
-    a, b = sweep_directions(60.0)
-    row = correlation_row(60.0, a, b, orientation_counts(42, 10**5))
-    assert abs(row.std_scalar - (-0.5)) < 1e-15
-    assert row.residual_norm < 3.0 * row.stderr
+    a, b = directions(60.0)
+    (row,) = correlation_row(60.0, a, b, orientation_counts(42, 10**5))
+    assert abs(row["std_scalar"] - (-0.5)) < 1e-15
+    assert row["resid_norm"] < 3.0 * row["stderr"]
 
 
 def test_standard_matches_literal_per_trial_average():
@@ -384,8 +389,8 @@ def test_standard_matches_literal_per_trial_average():
     literal = np.array(
         [math.fsum(col) / counts.n for col in np.array(per_trial).T]
     )
-    row = correlation_row(0.0, a, b, counts)
-    got = np.array([row.std_scalar, *row.residual])
+    (row,) = correlation_row(0.0, a, b, counts)
+    got = np.array(row[["std_scalar", "resid_x", "resid_y", "resid_z"]].tolist())
     assert np.max(np.abs(got - literal)) < 1e-15
 
 
@@ -396,12 +401,12 @@ def test_raw_estimator_is_minus_one_everywhere():
     rng = np.random.default_rng(8)
     for n, seed in ((1, 0), (10, 5), (1000, 9), (10**5, 42)):
         a, b = random_unit(rng), random_unit(rng)
-        assert correlation_row(0.0, a, b, orientation_counts(seed, n)).raw_mean == -1.0
+        assert correlation_row(0.0, a, b, orientation_counts(seed, n))["raw_mean"] == -1.0
 
 
 def test_raw_estimator_equal_directions_matches_singlet_point():
-    row = correlation_row(0.0, EX, EX, orientation_counts(3, 100))
-    assert row.raw_mean == row.std_scalar == -1.0
+    (row,) = correlation_row(0.0, EX, EX, orientation_counts(3, 100))
+    assert row["raw_mean"] == row["std_scalar"] == -1.0
 
 
 # -- marginals ------------------------------------------------------------------------
@@ -469,38 +474,38 @@ def test_standard_commutator_vanishes_for_parallel_directions():
 def test_sweep_closed_form_values():
     spec = SweepSpec(start_deg=0.0, stop_deg=180.0, steps=3)
     rows = sweep(spec, orientation_counts(42, 2000))
-    assert [r.theta_deg for r in rows] == [0.0, 90.0, 180.0]
-    want = [-1.0, 0.0, 1.0]
-    for row, expected in zip(rows, want):
-        assert abs(row.std_scalar - expected) < 1e-15
-        assert row.raw_mean == -1.0
-        assert row.n == 2000
+    assert rows.dtype == SWEEP_COLUMNS
+    assert rows["theta_deg"].tolist() == [0.0, 90.0, 180.0]
+    assert np.max(np.abs(rows["std_scalar"] - [-1.0, 0.0, 1.0])) < 1e-15
+    assert rows["raw_mean"].tolist() == [-1.0] * 3
+    assert rows["n"].tolist() == [2000] * 3
 
 
 def test_sweep_is_deterministic():
     spec = SweepSpec(steps=5)
-    assert sweep(spec, orientation_counts(7, 5000)) == sweep(spec, orientation_counts(7, 5000))
+    assert sweep(spec, orientation_counts(7, 5000)).tobytes() == sweep(spec, orientation_counts(7, 5000)).tobytes()
 
 
 def test_sweep_rows_share_one_trial_stream():
     rows = sweep(SweepSpec(steps=5), orientation_counts(7, 5000))
     lam_mean = lambda_stream(7, 5000).astype(np.int64).sum() / 5000
     for row in rows:
-        a, b = sweep_directions(row.theta_deg)
+        a, b = directions(row["theta_deg"])
         expected = -lam_mean * np.cross(a, b)
-        assert np.max(np.abs(np.asarray(row.residual) - expected)) < 1e-15
+        assert np.max(np.abs(np.array(row[["resid_x", "resid_y", "resid_z"]].tolist()) - expected)) < 1e-15
 
 
 def test_correlation_row_reports_both_estimators():
-    a, b = sweep_directions(40.0)
+    a, b = directions(40.0)
     counts = orientation_counts(5, 777)
     row = correlation_row(40, a, b, counts)
-    assert repr(row) == repr(reference_row(40, a, b, counts))
-    assert row == sweep(SweepSpec(0.0, 40.0, 2), counts)[1]
+    assert row.tobytes() == reference_row(40, a, b, counts).tobytes()
+    assert row.tobytes() == sweep(SweepSpec(0.0, 40.0, 2), counts)[1:].tobytes()
 
 
 def reference_row(theta, a, b, counts):
-    """One sweep row from single-pair calls and 1-D norms, sharing no batched code."""
+    """One sweep row, as a (1,) array, from single-pair calls and 1-D norms,
+    sharing no batched code."""
     a, b = unit_vector(a), unit_vector(b)
     products = {lam: abstract_product(standard_score(a, lam), standard_score(b, lam))
                 for lam in (1, -1)}
@@ -517,8 +522,8 @@ def reference_row(theta, a, b, counts):
         total += k * round(scalar_part(alice)) * round(scalar_part(bob))
     residual = tuple(float(c) for c in counts.lam_mean * np.asarray(products[1].c))
     stderr = float(np.linalg.norm(np.cross(a, b))) / math.sqrt(counts.n)
-    return SweepRow(float(theta), total / counts.n, float(products[1].c0), residual,
-                    float(np.linalg.norm(residual)), stderr, counts.n)
+    return np.array([(theta, total / counts.n, products[1].c0, *residual,
+                      np.linalg.norm(residual), stderr, counts.n)], SWEEP_COLUMNS)
 
 
 @pytest.mark.parametrize("spec, n, seed", [
@@ -528,8 +533,8 @@ def reference_row(theta, a, b, counts):
 ])
 def test_sweep_rows_equal_a_per_row_reference(spec, n, seed):
     counts = orientation_counts(seed, n)
-    want = [reference_row(t, *sweep_directions(t), counts) for t in spec.angles_deg()]
-    assert list(map(repr, sweep(spec, counts))) == list(map(repr, want))
+    want = np.concatenate([reference_row(t, *directions(t), counts) for t in spec.angles_deg()])
+    assert sweep(spec, counts).tobytes() == want.tobytes()
 
 
 def test_batched_rows_equal_a_per_row_reference_at_random_directions():
@@ -538,10 +543,10 @@ def test_batched_rows_equal_a_per_row_reference_at_random_directions():
     thetas = rng.uniform(-720.0, 720.0, 2000)
     a = rng.normal(size=(2000, 3))
     a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    b = np.array([sweep_directions(t)[1] for t in thetas])
+    b = np.array([directions(t)[1] for t in thetas])
     counts = orientation_counts(11, 1001)
-    want = [reference_row(t, ai, bi, counts) for t, ai, bi in zip(thetas, a, b)]
-    assert list(map(repr, epr._rows(thetas, a, b, counts))) == list(map(repr, want))
+    want = np.concatenate([reference_row(t, ai, bi, counts) for t, ai, bi in zip(thetas, a, b)])
+    assert epr._rows(thetas, a, b, counts).tobytes() == want.tobytes()
 
 
 MIDDLE_ROW = 18
@@ -594,7 +599,7 @@ def test_estimators_read_only_the_counts_they_are_given(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", no_stream)
     rows = sweep(SweepSpec(steps=3), counts)
-    assert [r.residual[2] for r in rows] == pytest.approx([0.0, -0.4, 0.0], abs=1e-15)
+    assert rows["resid_z"].tolist() == pytest.approx([0.0, -0.4, 0.0], abs=1e-15)
     assert marginal_average(EX, Side.ALICE, counts).scalar == pytest.approx(0.4)
 
 
