@@ -34,9 +34,10 @@ def run():
             f"{r['resid_norm']:12.3e}  {3 * r['stderr']:12.3e}"
         )
     if args.out is not None:
+        # "--sweep=" keeps argparse from reading a negative start as a flag
         code = cli_main(
             ["simulate", "--trials", str(args.trials), "--seed", str(args.seed),
-             "--sweep", f"{args.start}:{args.stop}:{args.steps}", "--out", args.out]
+             f"--sweep={args.start}:{args.stop}:{args.steps}", "--out", args.out]
         )
         raise SystemExit(code)
 

@@ -7,33 +7,43 @@ simulate    EPR correlation estimators over an angle sweep or a single pair
 hopf        transition/transport residuals and the null-bivector limit probe
 s7          7-sphere trivector report (contraction terms, grade decomposition)
 
-Each subcommand is a step ``cmd_*(args, seed)`` that validates its inputs
-and computes its results, and returns (exit code, config echo, {file name:
-text}, stdout lines, extra manifest fields); it never prints and never
-touches the filesystem.  `main` runs every subcommand the same way: resolve
-the seed and stamp the start time, run the step, prepare ``--out``, write the
-data files, print the lines, and write ``manifest.json`` last.  A rejected
-run therefore prints nothing on stdout, only one ``error:`` line on stderr.
+Each subcommand is one entry of `COMMANDS`: its help, its step and its
+flags, each flag declared once as (name, argparse keywords, check).
+`build_parser`, the validation, the config echo and the replay argv all
+come from that table.  `main` runs every subcommand the same way: resolve
+the seed and stamp the start time, check every flag's value, used by the
+run or not, run the step, prepare ``--out``, write the data files, print
+the lines, and write ``manifest.json`` last.  A step
+``cmd_*(v, given, seed)`` computes from the checked values ``v`` (``given``
+holds them as given, for a report to echo), checks only what spans flags
+(``--a`` with ``--b``, the two fiber angles), and returns (exit code,
+{file name: text}, stdout lines, extra manifest fields); it never prints
+and never touches the filesystem.  A rejected run therefore prints nothing
+on stdout, only one ``error:`` line on stderr.
 
-The manifest holds the command name, the full config echo (with ``out``),
-seed, package version, start/end timestamps, and a sha256 digest per emitted
-data file; ``simulate`` adds the orientation counts (n, n_plus, n_minus)
-that every row was computed from.  Data files contain no timestamps, so a
-rerun with the same flags and seed is byte-identical.  Preparing ``--out``
-drops a previous run's manifest before any data file is replaced, and each
-file is written to a temporary name in the output directory and moved into
-place with ``os.replace``, so a name never holds a partly written file and
-no manifest describes other bytes.  A CSV file is written from one
-structured array: its header is the field names, and each row is one `%`
-format, floats with 17 significant digits and a locale-independent decimal
-point, integers as integers.
+The manifest holds the command name; an ``argv`` that reruns the run when
+given a new ``--out``: the subcommand, ``--seed=`` the resolved seed, and
+every set flag as ``--flag=value``, a switch bare; the config echo of every
+flag's value as given (with ``out``); seed, package version, start/end
+timestamps, and a sha256 digest per emitted data file.  ``simulate`` adds
+the orientation counts (n, n_plus, n_minus) that every row was computed
+from.  Data files contain no timestamps, so a rerun with the same flags and
+seed is byte-identical.  Preparing ``--out`` drops a previous run's
+manifest before any data file is replaced, and each file is written to a
+temporary name in the output directory and moved into place with
+``os.replace``, so a name never holds a partly written file and no manifest
+describes other bytes.  A CSV file is written from one structured array:
+its header is the field names, and each row is one `%` format, floats with
+17 significant digits and a locale-independent decimal point, integers as
+integers.
 
 Every refused input is reported with the flag, or the environment
-variable, that it came from: each is parsed and validated inside
-`_refused`, and `main` reads no other error as a usage error.  What argparse
-refuses itself (a value of the wrong type, an unknown flag, a missing
-subcommand) is a usage error too, in argparse's one-line message; only
-``--help`` and ``--version`` exit from the parser, with code 0.
+variable, that it came from: `main` checks each flag's value inside
+``_refused(f"{flag} {value!r}")``, and the seed inside `_refused` too, and
+reads no other error as a usage error.  What argparse refuses itself (a
+value of the wrong type, an unknown flag, a missing subcommand) is a usage
+error too, in argparse's one-line message; only ``--help`` and
+``--version`` exit from the parser, with code 0.
 
 Quantities that a run would otherwise compute more than once are computed
 once: a ``hopf`` run builds its fiber pair once for the transition and the
@@ -146,21 +156,44 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _parse_vector(flag: str, text: str) -> np.ndarray:
-    with _refused(f"{flag} {text!r}"):
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError("expected 'x,y,z'")
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf: refused
-            return unit_vector(np.array([float(p) for p in parts]))
+def _parse_vector(text: str) -> np.ndarray:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError("expected 'x,y,z'")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf: refused
+        return unit_vector(np.array([float(p) for p in parts]))
 
 
 def _parse_sweep(text: str) -> SweepSpec:
-    with _refused(f"--sweep {text!r}"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("expected 'START:STOP:STEPS'")
-        return SweepSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("expected 'START:STOP:STEPS'")
+    return SweepSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+
+
+def _parse_separations(text: str) -> list[float]:
+    return _separations(p for p in text.split(",") if p.strip())
+
+
+def _read_embedding(path: str) -> Embedding | None:
+    """The isometry in the text file `path`, read up to one byte past
+    `MAX_EMBEDDING_BYTES`, or None for 'default'."""
+    if path == "default":
+        return None
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_EMBEDDING_BYTES + 1)
+        if len(data) > MAX_EMBEDDING_BYTES:
+            raise ValueError(f"the file is longer than {MAX_EMBEDDING_BYTES} bytes")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty file
+            m = np.loadtxt(data.splitlines())
+    except OSError as exc:
+        raise ValueError(exc) from exc
+    except UserWarning as exc:  # numpy's warning names every line read
+        raise ValueError("the file holds no data") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m.T @ m: refused
+        return Embedding(m)
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -173,19 +206,13 @@ def _resolve_seed(flag_value: int | None) -> int:
     return seed
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    outputs: list[tuple[Path, str]], started: str, extra: dict) -> None:
+def _write_manifest(out_dir: Path, record: dict, outputs: list[tuple[Path, str]], started: str) -> None:
     manifest = {
-        **extra,
-        "command": command,
-        "config": config,
-        "seed": seed,
+        **record,
         "version": __version__,
         "started_utc": started,
         "finished_utc": _utc_now(),
-        "outputs": [
-            {"path": p.name, "sha256": digest} for p, digest in outputs
-        ],
+        "outputs": [{"path": p.name, "sha256": digest} for p, digest in outputs],
     }
     _write_file(out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -260,61 +287,43 @@ def _nonzero_terms(mv) -> dict[str, float]:
 
 # -- subcommands -----------------------------------------------------------------
 
-#: What a subcommand step returns: (exit code, config echo, {file name: text},
-#: stdout lines, extra manifest fields).
-_Run = tuple[int, dict, dict[str, str], list[str], dict]
+#: What a subcommand step returns: (exit code, {file name: text}, stdout
+#: lines, extra manifest fields).
+_Run = tuple[int, dict[str, str], list[str], dict]
 
 
-def cmd_identities(args, seed: int) -> _Run:
-    with _refused(f"--pairs {args.pairs}"):
-        _check_pairs(args.pairs)
-    with _refused(f"--tolerance {args.tolerance:g}"):
-        _check_tolerance(args.tolerance)
-    results = run_identity_checks(
-        tolerance=args.tolerance,
-        n_pairs=args.pairs,
-        seed=seed,
-        inject_sign_flip=args.inject_sign_flip,
-    )
+def cmd_identities(v: dict, given: dict, seed: int) -> _Run:
+    results = run_identity_checks(tolerance=v["tolerance"], n_pairs=v["pairs"], seed=seed,
+                                  inject_sign_flip=v["inject_sign_flip"])
     n_pass = sum(1 for r in results if r.passed)
     lines = [
-        f"identity suite: tolerance {args.tolerance:g}, {args.pairs} vector pairs",
+        f"identity suite: tolerance {v['tolerance']:g}, {v['pairs']} vector pairs",
         *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:55s} max residual {r.residual:.3e}  tol {r.tolerance:.1e}"
           for r in results),
         f"{n_pass}/{len(results)} checks passed",
     ]
-    config = {"tolerance": args.tolerance, "pairs": args.pairs, "inject_sign_flip": args.inject_sign_flip}
-    return EXIT_OK if n_pass == len(results) else EXIT_VERIFICATION, config, {}, lines, {}
+    return EXIT_OK if n_pass == len(results) else EXIT_VERIFICATION, {}, lines, {}
 
 
-def cmd_simulate(args, seed: int) -> _Run:
-    with _refused(f"--trials {args.trials}"):
-        _check_trials(args.trials)
-    if (args.a is None) != (args.b is None):
+def cmd_simulate(v: dict, given: dict, seed: int) -> _Run:
+    a, b = v["a"], v["b"]
+    if (a is None) != (b is None):
         raise UsageError("--a and --b must be given together")
-    if args.a is not None:
-        a = _parse_vector("--a", args.a)
-        b = _parse_vector("--b", args.b)
-        theta = math.degrees(
-            math.atan2(float(np.linalg.norm(_cross(a, b))), float(np.dot(a, b)))
-        )
-        config = {"trials": args.trials, "a": args.a, "b": args.b}
+    counts = orientation_counts(seed, v["trials"])
+    if a is None:
+        rows = sweep(v["sweep"], counts)
     else:
-        spec = _parse_sweep(args.sweep)
-        config = {"trials": args.trials, "sweep": args.sweep}
-    counts = orientation_counts(seed, args.trials)
-    rows = correlation_row(theta, a, b, counts) if args.a is not None else sweep(spec, counts)
-    lines = [f"wrote {Path(args.out, 'correlations.csv')} ({len(rows)} rows)"]
-    return EXIT_OK, config, {"correlations.csv": _csv_text(rows)}, lines, {"orientation": asdict(counts)}
+        theta = math.degrees(math.atan2(float(np.linalg.norm(_cross(a, b))), float(np.dot(a, b))))
+        rows = correlation_row(theta, a, b, counts)
+    lines = [f"wrote {Path(v['out'], 'correlations.csv')} ({len(rows)} rows)"]
+    return EXIT_OK, {"correlations.csv": _csv_text(rows)}, lines, {"orientation": asdict(counts)}
 
 
-def cmd_hopf(args, seed: int) -> _Run:
-    with _refused(f"--psi-a {args.psi_a!r}, --phi-deg {args.phi_deg!r}"):
-        probe = FiberProbe(args.psi_a, math.radians(args.phi_deg))
-    with _refused(f"--limit-separations {args.limit_separations!r}"):
-        separations = _separations(p for p in args.limit_separations.split(",") if p.strip())
+def cmd_hopf(v: dict, given: dict, seed: int) -> _Run:
+    with _refused(f"--psi-a {v['psi_a']!r}, --phi-deg {v['phi_deg']!r}"):
+        probe = FiberProbe(v["psi_a"], math.radians(v["phi_deg"]))
     a = np.array([1.0, 0.0, 0.0])
-    rows = null_limit_probe(a, separations)
+    rows = null_limit_probe(a, v["limit_separations"])
     pair = _fiber_pair(a, [math.cos(probe.phi), math.sin(probe.phi), 0.0], probe.psi_a)
     residuals = {
         "transition residual": _transition(pair)[2],
@@ -324,62 +333,78 @@ def cmd_hopf(args, seed: int) -> _Run:
     lines = [
         *(f"{'PASS' if res < HOPF_TOL else 'FAIL'}  {name}: {res:.3e}  (tol {HOPF_TOL:.0e})"
           for name, res in residuals.items()),
-        f"wrote {Path(args.out, 'null_limit.csv')} ({len(rows)} rows)",
+        f"wrote {Path(v['out'], 'null_limit.csv')} ({len(rows)} rows)",
     ]
-    config = {"psi_a": args.psi_a, "phi_deg": args.phi_deg, "limit_separations": separations}
     code = EXIT_OK if all(res < HOPF_TOL for res in residuals.values()) else EXIT_VERIFICATION
-    return code, config, {"null_limit.csv": _csv_text(rows)}, lines, {}
+    return code, {"null_limit.csv": _csv_text(rows)}, lines, {}
 
 
-def cmd_s7(args, seed: int) -> _Run:
-    a = _parse_vector("--a", args.a)
-    embedding = None
-    if args.embedding != "default":
-        try:
-            with open(args.embedding, "rb") as fh:
-                data = fh.read(MAX_EMBEDDING_BYTES + 1)
-            if len(data) > MAX_EMBEDDING_BYTES:
-                raise ValueError(f"the file is longer than {MAX_EMBEDDING_BYTES} bytes")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty file
-                m = np.loadtxt(data.splitlines())
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m.T @ m: refused
-                embedding = Embedding(m)
-        except (OSError, ValueError, UserWarning) as exc:  # numpy's warning names every line read
-            reason = "the file holds no data" if isinstance(exc, UserWarning) else exc
-            raise UsageError(f"--embedding {args.embedding!r}: {reason}") from exc
-
+def cmd_s7(v: dict, given: dict, seed: int) -> _Run:
+    a, embedding = v["a"], v["embedding"]
     J = build_J().value
     n7 = embed(a, embedding)
     # a public product, not `_product`: perfbench's tracer counts only public products
     terms = _nonzero_terms(contract(J, Multivector.from_vector(n7, dim=7)))
-    raw = raw_score_7(a, args.lam, embedding)
+    raw = raw_score_7(a, v["lambda"], embedding)
     raw_scalar = scalar_part(raw)
     report = {
         "a": [float(x) for x in a],
-        "lambda": args.lam,
-        "embedding": args.embedding,
+        "lambda": v["lambda"],
+        "embedding": given["embedding"],
         "n7": [float(x) for x in n7],
         "J": _nonzero_terms(J),
         "contract_terms": terms,
-        "standard_score": _nonzero_terms(standard_score_7(a, args.lam, embedding)),
+        "standard_score": _nonzero_terms(standard_score_7(a, v["lambda"], embedding)),
         "raw_score": {
             "coefficients": _nonzero_terms(raw),
             "scalar_part": raw_scalar,
-            "grade_norms": {str(g): v for g, v in grade_norms(raw).items()},
+            "grade_norms": {str(g): x for g, x in grade_norms(raw).items()},
         },
     }
     lines = [
-        f"wrote {Path(args.out, 's7_report.json')}",
+        f"wrote {Path(v['out'], 's7_report.json')}",
         f"contraction terms: {', '.join(sorted(terms))}",
         f"raw-score scalar part: {_fmt(raw_scalar)}",
     ]
-    config = {"a": args.a, "lambda": args.lam, "embedding": args.embedding}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    return EXIT_OK, config, {"s7_report.json": text}, lines, {}
+    return EXIT_OK, {"s7_report.json": text}, lines, {}
 
 
-# -- argument parsing -----------------------------------------------------------------
+# -- the flag table ---------------------------------------------------------------
+
+#: Each subcommand's help, step and flags, besides ``--out`` and ``--seed``.  A
+#: flag is (name, argparse keywords, check): the check parses and validates
+#: the value as given and returns what the step uses; None uses it as is.
+COMMANDS = {
+    "identities": ("run the verification suite", cmd_identities, (
+        ("--tolerance", dict(type=float, default=DEFAULT_TOL,
+                             help="threshold for the floating algebraic identities"), _check_tolerance),
+        ("--pairs", dict(type=int, default=1000,
+                         help=f"random unit-vector pairs per identity (1 to {MAX_PAIRS})"), _check_pairs),
+        ("--inject-sign-flip", dict(action="store_true",
+                                    help="test mode: corrupt a structure constant; the suite must fail"), None),
+    )),
+    "simulate": ("run the correlation estimators", cmd_simulate, (
+        ("--trials", dict(type=int, default=100_000, help="trials per direction pair"), _check_trials),
+        ("--sweep", dict(default="0:180:37",
+                         help="angle sweep START:STOP:STEPS in degrees (default 0:180:37)"), _parse_sweep),
+        ("--a", dict(default=None, help="Alice direction x,y,z (with --b)"), _parse_vector),
+        ("--b", dict(default=None, help="Bob direction x,y,z (with --a)"), _parse_vector),
+    )),
+    "hopf": ("transport residuals and null-limit probe", cmd_hopf, (
+        ("--psi-a", dict(type=float, default=0.01, help="fiber angle of a -> a'"), None),
+        ("--phi-deg", dict(type=float, default=90.0, help="angle between a and b"), None),
+        ("--limit-separations", dict(default="1e-1,1e-2,1e-3,1e-4,1e-5,1e-6",
+                                     help="comma-separated probe angles, strictly decreasing"),
+         _parse_separations),
+    )),
+    "s7": ("7-sphere trivector report", cmd_s7, (
+        ("--a", dict(default="1,0,0", help="base direction x,y,z"), _parse_vector),
+        ("--lambda", dict(type=int, default=1, choices=(1, -1), help="orientation sign"), None),
+        ("--embedding", dict(default="default",
+                             help="'default' (zero padding) or a text file with a 7x3 isometry"), _read_embedding),
+    )),
+}
 
 
 # Built once per process: a parser is a web of reference cycles, which a
@@ -393,66 +418,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, _, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})",
-        )
-
-    p = sub.add_parser("identities", help="run the verification suite")
-    common(p)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
-                   help="threshold for the floating algebraic identities")
-    p.add_argument("--pairs", type=int, default=1000,
-                   help=f"random unit-vector pairs per identity (1 to {MAX_PAIRS})")
-    p.add_argument("--inject-sign-flip", action="store_true",
-                   help="test mode: corrupt a structure constant; the suite must fail")
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("simulate", help="run the correlation estimators")
-    common(p)
-    p.add_argument("--trials", type=int, default=100_000, help="trials per direction pair")
-    p.add_argument("--sweep", default="0:180:37",
-                   help="angle sweep START:STOP:STEPS in degrees (default 0:180:37)")
-    p.add_argument("--a", default=None, help="Alice direction x,y,z (with --b)")
-    p.add_argument("--b", default=None, help="Bob direction x,y,z (with --a)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("hopf", help="transport residuals and null-limit probe")
-    common(p)
-    p.add_argument("--psi-a", type=float, default=0.01, help="fiber angle of a -> a'")
-    p.add_argument("--phi-deg", type=float, default=90.0, help="angle between a and b")
-    p.add_argument("--limit-separations",
-                   default="1e-1,1e-2,1e-3,1e-4,1e-5,1e-6",
-                   help="comma-separated probe angles, strictly decreasing")
-    p.set_defaults(func=cmd_hopf)
-
-    p = sub.add_parser("s7", help="7-sphere trivector report")
-    common(p)
-    p.add_argument("--a", default="1,0,0", help="base direction x,y,z")
-    p.add_argument("--lambda", dest="lam", type=int, default=1, choices=(1, -1),
-                   help="orientation sign")
-    p.add_argument("--embedding", default="default",
-                   help="'default' (zero padding) or a text file with a 7x3 isometry")
-    p.set_defaults(func=cmd_s7)
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+        for name, kwargs, _ in flags:
+            p.add_argument(name, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        given = vars(build_parser().parse_args(argv))
         started = _utc_now()
-        seed = _resolve_seed(args.seed)
-        code, config, files, lines, extra = args.func(args, seed)
-        out_dir = _prepare_out(args.out)
+        command, seed = given.pop("command"), _resolve_seed(given.pop("seed"))
+        _, step, flags = COMMANDS[command]
+        v, replay = dict(given), [command, f"--seed={seed}"]
+        for name, _, check in flags:
+            key = name[2:].replace("-", "_")  # argparse's dest, and the config key
+            value = given[key]
+            if check is not None and value is not None:
+                with _refused(f"{name} {value!r}"):
+                    v[key] = check(value)
+            if value is not None and value is not False:
+                replay.append(name if value is True else f"{name}={value}")
+        code, files, lines, extra = step(v, given, seed)
+        out_dir = _prepare_out(given["out"])
         outputs = [_write_file(out_dir, name, text) for name, text in files.items()]
         _print_lines(lines)
-        _write_manifest(out_dir, args.command, {**config, "out": str(args.out)}, seed,
-                        outputs, started, extra)
+        config = {key: value for key, value in given.items() if value is not None}
+        _write_manifest(out_dir, {**extra, "command": command, "argv": replay, "config": config, "seed": seed},
+                        outputs, started)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

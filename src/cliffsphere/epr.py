@@ -89,9 +89,10 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
-def _check_trials(n: int) -> None:
+def _check_trials(n: int) -> int:
     if n < 1:
         raise ValueError(f"n_trials must be >= 1, got {n}")
+    return n
 
 
 @dataclass(frozen=True)

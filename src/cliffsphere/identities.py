@@ -158,16 +158,18 @@ def _naive_product(x: np.ndarray, y: np.ndarray, masks: np.ndarray, signs: np.nd
 # -- helpers -------------------------------------------------------------------------
 
 
-def _check_pairs(n_pairs: int) -> None:
+def _check_pairs(n_pairs: int) -> int:
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1: the random-pair checks would not run")
     if n_pairs > MAX_PAIRS:
         raise ValueError(f"n_pairs must be <= {MAX_PAIRS}, got {n_pairs}: more would not fit in memory")
+    return n_pairs
 
 
-def _check_tolerance(tolerance: float) -> None:
+def _check_tolerance(tolerance: float) -> float:
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    return tolerance
 
 
 def _random_units(rng, count):

@@ -9,7 +9,6 @@ import hashlib
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,50 +199,29 @@ def test_criterion_10_seven_sphere():
     print("\nACCEPTANCE 10: PASS (J exact, Fano line exact, oracle to 1e-12 x100)")
 
 
-def _rebuild_argv(manifest: dict, out: Path) -> list[str]:
-    """Reconstruct a command line from a manifest's config echo."""
-    cmd = manifest["command"]
-    cfg = manifest["config"]
-    seed = manifest["seed"]
-    argv = [cmd, "--seed", str(seed), "--out", str(out)]
-    if cmd == "simulate":
-        argv += ["--trials", str(cfg["trials"])]
-        if "sweep" in cfg:
-            argv += ["--sweep", cfg["sweep"]]
-        else:
-            argv += ["--a", cfg["a"], "--b", cfg["b"]]
-    elif cmd == "hopf":
-        argv += [
-            "--psi-a", str(cfg["psi_a"]),
-            "--phi-deg", str(cfg["phi_deg"]),
-            "--limit-separations", ",".join(str(s) for s in cfg["limit_separations"]),
-        ]
-    elif cmd == "s7":
-        argv += ["--a", cfg["a"], "--lambda", str(cfg["lambda"]),
-                 "--embedding", cfg["embedding"]]
-    elif cmd == "identities":
-        argv += ["--tolerance", str(cfg["tolerance"]), "--pairs", str(cfg["pairs"])]
-    return argv
-
-
 def test_criterion_11_manifest_determinism(tmp_path):
     first_runs = {
-        "simulate": ["simulate", "--trials", "20000", "--seed", "11"],
-        "hopf": ["hopf", "--psi-a", "0.02", "--phi-deg", "60"],
-        "s7": ["s7", "--a", "0,1,0", "--lambda", "-1"],
-        "identities": ["identities", "--pairs", "50"],
+        "simulate": (["simulate", "--trials", "20000", "--seed", "11"], 0),
+        "simulate-pair": (["simulate", "--trials", "2000", "--a=-0.6,0,0.8", "--b=0,-1,0"], 0),
+        "hopf": (["hopf", "--psi-a", "0.02", "--phi-deg", "60"], 0),
+        "s7": (["s7", "--a", "0,1,0", "--lambda", "-1"], 0),
+        "s7-negative": (["s7", "--a=-0.6,0,0.8"], 0),
+        "identities": (["identities", "--pairs", "50"], 0),
+        "identities-canary": (["identities", "--pairs", "50", "--inject-sign-flip"], 1),
     }
-    for name, argv in first_runs.items():
+    for name, (argv, code) in first_runs.items():
         out1 = tmp_path / name / "first"
         out2 = tmp_path / name / "replay"
-        assert main(argv + ["--out", str(out1)]) == 0
+        assert main(argv + ["--out", str(out1)]) == code
         manifest = json.loads((out1 / "manifest.json").read_text())
-        assert main(_rebuild_argv(manifest, out2)) == 0
+        assert main(manifest["argv"] + ["--out", str(out2)]) == code
         replay = json.loads((out2 / "manifest.json").read_text())
+        assert replay["argv"] == manifest["argv"]
+        assert replay["config"] == {**manifest["config"], "out": str(out2)}
         originals = {o["path"]: o["sha256"] for o in manifest["outputs"]}
         replays = {o["path"]: o["sha256"] for o in replay["outputs"]}
         assert originals == replays
         for path, digest in originals.items():
             data = (out2 / path).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
-    print("\nACCEPTANCE 11: PASS (manifest replays byte-identical for all commands)")
+    print("\nACCEPTANCE 11: PASS (manifest argv replays byte-identical for all commands)")

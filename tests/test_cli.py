@@ -1,11 +1,14 @@
 """End-to-end CLI tests: file schemas, exit codes, determinism, seeding."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -293,6 +296,38 @@ def test_usage_error_names_the_refused_flag(tmp_path, capsys, monkeypatch, argv,
     assert printed.err.startswith(f"error: {refused}")
     assert printed.out == ""
     assert not (tmp_path / "x").exists()
+
+
+def test_a_flag_the_run_does_not_use_is_still_checked(tmp_path, capsys):
+    # a pair run draws no sweep, but a --sweep it cannot parse is refused
+    code = main(["simulate", "--a", "1,0,0", "--b", "0,1,0", "--sweep", "nonsense",
+                 "--out", str(tmp_path / "x")])
+    printed = assert_usage_error(capsys, code)
+    assert printed.err == "error: --sweep 'nonsense': expected 'START:STOP:STEPS'\n"
+    assert not (tmp_path / "x").exists()
+
+
+#: The refusal examples of README's command-line section: the words of each
+#: `$ [VAR=value] cliffsphere ...` line and the `error:` line under it.
+README_REFUSALS = [
+    (shlex.split(command), printed) for command, printed in re.findall(
+        r"^\$ (.*)\n(error: .*)$",
+        (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.M)
+]
+
+
+def test_readme_shows_its_refusal_examples():
+    assert len(README_REFUSALS) >= 7
+
+
+@pytest.mark.parametrize("words, printed", README_REFUSALS, ids=[" ".join(w) for w, _ in README_REFUSALS])
+def test_readme_refusal_examples_print_what_the_cli_prints(tmp_path, capsys, monkeypatch, words, printed):
+    monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
+    at = words.index("cliffsphere")
+    for assignment in words[:at]:
+        monkeypatch.setenv(*assignment.split("=", 1))
+    code = main([*words[at + 1:], "--out", str(tmp_path / "x")])
+    assert assert_usage_error(capsys, code).err == printed + "\n"
 
 
 @pytest.mark.parametrize("argv, refused", [
@@ -853,47 +888,59 @@ def test_identities_tolerance_flag_is_applied_and_echoed(tmp_path, capsys):
 
 # -- generated argv ------------------------------------------------------------------
 
-SEEDS = [None, "0", "42", "-1", str(2**64), str(2**64 - 1)]
+SEEDS = ["0", "42", "-1", str(2**64), str(2**64 - 1)]
 ENV_SEEDS = [None, "7", "-1", "x", str(2**64)]
-VECTORS = ["1,0,0", "0.6,0.8,0", "0,0,-1", "nan,0,0", "inf,0,0", "0,0,0", "1,0", "2,0,0"]
-SWEEPS = ["0:180:5", "0:90:2", "90:-90:3", "0:180:1", "0:180", "a:b:c", "0:nan:3",
+VECTORS = ["1,0,0", "0.6,0.8,0", "0,0,-1", "-0.6,0,0.8", "nan,0,0", "inf,0,0", "0,0,0", "1,0", "2,0,0"]
+SWEEPS = ["0:180:5", "0:90:2", "90:-90:3", "-30:30:3", "0:180:1", "0:180", "a:b:c", "0:nan:3",
           "0:inf:3", "1e308:-1e308:3", "0:180:1099511627776"]
 SEPARATIONS = ["1e-1,1e-2,1e-3", "1e-3,1e-2", "1e-1,1e-1", "1e-1,oops", "nan", "0", ""]
 TOLERANCES = ["1e-12", "1e-6", "0", "nan", "inf", "-inf", "-1"]
-EMBEDDINGS = ["default", "good.txt", "nan.txt", "inf.txt", "empty.txt", "missing.txt"]
+#: `{base}` is the fresh directory of a run, which holds these files.
+EMBEDDINGS = ["default", "{base}/good.txt", "{base}/nan.txt", "{base}/inf.txt", "{base}/empty.txt",
+              "{base}/missing.txt"]
 OUTS = ["new/run", "file", "file/sub"]
+
+#: The values to draw for each flag that a subcommand declares, by flag name;
+#: None for a switch.
+FLAG_VALUES = {
+    "--seed": st.sampled_from(SEEDS),
+    "--tolerance": st.sampled_from(TOLERANCES),
+    "--pairs": st.sampled_from(["1", "2", "0", "-1", "1099511627776"]),
+    "--inject-sign-flip": None,
+    "--trials": st.integers(-2, 1000).map(str),
+    "--sweep": st.sampled_from(SWEEPS),
+    "--a": st.sampled_from(VECTORS),
+    "--b": st.sampled_from(VECTORS),
+    "--psi-a": st.sampled_from(["0.01", "0.5", "0", "-0.5", "inf", "nan"]),
+    "--phi-deg": st.sampled_from(["90", "30", "150", "0", "180", "nan"]),
+    "--limit-separations": st.sampled_from(SEPARATIONS),
+    "--lambda": st.sampled_from(["1", "-1", "0"]),
+    "--embedding": st.sampled_from(EMBEDDINGS),
+}
+
+
+def declared_flags() -> dict[str, list[str]]:
+    """Each subcommand's flags, as the parser declares them, but --help and --out."""
+    (subcommands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {command: [a.option_strings[-1] for a in parser._actions if a.dest not in ("help", "out")]
+            for command, parser in subcommands.choices.items()}
+
+
+DECLARED_FLAGS = declared_flags()
 
 
 @st.composite
 def cli_invocations(draw):
     """(argv without --out, --out relative to a fresh directory,
-    $CLIFFSPHERE_SEED or None for unset)."""
-    pick = lambda pool: draw(st.sampled_from(pool))  # noqa: E731
-    command = pick(["simulate", "hopf", "s7", "identities"])
+    $CLIFFSPHERE_SEED or None for unset): each declared flag is given or
+    not, a value in the `--flag=value` form."""
+    command = draw(st.sampled_from(sorted(DECLARED_FLAGS)))
     argv = [command]
-    seed = pick(SEEDS)
-    if seed is not None:
-        argv += ["--seed", seed]
-    if command == "simulate":
-        argv += ["--trials", str(draw(st.integers(-2, 1000)))]
-        mode = pick(["sweep", "pair", "a only"])
-        if mode == "sweep":
-            argv += ["--sweep", pick(SWEEPS)]
-        else:
-            argv += ["--a", pick(VECTORS)] + (["--b", pick(VECTORS)] if mode == "pair" else [])
-    elif command == "hopf":
-        argv += ["--limit-separations", pick(SEPARATIONS),
-                 "--phi-deg", pick(["90", "30", "150", "0", "180", "nan"]),
-                 "--psi-a", pick(["0.01", "0.5", "0", "-0.5", "inf", "nan"])]
-    elif command == "s7":
-        argv += ["--a", pick(VECTORS), "--lambda", pick(["1", "-1", "0"]),
-                 "--embedding", pick(EMBEDDINGS)]
-    else:
-        argv += ["--pairs", pick(["1", "2", "0", "-1", "1099511627776"]),
-                 f"--tolerance={pick(TOLERANCES)}"]
+    for flag in DECLARED_FLAGS[command]:
         if draw(st.booleans()):
-            argv.append("--inject-sign-flip")
-    return argv, pick(OUTS), pick(ENV_SEEDS)
+            values = FLAG_VALUES[flag]
+            argv.append(flag if values is None else f"{flag}={draw(values)}")
+    return argv, draw(st.sampled_from(OUTS)), draw(st.sampled_from(ENV_SEEDS))
 
 
 def run_main(argv):
@@ -905,13 +952,18 @@ def run_main(argv):
         return main(argv), err.getvalue()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(cli_invocations())
-@example((["s7", "--embedding", "empty.txt"], "new/run", None))
-@example((["identities", "--pairs", "1099511627776"], "new/run", None))
-@example((["simulate", "--sweep", "0:180:1099511627776"], "new/run", None))
+@example((["s7", "--embedding={base}/empty.txt"], "new/run", None))
+@example((["identities", "--pairs=1099511627776"], "new/run", None))
+@example((["simulate", "--sweep=0:180:1099511627776"], "new/run", None))
 @example((["hopf"], "new/run", "x"))
+@example((["identities", "--pairs=2", "--inject-sign-flip"], "new/run", "7"))
+@example((["identities", "--tolerance=0", "--pairs=1"], "new/run", None))
+@example((["s7", "--a=-0.6,0,0.8", "--lambda=-1", "--embedding={base}/good.txt"], "new/run", None))
 def test_generated_argv_exits_with_a_documented_code(invocation):
+    # every flag the parser declares has values to draw here
+    assert {flag for flags in DECLARED_FLAGS.values() for flag in flags} <= set(FLAG_VALUES)
     argv, out, env_seed = invocation
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
         os.environ.pop("CLIFFSPHERE_SEED", None)
@@ -923,7 +975,7 @@ def test_generated_argv_exits_with_a_documented_code(invocation):
         np.savetxt(base / "nan.txt", np.full((7, 3), np.nan))
         np.savetxt(base / "inf.txt", np.where(np.eye(7, 3) == 1, np.inf, 0.0))
         (base / "empty.txt").write_text("")
-        argv = [str(base / a) if a in EMBEDDINGS[1:] else a for a in argv]
+        argv = [a.format(base=base) for a in argv]
         code, err = run_main([*argv, "--out", str(base / out)])
 
         assert code in (0, 1, 2)
@@ -933,7 +985,12 @@ def test_generated_argv_exits_with_a_documented_code(invocation):
         if code == 2:
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         if code in (0, 1):
-            assert (base / out / "manifest.json").is_file()
+            # the manifest's argv alone, with a new --out, reruns the run
+            manifest = json.loads((base / out / "manifest.json").read_text())
+            os.environ.pop("CLIFFSPHERE_SEED", None)
+            assert run_main([*manifest["argv"], "--out", str(base / "replay")]) == (code, "")
+            replay = json.loads((base / "replay" / "manifest.json").read_text())
+            assert (replay["argv"], replay["outputs"]) == (manifest["argv"], manifest["outputs"])
         for manifest in base.rglob("manifest.json"):
             for entry in json.loads(manifest.read_text())["outputs"]:
                 assert digest(manifest.parent / entry["path"]) == entry["sha256"]

@@ -32,6 +32,16 @@ def test_run_sweep_prints_and_writes_the_sweep(tmp_path):
     assert [float(r[0]) for r in rows[1:]] == [0.0, 90.0, 180.0]
 
 
+def test_run_sweep_writes_a_sweep_that_starts_below_zero(tmp_path):
+    lines = run_script("run_sweep.py", "--trials", "1000", "--start", "-30", "--stop", "30",
+                       "--steps", "5", "--out", str(tmp_path / "run"))
+    assert [line.split()[0] for line in lines[1:6]] == ["-30.00", "-15.00", "0.00", "15.00", "30.00"]
+    assert lines[6].startswith("wrote ")
+    with (tmp_path / "run" / "correlations.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [float(r[0]) for r in rows[1:]] == [-30.0, -15.0, 0.0, 15.0, 30.0]
+
+
 def test_convergence_study_tabulates_each_size():
     lines = run_script("convergence_study.py", "--seeds", "2", "--sizes", "100,1000")
     assert [line.split()[0] for line in lines[1:3]] == ["100", "1000"]
