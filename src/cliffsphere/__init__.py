@@ -21,7 +21,7 @@ _EXPORTS = {
         "AbstractElement", "OrientationMixError", "abstract_product", "duality_check",
         "hidden_basis",
     ),
-    "hopf": ("DegenerateAxisError", "FiberProbe", "null_limit_probe", "phase_flip_at_pi"),
+    "hopf": ("DegenerateAxisError", "null_limit_probe", "phase_flip_at_pi"),
     "identities": ("CheckResult", "run_identity_checks"),
     "multivector": (
         "DEFAULT_TOL", "Multivector", "blade_label", "contract", "geometric_product",

@@ -15,8 +15,8 @@ the seed and stamp the start time, check every flag's value, used by the
 run or not, run the step, prepare ``--out``, write the data files, print
 the lines, and write ``manifest.json`` last.  A step
 ``cmd_*(v, given, seed)`` computes from the checked values ``v`` (``given``
-holds them as given, for a report to echo), checks only what spans flags
-(``--a`` with ``--b``, the two fiber angles), and returns (exit code,
+holds them as given, for a report to echo), checks only the one rule
+that spans two flags (``--a`` with ``--b``), and returns (exit code,
 {file name: text}, stdout lines, extra manifest fields); it never prints
 and never touches the filesystem.  A rejected run therefore prints nothing
 on stdout, only one ``error:`` line on stderr.
@@ -25,17 +25,18 @@ The manifest holds the command name; an ``argv`` that reruns the run when
 given a new ``--out``: the subcommand, ``--seed=`` the resolved seed, and
 every set flag as ``--flag=value``, a switch bare; the config echo of every
 flag's value as given (with ``out``); seed, package version, start/end
-timestamps, and a sha256 digest per emitted data file.  ``simulate`` adds
-the orientation counts (n, n_plus, n_minus) that every row was computed
-from.  Data files contain no timestamps, so a rerun with the same flags and
-seed is byte-identical.  Preparing ``--out`` drops a previous run's
-manifest before any data file is replaced, and each file is written to a
-temporary name in the output directory and moved into place with
-``os.replace``, so a name never holds a partly written file and no manifest
-describes other bytes.  A CSV file is written from one structured array:
-its header is the field names, and each row is one `%` format, floats with
-17 significant digits and a locale-independent decimal point, integers as
-integers.
+timestamps, a sha256 digest per emitted data file, and the numpy, BLAS
+(``OPENBLAS_CORETYPE`` too, when set) and machine that the bytes depend on.
+``simulate`` adds the orientation counts (n, n_plus, n_minus) that every
+row was computed from.  Data files contain no timestamps, so a rerun with
+the same flags and seed is byte-identical.  Preparing ``--out`` drops a
+previous run's manifest before any data file is replaced, and each file is
+written to a temporary name in the output directory and moved into place
+with ``os.replace``, so a name never holds a partly written file and no
+manifest describes other bytes.  A CSV file is written from one structured
+array: its header is the field names, and each row is one `%` format,
+floats with 17 significant digits and a locale-independent decimal point,
+integers as integers.
 
 Every refused input is reported with the flag, or the environment
 variable, that it came from: `main` checks each flag's value inside
@@ -46,9 +47,9 @@ error too, in argparse's one-line message; only ``--help`` and
 ``--version`` exit from the parser, with code 0.
 
 Quantities that a run would otherwise compute more than once are computed
-once: a ``hopf`` run builds its fiber pair once for the transition and the
-transport residual, and J and the blade labels of a report are built once
-per process.
+once: a ``hopf`` run builds its fiber pair, with its three rotors, once for
+the transition and the transport residual, and J and the blade labels of a
+report are built once per process.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 internal fault, with its traceback.  A stdout closed early by its
@@ -65,6 +66,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import traceback
 import warnings
@@ -84,15 +86,8 @@ from .epr import (
     orientation_counts,
     sweep,
 )
-from .hopf import (
-    FiberProbe,
-    _fiber_pair,
-    _separations,
-    _transition,
-    _transport,
-    null_limit_probe,
-    phase_flip_at_pi,
-)
+from .hopf import (_check_phi_deg, _check_psi_a, _fiber_pair, _separations, _transition, _transport,
+                   null_limit_probe, phase_flip_at_pi)
 from .identities import MAX_PAIRS, _check_pairs, _check_tolerance, run_identity_checks
 from .multivector import (
     DEFAULT_SEED,
@@ -207,12 +202,16 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _write_manifest(out_dir: Path, record: dict, outputs: list[tuple[Path, str]], started: str) -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         **record,
         "version": __version__,
         "started_utc": started,
         "finished_utc": _utc_now(),
         "outputs": [{"path": p.name, "sha256": digest} for p, digest in outputs],
+        "environment": {"numpy": np.__version__, "machine": platform.machine(),  # what the bytes depend on
+                        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+                        **{key: os.environ[key] for key in ["OPENBLAS_CORETYPE"] if key in os.environ}},
     }
     _write_file(out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -320,15 +319,14 @@ def cmd_simulate(v: dict, given: dict, seed: int) -> _Run:
 
 
 def cmd_hopf(v: dict, given: dict, seed: int) -> _Run:
-    with _refused(f"--psi-a {v['psi_a']!r}, --phi-deg {v['phi_deg']!r}"):
-        probe = FiberProbe(v["psi_a"], math.radians(v["phi_deg"]))
+    psi_a, phi = v["psi_a"], v["phi_deg"]  # `_check_phi_deg` gives phi in radians
     a = np.array([1.0, 0.0, 0.0])
     rows = null_limit_probe(a, v["limit_separations"])
-    pair = _fiber_pair(a, [math.cos(probe.phi), math.sin(probe.phi), 0.0], probe.psi_a)
+    pair = _fiber_pair(a, [math.cos(phi), math.sin(phi), 0.0], psi_a)
     residuals = {
         "transition residual": _transition(pair)[2],
         "transport residual (lam=+1)": _transport(pair, 1),
-        "phase flip at pi residual": phase_flip_at_pi(probe.psi_a)[2],
+        "phase flip at pi residual": phase_flip_at_pi(psi_a)[2],
     }
     lines = [
         *(f"{'PASS' if res < HOPF_TOL else 'FAIL'}  {name}: {res:.3e}  (tol {HOPF_TOL:.0e})"
@@ -392,8 +390,8 @@ COMMANDS = {
         ("--b", dict(default=None, help="Bob direction x,y,z (with --a)"), _parse_vector),
     )),
     "hopf": ("transport residuals and null-limit probe", cmd_hopf, (
-        ("--psi-a", dict(type=float, default=0.01, help="fiber angle of a -> a'"), None),
-        ("--phi-deg", dict(type=float, default=90.0, help="angle between a and b"), None),
+        ("--psi-a", dict(type=float, default=0.01, help="fiber angle of a -> a'"), _check_psi_a),
+        ("--phi-deg", dict(type=float, default=90.0, help="angle between a and b"), _check_phi_deg),
         ("--limit-separations", dict(default="1e-1,1e-2,1e-3,1e-4,1e-5,1e-6",
                                      help="comma-separated probe angles, strictly decreasing"),
          _parse_separations),

@@ -18,20 +18,18 @@ or pi; the sum then rounds at ulp(2 pi), not ulp(psi_a).
 Everything runs on coefficient arrays, the probe's separations as one batch
 (each row bit for bit a batch of one) whose rows are one structured array
 with the columns of ``null_limit.csv`` (`NULL_LIMIT_COLUMNS`).  `_transition` and `_transport` take
-the pair of `_fiber_pair` ready made, so a run of both builds it once.
+the pair of `_fiber_pair` ready made: a run of both builds it once, and its
+three rotors as one rotor batch, whose plane is checked once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import _VOLUME3, _dual_plane
-from .multivector import (
-    Multivector, _cross, _product, _reversion_sign, _rotor_coeffs, _row_norms, _vector_coeffs,
-    unit_vector)
+from .multivector import _cross, _product, _rotor_coeffs, _row_norms, _sandwich, _vector_coeffs, unit_vector
 
 #: Two directions are treated as spanning a usable rotation axis only if
 #: |a x b| exceeds this.
@@ -60,49 +58,43 @@ def _rotors(B: np.ndarray, angles) -> np.ndarray:
     return _rotor_coeffs(B, *(np.array([f(t) for t in angles]) for f in (math.sin, math.cos)))
 
 
-def _rotated(v: np.ndarray, B: np.ndarray, angles) -> np.ndarray:
-    """(N, 3): the vector coefficients v, or row j of (N, 8) v, rotated by
-    angles[j] about the axis of the unit plane B by the sandwich R v ~R,
-    R = exp(-B angles[j] / 2); each row's bits are those of a batch of one."""
-    R = _rotors(B, [-0.5 * t for t in angles])
-    return _product("geometric", _product("geometric", R, v), R * _reversion_sign(3))[:, [1, 2, 4]]
-
-
 def _fiber_pair(a, b, psi_a: float):
-    """a and b renormalized by `unit_vector`, the plane B = I.c of c =
-    a x b / |a x b|, the angle phi from a to b, and a', b': a and b rotated
-    about c by psi_a (mod 2 pi) and psi_a + phi."""
+    """The rotor exp(B phi) of the plane B = I.c of c = a x b / |a x b| and
+    the angle phi from a to b, and the (4, 3) rows a, b, a', b': a and b
+    renormalized by `unit_vector`, then rotated about c by psi_a (mod 2 pi)
+    and psi_a + phi, by the sandwich with exp(-B psi / 2).  The three rotors
+    are one batch."""
     a, b = unit_vector(a), unit_vector(b)
     c, phi = _axis_between(a, b)
     psi_a = math.fmod(psi_a, math.tau)
-    B = _dual_plane(unit_vector(c))
-    return (a, b, B, phi, *_rotated(_vector_coeffs(np.array([a, b]), 3), B, [psi_a, psi_a + phi]))
+    R = _rotors(_dual_plane(unit_vector(c)), [-0.5 * psi_a, -0.5 * (psi_a + phi), phi])
+    ab = np.array([a, b])
+    return R[2], np.concatenate([ab, _sandwich(R[:2], ab)])
 
 
-@dataclass(frozen=True)
-class FiberProbe:
-    """Validated fiber angles for the transition checks, which pin psi_b to
-    psi_a + phi.  sin phi must exceed `AXIS_TOL`, as |a x b| must for the
-    CLI's pair a = e_x, b = (cos phi, sin phi, 0)."""
+def _check_psi_a(psi_a: float) -> float:
+    """The ``--psi-a`` fiber angle, refused unless finite and positive."""
+    if not 0.0 < psi_a < math.inf:
+        raise ValueError("psi_a must be finite and positive")
+    return psi_a
 
-    psi_a: float
-    phi: float
 
-    def __post_init__(self):
-        if not 0.0 < self.psi_a < math.inf:
-            raise ValueError("psi_a must be finite and positive")
-        if not 0.0 < self.phi < math.pi:
-            raise ValueError("phi must lie strictly between 0 and pi")
-        if not math.sin(self.phi) > AXIS_TOL:
-            raise ValueError(f"sin(phi) = {math.sin(self.phi)!r} is too small to define "
-                             "a rotation axis")
+def _check_phi_deg(phi_deg: float) -> float:
+    """``--phi-deg`` as phi in radians, refused unless 0 < phi < pi and
+    sin phi > `AXIS_TOL`, as |a x b| must be for the CLI's pair a = e_x,
+    b = (cos phi, sin phi, 0)."""
+    phi = math.radians(phi_deg)
+    if not 0.0 < phi < math.pi:
+        raise ValueError("phi must lie strictly between 0 and pi")
+    if not math.sin(phi) > AXIS_TOL:
+        raise ValueError(f"sin(phi) = {math.sin(phi)!r} is too small to define a rotation axis")
+    return phi
 
 
 def _transition(pair) -> tuple[np.ndarray, np.ndarray, float]:
     """Both sides of b b' = (a b)(a a') for a `_fiber_pair`, and their
     coefficient residual; the identity is exact for any psi_a."""
-    a, b, _, _, a_prime, b_prime = pair
-    v = _vector_coeffs(np.array([a, b, a_prime, b_prime]), 3)
+    v = _vector_coeffs(pair[1], 3)  # a, b, a', b'
     lhs, ab, aa_prime = _product("geometric", v[[1, 0, 0]], v[[3, 1, 2]])  # b b', a b, a a'
     rhs = _product("geometric", ab, aa_prime)
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))
@@ -120,18 +112,16 @@ def _transport(pair, lam: int) -> float:
     """Residual of (+I.b)(lam I.b') = R_ab {(+I.a)(lam I.a')} for a
     `_fiber_pair` and an orientation lam in {+1, -1}, with the rotor acting
     by left multiplication."""
-    a, b, B, phi, a_prime, b_prime = pair
-    # each vector renormalized once more; dropping it changes the residual's last bits
-    q_b, q_a = _quaternion_coeffs(np.array([unit_vector(b), unit_vector(a)]),
-                                  np.array([unit_vector(b_prime), unit_vector(a_prime)]), lam, +1)
-    transported = _product("geometric", _rotors(B, [phi])[0], q_a)
-    return float(np.linalg.norm(q_b - transported))
+    R_ab, v = pair
+    v = unit_vector(v)  # renormalized once more: dropping it changes the residual's last bits
+    q_b, q_a = _quaternion_coeffs(v[[1, 0]], v[[3, 2]], lam, +1)  # b, a and b', a'
+    return float(np.linalg.norm(q_b - _product("geometric", R_ab, q_a)))
 
 
-def phase_flip_at_pi(psi_a: float) -> tuple[Multivector, Multivector, float]:
+def phase_flip_at_pi(psi_a: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Fiber phases exp((I.c) psi_a) and exp((I.c)(psi_a + pi)) about the
     axis c = e_z: the second is the negative of the first.  Returns both
-    quaternions and ||q_a + q_b||.
+    quaternions' (8,) coefficients and ||q_a + q_b||.
 
     The transition angle pi cannot be realized by a direction pair (the axis
     degenerates), so the check runs directly in fiber coordinates about an
@@ -139,7 +129,7 @@ def phase_flip_at_pi(psi_a: float) -> tuple[Multivector, Multivector, float]:
     """
     psi_a = math.fmod(psi_a, math.tau)
     q_a, q_b = _rotors(_dual_plane(np.array([0.0, 0.0, 1.0])), [psi_a, psi_a + math.pi])
-    return Multivector(3, q_a), Multivector(3, q_b), float(np.linalg.norm(q_a + q_b))
+    return q_a, q_b, float(np.linalg.norm(q_a + q_b))
 
 
 # -- null-bivector limit probe ---------------------------------------------------
@@ -185,9 +175,9 @@ def null_limit_probe(a, separations) -> np.ndarray:
     """
     a = unit_vector(a)
     seps = _separations(separations)
-    va = _vector_coeffs(a, 3)
-    a_prime = _rotated(va, _dual_plane(unit_vector(perpendicular_axis(a))), seps)
-    w = _product("wedge", va, _vector_coeffs(a_prime, 3))
+    B = _dual_plane(unit_vector(perpendicular_axis(a)))
+    a_prime = _sandwich(_rotors(B, [-0.5 * p for p in seps]), a)  # a turned by each separation
+    w = _product("wedge", _vector_coeffs(a, 3), _vector_coeffs(a_prime, 3))
     wedge_norm, cross_norm = _row_norms(w), _row_norms(_cross(a, a_prime))
     ok = cross_norm != 0.0  # zero separation: the row is undefined
     rows = np.full((len(seps), 5), math.nan)  # five float64 make one NULL_LIMIT_COLUMNS row

@@ -62,6 +62,7 @@ from .multivector import (
     _product,
     _reversion_sign,
     _rotor_coeffs,
+    _sandwich,
     _tables,
     _vector_coeffs,
 )
@@ -288,8 +289,7 @@ def check_rotor_rotation(rng) -> CheckResult:
     B = _product("wedge", _vector_coeffs(u, 3), _vector_coeffs(w, 3))
     R = _rotor_coeffs(B, np.sin(theta), np.cos(theta))
     v = su[:, None] * u + sw[:, None] * w
-    sandwich = _product("geometric", _product("geometric", R, _vector_coeffs(v, 3)), R * _reversion_sign(3))
-    out = sandwich[:, [1, 2, 4]]
+    out = _sandwich(R, v)
     cu, cw = np.sum(v * u, axis=1), np.sum(v * w, axis=1)
     c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
     want = (cu * c2 + cw * s2)[:, None] * u + (-cu * s2 + cw * c2)[:, None] * w

@@ -337,6 +337,13 @@ def _rotor_coeffs(B: np.ndarray, sin, cos) -> np.ndarray:
     return c
 
 
+def _sandwich(R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(N, 3) rows R v ~R for the (N, 8) Cl(3) rotors R and the 3-vector v,
+    or row j of (N, 3) v, each with the bits of a batch of one."""
+    rotated = _product("geometric", _product("geometric", R, _vector_coeffs(v, 3)), R * _reversion_sign(3))
+    return rotated[:, [1, 2, 4]]
+
+
 # -- rendering ----------------------------------------------------------------
 
 

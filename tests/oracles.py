@@ -23,7 +23,8 @@ fresh Philox generator per call, the reference of the package's one-generator
 walk.  `null_limit_rows` runs the null-limit probe one separation at
 a time through the public wedge, contraction and norm, and `np.cross`: the
 reference of the batched probe's psi, magnitude and axis.
-`sandwich_rotation` is its rotation, the reference of `hopf._rotated`.
+`sandwich_rotation` is its rotation, the reference of the shared rotor
+sandwich `multivector._sandwich`.
 `flip_kernel_sign` is no reference but a canary: it corrupts one entry of
 the kernel's index table, which the checks that compare against these
 oracles must catch.

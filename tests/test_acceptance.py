@@ -28,7 +28,7 @@ from cliffsphere.epr import (
 from cliffsphere.frames import _frame_coeffs
 from cliffsphere.hopf import _fiber_pair, _transition, _transport, null_limit_probe, phase_flip_at_pi
 from cliffsphere.identities import run_identity_checks
-from cliffsphere.multivector import Multivector, contract, geometric_product, norm, scalar_part
+from cliffsphere.multivector import Multivector, contract, geometric_product, norm
 from cliffsphere.seven_sphere import (
     J_TRIPLES,
     build_J,
@@ -165,7 +165,7 @@ def test_criterion_08_hopf_transport():
             assert t_res < 1e-10 and p_res < 1e-10
     q_a, q_b, flip = phase_flip_at_pi(0.01)
     assert flip < 1e-12
-    assert scalar_part(q_a) > 0 > scalar_part(q_b)
+    assert q_a[0] > 0 > q_b[0]
     print(f"\nACCEPTANCE 8: PASS (worst residual {worst:.2e}, sign flip at pi)")
 
 

@@ -1,12 +1,14 @@
 """End-to-end CLI tests: file schemas, exit codes, determinism, seeding."""
 
 import argparse
+import ast
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -181,6 +183,22 @@ def test_manifest_schema(tmp_path, command):
     for entry in manifest["outputs"]:
         assert entry["sha256"] == digest(out / entry["path"])
     assert manifest["started_utc"] <= manifest["finished_utc"]
+    environment = manifest["environment"]
+    assert environment["numpy"] == np.__version__
+    assert environment["machine"] == platform.machine()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment["blas"] == {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+    assert ("OPENBLAS_CORETYPE" in environment) == ("OPENBLAS_CORETYPE" in os.environ)
+
+
+def test_manifest_records_the_blas_kernel_when_it_is_set(tmp_path, monkeypatch):
+    # OpenBLAS reads the variable when it loads, so a set value describes the
+    # kernel only when it was set before the process started; the manifest
+    # records what the environment holds
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")
+    assert main(["s7", "--out", str(tmp_path)]) == 0
+    environment = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert environment["OPENBLAS_CORETYPE"] == "Prescott"
 
 
 def test_manifest_records_orientation_counts(tmp_path):
@@ -447,9 +465,38 @@ def test_hopf_rejects_bad_separations(tmp_path):
                                   "--phi-deg=inf", "--phi-deg=nan", "--phi-deg=-30",
                                   "--phi-deg=1e-5", "--phi-deg=179.99999"])
 def test_hopf_rejects_bad_fiber_angles(tmp_path, capsys, flag):
+    # each angle is checked at its own flag: the refusal names no other
+    name = flag.split("=")[0]
     code = main(["hopf", flag, "--out", str(tmp_path / "x")])
-    assert flag.split("=")[0] in assert_usage_error(capsys, code).err
+    err = assert_usage_error(capsys, code).err
+    assert err.startswith(f"error: {name} ")
+    assert ({"--psi-a", "--phi-deg"} - {name}).pop() not in err
     assert not (tmp_path / "x").exists()
+
+
+def _cross_flag_refusals():
+    """(step, what) for each refusal that a `cmd_*` step of cli.py makes
+    itself: a `with _refused(...)` block, or a raised `UsageError`."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = []
+    for step in tree.body:
+        if not (isinstance(step, ast.FunctionDef) and step.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(step):
+            if isinstance(node, ast.With):
+                found += [(step.name, ast.unparse(item.context_expr)) for item in node.items
+                          if "_refused" in {n.id for n in ast.walk(item.context_expr) if isinstance(n, ast.Name)}]
+            elif isinstance(node, ast.Raise) and node.exc is not None and "UsageError" in {
+                    n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}:
+                found.append((step.name, ast.unparse(node.exc)))
+    return found
+
+
+def test_steps_check_no_single_flag():
+    # every flag's own rules are the check of its row in cli.COMMANDS, which
+    # main runs under that flag's label; a step refuses only what spans flags
+    assert _cross_flag_refusals() == [
+        ("cmd_simulate", "UsageError('--a and --b must be given together')")]
 
 
 def test_hopf_rejects_an_empty_separation_list(tmp_path, capsys):
@@ -528,13 +575,14 @@ def test_the_simulate_digest_does_not_depend_on_the_walkers(tmp_path, monkeypatc
 
 #: Most product-kernel calls that a default run of each subcommand may make.
 #: No benchmark counter sees `_product`, so a quantity computed twice shows
-#: here first.  A hopf run builds its fiber pair once and contracts the
-#: transport's four directions with I in one call; an s7 run makes 4
-#: calls, plus 2 for J in the first run of a process.  A simulate run
+#: here first.  A hopf run builds its fiber pair once, with its three rotors
+#: in one batch, and contracts the transport's four directions with I in one
+#: call; an s7 run makes 4 calls, plus 2 for J in the first run of a
+#: process.  A simulate run
 #: contracts each side's directions once and multiplies them at both
 #: orientations in one batch.  The identity suite checks associativity on
 #: the Cayley tables, with no product.
-PRODUCT_BUDGET = {"identities": 39, "simulate": 4, "hopf": 18, "s7": 6}
+PRODUCT_BUDGET = {"identities": 39, "simulate": 4, "hopf": 17, "s7": 6}
 
 
 def patch_kernel(monkeypatch, replacement) -> None:

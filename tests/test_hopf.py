@@ -10,14 +10,15 @@ from cliffsphere.hopf import (
     AXIS_TOL,
     DegenerateAxisError,
     NULL_LIMIT_COLUMNS,
-    FiberProbe,
     null_limit_probe,
     perpendicular_axis,
     phase_flip_at_pi,
     _axis_between,
+    _check_phi_deg,
+    _check_psi_a,
     _fiber_pair,
     _quaternion_coeffs,
-    _rotated,
+    _rotors,
     _transition,
     _transport,
 )
@@ -31,7 +32,7 @@ from cliffsphere.multivector import (
     scalar_part,
     unit_vector,
     wedge,
-    _vector_coeffs,
+    _sandwich,
 )
 
 from .oracles import null_limit_rows, sandwich_rotation
@@ -60,8 +61,9 @@ def plane(c):
 
 
 def rotate(v, axis, angle):
-    """v rotated by `angle` about `axis` through the steps that `hopf` runs."""
-    return _rotated(_vector_coeffs(v, 3), _dual_plane(unit_vector(axis)), [angle])[0]
+    """v rotated by `angle` about `axis` through the steps that `hopf` runs:
+    the sandwich with the rotor exp(-(I.c) angle / 2)."""
+    return _sandwich(_rotors(_dual_plane(unit_vector(axis)), [-0.5 * angle]), v)[0]
 
 
 def quaternion(n, n_prime, lam, side_sign):
@@ -103,40 +105,46 @@ def test_rotor_unit_and_fixes_axis():
         assert np.max(np.abs(rotate(c, c, angle) - c)) < 1e-12
 
 
+# the fiber probe's angles are checked at their own flags, `--psi-a` by
+# `_check_psi_a` and `--phi-deg` by `_check_phi_deg`
+
+
 @pytest.mark.parametrize("psi_a", [-0.5, 0.0, math.inf, math.nan])
 def test_fiber_probe_requires_a_finite_positive_psi_a(psi_a):
     with pytest.raises(ValueError, match="psi_a must be finite and positive"):
-        FiberProbe(psi_a=psi_a, phi=1.0)
+        _check_psi_a(psi_a)
 
 
 @pytest.mark.parametrize("phi", [0.0, math.pi, math.inf, math.nan])
 def test_fiber_probe_requires_phi_inside_the_open_interval(phi):
     with pytest.raises(ValueError, match="phi"):
-        FiberProbe(psi_a=0.01, phi=phi)
+        _check_phi_deg(math.degrees(phi))  # the flag is in degrees
 
 
 def test_fiber_probe_refuses_phi_exactly_where_the_axis_degenerates():
-    # the CLI's pair a = e_x, b = (cos phi, sin phi, 0): FiberProbe refuses
-    # each phi that _axis_between refuses, so the refusal can name the flag
-    phis = [math.radians(1e-5), math.radians(179.99999)]
-    for edge in (math.asin(AXIS_TOL), math.pi - math.asin(AXIS_TOL)):
-        for toward in (0.0, math.pi):
-            phi = edge
+    # the CLI's pair a = e_x, b = (cos phi, sin phi, 0), phi = radians(--phi-deg):
+    # _check_phi_deg refuses each --phi-deg whose phi _axis_between refuses,
+    # so the refusal can name the flag
+    degs = [1e-5, 179.99999]
+    for edge in (math.degrees(math.asin(AXIS_TOL)), 180.0 - math.degrees(math.asin(AXIS_TOL))):
+        for toward in (0.0, 180.0):
+            deg = edge
             for _ in range(5):
-                phis.append(phi)
-                phi = math.nextafter(phi, toward)
+                degs.append(deg)
+                deg = math.nextafter(deg, toward)
     refused = []
-    for phi in phis:
+    for deg in degs:
+        phi = math.radians(deg)
         try:
             _axis_between(EX, np.array([math.cos(phi), math.sin(phi), 0.0]))
         except DegenerateAxisError:
-            refused.append(phi)
+            refused.append(deg)
             with pytest.raises(ValueError, match="too small to define a rotation axis"):
-                FiberProbe(psi_a=0.01, phi=phi)
+                _check_phi_deg(deg)
         else:
-            FiberProbe(psi_a=0.01, phi=phi)
-    assert refused[:2] == phis[:2]  # the CLI's 1e-5 and 179.99999 degrees
-    assert 2 < len(refused) < len(phis) - 2  # the ulps around each edge straddle it
+            assert _check_phi_deg(deg) == phi
+    assert refused[:2] == degs[:2]  # the CLI's 1e-5 and 179.99999 degrees
+    assert 2 < len(refused) < len(degs) - 2  # the ulps around each edge straddle it
 
 
 # -- transition relation -----------------------------------------------------------
@@ -222,10 +230,9 @@ def test_transport_rejects_parallel_directions():
 def test_phase_flip_at_pi():
     q_a, q_b, res = phase_flip_at_pi(0.01)
     assert res < 1e-12
-    sa, sb = scalar_part(q_a), scalar_part(q_b)
-    assert sa > 0 > sb
-    assert abs(sa + sb) < 1e-15
-    assert np.linalg.norm(q_a.coeffs + q_b.coeffs) < 1e-12
+    assert q_a[0] > 0 > q_b[0]
+    assert abs(q_a[0] + q_b[0]) < 1e-15
+    assert np.linalg.norm(q_a + q_b) < 1e-12
 
 
 # -- 3-sphere points ----------------------------------------------------------------------

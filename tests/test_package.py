@@ -1,8 +1,8 @@
 """The package's public surface: every exported name resolves, from the
 module that defines it, and nothing else does; every export and class member
-has a reader in the package; its caches hand out read-only arrays; importing
-the CLI loads no pool module; and the test settings report a failing
-property test like any other."""
+has a reader in the package; its caches hand out read-only arrays; a hopf
+run builds no rotor twice; importing the CLI loads no pool module; and the
+test settings report a failing property test like any other."""
 
 import ast
 import dataclasses
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import cliffsphere
+from cliffsphere import cli, multivector
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +26,7 @@ REMOVED = (
     "correlation_raw",
     "correlation_standard",
     "equation_suite",
+    "FiberProbe",
     "HiddenBasis",
     "OrientedFrame",
     "parallel_transport_check",
@@ -101,13 +103,30 @@ def test_star_import_binds_exactly_all():
 
 def test_every_exported_name_comes_from_its_defining_module():
     assert set(cliffsphere.__all__) == {*cliffsphere._MODULE_OF, "__version__"}
-    assert len(cliffsphere.__all__) == 41  # 40 names and __version__
+    assert len(cliffsphere.__all__) == 40  # 39 names and __version__
     for name, module in cliffsphere._MODULE_OF.items():
         defining = importlib.import_module(f"cliffsphere.{module}")
         value = getattr(cliffsphere, name)
         assert value is getattr(defining, name), name
         if callable(value):
             assert value.__module__ == defining.__name__, name
+
+
+def test_a_hopf_run_checks_three_rotor_planes(tmp_path, monkeypatch):
+    # the fiber pair's half-angle rotors and its transport rotor are one
+    # batch, the phase flip's two rotors another and the probe's a third:
+    # each plane is checked once, and no rotor is built twice
+    real, calls = multivector._rotor_coeffs, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in map(importlib.import_module, [f"cliffsphere.{m}" for m in cliffsphere._EXPORTS]):
+        if vars(module).get("_rotor_coeffs") is real:
+            monkeypatch.setattr(module, "_rotor_coeffs", spy)
+    assert cli.main(["hopf", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 3
 
 
 def _package_trees():
