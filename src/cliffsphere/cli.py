@@ -33,10 +33,16 @@ the same flags and seed is byte-identical.  Preparing ``--out`` drops a
 previous run's manifest before any data file is replaced, and each file is
 written to a temporary name in the output directory and moved into place
 with ``os.replace``, so a name never holds a partly written file and no
-manifest describes other bytes.  A CSV file is written from one structured
-array: its header is the field names, and each row is one `%` format,
-floats with 17 significant digits and a locale-independent decimal point,
-integers as integers.
+manifest describes other bytes.  The output stage costs little more than
+its system calls: preparing a new ``--out`` is one ``os.mkdir``, and a
+file's bytes go to its temporary name through ``os.write``, with no buffer
+between.  A CSV file is written from one structured array: its header is
+the field names, and each row is one `%` format, floats with 17
+significant digits and a locale-independent decimal point, integers as
+integers.  The manifest and ``s7_report.json`` are JSON text from one
+writer, `_json_text`: ``json.dumps(value, indent=2, sort_keys=True)`` byte
+for byte, without the Python generators that json runs whenever ``indent``
+is set, and without the reference cycle that each such call leaves behind.
 
 Every refused input is reported with the flag, or the environment
 variable, that it came from: `main` checks each flag's value inside
@@ -44,7 +50,9 @@ variable, that it came from: `main` checks each flag's value inside
 reads no other error as a usage error.  What argparse refuses itself (a
 value of the wrong type, an unknown flag, a missing subcommand) is a usage
 error too, in argparse's one-line message; only ``--help`` and
-``--version`` exit from the parser, with code 0.
+``--version`` exit from the parser, with code 0.  A value that starts with
+``-`` is read by argparse as a flag, so ``--b -1,0,0`` is refused with the
+``--b=-1,0,0`` form that passes it.
 
 Quantities that a run would otherwise compute more than once are computed
 once: a ``hopf`` run builds its fiber pair, with its three rotors, once for
@@ -63,7 +71,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import json
 import math
 import os
 import platform
@@ -72,6 +79,7 @@ import traceback
 import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +136,21 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        """`parse_args`, but a flag that argparse read with no value, because
+        its value starts with '-' (``--b -1,0,0``), is refused with the
+        ``--b=-1,0,0`` form that passes that value."""
+        args = sys.argv[1:] if args is None else list(args)
+        try:
+            return super().parse_args(args, namespace)
+        except UsageError as exc:
+            flag, _, why = str(exc).removeprefix("argument ").partition(": ")
+            dashed = [value for name, value in zip(args, args[1:])
+                      if name == flag and value.startswith("-") and not value.startswith("--")]
+            if why != "expected one argument" or not dashed:
+                raise
+            raise UsageError(f"{exc}; write a value that starts with '-' as {flag}={dashed[0]}") from None
 
 
 @contextlib.contextmanager
@@ -201,38 +224,94 @@ def _resolve_seed(flag_value: int | None) -> int:
     return seed
 
 
-def _write_manifest(out_dir: Path, record: dict, outputs: list[tuple[Path, str]], started: str) -> None:
+def _write_manifest(out_dir: str, record: dict, outputs: dict[str, str], started: str) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         **record,
         "version": __version__,
         "started_utc": started,
         "finished_utc": _utc_now(),
-        "outputs": [{"path": p.name, "sha256": digest} for p, digest in outputs],
+        "outputs": [{"path": name, "sha256": digest} for name, digest in outputs.items()],
         "environment": {"numpy": np.__version__, "machine": platform.machine(),  # what the bytes depend on
                         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
                         **{key: os.environ[key] for key in ["OPENBLAS_CORETYPE"] if key in os.environ}},
     }
-    _write_file(out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_file(out_dir, "manifest.json", _json_text(manifest) + "\n")
 
 
-def _write_file(out_dir: Path, name: str, text: str) -> tuple[Path, str]:
+def _write_file(out_dir: str, name: str, text: str) -> str:
     """Write `text`, UTF-8 encoded, to out_dir/name through a temporary file
     in out_dir and `os.replace`, so the name never holds a partly written
-    file; return the path and the sha256 of the bytes written, so that no
-    file is read back to be hashed.  An OSError (the name is a directory, the
-    disk is full) is a usage error."""
-    path = out_dir / name
-    tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+    file; return the sha256 of the bytes written, so that no file is read
+    back to be hashed.  The bytes go to the file descriptor with `os.write`,
+    through no buffer, again after a short write until all are out.  An
+    OSError (the name is a directory, the disk is full) is a usage error."""
+    path = os.path.join(out_dir, name)
+    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
     data = text.encode()
     try:
-        tmp.write_bytes(data)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
-        raise UsageError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
-    return path, hashlib.sha256(data).hexdigest()
+            os.unlink(tmp)
+        raise UsageError(f"cannot write {str(Path(path))!r}: {exc.strerror or exc}") from exc
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
+    tree of dicts with str keys, lists and tuples over str, int, float, bool
+    and None; any other value or key raises TypeError.  Strings, numbers,
+    NaN and the infinities are spelled as json spells them
+    (`encode_basestring_ascii`, `int.__repr__`, `float.__repr__`), but the
+    text is one list of pieces joined once: json encodes through nested
+    Python generators whenever ``indent`` is set."""
+    parts: list[str] = []
+    _json_parts(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(value, newline: str, parts: list[str]) -> None:
+    """Append the JSON text of `value` to `parts`; `newline` is a line break
+    and the indent of the line that `value` starts on."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(float.__repr__(value) if math.isfinite(value)
+                     else "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif isinstance(value, (list, tuple)):
+        inner, opener = newline + "  ", "["
+        for item in value:
+            parts.append(opener + inner)
+            _json_parts(item, inner, parts)
+            opener = ","
+        parts.append(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner, opener = newline + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(f"{opener}{inner}{encode_basestring_ascii(key)}: ")
+            _json_parts(value[key], inner, parts)
+            opener = ","
+        parts.append(newline + "}" if value else "{}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _csv_text(rows: np.ndarray) -> str:
@@ -243,14 +322,22 @@ def _csv_text(rows: np.ndarray) -> str:
     return "".join([",".join(rows.dtype.names) + "\r\n", *map(line.__mod__, rows.tolist())])
 
 
-def _prepare_out(out: str) -> Path:
+def _prepare_out(out: str) -> str:
     """Create the output directory once the inputs are validated, and drop a
     previous run's manifest before any data file is replaced, so that a run
-    that stops early leaves no manifest describing other bytes."""
-    out_dir = Path(out)
+    that stops early leaves no manifest describing other bytes.  One
+    `os.mkdir` comes first: a directory that it made holds no manifest, so
+    only a directory that was there is cleared, and only missing parents
+    are made."""
+    out_dir = os.fspath(Path(out))  # "" names ".", as it did for Path.mkdir
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "manifest.json").unlink(missing_ok=True)
+        try:
+            os.mkdir(out_dir)
+        except FileExistsError:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(out_dir, "manifest.json"))
+        except FileNotFoundError:
+            os.makedirs(out_dir)
     except OSError as exc:
         raise UsageError(f"cannot use --out {out!r}: {exc.strerror or exc}") from exc
     return out_dir
@@ -364,8 +451,7 @@ def cmd_s7(v: dict, given: dict, seed: int) -> _Run:
         f"contraction terms: {', '.join(sorted(terms))}",
         f"raw-score scalar part: {_fmt(raw_scalar)}",
     ]
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    return EXIT_OK, {"s7_report.json": text}, lines, {}
+    return EXIT_OK, {"s7_report.json": _json_text(report) + "\n"}, lines, {}
 
 
 # -- the flag table ---------------------------------------------------------------
@@ -443,7 +529,7 @@ def main(argv=None) -> int:
                 replay.append(name if value is True else f"{name}={value}")
         code, files, lines, extra = step(v, given, seed)
         out_dir = _prepare_out(given["out"])
-        outputs = [_write_file(out_dir, name, text) for name, text in files.items()]
+        outputs = {name: _write_file(out_dir, name, text) for name, text in files.items()}
         _print_lines(lines)
         config = {key: value for key, value in given.items() if value is not None}
         _write_manifest(out_dir, {**extra, "command": command, "argv": replay, "config": config, "seed": seed},

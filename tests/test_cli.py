@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -362,6 +363,22 @@ def test_what_argparse_refuses_is_a_usage_error_in_one_line(tmp_path, capsys, ar
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["simulate", "--a", "1,0,0", "--b", "-1,0,0"], "--b", "-1,0,0"),
+    (["s7", "--a", "-1,0,0"], "--a", "-1,0,0"),
+])
+def test_a_value_that_starts_with_a_dash_is_refused_with_its_equals_form(tmp_path, capsys, argv, flag, value):
+    code = main([*argv, "--out", str(tmp_path / "x")])
+    assert assert_usage_error(capsys, code).err == (
+        f"error: argument {flag}: expected one argument; write a value that starts with '-' as {flag}={value}\n")
+    assert main([*argv[:-2], f"{flag}={value}", "--out", str(tmp_path / "x")]) == 0
+
+
+def test_a_flag_with_no_value_at_all_names_no_equals_form(tmp_path, capsys):
+    code = main(["simulate", "--a", "1,0,0", "--out", str(tmp_path / "x"), "--b"])
+    assert assert_usage_error(capsys, code).err == "error: argument --b: expected one argument\n"
+
+
 def test_a_missing_subcommand_is_a_usage_error_in_one_line(capsys):
     assert "command" in assert_usage_error(capsys, main([])).err
 
@@ -422,6 +439,34 @@ SPECIAL_FLOATS = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -
 @example(np.zeros(0, epr.SWEEP_COLUMNS))
 def test_csv_text_equals_csv_writer_over_17_digit_fields(rows):
     assert cli._csv_text(rows) == csv_writer_text(rows)
+
+
+#: Text with what json escapes: quotes, backslashes, control characters,
+#: non-ASCII, astral and lone surrogate code points.
+JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é\U0001f600\ud800')))
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), JSON_TEXT,
+    st.integers(), st.integers(-2**200, 2**200),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308, 1e300, math.nan, math.inf, -math.inf]),
+)
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(JSON_TEXT, children, max_size=5)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": (), "d": [[{}]], "e": [np.float64(-0.0), np.float64(math.nan)]})
+def test_json_text_is_json_dumps_with_indent_2_and_sorted_keys(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), {1, 2}, b"x", {1: "a"}, {"a": [np.int64(1)]}, {"a": {None: 1}}],
+                         ids=["np.int64", "set", "bytes", "int-key", "nested-np.int64", "nested-None-key"])
+def test_json_text_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 # -- hopf ---------------------------------------------------------------------------
@@ -528,6 +573,44 @@ def test_failed_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
     assert "No space left" in assert_usage_error(capsys, code).err
     assert (out / "null_limit.csv").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == ["null_limit.csv"]
+
+
+@pytest.mark.parametrize("command", sorted(FAST_ARGV))
+def test_short_writes_still_write_every_byte(tmp_path, monkeypatch, command):
+    argv = [*FAST_ARGV[command], "--seed", "5"]
+    assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
+    write = os.write
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:7]))
+    assert main([*argv, "--out", str(tmp_path / "short")]) == 0
+    monkeypatch.undo()
+    manifest = json.loads((tmp_path / "short" / "manifest.json").read_text())
+    assert manifest["outputs"] == json.loads((tmp_path / "whole" / "manifest.json").read_text())["outputs"]
+    assert [entry["path"] for entry in manifest["outputs"]] == ([DATA_FILES[command]] if command in DATA_FILES else [])
+    for entry in manifest["outputs"]:
+        data = (tmp_path / "short" / entry["path"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+        assert data == (tmp_path / "whole" / entry["path"]).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(FAST_ARGV))
+@pytest.mark.parametrize("fails", ["replace", "write"])
+def test_a_failed_write_leaves_no_temporary_file_and_no_manifest(tmp_path, capsys, monkeypatch, command, fails):
+    def no_space(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, fails, no_space)
+    out = tmp_path / "x"
+    code = main([*FAST_ARGV[command], "--out", str(out)])
+    monkeypatch.undo()
+    # identities writes no data file: its first write is the manifest's
+    assert (DATA_FILES.get(command, "manifest.json") + "'") in assert_usage_error(capsys, code).err
+    assert list(out.iterdir()) == []
+
+
+def test_a_fresh_nested_out_is_made_with_its_parents(tmp_path):
+    out = tmp_path / "a" / "b" / "c"
+    assert main(["hopf", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "null_limit.csv"]
 
 
 #: sha256 of the data file of a run, at seed 42 unless the flags say
@@ -1040,11 +1123,29 @@ def test_generated_argv_exits_with_a_documented_code(invocation):
             replay = json.loads((base / "replay" / "manifest.json").read_text())
             assert (replay["argv"], replay["outputs"]) == (manifest["argv"], manifest["outputs"])
         for manifest in base.rglob("manifest.json"):
-            for entry in json.loads(manifest.read_text())["outputs"]:
+            text = manifest.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            for entry in json.loads(text)["outputs"]:
                 assert digest(manifest.parent / entry["path"]) == entry["sha256"]
 
 
 def test_main_reuses_one_parser():
     # a parser is a web of reference cycles; one per call would be garbage
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("command", sorted(FAST_ARGV))
+def test_a_run_leaves_no_cyclic_garbage(tmp_path, command):
+    # a long-lived caller of main would otherwise leave the cycle collector
+    # work after every run: an indented json.dumps leaves a 33-object
+    # JSONEncoder cycle behind
+    argv = [*FAST_ARGV[command], "--out", str(tmp_path)]
+    assert main(argv) == 0  # caches, the parser and lazy imports are made once
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 

@@ -188,6 +188,73 @@ def test_the_package_takes_cross_products_with_its_own_helper():
     assert calls == []
 
 
+#: os.open flags that open a file for writing.
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _output_calls(tree):
+    """(enclosing top-level definition, call) for each call in `tree` that
+    writes output by another path than `cli._write_file`: a json.dumps or
+    json.dump with an indent, a write_text or write_bytes, or an open in a
+    write mode (a mode string with w, a, x or +, or an os.open write flag)
+    of anything but the null device."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if name in ("dumps", "dump"):
+                writes = any(k.arg == "indent" for k in node.keywords)
+            elif name in ("write_text", "write_bytes"):
+                writes = True
+            elif name == "open":
+                modes = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                         and set(a.value) <= set("rwaxbt+") and set(a.value) & set("wax+")]
+                flags = {n.attr if isinstance(n, ast.Attribute) else n.id
+                         for a in args for n in ast.walk(a) if isinstance(n, (ast.Attribute, ast.Name))}
+                devnull = bool(node.args) and ast.unparse(node.args[0]) == "os.devnull"
+                writes = bool(modes or flags & WRITE_FLAGS) and not devnull
+            else:
+                writes = False
+            if writes:
+                found.append((getattr(top, "name", "<module>"), ast.unparse(node)))
+    return found
+
+
+def test_the_output_guard_finds_each_other_output_path():
+    tree = ast.parse(textwrap.dedent("""
+        def report(path, value):
+            text = json.dumps(value, indent=2, sort_keys=True)
+            json.dump(value, sys.stdout, indent=1)
+            path.write_text(text)
+            path.write_bytes(text.encode())
+            with open(path, "w") as fh, path.open(mode="ab") as fh2, io.open(path, "r+") as fh3:
+                pass
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
+
+        def fine(path, value):
+            json.dumps(value)
+            open(path).read()
+            open(path, "rb").read()
+            os.close(os.open(path, os.O_RDONLY))
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    """))
+    assert [owner for owner, _ in _output_calls(tree)] == ["report"] * 8
+
+
+def test_every_file_is_written_through_one_path():
+    # `cli._write_file` writes every output through a temporary file and
+    # os.replace, and `cli._json_text` is the one indented JSON writer
+    found = [
+        (path.name, owner, call)
+        for path, tree in _package_trees().items() if path.parent.name == "cliffsphere"
+        for owner, call in _output_calls(tree)
+    ]
+    assert [(name, owner) for name, owner, _ in found] == [("cli.py", "_write_file")], found
+
+
 def _member_names(node):
     """Names that a class-body statement defines: a method or property, or
     the plain-name targets of a field or class attribute."""
