@@ -25,8 +25,7 @@ _EXPORTS = {
     "identities": ("CheckResult", "run_identity_checks"),
     "multivector": (
         "DEFAULT_TOL", "Multivector", "blade_label", "contract", "geometric_product",
-        "grade_norms", "grade_of", "grade_part", "norm", "render", "reversion",
-        "rotor_exp", "scalar_part", "unit_vector", "wedge",
+        "grade_norms", "grade_of", "render", "scalar_part", "unit_vector", "wedge",
     ),
     "seven_sphere": (
         "Embedding", "SevenTrivector", "build_J", "embed", "raw_score_7",

@@ -26,7 +26,7 @@ given a new ``--out``: the subcommand, ``--seed=`` the resolved seed, and
 every set flag as ``--flag=value``, a switch bare; the config echo of every
 flag's value as given (with ``out``); seed, package version, start/end
 timestamps, a sha256 digest per emitted data file, and the numpy, BLAS
-(``OPENBLAS_CORETYPE`` too, when set) and machine that the bytes depend on.
+(and its kernel; ``OPENBLAS_CORETYPE`` if set) and machine the bytes depend on.
 ``simulate`` adds the orientation counts (n, n_plus, n_minus) that every
 row was computed from.  Data files contain no timestamps, so a rerun with
 the same flags and seed is byte-identical.  Preparing ``--out`` drops a
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import hashlib
 import math
@@ -224,6 +225,17 @@ def _resolve_seed(flag_value: int | None) -> int:
     return seed
 
 
+@functools.lru_cache(maxsize=1)
+def _blas_corename() -> str | None:
+    """The OpenBLAS kernel that runs, which the build's "openblas configuration"
+    does not name, or None when numpy's BLAS is not its bundled scipy-openblas."""
+    call = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), "scipy_openblas_get_corename64_", None)
+    if call is None:
+        return None
+    call.restype = ctypes.c_char_p
+    return call().decode()
+
+
 def _write_manifest(out_dir: str, record: dict, outputs: dict[str, str], started: str) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
@@ -233,7 +245,8 @@ def _write_manifest(out_dir: str, record: dict, outputs: dict[str, str], started
         "finished_utc": _utc_now(),
         "outputs": [{"path": name, "sha256": digest} for name, digest in outputs.items()],
         "environment": {"numpy": np.__version__, "machine": platform.machine(),  # what the bytes depend on
-                        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+                        "blas": {**{key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+                                 **{"corename": core for core in [_blas_corename()] if core}},
                         **{key: os.environ[key] for key in ["OPENBLAS_CORETYPE"] if key in os.environ}},
     }
     _write_file(out_dir, "manifest.json", _json_text(manifest) + "\n")
@@ -464,7 +477,8 @@ COMMANDS = {
         ("--tolerance", dict(type=float, default=DEFAULT_TOL,
                              help="threshold for the floating algebraic identities"), _check_tolerance),
         ("--pairs", dict(type=int, default=1000,
-                         help=f"random unit-vector pairs per identity (1 to {MAX_PAIRS})"), _check_pairs),
+                         help=f"random unit-vector pairs of the score-expansion, combined-identity and "
+                              f"duality checks, per orientation (1 to {MAX_PAIRS})"), _check_pairs),
         ("--inject-sign-flip", dict(action="store_true",
                                     help="test mode: corrupt a structure constant; the suite must fail"), None),
     )),

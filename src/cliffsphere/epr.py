@@ -30,8 +30,7 @@ order, so the result is exact and the same on any number of walkers, and
 memory is bounded by one chunk per walker (at most 512 KiB of Philox words
 in flight), not by n.  A run draws the counts once and passes them to each
 estimator and every sweep angle (the CLI records them in its manifest).
-`orientation_prefix_counts` is the same walk reporting the counts of several
-prefixes at once.
+`mean_residual_norms` draws them once per seed and trial count.
 
 Three averaging procedures are provided.  The componentwise average of the
 abstract standard-score products over the formal basis {1, beta_x, beta_y,
@@ -54,7 +53,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -115,11 +113,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_plus(seed: int, cuts: list[int]) -> list[int]:
-    """How many trials of each segment cuts[k]..cuts[k+1]-1 draw lam = +1,
-    from one generator started at counter block cuts[0] and walked in chunks
-    of at most COUNT_CHUNK trials; each chunk continues its counter."""
-    bg = np.random.Philox(key=np.uint64(seed), counter=[cuts[0], 0, 0, 0])
+def _count_plus(seed: int, lo: int, hi: int) -> int:
+    """How many of trials lo..hi-1 draw lam = +1, from one generator started
+    at counter block lo and walked in chunks of at most COUNT_CHUNK trials;
+    each chunk continues its counter."""
+    bg = np.random.Philox(key=np.uint64(seed), counter=[lo, 0, 0, 0])
 
     def odd_words(trials: int) -> int:
         # the low byte of each block's first word; the words are freed on
@@ -127,35 +125,25 @@ def _count_plus(seed: int, cuts: list[int]) -> list[int]:
         words = bg.random_raw(4 * trials).astype("<u8", copy=False)
         return int(np.count_nonzero(words.view(np.uint8)[0::32] & 1))
 
-    return [sum(odd_words(min(COUNT_CHUNK, hi - at)) for at in range(lo, hi, COUNT_CHUNK))
-            for lo, hi in zip(cuts, cuts[1:])]
+    return sum(odd_words(min(COUNT_CHUNK, hi - at)) for at in range(lo, hi, COUNT_CHUNK))
 
 
-def orientation_prefix_counts(seed: int, sizes) -> tuple[OrientationCounts, ...]:
-    """Counts over the first n trials for each n in `sizes` (ascending), from
-    one walk of the stream in chunks of COUNT_CHUNK trials.
-
-    Trial i draws lam = +1 when the first word of Philox counter block i under
-    key `seed` is odd, so the draw is a pure function of (seed, i).  The walk
-    is cut into contiguous spans, one per walker: at most MAX_WALKERS, no
-    more than the usable CPUs or the chunks of the walk, the calling thread
-    being the first.  Each span is cut again at every size in it, and the
-    exact counts of these segments are added in order.  A walker's error is
-    raised here, once every walker has stopped."""
-    sizes = [int(n) for n in sizes]
-    if not sizes or sizes[0] < 1 or sizes != sorted(sizes):
-        raise ValueError("prefix sizes must be ascending trial counts >= 1")
+def orientation_counts(seed: int, n: int) -> OrientationCounts:
+    """Orientation counts of trials 0..n-1, from one walk of the stream: trial
+    i draws lam = +1 when the first word of Philox counter block i under key
+    `seed` is odd.  The walkers, at most MAX_WALKERS and no more than the
+    usable CPUs or the chunks of the walk, count their spans at once, the
+    calling thread the first; a walker's error is raised here, once every
+    walker has stopped."""
+    _check_trials(n)
     _check_seed(seed)
-    n = sizes[-1]
     walkers = min(MAX_WALKERS, _usable_cpus(), -(-n // COUNT_CHUNK))
     bounds = [n * w // walkers for w in range(walkers + 1)]
-    cuts = sorted({*bounds, *sizes})
-    spans = [cuts[cuts.index(lo):cuts.index(hi) + 1] for lo, hi in zip(bounds, bounds[1:])]
     parts = [None] * walkers
 
     def walk(w: int) -> None:
         try:
-            parts[w] = _count_plus(seed, spans[w])
+            parts[w] = _count_plus(seed, bounds[w], bounds[w + 1])
         except Exception as exc:  # raised by the caller once every walker has stopped
             parts[w] = exc
 
@@ -170,14 +158,8 @@ def orientation_prefix_counts(seed: int, sizes) -> tuple[OrientationCounts, ...]
     for part in parts:
         if isinstance(part, Exception):
             raise part
-    n_plus = dict(zip(cuts[1:], accumulate(c for part in parts for c in part)))
-    return tuple(OrientationCounts(n, n_plus[n], n - n_plus[n]) for n in sizes)
-
-
-def orientation_counts(seed: int, n: int) -> OrientationCounts:
-    """Orientation counts of trials 0..n-1, from one walk of the stream."""
-    _check_trials(n)
-    return orientation_prefix_counts(seed, (n,))[0]
+    n_plus = sum(parts)
+    return OrientationCounts(n, n_plus, n - n_plus)
 
 
 # -- sweep spec and results ------------------------------------------------------
@@ -348,12 +330,9 @@ def sweep(spec: SweepSpec, counts: OrientationCounts) -> np.ndarray:
 
 def mean_residual_norms(a, b, seeds, sizes) -> np.ndarray:
     """Seed-averaged residual norm |mean of lam over the first n trials| *
-    |a x b| for each n in `sizes` (ascending), from exact prefix counts."""
+    |a x b| for each n in `sizes`, from the exact counts of each (seed, n)."""
     scale = float(np.linalg.norm(_cross(unit_vector(a), unit_vector(b))))
-    residuals = [
-        [abs(c.lam_mean) * scale for c in orientation_prefix_counts(seed, sizes)]
-        for seed in seeds
-    ]
+    residuals = [[abs(orientation_counts(seed, n).lam_mean) * scale for n in sizes] for seed in seeds]
     return np.mean(residuals, axis=0)
 
 

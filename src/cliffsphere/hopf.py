@@ -52,7 +52,7 @@ def _axis_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _rotors(B: np.ndarray, angles) -> np.ndarray:
     """(N, 8) rotors exp(B t) = cos t + sin t B of the unit plane B, one row
-    per finite angle t, by `math.sin` and `math.cos` as in `rotor_exp`."""
+    per finite angle t, by `math.sin` and `math.cos`, as the oracles' `rotor_exp`."""
     if not all(map(math.isfinite, angles)):
         raise ValueError("rotation angles must be finite")
     return _rotor_coeffs(B, *(np.array([f(t) for t in angles]) for f in (math.sin, math.cos)))

@@ -422,8 +422,9 @@ def run_identity_checks(
     """Every clifford_core and frame property check, in a fixed order.
 
     All random inputs come from one stream seeded by `seed`, drawn check by
-    check, so no two checks share inputs.  The frame-identity checks run
-    over `n_pairs` random unit-vector pairs and both orientations.
+    check, so no two checks share inputs.  `n_pairs` random unit-vector pairs
+    feed six checks (score expansion, combined identity and duality, for both
+    orientations); the others draw 200 inputs, 20 and 5 oracle pairs, or 100 rotors.
     `inject_sign_flip` corrupts the epsilon sign of the abstract structure
     constants (test mode): the abstract-side checks must then fail.
     """

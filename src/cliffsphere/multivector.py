@@ -16,7 +16,6 @@ function, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -281,14 +280,6 @@ def contract(x: Multivector, y: Multivector) -> Multivector:
     return Multivector(x.dim, _product("contract", x.coeffs, y.coeffs))
 
 
-def grade_part(x: Multivector, g: int) -> Multivector:
-    """Projection onto grade g (coefficients of all other grades zeroed)."""
-    if not 0 <= g <= x.dim:
-        raise ValueError(f"grade {g} out of range 0..{x.dim}")
-    _, _, grades = _tables(x.dim)
-    return Multivector(x.dim, np.where(grades == g, x.coeffs, 0.0))
-
-
 def grade_norms(x: Multivector) -> dict[int, float]:
     """Euclidean coefficient norm of each grade component, g = 0..dim."""
     _, _, grades = _tables(x.dim)
@@ -297,34 +288,15 @@ def grade_norms(x: Multivector) -> dict[int, float]:
     }
 
 
-def reversion(x: Multivector) -> Multivector:
-    """Reversion: each grade-g blade picks up the sign (-1)**(g(g-1)/2)."""
-    return Multivector(x.dim, x.coeffs * _reversion_sign(x.dim))
-
-
-def norm(x: Multivector) -> float:
-    """Euclidean norm of the coefficient vector."""
-    return float(np.linalg.norm(x.coeffs))
-
-
 def scalar_part(x: Multivector) -> float:
     return float(x.coeffs[0])
 
 
-def rotor_exp(B: Multivector, angle: float) -> Multivector:
-    """exp(B * angle) = cos(angle) + sin(angle) B for a unit bivector B.
-
-    B must be pure grade 2 with B*B = -1 (both checked to `DEFAULT_TOL`); the
-    closed form then follows from the exponential series.
-    """
-    return Multivector(B.dim, _rotor_coeffs(B.coeffs, math.sin(angle), math.cos(angle)))
-
-
 def _rotor_coeffs(B: np.ndarray, sin, cos) -> np.ndarray:
-    """sin * B + cos for the (2**n,) or (N, 2**n) coefficients B of unit
-    bivectors, with sin and cos scalars or (N,) arrays.  Each row of B must be
-    pure grade 2 with B*B = -1 to `DEFAULT_TOL`, or ValueError names the
-    first contract a row breaks."""
+    """exp(B angle) = sin * B + cos for the (2**n,) or (N, 2**n) coefficients B
+    of unit bivectors, sin and cos of the angle as scalars or (N,) arrays.
+    Each row of B must be pure grade 2 with B*B = -1 to `DEFAULT_TOL`, or
+    ValueError names the first contract a row breaks."""
     grades = _tables(B.shape[-1].bit_length() - 1)[2]
     if np.any(~(np.linalg.norm(np.where(grades == 2, 0.0, B), axis=-1) <= DEFAULT_TOL)):
         raise ValueError("rotor generator must be a pure bivector")

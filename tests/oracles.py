@@ -8,9 +8,13 @@ blade pairs.
 
 Seven references do use the package.  They multiply only through its
 public products (`geometric_product`, `wedge`, `contract`); sums and
-scalings act on coefficient arrays.  `sign_table_product` evaluates the
-float sign-table formula on the package's Cayley table; it pins the product
-kernel's bytes, while the naive products pin its algebra.
+scalings act on coefficient arrays.  They are built from the `Multivector`
+helpers defined here, which the package does not export: `grade_part`,
+`reversion`, `norm` and `rotor_exp`, each a thin `Multivector` wrapper of
+the package's grade table, reversion signs or rotor coefficients.
+`sign_table_product` evaluates the float sign-table formula on the
+package's Cayley table; it pins the product kernel's bytes, while the naive
+products pin its algebra.
 `abstract_to_embedded` realizes an abstract element through a frame's
 bivectors as a `Multivector`, and `standard_score` builds the abstract
 element lam n_j beta_j, the single-direction reference of
@@ -42,12 +46,11 @@ from cliffsphere.frames import AbstractElement, OrientationMixError
 from cliffsphere.hopf import NULL_LIMIT_COLUMNS, perpendicular_axis
 from cliffsphere.multivector import (
     Multivector,
+    _reversion_sign,
+    _rotor_coeffs,
     _tables,
     contract,
     geometric_product,
-    norm,
-    reversion,
-    rotor_exp,
     scalar_part,
     unit_vector,
     wedge,
@@ -155,6 +158,32 @@ def series_exp(b: np.ndarray, angle: float, terms: int = 40) -> np.ndarray:
         power = naive_product(power, b) * (angle / k)
         acc = acc + power
     return acc
+
+
+def grade_part(x: Multivector, g: int) -> Multivector:
+    """Projection onto grade g (coefficients of all other grades zeroed)."""
+    if not 0 <= g <= x.dim:
+        raise ValueError(f"grade {g} out of range 0..{x.dim}")
+    _, _, grades = _tables(x.dim)
+    return Multivector(x.dim, np.where(grades == g, x.coeffs, 0.0))
+
+
+def reversion(x: Multivector) -> Multivector:
+    """Reversion: each grade-g blade picks up the sign (-1)**(g(g-1)/2)."""
+    return Multivector(x.dim, x.coeffs * _reversion_sign(x.dim))
+
+
+def norm(x: Multivector) -> float:
+    """Euclidean norm of the coefficient vector."""
+    return float(np.linalg.norm(x.coeffs))
+
+
+def rotor_exp(B: Multivector, angle: float) -> Multivector:
+    """exp(B * angle) = cos(angle) + sin(angle) B for a unit bivector B, by
+    `math.sin` and `math.cos` of the one angle: the single-rotor reference of
+    the batched `hopf._rotors`.  B must be pure grade 2 with B*B = -1, which
+    `_rotor_coeffs` checks."""
+    return Multivector(B.dim, _rotor_coeffs(B.coeffs, math.sin(angle), math.cos(angle)))
 
 
 def rotation_matrix_2d(theta: float) -> np.ndarray:

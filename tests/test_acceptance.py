@@ -28,7 +28,7 @@ from cliffsphere.epr import (
 from cliffsphere.frames import _frame_coeffs
 from cliffsphere.hopf import _fiber_pair, _transition, _transport, null_limit_probe, phase_flip_at_pi
 from cliffsphere.identities import run_identity_checks
-from cliffsphere.multivector import Multivector, contract, geometric_product, norm
+from cliffsphere.multivector import Multivector, contract, geometric_product
 from cliffsphere.seven_sphere import (
     J_TRIPLES,
     build_J,
@@ -36,7 +36,7 @@ from cliffsphere.seven_sphere import (
     raw_score_7,
 )
 
-from .oracles import naive_contract, naive_product
+from .oracles import naive_contract, naive_product, norm
 
 SEEDS_20 = list(range(20))
 

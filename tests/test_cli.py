@@ -38,6 +38,10 @@ CSV_HEADER = [
 ]
 
 
+#: numpy's build record of its BLAS.
+BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+
+
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -187,9 +191,33 @@ def test_manifest_schema(tmp_path, command):
     environment = manifest["environment"]
     assert environment["numpy"] == np.__version__
     assert environment["machine"] == platform.machine()
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert environment["blas"] == {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+    blas = {key: BLAS.get(key) for key in ("name", "version", "openblas configuration")}
+    assert environment["blas"] == {**blas, **{"corename": core for core in [cli._blas_corename()] if core}}
     assert ("OPENBLAS_CORETYPE" in environment) == ("OPENBLAS_CORETYPE" in os.environ)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or BLAS.get("name") != "scipy-openblas",
+                    reason="OPENBLAS_CORETYPE selects x86-64 OpenBLAS kernels")
+def test_manifest_names_the_running_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel as it loads, and the build's "openblas
+    # configuration" names only its target: the manifest asks the library
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "cliffsphere", "s7", "--out", "x"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "x" / "manifest.json").read_text())["environment"]["blas"]["corename"] == "Haswell"
+
+
+def test_manifest_leaves_out_a_kernel_that_the_blas_does_not_name(tmp_path, monkeypatch):
+    # a BLAS other than scipy-openblas has no call that names its kernel
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+    cli._blas_corename.cache_clear()
+    try:
+        assert main(["s7", "--out", str(tmp_path)]) == 0
+    finally:
+        cli._blas_corename.cache_clear()
+    blas = json.loads((tmp_path / "manifest.json").read_text())["environment"]["blas"]
+    assert sorted(blas) == ["name", "openblas configuration", "version"]
 
 
 def test_manifest_records_the_blas_kernel_when_it_is_set(tmp_path, monkeypatch):
@@ -717,10 +745,10 @@ def test_a_failing_walker_is_an_internal_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(epr, "_usable_cpus", lambda: 2)
     real = epr._count_plus
 
-    def failing(seed, cuts):
-        if cuts[0] > 0:
+    def failing(seed, lo, hi):
+        if lo > 0:
             raise RuntimeError("the second walker lost its words")
-        return real(seed, cuts)
+        return real(seed, lo, hi)
 
     monkeypatch.setattr(epr, "_count_plus", failing)
     code = main(["simulate", "--out", str(tmp_path / "x")])

@@ -19,7 +19,6 @@ from cliffsphere.epr import (
     marginal_average,
     mean_residual_norms,
     orientation_counts,
-    orientation_prefix_counts,
     sweep,
 )
 from cliffsphere.frames import abstract_product
@@ -68,7 +67,7 @@ def test_lambda_stream_reproducible_prefix():
     assert list(lambda_stream(42, 10)) == SEED42_PREFIX
     assert [int(lambda_stream(42, 1, start=i)[0]) for i in range(10)] == SEED42_PREFIX
     n_plus = np.cumsum(np.array(SEED42_PREFIX) == 1)
-    assert [c.n_plus for c in orientation_prefix_counts(42, range(1, 11))] == n_plus.tolist()
+    assert [orientation_counts(42, n).n_plus for n in range(1, 11)] == n_plus.tolist()
 
 
 def test_lambda_stream_chunking_is_order_insensitive():
@@ -103,8 +102,6 @@ def test_orientation_counts_reject_out_of_range_seed(seed):
     # checked before the generator is built, where np.uint64 raises OverflowError
     with pytest.raises(ValueError, match="seed"):
         orientation_counts(seed, 4)
-    with pytest.raises(ValueError, match="seed"):
-        orientation_prefix_counts(seed, [1, 4])
 
 
 def test_orientation_counts_accept_extreme_seeds():
@@ -117,8 +114,6 @@ def test_orientation_counts_accept_extreme_seeds():
 def test_orientation_counts_refuse_no_trials(n):
     with pytest.raises(ValueError, match="n_trials"):
         orientation_counts(5, n)
-    with pytest.raises(ValueError, match="ascending"):
-        orientation_prefix_counts(5, [n, 3])
 
 
 @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
@@ -138,40 +133,36 @@ def force_walkers(monkeypatch, walkers: int) -> None:
     monkeypatch.setattr(epr, "_usable_cpus", lambda: walkers)
 
 
+def prefix_counts(seed: int, n: int) -> list[tuple[int, int, int]]:
+    """(k, n_plus, n_minus) of trials 0..k-1 for k = 1..n, from the cumulative
+    sum of the oracle's stream, built in one piece by a fresh generator."""
+    n_plus = np.cumsum(lambda_stream(seed, n) == 1).tolist()
+    return [(k, p, k - p) for k, p in enumerate(n_plus, start=1)]
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 1000])
 def test_the_walk_continues_the_stream_across_chunk_ends(monkeypatch, chunk):
-    # oracle: a direct count over the whole stream, from a fresh generator;
     # on one walker and on two, at sizes on both sides of chunk ends and of
-    # the second walker's first trial, some of them twice
+    # the second walker's first trial of the longest walk, some of them twice
     monkeypatch.setattr(epr, "COUNT_CHUNK", chunk)
     n = 3 * chunk + 2
-    edge = n // 2  # where the second walker's span starts
+    edge = n // 2  # where the second walker's span of the n-trial walk starts
     sizes = sorted([1, 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk,
                     edge - 1, edge, edge, edge + 1, n - 1, n, n])
-    prefix = np.cumsum(lambda_stream(77, n) == 1)
-    want = [(k, int(prefix[k - 1]), k - int(prefix[k - 1])) for k in sizes]
+    want = prefix_counts(77, n)
     for walkers in (1, 2):
         force_walkers(monkeypatch, walkers)
-        counts = orientation_prefix_counts(77, sizes)
-        assert [(c.n, c.n_plus, c.n_minus) for c in counts] == want
-        assert orientation_counts(77, n) == counts[-1]
+        counts = [orientation_counts(77, k) for k in sizes]
+        assert [(c.n, c.n_plus, c.n_minus) for c in counts] == [want[k - 1] for k in sizes]
 
 
 def test_orientation_prefix_counts_match_cumsum():
     n = 2 * COUNT_CHUNK + 7
-    prefix = np.cumsum(lambda_stream(8, n) == 1)
+    want = prefix_counts(8, n)
     sizes = [1, 2, 99, COUNT_CHUNK - 1, COUNT_CHUNK, COUNT_CHUNK, COUNT_CHUNK + 1,
              2 * COUNT_CHUNK, n]
-    counts = orientation_prefix_counts(8, sizes)
-    assert [c.n for c in counts] == sizes
-    assert [c.n_plus for c in counts] == [int(prefix[k - 1]) for k in sizes]
-    assert all(c.n_plus + c.n_minus == c.n for c in counts)
-
-
-def test_orientation_prefix_counts_reject_bad_sizes():
-    for sizes in ([], [0, 5], [10, 5]):
-        with pytest.raises(ValueError, match="ascending"):
-            orientation_prefix_counts(1, sizes)
+    counts = [orientation_counts(8, k) for k in sizes]
+    assert [(c.n, c.n_plus, c.n_minus) for c in counts] == [want[k - 1] for k in sizes]
 
 
 def test_orientation_counts_memory_is_bounded_by_the_chunk(monkeypatch):
@@ -194,9 +185,9 @@ def spans_walked(monkeypatch) -> list[tuple[str, int, int]]:
     """(thread name, first trial, end) of every span walked from now on."""
     real, spans = epr._count_plus, []
 
-    def recorded(seed, cuts):
-        spans.append((threading.current_thread().name, cuts[0], cuts[-1]))
-        return real(seed, cuts)
+    def recorded(seed, lo, hi):
+        spans.append((threading.current_thread().name, lo, hi))
+        return real(seed, lo, hi)
 
     monkeypatch.setattr(epr, "_count_plus", recorded)
     return spans
@@ -205,7 +196,7 @@ def spans_walked(monkeypatch) -> list[tuple[str, int, int]]:
 def test_a_walk_of_one_chunk_starts_no_thread(monkeypatch):
     force_walkers(monkeypatch, epr.MAX_WALKERS)
     spans = spans_walked(monkeypatch)
-    orientation_prefix_counts(5, [3, COUNT_CHUNK])
+    orientation_counts(5, COUNT_CHUNK)
     assert spans == [(threading.current_thread().name, 0, COUNT_CHUNK)]
 
 
@@ -231,16 +222,31 @@ def test_a_failing_walker_fails_the_call_and_leaves_no_thread(monkeypatch):
     force_walkers(monkeypatch, 2)
     real = epr._count_plus
 
-    def failing(seed, cuts):
-        if cuts[0] > 0:
-            raise WalkerFault(f"no words from block {cuts[0]}")
-        return real(seed, cuts)
+    def failing(seed, lo, hi):
+        if lo > 0:
+            raise WalkerFault(f"no words from block {lo}")
+        return real(seed, lo, hi)
 
     monkeypatch.setattr(epr, "_count_plus", failing)
     before = threading.active_count()
     with pytest.raises(WalkerFault, match="no words from block"):
         orientation_counts(5, 4 * COUNT_CHUNK)
     assert threading.active_count() == before
+
+
+def test_mean_residual_norms_match_the_cumsum_oracle_bit_for_bit(monkeypatch):
+    # at the chunk ends of one walker and of two, and in any order of sizes:
+    # each (seed, n) is its own walk
+    sizes = [COUNT_CHUNK + 1, 1, COUNT_CHUNK, 2 * COUNT_CHUNK + 7, 99]
+    a, b = [0.6, 0.8, 0.0], EY
+    scale = float(np.linalg.norm(np.cross(unit_vector(a), unit_vector(b))))
+    oracle = {seed: prefix_counts(seed, max(sizes)) for seed in range(3)}
+    want = np.mean([[abs(oracle[seed][n - 1][1] - oracle[seed][n - 1][2]) / n * scale for n in sizes]
+                    for seed in oracle], axis=0)
+    for walkers in (1, 2):
+        force_walkers(monkeypatch, walkers)
+        got = mean_residual_norms(a, b, range(3), sizes)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mean_residual_norms_match_literal_prefix_sums():

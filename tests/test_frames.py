@@ -19,13 +19,11 @@ from cliffsphere.multivector import (
     Multivector,
     contract,
     geometric_product,
-    grade_part,
-    norm,
     scalar_part,
     unit_vector,
 )
 
-from .oracles import abstract_coeffs, abstract_to_embedded, standard_score
+from .oracles import abstract_coeffs, abstract_to_embedded, grade_part, norm, standard_score
 
 EPS = {
     (1, 2): 3,

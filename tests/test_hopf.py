@@ -26,16 +26,13 @@ from cliffsphere.multivector import (
     Multivector,
     contract,
     geometric_product,
-    norm,
-    reversion,
-    rotor_exp,
     scalar_part,
     unit_vector,
     wedge,
     _sandwich,
 )
 
-from .oracles import null_limit_rows, sandwich_rotation
+from .oracles import norm, null_limit_rows, reversion, rotor_exp, sandwich_rotation
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])

@@ -32,13 +32,10 @@ from cliffsphere.multivector import (
     Multivector,
     contract,
     geometric_product,
-    norm,
-    reversion,
-    rotor_exp,
     wedge,
 )
 
-from .oracles import _blade_table, flip_kernel_sign
+from .oracles import _blade_table, flip_kernel_sign, norm, reversion, rotor_exp
 
 
 def test_full_suite_all_pass():

@@ -20,11 +20,7 @@ from cliffsphere.multivector import (
     contract,
     geometric_product,
     grade_norms,
-    grade_part,
-    norm,
     render,
-    reversion,
-    rotor_exp,
     scalar_part,
     unit_vector,
     wedge,
@@ -32,9 +28,12 @@ from cliffsphere.multivector import (
 
 from .oracles import (
     flip_kernel_sign,
+    grade_part,
     naive_contract,
+    naive_grade_filter,
     naive_product,
     naive_wedge,
+    norm,
     rotation_matrix_2d,
     series_exp,
     sign_table_product,
@@ -395,24 +394,30 @@ def test_vector_product_decomposes_into_contract_plus_wedge():
 
 
 # -- grade projection -----------------------------------------------------------
+# the package projects by grade through the grade row of its Cayley tables:
+# `grade_norms`, `_rotor_coeffs`' bivector check and the Fano trivector's
 
 
 def test_grade_part_projects():
     x = Multivector(3, [1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])  # 1 + e1 + e12
-    assert np.array_equal(grade_part(x, 1).coeffs, e(3, 1).coeffs)
+    grades = multivector._tables(3)[2]
+    assert np.array_equal(np.where(grades == 1, x.coeffs, 0.0), e(3, 1).coeffs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3, 7]))
 def test_grade_part_idempotent_and_complete(seed, dim):
+    # oracle: the grade filter that counts each mask's generators itself
     rng = np.random.default_rng(seed)
-    x = Multivector(dim, rng.normal(size=1 << dim))
+    x = rng.normal(size=1 << dim)
+    grades = multivector._tables(dim)[2]
     total = np.zeros(1 << dim)
     for g in range(dim + 1):
-        p = grade_part(x, g)
-        assert np.array_equal(grade_part(p, g).coeffs, p.coeffs)
-        total = total + p.coeffs
-    assert np.array_equal(total, x.coeffs)
+        p = np.where(grades == g, x, 0.0)
+        assert np.array_equal(p, naive_grade_filter(x, g))
+        assert np.array_equal(np.where(grades == g, p, 0.0), p)
+        total = total + p
+    assert np.array_equal(total, x)
 
 
 def test_grade_norms_accounts_for_every_grade():
@@ -425,58 +430,61 @@ def test_grade_norms_accounts_for_every_grade():
 
 
 def test_reversion_signs():
-    assert np.array_equal(
-        reversion(Multivector.blade(3, 0b011)).coeffs,
-        Multivector.blade(3, 0b011, -1.0).coeffs,
-    )
-    assert scalar_part(reversion(Multivector.scalar(3, 2.0))) == 2.0
-    assert np.array_equal(reversion(e(3, 2)).coeffs, e(3, 2).coeffs)
+    sign = multivector._reversion_sign(3)
+    assert sign[0b011] == -1.0 and sign[0] == 1.0 and sign[0b010] == 1.0
     # grade 3 flips: (-1)^(3*2/2) = -1
-    I = Multivector.volume(3)
-    assert np.array_equal(reversion(I).coeffs, -I.coeffs)
-
-
-def test_norm_zero_and_rotor_norm():
-    assert norm(Multivector(3, np.zeros(8))) == 0.0
-    B = Multivector.blade(3, 0b011)
-    for theta in (0.0, 0.3, 1.0, math.pi):
-        assert abs(norm(rotor_exp(B, theta)) - 1.0) < 1e-15
+    assert sign[0b111] == -1.0
+    for dim in range(1, 9):
+        want = [(-1.0) ** (g * (g - 1) // 2) for g in map(int.bit_count, range(1 << dim))]
+        assert multivector._reversion_sign(dim).tolist() == want
 
 
 # -- rotors -----------------------------------------------------------------------
+# `_rotor_coeffs` builds every rotor of the package, one or a batch
+
+
+def rotor_coeffs(B, theta):
+    """exp(B theta) for the coefficients B of a unit bivector, by `math.sin`
+    and `math.cos`."""
+    return multivector._rotor_coeffs(B, math.sin(theta), math.cos(theta))
+
+
+def test_norm_zero_and_rotor_norm():
+    assert set(grade_norms(Multivector(3, np.zeros(8))).values()) == {0.0}
+    B = Multivector.blade(3, 0b011).coeffs
+    for theta in (0.0, 0.3, 1.0, math.pi):
+        assert abs(np.linalg.norm(rotor_coeffs(B, theta)) - 1.0) < 1e-15
 
 
 def test_rotor_exp_closed_form_against_series_oracle():
-    B = Multivector.blade(3, 0b011)
+    B = Multivector.blade(3, 0b011).coeffs
     for theta in (0.0, 0.25, math.pi / 2, math.pi, 2.5):
-        got = rotor_exp(B, theta)
-        want = series_exp(B.coeffs, theta)
-        assert np.max(np.abs(got.coeffs - want)) < 1e-13
+        assert np.max(np.abs(rotor_coeffs(B, theta) - series_exp(B, theta))) < 1e-13
 
 
 def test_rotor_exp_special_angles():
-    B = Multivector.blade(3, 0b011)
-    assert mv_close(rotor_exp(B, 0.0), Multivector.scalar(3, 1.0), 0.0)
-    assert mv_close(rotor_exp(B, math.pi), Multivector.scalar(3, -1.0), 1e-15)
-    assert mv_close(rotor_exp(B, math.pi / 2), B, 1e-15)
+    B = Multivector.blade(3, 0b011).coeffs
+    assert np.array_equal(rotor_coeffs(B, 0.0), Multivector.scalar(3, 1.0).coeffs)
+    assert np.linalg.norm(rotor_coeffs(B, math.pi) - Multivector.scalar(3, -1.0).coeffs) <= 1e-15
+    assert np.linalg.norm(rotor_coeffs(B, math.pi / 2) - B) <= 1e-15
 
 
 def test_rotor_exp_rejects_bad_generators():
     with pytest.raises(ValueError, match="pure bivector"):
-        rotor_exp(e(3, 1), 0.5)
+        rotor_coeffs(e(3, 1).coeffs, 0.5)
     with pytest.raises(ValueError, match="unit bivector"):
-        rotor_exp(Multivector.blade(3, 0b011, 2.0), 0.5)
+        rotor_coeffs(Multivector.blade(3, 0b011, 2.0).coeffs, 0.5)
 
 
 def test_rotor_reversion_product_is_identity():
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        c = random_unit(rng)
-        B = contract(Multivector.volume(3), Multivector.from_vector(c))
-        R = rotor_exp(B, rng.uniform(-3, 3))
-        assert mv_close(
-            geometric_product(R, reversion(R)), Multivector.scalar(3, 1.0), 1e-12
-        )
+    c = np.array([random_unit(rng) for _ in range(100)])
+    B = multivector._product("contract", Multivector.volume(3).coeffs, multivector._vector_coeffs(c, 3))
+    theta = rng.uniform(-3, 3, 100)
+    R = multivector._rotor_coeffs(B, np.sin(theta), np.cos(theta))
+    residual = multivector._product("geometric", R, R * multivector._reversion_sign(3))
+    residual[:, 0] -= 1.0
+    assert np.max(np.linalg.norm(residual, axis=1)) <= 1e-12
 
 
 def test_rotor_sandwich_rotates_by_twice_the_angle():
@@ -490,16 +498,10 @@ def test_rotor_sandwich_rotates_by_twice_the_angle():
         w /= np.linalg.norm(w)
         B = wedge(Multivector.from_vector(u), Multivector.from_vector(w))
         theta = rng.uniform(-2, 2)
-        R = rotor_exp(B, theta)
         v = rng.uniform(-1, 1) * u + rng.uniform(-1, 1) * w
-        out = geometric_product(
-            geometric_product(R, Multivector.from_vector(v)), reversion(R)
-        )
-        coords = np.array([np.dot(v, u), np.dot(v, w)])
-        want = rotation_matrix_2d(2 * theta) @ coords
-        got = out.coeffs[[1, 2, 4]]
-        want_vec = want[0] * u + want[1] * w
-        assert np.max(np.abs(got - want_vec)) < 1e-10
+        got = multivector._sandwich(rotor_coeffs(B.coeffs, theta)[None], v)[0]
+        want = rotation_matrix_2d(2 * theta) @ np.array([np.dot(v, u), np.dot(v, w)])
+        assert np.max(np.abs(got - (want[0] * u + want[1] * w))) < 1e-10
 
 
 # -- construction and rendering ----------------------------------------------------
@@ -628,7 +630,7 @@ def test_rotor_exp_keeps_its_single_row_arithmetic():
     for angle in (0.01, -1.3, 2.9):
         want = math.sin(angle) * B.coeffs
         want[0] += math.cos(angle)
-        assert rotor_exp(B, angle).coeffs.tobytes() == want.tobytes()
+        assert rotor_coeffs(B.coeffs, angle).tobytes() == want.tobytes()
 
 
 def test_batched_rotor_coefficients_validate_every_row():
@@ -638,7 +640,7 @@ def test_batched_rotor_coefficients_validate_every_row():
     angles = np.array([0.1, 0.2, 0.3])
     R = multivector._rotor_coeffs(B, np.sin(angles), np.cos(angles))
     for row, b, angle in zip(R, B, angles):
-        assert row.tobytes() == rotor_exp(Multivector(3, b), angle).coeffs.tobytes()
+        assert row.tobytes() == rotor_coeffs(b, angle).tobytes()
     not_pure = B.copy()
     not_pure[2, 1] = 0.5
     with pytest.raises(ValueError, match="pure bivector"):

@@ -1,8 +1,9 @@
 """The package's public surface: every exported name resolves, from the
 module that defines it, and nothing else does; every export and class member
 has a reader in the package; its caches hand out read-only arrays; a hopf
-run builds no rotor twice; importing the CLI loads no pool module; and the
-test settings report a failing property test like any other."""
+run builds no rotor twice; one walk draws the orientation stream; importing
+the CLI loads no pool module; and the test settings report a failing
+property test like any other."""
 
 import ast
 import dataclasses
@@ -27,15 +28,19 @@ REMOVED = (
     "correlation_standard",
     "equation_suite",
     "FiberProbe",
+    "grade_part",
     "HiddenBasis",
     "OrientedFrame",
     "parallel_transport_check",
     "Rotor",
     "make_rotor",
+    "norm",
     "quaternion_point",
     "raw_score_alice",
     "raw_score_bob",
+    "reversion",
     "rotate_vector",
+    "rotor_exp",
     "standard_score",
     "TrialRecord",
     "trial_records",
@@ -46,9 +51,9 @@ REMOVED = (
 TEST_ONLY_EXPORTS = {
     # the only code that computes the marginal averages (acceptance criterion 6)
     "marginal_average",
-    # the `Multivector` algebra that tests/oracles.py builds its references
-    # from; perfbench/child.py's set-up times `geometric_product` too
-    "geometric_product", "grade_part", "norm", "reversion", "rotor_exp",
+    # the product that tests/oracles.py builds its references from, and that
+    # perfbench/child.py's set-up times
+    "geometric_product",
 }
 
 #: Class members that no package module or script reads as an attribute, by
@@ -73,6 +78,7 @@ CACHED_CALLS = {
     "_blade_labels": [(3,)],
     "build_parser": [()],
     "_build_J": [()],
+    "_blas_corename": [()],
 }
 
 
@@ -103,7 +109,7 @@ def test_star_import_binds_exactly_all():
 
 def test_every_exported_name_comes_from_its_defining_module():
     assert set(cliffsphere.__all__) == {*cliffsphere._MODULE_OF, "__version__"}
-    assert len(cliffsphere.__all__) == 40  # 39 names and __version__
+    assert len(cliffsphere.__all__) == 36  # 35 names and __version__
     for name, module in cliffsphere._MODULE_OF.items():
         defining = importlib.import_module(f"cliffsphere.{module}")
         value = getattr(cliffsphere, name)
@@ -253,6 +259,59 @@ def test_every_file_is_written_through_one_path():
         for owner, call in _output_calls(tree)
     ]
     assert [(name, owner) for name, owner, _ in found] == [("cli.py", "_write_file")], found
+
+
+#: The walk's generator and its walker threads, by the names that reach them.
+WALK_NAMES = {"Philox", "Thread"}
+
+
+def _walk_names(tree):
+    """(enclosing top-level definition, name) for each use in `tree` of a
+    name in `WALK_NAMES`: a bare name, an attribute (``threading.Thread``),
+    an import or a string (``getattr(np.random, "Philox")``)."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                name = node.value if isinstance(node, ast.Constant) else None
+            if name in WALK_NAMES:
+                found.append((getattr(top, "name", "<module>"), name))
+    return found
+
+
+def test_the_walk_guard_finds_each_other_walk():
+    tree = ast.parse(textwrap.dedent("""
+        from numpy.random import Philox
+        import threading as th
+
+        def other_walk(seed):
+            words = np.random.Philox(key=seed).random_raw(4)
+            th.Thread(target=print).start()
+            return getattr(np.random, "Philox")
+
+        def fine(seed):
+            threading.current_thread()
+            return np.random.default_rng(seed), "a Philox stream"
+    """))
+    assert [owner for owner, _ in _walk_names(tree)] == ["<module>"] + ["other_walk"] * 3
+
+
+def test_one_walk_draws_the_orientation_stream():
+    # every count comes from `epr.orientation_counts`, whose walkers each
+    # walk one span with `_count_plus`: a second generator of the stream or
+    # a second walker pool would be a second walk, as `lambda_stream` once was
+    found = {
+        (path.name, owner)
+        for path, tree in _package_trees().items() if path.parent.name == "cliffsphere"
+        for owner, _ in _walk_names(tree)
+    }
+    assert found == {("epr.py", "_count_plus"), ("epr.py", "orientation_counts")}
 
 
 def _member_names(node):

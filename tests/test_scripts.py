@@ -46,3 +46,20 @@ def test_convergence_study_tabulates_each_size():
     lines = run_script("convergence_study.py", "--seeds", "2", "--sizes", "100,1000")
     assert [line.split()[0] for line in lines[1:3]] == ["100", "1000"]
     assert lines[-1].startswith("fitted log-log slope over 2 seeds:")
+
+
+#: The study's stdout for two seeds at 100, 1000 and 10000 trials; any change
+#: to the counts of a (seed, n) or to their average shows here.
+CONVERGENCE_2_SEEDS = """\
+         n   mean residual     1/sqrt(n)
+       100    6.000000e-02  1.000000e-01
+      1000    3.500000e-02  3.162278e-02
+     10000    1.340000e-02  1.000000e-02
+
+fitted log-log slope over 2 seeds: -0.3255 (target -0.5)
+"""
+
+
+def test_convergence_study_prints_its_pinned_table():
+    lines = run_script("convergence_study.py", "--seeds", "2", "--sizes", "100,1000,10000")
+    assert "\n".join(lines) + "\n" == CONVERGENCE_2_SEEDS

@@ -13,9 +13,6 @@ from cliffsphere.multivector import (
     contract,
     geometric_product,
     grade_norms,
-    grade_part,
-    norm,
-    reversion,
     scalar_part,
 )
 from cliffsphere.seven_sphere import (
@@ -28,7 +25,15 @@ from cliffsphere.seven_sphere import (
     standard_score_7,
 )
 
-from .oracles import flip_kernel_sign, naive_contract, naive_grade_filter, naive_product
+from .oracles import (
+    flip_kernel_sign,
+    grade_part,
+    naive_contract,
+    naive_grade_filter,
+    naive_product,
+    norm,
+    reversion,
+)
 
 E1 = np.array([1.0, 0.0, 0.0])
 
