@@ -396,7 +396,7 @@ def cmd_identities(v: dict, given: dict, seed: int) -> _Run:
                                   inject_sign_flip=v["inject_sign_flip"])
     n_pass = sum(1 for r in results if r.passed)
     lines = [
-        f"identity suite: tolerance {v['tolerance']:g}, {v['pairs']} vector pairs",
+        f"identity suite: exact on the basis, tolerance {v['tolerance']:g}, {v['pairs']} Cl(3) oracle pairs",
         *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:55s} max residual {r.residual:.3e}  tol {r.tolerance:.1e}"
           for r in results),
         f"{n_pass}/{len(results)} checks passed",
@@ -475,10 +475,10 @@ def cmd_s7(v: dict, given: dict, seed: int) -> _Run:
 COMMANDS = {
     "identities": ("run the verification suite", cmd_identities, (
         ("--tolerance", dict(type=float, default=DEFAULT_TOL,
-                             help="threshold for the floating algebraic identities"), _check_tolerance),
-        ("--pairs", dict(type=int, default=1000,
-                         help=f"random unit-vector pairs of the score-expansion, combined-identity and "
-                              f"duality checks, per orientation (1 to {MAX_PAIRS})"), _check_pairs),
+                             help="threshold of the naive-oracle and rotor-unit checks"), _check_tolerance),
+        ("--pairs", dict(type=int, default=20,
+                         help=f"random dense multivector pairs of the Cl(3) naive-oracle check (1 to "
+                              f"{MAX_PAIRS}); the bilinear identities run exactly on the basis"), _check_pairs),
         ("--inject-sign-flip", dict(action="store_true",
                                     help="test mode: corrupt a structure constant; the suite must fail"), None),
     )),

@@ -1,32 +1,25 @@
 """Self-contained verification suite for the algebra and frame identities.
 
 Each check evaluates one identity and reports its worst residual against a
-tolerance.  Exact checks carry tolerance 0 (associativity counts the wrong
-Cayley mask pairs and packed sign-bit triples); floating identities default
-to 1e-12 absolute, overridable, and only the rotor-rotation bound is fixed.
-`run_identity_checks` runs all 31 checks in a fixed order and draws every
-random input from one stream seeded by `seed`, so no two checks share inputs.
+tolerance; 27 of the 31 are exact, with tolerance 0.  Associativity counts
+the wrong Cayley mask pairs and packed sign-bit triples.  A bilinear
+identity holds for all inputs when it holds on every ordered pair of basis
+elements, whose coefficients are 0 or +-1 and whose floats are exact: the
+frame subalgebra, score expansion, combined identity, duality, vector
+decomposition and isomorphism run on read-only basis-pair tables, and
+score-square on the 3 basis scores.  Random inputs, each drawn as one whole
+array from one stream seeded by `seed`, remain where the basis cannot
+speak: the rotor checks, not multilinear in the angle, and the dense
+naive-oracle products, the only checks to reach the kernel's batch layouts.
+A batched check's residual is its largest row norm, so a NaN row fails it.
+Each orientation's frame checks read one table of its frame and pair
+products, built once.  Only `check_hidden_basis` sees `Multivector`s.
 
-The random-pair checks and the rotor checks draw each of their inputs as
-one whole array, and they and generator anticommutation evaluate every case
-at once on (N, 2**n) coefficient arrays through the product kernel; a
-check's residual is the largest row norm, so a NaN row fails it.  Each
-orientation's frame checks, score expansion and isomorphism included, read
-one table of its frame and pair products, built once.  Only
-`check_hidden_basis` sees `Multivector`s, which `hidden_basis` returns.
-
-The suite carries its own naive blade multiplier, which shares no code with
-the product kernel or its Cayley tables, so that the fast table-driven
-product is validated against an independent code path.  It writes each blade
-pair's generator lists side by side, [-1 pads, A ascending, B ascending, dim
-pads], and sorts all pairs in lockstep, a bounded chunk of int8 columns at a
-time, by 2 * dim rounds of odd-even adjacent transpositions; the parity of
-the swaps is the sign and the XOR of the generators the mask.  The table
-depends on the dimension alone, so, like the Cayley tables, it is built once
-per process per dimension, and it is read-only; it stays independent, since
-it is built by its own code, never from theirs.  Every oracle check still
-runs in full: its exhaustive comparison reads the table against the Cayley
-tables, and its dense random products scatter through it with
+The suite carries its own naive blade multiplier (`_naive_table`), which
+shares no code with the product kernel or its Cayley tables, so that the
+fast table-driven product is validated against an independent code path.
+Each oracle check compares the whole table with the Cayley tables and
+scatters its dense random products through it, a chunk of rows per
 `np.bincount`.  `inject_sign_flip` hands the abstract-side checks the
 structure constants with the wrong epsilon sign; it exists purely to
 demonstrate that the suite catches a mutated algebra.
@@ -73,8 +66,8 @@ FIXED_TOL = 1e-10
 #: Random cases of each rotor check.
 _ROTOR_CASES = 100
 
-#: Most random unit-vector pairs of one suite.  Peak memory grows with the
-#: pairs (≈390 MB at 10**6), so a larger count is refused before it allocates.
+#: Most dense Cl(3) oracle pairs of one suite.  Peak memory grows with the
+#: pairs (≈220 MB at 10**6), so a larger count is refused before it allocates.
 MAX_PAIRS = 10**6
 
 
@@ -149,11 +142,13 @@ def _naive_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _naive_product(x: np.ndarray, y: np.ndarray, masks: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Dense product of two coefficient vectors: every blade pair's term
-    sign * x_i * y_j summed onto its naive mask."""
-    terms = np.outer(x, y).ravel()
+    """Dense products of the rows x, y (r, 2**n): one `np.bincount` sums each
+    row k's terms sign * x_i * y_j, in one row's order, onto mask + k * 2**n."""
+    rows, size = x.shape
+    terms = (x[:, :, None] * y[:, None, :]).reshape(rows, -1)
     terms *= signs
-    return np.bincount(masks, weights=terms, minlength=len(x))
+    index = masks + np.arange(0, rows * size, size)[:, None]
+    return np.bincount(index.ravel(), weights=terms.ravel(), minlength=rows * size).reshape(rows, size)
 
 
 # -- helpers -------------------------------------------------------------------------
@@ -161,9 +156,9 @@ def _naive_product(x: np.ndarray, y: np.ndarray, masks: np.ndarray, signs: np.nd
 
 def _check_pairs(n_pairs: int) -> int:
     if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1: the random-pair checks would not run")
+        raise ValueError("n_pairs must be >= 1: the dense Cl(3) oracle check would multiply nothing")
     if n_pairs > MAX_PAIRS:
-        raise ValueError(f"n_pairs must be <= {MAX_PAIRS}, got {n_pairs}: more would not fit in memory")
+        raise ValueError(f"n_pairs must be <= {MAX_PAIRS}, got {n_pairs}: 10**6 already peak near 220 MB")
     return n_pairs
 
 
@@ -187,21 +182,26 @@ def _worst(rows) -> float:
 _ONE3 = np.eye(8)[0]
 
 
+def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (m * m, k) left and right factors of each ordered pair of m rows."""
+    m = len(rows)
+    left, right = np.repeat(rows, m, axis=0), np.tile(rows, (m, 1))
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
+#: The 9 ordered pairs of e1, e2, e3 and the 16 of 1, beta_1, beta_2, beta_3.
+_VECTOR_PAIRS, _ELEMENT_PAIRS = _pairs(np.eye(3)), _pairs(np.eye(4))
+
+
 def _frame_matrix(frame) -> np.ndarray:
     """Columns are the coefficient vectors of 1 and beta_1..beta_3 of a frame table."""
     return np.stack([_ONE3, *frame[0]], axis=1)
 
 
-def _pair_products(rows: np.ndarray) -> np.ndarray:
-    """(m, m, 2**n) table of the geometric products r_j r_k of m coefficient
-    rows (m, 2**n), from one batched product."""
-    m = len(rows)
-    return _product("geometric", np.repeat(rows, m, axis=0), np.tile(rows, (m, 1))).reshape(m, m, -1)
-
-
 def _frame_table(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A frame's (3, 8) coefficients and its (3, 3, 8) pair products beta_j beta_k."""
-    return beta, _pair_products(beta)
+    return beta, _product("geometric", *_pairs(beta)).reshape(3, 3, 8)
 
 
 def _ordered_product(frame) -> np.ndarray:
@@ -218,7 +218,7 @@ EPS_TRIPLES = ((1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1), (2, 1, 3, -1), (3, 2, 1
 
 def check_generator_anticommutation(dim: int) -> CheckResult:
     """e_j e_k + e_k e_j = 2 delta_jk over all dim**2 generator pairs."""
-    jk = _pair_products(_vector_coeffs(np.eye(dim), dim))
+    jk = _product("geometric", *_pairs(_vector_coeffs(np.eye(dim), dim))).reshape(dim, dim, -1)
     anti = jk + jk.transpose(1, 0, 2)  # e_j e_k + e_k e_j
     anti[:, :, 0] -= 2.0 * np.eye(dim)
     return CheckResult(f"generator anticommutation, Cl({dim},0)", _worst(anti), 0.0)
@@ -259,11 +259,11 @@ def check_associativity(dim: int) -> CheckResult:
     return CheckResult(f"associativity of the blade table, Cl({dim},0)", float(wrong), 0.0)
 
 
-def check_vector_product_decomposition(rng, tol: float) -> CheckResult:
-    av = _vector_coeffs(_random_units(rng, 200), 3)
-    bv = _vector_coeffs(_random_units(rng, 200), 3)
+def check_vector_product_decomposition() -> CheckResult:
+    """ab = a . b + a ^ b on every ordered pair of basis vectors."""
+    av, bv = (_vector_coeffs(v, 3) for v in _VECTOR_PAIRS)
     diff = _product("geometric", av, bv) - _product("contract", av, bv) - _product("wedge", av, bv)
-    return CheckResult("vector product = contraction + wedge", _worst(diff), tol)
+    return CheckResult("vector product = contraction + wedge", _worst(diff), 0.0)
 
 
 def check_product_against_naive_oracle(dim: int, rng, tol: float, n_pairs: int) -> CheckResult:
@@ -272,10 +272,12 @@ def check_product_against_naive_oracle(dim: int, rng, tol: float, n_pairs: int) 
     masks, signs = _naive_table(dim)
     # exhaustive blade-level comparison of the fast Cayley tables
     worst = float(np.any(masks.reshape(size, size) != xor) or np.any(signs.reshape(size, size) != sign))
-    # dense random multivector pairs through both full product paths
+    # dense random pairs through both product paths, naive in chunks of rows (1 at Cl(7))
     x, y = rng.normal(size=(2, n_pairs, size))
-    naive = np.stack([_naive_product(xi, yi, masks, signs) for xi, yi in zip(x, y)])
-    worst = float(np.max(np.abs(_product("geometric", x, y) - naive), initial=worst))
+    fast, rows = _product("geometric", x, y), _chunk_rows(size * size)
+    for lo in range(0, n_pairs, rows):
+        naive = _naive_product(x[lo : lo + rows], y[lo : lo + rows], masks, signs)
+        worst = max(worst, float(np.max(np.abs(fast[lo : lo + rows] - naive))))
     return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", worst, tol)
 
 
@@ -313,7 +315,7 @@ def check_rotor_unit(rng, tol: float) -> CheckResult:
 # of its pair products, which `run_identity_checks` builds once per orientation.
 
 
-def check_frame_subalgebra(lam: int, frame, tol: float) -> CheckResult:
+def check_frame_subalgebra(lam: int, frame) -> CheckResult:
     """beta_j beta_k = -delta_jk - lam eps_jkl beta_l in the embedded frame."""
     beta, pairs = frame
     want = np.zeros_like(pairs)
@@ -321,7 +323,7 @@ def check_frame_subalgebra(lam: int, frame, tol: float) -> CheckResult:
     for j, k, l, s in EPS_TRIPLES:
         want[j - 1, k - 1] = float(-lam * s) * beta[l - 1]
     side = "right" if lam == 1 else "left"
-    return CheckResult(f"{side}-frame bivector subalgebra (lam={lam:+d})", _worst(pairs - want), tol)
+    return CheckResult(f"{side}-frame bivector subalgebra (lam={lam:+d})", _worst(pairs - want), 0.0)
 
 
 def check_frame_squares(lam: int, frame) -> CheckResult:
@@ -341,46 +343,44 @@ def check_ordered_product(lam: int, frame) -> CheckResult:
     return CheckResult(f"ordered frame product is {hand} (lam={lam:+d})", residual, 0.0)
 
 
-def check_score_expansion_embedded(lam: int, frame, rng, tol: float, n_pairs: int) -> CheckResult:
+def _dot_cross(lam: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows [-a.b, -lam a x b] over {1, beta_1, beta_2, beta_3}."""
+    return np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * _cross(a, b)], axis=1)
+
+
+def check_score_expansion_embedded(lam: int, frame) -> CheckResult:
     """{a_j beta_j}{b_k beta_k} = -a.b - lam (a x b).beta in the lam frame."""
     M = _frame_matrix(frame)
-    a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
+    a, b = _VECTOR_PAIRS
     got = _product("geometric", a @ M[:, 1:].T, b @ M[:, 1:].T)
-    want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * _cross(a, b)], axis=1)
-    return CheckResult(
-        f"frame score expansion, epsilon sign {'-' if lam == 1 else '+'} (lam={lam:+d})",
-        _worst(got - want @ M.T),
-        tol,
-    )
+    name = f"frame score expansion, epsilon sign {'-' if lam == 1 else '+'} (lam={lam:+d})"
+    return CheckResult(name, _worst(got - _dot_cross(lam, a, b) @ M.T), 0.0)
 
 
-def check_combined_identity(lam: int, rng, tol: float, n_pairs: int, eps_sign: float) -> CheckResult:
+def check_combined_identity(lam: int, eps_sign: float) -> CheckResult:
     """(mu.a)(mu.b) = -a.b - mu.(a x b) in the abstract algebra."""
-    a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
-    x, y = _score_coeffs(a, lam), _score_coeffs(b, lam)
-    got = np.stack(_structure_coeffs(x, y, eps_sign * lam), axis=1)
-    want = np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * _cross(a, b)], axis=1)
-    return CheckResult(f"combined orientation identity (lam={lam:+d})", _worst(got - want), tol)
+    a, b = _VECTOR_PAIRS
+    got = np.stack(_structure_coeffs(_score_coeffs(a, lam), _score_coeffs(b, lam), eps_sign * lam), axis=1)
+    return CheckResult(f"combined orientation identity (lam={lam:+d})", _worst(got - _dot_cross(lam, a, b)), 0.0)
 
 
-def check_duality(lam: int, rng, tol: float, n_pairs: int) -> CheckResult:
-    a, b = _random_units(rng, n_pairs), _random_units(rng, n_pairs)
-    worst = float(np.max(duality_check(a, b, lam)))
-    return CheckResult(f"orientation duality relation (lam={lam:+d})", worst, tol)
+def check_duality(lam: int) -> CheckResult:
+    worst = float(np.max(duality_check(*_VECTOR_PAIRS, lam)))
+    return CheckResult(f"orientation duality relation (lam={lam:+d})", worst, 0.0)
 
 
-def check_abstract_embedded_isomorphism(lam: int, frame, rng, tol: float, eps_sign: float) -> CheckResult:
+def check_abstract_embedded_isomorphism(lam: int, frame, eps_sign: float) -> CheckResult:
     M = _frame_matrix(frame)
-    x, y = rng.normal(size=(2, 200, 4))
+    x, y = _ELEMENT_PAIRS
     abstract = np.stack(_structure_coeffs(x.T, y.T, eps_sign * lam), axis=1)
     embedded = _product("geometric", x @ M.T, y @ M.T)
-    return CheckResult(f"abstract/embedded isomorphism (lam={lam:+d})", _worst(abstract @ M.T - embedded), tol)
+    return CheckResult(f"abstract/embedded isomorphism (lam={lam:+d})", _worst(abstract @ M.T - embedded), 0.0)
 
 
-def check_score_square(lam: int, rng, tol: float, eps_sign: float) -> CheckResult:
-    s = _score_coeffs(_random_units(rng, 200), lam)
+def check_score_square(lam: int, eps_sign: float) -> CheckResult:
+    s = _score_coeffs(np.eye(3), lam)  # the 3 basis scores
     got = np.stack(_structure_coeffs(s, s, eps_sign * lam), axis=1)
-    return CheckResult(f"standard score squares to -1 (lam={lam:+d})", _worst(got - [-1.0, 0, 0, 0]), tol)
+    return CheckResult(f"standard score squares to -1 (lam={lam:+d})", _worst(got - [-1.0, 0, 0, 0]), 0.0)
 
 
 def check_vector_basis_flip() -> CheckResult:
@@ -415,18 +415,18 @@ def check_mixed_orientation_rejected() -> CheckResult:
 
 def run_identity_checks(
     tolerance: float = DEFAULT_TOL,
-    n_pairs: int = 1000,
+    n_pairs: int = 20,
     seed: int = DEFAULT_SEED,
     inject_sign_flip: bool = False,
 ) -> list[CheckResult]:
     """Every clifford_core and frame property check, in a fixed order.
 
-    All random inputs come from one stream seeded by `seed`, drawn check by
-    check, so no two checks share inputs.  `n_pairs` random unit-vector pairs
-    feed six checks (score expansion, combined identity and duality, for both
-    orientations); the others draw 200 inputs, 20 and 5 oracle pairs, or 100 rotors.
+    The bilinear identities run exactly on the basis.  One stream seeded by
+    `seed` draws, check by check, `n_pairs` dense pairs for the Cl(3) naive
+    oracle, 5 for Cl(7) and 100 cases for each rotor check.
     `inject_sign_flip` corrupts the epsilon sign of the abstract structure
-    constants (test mode): the abstract-side checks must then fail.
+    constants (test mode): the abstract-side checks that multiply two
+    different directions must then fail.
     """
     _check_pairs(n_pairs)
     _check_tolerance(tolerance)
@@ -434,24 +434,24 @@ def run_identity_checks(
     rng = np.random.default_rng(seed)
     frames = {lam: _frame_table(_frame_coeffs(lam)) for lam in ORIENTATIONS}
     return [
-        check_frame_subalgebra(1, frames[1], tolerance),
+        check_frame_subalgebra(1, frames[1]),
         check_frame_squares(1, frames[1]),
         check_frame_squares(-1, frames[-1]),
         check_frame_anticommutation(1, frames[1]),
         check_frame_anticommutation(-1, frames[-1]),
         check_ordered_product(1, frames[1]),
         check_ordered_product(-1, frames[-1]),
-        check_frame_subalgebra(-1, frames[-1], tolerance),
-        check_score_expansion_embedded(1, frames[1], rng, tolerance, n_pairs),
-        check_score_expansion_embedded(-1, frames[-1], rng, tolerance, n_pairs),
-        check_combined_identity(1, rng, tolerance, n_pairs, eps_sign),
-        check_combined_identity(-1, rng, tolerance, n_pairs, eps_sign),
-        check_duality(1, rng, tolerance, n_pairs),
-        check_duality(-1, rng, tolerance, n_pairs),
-        check_abstract_embedded_isomorphism(1, frames[1], rng, tolerance, eps_sign),
-        check_abstract_embedded_isomorphism(-1, frames[-1], rng, tolerance, eps_sign),
-        check_score_square(1, rng, tolerance, eps_sign),
-        check_score_square(-1, rng, tolerance, eps_sign),
+        check_frame_subalgebra(-1, frames[-1]),
+        check_score_expansion_embedded(1, frames[1]),
+        check_score_expansion_embedded(-1, frames[-1]),
+        check_combined_identity(1, eps_sign),
+        check_combined_identity(-1, eps_sign),
+        check_duality(1),
+        check_duality(-1),
+        check_abstract_embedded_isomorphism(1, frames[1], eps_sign),
+        check_abstract_embedded_isomorphism(-1, frames[-1], eps_sign),
+        check_score_square(1, eps_sign),
+        check_score_square(-1, eps_sign),
         check_vector_basis_flip(),
         check_hidden_basis(1),
         check_hidden_basis(-1),
@@ -460,8 +460,8 @@ def run_identity_checks(
         check_generator_anticommutation(7),
         check_associativity(3),
         check_associativity(7),
-        check_vector_product_decomposition(rng, tolerance),
-        check_product_against_naive_oracle(3, rng, tolerance, n_pairs=20),
+        check_vector_product_decomposition(),
+        check_product_against_naive_oracle(3, rng, tolerance, n_pairs),
         check_product_against_naive_oracle(7, rng, tolerance, n_pairs=5),
         check_rotor_rotation(rng),
         check_rotor_unit(rng, tolerance),

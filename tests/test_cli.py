@@ -772,9 +772,9 @@ def test_a_later_s7_run_reuses_J(tmp_path, monkeypatch):
 #: sha256 of the whole stdout of a run with `--out out`, and its exit code:
 #: identities writes no data file, and hopf's residual lines reach none.
 GOLDEN_STDOUT = {
-    "identities --seed 42": (0, "a0d2dae7b98e5256a5fe8a55e6c915718beb75bfcfd6d5f69857ce2db15e2c94"),
+    "identities --seed 42": (0, "6f99c39e4d8ff18c6892b61ee6a7381356b664282422d9f881727d056332fbad"),
     "identities --pairs 50 --inject-sign-flip":
-        (1, "a6ce155955de8fe2108684e67e546e1969f2998b501812e578bd77d2027a5ed0"),
+        (1, "6ce8905793426bee2acabb53bcb32e3b972d0587d6f5374a4d10acf1a46ce5be"),
     "hopf": (0, "208a2ffeadd5220b2777d3412e972754c25824152cfc63737e475d84062e8b7e"),
     "hopf --psi-a 0.3 --phi-deg 40":
         (0, "0c25962bdaab76e74d550e773b057d9adf042a777e03cb2f28537f8e79bcf2e9"),
@@ -985,7 +985,7 @@ def test_identities_default_stdout_is_the_library_suite(tmp_path, capsys, monkey
     assert main(["identities", "--out", str(tmp_path)]) == 0
     results = run_identity_checks()
     assert capsys.readouterr().out.splitlines() == [
-        "identity suite: tolerance 1e-12, 1000 vector pairs",
+        "identity suite: exact on the basis, tolerance 1e-12, 20 Cl(3) oracle pairs",
         *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:55s} max residual {r.residual:.3e}  tol {r.tolerance:.1e}"
           for r in results),
         f"{len(results)}/{len(results)} checks passed",

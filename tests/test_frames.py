@@ -10,6 +10,7 @@ from cliffsphere.frames import (
     OrientationMixError,
     _frame_coeffs,
     _score_coeffs,
+    _structure_coeffs,
     abstract_product,
     duality_check,
     hidden_basis,
@@ -17,6 +18,7 @@ from cliffsphere.frames import (
 from cliffsphere.identities import check_combined_identity
 from cliffsphere.multivector import (
     Multivector,
+    _product,
     contract,
     geometric_product,
     scalar_part,
@@ -261,19 +263,10 @@ def test_duality_check_rows_match_single_pairs(lam):
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_combined_identity_residual(lam):
-    result = check_combined_identity(lam, np.random.default_rng(50 + lam), 1e-12, 300, -1.0)
-    assert result.passed, result
-
-
-class FixedNormals:
-    """Generator stand-in whose normal draws all repeat one vector, so a
-    random-pair check sees the pair (v, v) on every row."""
-
-    def __init__(self, v):
-        self.v = np.asarray(v, dtype=np.float64)
-
-    def normal(self, size):
-        return np.broadcast_to(self.v, size).copy()
+    # the suite's check runs on the basis pairs, exactly
+    result = check_combined_identity(lam, -1.0)
+    assert result.residual == 0.0 and result.tolerance == 0.0
+    assert not check_combined_identity(lam, 1.0).passed
 
 
 def test_combined_identity_degenerate_cases():
@@ -282,10 +275,10 @@ def test_combined_identity_degenerate_cases():
     # perpendicular: scalar part of the product is 0
     got = abstract_product(standard_score(a, 1), standard_score(b, 1))
     assert got.c0 == 0.0
-    # parallel: both sides are the scalar -1
-    got = abstract_product(standard_score(a, 1), standard_score(a, 1))
-    assert np.array_equal(abstract_coeffs(got), np.array([-1.0, 0, 0, 0]))
-    assert check_combined_identity(-1, FixedNormals(a), 0.0, 1, -1.0).residual == 0.0
+    # parallel: both sides are the scalar -1, at either orientation
+    for lam in (1, -1):
+        got = abstract_product(standard_score(a, lam), standard_score(a, lam))
+        assert np.array_equal(abstract_coeffs(got), np.array([-1.0, 0, 0, 0]))
 
 
 # -- isomorphism between the representations ------------------------------------------
@@ -330,11 +323,39 @@ def test_hidden_basis_volume_sign(lam):
         assert b.coeffs[0b111] == 0.0
 
 
+# The identity suite proves these bilinear identities on the basis pairs; the
+# tests below keep a random pair on the package functions themselves.
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from([1, -1]))
 def test_duality_and_identity_hold_for_arbitrary_unit_pairs(seed, lam):
     rng = np.random.default_rng(seed)
     a, b = random_unit(rng), random_unit(rng)
     assert duality_check(a, b, lam) < 1e-12
-    # the suite's check draws the same pair (a, b), up to rounding, from the seed
-    assert check_combined_identity(lam, np.random.default_rng(seed), 1e-12, 1, -1.0).passed
+    # (mu.a)(mu.b) = -a.b - mu.(a x b) in the abstract algebra
+    got = np.array(_structure_coeffs(*_score_coeffs(np.stack([a, b]), lam).T, -lam))
+    want = np.concatenate(([-np.dot(a, b)], -lam * np.cross(a, b)))
+    assert np.linalg.norm(got - want) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1, -1]))
+def test_embedded_score_expansion_holds_for_arbitrary_unit_pairs(seed, lam):
+    # {a_j beta_j}{b_k beta_k} = -a.b - lam (a x b).beta in the lam frame
+    rng = np.random.default_rng(seed)
+    a, b = random_unit(rng), random_unit(rng)
+    beta = _frame_coeffs(lam)
+    got = _product("geometric", a @ beta, b @ beta)
+    want = -np.dot(a, b) * Multivector.scalar(3, 1.0).coeffs - lam * np.cross(a, b) @ beta
+    assert np.linalg.norm(got - want) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1, -1]))
+def test_abstract_embedded_isomorphism_holds_for_arbitrary_pairs(seed, lam):
+    # the map 1, beta_j -> the frame carries `_structure_coeffs` to the geometric product
+    x, y = np.random.default_rng(seed).normal(size=(2, 4))
+    M = np.stack([Multivector.scalar(3, 1.0).coeffs, *_frame_coeffs(lam)], axis=1)
+    abstract = M @ np.array(_structure_coeffs(x, y, -lam))
+    assert np.linalg.norm(abstract - _product("geometric", M @ x, M @ y)) < 1e-12

@@ -5,18 +5,22 @@ import inspect
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cliffsphere import cli, identities, multivector
+from cliffsphere import cli, frames, identities, multivector
 from cliffsphere.identities import (
     CheckResult,
     _frame_coeffs,
     _frame_table,
     _naive_table,
+    check_abstract_embedded_isomorphism,
     check_associativity,
+    check_combined_identity,
+    check_duality,
     check_frame_anticommutation,
     check_frame_squares,
     check_frame_subalgebra,
@@ -25,7 +29,10 @@ from cliffsphere.identities import (
     check_product_against_naive_oracle,
     check_rotor_rotation,
     check_rotor_unit,
+    check_score_expansion_embedded,
+    check_score_square,
     check_vector_basis_flip,
+    check_vector_product_decomposition,
     run_identity_checks,
 )
 from cliffsphere.multivector import (
@@ -45,21 +52,29 @@ def test_full_suite_all_pass():
         assert r.passed, f"{r.name}: residual {r.residual}"
 
 
+#: The checks of bilinear identities, which run on the basis pairs alone.
+BASIS_CHECKS = (check_frame_subalgebra, check_score_expansion_embedded, check_combined_identity, check_duality,
+                check_abstract_embedded_isomorphism, check_score_square, check_vector_product_decomposition)
+
+
 def test_every_check_draws_its_own_random_units(monkeypatch):
-    # one stream for the whole suite: no check re-runs another's inputs
-    draws = []
+    # one stream for the whole suite: no check re-runs another's inputs, and
+    # only the rotor checks draw units; a bilinear check that drew again fails here
+    draws, callers = [], []
     real = identities._random_units
 
     def recording(rng, count):
         units = real(rng, count)
         draws.append(units.tobytes())
+        callers.append(sys._getframe(1).f_code.co_name)
         return units
 
     monkeypatch.setattr(identities, "_random_units", recording)
     run_identity_checks()
-    # 16 from the random-pair checks, one from each rotor check
-    assert len(draws) == 18
-    assert len(set(draws)) == 18
+    assert callers == ["check_rotor_rotation", "check_rotor_unit"]
+    assert len(set(draws)) == 2
+    for check in BASIS_CHECKS:
+        assert "rng" not in inspect.signature(check).parameters, check.__name__
 
 
 def test_checks_have_distinct_names():
@@ -71,7 +86,8 @@ def test_checks_have_distinct_names():
 def test_exact_checks_carry_zero_tolerance():
     results = run_identity_checks(n_pairs=10)
     exact = [r for r in results if r.tolerance == 0.0]
-    assert len(exact) == 14
+    # all but the two naive-oracle and the two rotor checks
+    assert len(exact) == 27
     for r in exact:
         assert r.residual == 0.0
 
@@ -87,6 +103,8 @@ def test_injected_sign_flip_is_caught():
         "abstract/embedded isomorphism (lam=+1)",
         "abstract/embedded isomorphism (lam=-1)",
     ]
+    # one basis pair's epsilon term comes out as -beta_l instead of beta_l
+    assert [r.residual for r in results if not r.passed] == [2.0] * 4
     # the embedded-frame checks stay untouched by the injection
     passed = {r.name for r in results if r.passed}
     assert any("frame score expansion" in name for name in passed)
@@ -116,7 +134,7 @@ def test_zero_tolerance_is_allowed():
 
 
 def test_suites_refuse_to_run_without_random_pairs():
-    # with no pairs the random-pair checks would pass without having run
+    # with no pairs the dense Cl(3) oracle check would pass without having multiplied
     with pytest.raises(ValueError, match="n_pairs"):
         run_identity_checks(n_pairs=0)
 
@@ -124,6 +142,80 @@ def test_suites_refuse_to_run_without_random_pairs():
 def test_suites_refuse_more_pairs_than_fit_in_memory():
     with pytest.raises(ValueError, match=r"n_pairs must be <= 1000000, got 1000001"):
         run_identity_checks(n_pairs=identities.MAX_PAIRS + 1)
+
+
+# -- the bilinear identities on the basis ---------------------------------------------
+
+
+@pytest.mark.parametrize("table, n", [(identities._VECTOR_PAIRS, 3), (identities._ELEMENT_PAIRS, 4)],
+                         ids=["vectors", "elements"])
+def test_basis_tables_list_every_ordered_pair_once(table, n):
+    left, right = table
+    assert left.shape == right.shape == (n * n, n)
+    for factor in table:
+        # every row is one basis row, and the table cannot be changed in place
+        assert set(factor.ravel().tolist()) == {0.0, 1.0} and factor.sum(axis=1).tolist() == [1.0] * n * n
+        assert not factor.flags.writeable
+    pairs = list(zip(left.argmax(axis=1).tolist(), right.argmax(axis=1).tolist()))
+    assert pairs == list(itertools.product(range(n), repeat=2))
+
+
+def eps_term_flipped(l, first):
+    """`_structure_coeffs` with the sign of one epsilon term of beta_l flipped:
+    s x_j y_k when `first`, else -s x_k y_j, for (j, k, l) cyclic, 1-based."""
+    real = frames._structure_coeffs
+    j, k = l % 3 + 1, (l + 1) % 3 + 1
+
+    def mutant(x, y, s):
+        out = list(real(x, y, s))
+        out[l] = out[l] - 2 * s * x[j] * y[k] if first else out[l] + 2 * s * x[k] * y[j]
+        return tuple(out)
+    return mutant
+
+
+def cross_term_dropped(i, first):
+    """`_cross` without one term of component i: a_j b_k when `first`, else
+    -a_k b_j, for (i, j, k) cyclic, 0-based."""
+    real = multivector._cross
+    j, k = (i + 1) % 3, (i + 2) % 3
+
+    def mutant(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        out = real(a, b)
+        out[..., i] -= a[..., j] * b[..., k] if first else -a[..., k] * b[..., j]
+        return out
+    return mutant
+
+
+def failed_checks(monkeypatch, name, mutant):
+    """The checks that fail when the modules that bind `name` bind `mutant`."""
+    for module in (frames, identities):
+        monkeypatch.setattr(module, name, mutant)
+    return [(r.name, r.tolerance) for r in run_identity_checks() if not r.passed]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("first", [True, False])
+def test_a_flipped_epsilon_term_is_caught_on_the_basis(monkeypatch, l, first):
+    assert failed_checks(monkeypatch, "_structure_coeffs", eps_term_flipped(l, first)) == [
+        ("combined orientation identity (lam=+1)", 0.0),
+        ("combined orientation identity (lam=-1)", 0.0),
+        ("abstract/embedded isomorphism (lam=+1)", 0.0),
+        ("abstract/embedded isomorphism (lam=-1)", 0.0),
+    ]
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+@pytest.mark.parametrize("first", [True, False])
+def test_a_dropped_cross_product_term_is_caught_on_the_basis(monkeypatch, i, first):
+    assert failed_checks(monkeypatch, "_cross", cross_term_dropped(i, first)) == [
+        ("frame score expansion, epsilon sign - (lam=+1)", 0.0),
+        ("frame score expansion, epsilon sign + (lam=-1)", 0.0),
+        ("combined orientation identity (lam=+1)", 0.0),
+        ("combined orientation identity (lam=-1)", 0.0),
+        ("orientation duality relation (lam=+1)", 0.0),
+        ("orientation duality relation (lam=-1)", 0.0),
+    ]
 
 
 # -- the naive oracle ------------------------------------------------------------------
@@ -135,6 +227,46 @@ def test_naive_table_matches_the_brute_force_oracle(dim):
     want = np.array(_blade_table(dim)).reshape(-1, 2)
     assert masks.tolist() == want[:, 0].tolist()
     assert signs.tolist() == want[:, 1].tolist()
+
+
+@pytest.mark.parametrize("dim, n_pairs", [(3, 20), (3, 1000), (7, 5)])
+def test_batched_naive_products_equal_one_pair_at_a_time(dim, n_pairs):
+    masks, signs = _naive_table(dim)
+    x, y = np.random.default_rng(n_pairs).normal(size=(2, n_pairs, 1 << dim))
+    one_at_a_time = [np.bincount(masks, weights=np.outer(a, b).ravel() * signs, minlength=1 << dim)
+                     for a, b in zip(x, y)]
+    assert identities._naive_product(x, y, masks, signs).tobytes() == np.stack(one_at_a_time).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 256])
+@pytest.mark.parametrize("wrong", [0, 19])
+def test_naive_oracle_chunks_see_every_row(monkeypatch, rows, wrong):
+    # 1 row a chunk, 3 with a ragged last chunk, and one chunk for all 20
+    real = identities._product
+
+    def one_row_off(kind, x, y):
+        out = real(kind, x, y)
+        out[wrong, 5] += 1.0
+        return out
+
+    monkeypatch.setattr(identities, "_product", one_row_off)
+    monkeypatch.setattr(identities, "_chunk_rows", lambda cells: rows)
+    assert check_product_against_naive_oracle(3, np.random.default_rng(0), 1e-12, n_pairs=20).residual > 0.5
+
+
+def test_naive_oracle_memory_is_its_inputs_and_a_few_chunks():
+    n_pairs = 20_000
+    check_product_against_naive_oracle(3, np.random.default_rng(0), 1e-12, n_pairs=1)  # fill the caches
+    tracemalloc.start()
+    try:
+        result = check_product_against_naive_oracle(3, np.random.default_rng(0), 1e-12, n_pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    # x, y and the fast product, 8 floats a row each; the naive terms of all
+    # rows at once would add 2 * 64 * 8 bytes a row
+    assert peak - 3 * n_pairs * 8 * 8 < 4 * multivector._CHUNK_BYTES
 
 
 def test_naive_table_memory_is_bounded_by_its_chunk():
@@ -460,7 +592,7 @@ def test_frame_table_checks_equal_per_pair_loops(monkeypatch, flip):
     for lam in (1, -1):
         frame = _frame_table(_frame_coeffs(lam))
         batched = (
-            check_frame_subalgebra(lam, frame, 0.0).residual,
+            check_frame_subalgebra(lam, frame).residual,
             check_frame_squares(lam, frame).residual,
             check_frame_anticommutation(lam, frame).residual,
             check_ordered_product(lam, frame).residual,
