@@ -1,16 +1,18 @@
 """Self-contained verification suite for the algebra and frame identities.
 
 Each check evaluates one identity and reports its worst residual against a
-tolerance; 27 of the 31 are exact, with tolerance 0.  Associativity counts
-the wrong Cayley mask pairs and packed sign-bit triples.  A bilinear
-identity holds for all inputs when it holds on every ordered pair of basis
-elements, whose coefficients are 0 or +-1 and whose floats are exact: the
-frame subalgebra, score expansion, combined identity, duality, vector
-decomposition and isomorphism run on read-only basis-pair tables, and
-score-square on the 3 basis scores.  Random inputs, each drawn as one whole
-array from one stream seeded by `seed`, remain where the basis cannot
-speak: the rotor checks, not multilinear in the angle, and the dense
-naive-oracle products, the only checks to reach the kernel's batch layouts.
+tolerance; 27 of the 31 are exact, with tolerance 0.  Associativity is
+proved on the blade pairs: it counts the Cayley masks that are not A ^ B
+and the sign bits that are not the GF(2)-bilinear extension of the
+generator block.  A bilinear identity holds for all inputs when it holds
+on every ordered pair of basis elements, whose coefficients are 0 or +-1
+and whose floats are exact: the frame subalgebra, score expansion,
+combined identity, duality, vector decomposition and isomorphism run on
+read-only basis-pair tables, and score-square on the 3 basis scores.
+Random inputs, each drawn as one whole array from one stream seeded by
+`seed`, remain where the basis cannot speak: the rotor checks, not
+multilinear in the angle, and the dense naive-oracle products, the only
+checks to reach the kernel's batch layouts.
 A batched check's residual is its largest row norm, so a NaN row fails it.
 Each orientation's frame checks read one table of its frame and pair
 products, built once.  Only `check_hidden_basis` sees `Multivector`s.
@@ -224,38 +226,23 @@ def check_generator_anticommutation(dim: int) -> CheckResult:
     return CheckResult(f"generator anticommutation, Cl({dim},0)", _worst(anti), 0.0)
 
 
-#: Butterfly masks of a 64-bit word, 0x5555... to 0x00000000FFFFFFFF: mask j
-#: keeps the bit positions whose bit j is 0.
-_BUTTERFLY = tuple(sum(1 << c for c in range(64) if not c >> j & 1) for j in range(6))
-
-
 def check_associativity(dim: int) -> CheckResult:
-    """(e_A e_B) e_C = e_A (e_B e_C) on every blade triple, exactly, as two
-    stricter laws: masks are A ^ B, and the sign bits p (1 for -1) satisfy
-    p[A,B] ^ p[A^B,C] ^ p[B,C] ^ p[A,B^C] = 0 at true (byte) XORs.  The
-    residual counts wrong pairs plus wrong triples.  Per block of A rows
-    within `_CHUNK_BYTES`, T[A, K] packs p[A, K^C] over C in 64-bit words,
-    doubled from P[A] by butterflies over the bits of K; the popcount of
-    P[A^B] ^ P[B] ^ T[A,B], complemented where p[A,B] = 1, counts wrong C."""
+    """(e_A e_B) e_C = e_A (e_B e_C) on every blade triple, exactly, proved on
+    the blade pairs by two laws: every mask is A ^ B, and every sign bit p
+    (1 for -1) is the GF(2)-bilinear extension of the generator block, p[A,B]
+    the parity of p[e_i, e_j] over i in A and j in B.  A bilinear p gives
+    p[A,B] ^ p[A^B,C] = p[A,B] ^ p[A,C] ^ p[B,C] = p[B,C] ^ p[A,B^C], so both
+    sides of every triple agree in mask and sign.  The laws are stricter:
+    twisting the signs by a cubic f, (-1)^(f(A)+f(B)+f(A^B)), keeps the
+    triple law and breaks bilinearity.  The residual counts the wrong pairs.
+    r[A] packs p[A, e_j] over the generators j, so p[A,B] is the parity of
+    popcount(r[A] & B)."""
     xor, sign, _ = _tables(dim)
-    size, words = 1 << dim, max(1, (1 << dim) >> 6)
-    blades, wrong, rows = np.arange(size, dtype=np.uint8), 0, _chunk_rows(size * words)
-    bits = np.zeros((size, 64 * words), dtype=bool)
-    bits[:, :size] = sign < 0
-    P = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    for a in np.split(blades, range(rows, size, rows)):
-        wrong += np.count_nonzero(xor[a] != a[:, None] ^ blades)
-        T = P[a][:, None]
-        for j in range(dim):
-            if j < 6:
-                swapped = (T >> (1 << j)) & _BUTTERFLY[j] | (T & _BUTTERFLY[j]) << (1 << j)
-            else:
-                swapped = T[..., np.arange(words) ^ (1 << (j - 6))]
-            T = np.concatenate([T, swapped], axis=1)
-        T ^= P.take(a[:, None] ^ blades, axis=0)
-        T ^= P
-        T ^= (sign[a] < 0)[..., None] * np.uint64((1 << min(size, 64)) - 1)
-        wrong += np.bitwise_count(T).sum()
+    blades, gens = np.arange(1 << dim, dtype=np.uint8), 1 << np.arange(dim)
+    wrong = np.count_nonzero(xor != blades[:, None] ^ blades)
+    block = (sign[np.ix_(gens, gens)] < 0).astype(np.intp)  # p[e_i, e_j]
+    r = ((blades[:, None] & gens > 0) @ block & 1) @ gens
+    wrong += np.count_nonzero(np.bitwise_count(r.astype(np.uint8)[:, None] & blades) & 1 != (sign < 0))
     return CheckResult(f"associativity of the blade table, Cl({dim},0)", float(wrong), 0.0)
 
 

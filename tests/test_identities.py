@@ -332,15 +332,17 @@ def associativity_by_loop(xor, sign) -> int:
     )
 
 
-def associativity_laws_by_loop(xor, sign) -> int:
-    """Blade pairs whose mask is not A ^ B, plus blade triples whose sign bits
-    p[A,B] ^ p[A^B,C] ^ p[B,C] ^ p[A,B^C] are not 0, one at a time; the
-    indices are true XORs, so the triples never read the mask table."""
+def bilinear_laws_by_loop(xor, sign) -> int:
+    """Blade pairs whose mask is not A ^ B, plus blade pairs whose sign bit
+    (1 for -1) is not the parity of the generator block's bits p[e_i, e_j]
+    over i in A and j in B, one pair and one generator pair at a time."""
+    dim = len(xor).bit_length() - 1
     p = (sign < 0).astype(int)
-    blades = range(len(xor))
-    pairs = sum(xor[a, b] != a ^ b for a, b in itertools.product(blades, repeat=2))
-    triples = sum(p[a, b] ^ p[a ^ b, c] ^ p[b, c] ^ p[a, b ^ c] for a, b, c in itertools.product(blades, repeat=3))
-    return int(pairs + triples)
+    blades, gens = range(len(xor)), range(dim)
+    extension = [[sum(p[1 << i, 1 << j] for i in gens if a >> i & 1 for j in gens if b >> j & 1) % 2 for b in blades]
+                 for a in blades]
+    return sum(int(xor[a, b] != a ^ b) + int(p[a, b] != extension[a][b])
+               for a, b in itertools.product(blades, repeat=2))
 
 
 def corrupt_tables(monkeypatch, dim, mutate):
@@ -382,58 +384,80 @@ def test_associativity_is_exact_and_makes_no_product(monkeypatch, dim):
 def test_associativity_counts_what_a_triple_loop_counts(monkeypatch, dim, mutate):
     xor, sign = corrupt_tables(monkeypatch, dim, mutate or (lambda xor, sign: None))
     residual = check_associativity(dim).residual
-    assert residual == associativity_laws_by_loop(xor, sign)
+    assert residual == bilinear_laws_by_loop(xor, sign)
     # the two laws are stricter than the triple law: they never pass a table it fails
     assert residual > 0 or associativity_by_loop(xor, sign) == 0
     # every mutant is caught but one: Cl(1)'s flipped sign, e1 e1 = -1, is the table
-    # of Cl(0,1), an associative algebra.  Cl(1)'s moved mask, e1 e1 = e1, keeps the
-    # triple law and is caught all the same.
+    # of Cl(0,1), whose signs are bilinear in its own generator block.  Cl(1)'s moved
+    # mask, e1 e1 = e1, keeps the triple law and is caught all the same.
     cl01 = dim == 1 and sign.tolist() == [[1, 1], [1, -1]] and xor.tolist() == [[0, 1], [1, 0]]
     assert (residual > 0) == (mutate is not None and not cl01)
 
 
-@pytest.mark.parametrize("mutate", [flip_sign(5, 9), flip_sign(0, 3), move_mask(5, 9, 10)])
+@pytest.mark.parametrize("mutate", [flip_sign(5, 9), flip_sign(0, 3), move_mask(5, 9, 10), flip_sign(4, 2)])
 def test_associativity_catches_a_corrupted_cayley_table(monkeypatch, mutate):
-    xor, _ = corrupt_tables(monkeypatch, 7, mutate)
-    moved = np.count_nonzero(xor != multivector._tables(7)[0])
+    xor, sign = corrupt_tables(monkeypatch, 7, mutate)
+    clean_xor, clean_sign, _ = multivector._tables(7)
+    moved, flipped = np.count_nonzero(xor != clean_xor), np.count_nonzero(sign != clean_sign)
     result = check_associativity(7)
     assert not result.passed
-    if moved:  # one wrong mask pair; the sign-bit triples never read the mask table
-        assert result.residual == moved == 1
+    if sign[4, 2] == clean_sign[4, 2]:  # one wrong pair: a mask, or the sign of a non-generator pair
+        assert result.residual == moved + flipped == 1
     else:
-        assert result.residual > 100  # one sign is read by hundreds of triples
+        # e3 e2 = +e2 e3 reshapes the extension: p[A, B] moves wherever e3 is in A and
+        # e2 is in B, a quarter of the 128 * 128 pairs, all but the flipped one itself
+        assert result.residual == 128 * 128 // 4 - 1
 
 
-CL5_TO_CL7_SIGN_MUTANTS = [(dim, flip_sign(*ik)) for dim in (5, 6, 7) for ik in [(5, 9), (0, 3), (-1, 1), (17, -3)]]
+def every_single_entry_mutant(dim):
+    """Each table of Cl(dim,0) with one sign flipped or one mask moved to another blade."""
+    for i, k in itertools.product(range(1 << dim), repeat=2):
+        yield flip_sign(i, k)
+        yield from (move_mask(i, k, to) for to in range(1 << dim) if to != k)
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_associativity_blocks_leave_no_seam(monkeypatch, rows):
-    # 1 row a block, and 3, whose last block is ragged, against the default blocking
-    def residuals():
-        out = []
-        for dim, mutate in CL5_TO_CL7_SIGN_MUTANTS:
-            corrupt_tables(monkeypatch, dim, mutate)
-            out.append(check_associativity(dim).residual)
-        return out
-
-    want = residuals()
-    assert min(want) > 0
-    monkeypatch.setattr(identities, "_chunk_rows", lambda cells: rows)
-    assert residuals() == want
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_associativity_catches_every_mutant_that_the_triple_law_catches(monkeypatch, dim):
+    caught = 0
+    for mutate in every_single_entry_mutant(dim):
+        xor, sign = corrupt_tables(monkeypatch, dim, mutate)
+        residual = check_associativity(dim).residual
+        assert residual > 0 or associativity_by_loop(xor, sign) == 0
+        caught += residual > 0
+    # 8**dim mutants, all caught but Cl(0,1)'s table, e1 e1 = -1
+    assert caught == 8**dim - (dim == 1)
 
 
-def test_associativity_memory_is_bounded_by_its_blocks():
-    multivector._tables(7)  # the Cayley tables are cached per process; trace the check alone
-    tracemalloc.start()
-    try:
-        result = check_associativity(7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.passed
-    # unblocked, the (128, 128, 2) uint64 arrays and their indices peaked at 0.8 MiB
-    assert peak < 4 * multivector._CHUNK_BYTES
+@pytest.mark.parametrize("dim, pairs", [(3, 18), (7, 18 * 16 * 16)])
+def test_associativity_fails_a_cubic_twist_that_keeps_the_triple_law(monkeypatch, dim, pairs):
+    # Cl(dim,0)'s signs times (-1)^(f(A) + f(B) + f(A^B)) for the cubic f(A) = a1 a2 a3:
+    # an associative table that is not Cl(dim,0)'s
+    def twist(xor, sign):
+        f = np.arange(1 << dim) & 7 == 7
+        sign *= np.where(f[:, None] ^ f ^ f[xor], -1, 1).astype(np.int8)
+
+    xor, sign = corrupt_tables(monkeypatch, dim, twist)
+    if dim == 3:
+        assert associativity_by_loop(xor, sign) == 0
+    else:  # the signs of (e_A e_B) e_C and e_A (e_B e_C) on all 128**3 triples; the masks are untouched
+        a, b, c = np.ogrid[:128, :128, :128]
+        assert np.array_equal(sign[a, b] * sign[xor[a, b], c], sign[b, c] * sign[a, xor[b, c]])
+    # f(A) + f(B) + f(A^B) is odd on 18 of the 64 pairs of the low three bits
+    assert check_associativity(dim).residual == pairs
+
+
+def test_associativity_memory_is_bounded():
+    # a handful of (2**n, 2**n) uint8 arrays: 16 KiB each at Cl(7), 64 KiB at Cl(8)
+    for dim, budget in [(7, 1), (8, 4)]:
+        multivector._tables(dim)  # the Cayley tables are cached per process; trace the check alone
+        tracemalloc.start()
+        try:
+            result = check_associativity(dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < budget * multivector._CHUNK_BYTES
 
 
 # -- batched checks against per-case loops -------------------------------------------------
