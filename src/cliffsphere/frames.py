@@ -17,10 +17,12 @@ identity, the trial averages) are computed abstractly.  Elements of opposite
 orientation never combine; attempting to mix them raises
 `OrientationMixError`.
 
-The embedded frame is one (3, 8) coefficient array (`_frame_coeffs`), which
-the identity suite reads.  The estimators and the suite build standard scores
-lam n_j beta_j as (4, N) `_score_coeffs`.  Every plane I . n dual to a vector
-(a frame's, a raw score's, a rotation axis's) is built by `_dual_plane`.
+The embedded frames are one (2, 3, 8) coefficient array,
+`_frame_coeffs(ORIENTATIONS)` with row 0 for lam = +1, which the identity
+suite reads; one orientation's frame is one (3, 8) row of it.  The
+estimators and the suite build standard scores lam n_j beta_j as (4, N)
+`_score_coeffs`.  Every plane I . n dual to a vector (a frame's, a raw
+score's, a rotation axis's) is built by `_dual_plane`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import Multivector, _cross, _product, _vector_coeffs, unit_vector, wedge
+from .multivector import Multivector, _cross, _product, _vector_coeffs, unit_vector
 
 ORIENTATIONS = (1, -1)
 
@@ -53,10 +55,12 @@ def _dual_plane(n: np.ndarray) -> np.ndarray:
     return _product("contract", _VOLUME3, _vector_coeffs(n, 3))
 
 
-def _frame_coeffs(lam: int) -> np.ndarray:
+def _frame_coeffs(lam) -> np.ndarray:
     """(3, 8) coefficients of the frame beta_j = lam * (I . e_j), j = 1..3,
-    from one batched contraction; `lam` is already checked."""
-    return float(lam) * _dual_plane(np.eye(3))
+    from one batched contraction, or (k, 3, 8), one frame per orientation, for
+    a sequence of k orientations such as `ORIENTATIONS`; `lam` is already
+    checked."""
+    return np.multiply.outer(np.asarray(lam, dtype=np.float64), _dual_plane(np.eye(3)))
 
 
 @dataclass(frozen=True)
@@ -75,12 +79,14 @@ class AbstractElement:
             raise ValueError("coefficients must be finite")
 
 
-def _structure_coeffs(x, y, s: float) -> tuple:
+def _structure_coeffs(x, y, s) -> tuple:
     """Product with 1 central and beta_j beta_k = -delta_jk + s * eps_jkl beta_l
     of elements whose coefficients over {1, beta_x, beta_y, beta_z} lie along
     the first axis of x and y: 4 floats each, or (4, N) arrays of N elements.
     Returns the 4 product coefficients the same way.  The model's subalgebra
-    is s = -lam; the identity suite's sign-flip canary passes s = +lam."""
+    is s = -lam; the identity suite's sign-flip canary passes s = +lam.  `s`
+    is one float, or an (N,) array with one sign per column, so that one call
+    multiplies the elements of both orientations."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
     return (
@@ -103,10 +109,22 @@ def abstract_product(x: AbstractElement, y: AbstractElement) -> AbstractElement:
     return AbstractElement(c0, tuple(c), x.lam)
 
 
-def _score_coeffs(n: np.ndarray, lam: int) -> np.ndarray:
+def _score_coeffs(n: np.ndarray, lam) -> np.ndarray:
     """(4, N) coefficients [0, lam n] over {1, beta_x, beta_y, beta_z} of the
-    standard scores lam n_j beta_j of the normalized rows n (N, 3)."""
+    standard scores lam n_j beta_j of the normalized rows n (N, 3), at one
+    orientation `lam` or at an (N,) array of them, one per row."""
     return np.vstack([np.zeros(len(n)), lam * n.T])
+
+
+def _duality_residuals(a: np.ndarray, b: np.ndarray, lams) -> np.ndarray:
+    """(len(lams), ...) residuals of the duality relation of the unit vectors
+    a, b (..., 3) at each orientation of `lams`: the wedge once, and the
+    contractions of every orientation's trivector lam * I in one batch."""
+    lhs = _product("wedge", _vector_coeffs(a, 3), _vector_coeffs(b, 3))
+    dual = _vector_coeffs(_cross(a, b), 3).reshape(-1, 8)
+    lam = np.repeat(np.asarray(lams, dtype=np.float64), len(dual))[:, None]
+    rhs = lam * _product("contract", lam * _VOLUME3, np.concatenate([dual] * len(lams)))
+    return np.linalg.norm(lhs - rhs.reshape(len(lams), *lhs.shape), axis=-1)
 
 
 def duality_check(a, b, lam: int) -> float | np.ndarray:
@@ -118,26 +136,19 @@ def duality_check(a, b, lam: int) -> float | np.ndarray:
     for one pair of unit vectors, or one residual per row for (N, 3) arrays.
     """
     lam = check_orientation(lam)
-    a = unit_vector(a)
-    b = unit_vector(b)
-    lhs = _product("wedge", _vector_coeffs(a, 3), _vector_coeffs(b, 3))
-    mu = float(lam) * _VOLUME3
-    rhs = float(lam) * _product("contract", mu, _vector_coeffs(_cross(a, b), 3))
-    return np.linalg.norm(lhs - rhs, axis=-1)
+    return _duality_residuals(unit_vector(a), unit_vector(b), (lam,))[0]
 
 
 def hidden_basis(lam: int) -> tuple[Multivector, ...]:
     """Basis {1, e_x, e_y, e_z, e_x^e_y, e_y^e_z, e_z^e_x, lam * e_x e_y e_z};
-    the volume element, scaled by lam, comes last."""
+    the volume element, scaled by lam, comes last.  The three bivectors are
+    one batched wedge of e_x, e_y, e_z with e_y, e_z, e_x."""
     lam = check_orientation(lam)
-    ex, ey, ez = (Multivector.basis_vector(3, j) for j in (1, 2, 3))
+    vectors = tuple(Multivector.basis_vector(3, j) for j in (1, 2, 3))
+    e = np.stack([v.coeffs for v in vectors])
     return (
         Multivector.scalar(3, 1.0),
-        ex,
-        ey,
-        ez,
-        wedge(ex, ey),
-        wedge(ey, ez),
-        wedge(ez, ex),
+        *vectors,
+        *(Multivector(3, row) for row in _product("wedge", e, e[[1, 2, 0]])),
         Multivector(3, float(lam) * _VOLUME3),
     )

@@ -14,8 +14,13 @@ Random inputs, each drawn as one whole array from one stream seeded by
 multilinear in the angle, and the dense naive-oracle products, the only
 checks to reach the kernel's batch layouts.
 A batched check's residual is its largest row norm, so a NaN row fails it.
-Each orientation's frame checks read one table of its frame and pair
-products, built once.  Only `check_hidden_basis` sees `Multivector`s.
+The two orientations obey one subalgebra up to the sign of its epsilon
+term, so each identity that holds at lam = +1 and lam = -1 runs both in one
+batch whose leading axis is the orientation, row 0 for lam = +1, and returns
+two results, each the largest row norm of its own orientation's rows.  The
+frame checks read one table, built once: the frames beta as a (2, 3, 8)
+array and their (2, 3, 3, 8) pair products from one 18-row kernel batch.
+Only `check_hidden_basis` sees `Multivector`s.
 
 The suite carries its own naive blade multiplier (`_naive_table`), which
 shares no code with the product kernel or its Cayley tables, so that the
@@ -41,11 +46,11 @@ from .frames import (
     AbstractElement,
     OrientationMixError,
     _dual_plane,
+    _duality_residuals,
     _frame_coeffs,
     _score_coeffs,
     _structure_coeffs,
     abstract_product,
-    duality_check,
     hidden_basis,
 )
 from .multivector import (
@@ -180,6 +185,24 @@ def _worst(rows) -> float:
     return float(np.max(np.linalg.norm(rows, axis=-1)))
 
 
+#: The orientations lam = +1, -1 as floats, in the order of a batch's leading axis.
+_LAM = np.array(ORIENTATIONS, dtype=np.float64)
+
+
+def _worst_each(rows: np.ndarray) -> np.ndarray:
+    """(2,) largest row norm of each orientation's rows of a (2, ..., k)
+    residual array; NaN where one of its rows is NaN.  The norms are
+    `np.linalg.norm`'s over the last axis, bit for bit, without its wrapper."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1)).reshape(len(_LAM), -1).max(axis=1)
+
+
+def _paired(name, worst) -> tuple[CheckResult, CheckResult]:
+    """The exact results of lam = +1 and lam = -1, whose residuals are the two
+    entries of `worst`: `name`, or each of a pair of names, with its lam."""
+    names = (name, name) if isinstance(name, str) else name
+    return tuple(CheckResult(f"{n} (lam={lam:+d})", float(w), 0.0) for n, lam, w in zip(names, ORIENTATIONS, worst))
+
+
 #: Coefficients of the scalar 1 of Cl(3,0).
 _ONE3 = np.eye(8)[0]
 
@@ -196,23 +219,32 @@ def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _VECTOR_PAIRS, _ELEMENT_PAIRS = _pairs(np.eye(3)), _pairs(np.eye(4))
 
 
-def _frame_matrix(frame) -> np.ndarray:
-    """Columns are the coefficient vectors of 1 and beta_1..beta_3 of a frame table."""
-    return np.stack([_ONE3, *frame[0]], axis=1)
+def _frame_rows(beta: np.ndarray) -> np.ndarray:
+    """(..., 4, 8) coefficients of 1 and beta_1..beta_3 of the frames beta (..., 3, 8)."""
+    rows = np.empty((*beta.shape[:-2], 4, 8))
+    rows[..., 0, :], rows[..., 1:, :] = _ONE3, beta
+    return rows
 
 
 def _frame_table(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A frame's (3, 8) coefficients and its (3, 3, 8) pair products beta_j beta_k."""
-    return beta, _product("geometric", *_pairs(beta)).reshape(3, 3, 8)
+    """Frames' (..., 3, 8) coefficients and their (..., 3, 3, 8) pair products
+    beta_j beta_k, from one kernel batch."""
+    left, right = np.repeat(beta, 3, axis=-2), np.concatenate([beta] * 3, axis=-2)
+    pairs = _product("geometric", left.reshape(-1, 8), right.reshape(-1, 8))
+    return beta, pairs.reshape(*beta.shape[:-1], 3, 8)
 
 
 def _ordered_product(frame) -> np.ndarray:
-    """beta_1 beta_2 beta_3 of a frame table, as (beta_1 beta_2) beta_3."""
+    """beta_1 beta_2 beta_3 of each frame of a table, as (beta_1 beta_2) beta_3."""
     beta, pairs = frame
-    return _product("geometric", pairs[0, 1], beta[2])
+    return _product("geometric", pairs[..., 0, 1, :], beta[..., 2, :])
 
 
 EPS_TRIPLES = ((1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1), (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1))
+
+#: The 0-based indices j, k, l and the signs eps_jkl of `EPS_TRIPLES`, as columns.
+_J, _K, _L = np.array(EPS_TRIPLES)[:, :3].T - 1
+_EPS = np.array(EPS_TRIPLES)[:, 3]
 
 
 # -- clifford_core checks --------------------------------------------------------------
@@ -298,76 +330,91 @@ def check_rotor_unit(rng, tol: float) -> CheckResult:
 
 # -- frame and orientation checks --------------------------------------------------------
 #
-# A frame argument is a `_frame_table`: the frame's coefficients and the table
-# of its pair products, which `run_identity_checks` builds once per orientation.
+# A frames argument is `_frame_table(_frame_coeffs(ORIENTATIONS))`: both
+# frames and their pair products, row 0 for lam = +1, which
+# `run_identity_checks` builds once.  Each check below returns the results of
+# lam = +1 and lam = -1, in that order.
 
 
-def check_frame_subalgebra(lam: int, frame) -> CheckResult:
-    """beta_j beta_k = -delta_jk - lam eps_jkl beta_l in the embedded frame."""
-    beta, pairs = frame
+def check_frame_subalgebra(frames) -> tuple[CheckResult, CheckResult]:
+    """beta_j beta_k = -delta_jk - lam eps_jkl beta_l in each embedded frame."""
+    beta, pairs = frames
     want = np.zeros_like(pairs)
     want[..., 0] = -np.eye(3)
-    for j, k, l, s in EPS_TRIPLES:
-        want[j - 1, k - 1] = float(-lam * s) * beta[l - 1]
-    side = "right" if lam == 1 else "left"
-    return CheckResult(f"{side}-frame bivector subalgebra (lam={lam:+d})", _worst(pairs - want), 0.0)
+    want[:, _J, _K] = (-_LAM[:, None] * _EPS)[..., None] * beta[:, _L]
+    return _paired(("right-frame bivector subalgebra", "left-frame bivector subalgebra"), _worst_each(pairs - want))
 
 
-def check_frame_squares(lam: int, frame) -> CheckResult:
-    squares = frame[1].diagonal().T  # beta_j beta_j
-    return CheckResult(f"basis bivectors square to -1 (lam={lam:+d})", _worst(squares + _ONE3), 0.0)
+def check_frame_squares(frames) -> tuple[CheckResult, CheckResult]:
+    squares = frames[1].diagonal(axis1=1, axis2=2).transpose(0, 2, 1)  # beta_j beta_j
+    return _paired("basis bivectors square to -1", _worst_each(squares + _ONE3))
 
 
-def check_frame_anticommutation(lam: int, frame) -> CheckResult:
-    pairs = frame[1]
-    anti = (pairs + pairs.transpose(1, 0, 2))[~np.eye(3, dtype=bool)]  # beta_j beta_k + beta_k beta_j, j != k
-    return CheckResult(f"basis bivectors anticommute (lam={lam:+d})", _worst(anti), 0.0)
+def check_frame_anticommutation(frames) -> tuple[CheckResult, CheckResult]:
+    pairs = frames[1]
+    anti = (pairs + pairs.transpose(0, 2, 1, 3))[:, ~np.eye(3, dtype=bool)]  # beta_j beta_k + beta_k beta_j, j != k
+    return _paired("basis bivectors anticommute", _worst_each(anti))
 
 
-def check_ordered_product(lam: int, frame) -> CheckResult:
-    residual = _worst(_ordered_product(frame) - lam * _ONE3)
-    hand = "positive" if lam == 1 else "negative"
-    return CheckResult(f"ordered frame product is {hand} (lam={lam:+d})", residual, 0.0)
+def check_ordered_product(frames) -> tuple[CheckResult, CheckResult]:
+    residual = _worst_each(_ordered_product(frames) - _LAM[:, None] * _ONE3)
+    return _paired(("ordered frame product is positive", "ordered frame product is negative"), residual)
 
 
-def _dot_cross(lam: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows [-a.b, -lam a x b] over {1, beta_1, beta_2, beta_3}."""
-    return np.concatenate([-np.sum(a * b, axis=1, keepdims=True), -lam * _cross(a, b)], axis=1)
+def _dot_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(2, m, 4) rows [-a.b, -lam a x b] over {1, beta_1, beta_2, beta_3} of
+    the m pairs of rows a, b at each orientation."""
+    rows = np.empty((len(_LAM), len(a), 4))
+    rows[..., 0], rows[..., 1:] = -np.sum(a * b, axis=1), -_LAM[:, None, None] * _cross(a, b)
+    return rows
 
 
-def check_score_expansion_embedded(lam: int, frame) -> CheckResult:
-    """{a_j beta_j}{b_k beta_k} = -a.b - lam (a x b).beta in the lam frame."""
-    M = _frame_matrix(frame)
+def _scores(n: np.ndarray) -> np.ndarray:
+    """(4, 2 * m) standard scores of the m rows n at lam = +1, then at lam = -1."""
+    return _score_coeffs(np.concatenate([n, n]), np.repeat(_LAM, len(n)))
+
+
+def _abstract_products(x: np.ndarray, y: np.ndarray, eps_sign: float) -> np.ndarray:
+    """(2, m, 4) products of the columns of x, y (4, 2 * m), the first m at
+    lam = +1 and the rest at lam = -1, each in its orientation's abstract
+    algebra: one `_structure_coeffs` call, with s = eps_sign * lam per column."""
+    lam = np.repeat(_LAM, x.shape[1] // 2)
+    return np.stack(_structure_coeffs(x, y, eps_sign * lam), axis=1).reshape(2, -1, 4)
+
+
+def check_score_expansion_embedded(frames) -> tuple[CheckResult, CheckResult]:
+    """{a_j beta_j}{b_k beta_k} = -a.b - lam (a x b).beta in each embedded frame."""
+    beta = frames[0]
     a, b = _VECTOR_PAIRS
-    got = _product("geometric", a @ M[:, 1:].T, b @ M[:, 1:].T)
-    name = f"frame score expansion, epsilon sign {'-' if lam == 1 else '+'} (lam={lam:+d})"
-    return CheckResult(name, _worst(got - _dot_cross(lam, a, b) @ M.T), 0.0)
+    got = _product("geometric", (a @ beta).reshape(-1, 8), (b @ beta).reshape(-1, 8)).reshape(2, -1, 8)
+    names = ("frame score expansion, epsilon sign -", "frame score expansion, epsilon sign +")
+    return _paired(names, _worst_each(got - _dot_cross(a, b) @ _frame_rows(beta)))
 
 
-def check_combined_identity(lam: int, eps_sign: float) -> CheckResult:
-    """(mu.a)(mu.b) = -a.b - mu.(a x b) in the abstract algebra."""
+def check_combined_identity(eps_sign: float) -> tuple[CheckResult, CheckResult]:
+    """(mu.a)(mu.b) = -a.b - mu.(a x b) in each orientation's abstract algebra."""
     a, b = _VECTOR_PAIRS
-    got = np.stack(_structure_coeffs(_score_coeffs(a, lam), _score_coeffs(b, lam), eps_sign * lam), axis=1)
-    return CheckResult(f"combined orientation identity (lam={lam:+d})", _worst(got - _dot_cross(lam, a, b)), 0.0)
+    got = _abstract_products(_scores(a), _scores(b), eps_sign)
+    return _paired("combined orientation identity", _worst_each(got - _dot_cross(a, b)))
 
 
-def check_duality(lam: int) -> CheckResult:
-    worst = float(np.max(duality_check(*_VECTOR_PAIRS, lam)))
-    return CheckResult(f"orientation duality relation (lam={lam:+d})", worst, 0.0)
+def check_duality() -> tuple[CheckResult, CheckResult]:
+    worst = np.max(_duality_residuals(*_VECTOR_PAIRS, ORIENTATIONS), axis=1)
+    return _paired("orientation duality relation", worst)
 
 
-def check_abstract_embedded_isomorphism(lam: int, frame, eps_sign: float) -> CheckResult:
-    M = _frame_matrix(frame)
+def check_abstract_embedded_isomorphism(frames, eps_sign: float) -> tuple[CheckResult, CheckResult]:
+    rows = _frame_rows(frames[0])
     x, y = _ELEMENT_PAIRS
-    abstract = np.stack(_structure_coeffs(x.T, y.T, eps_sign * lam), axis=1)
-    embedded = _product("geometric", x @ M.T, y @ M.T)
-    return CheckResult(f"abstract/embedded isomorphism (lam={lam:+d})", _worst(abstract @ M.T - embedded), 0.0)
+    abstract = _abstract_products(np.concatenate([x.T, x.T], axis=1), np.concatenate([y.T, y.T], axis=1), eps_sign)
+    embedded = _product("geometric", (x @ rows).reshape(-1, 8), (y @ rows).reshape(-1, 8)).reshape(2, -1, 8)
+    return _paired("abstract/embedded isomorphism", _worst_each(abstract @ rows - embedded))
 
 
-def check_score_square(lam: int, eps_sign: float) -> CheckResult:
-    s = _score_coeffs(np.eye(3), lam)  # the 3 basis scores
-    got = np.stack(_structure_coeffs(s, s, eps_sign * lam), axis=1)
-    return CheckResult(f"standard score squares to -1 (lam={lam:+d})", _worst(got - [-1.0, 0, 0, 0]), 0.0)
+def check_score_square(eps_sign: float) -> tuple[CheckResult, CheckResult]:
+    s = _scores(np.eye(3))  # the 3 basis scores of each orientation
+    got = _abstract_products(s, s, eps_sign)
+    return _paired("standard score squares to -1", _worst_each(got - [-1.0, 0, 0, 0]))
 
 
 def check_vector_basis_flip() -> CheckResult:
@@ -379,12 +426,11 @@ def check_vector_basis_flip() -> CheckResult:
     return CheckResult("vector-basis flip leaves bivector handedness", residual, 0.0)
 
 
-def check_hidden_basis(lam: int) -> CheckResult:
-    blades = hidden_basis(lam)
-    residual = abs(blades[-1].coeffs[-1] - float(lam))
-    others = sum(1 for b in blades if b.coeffs[-1] != 0.0)
-    residual = max(residual, float(others - 1))
-    return CheckResult(f"hidden basis volume element sign (lam={lam:+d})", residual, 0.0)
+def check_hidden_basis() -> tuple[CheckResult, CheckResult]:
+    """Each orientation's hidden basis has one volume-grade element, the last, lam * I."""
+    volume = np.array([[b.coeffs[-1] for b in hidden_basis(lam)] for lam in ORIENTATIONS])
+    residual = np.maximum(np.abs(volume[:, -1] - _LAM), (volume != 0.0).sum(axis=1) - 1.0)
+    return _paired("hidden basis volume element sign", residual)
 
 
 def check_mixed_orientation_rejected() -> CheckResult:
@@ -419,29 +465,21 @@ def run_identity_checks(
     _check_tolerance(tolerance)
     eps_sign = 1.0 if inject_sign_flip else -1.0
     rng = np.random.default_rng(seed)
-    frames = {lam: _frame_table(_frame_coeffs(lam)) for lam in ORIENTATIONS}
+    frames = _frame_table(_frame_coeffs(ORIENTATIONS))
+    right, left = check_frame_subalgebra(frames)
     return [
-        check_frame_subalgebra(1, frames[1]),
-        check_frame_squares(1, frames[1]),
-        check_frame_squares(-1, frames[-1]),
-        check_frame_anticommutation(1, frames[1]),
-        check_frame_anticommutation(-1, frames[-1]),
-        check_ordered_product(1, frames[1]),
-        check_ordered_product(-1, frames[-1]),
-        check_frame_subalgebra(-1, frames[-1]),
-        check_score_expansion_embedded(1, frames[1]),
-        check_score_expansion_embedded(-1, frames[-1]),
-        check_combined_identity(1, eps_sign),
-        check_combined_identity(-1, eps_sign),
-        check_duality(1),
-        check_duality(-1),
-        check_abstract_embedded_isomorphism(1, frames[1], eps_sign),
-        check_abstract_embedded_isomorphism(-1, frames[-1], eps_sign),
-        check_score_square(1, eps_sign),
-        check_score_square(-1, eps_sign),
+        right,
+        *check_frame_squares(frames),
+        *check_frame_anticommutation(frames),
+        *check_ordered_product(frames),
+        left,
+        *check_score_expansion_embedded(frames),
+        *check_combined_identity(eps_sign),
+        *check_duality(),
+        *check_abstract_embedded_isomorphism(frames, eps_sign),
+        *check_score_square(eps_sign),
         check_vector_basis_flip(),
-        check_hidden_basis(1),
-        check_hidden_basis(-1),
+        *check_hidden_basis(),
         check_mixed_orientation_rejected(),
         check_generator_anticommutation(3),
         check_generator_anticommutation(7),

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffsphere.frames import (
+    ORIENTATIONS,
+    _VOLUME3,
     AbstractElement,
     OrientationMixError,
+    _duality_residuals,
     _frame_coeffs,
     _score_coeffs,
     _structure_coeffs,
@@ -18,11 +21,14 @@ from cliffsphere.frames import (
 from cliffsphere.identities import check_combined_identity
 from cliffsphere.multivector import (
     Multivector,
+    _cross,
     _product,
+    _vector_coeffs,
     contract,
     geometric_product,
     scalar_part,
     unit_vector,
+    wedge,
 )
 
 from .oracles import abstract_coeffs, abstract_to_embedded, grade_part, norm, standard_score
@@ -263,10 +269,12 @@ def test_duality_check_rows_match_single_pairs(lam):
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_combined_identity_residual(lam):
-    # the suite's check runs on the basis pairs, exactly
-    result = check_combined_identity(lam, -1.0)
+    # the suite's check runs on the basis pairs, exactly, both orientations in one batch
+    side = ORIENTATIONS.index(lam)
+    result = check_combined_identity(-1.0)[side]
+    assert result.name == f"combined orientation identity (lam={lam:+d})"
     assert result.residual == 0.0 and result.tolerance == 0.0
-    assert not check_combined_identity(lam, 1.0).passed
+    assert not check_combined_identity(1.0)[side].passed
 
 
 def test_combined_identity_degenerate_cases():
@@ -321,6 +329,52 @@ def test_hidden_basis_volume_sign(lam):
     assert volume_terms[0].coeffs[0b111] == float(lam)
     for b in blades[:-1]:
         assert b.coeffs[0b111] == 0.0
+
+
+def hidden_basis_by_wedges(lam):
+    """The hidden basis as it was built before its bivectors were one batch:
+    three public wedges of the basis vectors."""
+    ex, ey, ez = (Multivector.basis_vector(3, j) for j in (1, 2, 3))
+    return (Multivector.scalar(3, 1.0), ex, ey, ez, wedge(ex, ey), wedge(ey, ez), wedge(ez, ex),
+            Multivector(3, float(lam) * _VOLUME3))
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_hidden_basis_has_the_bits_of_three_public_wedges(lam):
+    got, want = hidden_basis(lam), hidden_basis_by_wedges(lam)
+    assert [b.coeffs.tobytes() for b in got] == [b.coeffs.tobytes() for b in want]
+
+
+def duality_by_orientation(a, b, lam):
+    """The duality residual as it was built before the orientations were one
+    batch: one wedge minus one contraction of this orientation's trivector."""
+    a, b = unit_vector(a), unit_vector(b)
+    lhs = _product("wedge", _vector_coeffs(a, 3), _vector_coeffs(b, 3))
+    rhs = float(lam) * _product("contract", float(lam) * _VOLUME3, _vector_coeffs(_cross(a, b), 3))
+    return np.linalg.norm(lhs - rhs, axis=-1)
+
+
+def unit_pairs(kind):
+    """The 9 ordered pairs of basis vectors, or 200 random pairs of unit vectors."""
+    if kind == "basis":
+        eye = np.eye(3)
+        return np.repeat(eye, 3, axis=0), np.tile(eye, (3, 1))
+    a, b = np.random.default_rng(61).normal(size=(2, 200, 3))
+    return a / np.linalg.norm(a, axis=1, keepdims=True), b / np.linalg.norm(b, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["basis", "random"])
+def test_duality_check_has_the_bits_of_a_wedge_minus_a_contraction(kind):
+    a, b = unit_pairs(kind)
+    # both orientations in the identity suite's one batch, row 0 for lam = +1
+    both = _duality_residuals(a, b, ORIENTATIONS)
+    for side, lam in enumerate(ORIENTATIONS):
+        want = duality_by_orientation(a, b, lam)
+        assert duality_check(a, b, lam).tobytes() == want.tobytes()
+        assert both[side].tobytes() == want.tobytes()
+        for x, y, residual in zip(a, b, want):
+            one = duality_check(x, y, lam)
+            assert one.tobytes() == duality_by_orientation(x, y, lam).tobytes() == residual.tobytes()
 
 
 # The identity suite proves these bilinear identities on the basis pairs; the

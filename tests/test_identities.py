@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cliffsphere import cli, frames, identities, multivector
+from cliffsphere.frames import ORIENTATIONS
 from cliffsphere.identities import (
     CheckResult,
     _frame_coeffs,
@@ -607,22 +608,90 @@ FRAME_FLIPS = {
 }
 
 
+#: The four frame-table checks of `frame_checks_by_loop`, in its order.
+FRAME_TABLE_CHECKS = (check_frame_subalgebra, check_frame_squares, check_frame_anticommutation, check_ordered_product)
+
+
 @pytest.mark.parametrize("flip", FRAME_FLIPS)
 def test_frame_table_checks_equal_per_pair_loops(monkeypatch, flip):
     if flip:
         flip_kernel_sign(monkeypatch, *flip)
     flip_residual = check_vector_basis_flip().residual
     assert flip_residual == vector_basis_flip_by_loop()
-    for lam in (1, -1):
-        frame = _frame_table(_frame_coeffs(lam))
-        batched = (
-            check_frame_subalgebra(lam, frame).residual,
-            check_frame_squares(lam, frame).residual,
-            check_frame_anticommutation(lam, frame).residual,
-            check_ordered_product(lam, frame).residual,
-        )
+    frame_table = _frame_table(_frame_coeffs(ORIENTATIONS))
+    results = [check(frame_table) for check in FRAME_TABLE_CHECKS]
+    # each check returns lam = +1, then lam = -1, each against its own frame's loop
+    for side, lam in enumerate(ORIENTATIONS):
+        assert all(pair[side].name.endswith(f"(lam={lam:+d})") for pair in results)
+        batched = tuple(pair[side].residual for pair in results)
         assert batched == frame_checks_by_loop(lam)
         assert tuple(r > 0 for r in (*batched, flip_residual)) == FRAME_FLIPS[flip]
+
+
+@pytest.mark.parametrize("inject", [False, True])
+def test_the_suites_frame_lines_equal_per_pair_loops(inject):
+    # the sign-flip canary corrupts the abstract side only: every frame line keeps the loop's residual
+    lines = {r.name: r.residual for r in run_identity_checks(inject_sign_flip=inject)}
+    for lam in ORIENTATIONS:
+        side, hand = ("right", "positive") if lam == 1 else ("left", "negative")
+        names = (f"{side}-frame bivector subalgebra", "basis bivectors square to -1",
+                 "basis bivectors anticommute", f"ordered frame product is {hand}")
+        assert tuple(lines[f"{name} (lam={lam:+d})"] for name in names) == frame_checks_by_loop(lam)
+
+
+def frame_table_lines(lam):
+    """The suite's lines that read the frame table of lam, in suite order."""
+    if lam == 1:
+        return ["right-frame bivector subalgebra (lam=+1)", "basis bivectors square to -1 (lam=+1)",
+                "basis bivectors anticommute (lam=+1)", "ordered frame product is positive (lam=+1)",
+                "frame score expansion, epsilon sign - (lam=+1)", "abstract/embedded isomorphism (lam=+1)"]
+    return ["basis bivectors square to -1 (lam=-1)", "basis bivectors anticommute (lam=-1)",
+            "ordered frame product is negative (lam=-1)", "left-frame bivector subalgebra (lam=-1)",
+            "frame score expansion, epsilon sign + (lam=-1)", "abstract/embedded isomorphism (lam=-1)"]
+
+
+def failed_with_a_corrupted_half(monkeypatch, side):
+    """The failed lines of a suite whose batched frame table has beta_1 + 1 in
+    place of beta_1 in row `side` alone, pair products included."""
+    build = identities._frame_table
+
+    def corrupted(beta):
+        if beta.ndim == 3:  # the batched table; the vector-basis flip builds its own
+            beta = beta.copy()
+            beta[side, 0, 0] += 1.0
+        return build(beta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "_frame_table", corrupted)
+        return [r.name for r in run_identity_checks() if not r.passed]
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["lam=+1", "lam=-1"])
+def test_a_corrupted_half_of_the_frame_table_fails_only_its_own_lines(monkeypatch, side):
+    assert failed_with_a_corrupted_half(monkeypatch, side) == frame_table_lines(ORIENTATIONS[side])
+
+
+def mixed_worst_each(rows):
+    # the norms read back with the orientation axis last: the halves interleave
+    return np.max(np.linalg.norm(rows, axis=-1).reshape(-1, 2).T, axis=1)
+
+
+def mixed_frame_table(beta):
+    beta, pairs = _frame_table(beta)
+    if beta.ndim == 2:
+        return beta, pairs
+    # the 18 pair products read back as if the orientation were their last index
+    return beta, pairs.reshape(3, 3, 2, 8).transpose(2, 0, 1, 3)
+
+
+@pytest.mark.parametrize("name, mutant", [("_worst_each", mixed_worst_each), ("_frame_table", mixed_frame_table)])
+def test_a_batch_that_mixes_the_two_halves_is_caught(monkeypatch, name, mutant):
+    # under either mutant each half's corruption shows on the other half's lines too
+    monkeypatch.setattr(identities, name, mutant)
+    for side, lam in enumerate(ORIENTATIONS):
+        failed = failed_with_a_corrupted_half(monkeypatch, side)
+        assert failed != frame_table_lines(lam)
+        assert set(failed) & set(frame_table_lines(-lam))
 
 
 def test_naive_path_shares_no_code_with_the_product_kernel():

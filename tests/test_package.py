@@ -54,6 +54,13 @@ TEST_ONLY_EXPORTS = {
     # the product that tests/oracles.py builds its references from, and that
     # perfbench/child.py's set-up times
     "geometric_product",
+    # the same for the outer product; `frames.hidden_basis` wedges its three
+    # bivectors in one batch of the kernel
+    "wedge",
+    # one orientation's duality relation on a caller's unit vectors; the
+    # identity suite checks both orientations in one batch of its core,
+    # `frames._duality_residuals`, which this function returns a row of
+    "duality_check",
 }
 
 #: Class members that no package module or script reads as an attribute, by
