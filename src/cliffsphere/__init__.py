@@ -18,8 +18,7 @@ _EXPORTS = {
         "correlation_row", "marginal_average", "orientation_counts", "sweep",
     ),
     "frames": (
-        "AbstractElement", "OrientationMixError", "abstract_product", "duality_check",
-        "hidden_basis",
+        "AbstractElement", "OrientationMixError", "abstract_product", "hidden_basis",
     ),
     "hopf": ("DegenerateAxisError", "null_limit_probe", "phase_flip_at_pi"),
     "identities": ("CheckResult", "run_identity_checks"),

@@ -10,9 +10,9 @@ Per trial, Alice's raw score is the scalar of the Cl(3,0) product
 (-I.a)(lam I.a) and Bob's is the scalar of (+I.b)(lam I.b); both products
 are evaluated in the algebra and checked to be scalar, never assumed.  Since
 the scores depend on the directions only through these products (which
-collapse to lam and -lam), the estimators contract each side's directions
-with I once and evaluate the products at both orientation values, for all
-directions of a sweep, in one batch of arrays, verify every direction's
+collapse to lam and -lam), the estimators evaluate the products at both
+orientation values, for all directions of a sweep, in one batch of arrays
+built by `frames`, as the identity suite's are, verify every direction's
 values, and weight them by the orientation counts.
 A single direction pair is the batch of one.  Averages are then exact: the
 counts are integers, so the results are independent of summation order at
@@ -56,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import ORIENTATIONS, _dual_plane, _score_coeffs, _structure_coeffs
-from .multivector import DEFAULT_TOL, Multivector, _cross, _product, _row_norms, unit_vector
+from .frames import _LAM, ORIENTATIONS, _abstract_products, _handed_products, _scores
+from .multivector import DEFAULT_TOL, Multivector, _cross, _row_norms, unit_vector
 
 
 class TrialConsistencyError(RuntimeError):
@@ -223,11 +223,9 @@ def _unit_rows(vs) -> np.ndarray:
 def _raw_scores(side: Side, ns: np.ndarray) -> np.ndarray:
     """(2, N) raw scores of `side` for the unit rows of ns, row 0 at lam = +1
     and row 1 at lam = -1: signs of the Cl(3,0) products (-I.n)(lam I.n) for
-    Alice and (+I.n)(lam I.n) for Bob, from one contraction and one product
-    batch.  Every product is checked to be a unit scalar to `DEFAULT_TOL`."""
-    i_n = _dual_plane(ns)
-    left = -i_n if side is Side.ALICE else i_n
-    products = _product("geometric", np.concatenate([left, left]), np.concatenate([i_n, -i_n]))
+    Alice and (+I.n)(lam I.n) for Bob, from `_handed_products`.  Every
+    product is checked to be a unit scalar to `DEFAULT_TOL`."""
+    products = _handed_products(-1.0 if side is Side.ALICE else 1.0, ns, ns).reshape(-1, 8)
     s = products[:, 0]
     off = ~((np.linalg.norm(products[:, 1:], axis=-1) <= DEFAULT_TOL)
             & (np.abs(np.abs(s) - 1.0) <= DEFAULT_TOL))
@@ -240,11 +238,10 @@ def _raw_scores(side: Side, ns: np.ndarray) -> np.ndarray:
 
 def _standard_estimates(a, b, counts: OrientationCounts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scalars, (N, 3) residuals and stderrs of the standard-score estimates
-    for the unit rows of a and b, from one product batch per orientation; every
-    row is checked for a lam-independent scalar and a flipping bivector part."""
+    for the unit rows of a and b, both orientations in one batch; every row is
+    checked for a lam-independent scalar and a flipping bivector part."""
     x, y = _unit_rows(a), _unit_rows(b)  # renormalized again: without it, some rows' last bits change
-    plus, minus = (np.array(_structure_coeffs(_score_coeffs(x, lam), _score_coeffs(y, lam), -1.0 * lam))
-                   for lam in ORIENTATIONS)
+    plus, minus = _abstract_products(_scores(x), _scores(y), -1.0).transpose(0, 2, 1)
     if not np.array_equal(plus[0], minus[0]):
         raise TrialConsistencyError("scalar part of the score product must not depend on lam")
     if not np.array_equal(minus[1:], -plus[1:]):
@@ -257,8 +254,7 @@ def _raw_means(a, b, counts: OrientationCounts) -> np.ndarray:
     """Raw-score product means for the unit rows of a and b: each row's raw
     scores are checked against the per-trial identities A = lam, B = -lam."""
     alice, bob = _raw_scores(Side.ALICE, a), _raw_scores(Side.BOB, b)
-    lams = np.array(ORIENTATIONS)[:, None]
-    off = (alice != lams) | (bob != -lams)
+    off = (alice != _LAM[:, None]) | (bob != -_LAM[:, None])
     if off.any():
         j, i = np.argwhere(off)[0]
         lam = ORIENTATIONS[j]

@@ -1,4 +1,4 @@
-"""Handed bivector frames and the orientation-parameterized subalgebra.
+"""Handed bivector frames, the orientation axis and the handed products on it.
 
 An orientation is a sign lam in {+1, -1}.  It selects one of two bivector
 frames in Cl(3,0): beta_j = lam * (I . e_j), where I = e1 e2 e3 is the fixed
@@ -17,12 +17,11 @@ identity, the trial averages) are computed abstractly.  Elements of opposite
 orientation never combine; attempting to mix them raises
 `OrientationMixError`.
 
-The embedded frames are one (2, 3, 8) coefficient array,
-`_frame_coeffs(ORIENTATIONS)` with row 0 for lam = +1, which the identity
-suite reads; one orientation's frame is one (3, 8) row of it.  The
-estimators and the suite build standard scores lam n_j beta_j as (4, N)
-`_score_coeffs`.  Every plane I . n dual to a vector (a frame's, a raw
-score's, a rotation axis's) is built by `_dual_plane`.
+Only this module builds batches over the orientation axis (a leading axis
+of 2, row 0 for lam = +1, values `_LAM`): the frames, the standard scores
+and their abstract products, the dual-plane products (s I.n)(lam I.n') and
+the duality residuals, which the estimators, the transport and the identity
+suite share.  Every plane I . n dual to a vector is built by `_dual_plane`.
 """
 
 from __future__ import annotations
@@ -31,9 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import Multivector, _cross, _product, _vector_coeffs, unit_vector
+from .multivector import Multivector, _cross, _product, _vector_coeffs
 
 ORIENTATIONS = (1, -1)
+
+#: The orientations lam = +1, -1 as floats, in the order of a batch's leading axis.
+_LAM = np.array(ORIENTATIONS, dtype=np.float64)
 
 #: Read-only coefficients of the right-handed volume element I = e1 e2 e3.
 _VOLUME3 = Multivector.volume(3).coeffs
@@ -84,9 +86,8 @@ def _structure_coeffs(x, y, s) -> tuple:
     of elements whose coefficients over {1, beta_x, beta_y, beta_z} lie along
     the first axis of x and y: 4 floats each, or (4, N) arrays of N elements.
     Returns the 4 product coefficients the same way.  The model's subalgebra
-    is s = -lam; the identity suite's sign-flip canary passes s = +lam.  `s`
-    is one float, or an (N,) array with one sign per column, so that one call
-    multiplies the elements of both orientations."""
+    is s = -lam, the identity suite's sign-flip canary s = +lam; `s` is one
+    float, or an (N,) array with one sign per column."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
     return (
@@ -109,34 +110,41 @@ def abstract_product(x: AbstractElement, y: AbstractElement) -> AbstractElement:
     return AbstractElement(c0, tuple(c), x.lam)
 
 
-def _score_coeffs(n: np.ndarray, lam) -> np.ndarray:
-    """(4, N) coefficients [0, lam n] over {1, beta_x, beta_y, beta_z} of the
-    standard scores lam n_j beta_j of the normalized rows n (N, 3), at one
-    orientation `lam` or at an (N,) array of them, one per row."""
-    return np.vstack([np.zeros(len(n)), lam * n.T])
+def _scores(n: np.ndarray) -> np.ndarray:
+    """(4, 2 * m) coefficients [0, lam n] over {1, beta_x, beta_y, beta_z} of
+    the standard scores lam n_j beta_j of the m rows n (m, 3), the first m
+    columns at lam = +1 and the rest at lam = -1."""
+    return np.vstack([np.zeros(2 * len(n)), (_LAM[:, None, None] * n).reshape(-1, 3).T])
 
 
-def _duality_residuals(a: np.ndarray, b: np.ndarray, lams) -> np.ndarray:
-    """(len(lams), ...) residuals of the duality relation of the unit vectors
-    a, b (..., 3) at each orientation of `lams`: the wedge once, and the
-    contractions of every orientation's trivector lam * I in one batch."""
+def _abstract_products(x: np.ndarray, y: np.ndarray, eps_sign: float) -> np.ndarray:
+    """(2, m, 4) products of the columns of x, y (4, 2 * m), the first m at
+    lam = +1 and the rest at lam = -1, each in its orientation's abstract
+    algebra: one `_structure_coeffs` call, with s = eps_sign * lam per column.
+    The model's products take eps_sign = -1."""
+    lam = np.repeat(_LAM, x.shape[1] // 2)
+    return np.stack(_structure_coeffs(x, y, eps_sign * lam), axis=1).reshape(2, -1, 4)
+
+
+def _handed_products(side_sign: float, n: np.ndarray, n_prime: np.ndarray) -> np.ndarray:
+    """(2, N, 8) coefficients of the Cl(3,0) products (side_sign I.n)(lam I.n')
+    of the unit rows n, n' (N, 3), row 0 at lam = +1: both planes from one
+    contraction, then both orientations in one product batch."""
+    left, right = np.split(_dual_plane(np.concatenate([n, n_prime])), 2)
+    left = np.concatenate([side_sign * left] * 2)
+    return _product("geometric", left, (_LAM[:, None, None] * right).reshape(-1, 8)).reshape(2, len(n), 8)
+
+
+def _duality_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(2, ...) residuals || a ^ b - lam * ((lam I) . (a x b)) || of the
+    duality relation of the unit vectors a, b (..., 3), row 0 at lam = +1:
+    the wedge once, and the contractions of both orientations' trivectors
+    lam * I in one batch."""
     lhs = _product("wedge", _vector_coeffs(a, 3), _vector_coeffs(b, 3))
     dual = _vector_coeffs(_cross(a, b), 3).reshape(-1, 8)
-    lam = np.repeat(np.asarray(lams, dtype=np.float64), len(dual))[:, None]
-    rhs = lam * _product("contract", lam * _VOLUME3, np.concatenate([dual] * len(lams)))
-    return np.linalg.norm(lhs - rhs.reshape(len(lams), *lhs.shape), axis=-1)
-
-
-def duality_check(a, b, lam: int) -> float | np.ndarray:
-    """Residual of the orientation's duality relation, evaluated in Cl(3,0)
-    with the orientation's own trivector lam * I:
-
-        || a ^ b  -  lam * ((lam I) . (a x b)) ||
-
-    for one pair of unit vectors, or one residual per row for (N, 3) arrays.
-    """
-    lam = check_orientation(lam)
-    return _duality_residuals(unit_vector(a), unit_vector(b), (lam,))[0]
+    lam = np.repeat(_LAM, len(dual))[:, None]
+    rhs = lam * _product("contract", lam * _VOLUME3, np.concatenate([dual, dual]))
+    return np.linalg.norm(lhs - rhs.reshape(2, *lhs.shape), axis=-1)
 
 
 def hidden_basis(lam: int) -> tuple[Multivector, ...]:

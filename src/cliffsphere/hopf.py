@@ -19,7 +19,8 @@ Everything runs on coefficient arrays, the probe's separations as one batch
 (each row bit for bit a batch of one) whose rows are one structured array
 with the columns of ``null_limit.csv`` (`NULL_LIMIT_COLUMNS`).  `_transition` and `_transport` take
 the pair of `_fiber_pair` ready made: a run of both builds it once, and its
-three rotors as one rotor batch, whose plane is checked once.
+three rotors as one rotor batch, whose plane is checked once.  The transport
+multiplies with `frames._handed_products`, as the raw scores do.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .frames import _VOLUME3, _dual_plane
+from .frames import ORIENTATIONS, _VOLUME3, _dual_plane, _handed_products
 from .multivector import _cross, _product, _rotor_coeffs, _row_norms, _sandwich, _vector_coeffs, unit_vector
 
 #: Two directions are treated as spanning a usable rotation axis only if
@@ -100,21 +101,13 @@ def _transition(pair) -> tuple[np.ndarray, np.ndarray, float]:
     return lhs, rhs, float(np.linalg.norm(lhs - rhs))
 
 
-def _quaternion_coeffs(n, n_prime, lam: int, side_sign: int) -> np.ndarray:
-    """(side_sign I.n)(lam I.n') for unit vectors, or (N, 3) rows of them;
-    n and n' are contracted with I in one stacked call."""
-    v = np.stack([n, n_prime])
-    left, right = _dual_plane(v.reshape(-1, 3)).reshape(*v.shape[:-1], 8)
-    return _product("geometric", float(side_sign) * left, float(lam) * right)
-
-
 def _transport(pair, lam: int) -> float:
     """Residual of (+I.b)(lam I.b') = R_ab {(+I.a)(lam I.a')} for a
     `_fiber_pair` and an orientation lam in {+1, -1}, with the rotor acting
     by left multiplication."""
     R_ab, v = pair
     v = unit_vector(v)  # renormalized once more: dropping it changes the residual's last bits
-    q_b, q_a = _quaternion_coeffs(v[[1, 0]], v[[3, 2]], lam, +1)  # b, a and b', a'
+    q_b, q_a = _handed_products(1.0, v[[1, 0]], v[[3, 2]])[ORIENTATIONS.index(lam)]  # b, a and b', a'
     return float(np.linalg.norm(q_b - _product("geometric", R_ab, q_a)))
 
 

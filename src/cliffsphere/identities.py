@@ -17,9 +17,10 @@ A batched check's residual is its largest row norm, so a NaN row fails it.
 The two orientations obey one subalgebra up to the sign of its epsilon
 term, so each identity that holds at lam = +1 and lam = -1 runs both in one
 batch whose leading axis is the orientation, row 0 for lam = +1, and returns
-two results, each the largest row norm of its own orientation's rows.  The
-frame checks read one table, built once: the frames beta as a (2, 3, 8)
-array and their (2, 3, 3, 8) pair products from one 18-row kernel batch.
+two results, each the largest row norm of its own orientation's rows; the
+batches come from `frames`, as the estimators' do.  The frame checks read
+one table, built once: the frames beta as a (2, 3, 8) array and their
+(2, 3, 3, 8) pair products from one 18-row kernel batch.
 Only `check_hidden_basis` sees `Multivector`s.
 
 The suite carries its own naive blade multiplier (`_naive_table`), which
@@ -41,15 +42,16 @@ from functools import lru_cache
 import numpy as np
 
 from .frames import (
+    _LAM,
     ORIENTATIONS,
     _VOLUME3,
     AbstractElement,
     OrientationMixError,
+    _abstract_products,
     _dual_plane,
     _duality_residuals,
     _frame_coeffs,
-    _score_coeffs,
-    _structure_coeffs,
+    _scores,
     abstract_product,
     hidden_basis,
 )
@@ -185,10 +187,6 @@ def _worst(rows) -> float:
     return float(np.max(np.linalg.norm(rows, axis=-1)))
 
 
-#: The orientations lam = +1, -1 as floats, in the order of a batch's leading axis.
-_LAM = np.array(ORIENTATIONS, dtype=np.float64)
-
-
 def _worst_each(rows: np.ndarray) -> np.ndarray:
     """(2,) largest row norm of each orientation's rows of a (2, ..., k)
     residual array; NaN where one of its rows is NaN.  The norms are
@@ -291,13 +289,14 @@ def check_product_against_naive_oracle(dim: int, rng, tol: float, n_pairs: int) 
     masks, signs = _naive_table(dim)
     # exhaustive blade-level comparison of the fast Cayley tables
     worst = float(np.any(masks.reshape(size, size) != xor) or np.any(signs.reshape(size, size) != sign))
-    # dense random pairs through both product paths, naive in chunks of rows (1 at Cl(7))
+    # dense random pairs through both product paths, naive in chunks of rows (1 at Cl(7));
+    # np.maximum, unlike max, keeps a NaN chunk's NaN
     x, y = rng.normal(size=(2, n_pairs, size))
     fast, rows = _product("geometric", x, y), _chunk_rows(size * size)
     for lo in range(0, n_pairs, rows):
         naive = _naive_product(x[lo : lo + rows], y[lo : lo + rows], masks, signs)
-        worst = max(worst, float(np.max(np.abs(fast[lo : lo + rows] - naive))))
-    return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", worst, tol)
+        worst = np.maximum(worst, np.max(np.abs(fast[lo : lo + rows] - naive)))
+    return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", float(worst), tol)
 
 
 def check_rotor_rotation(rng) -> CheckResult:
@@ -369,19 +368,6 @@ def _dot_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _scores(n: np.ndarray) -> np.ndarray:
-    """(4, 2 * m) standard scores of the m rows n at lam = +1, then at lam = -1."""
-    return _score_coeffs(np.concatenate([n, n]), np.repeat(_LAM, len(n)))
-
-
-def _abstract_products(x: np.ndarray, y: np.ndarray, eps_sign: float) -> np.ndarray:
-    """(2, m, 4) products of the columns of x, y (4, 2 * m), the first m at
-    lam = +1 and the rest at lam = -1, each in its orientation's abstract
-    algebra: one `_structure_coeffs` call, with s = eps_sign * lam per column."""
-    lam = np.repeat(_LAM, x.shape[1] // 2)
-    return np.stack(_structure_coeffs(x, y, eps_sign * lam), axis=1).reshape(2, -1, 4)
-
-
 def check_score_expansion_embedded(frames) -> tuple[CheckResult, CheckResult]:
     """{a_j beta_j}{b_k beta_k} = -a.b - lam (a x b).beta in each embedded frame."""
     beta = frames[0]
@@ -399,8 +385,7 @@ def check_combined_identity(eps_sign: float) -> tuple[CheckResult, CheckResult]:
 
 
 def check_duality() -> tuple[CheckResult, CheckResult]:
-    worst = np.max(_duality_residuals(*_VECTOR_PAIRS, ORIENTATIONS), axis=1)
-    return _paired("orientation duality relation", worst)
+    return _paired("orientation duality relation", np.max(_duality_residuals(*_VECTOR_PAIRS), axis=1))
 
 
 def check_abstract_embedded_isomorphism(frames, eps_sign: float) -> tuple[CheckResult, CheckResult]:
@@ -422,8 +407,8 @@ def check_vector_basis_flip() -> CheckResult:
     e = _vector_coeffs(np.diag([1.0, -1.0, 1.0]), 3)  # e_x, -e_y, e_z
     I_flipped = _product("geometric", _product("geometric", e[0], e[1]), e[2])
     frame = _frame_table(_product("contract", I_flipped, e))
-    residual = max(_worst(_ordered_product(frame) - _ONE3), _worst(I_flipped + _VOLUME3))
-    return CheckResult("vector-basis flip leaves bivector handedness", residual, 0.0)
+    residual = np.maximum(_worst(_ordered_product(frame) - _ONE3), _worst(I_flipped + _VOLUME3))
+    return CheckResult("vector-basis flip leaves bivector handedness", float(residual), 0.0)
 
 
 def check_hidden_basis() -> tuple[CheckResult, CheckResult]:

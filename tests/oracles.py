@@ -18,7 +18,7 @@ products pin its algebra.
 `abstract_to_embedded` realizes an abstract element through a frame's
 bivectors as a `Multivector`, and `standard_score` builds the abstract
 element lam n_j beta_j, the single-direction reference of
-`frames._score_coeffs`; `abstract_coeffs` reads an abstract element's four
+`frames._scores`; `abstract_coeffs` reads an abstract element's four
 coefficients.  `raw_score` builds one side's raw score (side_sign I.n)(lam
 I.n) from the public contraction and geometric product, and
 `trial_records` evaluates it trial by trial, the per-trial reference of the

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliffsphere import epr
+from cliffsphere import epr, frames
 from cliffsphere.epr import (
     COUNT_CHUNK,
     CorrelationEstimate,
@@ -558,10 +558,10 @@ def test_batched_rows_equal_a_per_row_reference_at_random_directions():
 MIDDLE_ROW = 18
 
 
-def corrupt(monkeypatch, name, when, index, change):
-    """Make epr.`name` replace entry `index` of its result by change(entry) on
-    the calls that `when` selects."""
-    real = getattr(epr, name)
+def corrupt(monkeypatch, module, name, when, index, change):
+    """Make module.`name` replace entry `index` of its result by change(entry)
+    on the calls that `when` selects."""
+    real = getattr(module, name)
 
     def corrupted(*args):
         out = np.array(real(*args))
@@ -569,7 +569,7 @@ def corrupt(monkeypatch, name, when, index, change):
             out[index] = change(out[index])
         return out
 
-    monkeypatch.setattr(epr, name, corrupted)
+    monkeypatch.setattr(module, name, corrupted)
 
 
 @pytest.mark.parametrize("blade, change, message", [
@@ -577,7 +577,8 @@ def corrupt(monkeypatch, name, when, index, change):
     (5, lambda c: 1e-6, "not a unit scalar"),
 ])
 def test_sweep_checks_every_raw_product_row(monkeypatch, blade, change, message):
-    corrupt(monkeypatch, "_product", lambda kind, x, y: kind == "geometric",
+    # the raw products run in `frames._handed_products`, row MIDDLE_ROW at lam = +1
+    corrupt(monkeypatch, frames, "_product", lambda kind, x, y: kind == "geometric",
             (MIDDLE_ROW, blade), change)
     with pytest.raises(epr.TrialConsistencyError, match=message):
         sweep(SweepSpec(), orientation_counts(1, 100))
@@ -589,9 +590,10 @@ def test_sweep_checks_every_raw_product_row(monkeypatch, blade, change, message)
     (3, "bivector part .* must flip with lam"),
 ])
 def test_sweep_checks_every_standard_product_row(monkeypatch, component, message):
-    # one ulp on one row of the lam = -1 products, whose structure sign s is +1
-    corrupt(monkeypatch, "_structure_coeffs", lambda x, y, s: s > 0,
-            (component, MIDDLE_ROW), lambda c: np.nextafter(c, np.inf))
+    # one ulp on one row of the lam = -1 products, the second half of the
+    # columns of the one `_structure_coeffs` call of `frames._abstract_products`
+    corrupt(monkeypatch, frames, "_structure_coeffs", lambda x, y, s: True,
+            (component, SweepSpec().steps + MIDDLE_ROW), lambda c: np.nextafter(c, np.inf))
     with pytest.raises(epr.TrialConsistencyError, match=message):
         sweep(SweepSpec(), orientation_counts(1, 100))
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cliffsphere.frames import _dual_plane
+from cliffsphere.frames import ORIENTATIONS, _dual_plane, _handed_products
 from cliffsphere.hopf import (
     AXIS_TOL,
     DegenerateAxisError,
@@ -17,7 +17,6 @@ from cliffsphere.hopf import (
     _check_phi_deg,
     _check_psi_a,
     _fiber_pair,
-    _quaternion_coeffs,
     _rotors,
     _transition,
     _transport,
@@ -64,8 +63,10 @@ def rotate(v, axis, angle):
 
 
 def quaternion(n, n_prime, lam, side_sign):
-    """The 3-sphere point (side_sign I.n)(lam I.n') of the unit vectors n, n'."""
-    return Multivector(3, _quaternion_coeffs(unit_vector(n), unit_vector(n_prime), lam, side_sign))
+    """The 3-sphere point (side_sign I.n)(lam I.n') of the unit vectors n, n',
+    read from the batch of both orientations that the transport runs."""
+    both = _handed_products(float(side_sign), unit_vector(n)[None], unit_vector(n_prime)[None])
+    return Multivector(3, both[ORIENTATIONS.index(lam), 0])
 
 
 def rodrigues(v, k, psi):

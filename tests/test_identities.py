@@ -191,7 +191,8 @@ def cross_term_dropped(i, first):
 def failed_checks(monkeypatch, name, mutant):
     """The checks that fail when the modules that bind `name` bind `mutant`."""
     for module in (frames, identities):
-        monkeypatch.setattr(module, name, mutant)
+        if name in vars(module):
+            monkeypatch.setattr(module, name, mutant)
     return [(r.name, r.tolerance) for r in run_identity_checks() if not r.passed]
 
 
@@ -253,6 +254,41 @@ def test_naive_oracle_chunks_see_every_row(monkeypatch, rows, wrong):
     monkeypatch.setattr(identities, "_product", one_row_off)
     monkeypatch.setattr(identities, "_chunk_rows", lambda cells: rows)
     assert check_product_against_naive_oracle(3, np.random.default_rng(0), 1e-12, n_pairs=20).residual > 0.5
+
+
+def nan_rows(monkeypatch, rows):
+    """Make the suite's product kernel return NaN in `rows` of every batched product."""
+    real = identities._product
+
+    def with_nan(kind, x, y):
+        out = real(kind, x, y)
+        if out.ndim > 1:
+            out[rows] = np.nan
+        return out
+
+    monkeypatch.setattr(identities, "_product", with_nan)
+
+
+@pytest.mark.parametrize("rows", [[7], slice(None)], ids=["one row", "every row"])
+def test_a_nan_row_fails_the_cl3_oracle_check(monkeypatch, rows):
+    # the fold over the chunks' maxima must keep a NaN, as np.maximum does and max does not
+    nan_rows(monkeypatch, rows)
+    result = check_product_against_naive_oracle(3, np.random.default_rng(0), 1e-12, n_pairs=20)
+    assert math.isnan(result.residual) and not result.passed
+
+
+def test_a_nan_pair_fails_the_cl7_oracle_check(monkeypatch):
+    # at Cl(7) each chunk is one pair; the NaN pair is the fourth of five
+    nan_rows(monkeypatch, [3])
+    result = check_product_against_naive_oracle(7, np.random.default_rng(0), 1e-12, n_pairs=5)
+    assert math.isnan(result.residual) and not result.passed
+
+
+def test_a_nan_volume_element_fails_the_basis_flip_check(monkeypatch):
+    # the flipped I is compared with a NaN I, the second of the check's two residuals
+    monkeypatch.setattr(identities, "_VOLUME3", np.full(8, np.nan))
+    result = check_vector_basis_flip()
+    assert math.isnan(result.residual) and not result.passed
 
 
 def test_naive_oracle_memory_is_its_inputs_and_a_few_chunks():

@@ -1,9 +1,10 @@
 """The package's public surface: every exported name resolves, from the
 module that defines it, and nothing else does; every export and class member
 has a reader in the package; its caches hand out read-only arrays; a hopf
-run builds no rotor twice; one walk draws the orientation stream; importing
-the CLI loads no pool module; and the test settings report a failing
-property test like any other."""
+run builds no rotor twice; one walk draws the orientation stream; only
+`frames` builds a batch over the orientation axis; importing the CLI loads
+no pool module; and the test settings report a failing property test like
+any other."""
 
 import ast
 import dataclasses
@@ -26,6 +27,7 @@ REMOVED = (
     "build_frame",
     "correlation_raw",
     "correlation_standard",
+    "duality_check",
     "equation_suite",
     "FiberProbe",
     "grade_part",
@@ -57,10 +59,6 @@ TEST_ONLY_EXPORTS = {
     # the same for the outer product; `frames.hidden_basis` wedges its three
     # bivectors in one batch of the kernel
     "wedge",
-    # one orientation's duality relation on a caller's unit vectors; the
-    # identity suite checks both orientations in one batch of its core,
-    # `frames._duality_residuals`, which this function returns a row of
-    "duality_check",
 }
 
 #: Class members that no package module or script reads as an attribute, by
@@ -116,7 +114,7 @@ def test_star_import_binds_exactly_all():
 
 def test_every_exported_name_comes_from_its_defining_module():
     assert set(cliffsphere.__all__) == {*cliffsphere._MODULE_OF, "__version__"}
-    assert len(cliffsphere.__all__) == 36  # 35 names and __version__
+    assert len(cliffsphere.__all__) == 35  # 34 names and __version__
     for name, module in cliffsphere._MODULE_OF.items():
         defining = importlib.import_module(f"cliffsphere.{module}")
         value = getattr(cliffsphere, name)
@@ -319,6 +317,57 @@ def test_one_walk_draws_the_orientation_stream():
         for owner, _ in _walk_names(tree)
     }
     assert found == {("epr.py", "_count_plus"), ("epr.py", "orientation_counts")}
+
+
+def _orientation_builds(tree):
+    """(enclosing top-level definition, call) for each call in `tree` that
+    builds a batch over the orientation axis: a call of `_structure_coeffs`,
+    or of a numpy function (``np.array``, ``numpy.repeat``) that takes
+    `ORIENTATIONS` (a bare name, or an attribute such as
+    ``frames.ORIENTATIONS``) as an argument."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, [*node.args, *(k.value for k in node.keywords)]
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            root = func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            numpy_call = isinstance(func, ast.Attribute) and getattr(root, "id", None) in ("np", "numpy")
+            takes = any((a.attr if isinstance(a, ast.Attribute) else getattr(a, "id", None)) == "ORIENTATIONS"
+                        for a in args)
+            if name == "_structure_coeffs" or (numpy_call and takes):
+                found.append((getattr(top, "name", "<module>"), ast.unparse(node)))
+    return found
+
+
+def test_the_orientation_guard_finds_each_other_orientation_batch():
+    tree = ast.parse(textwrap.dedent("""
+        def other_batch(n):
+            lams = np.array(ORIENTATIONS)
+            both = numpy.repeat(frames.ORIENTATIONS, len(n))
+            rows = np.asarray(dtype=float, a=ORIENTATIONS)
+            return _structure_coeffs(n, n, lams), frames._structure_coeffs(n, n, 1.0)
+
+        def fine(n):
+            side = ORIENTATIONS.index(1)
+            volume = np.array([lam * n for lam in ORIENTATIONS])
+            return _frame_coeffs(ORIENTATIONS), _abstract_products(n, n, -1.0), side, volume
+    """))
+    assert [owner for owner, _ in _orientation_builds(tree)] == ["other_batch"] * 5
+
+
+def test_only_frames_builds_the_orientation_axis():
+    # the lam = +1, -1 batches and the products on them live in `frames`,
+    # which the estimators, the transport and the identity suite share
+    found = [
+        (path.name, owner, call)
+        for path, tree in _package_trees().items() if path.name != "frames.py"
+        for owner, call in _orientation_builds(tree)
+    ]
+    assert found == []
 
 
 def _member_names(node):
