@@ -97,10 +97,9 @@ from .epr import (
 )
 from .hopf import (_check_phi_deg, _check_psi_a, _fiber_pair, _separations, _transition, _transport,
                    null_limit_probe, phase_flip_at_pi)
-from .identities import MAX_PAIRS, _check_pairs, _check_tolerance, run_identity_checks
+from .identities import MAX_PAIRS, _check_pairs, run_identity_checks
 from .multivector import (
     DEFAULT_SEED,
-    DEFAULT_TOL,
     MAX_DIM,
     Multivector,
     _cross,
@@ -392,13 +391,11 @@ _Run = tuple[int, dict[str, str], list[str], dict]
 
 
 def cmd_identities(v: dict, given: dict, seed: int) -> _Run:
-    results = run_identity_checks(tolerance=v["tolerance"], n_pairs=v["pairs"], seed=seed,
-                                  inject_sign_flip=v["inject_sign_flip"])
+    results = run_identity_checks(n_pairs=v["pairs"], seed=seed, inject_sign_flip=v["inject_sign_flip"])
     n_pass = sum(1 for r in results if r.passed)
     lines = [
-        f"identity suite: exact on the basis, tolerance {v['tolerance']:g}, {v['pairs']} Cl(3) oracle pairs",
-        *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:55s} max residual {r.residual:.3e}  tol {r.tolerance:.1e}"
-          for r in results),
+        f"identity suite: every check exact, {v['pairs']} Cl(3) oracle pairs",
+        *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:55s} max residual {r.residual:.3e}" for r in results),
         f"{n_pass}/{len(results)} checks passed",
     ]
     return EXIT_OK if n_pass == len(results) else EXIT_VERIFICATION, {}, lines, {}
@@ -474,10 +471,8 @@ def cmd_s7(v: dict, given: dict, seed: int) -> _Run:
 #: the value as given and returns what the step uses; None uses it as is.
 COMMANDS = {
     "identities": ("run the verification suite", cmd_identities, (
-        ("--tolerance", dict(type=float, default=DEFAULT_TOL,
-                             help="threshold of the naive-oracle and rotor-unit checks"), _check_tolerance),
         ("--pairs", dict(type=int, default=20,
-                         help=f"random dense multivector pairs of the Cl(3) naive-oracle check (1 to "
+                         help=f"random integer-valued dense pairs of the Cl(3) naive-oracle check (1 to "
                               f"{MAX_PAIRS}); the bilinear identities run exactly on the basis"), _check_pairs),
         ("--inject-sign-flip", dict(action="store_true",
                                     help="test mode: corrupt a structure constant; the suite must fail"), None),

@@ -1,7 +1,7 @@
 """Self-contained verification suite for the algebra and frame identities.
 
-Each check evaluates one identity and reports its worst residual against a
-tolerance; 27 of the 31 are exact, with tolerance 0.  Associativity is
+Each check evaluates one identity and reports its worst residual, and every
+check is exact: it passes only at residual 0.  Associativity is
 proved on the blade pairs: it counts the Cayley masks that are not A ^ B
 and the sign bits that are not the GF(2)-bilinear extension of the
 generator block.  A bilinear identity holds for all inputs when it holds
@@ -9,10 +9,10 @@ on every ordered pair of basis elements, whose coefficients are 0 or +-1
 and whose floats are exact: the frame subalgebra, score expansion,
 combined identity, duality, vector decomposition and isomorphism run on
 read-only basis-pair tables, and score-square on the 3 basis scores.
-Random inputs, each drawn as one whole array from one stream seeded by
-`seed`, remain where the basis cannot speak: the rotor checks, not
-multilinear in the angle, and the dense naive-oracle products, the only
-checks to reach the kernel's batch layouts.
+Random integers from one stream seeded by `seed` remain where the basis
+cannot speak: the rotor checks' even elements and the naive oracle's dense
+factors, which reach both of the kernel's batch layouts.  They are small
+enough that every sum is an exact float, so no residual depends on `seed`.
 A batched check's residual is its largest row norm, so a NaN row fails it.
 The two orientations obey one subalgebra up to the sign of its epsilon
 term, so each identity that holds at lam = +1 and lam = -1 runs both in one
@@ -20,22 +20,23 @@ batch whose leading axis is the orientation, row 0 for lam = +1, and returns
 two results, each the largest row norm of its own orientation's rows; the
 batches come from `frames`, as the estimators' do.  The frame checks read
 one table, built once: the frames beta as a (2, 3, 8) array and their
-(2, 3, 3, 8) pair products from one 18-row kernel batch.
-Only `check_hidden_basis` sees `Multivector`s.
+(2, 3, 3, 8) pair products from one 18-row kernel batch; the rotor checks
+read their planes I . e_j from it.  Only `check_hidden_basis` sees
+`Multivector`s.
 
 The suite carries its own naive blade multiplier (`_naive_table`), which
 shares no code with the product kernel or its Cayley tables, so that the
 fast table-driven product is validated against an independent code path.
 Each oracle check compares the whole table with the Cayley tables and
-scatters its dense random products through it, a chunk of rows per
-`np.bincount`.  `inject_sign_flip` hands the abstract-side checks the
-structure constants with the wrong epsilon sign; it exists purely to
-demonstrate that the suite catches a mutated algebra.
+scatters its dense random products through it, a block of pairs per draw
+and per fast product and a chunk of rows per `np.bincount`, so its memory
+does not grow with the pairs.  `inject_sign_flip` hands the abstract-side
+checks the structure constants with the wrong epsilon sign; it exists
+purely to demonstrate that the suite catches a mutated algebra.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +49,6 @@ from .frames import (
     AbstractElement,
     OrientationMixError,
     _abstract_products,
-    _dual_plane,
     _duality_residuals,
     _frame_coeffs,
     _scores,
@@ -57,26 +57,27 @@ from .frames import (
 )
 from .multivector import (
     DEFAULT_SEED,
-    DEFAULT_TOL,
     MAX_DIM,
     _chunk_rows,
     _cross,
     _product,
     _reversion_sign,
-    _rotor_coeffs,
     _sandwich,
     _tables,
     _vector_coeffs,
 )
 
-#: Fixed absolute bound of the rotor-rotation check.
-FIXED_TOL = 1e-10
+#: Integer even elements of each rotor check, and the bound of their
+#: coefficients and of the rotated vectors' components, [-6, 6].
+_ROTOR_CASES, _ROTOR_BOUND = 100, 6
 
-#: Random cases of each rotor check.
-_ROTOR_CASES = 100
+#: Bounds of the naive oracle's integer-valued factors |x| < 2**26, |y| < 2**19:
+#: a sum of 2**8 terms x_i y_j stays below 2**53, exact in any order, and x is
+#: wider than float32's significand, so a kernel that rounds to float32 is caught.
+_X_BOUND, _Y_BOUND = 2**26, 2**19
 
-#: Most dense Cl(3) oracle pairs of one suite.  Peak memory grows with the
-#: pairs (≈220 MB at 10**6), so a larger count is refused before it allocates.
+#: Most dense Cl(3) oracle pairs of one suite.  Memory is flat in the pairs, time
+#: is not (≈0.65 s at 10**6, 2-CPU x86), so a larger count is refused.
 MAX_PAIRS = 10**6
 
 
@@ -84,11 +85,10 @@ MAX_PAIRS = 10**6
 class CheckResult:
     name: str
     residual: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.residual == 0.0  # exact, and a NaN fails
 
 
 # -- independent naive multiplier --------------------------------------------------
@@ -167,19 +167,8 @@ def _check_pairs(n_pairs: int) -> int:
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1: the dense Cl(3) oracle check would multiply nothing")
     if n_pairs > MAX_PAIRS:
-        raise ValueError(f"n_pairs must be <= {MAX_PAIRS}, got {n_pairs}: 10**6 already peak near 220 MB")
+        raise ValueError(f"n_pairs must be <= {MAX_PAIRS}, got {n_pairs}: 10**6 already take ≈0.65 s")
     return n_pairs
-
-
-def _check_tolerance(tolerance: float) -> float:
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    return tolerance
-
-
-def _random_units(rng, count):
-    v = rng.normal(size=(count, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _worst(rows) -> float:
@@ -198,7 +187,7 @@ def _paired(name, worst) -> tuple[CheckResult, CheckResult]:
     """The exact results of lam = +1 and lam = -1, whose residuals are the two
     entries of `worst`: `name`, or each of a pair of names, with its lam."""
     names = (name, name) if isinstance(name, str) else name
-    return tuple(CheckResult(f"{n} (lam={lam:+d})", float(w), 0.0) for n, lam, w in zip(names, ORIENTATIONS, worst))
+    return tuple(CheckResult(f"{n} (lam={lam:+d})", float(w)) for n, lam, w in zip(names, ORIENTATIONS, worst))
 
 
 #: Coefficients of the scalar 1 of Cl(3,0).
@@ -253,7 +242,7 @@ def check_generator_anticommutation(dim: int) -> CheckResult:
     jk = _product("geometric", *_pairs(_vector_coeffs(np.eye(dim), dim))).reshape(dim, dim, -1)
     anti = jk + jk.transpose(1, 0, 2)  # e_j e_k + e_k e_j
     anti[:, :, 0] -= 2.0 * np.eye(dim)
-    return CheckResult(f"generator anticommutation, Cl({dim},0)", _worst(anti), 0.0)
+    return CheckResult(f"generator anticommutation, Cl({dim},0)", _worst(anti))
 
 
 def check_associativity(dim: int) -> CheckResult:
@@ -273,58 +262,63 @@ def check_associativity(dim: int) -> CheckResult:
     block = (sign[np.ix_(gens, gens)] < 0).astype(np.intp)  # p[e_i, e_j]
     r = ((blades[:, None] & gens > 0) @ block & 1) @ gens
     wrong += np.count_nonzero(np.bitwise_count(r.astype(np.uint8)[:, None] & blades) & 1 != (sign < 0))
-    return CheckResult(f"associativity of the blade table, Cl({dim},0)", float(wrong), 0.0)
+    return CheckResult(f"associativity of the blade table, Cl({dim},0)", float(wrong))
 
 
 def check_vector_product_decomposition() -> CheckResult:
     """ab = a . b + a ^ b on every ordered pair of basis vectors."""
     av, bv = (_vector_coeffs(v, 3) for v in _VECTOR_PAIRS)
     diff = _product("geometric", av, bv) - _product("contract", av, bv) - _product("wedge", av, bv)
-    return CheckResult("vector product = contraction + wedge", _worst(diff), 0.0)
+    return CheckResult("vector product = contraction + wedge", _worst(diff))
 
 
-def check_product_against_naive_oracle(dim: int, rng, tol: float, n_pairs: int) -> CheckResult:
+def check_product_against_naive_oracle(dim: int, rng, n_pairs: int) -> CheckResult:
     size = 1 << dim
     xor, sign, _ = _tables(dim)
     masks, signs = _naive_table(dim)
     # exhaustive blade-level comparison of the fast Cayley tables
     worst = float(np.any(masks.reshape(size, size) != xor) or np.any(signs.reshape(size, size) != sign))
-    # dense random pairs through both product paths, naive in chunks of rows (1 at Cl(7));
-    # np.maximum, unlike max, keeps a NaN chunk's NaN
-    x, y = rng.normal(size=(2, n_pairs, size))
-    fast, rows = _product("geometric", x, y), _chunk_rows(size * size)
-    for lo in range(0, n_pairs, rows):
-        naive = _naive_product(x[lo : lo + rows], y[lo : lo + rows], masks, signs)
-        worst = np.maximum(worst, np.max(np.abs(fast[lo : lo + rows] - naive)))
-    return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", float(worst), tol)
+    # integer-valued pairs through both paths, a block per draw and fast product (all 5 of
+    # Cl(7)), naive in chunks of rows (1 at Cl(7)); np.maximum, unlike max, keeps a NaN
+    block, rows = _chunk_rows(size), _chunk_rows(size * size)
+    for lo in range(0, n_pairs, block):
+        shape = (min(block, n_pairs - lo), size)
+        x = rng.integers(1 - _X_BOUND, _X_BOUND, shape).astype(np.float64)
+        y = rng.integers(1 - _Y_BOUND, _Y_BOUND, shape).astype(np.float64)
+        fast = _product("geometric", x, y)
+        for at in range(0, len(x), rows):
+            naive = _naive_product(x[at : at + rows], y[at : at + rows], masks, signs)
+            worst = np.maximum(worst, np.max(np.abs(fast[at : at + rows] - naive)))
+    return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", float(worst))
 
 
-def check_rotor_rotation(rng) -> CheckResult:
-    """R v ~R turns v by 2 theta in the plane u ^ w, for R = exp(theta u ^ w)."""
-    u, w = _random_units(rng, _ROTOR_CASES), rng.normal(size=(_ROTOR_CASES, 3))
-    theta = rng.uniform(-2.0, 2.0, _ROTOR_CASES)
-    su, sw = rng.uniform(-1, 1, (2, _ROTOR_CASES))
-    w -= np.sum(w * u, axis=1, keepdims=True) * u
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    B = _product("wedge", _vector_coeffs(u, 3), _vector_coeffs(w, 3))
-    R = _rotor_coeffs(B, np.sin(theta), np.cos(theta))
-    v = su[:, None] * u + sw[:, None] * w
-    out = _sandwich(R, v)
-    cu, cw = np.sum(v * u, axis=1), np.sum(v * w, axis=1)
-    c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
-    want = (cu * c2 + cw * s2)[:, None] * u + (-cu * s2 + cw * c2)[:, None] * w
-    return CheckResult("rotor sandwich rotates by twice the angle", float(np.max(np.abs(out - want))), FIXED_TOL)
+def _even_elements(frames, rng) -> tuple[np.ndarray, np.ndarray]:
+    """`_ROTOR_CASES` integer even elements q = q0 + sum_j q_j (I . e_j), each
+    q_j in [-6, 6]: their (N, 4) coefficients q_j and their (N, 8) Cl(3)
+    coefficients, whose planes I . e_j are the lam = +1 frame of a table."""
+    k = rng.integers(-_ROTOR_BOUND, _ROTOR_BOUND + 1, (_ROTOR_CASES, 4)).astype(np.float64)
+    return k, k @ _frame_rows(frames[0][0])
 
 
-def check_rotor_unit(rng, tol: float) -> CheckResult:
-    """exp((I.c) theta) has unit norm and R ~R = 1."""
-    c, theta = _random_units(rng, _ROTOR_CASES), rng.uniform(-3, 3, _ROTOR_CASES)
-    B = _dual_plane(c)
-    R = _rotor_coeffs(B, np.sin(theta), np.cos(theta))
-    inverse = _product("geometric", R, R * _reversion_sign(3))
-    inverse[:, 0] -= 1.0
-    worst = float(np.max(np.maximum(np.abs(np.linalg.norm(R, axis=1) - 1.0), np.linalg.norm(inverse, axis=1))))
-    return CheckResult("rotor norm and reversion inverse", worst, tol)
+def check_rotor_rotation(frames, rng) -> CheckResult:
+    """q v ~q = M(q) v for integer even elements q = q0 + I w and integer
+    vectors v, where M(q) v = (q0^2 - w.w) v + 2 (w.v) w - 2 q0 w x v is the
+    unnormalised rotation matrix of the quaternion with scalar q0 and vector
+    part -w.  A unit q = exp(theta I n) turns v by twice theta, about -n."""
+    k, q = _even_elements(frames, rng)
+    v = rng.integers(-_ROTOR_BOUND, _ROTOR_BOUND + 1, (_ROTOR_CASES, 3)).astype(np.float64)
+    q0, w = k[:, :1], k[:, 1:]
+    want = (q0 * q0 - np.sum(w * w, axis=1, keepdims=True)) * v + 2 * np.sum(w * v, axis=1, keepdims=True) * w
+    want -= 2 * q0 * _cross(w, v)
+    return CheckResult("rotor sandwich rotates by twice the angle", _worst(_sandwich(q, v) - want))
+
+
+def check_rotor_unit(frames, rng) -> CheckResult:
+    """q ~q = |q|^2, with no other part, for integer even elements q."""
+    k, q = _even_elements(frames, rng)
+    norm = _product("geometric", q, q * _reversion_sign(3))
+    norm[:, 0] -= np.sum(k * k, axis=1)
+    return CheckResult("rotor norm and reversion inverse", _worst(norm))
 
 
 # -- frame and orientation checks --------------------------------------------------------
@@ -397,9 +391,14 @@ def check_abstract_embedded_isomorphism(frames, eps_sign: float) -> tuple[CheckR
 
 
 def check_score_square(eps_sign: float) -> tuple[CheckResult, CheckResult]:
+    """Each basis score lam e_j beta_j squares to -1, and its coefficients are
+    [0, lam e_j], so a score of the other orientation fails its lam's line."""
     s = _scores(np.eye(3))  # the 3 basis scores of each orientation
-    got = _abstract_products(s, s, eps_sign)
-    return _paired("standard score squares to -1", _worst_each(got - [-1.0, 0, 0, 0]))
+    got = np.concatenate([_abstract_products(s, s, eps_sign), s.T.reshape(2, 3, 4)], axis=1)
+    want = np.zeros_like(got)
+    want[:, :3, 0] = -1.0
+    want[:, 3:, 1:] = _LAM[:, None, None] * np.eye(3)
+    return _paired("standard score squares to -1", _worst_each(got - want))
 
 
 def check_vector_basis_flip() -> CheckResult:
@@ -408,7 +407,7 @@ def check_vector_basis_flip() -> CheckResult:
     I_flipped = _product("geometric", _product("geometric", e[0], e[1]), e[2])
     frame = _frame_table(_product("contract", I_flipped, e))
     residual = np.maximum(_worst(_ordered_product(frame) - _ONE3), _worst(I_flipped + _VOLUME3))
-    return CheckResult("vector-basis flip leaves bivector handedness", float(residual), 0.0)
+    return CheckResult("vector-basis flip leaves bivector handedness", float(residual))
 
 
 def check_hidden_basis() -> tuple[CheckResult, CheckResult]:
@@ -424,15 +423,14 @@ def check_mixed_orientation_rejected() -> CheckResult:
     try:
         abstract_product(x, y)
     except OrientationMixError:
-        return CheckResult("mixed-orientation products rejected", 0.0, 0.0)
-    return CheckResult("mixed-orientation products rejected", 1.0, 0.0)
+        return CheckResult("mixed-orientation products rejected", 0.0)
+    return CheckResult("mixed-orientation products rejected", 1.0)
 
 
 # -- suite ---------------------------------------------------------------------------------
 
 
 def run_identity_checks(
-    tolerance: float = DEFAULT_TOL,
     n_pairs: int = 20,
     seed: int = DEFAULT_SEED,
     inject_sign_flip: bool = False,
@@ -440,14 +438,14 @@ def run_identity_checks(
     """Every clifford_core and frame property check, in a fixed order.
 
     The bilinear identities run exactly on the basis.  One stream seeded by
-    `seed` draws, check by check, `n_pairs` dense pairs for the Cl(3) naive
-    oracle, 5 for Cl(7) and 100 cases for each rotor check.
+    `seed` draws, check by check, `n_pairs` integer-valued dense pairs for
+    the Cl(3) naive oracle, 5 for Cl(7) and 100 integer even elements for
+    each rotor check; every residual is exact, whatever the seed.
     `inject_sign_flip` corrupts the epsilon sign of the abstract structure
     constants (test mode): the abstract-side checks that multiply two
     different directions must then fail.
     """
     _check_pairs(n_pairs)
-    _check_tolerance(tolerance)
     eps_sign = 1.0 if inject_sign_flip else -1.0
     rng = np.random.default_rng(seed)
     frames = _frame_table(_frame_coeffs(ORIENTATIONS))
@@ -471,8 +469,8 @@ def run_identity_checks(
         check_associativity(3),
         check_associativity(7),
         check_vector_product_decomposition(),
-        check_product_against_naive_oracle(3, rng, tolerance, n_pairs),
-        check_product_against_naive_oracle(7, rng, tolerance, n_pairs=5),
-        check_rotor_rotation(rng),
-        check_rotor_unit(rng, tolerance),
+        check_product_against_naive_oracle(3, rng, n_pairs),
+        check_product_against_naive_oracle(7, rng, n_pairs=5),
+        check_rotor_rotation(frames, rng),
+        check_rotor_unit(frames, rng),
     ]

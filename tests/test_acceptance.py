@@ -59,19 +59,16 @@ def sweep_csv(tmp_path_factory):
 
 def test_criterion_01_identity_suite():
     # the bilinear frame identities hold exactly on every ordered basis pair,
-    # hence for all inputs; only the oracle and rotor checks carry a float bound
+    # hence for all inputs; the oracle and rotor checks multiply integers that
+    # floats hold exactly: every check must read residual 0
     start = time.perf_counter()
-    results = run_identity_checks(tolerance=1e-12)
+    results = run_identity_checks()
     elapsed = time.perf_counter() - start
     assert len(results) == 31
     for r in results:
-        assert r.residual < max(r.tolerance, 1e-12), f"{r.name}: {r.residual}"
-    exact = {r.name: r.residual for r in results if r.tolerance == 0.0}
-    for name in ("frame score expansion", "combined orientation identity", "orientation duality relation",
-                 "abstract/embedded isomorphism"):
-        assert [v for k, v in exact.items() if k.startswith(name)] == [0.0, 0.0], name
+        assert r.residual == 0.0, f"{r.name}: {r.residual}"
     assert elapsed < 5.0, f"identity suite took {elapsed:.2f}s"
-    print(f"\nACCEPTANCE 1: PASS ({len(results)} identity checks, {len(exact)} exact, {elapsed:.2f}s)")
+    print(f"\nACCEPTANCE 1: PASS ({len(results)} identity checks, all exact, {elapsed:.2f}s)")
 
 
 def test_criterion_02_handedness_detectors():

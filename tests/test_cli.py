@@ -326,7 +326,7 @@ def test_simulate_rejects_out_of_range_env_seed(tmp_path, capsys, monkeypatch):
     (["simulate", "--trials", "-1"], None, "--trials -1: "),
     (["simulate", "--sweep", "0:180:1"], None, "--sweep '0:180:1': "),
     (["simulate", "--sweep", "a:b:c"], None, "--sweep 'a:b:c': "),
-    (["identities", "--tolerance", "nan"], None, "--tolerance nan: tolerance must be finite and >= 0"),
+    (["identities", "--tolerance", "1e-12"], None, "unrecognized arguments: --tolerance 1e-12\n"),
     (["hopf", "--limit-separations", "1e-3,oops"], None, "--limit-separations '1e-3,oops': "),
     (["hopf"], "x", "CLIFFSPHERE_SEED: "),
     (["s7", "--embedding", "missing.txt"], None, "--embedding 'missing.txt': "),
@@ -693,8 +693,9 @@ def test_the_simulate_digest_does_not_depend_on_the_walkers(tmp_path, monkeypatc
 #: contracts each side's directions once and multiplies them at both
 #: orientations in one batch.  The identity suite checks associativity on
 #: the Cayley tables, with no product, and each identity that holds at both
-#: orientations once, both in one batch.
-PRODUCT_BUDGET = {"identities": 28, "simulate": 4, "hopf": 17, "s7": 6}
+#: orientations once, both in one batch; its rotor checks take their planes
+#: from the frame table and make 3 products.
+PRODUCT_BUDGET = {"identities": 24, "simulate": 4, "hopf": 17, "s7": 6}
 
 
 def patch_kernel(monkeypatch, replacement) -> None:
@@ -773,9 +774,9 @@ def test_a_later_s7_run_reuses_J(tmp_path, monkeypatch):
 #: sha256 of the whole stdout of a run with `--out out`, and its exit code:
 #: identities writes no data file, and hopf's residual lines reach none.
 GOLDEN_STDOUT = {
-    "identities --seed 42": (0, "6f99c39e4d8ff18c6892b61ee6a7381356b664282422d9f881727d056332fbad"),
+    "identities --seed 42": (0, "86db3c93de1cf56e767ea9b4cbb5ef866ba263492cc53601e68c62e22a38177f"),
     "identities --pairs 50 --inject-sign-flip":
-        (1, "6ce8905793426bee2acabb53bcb32e3b972d0587d6f5374a4d10acf1a46ce5be"),
+        (1, "042e69d0f06963bac32b0fc9d28c3c8609d237677fb3e5c262d2554fda7d8e63"),
     "hopf": (0, "208a2ffeadd5220b2777d3412e972754c25824152cfc63737e475d84062e8b7e"),
     "hopf --psi-a 0.3 --phi-deg 40":
         (0, "0c25962bdaab76e74d550e773b057d9adf042a777e03cb2f28537f8e79bcf2e9"),
@@ -795,6 +796,15 @@ def test_stdout_matches_the_golden_digests(tmp_path, monkeypatch, capsys, argv):
     want_code, want = GOLDEN_STDOUT[argv]
     assert main([*argv.split(), "--out", "out"]) == want_code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+def test_identities_stdout_does_not_depend_on_the_seed(tmp_path, capsys):
+    # every residual is exact, so every seed prints the same lines
+    printed = set()
+    for seed in range(0, 50, 7):
+        assert main(["identities", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        printed.add(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert len(printed) == 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -986,9 +996,8 @@ def test_identities_default_stdout_is_the_library_suite(tmp_path, capsys, monkey
     assert main(["identities", "--out", str(tmp_path)]) == 0
     results = run_identity_checks()
     assert capsys.readouterr().out.splitlines() == [
-        "identity suite: exact on the basis, tolerance 1e-12, 20 Cl(3) oracle pairs",
-        *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:55s} max residual {r.residual:.3e}  tol {r.tolerance:.1e}"
-          for r in results),
+        "identity suite: every check exact, 20 Cl(3) oracle pairs",
+        *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:55s} max residual {r.residual:.3e}" for r in results),
         f"{len(results)}/{len(results)} checks passed",
     ]
 
@@ -1022,28 +1031,10 @@ def test_closed_stdout_ends_the_run_with_its_own_code(tmp_path, argv, code):
         assert entry["sha256"] == digest(out / entry["path"])
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
-def test_identities_rejects_meaningless_tolerance(tmp_path, capsys, tolerance):
-    code = main(["identities", "--pairs", "1", f"--tolerance={tolerance}",
-                 "--out", str(tmp_path / "i")])
-    assert "checks passed" not in assert_usage_error(capsys, code).out
-    assert not (tmp_path / "i").exists()
-
-
 @pytest.mark.parametrize("pairs", ["0", "-3"])
 def test_identities_rejects_nonpositive_pairs(tmp_path, capsys, pairs):
     code = main(["identities", "--pairs", pairs, "--out", str(tmp_path / "i")])
     assert "checks passed" not in assert_usage_error(capsys, code).out
-
-
-def test_identities_tolerance_flag_is_applied_and_echoed(tmp_path, capsys):
-    out = tmp_path / "i"
-    main(["identities", "--pairs", "20", "--tolerance", "1e-15", "--out", str(out)])
-    printed = capsys.readouterr().out
-    assert "1e-15" in printed
-    assert "tol 1.0e-15" in printed
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["tolerance"] == 1e-15
 
 
 # -- generated argv ------------------------------------------------------------------
@@ -1054,7 +1045,6 @@ VECTORS = ["1,0,0", "0.6,0.8,0", "0,0,-1", "-0.6,0,0.8", "nan,0,0", "inf,0,0", "
 SWEEPS = ["0:180:5", "0:90:2", "90:-90:3", "-30:30:3", "0:180:1", "0:180", "a:b:c", "0:nan:3",
           "0:inf:3", "1e308:-1e308:3", "0:180:1099511627776"]
 SEPARATIONS = ["1e-1,1e-2,1e-3", "1e-3,1e-2", "1e-1,1e-1", "1e-1,oops", "nan", "0", ""]
-TOLERANCES = ["1e-12", "1e-6", "0", "nan", "inf", "-inf", "-1"]
 #: `{base}` is the fresh directory of a run, which holds these files.
 EMBEDDINGS = ["default", "{base}/good.txt", "{base}/nan.txt", "{base}/inf.txt", "{base}/empty.txt",
               "{base}/missing.txt"]
@@ -1064,7 +1054,6 @@ OUTS = ["new/run", "file", "file/sub"]
 #: None for a switch.
 FLAG_VALUES = {
     "--seed": st.sampled_from(SEEDS),
-    "--tolerance": st.sampled_from(TOLERANCES),
     "--pairs": st.sampled_from(["1", "2", "0", "-1", "1099511627776"]),
     "--inject-sign-flip": None,
     "--trials": st.integers(-2, 1000).map(str),
@@ -1119,6 +1108,7 @@ def run_main(argv):
 @example((["simulate", "--sweep=0:180:1099511627776"], "new/run", None))
 @example((["hopf"], "new/run", "x"))
 @example((["identities", "--pairs=2", "--inject-sign-flip"], "new/run", "7"))
+# an old manifest's argv: the removed --tolerance is refused in one line
 @example((["identities", "--tolerance=0", "--pairs=1"], "new/run", None))
 @example((["s7", "--a=-0.6,0,0.8", "--lambda=-1", "--embedding={base}/good.txt"], "new/run", None))
 def test_generated_argv_exits_with_a_documented_code(invocation):

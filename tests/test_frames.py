@@ -282,7 +282,7 @@ def test_combined_identity_residual(lam):
     side = ORIENTATIONS.index(lam)
     result = check_combined_identity(-1.0)[side]
     assert result.name == f"combined orientation identity (lam={lam:+d})"
-    assert result.residual == 0.0 and result.tolerance == 0.0
+    assert result.residual == 0.0
     assert not check_combined_identity(1.0)[side].passed
 
 
