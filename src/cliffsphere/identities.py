@@ -1,6 +1,7 @@
 """Self-contained verification suite for the algebra and frame identities.
 
-Each check evaluates one identity and reports its worst residual, and every
+Each check evaluates one identity and returns only its worst residual; the
+line names sit beside the calls in `run_identity_checks`' one table.  Every
 check is exact: it passes only at residual 0.  Associativity is
 proved on the blade pairs: it counts the Cayley masks that are not A ^ B
 and the sign bits that are not the GF(2)-bilinear extension of the
@@ -17,7 +18,7 @@ A batched check's residual is its largest row norm, so a NaN row fails it.
 The two orientations obey one subalgebra up to the sign of its epsilon
 term, so each identity that holds at lam = +1 and lam = -1 runs both in one
 batch whose leading axis is the orientation, row 0 for lam = +1, and returns
-two results, each the largest row norm of its own orientation's rows; the
+two residuals, each the largest row norm of its own orientation's rows; the
 batches come from `frames`, as the estimators' do.  The frame checks read
 one table, built once: the frames beta as a (2, 3, 8) array and their
 (2, 3, 3, 8) pair products from one 18-row kernel batch; the rotor checks
@@ -171,23 +172,21 @@ def _check_pairs(n_pairs: int) -> int:
     return n_pairs
 
 
-def _worst(rows) -> float:
-    """Largest row norm of a (..., k) residual array; NaN if any row is NaN."""
-    return float(np.max(np.linalg.norm(rows, axis=-1)))
+def _worst(rows: np.ndarray, axis=None):
+    """Largest row norm of a (..., k) residual array, over `axis` of its norms
+    or over all of them; NaN wherever a row is NaN.  The norms are
+    `np.linalg.norm`'s over the last axis, bit for bit, without its wrapper."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1)).max(axis=axis)
 
 
 def _worst_each(rows: np.ndarray) -> np.ndarray:
-    """(2,) largest row norm of each orientation's rows of a (2, ..., k)
-    residual array; NaN where one of its rows is NaN.  The norms are
-    `np.linalg.norm`'s over the last axis, bit for bit, without its wrapper."""
-    return np.sqrt(np.add.reduce(rows * rows, axis=-1)).reshape(len(_LAM), -1).max(axis=1)
+    """(2,) largest row norm of each orientation's rows of a (2, ..., k) residual array."""
+    return _worst(rows.reshape(len(_LAM), -1, rows.shape[-1]), axis=1)
 
 
-def _paired(name, worst) -> tuple[CheckResult, CheckResult]:
-    """The exact results of lam = +1 and lam = -1, whose residuals are the two
-    entries of `worst`: `name`, or each of a pair of names, with its lam."""
-    names = (name, name) if isinstance(name, str) else name
-    return tuple(CheckResult(f"{n} (lam={lam:+d})", float(w)) for n, lam, w in zip(names, ORIENTATIONS, worst))
+def _both(name: str, other: str | None = None) -> tuple[str, str]:
+    """The line names of lam = +1 and lam = -1: `name` then `other`, or `name` twice."""
+    return tuple(f"{n} (lam={lam:+d})" for n, lam in zip((name, other or name), ORIENTATIONS))
 
 
 #: Coefficients of the scalar 1 of Cl(3,0).
@@ -237,15 +236,15 @@ _EPS = np.array(EPS_TRIPLES)[:, 3]
 # -- clifford_core checks --------------------------------------------------------------
 
 
-def check_generator_anticommutation(dim: int) -> CheckResult:
+def check_generator_anticommutation(dim: int) -> float:
     """e_j e_k + e_k e_j = 2 delta_jk over all dim**2 generator pairs."""
     jk = _product("geometric", *_pairs(_vector_coeffs(np.eye(dim), dim))).reshape(dim, dim, -1)
     anti = jk + jk.transpose(1, 0, 2)  # e_j e_k + e_k e_j
     anti[:, :, 0] -= 2.0 * np.eye(dim)
-    return CheckResult(f"generator anticommutation, Cl({dim},0)", _worst(anti))
+    return _worst(anti)
 
 
-def check_associativity(dim: int) -> CheckResult:
+def check_associativity(dim: int) -> float:
     """(e_A e_B) e_C = e_A (e_B e_C) on every blade triple, exactly, proved on
     the blade pairs by two laws: every mask is A ^ B, and every sign bit p
     (1 for -1) is the GF(2)-bilinear extension of the generator block, p[A,B]
@@ -262,17 +261,17 @@ def check_associativity(dim: int) -> CheckResult:
     block = (sign[np.ix_(gens, gens)] < 0).astype(np.intp)  # p[e_i, e_j]
     r = ((blades[:, None] & gens > 0) @ block & 1) @ gens
     wrong += np.count_nonzero(np.bitwise_count(r.astype(np.uint8)[:, None] & blades) & 1 != (sign < 0))
-    return CheckResult(f"associativity of the blade table, Cl({dim},0)", float(wrong))
+    return float(wrong)
 
 
-def check_vector_product_decomposition() -> CheckResult:
+def check_vector_product_decomposition() -> float:
     """ab = a . b + a ^ b on every ordered pair of basis vectors."""
     av, bv = (_vector_coeffs(v, 3) for v in _VECTOR_PAIRS)
     diff = _product("geometric", av, bv) - _product("contract", av, bv) - _product("wedge", av, bv)
-    return CheckResult("vector product = contraction + wedge", _worst(diff))
+    return _worst(diff)
 
 
-def check_product_against_naive_oracle(dim: int, rng, n_pairs: int) -> CheckResult:
+def check_product_against_naive_oracle(dim: int, rng, n_pairs: int) -> float:
     size = 1 << dim
     xor, sign, _ = _tables(dim)
     masks, signs = _naive_table(dim)
@@ -289,7 +288,7 @@ def check_product_against_naive_oracle(dim: int, rng, n_pairs: int) -> CheckResu
         for at in range(0, len(x), rows):
             naive = _naive_product(x[at : at + rows], y[at : at + rows], masks, signs)
             worst = np.maximum(worst, np.max(np.abs(fast[at : at + rows] - naive)))
-    return CheckResult(f"fast product vs naive blade multiplier, Cl({dim},0)", float(worst))
+    return float(worst)
 
 
 def _even_elements(frames, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +299,7 @@ def _even_elements(frames, rng) -> tuple[np.ndarray, np.ndarray]:
     return k, k @ _frame_rows(frames[0][0])
 
 
-def check_rotor_rotation(frames, rng) -> CheckResult:
+def check_rotor_rotation(frames, rng) -> float:
     """q v ~q = M(q) v for integer even elements q = q0 + I w and integer
     vectors v, where M(q) v = (q0^2 - w.w) v + 2 (w.v) w - 2 q0 w x v is the
     unnormalised rotation matrix of the quaternion with scalar q0 and vector
@@ -310,48 +309,47 @@ def check_rotor_rotation(frames, rng) -> CheckResult:
     q0, w = k[:, :1], k[:, 1:]
     want = (q0 * q0 - np.sum(w * w, axis=1, keepdims=True)) * v + 2 * np.sum(w * v, axis=1, keepdims=True) * w
     want -= 2 * q0 * _cross(w, v)
-    return CheckResult("rotor sandwich rotates by twice the angle", _worst(_sandwich(q, v) - want))
+    return _worst(_sandwich(q, v) - want)
 
 
-def check_rotor_unit(frames, rng) -> CheckResult:
+def check_rotor_unit(frames, rng) -> float:
     """q ~q = |q|^2, with no other part, for integer even elements q."""
     k, q = _even_elements(frames, rng)
     norm = _product("geometric", q, q * _reversion_sign(3))
     norm[:, 0] -= np.sum(k * k, axis=1)
-    return CheckResult("rotor norm and reversion inverse", _worst(norm))
+    return _worst(norm)
 
 
 # -- frame and orientation checks --------------------------------------------------------
 #
 # A frames argument is `_frame_table(_frame_coeffs(ORIENTATIONS))`: both
 # frames and their pair products, row 0 for lam = +1, which
-# `run_identity_checks` builds once.  Each check below returns the results of
-# lam = +1 and lam = -1, in that order.
+# `run_identity_checks` builds once.  Each check below returns the (2,)
+# residuals of lam = +1 and lam = -1, in that order.
 
 
-def check_frame_subalgebra(frames) -> tuple[CheckResult, CheckResult]:
+def check_frame_subalgebra(frames) -> np.ndarray:
     """beta_j beta_k = -delta_jk - lam eps_jkl beta_l in each embedded frame."""
     beta, pairs = frames
     want = np.zeros_like(pairs)
     want[..., 0] = -np.eye(3)
     want[:, _J, _K] = (-_LAM[:, None] * _EPS)[..., None] * beta[:, _L]
-    return _paired(("right-frame bivector subalgebra", "left-frame bivector subalgebra"), _worst_each(pairs - want))
+    return _worst_each(pairs - want)
 
 
-def check_frame_squares(frames) -> tuple[CheckResult, CheckResult]:
+def check_frame_squares(frames) -> np.ndarray:
     squares = frames[1].diagonal(axis1=1, axis2=2).transpose(0, 2, 1)  # beta_j beta_j
-    return _paired("basis bivectors square to -1", _worst_each(squares + _ONE3))
+    return _worst_each(squares + _ONE3)
 
 
-def check_frame_anticommutation(frames) -> tuple[CheckResult, CheckResult]:
+def check_frame_anticommutation(frames) -> np.ndarray:
     pairs = frames[1]
     anti = (pairs + pairs.transpose(0, 2, 1, 3))[:, ~np.eye(3, dtype=bool)]  # beta_j beta_k + beta_k beta_j, j != k
-    return _paired("basis bivectors anticommute", _worst_each(anti))
+    return _worst_each(anti)
 
 
-def check_ordered_product(frames) -> tuple[CheckResult, CheckResult]:
-    residual = _worst_each(_ordered_product(frames) - _LAM[:, None] * _ONE3)
-    return _paired(("ordered frame product is positive", "ordered frame product is negative"), residual)
+def check_ordered_product(frames) -> np.ndarray:
+    return _worst_each(_ordered_product(frames) - _LAM[:, None] * _ONE3)
 
 
 def _dot_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -362,35 +360,34 @@ def _dot_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rows
 
 
-def check_score_expansion_embedded(frames) -> tuple[CheckResult, CheckResult]:
+def check_score_expansion_embedded(frames) -> np.ndarray:
     """{a_j beta_j}{b_k beta_k} = -a.b - lam (a x b).beta in each embedded frame."""
     beta = frames[0]
     a, b = _VECTOR_PAIRS
     got = _product("geometric", (a @ beta).reshape(-1, 8), (b @ beta).reshape(-1, 8)).reshape(2, -1, 8)
-    names = ("frame score expansion, epsilon sign -", "frame score expansion, epsilon sign +")
-    return _paired(names, _worst_each(got - _dot_cross(a, b) @ _frame_rows(beta)))
+    return _worst_each(got - _dot_cross(a, b) @ _frame_rows(beta))
 
 
-def check_combined_identity(eps_sign: float) -> tuple[CheckResult, CheckResult]:
+def check_combined_identity(eps_sign: float) -> np.ndarray:
     """(mu.a)(mu.b) = -a.b - mu.(a x b) in each orientation's abstract algebra."""
     a, b = _VECTOR_PAIRS
     got = _abstract_products(_scores(a), _scores(b), eps_sign)
-    return _paired("combined orientation identity", _worst_each(got - _dot_cross(a, b)))
+    return _worst_each(got - _dot_cross(a, b))
 
 
-def check_duality() -> tuple[CheckResult, CheckResult]:
-    return _paired("orientation duality relation", np.max(_duality_residuals(*_VECTOR_PAIRS), axis=1))
+def check_duality() -> np.ndarray:
+    return np.max(_duality_residuals(*_VECTOR_PAIRS), axis=1)
 
 
-def check_abstract_embedded_isomorphism(frames, eps_sign: float) -> tuple[CheckResult, CheckResult]:
+def check_abstract_embedded_isomorphism(frames, eps_sign: float) -> np.ndarray:
     rows = _frame_rows(frames[0])
     x, y = _ELEMENT_PAIRS
     abstract = _abstract_products(np.concatenate([x.T, x.T], axis=1), np.concatenate([y.T, y.T], axis=1), eps_sign)
     embedded = _product("geometric", (x @ rows).reshape(-1, 8), (y @ rows).reshape(-1, 8)).reshape(2, -1, 8)
-    return _paired("abstract/embedded isomorphism", _worst_each(abstract @ rows - embedded))
+    return _worst_each(abstract @ rows - embedded)
 
 
-def check_score_square(eps_sign: float) -> tuple[CheckResult, CheckResult]:
+def check_score_square(eps_sign: float) -> np.ndarray:
     """Each basis score lam e_j beta_j squares to -1, and its coefficients are
     [0, lam e_j], so a score of the other orientation fails its lam's line."""
     s = _scores(np.eye(3))  # the 3 basis scores of each orientation
@@ -398,33 +395,31 @@ def check_score_square(eps_sign: float) -> tuple[CheckResult, CheckResult]:
     want = np.zeros_like(got)
     want[:, :3, 0] = -1.0
     want[:, 3:, 1:] = _LAM[:, None, None] * np.eye(3)
-    return _paired("standard score squares to -1", _worst_each(got - want))
+    return _worst_each(got - want)
 
 
-def check_vector_basis_flip() -> CheckResult:
+def check_vector_basis_flip() -> float:
     """Flipping e_y -> -e_y flips I but leaves the bivector handedness at +1."""
     e = _vector_coeffs(np.diag([1.0, -1.0, 1.0]), 3)  # e_x, -e_y, e_z
     I_flipped = _product("geometric", _product("geometric", e[0], e[1]), e[2])
     frame = _frame_table(_product("contract", I_flipped, e))
-    residual = np.maximum(_worst(_ordered_product(frame) - _ONE3), _worst(I_flipped + _VOLUME3))
-    return CheckResult("vector-basis flip leaves bivector handedness", float(residual))
+    return np.maximum(_worst(_ordered_product(frame) - _ONE3), _worst(I_flipped + _VOLUME3))
 
 
-def check_hidden_basis() -> tuple[CheckResult, CheckResult]:
+def check_hidden_basis() -> np.ndarray:
     """Each orientation's hidden basis has one volume-grade element, the last, lam * I."""
     volume = np.array([[b.coeffs[-1] for b in hidden_basis(lam)] for lam in ORIENTATIONS])
-    residual = np.maximum(np.abs(volume[:, -1] - _LAM), (volume != 0.0).sum(axis=1) - 1.0)
-    return _paired("hidden basis volume element sign", residual)
+    return np.maximum(np.abs(volume[:, -1] - _LAM), (volume != 0.0).sum(axis=1) - 1.0)
 
 
-def check_mixed_orientation_rejected() -> CheckResult:
+def check_mixed_orientation_rejected() -> float:
     x = AbstractElement(0.0, (1.0, 0.0, 0.0), 1)
     y = AbstractElement(0.0, (1.0, 0.0, 0.0), -1)
     try:
         abstract_product(x, y)
     except OrientationMixError:
-        return CheckResult("mixed-orientation products rejected", 0.0)
-    return CheckResult("mixed-orientation products rejected", 1.0)
+        return 0.0
+    return 1.0
 
 
 # -- suite ---------------------------------------------------------------------------------
@@ -435,42 +430,45 @@ def run_identity_checks(
     seed: int = DEFAULT_SEED,
     inject_sign_flip: bool = False,
 ) -> list[CheckResult]:
-    """Every clifford_core and frame property check, in a fixed order.
-
-    The bilinear identities run exactly on the basis.  One stream seeded by
-    `seed` draws, check by check, `n_pairs` integer-valued dense pairs for
-    the Cl(3) naive oracle, 5 for Cl(7) and 100 integer even elements for
-    each rotor check; every residual is exact, whatever the seed.
-    `inject_sign_flip` corrupts the epsilon sign of the abstract structure
-    constants (test mode): the abstract-side checks that multiply two
-    different directions must then fail.
+    """Every clifford_core and frame property check, one table row per call:
+    the names of its stdout lines, in stdout order, then its residuals, one
+    per name, or the suite raises.  The bilinear identities run exactly on
+    the basis.  One stream seeded by `seed` draws, row by row, `n_pairs`
+    integer-valued dense pairs for the Cl(3) naive oracle, 5 for Cl(7) and
+    100 integer even elements for each rotor check; every residual is exact,
+    whatever the seed.  `inject_sign_flip` corrupts the epsilon sign of the
+    abstract structure constants (test mode): the abstract-side checks that
+    multiply two different directions must then fail.
     """
     _check_pairs(n_pairs)
     eps_sign = 1.0 if inject_sign_flip else -1.0
     rng = np.random.default_rng(seed)
     frames = _frame_table(_frame_coeffs(ORIENTATIONS))
-    right, left = check_frame_subalgebra(frames)
-    return [
-        right,
-        *check_frame_squares(frames),
-        *check_frame_anticommutation(frames),
-        *check_ordered_product(frames),
-        left,
-        *check_score_expansion_embedded(frames),
-        *check_combined_identity(eps_sign),
-        *check_duality(),
-        *check_abstract_embedded_isomorphism(frames, eps_sign),
-        *check_score_square(eps_sign),
-        check_vector_basis_flip(),
-        *check_hidden_basis(),
-        check_mixed_orientation_rejected(),
-        check_generator_anticommutation(3),
-        check_generator_anticommutation(7),
-        check_associativity(3),
-        check_associativity(7),
-        check_vector_product_decomposition(),
-        check_product_against_naive_oracle(3, rng, n_pairs),
-        check_product_against_naive_oracle(7, rng, n_pairs=5),
-        check_rotor_rotation(frames, rng),
-        check_rotor_unit(frames, rng),
-    ]
+    table = (
+        (_both("right-frame bivector subalgebra", "left-frame bivector subalgebra"),
+         check_frame_subalgebra(frames)),
+        (_both("basis bivectors square to -1"), check_frame_squares(frames)),
+        (_both("basis bivectors anticommute"), check_frame_anticommutation(frames)),
+        (_both("ordered frame product is positive", "ordered frame product is negative"),
+         check_ordered_product(frames)),
+        (_both("frame score expansion, epsilon sign -", "frame score expansion, epsilon sign +"),
+         check_score_expansion_embedded(frames)),
+        (_both("combined orientation identity"), check_combined_identity(eps_sign)),
+        (_both("orientation duality relation"), check_duality()),
+        (_both("abstract/embedded isomorphism"), check_abstract_embedded_isomorphism(frames, eps_sign)),
+        (_both("standard score squares to -1"), check_score_square(eps_sign)),
+        (("vector-basis flip leaves bivector handedness",), check_vector_basis_flip()),
+        (_both("hidden basis volume element sign"), check_hidden_basis()),
+        (("mixed-orientation products rejected",), check_mixed_orientation_rejected()),
+        (("generator anticommutation, Cl(3,0)",), check_generator_anticommutation(3)),
+        (("generator anticommutation, Cl(7,0)",), check_generator_anticommutation(7)),
+        (("associativity of the blade table, Cl(3,0)",), check_associativity(3)),
+        (("associativity of the blade table, Cl(7,0)",), check_associativity(7)),
+        (("vector product = contraction + wedge",), check_vector_product_decomposition()),
+        (("fast product vs naive blade multiplier, Cl(3,0)",), check_product_against_naive_oracle(3, rng, n_pairs)),
+        (("fast product vs naive blade multiplier, Cl(7,0)",), check_product_against_naive_oracle(7, rng, 5)),
+        (("rotor sandwich rotates by twice the angle",), check_rotor_rotation(frames, rng)),
+        (("rotor norm and reversion inverse",), check_rotor_unit(frames, rng)),
+    )
+    return [CheckResult(name, float(residual)) for names, residuals in table
+            for name, residual in zip(names, np.atleast_1d(residuals), strict=True)]

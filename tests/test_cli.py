@@ -774,9 +774,9 @@ def test_a_later_s7_run_reuses_J(tmp_path, monkeypatch):
 #: sha256 of the whole stdout of a run with `--out out`, and its exit code:
 #: identities writes no data file, and hopf's residual lines reach none.
 GOLDEN_STDOUT = {
-    "identities --seed 42": (0, "86db3c93de1cf56e767ea9b4cbb5ef866ba263492cc53601e68c62e22a38177f"),
+    "identities --seed 42": (0, "0d8342c51ea0d5f99c6fa270a0d1fe9abb8326bb9260dadf94f0a3d1943a2f75"),
     "identities --pairs 50 --inject-sign-flip":
-        (1, "042e69d0f06963bac32b0fc9d28c3c8609d237677fb3e5c262d2554fda7d8e63"),
+        (1, "712499a2b5cb65ac7ca1d31014cba98208f96a66aeaca19cc84c25a2a41a6eb8"),
     "hopf": (0, "208a2ffeadd5220b2777d3412e972754c25824152cfc63737e475d84062e8b7e"),
     "hopf --psi-a 0.3 --phi-deg 40":
         (0, "0c25962bdaab76e74d550e773b057d9adf042a777e03cb2f28537f8e79bcf2e9"),

@@ -48,6 +48,8 @@ from .oracles import _blade_table, flip_kernel_sign, reversion
 
 def test_full_suite_all_pass():
     results = run_identity_checks(n_pairs=200)
+    # tier-1's one pin of the suite's shape; perfbench counts the PASS lines
+    # against its own IDENTITY_CHECKS = 31, which changes only with perfbench
     assert len(results) == 31
     for r in results:
         assert r.passed, f"{r.name}: residual {r.residual}"
@@ -82,13 +84,48 @@ def test_checks_have_distinct_names():
     results = run_identity_checks(n_pairs=10)
     names = [r.name for r in results]
     assert len(names) == len(set(names))
+    # `identities` pads each name to 55 columns, so a longer one would shift its residual
+    assert max(map(len, names)) <= 55
+
+
+def lines_of(monkeypatch, check, *args):
+    """The suite's lines that print the residuals of the calls of `check`
+    whose leading arguments are `args`: the lines that read NaN once those
+    calls return NaN in place of their residuals."""
+    real = getattr(identities, check)
+
+    def marked(*call, **kwargs):
+        got = real(*call, **kwargs)
+        return np.full(np.shape(got), np.nan) if call[:len(args)] == args else got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, check, marked)
+        return [r.name for r in run_identity_checks() if math.isnan(r.residual)]
+
+
+def fails(residual) -> bool:
+    """Whether the suite prints a line with this residual as FAIL."""
+    return not CheckResult("", residual).passed
+
+
+@pytest.mark.parametrize("check, residuals", [("check_duality", 0.0), ("check_vector_basis_flip", np.zeros(2))],
+                         ids=["one for two names", "two for one name"])
+def test_a_check_with_the_wrong_number_of_residuals_fails_the_run(monkeypatch, tmp_path, capsys, check, residuals):
+    # no line may pass, or go missing, without its check having run
+    monkeypatch.setattr(identities, check, lambda *args: residuals)
+    with pytest.raises(ValueError, match="zip"):
+        run_identity_checks()
+    assert cli.main(["identities", "--out", str(tmp_path / "out")]) == cli.EXIT_INTERNAL == 3
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("seed", [0, 17, 49])
 @pytest.mark.parametrize("n_pairs", [1, 333])
 def test_every_check_is_exact_whatever_the_seed(seed, n_pairs):
     # the oracle and rotor inputs are integers small enough for exact floats
-    assert [r.residual for r in run_identity_checks(n_pairs=n_pairs, seed=seed)] == [0.0] * 31
+    results = run_identity_checks(n_pairs=n_pairs, seed=seed)
+    assert [r.residual for r in results] == [0.0] * len(results)
 
 
 def test_injected_sign_flip_is_caught():
@@ -258,7 +295,7 @@ def test_naive_oracle_chunks_see_every_row(monkeypatch, rows, wrong):
 
     monkeypatch.setattr(identities, "_product", one_row_off)
     monkeypatch.setattr(identities, "_chunk_rows", lambda cells: rows)
-    assert check_product_against_naive_oracle(3, np.random.default_rng(0), n_pairs=20).residual > 0.5
+    assert check_product_against_naive_oracle(3, np.random.default_rng(0), n_pairs=20) > 0.5
     assert sum(blocks) == 20
 
 
@@ -279,22 +316,22 @@ def nan_rows(monkeypatch, rows):
 def test_a_nan_row_fails_the_cl3_oracle_check(monkeypatch, rows):
     # the fold over the chunks' maxima must keep a NaN, as np.maximum does and max does not
     nan_rows(monkeypatch, rows)
-    result = check_product_against_naive_oracle(3, np.random.default_rng(0), n_pairs=20)
-    assert math.isnan(result.residual) and not result.passed
+    residual = check_product_against_naive_oracle(3, np.random.default_rng(0), n_pairs=20)
+    assert math.isnan(residual) and fails(residual)
 
 
 def test_a_nan_pair_fails_the_cl7_oracle_check(monkeypatch):
     # at Cl(7) each chunk is one pair; the NaN pair is the fourth of five
     nan_rows(monkeypatch, [3])
-    result = check_product_against_naive_oracle(7, np.random.default_rng(0), n_pairs=5)
-    assert math.isnan(result.residual) and not result.passed
+    residual = check_product_against_naive_oracle(7, np.random.default_rng(0), n_pairs=5)
+    assert math.isnan(residual) and fails(residual)
 
 
 def test_a_nan_volume_element_fails_the_basis_flip_check(monkeypatch):
     # the flipped I is compared with a NaN I, the second of the check's two residuals
     monkeypatch.setattr(identities, "_VOLUME3", np.full(8, np.nan))
-    result = check_vector_basis_flip()
-    assert math.isnan(result.residual) and not result.passed
+    residual = check_vector_basis_flip()
+    assert math.isnan(residual) and fails(residual)
 
 
 def test_naive_oracle_memory_is_its_inputs_and_a_few_chunks():
@@ -302,11 +339,11 @@ def test_naive_oracle_memory_is_its_inputs_and_a_few_chunks():
     check_product_against_naive_oracle(3, np.random.default_rng(0), n_pairs=1)  # fill the caches
     tracemalloc.start()
     try:
-        result = check_product_against_naive_oracle(3, np.random.default_rng(0), n_pairs)
+        residual = check_product_against_naive_oracle(3, np.random.default_rng(0), n_pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.passed
+    assert residual == 0.0
     # a block's x, y and fast product, one chunk each, the next block's draws and the
     # naive chunk's terms; x and y of all 20,000 pairs at once would take 19.5 chunks
     assert peak < 8 * multivector._CHUNK_BYTES
@@ -369,7 +406,7 @@ def test_a_cached_naive_table_still_catches_a_corrupted_algebra(monkeypatch, tmp
     # a clean suite fills the cache; what it caches must not hide a later fault
     assert all(r.passed for r in run_identity_checks(n_pairs=10))
     flip_kernel_sign(monkeypatch, 5, 12)
-    assert not check_product_against_naive_oracle(7, np.random.default_rng(0), n_pairs=5).passed
+    assert fails(check_product_against_naive_oracle(7, np.random.default_rng(0), n_pairs=5))
     monkeypatch.undo()
     argv = ["identities", "--pairs", "10", "--inject-sign-flip", "--out", str(tmp_path)]
     assert cli.main(argv) == 1
@@ -377,19 +414,17 @@ def test_a_cached_naive_table_still_catches_a_corrupted_algebra(monkeypatch, tmp
 
 def test_oracle_check_catches_a_flipped_cayley_sign(monkeypatch):
     # the exhaustive half: the Cayley table that the check reads is corrupted
+    assert lines_of(monkeypatch, "check_product_against_naive_oracle", 7) == [ORACLE_CL7]
     corrupt_tables(monkeypatch, 7, flip_sign(5, 9))
-    result = check_product_against_naive_oracle(7, np.random.default_rng(0), n_pairs=5)
-    assert result.name == ORACLE_CL7
-    assert not result.passed
+    assert fails(check_product_against_naive_oracle(7, np.random.default_rng(0), n_pairs=5))
 
 
 def test_oracle_check_catches_a_flipped_product_sign(monkeypatch):
     # the dense half: the product kernel's index table is corrupted, the Cayley
     # table is not, so only the random products can see it
+    assert lines_of(monkeypatch, "check_product_against_naive_oracle", 7) == [ORACLE_CL7]
     flip_kernel_sign(monkeypatch, 5, 12)
-    result = check_product_against_naive_oracle(7, np.random.default_rng(0), n_pairs=5)
-    assert result.name == ORACLE_CL7
-    assert not result.passed
+    assert fails(check_product_against_naive_oracle(7, np.random.default_rng(0), n_pairs=5))
 
 
 # -- exact associativity of the blade table -------------------------------------------------
@@ -441,13 +476,16 @@ def move_mask(i, k, to):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_associativity_is_exact_and_makes_no_product(monkeypatch, dim):
+    if dim in (3, 7):  # the dimensions that the suite prints
+        assert lines_of(monkeypatch, "check_associativity", dim) == [f"associativity of the blade table, Cl({dim},0)"]
+
     def no_kernel(*args):
         raise AssertionError("the associativity check multiplied")
 
     monkeypatch.setattr(identities, "_product", no_kernel)
-    result = check_associativity(dim)
+    residual = check_associativity(dim)
     assert list(inspect.signature(check_associativity).parameters) == ["dim"]
-    assert result == CheckResult(f"associativity of the blade table, Cl({dim},0)", 0.0)
+    assert type(residual) is float and residual == 0.0
 
 
 @pytest.mark.parametrize("dim", range(1, 5))
@@ -455,7 +493,7 @@ def test_associativity_is_exact_and_makes_no_product(monkeypatch, dim):
                          ids=["clean", "flip-sign", "flip-scalar-sign", "move-mask"])
 def test_associativity_counts_what_a_triple_loop_counts(monkeypatch, dim, mutate):
     xor, sign = corrupt_tables(monkeypatch, dim, mutate or (lambda xor, sign: None))
-    residual = check_associativity(dim).residual
+    residual = check_associativity(dim)
     assert residual == bilinear_laws_by_loop(xor, sign)
     # the two laws are stricter than the triple law: they never pass a table it fails
     assert residual > 0 or associativity_by_loop(xor, sign) == 0
@@ -471,14 +509,14 @@ def test_associativity_catches_a_corrupted_cayley_table(monkeypatch, mutate):
     xor, sign = corrupt_tables(monkeypatch, 7, mutate)
     clean_xor, clean_sign, _ = multivector._tables(7)
     moved, flipped = np.count_nonzero(xor != clean_xor), np.count_nonzero(sign != clean_sign)
-    result = check_associativity(7)
-    assert not result.passed
+    residual = check_associativity(7)
+    assert fails(residual)
     if sign[4, 2] == clean_sign[4, 2]:  # one wrong pair: a mask, or the sign of a non-generator pair
-        assert result.residual == moved + flipped == 1
+        assert residual == moved + flipped == 1
     else:
         # e3 e2 = +e2 e3 reshapes the extension: p[A, B] moves wherever e3 is in A and
         # e2 is in B, a quarter of the 128 * 128 pairs, all but the flipped one itself
-        assert result.residual == 128 * 128 // 4 - 1
+        assert residual == 128 * 128 // 4 - 1
 
 
 def every_single_entry_mutant(dim):
@@ -493,7 +531,7 @@ def test_associativity_catches_every_mutant_that_the_triple_law_catches(monkeypa
     caught = 0
     for mutate in every_single_entry_mutant(dim):
         xor, sign = corrupt_tables(monkeypatch, dim, mutate)
-        residual = check_associativity(dim).residual
+        residual = check_associativity(dim)
         assert residual > 0 or associativity_by_loop(xor, sign) == 0
         caught += residual > 0
     # 8**dim mutants, all caught but Cl(0,1)'s table, e1 e1 = -1
@@ -515,7 +553,7 @@ def test_associativity_fails_a_cubic_twist_that_keeps_the_triple_law(monkeypatch
         a, b, c = np.ogrid[:128, :128, :128]
         assert np.array_equal(sign[a, b] * sign[xor[a, b], c], sign[b, c] * sign[a, xor[b, c]])
     # f(A) + f(B) + f(A^B) is odd on 18 of the 64 pairs of the low three bits
-    assert check_associativity(dim).residual == pairs
+    assert check_associativity(dim) == pairs
 
 
 def test_associativity_memory_is_bounded():
@@ -524,11 +562,11 @@ def test_associativity_memory_is_bounded():
         multivector._tables(dim)  # the Cayley tables are cached per process; trace the check alone
         tracemalloc.start()
         try:
-            result = check_associativity(dim)
+            residual = check_associativity(dim)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.passed
+        assert residual == 0.0
         assert peak < budget * multivector._CHUNK_BYTES
 
 
@@ -584,9 +622,9 @@ def rotor_unit_by_loop(rng, frames, n_cases):
 def test_batched_rotor_checks_equal_per_case_loops(amount):
     frames = bumped_planes(_frame_table(_frame_coeffs(ORIENTATIONS)), amount)
     pairs = [
-        (check_rotor_rotation(frames, np.random.default_rng(3)).residual,
+        (check_rotor_rotation(frames, np.random.default_rng(3)),
          rotor_rotation_by_loop(np.random.default_rng(3), frames, identities._ROTOR_CASES)),
-        (check_rotor_unit(frames, np.random.default_rng(4)).residual,
+        (check_rotor_unit(frames, np.random.default_rng(4)),
          rotor_unit_by_loop(np.random.default_rng(4), frames, identities._ROTOR_CASES)),
     ]
     for batched, looped in pairs:
@@ -643,7 +681,7 @@ def anticommutation_by_loop(dim):
 def test_batched_anticommutation_equals_a_per_pair_loop(monkeypatch, dim, flip):
     if flip:
         flip_kernel_sign(monkeypatch, 1, 3)  # the sign of e_1 e_2
-    batched = check_generator_anticommutation(dim).residual
+    batched = check_generator_anticommutation(dim)
     assert batched == anticommutation_by_loop(dim)
     assert (batched > 0) == flip
 
@@ -693,16 +731,17 @@ FRAME_TABLE_CHECKS = (check_frame_subalgebra, check_frame_squares, check_frame_a
 
 @pytest.mark.parametrize("flip", FRAME_FLIPS)
 def test_frame_table_checks_equal_per_pair_loops(monkeypatch, flip):
+    names = [lines_of(monkeypatch, check.__name__) for check in FRAME_TABLE_CHECKS]
     if flip:
         flip_kernel_sign(monkeypatch, *flip)
-    flip_residual = check_vector_basis_flip().residual
+    flip_residual = check_vector_basis_flip()
     assert flip_residual == vector_basis_flip_by_loop()
     frame_table = _frame_table(_frame_coeffs(ORIENTATIONS))
     results = [check(frame_table) for check in FRAME_TABLE_CHECKS]
     # each check returns lam = +1, then lam = -1, each against its own frame's loop
     for side, lam in enumerate(ORIENTATIONS):
-        assert all(pair[side].name.endswith(f"(lam={lam:+d})") for pair in results)
-        batched = tuple(pair[side].residual for pair in results)
+        assert all(pair[side].endswith(f"(lam={lam:+d})") for pair in names)
+        batched = tuple(pair[side] for pair in results)
         assert batched == frame_checks_by_loop(lam)
         assert tuple(r > 0 for r in (*batched, flip_residual)) == FRAME_FLIPS[flip]
 
@@ -726,8 +765,8 @@ def frame_table_lines(lam):
                 "basis bivectors anticommute (lam=+1)", "ordered frame product is positive (lam=+1)",
                 "frame score expansion, epsilon sign - (lam=+1)", "abstract/embedded isomorphism (lam=+1)",
                 "rotor sandwich rotates by twice the angle", "rotor norm and reversion inverse"]
-    return ["basis bivectors square to -1 (lam=-1)", "basis bivectors anticommute (lam=-1)",
-            "ordered frame product is negative (lam=-1)", "left-frame bivector subalgebra (lam=-1)",
+    return ["left-frame bivector subalgebra (lam=-1)", "basis bivectors square to -1 (lam=-1)",
+            "basis bivectors anticommute (lam=-1)", "ordered frame product is negative (lam=-1)",
             "frame score expansion, epsilon sign + (lam=-1)", "abstract/embedded isomorphism (lam=-1)"]
 
 
