@@ -23,7 +23,8 @@ import numpy as np
 
 MAX_DIM = 8
 
-#: Default absolute tolerance for floating-point algebraic identities.
+#: Absolute tolerance of the generator checks of `_rotor_coeffs` and the
+#: unit-scalar check of `epr._raw_scores`; no identity check reads it.
 DEFAULT_TOL = 1e-12
 
 #: Default seed of every random input: the CLI's runs and `run_identity_checks`.

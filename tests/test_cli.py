@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliffsphere import cli, epr, frames, hopf, identities, multivector, seven_sphere
+from cliffsphere import cli, epr, hopf, multivector
 from cliffsphere.cli import main
 from cliffsphere.identities import run_identity_checks
 
@@ -698,16 +698,7 @@ def test_the_simulate_digest_does_not_depend_on_the_walkers(tmp_path, monkeypatc
 PRODUCT_BUDGET = {"identities": 24, "simulate": 4, "hopf": 17, "s7": 6}
 
 
-def patch_kernel(monkeypatch, replacement) -> None:
-    """Bind `replacement` for the product kernel in every module that binds
-    it, the defining one included."""
-    real = multivector._product
-    for module in (multivector, frames, epr, identities, hopf, seven_sphere, cli):
-        if vars(module).get("_product") is real:
-            monkeypatch.setattr(module, "_product", replacement)
-
-
-def count_kernel_calls(monkeypatch) -> list[str]:
+def count_kernel_calls(rebind) -> list[str]:
     """The kind of every product-kernel call made from now on, in order."""
     real, calls = multivector._product, []
 
@@ -715,25 +706,25 @@ def count_kernel_calls(monkeypatch) -> list[str]:
         calls.append(args[0])
         return real(*args)
 
-    patch_kernel(monkeypatch, counted)
+    rebind(real, counted)
     return calls
 
 
 @pytest.mark.parametrize("command", sorted(PRODUCT_BUDGET))
-def test_default_runs_stay_within_their_product_budget(tmp_path, monkeypatch, command):
+def test_default_runs_stay_within_their_product_budget(tmp_path, monkeypatch, rebind, command):
     monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
-    calls = count_kernel_calls(monkeypatch)
+    calls = count_kernel_calls(rebind)
     assert main([command, "--out", str(tmp_path)]) == 0
     assert 0 < len(calls) <= PRODUCT_BUDGET[command]
 
 
-def test_a_fault_is_an_internal_error_not_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_a_fault_is_an_internal_error_not_a_usage_error(tmp_path, capsys, rebind):
     # a kernel fault raises ValueError, as refused input does, but no flag
     # was refused: the run shows its traceback, exits 3 and writes no manifest
     def broken(*args):
         raise ValueError("operands could not be broadcast together")
 
-    patch_kernel(monkeypatch, broken)
+    rebind(multivector._product, broken)
     code = main(["identities", "--pairs", "5", "--out", str(tmp_path / "x")])
     printed = capsys.readouterr()
     assert code == 3
@@ -760,11 +751,11 @@ def test_a_failing_walker_is_an_internal_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
-def test_a_later_s7_run_reuses_J(tmp_path, monkeypatch):
+def test_a_later_s7_run_reuses_J(tmp_path, monkeypatch, rebind):
     monkeypatch.delenv("CLIFFSPHERE_SEED", raising=False)
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(["s7", "--out", str(first)]) == 0
-    calls = count_kernel_calls(monkeypatch)
+    calls = count_kernel_calls(rebind)
     assert main(["s7", "--out", str(second)]) == 0
     # one public contraction, the two score contractions and the raw product
     assert sorted(calls) == ["contract"] * 3 + ["geometric"]

@@ -1,10 +1,13 @@
 """The package's public surface: every exported name resolves, from the
 module that defines it, and nothing else does; every export and class member
 has a reader in the package; its caches hand out read-only arrays; a hopf
-run builds no rotor twice; one walk draws the orientation stream; only
-`frames` builds a batch over the orientation axis; importing the CLI loads
-no pool module; and the test settings report a failing property test like
-any other."""
+run builds no rotor twice; importing the CLI loads no pool module; and the
+test settings report a failing property test like any other.
+
+`GUARDS` holds the ownership rules of `src/cliffsphere/` and `scripts/`, one
+row each: one cross-product helper, one output path, one orientation walk,
+one home of the orientation axis and one reader of the environment.  One
+walker, `_found`, serves every row."""
 
 import ast
 import dataclasses
@@ -123,7 +126,7 @@ def test_every_exported_name_comes_from_its_defining_module():
             assert value.__module__ == defining.__name__, name
 
 
-def test_a_hopf_run_checks_three_rotor_planes(tmp_path, monkeypatch):
+def test_a_hopf_run_checks_three_rotor_planes(tmp_path, rebind):
     # the fiber pair's half-angle rotors and its transport rotor are one
     # batch, the phase flip's two rotors another and the probe's a third:
     # each plane is checked once, and no rotor is built twice
@@ -133,9 +136,7 @@ def test_a_hopf_run_checks_three_rotor_planes(tmp_path, monkeypatch):
         calls.append(args)
         return real(*args)
 
-    for module in map(importlib.import_module, [f"cliffsphere.{m}" for m in cliffsphere._EXPORTS]):
-        if vars(module).get("_rotor_coeffs") is real:
-            monkeypatch.setattr(module, "_rotor_coeffs", spy)
+    rebind(real, spy)
     assert cli.main(["hopf", "--out", str(tmp_path)]) == 0
     assert len(calls) == 3
 
@@ -188,54 +189,85 @@ def test_every_unexported_public_definition_has_a_caller_in_the_package():
     assert unused == []
 
 
-def test_the_package_takes_cross_products_with_its_own_helper():
-    # `multivector._cross` has np.cross's bits at about half its cost
-    calls = [
-        f"{path.name}:{node.lineno}"
-        for path, tree in _package_trees().items() if path.parent.name == "cliffsphere"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "cross"
-    ]
-    assert calls == []
+def _named(node):
+    """The name that a node reads: a bare name, the last part of an attribute
+    (``threading.Thread``) or of an import, or a string
+    (``getattr(np.random, "Philox")``); None for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def _called(node):
+    """The name of the function that a call calls; None for any other node."""
+    return _named(node.func) if isinstance(node, ast.Call) else None
 
 
 #: os.open flags that open a file for writing.
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
 
 
-def _output_calls(tree):
-    """(enclosing top-level definition, call) for each call in `tree` that
-    writes output by another path than `cli._write_file`: a json.dumps or
-    json.dump with an indent, a write_text or write_bytes, or an open in a
-    write mode (a mode string with w, a, x or +, or an os.open write flag)
-    of anything but the null device."""
-    found = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            args = [*node.args, *(k.value for k in node.keywords)]
-            if name in ("dumps", "dump"):
-                writes = any(k.arg == "indent" for k in node.keywords)
-            elif name in ("write_text", "write_bytes"):
-                writes = True
-            elif name == "open":
-                modes = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)
-                         and set(a.value) <= set("rwaxbt+") and set(a.value) & set("wax+")]
-                flags = {n.attr if isinstance(n, ast.Attribute) else n.id
-                         for a in args for n in ast.walk(a) if isinstance(n, (ast.Attribute, ast.Name))}
-                devnull = bool(node.args) and ast.unparse(node.args[0]) == "os.devnull"
-                writes = bool(modes or flags & WRITE_FLAGS) and not devnull
-            else:
-                writes = False
-            if writes:
-                found.append((getattr(top, "name", "<module>"), ast.unparse(node)))
-    return found
+def _writes(node):
+    """A json.dumps or json.dump with an indent, a write_text or write_bytes,
+    or an open in a write mode (a mode string with w, a, x or +, or an
+    os.open write flag) of anything but the null device."""
+    name = _called(node)
+    if name in ("dumps", "dump"):
+        return any(k.arg == "indent" for k in node.keywords)
+    if name != "open":
+        return name in ("write_text", "write_bytes")
+    args = [*node.args, *(k.value for k in node.keywords)]
+    mode = any(isinstance(a, ast.Constant) and isinstance(a.value, str)
+               and set(a.value) <= set("rwaxbt+") and set(a.value) & set("wax+") for a in args)
+    flags = {_named(n) for a in args for n in ast.walk(a)} & WRITE_FLAGS
+    return bool(mode or flags) and not (node.args and ast.unparse(node.args[0]) == "os.devnull")
 
 
-def test_the_output_guard_finds_each_other_output_path():
-    tree = ast.parse(textwrap.dedent("""
+def _builds_orientations(node):
+    """A call of `_structure_coeffs`, or of a numpy function (``np.array``,
+    ``numpy.repeat``) that takes `ORIENTATIONS` (a bare name, or an attribute
+    such as ``frames.ORIENTATIONS``) as an argument."""
+    if not isinstance(node, ast.Call):
+        return False
+    root = node.func
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    numpy_call = root is not node.func and _named(root) in ("np", "numpy")
+    takes = any(_named(a) == "ORIENTATIONS" for a in [*node.args, *(k.value for k in node.keywords)])
+    return _called(node) == "_structure_coeffs" or (numpy_call and takes)
+
+
+#: The package's ownership rules.  A row holds what a node does; the (file,
+#: top-level definition) pairs that may do it, once for each node that does
+#: it, and that must all still do it, so that no allowance outlives its
+#: owner; a snippet that does it elsewhere; and the owners that the guard
+#: must report in that snippet.
+GUARDS = {
+    # `multivector._cross` has np.cross's bits at about half its cost
+    "cross": (
+        lambda node: _called(node) == "cross",
+        [],
+        """
+        from numpy import cross
+
+        def other_cross(a, b):
+            return np.cross(a, b), np.linalg.cross(a, b), cross(a, b)
+
+        def fine(a, b):
+            return _cross(a, b), a.cross, "cross"
+        """,
+        ["other_cross"] * 3,
+    ),
+    # `cli._write_file` writes every output through a temporary file and
+    # os.replace, and `cli._json_text` is the one indented JSON writer
+    "output": (
+        _writes,
+        [("cli.py", "_write_file")],
+        """
         def report(path, value):
             text = json.dumps(value, indent=2, sort_keys=True)
             json.dump(value, sys.stdout, indent=1)
@@ -251,47 +283,16 @@ def test_the_output_guard_finds_each_other_output_path():
             open(path, "rb").read()
             os.close(os.open(path, os.O_RDONLY))
             os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-    """))
-    assert [owner for owner, _ in _output_calls(tree)] == ["report"] * 8
-
-
-def test_every_file_is_written_through_one_path():
-    # `cli._write_file` writes every output through a temporary file and
-    # os.replace, and `cli._json_text` is the one indented JSON writer
-    found = [
-        (path.name, owner, call)
-        for path, tree in _package_trees().items() if path.parent.name == "cliffsphere"
-        for owner, call in _output_calls(tree)
-    ]
-    assert [(name, owner) for name, owner, _ in found] == [("cli.py", "_write_file")], found
-
-
-#: The walk's generator and its walker threads, by the names that reach them.
-WALK_NAMES = {"Philox", "Thread"}
-
-
-def _walk_names(tree):
-    """(enclosing top-level definition, name) for each use in `tree` of a
-    name in `WALK_NAMES`: a bare name, an attribute (``threading.Thread``),
-    an import or a string (``getattr(np.random, "Philox")``)."""
-    found = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name.rpartition(".")[2]
-            else:
-                name = node.value if isinstance(node, ast.Constant) else None
-            if name in WALK_NAMES:
-                found.append((getattr(top, "name", "<module>"), name))
-    return found
-
-
-def test_the_walk_guard_finds_each_other_walk():
-    tree = ast.parse(textwrap.dedent("""
+        """,
+        ["report"] * 8,
+    ),
+    # every count comes from `epr.orientation_counts`, whose walkers each
+    # walk one span with `_count_plus`: a second generator of the stream or
+    # a second walker pool would be a second walk, as `lambda_stream` once was
+    "walk": (
+        lambda node: _named(node) in {"Philox", "Thread"},
+        [("epr.py", "_count_plus"), ("epr.py", "orientation_counts")],
+        """
         from numpy.random import Philox
         import threading as th
 
@@ -303,48 +304,16 @@ def test_the_walk_guard_finds_each_other_walk():
         def fine(seed):
             threading.current_thread()
             return np.random.default_rng(seed), "a Philox stream"
-    """))
-    assert [owner for owner, _ in _walk_names(tree)] == ["<module>"] + ["other_walk"] * 3
-
-
-def test_one_walk_draws_the_orientation_stream():
-    # every count comes from `epr.orientation_counts`, whose walkers each
-    # walk one span with `_count_plus`: a second generator of the stream or
-    # a second walker pool would be a second walk, as `lambda_stream` once was
-    found = {
-        (path.name, owner)
-        for path, tree in _package_trees().items() if path.parent.name == "cliffsphere"
-        for owner, _ in _walk_names(tree)
-    }
-    assert found == {("epr.py", "_count_plus"), ("epr.py", "orientation_counts")}
-
-
-def _orientation_builds(tree):
-    """(enclosing top-level definition, call) for each call in `tree` that
-    builds a batch over the orientation axis: a call of `_structure_coeffs`,
-    or of a numpy function (``np.array``, ``numpy.repeat``) that takes
-    `ORIENTATIONS` (a bare name, or an attribute such as
-    ``frames.ORIENTATIONS``) as an argument."""
-    found = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            func, args = node.func, [*node.args, *(k.value for k in node.keywords)]
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            root = func
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            numpy_call = isinstance(func, ast.Attribute) and getattr(root, "id", None) in ("np", "numpy")
-            takes = any((a.attr if isinstance(a, ast.Attribute) else getattr(a, "id", None)) == "ORIENTATIONS"
-                        for a in args)
-            if name == "_structure_coeffs" or (numpy_call and takes):
-                found.append((getattr(top, "name", "<module>"), ast.unparse(node)))
-    return found
-
-
-def test_the_orientation_guard_finds_each_other_orientation_batch():
-    tree = ast.parse(textwrap.dedent("""
+        """,
+        ["<module>"] + ["other_walk"] * 3,
+    ),
+    # the lam = +1, -1 batches and the products on them live in `frames`
+    # (`_LAM` at module level), which the estimators, the transport and the
+    # identity suite share
+    "orientation": (
+        _builds_orientations,
+        [("frames.py", "<module>"), ("frames.py", "_abstract_products"), ("frames.py", "abstract_product")],
+        """
         def other_batch(n):
             lams = np.array(ORIENTATIONS)
             both = numpy.repeat(frames.ORIENTATIONS, len(n))
@@ -355,19 +324,48 @@ def test_the_orientation_guard_finds_each_other_orientation_batch():
             side = ORIENTATIONS.index(1)
             volume = np.array([lam * n for lam in ORIENTATIONS])
             return _frame_coeffs(ORIENTATIONS), _abstract_products(n, n, -1.0), side, volume
-    """))
-    assert [owner for owner, _ in _orientation_builds(tree)] == ["other_batch"] * 5
+        """,
+        ["other_batch"] * 5,
+    ),
+    # a setting read from the environment is one that no flag shows: only the
+    # CLI reads one, for the seed's fallback and for the manifest's record of
+    # the BLAS kernel (`_write_manifest` reads `os.environ` twice)
+    "environment": (
+        lambda node: _named(node) in {"environ", "getenv"},
+        [("cli.py", "_resolve_seed"), ("cli.py", "_write_manifest"), ("cli.py", "_write_manifest")],
+        """
+        from os import environ
+
+        def settings(name):
+            return os.environ.get(name), os.getenv(name)
+
+        def fine(options, name):
+            return options.get(name), os.getcwd()
+        """,
+        ["<module>"] + ["settings"] * 2,
+    ),
+}
 
 
-def test_only_frames_builds_the_orientation_axis():
-    # the lam = +1, -1 batches and the products on them live in `frames`,
-    # which the estimators, the transport and the identity suite share
-    found = [
-        (path.name, owner, call)
-        for path, tree in _package_trees().items() if path.name != "frames.py"
-        for owner, call in _orientation_builds(tree)
-    ]
-    assert found == []
+def _found(matches, tree):
+    """(top-level definition, node) for each node of `tree` that `matches`;
+    `<module>` owns the nodes that no function or class holds."""
+    return [(getattr(top, "name", "<module>"), node)
+            for top in tree.body for node in ast.walk(top) if matches(node)]
+
+
+@pytest.mark.parametrize("rule", GUARDS)
+def test_the_package_keeps_each_guard_rule(rule):
+    matches, owners, _, _ = GUARDS[rule]
+    found = sorted((path.name, owner, ast.unparse(node))
+                   for path, tree in _package_trees().items() for owner, node in _found(matches, tree))
+    assert [(name, owner) for name, owner, _ in found] == sorted(owners), found
+
+
+@pytest.mark.parametrize("rule", GUARDS)
+def test_each_guard_rule_finds_its_injected_violation(rule):
+    matches, _, snippet, owners = GUARDS[rule]
+    assert [owner for owner, _ in _found(matches, ast.parse(textwrap.dedent(snippet)))] == owners
 
 
 def _member_names(node):
@@ -402,11 +400,6 @@ def test_every_class_member_is_read_in_the_package():
     assert stale == []
 
 
-def _decorator_name(node):
-    node = node.func if isinstance(node, ast.Call) else node
-    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-
-
 def _arrays(value):
     """The ndarrays in value, in its tuples, lists and dataclass fields."""
     if isinstance(value, np.ndarray):
@@ -427,7 +420,7 @@ def test_every_array_a_package_cache_returns_is_read_only():
         for path, tree in _package_trees().items() if path.parent.name == "cliffsphere"
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+        and any(_named(getattr(d, "func", d)) in ("lru_cache", "cache") for d in node.decorator_list)
     ]
     assert sorted(name for _, name in cached) == sorted(CACHED_CALLS)
     for module, name in cached:
