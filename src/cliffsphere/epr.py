@@ -22,15 +22,21 @@ Since a raw score depends on lam only, never on the detector direction, the
 counts (n_plus, n_minus) are the only random quantity of a run.
 `orientation_counts` draws them by walking the stream in fixed chunks of
 COUNT_CHUNK trials, counting each chunk's odd words as they come and
-dropping the chunk before the next is drawn.  The trials are cut into
-contiguous spans, one per walker: the calling thread and, on a machine with
-a second usable CPU, one more thread, each with its own generator started at
-its span's first counter block.  The walkers' integer counts are added in
-order, so the result is exact and the same on any number of walkers, and
-memory is bounded by one chunk per walker (at most 512 KiB of Philox words
-in flight), not by n.  A run draws the counts once and passes them to each
-estimator and every sweep angle (the CLI records them in its manifest).
-`mean_residual_norms` draws them once per seed and trial count.
+dropping the chunk before the next is drawn.  The walkers are the calling
+thread and, on a machine with a second usable CPU, one more thread.  The
+trials are cut into one list of guided spans (`_spans`), each a fraction of
+what is left and the last ones single chunks, and each walker takes the next
+span from the list until none is left: a walker that runs slower, or is
+descheduled, takes fewer, and the walkers end within about one chunk of each
+other.  Each walker has one generator, moved forward over the spans that
+the others took.  The walkers' integer counts are added, so the result is
+exact and the same on any number of walkers and for any assignment of spans
+to walkers, and memory is bounded by one chunk per walker (at most 512 KiB
+of Philox words in flight), not by n.  A walker that fails, or an
+interrupted caller, stops every walker at its next chunk.  A run draws the
+counts once and passes them to each estimator and every sweep angle (the
+CLI records them in its manifest).  `mean_residual_norms` draws them once
+per seed and trial count.
 
 Three averaging procedures are provided.  The componentwise average of the
 abstract standard-score products over the formal basis {1, beta_x, beta_y,
@@ -113,11 +119,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_plus(seed: int, lo: int, hi: int) -> int:
-    """How many of trials lo..hi-1 draw lam = +1, from one generator started
-    at counter block lo and walked in chunks of at most COUNT_CHUNK trials;
-    each chunk continues its counter."""
-    bg = np.random.Philox(key=np.uint64(seed), counter=[lo, 0, 0, 0])
+def _spans(n: int, walkers: int) -> list[tuple[int, int]]:
+    """The (lo, hi) spans of trials 0..n-1 that `walkers` walkers share, in
+    order: each is 1 / (2 * walkers) of the trials left, in whole chunks and
+    at least one, and the last ends at n.  So the first spans are long and
+    the last ones single chunks, and there are O(walkers * log n) of them."""
+    spans, lo = [], 0
+    while lo < n:
+        size = max(COUNT_CHUNK, (n - lo) // (2 * walkers) // COUNT_CHUNK * COUNT_CHUNK)
+        spans.append((lo, min(n, lo + size)))
+        lo = spans[-1][1]
+    return spans
+
+
+def _count_plus(seed: int, spans, stop: threading.Event) -> int:
+    """How many trials of the spans that this walker takes, one at a time,
+    from the shared iterator `spans` draw lam = +1.  One generator, started
+    at the first span's counter block and advanced over the spans that other
+    walkers took, walks each span in chunks of at most COUNT_CHUNK trials.
+    Once `stop` is set the walker returns before its next chunk, with a
+    partial count that the walk, which then raises, never adds."""
+    bg, at, n_plus = None, 0, 0
 
     def odd_words(trials: int) -> int:
         # the low byte of each block's first word; the words are freed on
@@ -125,27 +147,39 @@ def _count_plus(seed: int, lo: int, hi: int) -> int:
         words = bg.random_raw(4 * trials).astype("<u8", copy=False)
         return int(np.count_nonzero(words.view(np.uint8)[0::32] & 1))
 
-    return sum(odd_words(min(COUNT_CHUNK, hi - at)) for at in range(lo, hi, COUNT_CHUNK))
+    for lo, hi in spans:
+        if bg is None:
+            bg = np.random.Philox(key=np.uint64(seed), counter=[lo, 0, 0, 0])
+        elif lo != at:
+            bg.advance(lo - at)
+        for chunk in range(lo, hi, COUNT_CHUNK):
+            if stop.is_set():
+                return n_plus
+            n_plus += odd_words(min(COUNT_CHUNK, hi - chunk))
+        at = hi
+    return n_plus
 
 
 def orientation_counts(seed: int, n: int) -> OrientationCounts:
     """Orientation counts of trials 0..n-1, from one walk of the stream: trial
     i draws lam = +1 when the first word of Philox counter block i under key
     `seed` is odd.  The walkers, at most MAX_WALKERS and no more than the
-    usable CPUs or the chunks of the walk, count their spans at once, the
-    calling thread the first; a walker's error is raised here, once every
-    walker has stopped."""
+    usable CPUs or the chunks of the walk, take the spans of `_spans` from
+    one list until none is left, the calling thread among them.  A walker's
+    error is raised here once every walker has stopped; it, or an exception
+    in the calling thread, stops the other walkers at their next chunk."""
     _check_trials(n)
     _check_seed(seed)
     walkers = min(MAX_WALKERS, _usable_cpus(), -(-n // COUNT_CHUNK))
-    bounds = [n * w // walkers for w in range(walkers + 1)]
+    spans, stop = iter(_spans(n, walkers)), threading.Event()
     parts = [None] * walkers
 
     def walk(w: int) -> None:
         try:
-            parts[w] = _count_plus(seed, bounds[w], bounds[w + 1])
+            parts[w] = _count_plus(seed, spans, stop)
         except Exception as exc:  # raised by the caller once every walker has stopped
             parts[w] = exc
+            stop.set()
 
     threads = [threading.Thread(target=walk, args=(w,)) for w in range(1, walkers)]
     for thread in threads:
@@ -153,6 +187,8 @@ def orientation_counts(seed: int, n: int) -> OrientationCounts:
     try:
         walk(0)
     finally:
+        if parts[0] is None:  # the calling thread was interrupted
+            stop.set()
         for thread in threads:
             thread.join()
     for part in parts:

@@ -79,12 +79,13 @@ def _gather_index(dim: int, kind: str) -> np.ndarray:
     """G[i, k] points into the signed copy [y, -y, 0] of a row y: at i ^ k if
     e_i e_(i^k) has sign +1, at (i ^ k) + 2**dim if -1, and at the zero slot
     2 * 2**dim where `kind` drops the pair (the wedge keeps disjoint pairs,
-    the contraction nested ones, the geometric product all)."""
+    the contraction nested ones, the geometric product all).  No entry
+    exceeds 2 * 2**8, so the cached table is int16: 32 KiB for a Cl(7) kind."""
     xor, sign, _ = _tables(dim)
     a = np.arange(1 << dim)[:, None]
     common = a & xor
     keep = {"geometric": True, "wedge": common == 0, "contract": (common == a) | (common == xor)}
-    G = np.where(keep[kind], np.where(sign[a, xor] > 0, xor, xor + (1 << dim)), 2 << dim)
+    G = np.where(keep[kind], np.where(sign[a, xor] > 0, xor, xor + (1 << dim)), 2 << dim).astype(np.int16)
     G.flags.writeable = False
     return G
 
@@ -137,12 +138,13 @@ def _product(kind: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if 2 * len(nz) <= len(G) and np.isfinite(y).all():
             G, x = G.take(nz, axis=0), (x[nz] if x.ndim == 1 else x[:, nz])
     if x.ndim == 1:
-        t = np.concatenate((y, -y, np.zeros(1)))[G]
+        # `take` reads an int16 index about twice as fast as `[G]` at Cl(7)
+        t = np.concatenate((y, -y, np.zeros(1))).take(G)
         t *= x[:, None]
         return t.sum(axis=0, initial=0.0)
     out = np.empty(y.shape)
-    # `take` copies a read-only index array on every call: copy the cached one once
-    G = G if G.flags.writeable else G.copy()
+    # `take` converts an int16 index array to intp on every call: convert it once
+    G = G.astype(np.intp)
     rows = _chunk_rows(max(G.size, G.shape[1]))
     if _blades_outer(len(out), G.shape[1]):
         for lo in range(0, len(out), rows):

@@ -15,6 +15,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -736,12 +737,12 @@ def test_a_fault_is_an_internal_error_not_a_usage_error(tmp_path, capsys, rebind
 def test_a_failing_walker_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # the second walker's error reaches main from its thread, as itself
     monkeypatch.setattr(epr, "_usable_cpus", lambda: 2)
-    real = epr._count_plus
+    real, caller = epr._count_plus, threading.current_thread().name
 
-    def failing(seed, lo, hi):
-        if lo > 0:
+    def failing(seed, spans, stop):
+        if threading.current_thread().name != caller:
             raise RuntimeError("the second walker lost its words")
-        return real(seed, lo, hi)
+        return real(seed, spans, stop)
 
     monkeypatch.setattr(epr, "_count_plus", failing)
     code = main(["simulate", "--out", str(tmp_path / "x")])

@@ -1,6 +1,8 @@
 """EPR model tests: orientation stream, raw scores, estimators, sweeps."""
 
+import collections
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -142,18 +144,50 @@ def prefix_counts(seed: int, n: int) -> list[tuple[int, int, int]]:
 
 @pytest.mark.parametrize("chunk", [1, 3, 1000])
 def test_the_walk_continues_the_stream_across_chunk_ends(monkeypatch, chunk):
-    # on one walker and on two, at sizes on both sides of chunk ends and of
-    # the second walker's first trial of the longest walk, some of them twice
+    # on one walker and on two, at sizes on both sides of chunk ends, of n // 2
+    # and of the longest walk's guided span edges, some of them twice
     monkeypatch.setattr(epr, "COUNT_CHUNK", chunk)
-    n = 3 * chunk + 2
-    edge = n // 2  # where the second walker's span of the n-trial walk starts
+    n = 20 * chunk + 2
+    edges = {lo for walkers in (1, 2) for lo, _ in epr._spans(n, walkers)[1:]}
+    assert len(edges) > 5
     sizes = sorted([1, 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk,
-                    edge - 1, edge, edge, edge + 1, n - 1, n, n])
+                    n // 2 - 1, n // 2, n // 2, n // 2 + 1, n - 1, n, n]
+                   + [k for edge in edges for k in (edge - 1, edge, edge + 1) if k >= 1])
     want = prefix_counts(77, n)
     for walkers in (1, 2):
         force_walkers(monkeypatch, walkers)
         counts = [orientation_counts(77, k) for k in sizes]
         assert [(c.n, c.n_plus, c.n_minus) for c in counts] == [want[k - 1] for k in sizes]
+
+
+def test_a_walker_advances_over_the_spans_that_others_took():
+    # one generator for the walker's spans, moved over the trials between them
+    spans = [(5, COUNT_CHUNK), (3 * COUNT_CHUNK + 1, 5 * COUNT_CHUNK + 7), (6 * COUNT_CHUNK, 6 * COUNT_CHUNK + 1)]
+    lams = lambda_stream(9, spans[-1][1])
+    want = sum(int(np.count_nonzero(lams[lo:hi] == 1)) for lo, hi in spans)
+    assert epr._count_plus(9, iter(spans), threading.Event()) == want
+
+
+@pytest.mark.parametrize("walkers", [1, 2, 3, 4])
+def test_the_spans_tile_the_walk_in_whole_chunks_and_end_in_single_chunks(walkers):
+    c = COUNT_CHUNK
+    rng = np.random.default_rng(walkers)
+    sizes = [1, 2, c - 1, c, c + 1, 3 * c + 5, 5 * c, 2 * walkers * c - 1, 2 * walkers * c + 1,
+             10**6, 1_234_567, 10**7, *rng.integers(1, 10**7, 40).tolist()]
+    for n in sizes:
+        spans = epr._spans(n, walkers)
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == n
+        lengths = [hi - lo for lo, hi in spans]
+        assert min(lengths) > 0 and all(length % c == 0 for length in lengths[:-1])
+        # guided: each span is no longer than the last, and those that start
+        # within 2 * walkers chunks of n are single chunks
+        assert lengths[:-1] == sorted(lengths[:-1], reverse=True)
+        assert all(hi - lo <= c for lo, hi in spans if n - lo < 2 * walkers * c)
+
+
+def test_the_span_list_stays_logarithmic_in_the_trials():
+    assert [len(epr._spans(n, 2)) for n in (10**6, 10**7, 10**9)] == [19, 27, 43]
 
 
 def test_orientation_prefix_counts_match_cumsum():
@@ -181,35 +215,103 @@ def test_orientation_counts_memory_is_bounded_by_the_chunk(monkeypatch):
     assert peak < 2**20
 
 
-def spans_walked(monkeypatch) -> list[tuple[str, int, int]]:
-    """(thread name, first trial, end) of every span walked from now on."""
-    real, spans = epr._count_plus, []
+def spans_walked(monkeypatch) -> tuple[list[str], list[tuple[str, int, int]]]:
+    """The thread of every walker from now on, and (thread name, first trial,
+    end) of every span that a walker takes from the shared list."""
+    real, walkers, spans = epr._count_plus, [], []
 
-    def recorded(seed, lo, hi):
-        spans.append((threading.current_thread().name, lo, hi))
-        return real(seed, lo, hi)
+    def recorded(seed, shared, stop):
+        name = threading.current_thread().name
+        walkers.append(name)
+
+        def taken():
+            for lo, hi in shared:
+                spans.append((name, lo, hi))
+                yield lo, hi
+
+        return real(seed, taken(), stop)
 
     monkeypatch.setattr(epr, "_count_plus", recorded)
-    return spans
+    return walkers, spans
 
 
 def test_a_walk_of_one_chunk_starts_no_thread(monkeypatch):
     force_walkers(monkeypatch, epr.MAX_WALKERS)
-    spans = spans_walked(monkeypatch)
+    walkers, spans = spans_walked(monkeypatch)
     orientation_counts(5, COUNT_CHUNK)
-    assert spans == [(threading.current_thread().name, 0, COUNT_CHUNK)]
+    caller = threading.current_thread().name
+    assert walkers == [caller]
+    assert spans == [(caller, 0, COUNT_CHUNK)]
 
 
-def test_a_longer_walk_splits_into_contiguous_spans_one_per_walker(monkeypatch):
+def test_a_longer_walk_shares_one_list_of_contiguous_spans_between_two_walkers(monkeypatch):
     force_walkers(monkeypatch, epr.MAX_WALKERS)
-    spans = spans_walked(monkeypatch)
+    walkers, spans = spans_walked(monkeypatch)
     before = threading.active_count()
     n = 3 * COUNT_CHUNK
     orientation_counts(5, n)
     assert threading.active_count() == before
-    (first, *_), (second, *_) = spans = sorted(spans, key=lambda s: s[1])
-    assert spans == [(first, 0, n // 2), (second, n // 2, n)]
-    assert first == threading.current_thread().name != second
+    caller = threading.current_thread().name
+    assert len(walkers) == 2 and caller in walkers and len(set(walkers)) == 2
+    # the walkers take the spans in order from one list that tiles [0, n),
+    # each span once
+    assert sorted(span for _, *span in spans) == [[0, COUNT_CHUNK], [COUNT_CHUNK, 2 * COUNT_CHUNK],
+                                                 [2 * COUNT_CHUNK, n]]
+    for walker in walkers:
+        mine = [lo for name, lo, _ in spans if name == walker]
+        assert mine == sorted(mine)
+
+
+def test_a_held_back_walker_leaves_more_than_half_the_trials_to_the_calling_thread(monkeypatch):
+    # the second walker waits on its first span until the calling thread
+    # has walked every other span: the counts are the same
+    force_walkers(monkeypatch, 2)
+    walkers, spans = spans_walked(monkeypatch)
+    recorded, caller, caller_done = epr._count_plus, threading.current_thread().name, threading.Event()
+
+    def held(seed, shared, stop):
+        if threading.current_thread().name == caller:
+            try:
+                return recorded(seed, shared, stop)
+            finally:
+                caller_done.set()
+
+        def first_held():
+            for k, span in enumerate(shared):
+                if k == 0:
+                    caller_done.wait(10)
+                yield span
+
+        return recorded(seed, first_held(), stop)
+
+    monkeypatch.setattr(epr, "_count_plus", held)
+    n = 10**6
+    counts = orientation_counts(5, n)
+    n_plus = int(np.count_nonzero(lambda_stream(5, n) == 1))
+    assert counts == OrientationCounts(n, n_plus, n - n_plus)
+    assert sum(hi - lo for name, lo, hi in spans if name == caller) > n // 2
+    assert len(walkers) == 2
+
+
+def test_more_walkers_than_cores_take_each_span_once_under_fast_thread_switches(monkeypatch):
+    # the shared span list is the walkers' only shared state: a span taken
+    # twice or lost would change the counts or the spans taken
+    monkeypatch.setattr(epr, "MAX_WALKERS", 4)
+    force_walkers(monkeypatch, 4)
+    walkers, spans = spans_walked(monkeypatch)
+    n = 40 * COUNT_CHUNK + 3
+    n_plus = int(np.count_nonzero(lambda_stream(3, n) == 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            walkers.clear()
+            spans.clear()
+            assert orientation_counts(3, n) == OrientationCounts(n, n_plus, n - n_plus)
+            assert len(walkers) == 4
+            assert sorted((lo, hi) for _, lo, hi in spans) == epr._spans(n, 4)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class WalkerFault(RuntimeError):
@@ -220,18 +322,81 @@ def test_a_failing_walker_fails_the_call_and_leaves_no_thread(monkeypatch):
     # the second walker's error reaches the caller as itself, not as a
     # missing part of the counts
     force_walkers(monkeypatch, 2)
-    real = epr._count_plus
+    real, caller = epr._count_plus, threading.current_thread().name
 
-    def failing(seed, lo, hi):
-        if lo > 0:
-            raise WalkerFault(f"no words from block {lo}")
-        return real(seed, lo, hi)
+    def failing(seed, spans, stop):
+        if threading.current_thread().name != caller:
+            raise WalkerFault("the second walker drew no words")
+        return real(seed, spans, stop)
 
     monkeypatch.setattr(epr, "_count_plus", failing)
     before = threading.active_count()
-    with pytest.raises(WalkerFault, match="no words from block"):
+    with pytest.raises(WalkerFault, match="drew no words"):
         orientation_counts(5, 4 * COUNT_CHUNK)
     assert threading.active_count() == before
+
+
+def trials_walked(monkeypatch, before_chunk) -> collections.Counter:
+    """Trials that each thread's generators walk from now on, by thread name.
+    Before each chunk, before_chunk(thread name, trials walked so far) runs
+    and may raise."""
+    walked = collections.Counter()
+
+    class Recorded(np.random.Philox):
+        def random_raw(self, size=None, output=True):
+            name = threading.current_thread().name
+            before_chunk(name, walked[name])
+            walked[name] += size // 4
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(np.random, "Philox", Recorded)
+    return walked
+
+
+def test_a_failing_walker_stops_the_calling_thread_at_its_next_chunk(monkeypatch):
+    # the second walker fails on its first chunk, once the calling thread
+    # has begun its second and waits there; a walker that went on would walk
+    # n / 2
+    force_walkers(monkeypatch, 2)
+    caller, walking, failed = threading.current_thread().name, threading.Event(), threading.Event()
+
+    def before_chunk(name, walked):
+        if name != caller:
+            walking.wait(10)
+            failed.set()
+            raise WalkerFault("the second walker lost its words")
+        if walked:
+            walking.set()
+            failed.wait(10)
+
+    walked = trials_walked(monkeypatch, before_chunk)
+    n = 10**6
+    with pytest.raises(WalkerFault, match="lost its words"):
+        orientation_counts(5, n)
+    assert 2 * COUNT_CHUNK <= walked[caller] < n // 8
+
+
+def test_an_interrupted_walk_stops_the_second_walker_at_its_next_chunk(monkeypatch):
+    # Ctrl-C in the calling thread, once both walkers walk: the second walker
+    # stops at its next chunk and the interrupt reaches the caller
+    force_walkers(monkeypatch, 2)
+    caller, started = threading.current_thread().name, threading.Event()
+
+    def before_chunk(name, walked):
+        if name != caller:
+            started.set()
+        elif walked:
+            started.wait(10)
+            raise KeyboardInterrupt
+
+    walked = trials_walked(monkeypatch, before_chunk)
+    before = threading.active_count()
+    n = 10**6
+    with pytest.raises(KeyboardInterrupt):
+        orientation_counts(5, n)
+    assert threading.active_count() == before
+    (helper,) = set(walked) - {caller}
+    assert 0 < walked[helper] < n // 8
 
 
 def test_mean_residual_norms_match_the_cumsum_oracle_bit_for_bit(monkeypatch):

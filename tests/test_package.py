@@ -286,9 +286,10 @@ GUARDS = {
         """,
         ["report"] * 8,
     ),
-    # every count comes from `epr.orientation_counts`, whose walkers each
-    # walk one span with `_count_plus`: a second generator of the stream or
-    # a second walker pool would be a second walk, as `lambda_stream` once was
+    # every count comes from `epr.orientation_counts`, whose walkers take
+    # spans from one shared list with `_count_plus`, one generator each: a
+    # second generator of the stream or a second walker pool would be a
+    # second walk, as `lambda_stream` once was
     "walk": (
         lambda node: _named(node) in {"Philox", "Thread"},
         [("epr.py", "_count_plus"), ("epr.py", "orientation_counts")],
