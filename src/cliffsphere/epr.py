@@ -1,10 +1,11 @@
 """Hidden-variable EPR-Bohm simulation.
 
 Each trial draws a fair-coin orientation lam in {+1, -1}.  The orientation
-stream is counter-based (Philox keyed by the seed, one counter block per
-trial index), so the value of trial i depends only on (seed, i): chunks of
-the stream can be generated in any order, in parallel, and reproduce bit for
-bit.
+stream is counter-based: trial i reads the Philox4x64-10 block of counter
+i + 1 under the key (seed, 0), that is, numpy's `Philox` set to counter i,
+which increments its counter before each block.  So the value of trial i
+depends only on (seed, i): chunks of the stream can be generated in any
+order, in parallel, and reproduce bit for bit.
 
 Per trial, Alice's raw score is the scalar of the Cl(3,0) product
 (-I.a)(lam I.a) and Bob's is the scalar of (+I.b)(lam I.b); both products
@@ -33,9 +34,10 @@ the others took.  The walkers' integer counts are added, so the result is
 exact and the same on any number of walkers and for any assignment of spans
 to walkers, and memory is bounded by one chunk per walker (at most 512 KiB
 of Philox words in flight), not by n.  A walker that fails, or an
-interrupted caller, stops every walker at its next chunk.  A run draws the
-counts once and passes them to each estimator and every sweep angle (the
-CLI records them in its manifest).  `mean_residual_norms` draws them once
+interrupted caller, whether it walks or waits for the others, stops every
+walker at its next chunk, and the call returns once each has stopped.  A
+run draws the counts once and passes them to each estimator and every
+sweep angle (the CLI records them in its manifest).  `mean_residual_norms` draws them once
 per seed and trial count.
 
 Three averaging procedures are provided.  The componentwise average of the
@@ -94,8 +96,14 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_trials(n: int) -> int:
+    """Refuse a trial count outside [1, 2**63).  The bound is the int64 `n`
+    column's, not a cost: a walk's memory is flat in n, and its time is
+    linear in n (≈12 ms per 10**6 trials, 2-CPU x86), so any tighter bound
+    would be a choice of how long a run may take."""
     if n < 1:
         raise ValueError(f"n_trials must be >= 1, got {n}")
+    if n >= 2**63:
+        raise ValueError(f"n_trials must be < 2**63, got {n}: the n column is int64")
     return n
 
 
@@ -134,8 +142,8 @@ def _spans(n: int, walkers: int) -> list[tuple[int, int]]:
 
 def _count_plus(seed: int, spans, stop: threading.Event) -> int:
     """How many trials of the spans that this walker takes, one at a time,
-    from the shared iterator `spans` draw lam = +1.  One generator, started
-    at the first span's counter block and advanced over the spans that other
+    from the shared iterator `spans` draw lam = +1.  One generator, set to
+    the first trial of the first span and advanced over the spans that other
     walkers took, walks each span in chunks of at most COUNT_CHUNK trials.
     Once `stop` is set the walker returns before its next chunk, with a
     partial count that the walk, which then raises, never adds."""
@@ -162,17 +170,19 @@ def _count_plus(seed: int, spans, stop: threading.Event) -> int:
 
 def orientation_counts(seed: int, n: int) -> OrientationCounts:
     """Orientation counts of trials 0..n-1, from one walk of the stream: trial
-    i draws lam = +1 when the first word of Philox counter block i under key
-    `seed` is odd.  The walkers, at most MAX_WALKERS and no more than the
-    usable CPUs or the chunks of the walk, take the spans of `_spans` from
-    one list until none is left, the calling thread among them.  A walker's
-    error is raised here once every walker has stopped; it, or an exception
-    in the calling thread, stops the other walkers at their next chunk."""
+    i draws lam = +1 when the first word of the Philox4x64-10 block of
+    counter i + 1 under key (seed, 0), numpy's `Philox` set to counter i, is
+    odd.  The walkers, at most MAX_WALKERS and no more than the usable CPUs
+    or the chunks of the walk, take the spans of `_spans` from one list
+    until none is left, the calling thread among them.  A walker's error is
+    raised here once every walker has stopped; it, or an exception in the
+    calling thread, in its walk or in a join, stops the other walkers at
+    their next chunk and is raised once they have."""
     _check_trials(n)
     _check_seed(seed)
     walkers = min(MAX_WALKERS, _usable_cpus(), -(-n // COUNT_CHUNK))
     spans, stop = iter(_spans(n, walkers)), threading.Event()
-    parts = [None] * walkers
+    parts, ended = [None] * walkers, [threading.Event() for _ in range(walkers)]
 
     def walk(w: int) -> None:
         try:
@@ -180,17 +190,26 @@ def orientation_counts(seed: int, n: int) -> OrientationCounts:
         except Exception as exc:  # raised by the caller once every walker has stopped
             parts[w] = exc
             stop.set()
+        finally:
+            ended[w].set()
 
     threads = [threading.Thread(target=walk, args=(w,)) for w in range(1, walkers)]
     for thread in threads:
         thread.start()
     try:
         walk(0)
-    finally:
-        if parts[0] is None:  # the calling thread was interrupted
-            stop.set()
         for thread in threads:
             thread.join()
+    except BaseException:
+        # an interrupt in the calling thread's walk or in a join: stop every
+        # walker, wait for each, then re-raise.  An interrupted `join` marks
+        # its thread stopped while it still runs (CPython's bpo-45274 branch),
+        # so the wait is on the walker's own end before its join.
+        stop.set()
+        for thread, end in zip(threads, ended[1:]):
+            end.wait()
+            thread.join()
+        raise
     for part in parts:
         if isinstance(part, Exception):
             raise part

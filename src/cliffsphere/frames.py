@@ -147,16 +147,19 @@ def _duality_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(lhs - rhs.reshape(2, *lhs.shape), axis=-1)
 
 
-def hidden_basis(lam: int) -> tuple[Multivector, ...]:
-    """Basis {1, e_x, e_y, e_z, e_x^e_y, e_y^e_z, e_z^e_x, lam * e_x e_y e_z};
-    the volume element, scaled by lam, comes last.  The three bivectors are
-    one batched wedge of e_x, e_y, e_z with e_y, e_z, e_x."""
-    lam = check_orientation(lam)
-    vectors = tuple(Multivector.basis_vector(3, j) for j in (1, 2, 3))
-    e = np.stack([v.coeffs for v in vectors])
-    return (
-        Multivector.scalar(3, 1.0),
-        *vectors,
-        *(Multivector(3, row) for row in _product("wedge", e, e[[1, 2, 0]])),
-        Multivector(3, float(lam) * _VOLUME3),
-    )
+def hidden_basis(lam) -> np.ndarray:
+    """Read-only (8, 8) coefficient rows of the basis {1, e_x, e_y, e_z,
+    e_x^e_y, e_y^e_z, e_z^e_x, lam * e_x e_y e_z}, in that order: the volume
+    element, scaled by lam, comes last.  For a sequence of k orientations,
+    such as `ORIENTATIONS`, a (k, 8, 8) table, one basis per orientation.
+    The three bivectors are one batched wedge of e_x, e_y, e_z with e_y,
+    e_z, e_x, whatever k is."""
+    lam = np.asarray([check_orientation(x) for x in lam] if np.ndim(lam) else check_orientation(lam),
+                     dtype=np.float64)
+    e = np.eye(8)[[0, 1, 2, 4]]  # 1, e_x, e_y, e_z
+    basis = np.empty((*lam.shape, 8, 8))
+    basis[..., :4, :] = e
+    basis[..., 4:7, :] = _product("wedge", e[1:], e[[2, 3, 1]])
+    basis[..., 7, :] = np.multiply.outer(lam, _VOLUME3)
+    basis.flags.writeable = False
+    return basis

@@ -22,8 +22,13 @@ two residuals, each the largest row norm of its own orientation's rows; the
 batches come from `frames`, as the estimators' do.  The frame checks read
 one table, built once: the frames beta as a (2, 3, 8) array and their
 (2, 3, 3, 8) pair products from one 18-row kernel batch; the rotor checks
-read their planes I . e_j from it.  Only `check_hidden_basis` sees
-`Multivector`s.
+read their planes I . e_j from it.  No check builds a `Multivector`: the
+hidden basis, too, is read as one coefficient table of both orientations.
+The inputs that depend on neither the seed nor the kernel are read-only
+tables built once: the basis pairs, the generator pairs of Cl(3) and Cl(7)
+(the latter on the suite's first run), the isomorphism check's doubled
+element columns and the flipped basis vectors.  Every product, and every
+value that a check compares against, is computed again in each suite.
 
 The suite carries its own naive blade multiplier (`_naive_table`), which
 shares no code with the product kernel or its Cayley tables, so that the
@@ -193,16 +198,37 @@ def _both(name: str, other: str | None = None) -> tuple[str, str]:
 _ONE3 = np.eye(8)[0]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """The array a, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
 def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (m * m, k) left and right factors of each ordered pair of m rows."""
     m = len(rows)
-    left, right = np.repeat(rows, m, axis=0), np.tile(rows, (m, 1))
-    left.flags.writeable = right.flags.writeable = False
-    return left, right
+    return _frozen(np.repeat(rows, m, axis=0)), _frozen(np.tile(rows, (m, 1)))
 
 
 #: The 9 ordered pairs of e1, e2, e3 and the 16 of 1, beta_1, beta_2, beta_3.
 _VECTOR_PAIRS, _ELEMENT_PAIRS = _pairs(np.eye(3)), _pairs(np.eye(4))
+
+#: Both orientations' columns of the 16 element pairs over {1, beta_1,
+#: beta_2, beta_3}: the (4, 32) left and right factors of the isomorphism's
+#: abstract products, read-only.
+_ELEMENT_COLUMNS = tuple(_frozen(np.concatenate([f.T, f.T], axis=1)) for f in _ELEMENT_PAIRS)
+
+#: Read-only coefficients of e_x, -e_y, e_z, the vector basis with e_y flipped.
+_FLIPPED_BASIS = _frozen(_vector_coeffs(np.diag([1.0, -1.0, 1.0]), 3))
+
+
+@lru_cache(maxsize=MAX_DIM + 1)
+def _generator_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (dim * dim, 2**dim) coefficients of the left and right
+    factors of each ordered pair of the generators of Cl(dim,0), built once
+    per dimension: 100 KB at Cl(7).  At Cl(3) they are the 9 basis-vector
+    pairs of `_VECTOR_PAIRS`."""
+    return _pairs(_vector_coeffs(np.eye(dim), dim))
 
 
 def _frame_rows(beta: np.ndarray) -> np.ndarray:
@@ -238,7 +264,7 @@ _EPS = np.array(EPS_TRIPLES)[:, 3]
 
 def check_generator_anticommutation(dim: int) -> float:
     """e_j e_k + e_k e_j = 2 delta_jk over all dim**2 generator pairs."""
-    jk = _product("geometric", *_pairs(_vector_coeffs(np.eye(dim), dim))).reshape(dim, dim, -1)
+    jk = _product("geometric", *_generator_pairs(dim)).reshape(dim, dim, -1)
     anti = jk + jk.transpose(1, 0, 2)  # e_j e_k + e_k e_j
     anti[:, :, 0] -= 2.0 * np.eye(dim)
     return _worst(anti)
@@ -266,7 +292,7 @@ def check_associativity(dim: int) -> float:
 
 def check_vector_product_decomposition() -> float:
     """ab = a . b + a ^ b on every ordered pair of basis vectors."""
-    av, bv = (_vector_coeffs(v, 3) for v in _VECTOR_PAIRS)
+    av, bv = _generator_pairs(3)
     diff = _product("geometric", av, bv) - _product("contract", av, bv) - _product("wedge", av, bv)
     return _worst(diff)
 
@@ -382,7 +408,7 @@ def check_duality() -> np.ndarray:
 def check_abstract_embedded_isomorphism(frames, eps_sign: float) -> np.ndarray:
     rows = _frame_rows(frames[0])
     x, y = _ELEMENT_PAIRS
-    abstract = _abstract_products(np.concatenate([x.T, x.T], axis=1), np.concatenate([y.T, y.T], axis=1), eps_sign)
+    abstract = _abstract_products(*_ELEMENT_COLUMNS, eps_sign)
     embedded = _product("geometric", (x @ rows).reshape(-1, 8), (y @ rows).reshape(-1, 8)).reshape(2, -1, 8)
     return _worst_each(abstract @ rows - embedded)
 
@@ -400,7 +426,7 @@ def check_score_square(eps_sign: float) -> np.ndarray:
 
 def check_vector_basis_flip() -> float:
     """Flipping e_y -> -e_y flips I but leaves the bivector handedness at +1."""
-    e = _vector_coeffs(np.diag([1.0, -1.0, 1.0]), 3)  # e_x, -e_y, e_z
+    e = _FLIPPED_BASIS
     I_flipped = _product("geometric", _product("geometric", e[0], e[1]), e[2])
     frame = _frame_table(_product("contract", I_flipped, e))
     return np.maximum(_worst(_ordered_product(frame) - _ONE3), _worst(I_flipped + _VOLUME3))
@@ -408,7 +434,7 @@ def check_vector_basis_flip() -> float:
 
 def check_hidden_basis() -> np.ndarray:
     """Each orientation's hidden basis has one volume-grade element, the last, lam * I."""
-    volume = np.array([[b.coeffs[-1] for b in hidden_basis(lam)] for lam in ORIENTATIONS])
+    volume = hidden_basis(ORIENTATIONS)[..., -1]  # each element's volume coefficient
     return np.maximum(np.abs(volume[:, -1] - _LAM), (volume != 0.0).sum(axis=1) - 1.0)
 
 

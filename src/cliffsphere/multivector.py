@@ -195,10 +195,6 @@ class Multivector:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def scalar(dim: int, value: float) -> "Multivector":
-        return Multivector.blade(dim, 0, value)
-
-    @staticmethod
     def blade(dim: int, mask: int, coeff: float = 1.0) -> "Multivector":
         """Single canonical blade (generators in ascending index order)."""
         _check_dim(dim)
@@ -207,14 +203,6 @@ class Multivector:
         c = np.zeros(1 << dim)
         c[mask] = coeff
         return Multivector(dim, c)
-
-    @staticmethod
-    def basis_vector(dim: int, index: int) -> "Multivector":
-        """Generator e_index, 1-based."""
-        _check_dim(dim)
-        if not 1 <= index <= dim:
-            raise ValueError(f"generator index {index} out of range 1..{dim}")
-        return Multivector.blade(dim, 1 << (index - 1))
 
     @staticmethod
     def from_vector(components, dim: int | None = None) -> "Multivector":

@@ -9,9 +9,10 @@ blade pairs.
 Seven references do use the package.  They multiply only through its
 public products (`geometric_product`, `wedge`, `contract`); sums and
 scalings act on coefficient arrays.  They are built from the `Multivector`
-helpers defined here, which the package does not export: `grade_part`,
-`reversion`, `norm` and `rotor_exp`, each a thin `Multivector` wrapper of
-the package's grade table, reversion signs or rotor coefficients.
+helpers defined here, which the package does not export: `basis_vector`,
+`grade_part`, `reversion`, `norm` and `rotor_exp`, each a thin `Multivector`
+wrapper of a blade or of the package's grade table, reversion signs or
+rotor coefficients.
 `sign_table_product` evaluates the float sign-table formula on the
 package's Cayley table; it pins the product kernel's bytes, while the naive
 products pin its algebra.
@@ -24,7 +25,9 @@ I.n) from the public contraction and geometric product, and
 `trial_records` evaluates it trial by trial, the per-trial reference of the
 estimators, on the orientations of `lambda_stream`: the stream drawn with a
 fresh Philox generator per call, the reference of the package's one-generator
-walk.  `null_limit_rows` runs the null-limit probe one separation at
+walk.  `philox4x64_10` is Philox4x64-10 in Python integers, from the
+published constants and not from numpy, and `philox_orientations` reads the
+stream through it: the reference of the stream's definition itself.  `null_limit_rows` runs the null-limit probe one separation at
 a time through the public wedge, contraction and norm, and `np.cross`: the
 reference of the batched probe's psi, magnitude and axis.
 `sandwich_rotation` is its rotation, the reference of the shared rotor
@@ -160,6 +163,11 @@ def series_exp(b: np.ndarray, angle: float, terms: int = 40) -> np.ndarray:
     return acc
 
 
+def basis_vector(dim: int, index: int) -> Multivector:
+    """Generator e_index of Cl(dim,0), 1-based."""
+    return Multivector.blade(dim, 1 << (index - 1))
+
+
 def grade_part(x: Multivector, g: int) -> Multivector:
     """Projection onto grade g (coefficients of all other grades zeroed)."""
     if not 0 <= g <= x.dim:
@@ -231,7 +239,7 @@ def abstract_to_embedded(x: AbstractElement, lam: int, beta: np.ndarray) -> Mult
     orientation lam, given as the (3, 8) coefficients of beta_1..beta_3."""
     if x.lam != lam:
         raise OrientationMixError("element and frame carry different orientations")
-    out = Multivector.scalar(3, x.c0).coeffs
+    out = Multivector.blade(3, 0, x.c0).coeffs
     for cj, bj in zip(x.c, beta):
         out = out + cj * bj
     return Multivector(3, out)
@@ -261,11 +269,43 @@ def raw_score(side_sign: int, n, lam: int) -> int:
 
 def lambda_stream(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Orientations of trials start..start+n-1 as an int8 array of +-1: trial
-    i draws +1 when the first word of Philox counter block i under key `seed`
-    is odd.  Each call builds its own generator at counter block `start`."""
+    i draws +1 when the first word of the Philox4x64-10 block of counter
+    i + 1 under key (seed, 0) is odd, that is, of numpy's `Philox` set to
+    counter i, which increments its counter before each block.  Each call
+    builds its own generator at counter `start`."""
     bg = np.random.Philox(key=np.uint64(seed), counter=[start, 0, 0, 0])
     words = bg.random_raw(4 * n)[0::4]
     return (2 * (words & 1).astype(np.int8) - 1).astype(np.int8)
+
+
+#: Philox4x64-10 as published (J. K. Salmon, M. A. Moraes, R. O. Dror and
+#: D. E. Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11): the
+#: two round multipliers and the two Weyl increments of the key.
+PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = 2**64 - 1
+
+
+def philox4x64_10(counter: int, key: tuple[int, int]) -> tuple[int, int, int, int]:
+    """The four 64-bit words of the Philox4x64-10 block of the 256-bit
+    `counter` (word 0 lowest) under the key (k0, k1), in Python integers and
+    from the published constants alone: ten rounds, each two 64x64 -> 128-bit
+    products, the key bumped by the Weyl increments between rounds."""
+    x = [counter >> (64 * j) & _WORD for j in range(4)]
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + PHILOX_WEYL[0]) & _WORD, (k1 + PHILOX_WEYL[1]) & _WORD
+        p0, p1 = PHILOX_MULTIPLIERS[0] * x[0], PHILOX_MULTIPLIERS[1] * x[2]
+        x = [p1 >> 64 ^ x[1] ^ k0, p1 & _WORD, p0 >> 64 ^ x[3] ^ k1, p0 & _WORD]
+    return tuple(x)
+
+
+def philox_orientations(seed: int, n: int) -> np.ndarray:
+    """Orientations of trials 0..n-1 from `philox4x64_10`, with no numpy
+    generator: trial i draws +1 when the first word of the block of counter
+    i + 1 under key (seed, 0) is odd."""
+    return np.array([1 if philox4x64_10(i + 1, (seed, 0))[0] & 1 else -1 for i in range(n)], dtype=np.int8)
 
 
 def trial_records(a, b, seed: int, n: int) -> list[tuple[int, int, int]]:

@@ -36,7 +36,7 @@ from cliffsphere.seven_sphere import (
     raw_score_7,
 )
 
-from .oracles import naive_contract, naive_product, norm
+from .oracles import basis_vector, naive_contract, naive_product, norm
 
 SEEDS_20 = list(range(20))
 
@@ -74,7 +74,7 @@ def test_criterion_02_handedness_detectors():
     for lam in (1, -1):
         bx, by, bz = (Multivector(3, row) for row in _frame_coeffs(lam))
         got = geometric_product(geometric_product(bx, by), bz)
-        assert np.array_equal(got.coeffs, Multivector.scalar(3, float(lam)).coeffs)
+        assert np.array_equal(got.coeffs, Multivector.blade(3, 0, float(lam)).coeffs)
     print("\nACCEPTANCE 2: PASS (ordered products +1 and -1, exact)")
 
 
@@ -184,7 +184,7 @@ def test_criterion_10_seven_sphere():
     for i, j, k in J_TRIPLES:
         expected[(1 << (i - 1)) | (1 << (j - 1)) | (1 << (k - 1))] = 1.0
     assert np.array_equal(J.coeffs, expected)
-    got = contract(J, Multivector.basis_vector(7, 1))
+    got = contract(J, basis_vector(7, 1))
     line = np.zeros(128)
     for i, j in ((2, 4), (5, 6), (3, 7)):
         line[(1 << (i - 1)) | (1 << (j - 1))] = 1.0

@@ -2,8 +2,10 @@
 
 import collections
 import math
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,7 +34,15 @@ from cliffsphere.multivector import (
     unit_vector,
 )
 
-from .oracles import abstract_coeffs, lambda_stream, raw_score, standard_score, trial_records
+from .oracles import (
+    abstract_coeffs,
+    lambda_stream,
+    philox4x64_10,
+    philox_orientations,
+    raw_score,
+    standard_score,
+    trial_records,
+)
 
 # First ten orientations under seed 42, frozen to pin the stream contract.
 SEED42_PREFIX = [-1, 1, 1, 1, 1, -1, 1, -1, -1, 1]
@@ -133,6 +143,26 @@ def force_walkers(monkeypatch, walkers: int) -> None:
     """Walk on `walkers` walkers where the walk has that many chunks, however
     many CPUs this machine has."""
     monkeypatch.setattr(epr, "_usable_cpus", lambda: walkers)
+
+
+def test_the_stream_is_the_published_philox_at_counter_i_plus_1(monkeypatch):
+    # a pure-Python Philox4x64-10 from the published constants, no numpy generator:
+    # trial i reads the block of counter i + 1 under key (seed, 0)
+    n = 2000
+    reference = {seed: philox_orientations(seed, n) for seed in (0, 42, 2**64 - 1)}
+    for seed, lams in reference.items():
+        assert lams.tobytes() == lambda_stream(seed, n).tobytes()
+    # the walk, on two walkers, over guided spans of small chunks
+    monkeypatch.setattr(epr, "COUNT_CHUNK", 16)
+    force_walkers(monkeypatch, 2)
+    assert len(epr._spans(n, 2)) > 10
+    n_plus = int(np.count_nonzero(reference[42] == 1))
+    assert orientation_counts(42, n) == OrientationCounts(n, n_plus, n - n_plus)
+    # numpy's counter carries from word 0 into word 1 as the published one does;
+    # 2**64 - 2 goes in a uint64 array, since a list of it makes numpy warn
+    counter = np.array([2**64 - 2, 0, 0, 0], dtype=np.uint64)
+    words = np.random.Philox(key=np.uint64(42), counter=counter).random_raw(4 * 3).reshape(3, 4)
+    assert words.tolist() == [list(philox4x64_10(c, (42, 0))) for c in range(2**64 - 1, 2**64 + 2)]
 
 
 def prefix_counts(seed: int, n: int) -> list[tuple[int, int, int]]:
@@ -378,25 +408,79 @@ def test_a_failing_walker_stops_the_calling_thread_at_its_next_chunk(monkeypatch
 
 def test_an_interrupted_walk_stops_the_second_walker_at_its_next_chunk(monkeypatch):
     # Ctrl-C in the calling thread, once both walkers walk: the second walker
-    # stops at its next chunk and the interrupt reaches the caller
+    # stops at its next chunk and the interrupt reaches the caller.  How far
+    # the second walker has walked when the interrupt comes is the scheduler's
+    # choice, so what is counted is what it walks after
     force_walkers(monkeypatch, 2)
-    caller, started = threading.current_thread().name, threading.Event()
+    caller, started, at_interrupt = threading.current_thread().name, threading.Event(), []
 
     def before_chunk(name, walked):
         if name != caller:
             started.set()
         elif walked:
             started.wait(10)
+            at_interrupt.append(helper_walked())
             raise KeyboardInterrupt
 
     walked = trials_walked(monkeypatch, before_chunk)
+    helper_walked = lambda: walked.total() - walked[caller]
     before = threading.active_count()
-    n = 10**6
     with pytest.raises(KeyboardInterrupt):
-        orientation_counts(5, n)
+        orientation_counts(5, 10**6)
     assert threading.active_count() == before
-    (helper,) = set(walked) - {caller}
-    assert 0 < walked[helper] < n // 8
+    assert 0 < at_interrupt[0] <= helper_walked() <= at_interrupt[0] + 2 * COUNT_CHUNK
+
+
+def test_an_interrupt_in_join_stops_the_held_walker_before_it_reaches_the_caller(monkeypatch):
+    # a real SIGINT from a timer, while the calling thread has walked every
+    # other span and waits in `join` for the second walker, which was held
+    # on its first span and walks it slowly: the second walker stops within
+    # a chunk or two of the signal, the interrupt reaches the caller only
+    # then, and no thread is left
+    if threading.current_thread() is not threading.main_thread() or not hasattr(signal, "pthread_kill"):
+        pytest.skip("this process cannot send SIGINT to its own main thread")
+    force_walkers(monkeypatch, 2)
+    real, caller, caller_done = epr._count_plus, threading.current_thread().name, threading.Event()
+    at_signal = []
+
+    def send_sigint():
+        at_signal.append(helper_walked())
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+    interrupt = threading.Timer(0.03, send_sigint)
+
+    def held(seed, shared, stop):
+        if threading.current_thread().name == caller:
+            try:
+                return real(seed, shared, stop)
+            finally:
+                caller_done.set()
+
+        def first_held():
+            for k, span in enumerate(shared):
+                if k == 0:
+                    caller_done.wait(10)
+                    interrupt.start()
+                yield span
+
+        return real(seed, first_held(), stop)
+
+    monkeypatch.setattr(epr, "_count_plus", held)
+    walked = trials_walked(monkeypatch, lambda name, _: name != caller and time.sleep(0.005))
+    helper_walked = lambda: walked.total() - walked[caller]
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    before = threading.active_count()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            orientation_counts(5, 10**6)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+        interrupt.cancel()
+    at_return = helper_walked()
+    time.sleep(0.05)
+    assert helper_walked() == at_return
+    assert threading.active_count() == before
+    assert 0 < at_signal[0] <= at_return <= at_signal[0] + 2 * COUNT_CHUNK
 
 
 def test_mean_residual_norms_match_the_cumsum_oracle_bit_for_bit(monkeypatch):
@@ -479,7 +563,7 @@ def test_raw_product_is_minus_one_by_direct_evaluation(lam):
         alice = geometric_product(Multivector(3, -1.0 * ia), Multivector(3, float(lam) * ia))
         bob = geometric_product(Multivector(3, ib), Multivector(3, float(lam) * ib))
         product = geometric_product(alice, bob)
-        assert np.linalg.norm(product.coeffs - Multivector.scalar(3, -1.0).coeffs) < 1e-12
+        assert np.linalg.norm(product.coeffs - Multivector.blade(3, 0, -1.0).coeffs) < 1e-12
 
 
 def test_raw_scores_reject_bad_inputs():
@@ -688,8 +772,8 @@ def reference_row(theta, a, b, counts):
     for lam, k in ((1, counts.n_plus), (-1, counts.n_minus)):
         alice = geometric_product(Multivector(3, -1.0 * ia), Multivector(3, float(lam) * ia))
         bob = geometric_product(Multivector(3, ib), Multivector(3, float(lam) * ib))
-        assert np.linalg.norm(alice.coeffs - Multivector.scalar(3, lam).coeffs) < 1e-12
-        assert np.linalg.norm(bob.coeffs - Multivector.scalar(3, -lam).coeffs) < 1e-12
+        assert np.linalg.norm(alice.coeffs - Multivector.blade(3, 0, lam).coeffs) < 1e-12
+        assert np.linalg.norm(bob.coeffs - Multivector.blade(3, 0, -lam).coeffs) < 1e-12
         total += k * round(scalar_part(alice)) * round(scalar_part(bob))
     residual = tuple(float(c) for c in counts.lam_mean * np.asarray(products[1].c))
     stderr = float(np.linalg.norm(np.cross(a, b))) / math.sqrt(counts.n)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffsphere import frames
 from cliffsphere.frames import (
     ORIENTATIONS,
     _VOLUME3,
@@ -31,7 +32,7 @@ from cliffsphere.multivector import (
     wedge,
 )
 
-from .oracles import abstract_coeffs, abstract_to_embedded, grade_part, norm, standard_score
+from .oracles import abstract_coeffs, abstract_to_embedded, basis_vector, grade_part, norm, standard_score
 
 EPS = {
     (1, 2): 3,
@@ -65,7 +66,7 @@ def frame(lam):
 def test_frame_squares_to_minus_one(lam):
     for b in frame(lam):
         sq = geometric_product(b, b)
-        assert np.array_equal(sq.coeffs, Multivector.scalar(3, -1.0).coeffs)
+        assert np.array_equal(sq.coeffs, Multivector.blade(3, 0, -1.0).coeffs)
 
 
 @pytest.mark.parametrize("lam", [1, -1])
@@ -83,7 +84,7 @@ def test_frame_anticommutes(lam):
 def test_ordered_product_detects_handedness_exactly(lam):
     bx, by, bz = frame(lam)
     got = geometric_product(geometric_product(bx, by), bz)
-    assert np.array_equal(got.coeffs, Multivector.scalar(3, float(lam)).coeffs)
+    assert np.array_equal(got.coeffs, Multivector.blade(3, 0, float(lam)).coeffs)
 
 
 @pytest.mark.parametrize("lam", [1, -1])
@@ -94,7 +95,7 @@ def test_frame_subalgebra_structure_constants(lam):
         for k in range(1, 4):
             got = geometric_product(beta[j - 1], beta[k - 1])
             if j == k:
-                want = Multivector.scalar(3, -1.0).coeffs
+                want = Multivector.blade(3, 0, -1.0).coeffs
             else:
                 s, l = eps_sign(j, k)
                 want = (-lam * s) * beta[l - 1].coeffs
@@ -117,25 +118,27 @@ def test_left_frame_satisfies_plus_epsilon_subalgebra():
 def test_vector_basis_flip_leaves_bivector_handedness_unchanged():
     # flip e_y -> -e_y: the volume element flips to -I, but the rebuilt
     # bivector frame keeps ordered product +1
-    ex = Multivector.basis_vector(3, 1)
+    ex = basis_vector(3, 1)
     ey = Multivector.blade(3, 0b010, -1.0)
-    ez = Multivector.basis_vector(3, 3)
+    ez = basis_vector(3, 3)
     I_flipped = geometric_product(geometric_product(ex, ey), ez)
     assert np.array_equal(I_flipped.coeffs, -Multivector.volume(3).coeffs)
     beta = [contract(I_flipped, v) for v in (ex, ey, ez)]
     prod = geometric_product(geometric_product(beta[0], beta[1]), beta[2])
-    assert np.array_equal(prod.coeffs, Multivector.scalar(3, 1.0).coeffs)
+    assert np.array_equal(prod.coeffs, Multivector.blade(3, 0, 1.0).coeffs)
 
 
 def test_bivector_basis_flip_flips_handedness():
     flipped = [Multivector(3, -row) for row in _frame_coeffs(1)]
     prod = geometric_product(geometric_product(flipped[0], flipped[1]), flipped[2])
-    assert np.array_equal(prod.coeffs, Multivector.scalar(3, -1.0).coeffs)
+    assert np.array_equal(prod.coeffs, Multivector.blade(3, 0, -1.0).coeffs)
 
 
 def test_orientation_validation():
     with pytest.raises(ValueError, match="orientation"):
         hidden_basis(0)
+    with pytest.raises(ValueError, match="orientation"):
+        hidden_basis([1, 0])
     with pytest.raises(ValueError, match="orientation"):
         AbstractElement(0.0, (1.0, 0.0, 0.0), lam=2)
 
@@ -191,7 +194,7 @@ def test_standard_score_squares_to_minus_one(lam):
         assert np.linalg.norm(abstract_coeffs(sq) - np.array([-1.0, 0, 0, 0])) < 1e-12
         emb = abstract_to_embedded(s, lam, beta)
         emb_sq = geometric_product(emb, emb)
-        assert np.linalg.norm(emb_sq.coeffs - Multivector.scalar(3, -1.0).coeffs) < 1e-12
+        assert np.linalg.norm(emb_sq.coeffs - Multivector.blade(3, 0, -1.0).coeffs) < 1e-12
 
 
 def test_standard_score_definition_and_unit_check():
@@ -328,30 +331,42 @@ def test_embedded_elements_are_even_grade():
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_hidden_basis_volume_sign(lam):
-    blades = hidden_basis(lam)
-    assert len(blades) == 8
-    vol = blades[-1]
+    rows = hidden_basis(lam)
+    assert rows.shape == (8, 8)
+    vol = Multivector(3, rows[-1])
     assert scalar_part(contract(vol, vol)) == -1.0
-    # exactly one volume-grade element, carrying the orientation sign
-    volume_terms = [b for b in blades if b.coeffs[0b111] != 0.0]
-    assert len(volume_terms) == 1
-    assert volume_terms[0].coeffs[0b111] == float(lam)
-    for b in blades[:-1]:
-        assert b.coeffs[0b111] == 0.0
+    # exactly one volume-grade element, the last, carrying the orientation sign
+    assert rows[:, 0b111].tolist() == [0.0] * 7 + [float(lam)]
 
 
 def hidden_basis_by_wedges(lam):
     """The hidden basis as it was built before its bivectors were one batch:
     three public wedges of the basis vectors."""
-    ex, ey, ez = (Multivector.basis_vector(3, j) for j in (1, 2, 3))
-    return (Multivector.scalar(3, 1.0), ex, ey, ez, wedge(ex, ey), wedge(ey, ez), wedge(ez, ex),
+    ex, ey, ez = (basis_vector(3, j) for j in (1, 2, 3))
+    return (Multivector.blade(3, 0, 1.0), ex, ey, ez, wedge(ex, ey), wedge(ey, ez), wedge(ez, ex),
             Multivector(3, float(lam) * _VOLUME3))
 
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_hidden_basis_has_the_bits_of_three_public_wedges(lam):
     got, want = hidden_basis(lam), hidden_basis_by_wedges(lam)
-    assert [b.coeffs.tobytes() for b in got] == [b.coeffs.tobytes() for b in want]
+    assert [row.tobytes() for row in got] == [b.coeffs.tobytes() for b in want]
+
+
+def test_both_hidden_bases_are_one_read_only_table_from_one_wedge(monkeypatch):
+    real, calls = frames._product, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(frames, "_product", counted)
+    table = hidden_basis(ORIENTATIONS)
+    assert calls == ["wedge"]
+    assert table.shape == (2, 8, 8)
+    assert table.tobytes() == np.stack([hidden_basis(lam) for lam in ORIENTATIONS]).tobytes()
+    for rows in (table, hidden_basis(1)):
+        assert not rows.flags.writeable
 
 
 def duality_by_orientation(a, b, lam):
@@ -410,7 +425,7 @@ def test_embedded_score_expansion_holds_for_arbitrary_unit_pairs(seed, lam):
     a, b = random_unit(rng), random_unit(rng)
     beta = _frame_coeffs(lam)
     got = _product("geometric", a @ beta, b @ beta)
-    want = -np.dot(a, b) * Multivector.scalar(3, 1.0).coeffs - lam * np.cross(a, b) @ beta
+    want = -np.dot(a, b) * Multivector.blade(3, 0, 1.0).coeffs - lam * np.cross(a, b) @ beta
     assert np.linalg.norm(got - want) < 1e-12
 
 
@@ -419,6 +434,6 @@ def test_embedded_score_expansion_holds_for_arbitrary_unit_pairs(seed, lam):
 def test_abstract_embedded_isomorphism_holds_for_arbitrary_pairs(seed, lam):
     # the map 1, beta_j -> the frame carries `_structure_coeffs` to the geometric product
     x, y = np.random.default_rng(seed).normal(size=(2, 4))
-    M = np.stack([Multivector.scalar(3, 1.0).coeffs, *_frame_coeffs(lam)], axis=1)
+    M = np.stack([Multivector.blade(3, 0, 1.0).coeffs, *_frame_coeffs(lam)], axis=1)
     abstract = M @ np.array(_structure_coeffs(x, y, -lam))
     assert np.linalg.norm(abstract - _product("geometric", M @ x, M @ y)) < 1e-12

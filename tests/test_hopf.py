@@ -99,7 +99,7 @@ def test_rotor_unit_and_fixes_axis():
         c = random_unit(rng)
         angle = rng.uniform(-3, 3)
         R = rotor_exp(plane(c), angle)
-        assert np.linalg.norm(geometric_product(R, reversion(R)).coeffs - Multivector.scalar(3, 1.0).coeffs) < 1e-12
+        assert np.linalg.norm(geometric_product(R, reversion(R)).coeffs - Multivector.blade(3, 0, 1.0).coeffs) < 1e-12
         assert np.max(np.abs(rotate(c, c, angle) - c)) < 1e-12
 
 
@@ -249,7 +249,7 @@ def test_quaternion_points_lie_on_unit_sphere():
 
 def test_quaternion_point_parallel_case():
     q = quaternion(EX, EX, 1, +1)
-    assert np.linalg.norm(q.coeffs - Multivector.scalar(3, -1.0).coeffs) < 1e-15
+    assert np.linalg.norm(q.coeffs - Multivector.blade(3, 0, -1.0).coeffs) < 1e-15
 
 
 def test_alice_and_bob_quaternions_differ():

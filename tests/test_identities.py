@@ -4,7 +4,9 @@ import ast
 import inspect
 import itertools
 import math
+import os
 import re
+import subprocess
 import sys
 import textwrap
 import tracemalloc
@@ -43,7 +45,7 @@ from cliffsphere.multivector import (
     geometric_product,
 )
 
-from .oracles import _blade_table, flip_kernel_sign, reversion
+from .oracles import _blade_table, basis_vector, flip_kernel_sign, reversion
 
 
 def test_full_suite_all_pass():
@@ -183,6 +185,44 @@ def test_basis_tables_list_every_ordered_pair_once(table, n):
         assert not factor.flags.writeable
     pairs = list(zip(left.argmax(axis=1).tolist(), right.argmax(axis=1).tolist()))
     assert pairs == list(itertools.product(range(n), repeat=2))
+
+
+def test_the_prebuilt_inputs_are_read_only_basis_rows():
+    # built once and read by every suite: a check that wrote into one would change the next suite's inputs
+    gens = {dim: identities._generator_pairs(dim) for dim in (3, 7)}
+    tables = [*gens[3], *gens[7], *identities._ELEMENT_COLUMNS, identities._FLIPPED_BASIS]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    for dim, (left, right) in gens.items():
+        e = np.zeros((dim, 1 << dim))
+        e[range(dim), 1 << np.arange(dim)] = 1.0  # e_1..e_dim
+        assert left.tolist() == np.repeat(e, dim, axis=0).tolist()
+        assert right.tolist() == np.tile(e, (dim, 1)).tolist()
+    # the Cl(3) generator pairs are the 9 basis-vector pairs that the decomposition multiplies
+    assert [f[:, [1, 2, 4]].tolist() for f in gens[3]] == [f.tolist() for f in identities._VECTOR_PAIRS]
+    # each element pair's columns, once per orientation
+    for columns, factor in zip(identities._ELEMENT_COLUMNS, identities._ELEMENT_PAIRS):
+        assert columns.tolist() == np.concatenate([factor.T, factor.T], axis=1).tolist()
+    assert identities._FLIPPED_BASIS[:, [1, 2, 4]].tolist() == np.diag([1.0, -1.0, 1.0]).tolist()
+    assert not identities._FLIPPED_BASIS[:, [0, 3, 5, 6, 7]].any()
+
+
+def test_only_a_suite_run_builds_the_cl7_generator_pairs(tmp_path):
+    # 100 KB that a simulate, hopf or s7 process never holds
+    script = f"""
+from cliffsphere import cli, identities
+built = identities._generator_pairs.cache_info
+for command in ("simulate", "hopf", "s7"):
+    assert cli.main([command, "--out", {str(tmp_path)!r}]) == 0
+assert built().currsize == 0, built()
+assert cli.main(["identities", "--out", {str(tmp_path)!r}]) == 0
+assert built().currsize == 2, built()
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def eps_term_flipped(l, first):
@@ -590,7 +630,7 @@ def rotor_cases(rng, frames, n_cases):
     even element k0 + sum_j k_j beta_j, one `Multivector` at a time."""
     ks = rng.integers(-6, 7, (n_cases, 4)).astype(np.float64)
     beta = [Multivector(3, b) for b in frames[0][0]]
-    return ks, [Multivector(3, k[0] * Multivector.scalar(3, 1.0).coeffs
+    return ks, [Multivector(3, k[0] * Multivector.blade(3, 0, 1.0).coeffs
                             + sum(kj * b.coeffs for kj, b in zip(k[1:], beta))) for k in ks]
 
 
@@ -614,7 +654,7 @@ def rotor_rotation_by_loop(rng, frames, n_cases):
 
 def rotor_unit_by_loop(rng, frames, n_cases):
     ks, qs = rotor_cases(rng, frames, n_cases)
-    return max(distance(geometric_product(q, reversion(q)), Multivector.scalar(3, float(k @ k)))
+    return max(distance(geometric_product(q, reversion(q)), Multivector.blade(3, 0, float(k @ k)))
                for k, q in zip(ks, qs))
 
 
@@ -638,7 +678,7 @@ def test_batched_rotor_checks_equal_per_case_loops(amount):
 
 def test_the_sandwich_turns_by_twice_the_angle_of_its_rotor():
     # q = 1 + e1 e2 is sqrt(2) exp((pi / 4) e1 e2): e1 turns by pi / 2, to -e2, scaled by |q|**2
-    q = Multivector.scalar(3, 1.0).coeffs + Multivector.blade(3, 0b011).coeffs
+    q = Multivector.blade(3, 0, 1.0).coeffs + Multivector.blade(3, 0b011).coeffs
     assert multivector._sandwich(q[None], np.eye(3)[:1]).tolist() == [[0.0, -2.0, 0.0]]
 
 
@@ -670,9 +710,9 @@ def anticommutation_by_loop(dim):
     worst = 0.0
     for j in range(1, dim + 1):
         for k in range(1, dim + 1):
-            ej, ek = Multivector.basis_vector(dim, j), Multivector.basis_vector(dim, k)
+            ej, ek = basis_vector(dim, j), basis_vector(dim, k)
             anti = geometric_product(ej, ek).coeffs + geometric_product(ek, ej).coeffs
-            worst = max(worst, float(np.linalg.norm(anti - Multivector.scalar(dim, 2.0 * (j == k)).coeffs)))
+            worst = max(worst, float(np.linalg.norm(anti - Multivector.blade(dim, 0, 2.0 * (j == k)).coeffs)))
     return worst
 
 
@@ -689,30 +729,30 @@ def test_batched_anticommutation_equals_a_per_pair_loop(monkeypatch, dim, flip):
 def frame_checks_by_loop(lam):
     """(subalgebra, squares, anticommutation, ordered product) residuals of the
     lam frame, one Multivector product per pair of its bivectors."""
-    beta = [Multivector(3, float(lam) * contract(Multivector.volume(3), Multivector.basis_vector(3, j)).coeffs)
+    beta = [Multivector(3, float(lam) * contract(Multivector.volume(3), basis_vector(3, j)).coeffs)
             for j in (1, 2, 3)]
     subalgebra = squares = anti = 0.0
     for j in range(1, 4):
         for k in range(1, 4):
             got = geometric_product(beta[j - 1], beta[k - 1])
             if j == k:
-                squares = max(squares, distance(got, Multivector.scalar(3, -1.0)))
+                squares = max(squares, distance(got, Multivector.blade(3, 0, -1.0)))
                 continue
             l = 6 - j - k
             eps = (j - k) * (k - l) * (l - j) // 2  # the Levi-Civita symbol eps_jkl
             subalgebra = max(subalgebra, float(np.linalg.norm(got.coeffs - float(-lam * eps) * beta[l - 1].coeffs)))
             anti = max(anti, float(np.linalg.norm(got.coeffs + geometric_product(beta[k - 1], beta[j - 1]).coeffs)))
     ordered = geometric_product(geometric_product(beta[0], beta[1]), beta[2])
-    return max(subalgebra, squares), squares, anti, distance(ordered, Multivector.scalar(3, float(lam)))
+    return max(subalgebra, squares), squares, anti, distance(ordered, Multivector.blade(3, 0, float(lam)))
 
 
 def vector_basis_flip_by_loop():
-    ex, ez = Multivector.basis_vector(3, 1), Multivector.basis_vector(3, 3)
-    ey = Multivector(3, -1.0 * Multivector.basis_vector(3, 2).coeffs)
+    ex, ez = basis_vector(3, 1), basis_vector(3, 3)
+    ey = Multivector(3, -1.0 * basis_vector(3, 2).coeffs)
     I_flipped = geometric_product(geometric_product(ex, ey), ez)
     beta = [contract(I_flipped, v) for v in (ex, ey, ez)]
     prod = geometric_product(geometric_product(beta[0], beta[1]), beta[2])
-    return max(distance(prod, Multivector.scalar(3, 1.0)),
+    return max(distance(prod, Multivector.blade(3, 0, 1.0)),
                float(np.linalg.norm(I_flipped.coeffs + Multivector.volume(3).coeffs)))
 
 

@@ -27,6 +27,7 @@ from cliffsphere.multivector import (
 )
 
 from .oracles import (
+    basis_vector,
     flip_kernel_sign,
     grade_part,
     naive_contract,
@@ -41,7 +42,7 @@ from .oracles import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
-e = Multivector.basis_vector
+e = basis_vector
 
 
 def random_unit(rng, k=3):
@@ -60,13 +61,13 @@ def test_generator_squares_to_one():
     for dim in (1, 3, 7):
         for j in range(1, dim + 1):
             sq = geometric_product(e(dim, j), e(dim, j))
-            assert np.array_equal(sq.coeffs, Multivector.scalar(dim, 1.0).coeffs)
+            assert np.array_equal(sq.coeffs, Multivector.blade(dim, 0, 1.0).coeffs)
 
 
 def test_volume_element_squares_to_minus_one_in_cl30():
     I = Multivector.volume(3)
     sq = geometric_product(I, I)
-    assert np.array_equal(sq.coeffs, Multivector.scalar(3, -1.0).coeffs)
+    assert np.array_equal(sq.coeffs, Multivector.blade(3, 0, -1.0).coeffs)
 
 
 def test_e124_times_e1_in_cl70():
@@ -86,7 +87,7 @@ def test_anticommutation_exact():
             for k in range(1, dim + 1):
                 anti = (geometric_product(e(dim, j), e(dim, k)).coeffs
                         + geometric_product(e(dim, k), e(dim, j)).coeffs)
-                want = Multivector.scalar(dim, 2.0 if j == k else 0.0)
+                want = Multivector.blade(dim, 0, 2.0 if j == k else 0.0)
                 assert np.array_equal(anti, want.coeffs)
 
 
@@ -381,7 +382,7 @@ def test_contract_volume_with_generator():
 
 def test_contract_vector_with_itself_is_scalar_one():
     got = contract(e(3, 1), e(3, 1))
-    assert np.array_equal(got.coeffs, Multivector.scalar(3, 1.0).coeffs)
+    assert np.array_equal(got.coeffs, Multivector.blade(3, 0, 1.0).coeffs)
 
 
 def test_vector_product_decomposes_into_contract_plus_wedge():
@@ -464,8 +465,8 @@ def test_rotor_exp_closed_form_against_series_oracle():
 
 def test_rotor_exp_special_angles():
     B = Multivector.blade(3, 0b011).coeffs
-    assert np.array_equal(rotor_coeffs(B, 0.0), Multivector.scalar(3, 1.0).coeffs)
-    assert np.linalg.norm(rotor_coeffs(B, math.pi) - Multivector.scalar(3, -1.0).coeffs) <= 1e-15
+    assert np.array_equal(rotor_coeffs(B, 0.0), Multivector.blade(3, 0, 1.0).coeffs)
+    assert np.linalg.norm(rotor_coeffs(B, math.pi) - Multivector.blade(3, 0, -1.0).coeffs) <= 1e-15
     assert np.linalg.norm(rotor_coeffs(B, math.pi / 2) - B) <= 1e-15
 
 
@@ -508,7 +509,7 @@ def test_rotor_sandwich_rotates_by_twice_the_angle():
 
 
 def test_coefficients_are_immutable():
-    x = Multivector.scalar(3, 1.0)
+    x = Multivector.blade(3, 0, 1.0)
     with pytest.raises(ValueError):
         x.coeffs[0] = 2.0
 
@@ -529,10 +530,8 @@ def test_every_constructor_checks_dim_before_it_allocates(dim):
     # 2**40 coefficients would be 8 TiB, and a negative dim a negative shift
     builds = [lambda: Multivector(dim, np.zeros(1)),
               lambda: Multivector.blade(dim, 1),
-              lambda: Multivector.scalar(dim, 1.0),
               lambda: Multivector.from_vector([1.0], dim=dim),
-              lambda: Multivector.volume(dim),
-              lambda: Multivector.basis_vector(dim, 1)]
+              lambda: Multivector.volume(dim)]
     for build in builds:
         with pytest.raises(ValueError, match=r"dim must be in 1\.\.8"):
             build()
@@ -544,7 +543,7 @@ def test_render_format():
     y = Multivector(3, [0.0, 0.0, 0.0, 0.0, -1.5, 0.0, 0.0, 0.5])
     assert render(y) == "-1.5*e3 + 0.5*e123"
     assert render(Multivector(3, np.zeros(8))) == "0.0"
-    cancelled = x.coeffs - Multivector.blade(3, 0b011, 2.0).coeffs - Multivector.scalar(3, 2.0).coeffs
+    cancelled = x.coeffs - Multivector.blade(3, 0b011, 2.0).coeffs - Multivector.blade(3, 0, 2.0).coeffs
     assert str(Multivector(3, cancelled)) == "-1.0"
 
 

@@ -71,7 +71,8 @@ UNREAD_MEMBERS = {
     "__post_init__",
     # the f-string in `epr._raw_scores`' error message reaches it
     "Multivector.__str__",
-    # the result that `marginal_average` returns
+    # the results that `marginal_average` returns
+    "CorrelationEstimate.scalar",
     "CorrelationEstimate.residual_coeffs",
     # argparse calls it on every error it finds in an argv
     "_Parser.error",
@@ -83,6 +84,7 @@ CACHED_CALLS = {
     "_gather_index": [(3, "geometric"), (7, "wedge"), (8, "contract")],
     "_reversion_sign": [(3,), (7,)],
     "_naive_table": [(3,)],
+    "_generator_pairs": [(3,), (7,)],
     "_blade_labels": [(3,)],
     "build_parser": [()],
     "_build_J": [()],

@@ -26,6 +26,7 @@ from cliffsphere.seven_sphere import (
 )
 
 from .oracles import (
+    basis_vector,
     flip_kernel_sign,
     grade_part,
     naive_contract,
@@ -115,7 +116,7 @@ def test_kernel_canary_leaves_the_process_J_alone():
 
 def test_seven_trivector_validation():
     with pytest.raises(ValueError, match="grade 3"):
-        SevenTrivector(Multivector.basis_vector(7, 1))
+        SevenTrivector(basis_vector(7, 1))
     with pytest.raises(ValueError, match="7 unit"):
         SevenTrivector(Multivector.blade(7, mask_of(1, 2, 4)))
 
@@ -124,9 +125,9 @@ def test_contract_J_with_e1_fano_line():
     # hand expansion: J . e1 = e2 e4 + e5 e6 + e3 e7; oracle: naive multiplier
     # with grade filter
     J = build_J().value
-    got = contract(J, Multivector.basis_vector(7, 1))
+    got = contract(J, basis_vector(7, 1))
     want = naive_grade_filter(
-        naive_product(J.coeffs, Multivector.basis_vector(7, 1).coeffs), 2
+        naive_product(J.coeffs, basis_vector(7, 1).coeffs), 2
     )
     assert np.array_equal(got.coeffs, want)
     expected = np.zeros(128)
@@ -139,7 +140,7 @@ def test_contract_J_with_every_generator_has_three_terms():
     # Fano incidence: every point lies on exactly 3 lines
     J = build_J().value
     for k in range(1, 8):
-        got = contract(J, Multivector.basis_vector(7, k))
+        got = contract(J, basis_vector(7, k))
         assert np.array_equal(got.coeffs, grade_part(got, 2).coeffs)
         assert np.count_nonzero(got.coeffs) == 3
         assert np.all(np.abs(got.coeffs[np.nonzero(got.coeffs)]) == 1.0)
